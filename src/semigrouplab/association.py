@@ -276,43 +276,27 @@ def check_semigroup_association(s: SymbolSeq, s_tilde: SymbolSeq, omega: float,
     and its agreement recorded (the generator direction of the semigroup
     comparison theorem).
     """
-    fac_a = lambda n, t: phi(t, s.on_grid(n, grid))
-    fac_b = lambda n, t: phi(t, s_tilde.on_grid(n, grid))
-    report = semigroup_association_from_factors(fac_a, fac_b, omega, t_samples,
-                                                test_seqs, grid, n_list,
-                                                label=label)
+    reports = []
+    for i, seq in enumerate(test_seqs):
+        norms = []
+        for n in n_list:
+            a = s.on_grid(n, grid)
+            at = s_tilde.on_grid(n, grid)
+            x = seq(n)
+            best = 0.0
+            for t in t_samples:
+                d = phi(float(t), a) - phi(float(t), at)
+                val = math.exp(-omega * float(t)) * lp_norm(MultiplierOp(grid, d).apply(x), 2)
+                best = max(best, val)
+            norms.append(best)
+        reports.append(make_association_report(n_list, norms, label=f"{label}/seq{i}"))
+    report = _combine_reports(reports, label or "semigroup")
     if rerun_resolvent and report.is_associated():
         companion = check_resolvent_association(s, s_tilde, lambda_list, test_seqs,
                                                 grid, n_list, label=f"{label}/companion")
         report.per_sequence.append(companion)
         report.companion_agrees = companion.is_associated()
     return report
-
-
-def semigroup_association_from_factors(factor_a: Callable[[int, float], np.ndarray],
-                                       factor_b: Callable[[int, float], np.ndarray],
-                                       omega: float, t_samples: Sequence[float],
-                                       test_seqs: Sequence[TestSequence],
-                                       grid: Grid, n_list: Sequence[int],
-                                       label: str = "") -> AssociationReport:
-    """Exponentially weighted sup-over-t association for factor providers.
-
-    Shared by the plain semigroup comparison and the perturbed families,
-    which supply their own per-mode factors.
-    """
-    reports = []
-    for i, seq in enumerate(test_seqs):
-        norms = []
-        for n in n_list:
-            x = seq(n)
-            best = 0.0
-            for t in t_samples:
-                d = factor_a(n, float(t)) - factor_b(n, float(t))
-                val = math.exp(-omega * float(t)) * lp_norm(MultiplierOp(grid, d).apply(x), 2)
-                best = max(best, val)
-            norms.append(best)
-        reports.append(make_association_report(n_list, norms, label=f"{label}/seq{i}"))
-    return _combine_reports(reports, label or "semigroup")
 
 
 def check_weighted_resolvent_association(s: SymbolSeq, s_tilde: SymbolSeq,

@@ -179,10 +179,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown forcing kind '{cfg.forcing_kind}'")
     if cfg.perturb_c_rate not in ("inverse", "inverse-sqrt", "zero"):
         raise ConfigError(f"unknown C-sequence rate '{cfg.perturb_c_rate}'")
-    if len(cfg.n_list) < 1 or sorted(cfg.n_list) != list(cfg.n_list):
-        raise ConfigError("n_list must be a nonempty increasing list")
-    if cfg.dt <= 0 or cfg.t_end <= 0:
-        raise ConfigError("time grid needs positive dt and t_end")
+    n = cfg.n_list
+    if not n or n[0] < 1 or any(lo >= hi for lo, hi in zip(n, n[1:])):
+        raise ConfigError(f"n_list must be strictly increasing positive indices, got {n}")
+    if not cfg.lambda_samples:
+        raise ConfigError("lambda_samples must be nonempty")
+    for key in ("dt", "t_end", "t_max") + _LAYOUT["tolerances"]:
+        value = getattr(cfg, key)
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{key} must be finite and positive, got {value}")
     steps = cfg.t_end / cfg.dt
     if abs(steps - round(steps)) > 1e-9:
         raise ConfigError("t_end must be an integer multiple of dt")

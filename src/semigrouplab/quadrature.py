@@ -9,9 +9,20 @@ the bundled scenarios.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 GAUSS_NODES_PER_PANEL = 12
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_rule(nodes: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]; shared by all callers."""
+    gx, gw = np.polynomial.legendre.leggauss(nodes)
+    gx.setflags(write=False)
+    gw.setflags(write=False)
+    return gx, gw
 
 
 def composite_gauss_points(a: float, b: float, panels: int,
@@ -26,7 +37,7 @@ def composite_gauss_points(a: float, b: float, panels: int,
     """
     if panels < 1:
         raise ValueError(f"panels must be positive, got {panels}")
-    gx, gw = np.polynomial.legendre.leggauss(nodes)
+    gx, gw = _gauss_rule(nodes)
     edges = np.linspace(a, b, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halves = 0.5 * np.diff(edges)

@@ -38,9 +38,9 @@ def phi(t: float, a) -> np.ndarray:
 
     For |t a| below 1e-6 the four-term Taylor expansion
     t (1 + ta/2 + (ta)^2/6 + (ta)^3/24) avoids the removable singularity.
-    The exact branch is evaluated as 2 exp(ta/2) sinh(ta/2) / a, the same
-    expression without the e^(ta) - 1 cancellation, so the two branches
-    agree to well below 1e-12 at the crossover.
+    Below |t a| = 1 the exact value is 2 exp(ta/2) sinh(ta/2) / a, free of the
+    e^(ta) - 1 cancellation, so the branches agree to well below 1e-12 at the
+    crossover.  Each branch is evaluated only on its own entries.
     """
     if t < 0:
         raise ValueError(f"phi needs t >= 0, got {t}")
@@ -49,17 +49,19 @@ def phi(t: float, a) -> np.ndarray:
     mag = np.abs(ta)
     small = mag < PHI_TAYLOR_THRESHOLD
     mid = ~small & (mag < 1.0)
-    safe = np.where(small, 1.0, a)
+    # complement of the other two, so non-finite entries land here
+    plain = ~(small | mid)
+    out = np.empty_like(ta)
     with np.errstate(over="raise"):
         try:
-            # cancellation-free form near zero, plain form elsewhere
-            half = np.where(mid, 0.5 * ta, 0.0)
-            stable = 2.0 * np.exp(half) * np.sinh(half) / safe
-            plain = (np.exp(np.where(small | mid, 0.0, ta)) - 1.0) / safe
+            half = 0.5 * ta[mid]
+            out[mid] = 2.0 * np.exp(half) * np.sinh(half) / a[mid]
+            out[plain] = (np.exp(ta[plain]) - 1.0) / a[plain]
         except FloatingPointError as exc:
             raise OverflowGuardError(f"exp(t a) overflow at t={t}") from exc
-    taylor = t * (1.0 + ta / 2.0 + ta**2 / 6.0 + ta**3 / 24.0)
-    return np.where(small, taylor, np.where(mid, stable, plain))
+    z = ta[small]
+    out[small] = t * (1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0)
+    return out
 
 
 def phi_at_times(times: np.ndarray, a) -> np.ndarray:

@@ -40,10 +40,23 @@ class TestConfig:
             parse_config("[grid]\npoints = many\n")
 
     def test_validation_rules(self):
-        with pytest.raises(ConfigError):
-            parse_config("[grid]\npoints = 100\n")
-        with pytest.raises(ConfigError):
-            parse_config("[sequence]\nn_list = 8, 4\n")
+        bad_inputs = [
+            ("[grid]\npoints = 100\n", "points"),
+            ("[sequence]\nn_list = 8, 4\n", "n_list"),
+            ("[sequence]\nn_list = 0, 4, 8\n", "n_list"),
+            ("[sequence]\nn_list = 4, 4, 8\n", "n_list"),
+            ("[tolerances]\ntol_perturbation_oracle = nan\n", "tol_perturbation_oracle"),
+            ("[tolerances]\ntol_laplace = inf\n", "tol_laplace"),
+            ("[tolerances]\ntol_bromwich = 0.0\n", "tol_bromwich"),
+            ("[tolerances]\ntol_pairing = -1e-3\n", "tol_pairing"),
+            ("[lambda]\nlambda_samples =\n", "lambda_samples"),
+            ("[time]\ndt = nan\n", "dt"),
+            ("[time]\nt_max = nan\n", "t_max"),
+            ("[time]\nt_end = inf\n", "t_end"),
+        ]
+        for text, field in bad_inputs:
+            with pytest.raises(ConfigError, match=field):
+                parse_config(text)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

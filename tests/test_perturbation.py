@@ -7,7 +7,7 @@ from semigrouplab.perturbation import (BoundedMultiplierSeq, constant_coefficien
                                        perturbed_S, perturbation_claims_suite,
                                        summed_symbol_seq)
 from semigrouplab.quadrature import composite_gauss_points
-from semigrouplab.semigroup import apply_S, phi, resolvent_factor
+from semigrouplab.semigroup import MultiplierOp, apply_S, phi, resolvent_factor
 from semigrouplab.spectral import Grid, GridFunction, lp_norm
 from semigrouplab.symbols import perturbed_heat_seq, heat_symbol_seq
 
@@ -109,6 +109,32 @@ class TestProposition49Suite:
                                     omega=1.5)
         assert max(rep.transported_association.norms) == 0.0
         assert rep.verdicts["transported"] == "associated"
+
+    def test_claim_norms_match_quadrature_factors(self, heat, grid, gaussian):
+        # the suite works in closed form; the quadrature factors are the oracle
+        B = BoundedMultiplierSeq.constant(0.5j, name="B")
+        C = BoundedMultiplierSeq.vanishing(lambda n: 1.0 / n, name="C")
+        drifted = perturbed_heat_seq()
+        n_list, ts, omega = [4, 8, 16, 32], [0.5, 1.5, 3.0], 1.5
+        rep = perturbation_claims_suite(heat, drifted, B, C, grid, n_list,
+                                        omega=omega, t_samples=ts)
+
+        def quadrature_norms(s_other, B_other):
+            norms = []
+            for n in n_list:
+                weighted = []
+                for t in ts:
+                    d = (perturbed_factor(heat, B, n, t, grid)
+                         - perturbed_factor(s_other, B_other, n, t, grid))
+                    x = MultiplierOp(grid, d).apply(gaussian)
+                    weighted.append(np.exp(-omega * t) * lp_norm(x, 2))
+                norms.append(max(weighted))
+            return norms
+
+        assert rep.pair_association.norms == pytest.approx(
+            quadrature_norms(heat, B.plus(C)), rel=1e-10)
+        assert rep.transported_association.norms == pytest.approx(
+            quadrature_norms(drifted, B), rel=1e-10)
 
     def test_non_vanishing_c_rejected(self, heat, grid):
         B = BoundedMultiplierSeq.constant(0.5j, name="B")

@@ -2,11 +2,11 @@
 import numpy as np
 import pytest
 
-from semigrouplab.errors import ResolventSingularityError
+from semigrouplab.errors import OverflowGuardError, ResolventSingularityError
 from semigrouplab.semigroup import (MultiplierOp, apply_resolvent, apply_S,
                                     bromwich_S, certify_growth,
                                     integrated_factor,
-                                    laplace_identity_residual, phi,
+                                    laplace_identity_residual, phi, phi_at_times,
                                     pseudoresolvent_residual, resolvent_factor)
 from semigrouplab.spectral import (Grid, GridFunction, inverse_transform,
                                    lp_norm)
@@ -62,6 +62,29 @@ class TestPhi:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             phi(-1.0, 0.0)
+
+    def test_mixed_branches_match_scalar_calls(self):
+        # Taylor (|ta| < 1e-6), sinh (|ta| < 1) and plain branches in one array;
+        # at -0.6+0.2j and -0.05-0.0015j numpy's 0-d scalar arithmetic rounds
+        # differently from its array loops, so a 0-d fast path would show here
+        a = np.array([0.0, 3e-7j, -2e-7 + 1e-7j, 0.4 - 0.3j, -0.6 + 0.2j,
+                      -0.05 - 0.0015j, 0.6j, -40.0 + 3.0j, 7.0, 25j])
+        t = 1.3
+        out = phi(t, a)
+        assert out.shape == a.shape
+        assert np.array_equal(out, np.array([complex(phi(t, x)) for x in a]))
+
+    def test_phi_at_times_broadcast_shape(self):
+        times = np.array([0.0, 1e-7, 0.5, 2.0])
+        a = np.array([-4.0 + 1j, 2e-7, 0.3j])
+        out = phi_at_times(times[:, None], a[None])
+        assert out.shape == (4, 3)
+        for i, t in enumerate(times):
+            assert np.allclose(out[i], phi(t, a), rtol=1e-14, atol=0.0)
+
+    def test_single_overflowing_entry_raises(self):
+        with pytest.raises(OverflowGuardError):
+            phi(1.0, np.array([-1.0, 0.5j, 800.0, 1e-8]))
 
 
 class TestApplyS:
