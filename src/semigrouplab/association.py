@@ -42,6 +42,15 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 _SEVERITY = {VERDICT_ASSOCIATED: 0, VERDICT_INCONCLUSIVE: 1, VERDICT_NOT: 2}
 
 
+def max_keep_nan(best: float, value: float) -> float:
+    """Running sup that keeps a NaN from either side.
+
+    ``max(0.0, nan)`` is 0.0, which would read a NaN norm as a zero
+    difference; here a NaN, once seen, is the result.
+    """
+    return value if math.isnan(value) or value > best else best
+
+
 @dataclass(frozen=True)
 class ModerateSeq:
     """Least-squares log-log fit of a positive sequence over its indices."""
@@ -52,10 +61,6 @@ class ModerateSeq:
     constant: float
     r_squared: float
     floored: bool = False
-
-    @property
-    def intercept(self) -> float:
-        return math.log(self.constant)
 
 
 def fit_moderate(norms: Mapping[int, float]) -> ModerateSeq:
@@ -129,9 +134,15 @@ class AssociationReport:
 
 def make_association_report(indices: Sequence[int], norms: Sequence[float],
                             label: str = "", tol_rel: float = TOL_ASSOC_REL) -> AssociationReport:
-    """Apply the verdict rule to one difference-norm sequence."""
+    """Apply the verdict rule to one difference-norm sequence.
+
+    A non-finite norm raises ``ValueError`` naming the label and the index.
+    """
     indices = list(indices)
     norms = [float(v) for v in norms]
+    for n, v in zip(indices, norms):
+        if not math.isfinite(v):
+            raise ValueError(f"{label or 'association'}: norm at n={n} is {v}")
     initial = norms[0]
     final = norms[-1]
     tol_assoc = tol_rel * initial
@@ -257,7 +268,7 @@ def check_resolvent_association(s: SymbolSeq, s_tilde: SymbolSeq,
             best = 0.0
             for lam in lambda_list:
                 d = resolvent_factor(s, n, lam, grid) - resolvent_factor(s_tilde, n, lam, grid)
-                best = max(best, lp_norm(MultiplierOp(grid, d).apply(x), 2))
+                best = max_keep_nan(best, lp_norm(MultiplierOp(grid, d).apply(x), 2))
             norms.append(best)
         reports.append(make_association_report(n_list, norms, label=f"{label}/seq{i}"))
     return _combine_reports(reports, label or "resolvent")
@@ -287,7 +298,7 @@ def check_semigroup_association(s: SymbolSeq, s_tilde: SymbolSeq, omega: float,
             for t in t_samples:
                 d = phi(float(t), a) - phi(float(t), at)
                 val = math.exp(-omega * float(t)) * lp_norm(MultiplierOp(grid, d).apply(x), 2)
-                best = max(best, val)
+                best = max_keep_nan(best, val)
             norms.append(best)
         reports.append(make_association_report(n_list, norms, label=f"{label}/seq{i}"))
     report = _combine_reports(reports, label or "semigroup")
@@ -326,7 +337,7 @@ def check_weighted_resolvent_association(s: SymbolSeq, s_tilde: SymbolSeq,
                 lam = complex(lam)
                 d = lam**b * (resolvent_factor(s, n, lam, grid)
                               - resolvent_factor(s_tilde, n, lam, grid))
-                best = max(best, lp_norm(MultiplierOp(grid, d).apply(x), 2))
+                best = max_keep_nan(best, lp_norm(MultiplierOp(grid, d).apply(x), 2))
             norms.append(best)
         reports.append(make_association_report(n_list, norms, label=f"{label}/seq{i}"))
     report = _combine_reports(reports, label or "weighted-resolvent")
@@ -433,7 +444,7 @@ def check_derivative_association(s: SymbolSeq, s_tilde: SymbolSeq, n_list: Seque
                     d = (lam - omega) ** (k + 1) * (
                         resolvent_over_lambda_derivative(float(lam), a, k)
                         - resolvent_over_lambda_derivative(float(lam), at, k))
-                    best = max(best, lp_norm(MultiplierOp(grid, d).apply(x), 2))
+                    best = max_keep_nan(best, lp_norm(MultiplierOp(grid, d).apply(x), 2))
             norms.append(best)
         reports.append(make_association_report(n_list, norms, label=f"{label}/seq{i}"))
     return _combine_reports(reports, label or "derivative-association")

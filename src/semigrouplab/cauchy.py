@@ -14,7 +14,7 @@ defect an O(dt^2) measurement of consistency rather than an identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -60,34 +60,22 @@ def _phi_k(z: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ForcingSeq:
-    """A forcing family (n, t) -> GridFunction sampled on a time grid.
-
-    ``smooth`` marks families whose time derivative can be sampled (used
-    only for reporting; the solver needs values at the time-grid nodes).
-    """
+    """A forcing family (n, t) -> GridFunction sampled on a time grid."""
 
     grid: Grid
     eval: Callable[[int, float], GridFunction]
-    smooth: bool = True
-    time_derivative: Optional[Callable[[int, float], GridFunction]] = None
 
     @staticmethod
     def zero(grid: Grid) -> "ForcingSeq":
         z = GridFunction.zero(grid)
-        return ForcingSeq(grid=grid, eval=lambda n, t: z,
-                          time_derivative=lambda n, t: z)
+        return ForcingSeq(grid=grid, eval=lambda n, t: z)
 
     @staticmethod
-    def separable(profile: Callable[[float], float], shape_for: Callable[[int], GridFunction],
-                  profile_derivative: Optional[Callable[[float], float]] = None) -> "ForcingSeq":
+    def separable(profile: Callable[[float], float],
+                  shape_for: Callable[[int], GridFunction]) -> "ForcingSeq":
         """f_n(t, x) = profile(t) * shape_n(x)."""
-        grid = shape_for(1).grid
-        deriv = None
-        if profile_derivative is not None:
-            deriv = lambda n, t: profile_derivative(t) * shape_for(n)
-        return ForcingSeq(grid=grid,
-                          eval=lambda n, t: profile(t) * shape_for(n),
-                          time_derivative=deriv)
+        return ForcingSeq(grid=shape_for(1).grid,
+                          eval=lambda n, t: profile(t) * shape_for(n))
 
     def continuity_defects(self, n: int, t_values: Sequence[float],
                            delta: float = 1e-4) -> list:
@@ -202,10 +190,10 @@ def duhamel_solve(s: SymbolSeq, n: int, u0n: GridFunction, f: ForcingSeq,
     vol = grid.cell_volume
 
     def back(arr):
-        out = np.empty_like(arr)
+        """Inverse transform of every time slice, in place."""
         for j in range(arr.shape[0]):
-            out[j] = np.fft.ifftn(arr[j] * ph) / vol
-        return out
+            arr[j] = np.fft.ifftn(arr[j] * ph) / vol
+        return arr
 
     w_vals = back(w)
     w_vals[0] = u0n.values  # the initial condition holds exactly

@@ -23,7 +23,7 @@ from .association import (bundled_family_pairs, bundled_test_sequences,
                           check_resolvent_norm_bounds,
                           check_semigroup_association,
                           check_weighted_resolvent_association,
-                          crosscheck_comparison_theorems)
+                          crosscheck_comparison_theorems, max_keep_nan)
 from .cauchy import (ForcingSeq, bump_test_function, integral_equation_residual,
                      solve_sequence, very_weak_pairing, weak_limit_extract)
 from .config import (ExperimentConfig, default_config, load_config,
@@ -93,7 +93,7 @@ def build_data(cfg: ExperimentConfig, grid: Grid) -> DistributionRep:
     raise ConfigError(f"unknown data kind '{cfg.data_kind}'")
 
 
-def build_forcing(cfg: ExperimentConfig, grid: Grid, theta: Mollifier) -> ForcingSeq:
+def build_forcing(cfg: ExperimentConfig, grid: Grid) -> ForcingSeq:
     if cfg.forcing_kind == "none":
         return ForcingSeq.zero(grid)
     shape = GridFunction.gaussian(grid)
@@ -102,9 +102,7 @@ def build_forcing(cfg: ExperimentConfig, grid: Grid, theta: Mollifier) -> Forcin
     def shape_for(n: int) -> GridFunction:
         return amp * shape
 
-    return ForcingSeq.separable(profile=lambda t: math.cos(t),
-                                shape_for=shape_for,
-                                profile_derivative=lambda t: -math.sin(t))
+    return ForcingSeq.separable(profile=lambda t: math.cos(t), shape_for=shape_for)
 
 
 class SuiteResult:
@@ -127,7 +125,7 @@ def _suite_laplace(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) -> SuiteResu
         lam = complex(lam).real
         T = 40.0 / (lam - omega)
         for n in cfg.n_list[:2]:
-            worst = max(worst, laplace_identity_residual(s, n, lam, u, T, panels=64))
+            worst = max_keep_nan(worst, laplace_identity_residual(s, n, lam, u, T, panels=64))
     return SuiteResult("laplace-identity", worst, cfg.tol_laplace)
 
 
@@ -143,7 +141,7 @@ def _suite_pseudoresolvent(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq,
         mu = floor + rng.uniform(0.5, 50.0) + 1j * rng.uniform(-20.0, 20.0)
         for fam in families:
             for n in cfg.n_list[:2]:
-                worst = max(worst, pseudoresolvent_residual(fam, n, lam, mu, u))
+                worst = max_keep_nan(worst, pseudoresolvent_residual(fam, n, lam, mu, u))
     return SuiteResult("pseudoresolvent", worst, cfg.tol_pseudoresolvent)
 
 
@@ -159,7 +157,7 @@ def _suite_functional_equation(cfg: ExperimentConfig) -> SuiteResult:
         lhs = complex(phi(t, a) * phi(sdur, a))
         pts, wts = composite_gauss_points(0.0, sdur, panels=64)
         rhs = np.sum(wts * (phi_at_times(t + pts, a) - phi_at_times(pts, a)))
-        worst = max(worst, abs(lhs - complex(rhs)))
+        worst = max_keep_nan(worst, abs(lhs - complex(rhs)))
     return SuiteResult("functional-equation", worst, cfg.tol_functional_equation)
 
 
@@ -170,7 +168,7 @@ def _suite_bromwich(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) -> SuiteRes
     for t in (0.25, 0.5, 1.0):
         direct = apply_S(s, cfg.n_list[0], t, u)
         contour = bromwich_S(s, cfg.n_list[0], t, u, alpha=alpha, r_max=200.0, steps=20000)
-        worst = max(worst, lp_norm(direct - contour, 2))
+        worst = max_keep_nan(worst, lp_norm(direct - contour, 2))
     return SuiteResult("bromwich-oracle", worst, cfg.tol_bromwich)
 
 
@@ -186,7 +184,7 @@ def _suite_perturbation_oracle(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) 
         pts, wts = composite_gauss_points(0.0, t, panels=64)
         integral = np.sum(wts * np.exp(pts * b) * phi_at_times(pts, a))
         quad = np.exp(t * b) * phi(t, a) - b * integral
-        worst = max(worst, abs(complex(quad) - complex(phi(t, a + b))))
+        worst = max_keep_nan(worst, abs(complex(quad) - complex(phi(t, a + b))))
     return SuiteResult("perturbation-oracle", worst, cfg.tol_perturbation_oracle)
 
 
@@ -235,7 +233,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True) -> 
     s = build_family(cfg)
     theta = Mollifier()
     data = build_data(cfg, grid)
-    forcing = build_forcing(cfg, grid, theta)
+    forcing = build_forcing(cfg, grid)
     tg = time_grid(cfg)
 
     def u0_for(n: int) -> GridFunction:
@@ -352,7 +350,7 @@ def run_perturb(cfg: ExperimentConfig, out_dir: Path) -> int:
         t = float(rng.uniform(0.1, 2.0))
         q = perturbed_factor(s, B, n, t, grid)
         c = perturbed_factor_closed(s, B, n, t, grid)
-        worst = max(worst, float(np.max(np.abs(q - c))))
+        worst = max_keep_nan(worst, float(np.max(np.abs(q - c))))
 
     csvio.write_certificate(out_dir / "perturbed_growth.csv", report.growth)
     csvio.write_association(out_dir / "perturbed_pair.csv", report.pair_association)

@@ -184,7 +184,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"n_list must be strictly increasing positive indices, got {n}")
     if not cfg.lambda_samples:
         raise ConfigError("lambda_samples must be nonempty")
-    for key in ("dt", "t_end", "t_max") + _LAYOUT["tolerances"]:
+    for key in ("half_width", "dt", "t_end", "t_max") + _LAYOUT["tolerances"]:
         value = getattr(cfg, key)
         if not 0 < value < math.inf:
             raise ConfigError(f"{key} must be finite and positive, got {value}")

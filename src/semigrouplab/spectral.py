@@ -52,8 +52,8 @@ class Grid:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < np.inf:
+            raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
         if not _is_power_of_two(self.points):
             raise ValueError(f"points must be a power of two, got {self.points}")
 

@@ -13,7 +13,7 @@ from semigrouplab.association import (AssociationReport, bundled_family_pairs,
                                       crosscheck_comparison_theorems, derivative_bound_quantity,
                                       default_derivative_lambdas, fit_moderate,
                                       is_moderate_fit, make_association_report,
-                                      resolvent_over_lambda_derivative)
+                                      max_keep_nan, resolvent_over_lambda_derivative)
 from semigrouplab.errors import InsufficientDataError
 from semigrouplab.spectral import Grid, GridFunction, Mollifier, lp_norm
 from semigrouplab.symbols import (PolySymbolParams, perturbed_heat_seq,
@@ -102,6 +102,17 @@ class TestVerdictRule:
         rep = make_association_report([4, 8, 16, 32], [1.0, 1e-15, 2e-15, 1.5e-15])
         assert rep.verdict == "associated"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_norm_raises(self, bad):
+        with pytest.raises(ValueError, match="demo: norm at n=8"):
+            make_association_report([4, 8, 16, 32], [1.0, bad, 0.5, 0.25], label="demo")
+
+    def test_running_sup_keeps_nan(self):
+        assert math.isnan(max_keep_nan(0.0, math.nan))
+        assert math.isnan(max_keep_nan(math.nan, 1.0))
+        assert max_keep_nan(0.5, 2.0) == 2.0
+        assert max_keep_nan(2.0, 0.5) == 2.0
+
 
 class TestG4:
     def test_stationary_family_has_unit_spread(self, heat, grid):
@@ -179,6 +190,13 @@ class TestGeisAndGE4:
                                      [gaussian_seq], grid, [4, 8, 16, 32, 64])
         assert rep.verdict == "associated"
         assert rep.companion_agrees
+
+    @pytest.mark.parametrize("t_samples", [[math.nan], [0.5, math.nan]])
+    def test_nan_time_sample_is_not_a_zero_norm(self, heat, drifted, grid, gaussian_seq,
+                                                t_samples):
+        with pytest.raises(ValueError, match="n=4 is nan"):
+            check_semigroup_association(heat, drifted, 1.0, t_samples,
+                                        [gaussian_seq], grid, [4, 8, 16, 32, 64])
 
     def test_shifted_pair_not_associated(self, heat, grid, gaussian_seq):
         shifted = shifted_symbol_seq(heat, lambda n, v: np.ones(v.shape[:-1]),

@@ -53,8 +53,7 @@ class TestDuhamelSolve:
         # zero symbol: v_hat = f t^2/2 and w_hat = f t per mode
         zero_sym = make_poly_symbol_seq(PolySymbolParams(rule=lambda n: (0.0,)))
         shape = GridFunction.gaussian(grid)
-        forcing = ForcingSeq.separable(lambda t: 1.0, lambda n: shape,
-                                       profile_derivative=lambda t: 0.0)
+        forcing = ForcingSeq.separable(lambda t: 1.0, lambda n: shape)
         sol = duhamel_solve(zero_sym, 1, GridFunction.zero(grid), forcing,
                             tgrid(1.0, 1 / 32))
         assert lp_norm(sol.v(1, 1.0) - 0.5 * shape, 2) < 1e-12
@@ -62,8 +61,7 @@ class TestDuhamelSolve:
 
     def test_forced_solution_against_quadrature_oracle(self, heat, grid):
         # piecewise-linear forcing interpolation converges at second order
-        forcing = ForcingSeq.separable(math.cos, lambda n: GridFunction.gaussian(grid),
-                                       profile_derivative=lambda t: -math.sin(t))
+        forcing = ForcingSeq.separable(math.cos, lambda n: GridFunction.gaussian(grid))
         u0 = GridFunction.gaussian(grid)
         t_star = 1.0
         a = heat.on_grid(1, grid)
@@ -262,8 +260,7 @@ class TestModeratenessPropagation:
         theta = Mollifier()
         delta = DistributionRep.delta(g)
         f = ForcingSeq.separable(lambda t: math.exp(-t),
-                                 lambda n: mollify(delta, theta, n),
-                                 profile_derivative=lambda t: -math.exp(-t))
+                                 lambda n: mollify(delta, theta, n))
         tg_ = tgrid(1.0, 1 / 64)
         ns = [4, 8, 16, 32]
         sol = solve_sequence(heat, ns, lambda n: mollify(delta, theta, n), f, tg_)

@@ -1,10 +1,13 @@
 """CSV schema and determinism of the writers."""
 import numpy as np
+import pytest
 
 from semigrouplab.association import make_association_report
-from semigrouplab.csvio import (write_association, write_pairings,
-                                write_snapshot)
+from semigrouplab.cauchy import ForcingSeq, MildSolutionSeq, solve_sequence
+from semigrouplab.csvio import (write_association, write_pairings, write_rows,
+                                write_snapshot, write_solution)
 from semigrouplab.spectral import Grid, GridFunction
+from semigrouplab.symbols import heat_symbol_seq
 
 
 def test_snapshot_schema_1d(tmp_path):
@@ -57,3 +60,37 @@ def test_writer_is_reproducible(tmp_path):
     write_association(a, rep)
     write_association(b, rep)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _per_cell_solution_rows(sol, stride):
+    """The row-by-row solution export that write_solution must reproduce."""
+    x = sol.grid.coords()
+    for n in sol.indices():
+        w = sol.w_values(n)
+        for j in range(0, len(sol.t_grid), stride):
+            t = float(sol.t_grid[j])
+            for i in range(sol.grid.points):
+                yield (n, t, float(x[i]), float(w[j, i].real), float(w[j, i].imag))
+
+
+def test_solution_blocks_match_per_cell_rows(tmp_path):
+    g = Grid(1, 4.0, 64)
+    t_grid = np.linspace(0.0, 1.0, 9)  # 8 steps: not a multiple of the stride
+    sol = solve_sequence(heat_symbol_seq(), [4, 8],
+                         lambda n: GridFunction.gaussian(g, 1.0 / n),
+                         ForcingSeq.zero(g), t_grid)
+    sol.w_values(4).real[3, 5] = -0.0
+    sol.w_values(8).imag[6, 7] = np.nan
+    fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+    write_solution(fast, sol, stride=3)
+    write_rows(ref, ["n", "t", "x", "re_w", "im_w"], _per_cell_solution_rows(sol, 3))
+    data = fast.read_bytes()
+    assert data == ref.read_bytes()
+    assert b",-0.0," in data and b",nan\n" in data
+    assert data.count(b"\n") == 1 + 2 * 3 * 64
+
+
+def test_solution_rejects_2d_grid(tmp_path):
+    sol = MildSolutionSeq(grid=Grid(2, 1.0, 4), t_grid=np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        write_solution(tmp_path / "sol.csv", sol)

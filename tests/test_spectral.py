@@ -29,6 +29,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(3, 8.0, 64)
 
+    @pytest.mark.parametrize("half_width", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_half_width(self, half_width):
+        with pytest.raises(ValueError, match="half_width"):
+            Grid(1, half_width, 64)
+
 
 class TestTransform:
     def test_constant_concentrates_at_zero_mode(self):
