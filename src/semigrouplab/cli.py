@@ -30,8 +30,8 @@ from .config import (ExperimentConfig, default_config, load_config,
                      serialize_config, time_grid)
 from .errors import ConfigError, SemigroupLabError
 from .perturbation import (BoundedMultiplierSeq, constant_coefficient_example,
-                           perturbed_factor, perturbed_factor_closed,
-                           perturbation_claims_suite)
+                           perturbation_quadrature, perturbed_factor,
+                           perturbed_factor_closed, perturbation_claims_suite)
 from .quadrature import composite_gauss_points
 from .semigroup import (apply_S, bromwich_S, certify_growth,
                         default_time_samples, laplace_identity_residual, phi,
@@ -174,18 +174,15 @@ def _suite_bromwich(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) -> SuiteRes
 
 def _suite_perturbation_oracle(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) -> SuiteResult:
     rng = np.random.default_rng(20240803)
-    worst = 0.0
+    draws = []
     for _ in range(1000):
         ra, rb = rng.uniform(0, 100.0, size=2)
         ta_, tb_ = rng.uniform(0.5 * np.pi, 1.5 * np.pi, size=2)
-        a = ra * np.exp(1j * ta_)
-        b = rb * np.exp(1j * tb_)
-        t = rng.uniform(0.01, 5.0)
-        pts, wts = composite_gauss_points(0.0, t, panels=64)
-        integral = np.sum(wts * np.exp(pts * b) * phi_at_times(pts, a))
-        quad = np.exp(t * b) * phi(t, a) - b * integral
-        worst = max_keep_nan(worst, abs(complex(quad) - complex(phi(t, a + b))))
-    return SuiteResult("perturbation-oracle", worst, cfg.tol_perturbation_oracle)
+        draws.append((ra * np.exp(1j * ta_), rb * np.exp(1j * tb_), rng.uniform(0.01, 5.0)))
+    a, b, t = (np.array(col) for col in zip(*draws))
+    deviation = np.abs(perturbation_quadrature(t, a, b) - phi_at_times(t, a + b))
+    return SuiteResult("perturbation-oracle", float(np.max(deviation)),
+                       cfg.tol_perturbation_oracle)
 
 
 def run_verify(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> int:

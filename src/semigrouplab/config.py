@@ -19,6 +19,9 @@ from .errors import ConfigError
 
 HEAT_C2 = 1.0 / (4.0 * math.pi**2)
 
+#: largest grid accepted, points ** dimension (the bundled scenarios use at most 8,192)
+MAX_GRID_MODES = 2**22
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -166,6 +169,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"grid dimension must be 1 or 2, got {cfg.dimension}")
     if cfg.points < 2 or (cfg.points & (cfg.points - 1)):
         raise ConfigError(f"grid points must be a power of two, got {cfg.points}")
+    if cfg.points ** cfg.dimension > MAX_GRID_MODES:
+        raise ConfigError(f"grid points ** dimension must be at most {MAX_GRID_MODES} modes, "
+                          f"got points = {cfg.points} in dimension {cfg.dimension}")
     if cfg.family_kind not in ("poly", "fractional"):
         raise ConfigError(f"unknown family kind '{cfg.family_kind}'")
     if cfg.family_kind == "poly" and len(cfg.coeffs) > 3:

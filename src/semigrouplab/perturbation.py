@@ -9,8 +9,20 @@ Per mode the s-integral has the closed form (e^(t b) phi(t,a) - phi(t,a+b));
 integrating by parts shows the whole expression collapses to phi(t, a+b),
 i.e. the perturbed family is the integrated semigroup of the summed symbol.
 The claims suite works with that closed form, through ``summed_symbol_seq``.
-The quadrature form, ``perturbed_factor``, is kept as the oracle the closed
-form is tested against.
+
+The quadrature form is kept as the oracle the closed form is tested against:
+``perturbation_quadrature`` evaluates it on broadcast arrays with the
+composite Gauss-Legendre rule (``PERTURBATION_PANELS`` panels of width
+h = t/PERTURBATION_PANELS, ``GAUSS_NODES_PER_PANEL`` nodes each).  A node is
+split as s = e_p + r_q, with panel start e_p = p h and in-panel offset
+r_q = h (1 + x_q)/2, and the two exact identities
+
+    phi(e + r, a) = phi(e, a) + e^(e a) phi(r, a)    (the functional equation)
+    e^((e + r) b) = e^(e b) e^(r b)
+
+factor the double sum over panels and nodes into sums over panels times sums
+over nodes.  ``perturbed_factor`` and the ``verify`` perturbation suite both
+call it.
 """
 from __future__ import annotations
 
@@ -25,7 +37,7 @@ from .association import (AssociationReport, bundled_test_sequences,
                           check_weighted_resolvent_association,
                           make_association_report)
 from .errors import OverflowGuardError
-from .quadrature import composite_gauss_points
+from .quadrature import GAUSS_NODES_PER_PANEL, _gauss_rule
 from .semigroup import (EXP_GUARD, GrowthCertificate, MultiplierOp,
                         certify_growth, phi, phi_at_times)
 from .spectral import Grid, GridFunction
@@ -87,9 +99,53 @@ class BoundedMultiplierSeq:
             name=name or f"{self.name}+{other.name}")
 
 
+def perturbation_quadrature(t, a, b) -> np.ndarray:
+    """e^(tb) phi(t,a) - b int_0^t e^(sb) phi(s,a) ds by the composite Gauss rule.
+
+    ``t``, ``a`` and ``b`` broadcast against each other (t >= 0).  With the
+    split s = e_p + r_q of the module docstring and the weights w_q = h g_q / 2
+    of the Gauss rule (x_q, g_q) on [-1, 1], the s-integral is
+
+        sum_p sum_q w_q e^(s b) phi(s, a)
+            = [sum_p e^(e_p b) phi(e_p, a)] [sum_q w_q e^(r_q b)]
+            + [sum_p e^(e_p a) e^(e_p b)] [sum_q w_q e^(r_q b) phi(r_q, a)],
+
+    so exp and phi run on PERTURBATION_PANELS + GAUSS_NODES_PER_PANEL points
+    per entry instead of their product.  Nothing is evaluated at a + b, so the
+    result stays independent of the closed form phi(t, a + b).  An overflow
+    raises ``OverflowGuardError``.
+    """
+    t = np.asarray(t, dtype=float)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    gx, gw = _gauss_rule(GAUSS_NODES_PER_PANEL)
+    lead = (slice(None),) + (None,) * np.broadcast(t, a, b).ndim
+    h = t / PERTURBATION_PANELS
+    starts = np.arange(PERTURBATION_PANELS)[lead] * h
+    offsets = (0.5 * (1.0 + gx))[lead] * h
+    with np.errstate(over="raise"):
+        try:
+            e_b = np.exp(starts * b)
+            w_b = (0.5 * gw)[lead] * h * np.exp(offsets * b)
+            integral = (np.sum(e_b * phi_at_times(starts, a), axis=0) * np.sum(w_b, axis=0)
+                        + np.sum(np.exp(starts * a) * e_b, axis=0)
+                        * np.sum(w_b * phi_at_times(offsets, a), axis=0))
+            return np.exp(t * b) * phi_at_times(t, a) - b * integral
+        except FloatingPointError as exc:
+            raise OverflowGuardError("perturbation quadrature overflows") from exc
+
+
 def perturbed_factor(s: SymbolSeq, B: BoundedMultiplierSeq, n: int, t: float,
                      grid: Grid) -> np.ndarray:
-    """Quadrature oracle: e^(tb) phi(t,a) - b int_0^t e^(sb) phi(s,a) ds per mode."""
+    """Quadrature oracle: e^(tb) phi(t,a) - b int_0^t e^(sb) phi(s,a) ds per mode.
+
+    Evaluated by ``perturbation_quadrature``: the s-integral runs on
+    PERTURBATION_PANELS panels of width h = t/PERTURBATION_PANELS; each Gauss
+    node s = e_p + r_q is split into its panel start e_p = p h and its offset
+    r_q, and phi(e + r, a) = phi(e, a) + e^(e a) phi(r, a) together with
+    e^((e + r) b) = e^(e b) e^(r b) turn the sum over all nodes into sums
+    over panel starts times sums over offsets.
+    """
     a = s.on_grid(n, grid)
     b = B.on_grid(n, grid)
     guard = float(np.max((a + b).real)) * t
@@ -97,12 +153,7 @@ def perturbed_factor(s: SymbolSeq, B: BoundedMultiplierSeq, n: int, t: float,
         raise OverflowGuardError(f"Re(a+b) t = {guard:.3g} would overflow")
     if t == 0:
         return np.zeros(grid.shape, dtype=complex)
-    pts, wts = composite_gauss_points(0.0, t, PERTURBATION_PANELS)
-    cols = (slice(None),) + (None,) * grid.dimension
-    nodes = pts[cols]
-    integrand = np.exp(nodes * b[None]) * phi_at_times(nodes, a[None])
-    integral = np.tensordot(wts, integrand, axes=(0, 0))
-    return np.exp(t * b) * phi(t, a) - b * integral
+    return perturbation_quadrature(t, a, b)
 
 
 def perturbed_factor_closed(s: SymbolSeq, B: BoundedMultiplierSeq, n: int, t: float,

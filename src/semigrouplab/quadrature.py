@@ -1,8 +1,11 @@
 """Composite Gauss-Legendre quadrature helpers.
 
-All time integrals in the package (Laplace transforms, functional-equation
-checks, the perturbation construction) run through the same composite rule:
-a fixed number of Gauss-Legendre nodes per panel on a uniform panel split.
+The time-integral oracles of the package use one composite rule: a fixed
+number of Gauss-Legendre nodes per panel on a uniform panel split.  The
+Laplace-transform and functional-equation checks take its nodes from
+``composite_gauss_points``; the perturbation oracle
+(``perturbation.perturbation_quadrature``) applies the same rule from
+``_gauss_rule``, with each node split into its panel start and its offset.
 Twelve nodes per panel keep entire integrands with derivative scales up to
 ~200 per unit length below 1e-12 absolute error at the panel widths used in
 the bundled scenarios.

@@ -149,10 +149,13 @@ def laplace_identity_residual(s: SymbolSeq, n: int, lam: float, u: GridFunction,
     if np.exp((omega - lam) * T) >= 1e-12:
         raise ValueError(f"T={T} leaves a truncation tail above 1e-12")
     pts, wts = composite_gauss_points(0.0, T, panels)
-    quad = np.zeros(grid.shape, dtype=complex)
-    for p, w in zip(pts, wts):
-        quad += w * np.exp(-lam * p) * phi(p, a)
-    defect = target - lam * quad
+    weights = wts * np.exp(-lam * pts)
+    flat = a.reshape(-1)
+    # nodes per block, so a block holds at most about 2e6 entries
+    chunk = max(1, int(2e6 / flat.size))
+    quad = sum(weights[i0:i0 + chunk] @ phi_at_times(pts[i0:i0 + chunk, None], flat[None, :])
+               for i0 in range(0, len(pts), chunk))
+    defect = target - lam * quad.reshape(grid.shape)
     unorm = lp_norm(u, 2)
     if unorm == 0:
         return 0.0

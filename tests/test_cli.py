@@ -42,6 +42,7 @@ class TestConfig:
     def test_validation_rules(self):
         bad_inputs = [
             ("[grid]\npoints = 100\n", "points"),
+            ("[grid]\ndimension = 2\npoints = 1048576\n", "points"),
             ("[grid]\nhalf_width = nan\n", "half_width"),
             ("[sequence]\nn_list = 8, 4\n", "n_list"),
             ("[sequence]\nn_list = 0, 4, 8\n", "n_list"),

@@ -1,15 +1,20 @@
 """Commuting bounded perturbation tests: the quadrature construction and claims."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from semigrouplab.perturbation import (BoundedMultiplierSeq, constant_coefficient_example,
-                                       perturbed_factor, perturbed_factor_closed,
-                                       perturbed_S, perturbation_claims_suite,
-                                       summed_symbol_seq)
+from semigrouplab.errors import OverflowGuardError
+from semigrouplab.perturbation import (PERTURBATION_PANELS, BoundedMultiplierSeq,
+                                       constant_coefficient_example,
+                                       perturbation_quadrature, perturbed_factor,
+                                       perturbed_factor_closed, perturbed_S,
+                                       perturbation_claims_suite, summed_symbol_seq)
 from semigrouplab.quadrature import composite_gauss_points
-from semigrouplab.semigroup import MultiplierOp, apply_S, phi, resolvent_factor
+from semigrouplab.semigroup import (MultiplierOp, apply_S, phi, phi_at_times,
+                                    resolvent_factor)
 from semigrouplab.spectral import Grid, GridFunction, lp_norm
-from semigrouplab.symbols import perturbed_heat_seq, heat_symbol_seq
+from semigrouplab.symbols import (PolySymbolParams, heat_symbol_seq, make_poly_symbol_seq,
+                                  perturbed_heat_seq)
 
 HEAT_C2 = 1.0 / (4.0 * np.pi**2)
 
@@ -81,6 +86,84 @@ class TestPerturbedS:
                                  c_bound=1.0)
         with pytest.raises(ValueError, match="exceeds its bound"):
             B.validate_on(grid, [1, 2])
+
+
+def plain_quadrature(t, a, b):
+    """The 768-node composite rule on scalars, every node evaluated directly.
+
+    Returns the value and the sum of the magnitudes of its terms; the terms
+    cancel down to phi(t, a + b), so rounding is relative to that sum.
+    """
+    pts, wts = composite_gauss_points(0.0, t, PERTURBATION_PANELS)
+    terms = wts * np.exp(pts * b) * phi_at_times(pts, a)
+    first = np.exp(t * b) * phi(t, a)
+    return first - b * np.sum(terms), abs(first) + abs(b) * np.sum(np.abs(terms))
+
+
+TIMES = st.floats(0.0, 5.0)
+
+
+@st.composite
+def oracle_triples(draw, times=TIMES):
+    # |a|, |b| <= 100 and Re a t <= 5; Re b <= 0 as in the verify suite, since
+    # for Re b t >> 1 the two terms of the quadrature form cancel and neither
+    # evaluation keeps digits relative to phi(t, a + b)
+    t = draw(times)
+    a = draw(st.floats(0.0, 100.0)) * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+    if t > 0:
+        a = complex(min(a.real, 5.0 / t), a.imag)
+    b = draw(st.floats(0.0, 100.0)) * np.exp(1j * draw(st.floats(0.5 * np.pi, 1.5 * np.pi)))
+    return t, a, b
+
+
+class TestPerturbationQuadrature:
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from([(), (3,), (2, 3)]), shared_t=st.booleans(),
+           data=st.data())
+    def test_matches_plain_quadrature(self, shape, shared_t, data):
+        size = int(np.prod(shape))
+        # a shared t is one scalar time against mode arrays, as in perturbed_factor
+        times = st.just(data.draw(TIMES)) if shared_t else TIMES
+        triples = data.draw(st.lists(oracle_triples(times), min_size=size, max_size=size))
+        t, a, b = (np.array(col).reshape(shape) for col in zip(*triples))
+        if shared_t:
+            t = float(t.flat[0])
+        out = perturbation_quadrature(t, a, b)
+        assert out.shape == shape
+        for idx in np.ndindex(shape):
+            ti = float(np.broadcast_to(t, shape)[idx])
+            ref, magnitude = plain_quadrature(ti, a[idx], b[idx])
+            assert abs(complex(out[idx]) - complex(ref)) <= 1e-13 * max(1.0, magnitude)
+
+    def test_overflow_raises_and_never_returns_inf(self, heat, grid):
+        # the Re(a+b) t guard
+        with pytest.raises(OverflowGuardError):
+            perturbed_factor(heat, BoundedMultiplierSeq.constant(800.0), 1, 1.0, grid)
+
+        def constant_family(c0):
+            return make_poly_symbol_seq(PolySymbolParams(rule=lambda n: (c0, 0.0, 0.0)))
+
+        # past the guard: Re a t > 709 overflows phi(t, a)
+        with pytest.raises(OverflowGuardError):
+            perturbed_factor(constant_family(720.0), BoundedMultiplierSeq.constant(-30.0),
+                             1, 1.0, grid)
+        # past the guard: e^(s b) phi(s, 0) = e^700 s overflows at s near t = 1e6
+        cases = [(constant_family(0.0), 0.0007, 1e6)]
+        cases += [(constant_family(c0), b, 1.0) for c0 in (690.0, 705.0, 709.0, 712.0)
+                  for b in (-60.0, -30.0 + 2j, -5.0, 0.0)]
+        for s, b, t in cases:
+            try:
+                out = perturbed_factor(s, BoundedMultiplierSeq.constant(b), 1, t, grid)
+            except OverflowGuardError:
+                continue
+            assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_zeros_at_time_zero(self, heat, dimension):
+        g = Grid(dimension, 4.0, 16)
+        out = perturbed_factor(heat, BoundedMultiplierSeq.constant(0.4 - 0.9j), 2, 0.0, g)
+        assert out.shape == g.shape and out.dtype == complex
+        assert not np.any(out)
 
 
 class TestProposition49Suite:
