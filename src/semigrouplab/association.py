@@ -15,17 +15,21 @@ certify limits, so verdicts are three-way:
 Domain and range identities between two multiplier families on a shared grid
 hold by construction; they are recorded as structural facts and only the
 quantitative decay conditions are measured.
+
+Every check is a sup over sampled t, lambda or k of ||F^-1(d F x_n)||_2 for the
+difference factors d of the two families.  The norms come from Parseval
+(:func:`semigroup.multiplier_norms`), with one FFT per (test sequence, n).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import InsufficientDataError
-from .semigroup import MultiplierOp, phi, resolvent_factor
+from .semigroup import multiplier_norms, phi, resolvent_factor
 from .spectral import TWO_PI, Grid, GridFunction, lp_norm
 from .symbols import SymbolSeq, heat_symbol_seq, perturbed_heat_seq, shifted_symbol_seq
 
@@ -183,13 +187,26 @@ def _combine_reports(reports: List[AssociationReport], label: str) -> Associatio
 TestSequence = Callable[[int], GridFunction]
 
 
-def _difference_norms(indices: Sequence[int], factor_for: Callable[[int], np.ndarray],
-                      seq: TestSequence, grid: Grid) -> list:
-    out = []
-    for n in indices:
-        op = MultiplierOp(grid, factor_for(n))
-        out.append(lp_norm(op.apply(seq(n)), 2))
-    return out
+def _sup_association(factors_for: Callable[[int], Iterable[np.ndarray]],
+                     test_seqs: Sequence[TestSequence], n_list: Sequence[int],
+                     label: str) -> AssociationReport:
+    """Verdict on sup over ``factors_for(n)`` of ||F^-1(d F x_n)||_2 per test sequence.
+
+    Each n's factors are built once for all test sequences.  A NaN norm is
+    kept, so :func:`make_association_report` rejects it.
+    """
+    if not test_seqs:
+        raise ValueError(f"{label}: no test sequences")
+    sups = []
+    for n in n_list:
+        norms = multiplier_norms(factors_for(n), [seq(n) for seq in test_seqs])
+        if not len(norms):
+            raise ValueError(f"{label}: no samples")
+        sups.append(np.max(norms, axis=0))  # np.max keeps a NaN
+    reports = [make_association_report(n_list, [sup[i] for sup in sups],
+                                       label=f"{label}/seq{i}")
+               for i in range(len(test_seqs))]
+    return _combine_reports(reports, label)
 
 
 @dataclass
@@ -247,12 +264,8 @@ def check_generator_association(s: SymbolSeq, s_tilde: SymbolSeq,
                                 n_list: Sequence[int], label: str = "") -> AssociationReport:
     """Decay of ||(Op a_n - Op a~_n) x_n||_2 over the test sequences."""
     verify_moderate_sequences(test_seqs, n_list)
-    reports = []
-    for i, seq in enumerate(test_seqs):
-        fac = lambda n: s.on_grid(n, grid) - s_tilde.on_grid(n, grid)
-        norms = _difference_norms(n_list, fac, seq, grid)
-        reports.append(make_association_report(n_list, norms, label=f"{label}/seq{i}"))
-    return _combine_reports(reports, label or "generator")
+    return _sup_association(lambda n: [s.on_grid(n, grid) - s_tilde.on_grid(n, grid)],
+                            test_seqs, n_list, label or "generator")
 
 
 def check_resolvent_association(s: SymbolSeq, s_tilde: SymbolSeq,
@@ -260,18 +273,10 @@ def check_resolvent_association(s: SymbolSeq, s_tilde: SymbolSeq,
                                 test_seqs: Sequence[TestSequence], grid: Grid,
                                 n_list: Sequence[int], label: str = "") -> AssociationReport:
     """Decay of sup over lambda of ||(R(lambda,A_n) - R(lambda,A~_n)) x_n||_2."""
-    reports = []
-    for i, seq in enumerate(test_seqs):
-        norms = []
-        for n in n_list:
-            x = seq(n)
-            best = 0.0
-            for lam in lambda_list:
-                d = resolvent_factor(s, n, lam, grid) - resolvent_factor(s_tilde, n, lam, grid)
-                best = max_keep_nan(best, lp_norm(MultiplierOp(grid, d).apply(x), 2))
-            norms.append(best)
-        reports.append(make_association_report(n_list, norms, label=f"{label}/seq{i}"))
-    return _combine_reports(reports, label or "resolvent")
+    return _sup_association(
+        lambda n: (resolvent_factor(s, n, lam, grid) - resolvent_factor(s_tilde, n, lam, grid)
+                   for lam in lambda_list),
+        test_seqs, n_list, label or "resolvent")
 
 
 def check_semigroup_association(s: SymbolSeq, s_tilde: SymbolSeq, omega: float,
@@ -287,21 +292,12 @@ def check_semigroup_association(s: SymbolSeq, s_tilde: SymbolSeq, omega: float,
     and its agreement recorded (the generator direction of the semigroup
     comparison theorem).
     """
-    reports = []
-    for i, seq in enumerate(test_seqs):
-        norms = []
-        for n in n_list:
-            a = s.on_grid(n, grid)
-            at = s_tilde.on_grid(n, grid)
-            x = seq(n)
-            best = 0.0
-            for t in t_samples:
-                d = phi(float(t), a) - phi(float(t), at)
-                val = math.exp(-omega * float(t)) * lp_norm(MultiplierOp(grid, d).apply(x), 2)
-                best = max_keep_nan(best, val)
-            norms.append(best)
-        reports.append(make_association_report(n_list, norms, label=f"{label}/seq{i}"))
-    report = _combine_reports(reports, label or "semigroup")
+    def factors_for(n):
+        a = s.on_grid(n, grid)
+        at = s_tilde.on_grid(n, grid)
+        return (math.exp(-omega * t) * (phi(t, a) - phi(t, at)) for t in map(float, t_samples))
+
+    report = _sup_association(factors_for, test_seqs, n_list, label or "semigroup")
     if rerun_resolvent and report.is_associated():
         companion = check_resolvent_association(s, s_tilde, lambda_list, test_seqs,
                                                 grid, n_list, label=f"{label}/companion")
@@ -327,20 +323,11 @@ def check_weighted_resolvent_association(s: SymbolSeq, s_tilde: SymbolSeq,
     for lam in lambda_samples:
         if not complex(lam).real > omega:
             raise ValueError(f"lambda sample {lam} has Re <= omega {omega}")
-    reports = []
-    for i, seq in enumerate(test_seqs):
-        norms = []
-        for n in n_list:
-            x = seq(n)
-            best = 0.0
-            for lam in lambda_samples:
-                lam = complex(lam)
-                d = lam**b * (resolvent_factor(s, n, lam, grid)
-                              - resolvent_factor(s_tilde, n, lam, grid))
-                best = max_keep_nan(best, lp_norm(MultiplierOp(grid, d).apply(x), 2))
-            norms.append(best)
-        reports.append(make_association_report(n_list, norms, label=f"{label}/seq{i}"))
-    report = _combine_reports(reports, label or "weighted-resolvent")
+    report = _sup_association(
+        lambda n: (lam**b * (resolvent_factor(s, n, lam, grid)
+                             - resolvent_factor(s_tilde, n, lam, grid))
+                   for lam in map(complex, lambda_samples)),
+        test_seqs, n_list, label or "weighted-resolvent")
     if rerun_semigroup and report.is_associated():
         ts = list(t_samples) or list(np.linspace(0.25, 5.0, 12))
         companion = check_semigroup_association(
@@ -431,23 +418,15 @@ def check_derivative_association(s: SymbolSeq, s_tilde: SymbolSeq, n_list: Seque
     resolvent difference, applied to test sequences."""
     if k_max > 60:
         raise ValueError("k_max > 60 exceeds the factorial-overflow guard")
-    reports = []
-    for i, seq in enumerate(test_seqs):
-        norms = []
-        for n in n_list:
-            a = s.on_grid(n, grid)
-            at = s_tilde.on_grid(n, grid)
-            x = seq(n)
-            best = 0.0
-            for lam in lambda_list:
-                for k in range(k_max + 1):
-                    d = (lam - omega) ** (k + 1) * (
-                        resolvent_over_lambda_derivative(float(lam), a, k)
-                        - resolvent_over_lambda_derivative(float(lam), at, k))
-                    best = max_keep_nan(best, lp_norm(MultiplierOp(grid, d).apply(x), 2))
-            norms.append(best)
-        reports.append(make_association_report(n_list, norms, label=f"{label}/seq{i}"))
-    return _combine_reports(reports, label or "derivative-association")
+
+    def factors_for(n):
+        a = s.on_grid(n, grid)
+        at = s_tilde.on_grid(n, grid)
+        return ((lam - omega) ** (k + 1) * (resolvent_over_lambda_derivative(float(lam), a, k)
+                                            - resolvent_over_lambda_derivative(float(lam), at, k))
+                for lam in lambda_list for k in range(k_max + 1))
+
+    return _sup_association(factors_for, test_seqs, n_list, label or "derivative-association")
 
 
 # ---------------------------------------------------------------------------

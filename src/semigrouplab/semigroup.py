@@ -14,13 +14,13 @@ contour inversion are implemented as quadratures and serve as mutual oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import OverflowGuardError, ResolventSingularityError, SymbolEvaluationError
 from .quadrature import composite_gauss_points, trapezoid_weights
-from .spectral import Grid, GridFunction, lp_norm
+from .spectral import Grid, GridFunction
 from .symbols import SymbolSeq
 
 #: admissibility margin for 1/(lambda - a) conditioning
@@ -95,9 +95,24 @@ class MultiplierOp:
         out = np.fft.ifftn(self.factor * np.fft.fftn(u.values))
         return GridFunction(self.grid, out)
 
-    def l2_operator_norm(self) -> float:
-        """Exact L^2 operator norm of a diagonal operator: max |factor|."""
-        return float(np.max(np.abs(self.factor)))
+
+def multiplier_norms(factors: Iterable[np.ndarray], us: Sequence[GridFunction]) -> np.ndarray:
+    """||F^-1(d . F u)||_2 for each factor d (rows) and grid function u (columns).
+
+    Parseval gives sqrt(h^dim / N^dim * sum_k |d_k|^2 |(F u)_k|^2): one forward
+    FFT per u, no inverse FFT, and one factor in memory at a time.
+    """
+    grid = us[0].grid
+    if any(u.grid != grid for u in us):
+        raise ValueError("operands live on different grids")
+    spectra = np.stack([np.abs(np.fft.fftn(u.values)).ravel() ** 2 for u in us])
+    spectra *= grid.cell_volume / spectra.shape[1]
+    rows = []
+    for d in factors:
+        if np.shape(d) != grid.shape:
+            raise ValueError(f"factor shape {np.shape(d)} != grid shape {grid.shape}")
+        rows.append(np.sqrt(spectra @ (np.abs(d).ravel() ** 2)))
+    return np.array(rows).reshape(len(rows), len(us))
 
 
 def integrated_factor(s: SymbolSeq, n: int, t: float, grid: Grid) -> np.ndarray:
@@ -156,11 +171,9 @@ def laplace_identity_residual(s: SymbolSeq, n: int, lam: float, u: GridFunction,
     quad = sum(weights[i0:i0 + chunk] @ phi_at_times(pts[i0:i0 + chunk, None], flat[None, :])
                for i0 in range(0, len(pts), chunk))
     defect = target - lam * quad.reshape(grid.shape)
-    unorm = lp_norm(u, 2)
-    if unorm == 0:
-        return 0.0
-    residual = MultiplierOp(grid, defect).apply(u)
-    return lp_norm(residual, 2) / unorm
+    # the unit factor gives ||u||_2
+    defect_norm, unorm = multiplier_norms([defect, np.ones(grid.shape)], [u])[:, 0]
+    return float(defect_norm / unorm) if unorm else 0.0
 
 
 def pseudoresolvent_residual(s: SymbolSeq, n: int, lam: complex, mu: complex,
@@ -170,10 +183,9 @@ def pseudoresolvent_residual(s: SymbolSeq, n: int, lam: complex, mu: complex,
     rl = resolvent_factor(s, n, lam, grid)
     rm = resolvent_factor(s, n, mu, grid)
     defect = rl - rm - (mu - lam) * rl * rm
-    unorm = lp_norm(u, 2)
-    if unorm == 0:
-        return 0.0
-    return lp_norm(MultiplierOp(grid, defect).apply(u), 2) / unorm
+    # the unit factor gives ||u||_2
+    defect_norm, unorm = multiplier_norms([defect, np.ones(grid.shape)], [u])[:, 0]
+    return float(defect_norm / unorm) if unorm else 0.0
 
 
 def bromwich_S(s: SymbolSeq, n: int, t: float, u: GridFunction, alpha: float,

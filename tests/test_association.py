@@ -225,6 +225,31 @@ class TestGeisAndGE4:
             check_weighted_resolvent_association(heat, drifted, 1.0, 1.0, [0.5], [gaussian_seq], grid, [4, 8, 16, 32])
 
 
+N_LIST = [4, 8, 16, 32]
+
+
+#: each check run with an empty sample list (test sequences, for the generator)
+EMPTY_SAMPLE_CHECKS = {
+    "generator": lambda s, st, g, x: check_generator_association(
+        s, st, [], g, N_LIST, label="generator"),
+    "resolvent": lambda s, st, g, x: check_resolvent_association(
+        s, st, [], [x], g, N_LIST, label="resolvent"),
+    "weighted": lambda s, st, g, x: check_weighted_resolvent_association(
+        s, st, 1.0, 1.0, [], [x], g, N_LIST, label="weighted"),
+    "semigroup": lambda s, st, g, x: check_semigroup_association(
+        s, st, 1.0, [], [x], g, N_LIST, label="semigroup"),
+    "derivative": lambda s, st, g, x: check_derivative_association(
+        s, st, N_LIST, 1.0, 3, [], [x], g, label="derivative"),
+}
+
+
+@pytest.mark.parametrize("label", list(EMPTY_SAMPLE_CHECKS))
+def test_no_samples_is_not_a_verdict(label, heat, drifted, grid, gaussian_seq):
+    # a sup over nothing is not a zero difference
+    with pytest.raises(ValueError, match=f"^{label}: no "):
+        EMPTY_SAMPLE_CHECKS[label](heat, drifted, grid, gaussian_seq)
+
+
 class TestCrosscheck:
     def test_bundled_suite_has_no_disagreements(self, grid):
         pairs = bundled_family_pairs(grid)

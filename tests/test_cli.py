@@ -150,6 +150,16 @@ class TestAssociateCommand:
         rows = (tmp_path / "i" / "association_generator.csv").read_text().splitlines()[1:]
         assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
+    def test_no_real_lambda_is_config_error(self, tmp_path, capsys):
+        # the resolvent checks and bounds sample only the real lambdas
+        cfg = dataclasses.replace(default_config("associate"),
+                                  lambda_samples=(2.0 + 1j, 10.0 + 0.5j))
+        code = main(["associate", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "c"), "--no-plots"])
+        assert code == 2
+        assert "lambda_samples" in capsys.readouterr().err
+        assert not (tmp_path / "c" / "association_resolvent.csv").exists()
+
     def test_shifted_families_not_associated(self, tmp_path):
         cfg = dataclasses.replace(default_config("associate"), comparison="shift:1.0")
         code = main(["associate", "--config", write_cfg(tmp_path, cfg),

@@ -1,12 +1,15 @@
 """Integrated semigroup, resolvent, Laplace/Bromwich, and growth tests."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from semigrouplab.errors import OverflowGuardError, ResolventSingularityError
 from semigrouplab.semigroup import (MultiplierOp, apply_resolvent, apply_S,
                                     bromwich_S, certify_growth,
                                     integrated_factor,
-                                    laplace_identity_residual, phi, phi_at_times,
+                                    laplace_identity_residual, multiplier_norms,
+                                    phi, phi_at_times,
                                     pseudoresolvent_residual, resolvent_factor)
 from semigrouplab.spectral import (Grid, GridFunction, inverse_transform,
                                    lp_norm)
@@ -116,6 +119,40 @@ class TestApplyS:
                 acc += kernel.values[m] * u.values[(j - m + half) % 64]
             conv[j] = acc * g.spacing
         assert lp_norm(direct - GridFunction(g, conv), 2) < 1e-9
+
+
+@st.composite
+def grid_fields(draw, grid, count):
+    """``count`` complex fields on ``grid`` with magnitudes spanning 1e-8 to 1e8."""
+    shape = (count,) + grid.shape
+    log_mag = draw(arrays(np.float64, shape, elements=st.floats(-8.0, 8.0)))
+    angle = draw(arrays(np.float64, shape, elements=st.floats(-np.pi, np.pi)))
+    return 10.0 ** log_mag * np.exp(1j * angle)
+
+
+class TestMultiplierNorms:
+    @settings(max_examples=40, deadline=None)
+    @given(grid=st.sampled_from([Grid(1, 4.0, 32), Grid(2, 3.0, 8)]),
+           n_factors=st.integers(1, 3), zero_at=st.integers(0, 3), data=st.data())
+    def test_equals_inverse_fft_norm(self, grid, n_factors, zero_at, data):
+        factors = list(data.draw(grid_fields(grid, n_factors)))
+        zero_at = min(zero_at, n_factors)
+        factors.insert(zero_at, np.zeros(grid.shape, dtype=complex))
+        us = [GridFunction(grid, v) for v in data.draw(grid_fields(grid, 2))]
+        out = multiplier_norms(iter(factors), us)
+        assert out.shape == (len(factors), len(us))
+        assert np.all(out[zero_at] == 0.0)
+        for i, d in enumerate(factors):
+            for j, u in enumerate(us):
+                ref = lp_norm(MultiplierOp(grid, d).apply(u), 2)
+                assert out[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+    def test_rejects_mismatched_shapes(self, grid, gaussian):
+        with pytest.raises(ValueError, match="factor shape"):
+            multiplier_norms([np.ones(7)], [gaussian])
+        with pytest.raises(ValueError, match="different grids"):
+            multiplier_norms([np.ones(grid.shape)],
+                             [gaussian, GridFunction.gaussian(Grid(1, 4.0, 256))])
 
 
 class TestResolvent:
