@@ -185,6 +185,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown forcing kind '{cfg.forcing_kind}'")
     if cfg.perturb_c_rate not in ("inverse", "inverse-sqrt", "zero"):
         raise ConfigError(f"unknown C-sequence rate '{cfg.perturb_c_rate}'")
+    if cfg.mollifier != "bump":
+        raise ConfigError(f"mollifier must be 'bump', got '{cfg.mollifier}'")
     n = cfg.n_list
     if not n or n[0] < 1 or any(lo >= hi for lo, hi in zip(n, n[1:])):
         raise ConfigError(f"n_list must be strictly increasing positive indices, got {n}")
@@ -194,6 +196,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         value = getattr(cfg, key)
         if not 0 < value < math.inf:
             raise ConfigError(f"{key} must be finite and positive, got {value}")
+    for key in ("omega", "b", "perturb_b"):
+        if not np.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)}")
     steps = cfg.t_end / cfg.dt
     if abs(steps - round(steps)) > 1e-9:
         raise ConfigError("t_end must be an integer multiple of dt")

@@ -102,10 +102,6 @@ class Grid:
         fx, fy = self.frequencies()
         return np.stack([fx, fy], axis=-1)
 
-    def freq_magnitude(self) -> np.ndarray:
-        v = self.frequency_vectors()
-        return np.sqrt(np.sum(v * v, axis=-1))
-
     def _axis_phase(self) -> np.ndarray:
         k = np.fft.fftfreq(self.points) * self.points
         return np.where(k.astype(int) % 2 == 0, 1.0, -1.0)
@@ -148,13 +144,6 @@ class GridFunction:
         return GridFunction(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def from_callable(grid: Grid, f: Callable) -> "GridFunction":
-        if grid.dimension == 1:
-            return GridFunction(grid, f(grid.coords()))
-        x, y = grid.coords()
-        return GridFunction(grid, f(x, y))
 
     @staticmethod
     def zero(grid: Grid) -> "GridFunction":

@@ -83,13 +83,12 @@ def test_criterion_04_bromwich_oracle():
     grid = Grid(1, 8.0, 256)
     heat = heat_symbol_seq()
     u = GridFunction.gaussian(grid)
-    errs_200, errs_400 = [], []
-    for t in (0.25, 0.5, 1.0):
-        direct = apply_S(heat, 1, t, u)
-        e200 = lp_norm(direct - bromwich_S(heat, 1, t, u, 2.0, 200.0, 20000), 2)
-        e400 = lp_norm(direct - bromwich_S(heat, 1, t, u, 2.0, 400.0, 40000), 2)
-        errs_200.append(e200)
-        errs_400.append(e400)
+    times = (0.25, 0.5, 1.0)
+    direct = [apply_S(heat, 1, t, u) for t in times]
+    errs_200 = [lp_norm(d - c, 2)
+                for d, c in zip(direct, bromwich_S(heat, 1, times, u, 2.0, 200.0, 20000))]
+    errs_400 = [lp_norm(d - c, 2)
+                for d, c in zip(direct, bromwich_S(heat, 1, times, u, 2.0, 400.0, 40000))]
     worst = max(errs_200)
     agg = math.sqrt(sum(e * e for e in errs_200)) / math.sqrt(sum(e * e for e in errs_400))
     ok = worst < 1e-4 and 1.0 <= agg <= 4.0

@@ -55,6 +55,14 @@ class TestConfig:
             ("[time]\ndt = nan\n", "dt"),
             ("[time]\nt_max = nan\n", "t_max"),
             ("[time]\nt_end = inf\n", "t_end"),
+            ("[growth]\nomega = nan\n", "omega"),
+            ("[growth]\nomega = -inf\n", "omega"),
+            # anchored: a bare "b" would match almost any message
+            ("[growth]\nb = nan\n", "^b must be finite"),
+            ("[growth]\nb = inf\n", "^b must be finite"),
+            ("[perturbation]\nperturb_b = nan\n", "perturb_b"),
+            ("[perturbation]\nperturb_b = 1+infj\n", "perturb_b"),
+            ("[mollifier]\nmollifier = gaussian\n", "mollifier"),
         ]
         for text, field in bad_inputs:
             with pytest.raises(ConfigError, match=field):

@@ -13,6 +13,7 @@ from semigrouplab.semigroup import (MultiplierOp, apply_resolvent, apply_S,
                                     pseudoresolvent_residual, resolvent_factor)
 from semigrouplab.spectral import (Grid, GridFunction, inverse_transform,
                                    lp_norm)
+from semigrouplab.quadrature import trapezoid_weights
 from semigrouplab.symbols import (PolySymbolParams, perturbed_heat_seq,
                                   heat_symbol_seq, make_fractional_symbol_seq,
                                   make_poly_symbol_seq)
@@ -219,18 +220,38 @@ class TestPseudoresolvent:
 class TestBromwich:
     def test_matches_apply_S(self, heat, gaussian):
         direct = apply_S(heat, 1, 0.5, gaussian)
-        contour = bromwich_S(heat, 1, 0.5, gaussian, alpha=2.0, r_max=200.0,
-                             steps=20000)
+        [contour] = bromwich_S(heat, 1, [0.5], gaussian, alpha=2.0, r_max=200.0,
+                               steps=20000)
         assert lp_norm(direct - contour, 2) < 1e-4
 
     def test_time_zero_within_truncation(self, heat, gaussian):
-        out = bromwich_S(heat, 1, 0.0, gaussian, alpha=2.0, r_max=200.0, steps=20000)
+        [out] = bromwich_S(heat, 1, [0.0], gaussian, alpha=2.0, r_max=200.0, steps=20000)
         # truncation tail of the contour integral is O(1/(pi r_max))
         assert lp_norm(out, 2) < 5e-3
 
     def test_contour_must_clear_abscissa(self, heat, gaussian):
         with pytest.raises(ValueError):
-            bromwich_S(heat, 1, 0.5, gaussian, alpha=-1.0, r_max=50.0, steps=1000)
+            bromwich_S(heat, 1, [0.5], gaussian, alpha=-1.0, r_max=50.0, steps=1000)
+
+    def test_all_times_match_per_time_sum(self, heat, grid, gaussian):
+        # 8,001 nodes x 256 modes spans two blocks of the kernel
+        times, alpha, r_max, steps = (0.0, 0.25, 1.0), 2.0, 50.0, 8000
+        outs = bromwich_S(heat, 1, times, gaussian, alpha, r_max, steps)
+        a = heat.on_grid(1, grid)
+        r = np.linspace(-r_max, r_max, steps + 1)
+        w = trapezoid_weights(steps + 1, r[1] - r[0])
+        lam = alpha + 1j * r[:, None]
+        assert len(outs) == len(times)
+        for t, out in zip(times, outs):
+            factor = np.sum(w[:, None] * np.exp(lam * t) / ((lam - a[None, :]) * lam),
+                            axis=0) / (2.0 * np.pi)
+            ref = GridFunction(grid, np.fft.ifft(factor * np.fft.fft(gaussian.values)))
+            assert lp_norm(out - ref, 2) <= 1e-12 * lp_norm(ref, 2)
+
+    def test_contour_through_spectrum_raises(self, heat, gaussian):
+        # a(0) = 0 for heat and r = 0 is a node, so the gap is alpha < margin
+        with pytest.raises(ResolventSingularityError):
+            bromwich_S(heat, 1, [0.5], gaussian, alpha=5e-9, r_max=50.0, steps=1000)
 
 
 class TestCommutation:
@@ -275,6 +296,18 @@ class TestCertifyGrowth:
         cert = certify_growth(s, [4, 8, 16, 32, 64], omega=1.0, b=1.0,
                               lambda_samples=[1.001], t_samples=[1.0], grid=grid)
         assert cert.resolvent_fit.slope == pytest.approx(1.0, abs=0.1)
+
+    def test_nan_bound_stays_nan(self, heat, grid):
+        # t = 0.5, since 1.0 ** nan is 1.0
+        cert = certify_growth(heat, [1], omega=1.0, b=float("nan"),
+                              lambda_samples=[2.0], t_samples=[0.5], grid=grid)
+        assert np.isnan(cert.resolvent_bounds[1])
+        assert np.isnan(cert.semigroup_bounds[1])
+        # a NaN after a finite sample is kept too
+        cert = certify_growth(heat, [1], omega=1.0, b=1.0, lambda_samples=[2.0],
+                              t_samples=[1.0, float("nan")], grid=grid)
+        assert np.isfinite(cert.resolvent_bounds[1])
+        assert np.isnan(cert.semigroup_bounds[1])
 
     def test_rejects_samples_left_of_omega(self, heat, grid):
         with pytest.raises(ValueError):
