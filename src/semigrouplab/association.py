@@ -377,11 +377,6 @@ class DerivativeBoundReport:
     fit: Optional[ModerateSeq] = None
 
 
-def default_derivative_lambdas(omega: float, delta: float = 1e-2, count: int = 25) -> list:
-    """Log-spaced samples of (omega, omega + 1e4], offset by delta."""
-    return list(omega + np.logspace(math.log10(delta), 4, count))
-
-
 def check_derivative_bounds(s: SymbolSeq, n_list: Sequence[int], omega: float, k_max: int,
              lambda_list: Sequence[float], grid: Grid) -> DerivativeBoundReport:
     """Sampled sup over (k <= k_max, lambda) of the derivative-bound quantity.

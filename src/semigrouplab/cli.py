@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, List, Optional
 
@@ -31,11 +30,12 @@ from .config import (ExperimentConfig, default_config, load_config,
 from .errors import ConfigError, SemigroupLabError
 from .perturbation import (BoundedMultiplierSeq, constant_coefficient_example,
                            perturbation_quadrature, perturbed_factor,
-                           perturbed_factor_closed, perturbation_claims_suite)
+                           perturbation_claims_suite, summed_symbol_seq)
 from .quadrature import composite_gauss_points
 from .semigroup import (apply_S, bromwich_S, certify_growth,
-                        default_time_samples, laplace_identity_residual,
-                        phi_at_times, pseudoresolvent_residual)
+                        default_time_samples, integrated_factor,
+                        laplace_identity_residual, phi_at_times,
+                        pseudoresolvent_residual)
 from .spectral import (DistributionRep, Grid, GridFunction, Mollifier, lp_norm,
                        mollify)
 from .symbols import (PolySymbolParams, SymbolSeq, make_fractional_symbol_seq,
@@ -190,7 +190,7 @@ def _suite_perturbation_oracle(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) 
                        cfg.tol_perturbation_oracle)
 
 
-def run_verify(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> int:
+def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     grid = build_grid(cfg)
     s = build_family(cfg)
     s_tilde = build_comparison_family(cfg, s)
@@ -203,20 +203,11 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> int:
     ]
     results: List[SuiteResult] = []
     failures: List[str] = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(t) for t in tasks]
-            for fut in futures:
-                try:
-                    results.append(fut.result())
-                except SemigroupLabError as exc:
-                    failures.append(f"{type(exc).__name__}: {exc}")
-    else:
-        for t in tasks:
-            try:
-                results.append(t())
-            except SemigroupLabError as exc:
-                failures.append(f"{type(exc).__name__}: {exc}")
+    for t in tasks:
+        try:
+            results.append(t())
+        except SemigroupLabError as exc:
+            failures.append(f"{type(exc).__name__}: {exc}")
     csvio.write_rows(out_dir / "verify.csv",
                      ["suite", "worst", "tolerance", "status", "note"],
                      [r.row() for r in results])
@@ -347,13 +338,14 @@ def run_perturb(cfg: ExperimentConfig, out_dir: Path) -> int:
     report = perturbation_claims_suite(s, s_tilde, B, C, grid, cfg.n_list,
                                    omega=cfg.omega + abs(cfg.perturb_b), b=cfg.b)
 
+    summed = summed_symbol_seq(s, B)
     rng = np.random.default_rng(20240804)
     worst = 0.0
     for _ in range(200):
         n = int(rng.choice(cfg.n_list))
         t = float(rng.uniform(0.1, 2.0))
         q = perturbed_factor(s, B, n, t, grid)
-        c = perturbed_factor_closed(s, B, n, t, grid)
+        c = integrated_factor(summed, n, t, grid)
         worst = max_keep_nan(worst, float(np.max(np.abs(q - c))))
 
     csvio.write_certificate(out_dir / "perturbed_growth.csv", report.growth)
@@ -428,7 +420,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=str, default=None,
                         help="scenario file; a built-in default is used when omitted")
     parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel suite workers")
     parser.add_argument("--no-plots", action="store_true", help="skip image output")
     args = parser.parse_args(argv)
 
@@ -450,7 +441,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "verify":
-            return run_verify(cfg, out_dir, jobs=max(1, args.jobs))
+            return run_verify(cfg, out_dir)
         if args.command == "solve":
             return run_solve(cfg, out_dir, make_plots=not args.no_plots)
         if args.command == "associate":

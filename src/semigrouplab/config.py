@@ -192,12 +192,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"n_list must be strictly increasing positive indices, got {n}")
     if not cfg.lambda_samples:
         raise ConfigError("lambda_samples must be nonempty")
-    for key in ("half_width", "dt", "t_end", "t_max") + _LAYOUT["tolerances"]:
+    for key in ("half_width", "data_width", "dt", "t_end", "t_max") + _LAYOUT["tolerances"]:
         value = getattr(cfg, key)
         if not 0 < value < math.inf:
             raise ConfigError(f"{key} must be finite and positive, got {value}")
-    for key in ("omega", "b", "perturb_b"):
-        if not np.isfinite(getattr(cfg, key)):
+    for key in ("coeffs", "fractional_m", "forcing_amplitude", "lambda_samples",
+                "omega", "b", "perturb_b"):
+        if not np.all(np.isfinite(getattr(cfg, key))):
             raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)}")
     steps = cfg.t_end / cfg.dt
     if abs(steps - round(steps)) > 1e-9:

@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 from .association import AssociationReport
 from .cauchy import MildSolutionSeq
 from .semigroup import GrowthCertificate
-from .spectral import GridFunction
 
 
 def _fmt(value) -> str:
@@ -34,22 +33,6 @@ def write_rows(path: Path, header: Sequence[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def write_snapshot(path: Path, u: GridFunction) -> None:
-    """GridFunction samples: columns x (or x,y), re, im."""
-    g = u.grid
-    if g.dimension == 1:
-        x = g.coords()
-        rows = ((float(x[j]), float(u.values[j].real), float(u.values[j].imag))
-                for j in range(g.points))
-        write_rows(path, ["x", "re", "im"], rows)
-    else:
-        xs, ys = g.coords()
-        rows = ((float(xs[i, j]), float(ys[i, j]),
-                 float(u.values[i, j].real), float(u.values[i, j].imag))
-                for i in range(g.points) for j in range(g.points))
-        write_rows(path, ["x", "y", "re", "im"], rows)
 
 
 def write_certificate(path: Path, cert: GrowthCertificate) -> None:

@@ -39,7 +39,7 @@ from .association import (AssociationReport, bundled_test_sequences,
 from .errors import OverflowGuardError
 from .quadrature import GAUSS_NODES_PER_PANEL, _gauss_rule
 from .semigroup import (EXP_GUARD, GrowthCertificate, MultiplierOp,
-                        certify_growth, phi, phi_at_times)
+                        certify_growth, phi_at_times)
 from .spectral import Grid, GridFunction
 from .symbols import SymbolSeq, make_poly_symbol_seq, PolySymbolParams, shifted_symbol_seq
 
@@ -154,12 +154,6 @@ def perturbed_factor(s: SymbolSeq, B: BoundedMultiplierSeq, n: int, t: float,
     if t == 0:
         return np.zeros(grid.shape, dtype=complex)
     return perturbation_quadrature(t, a, b)
-
-
-def perturbed_factor_closed(s: SymbolSeq, B: BoundedMultiplierSeq, n: int, t: float,
-                            grid: Grid) -> np.ndarray:
-    """Closed form of the perturbed factor: phi(t, a + b)."""
-    return phi(t, s.on_grid(n, grid) + B.on_grid(n, grid))
 
 
 def perturbed_S(s: SymbolSeq, B: BoundedMultiplierSeq, n: int, t: float,

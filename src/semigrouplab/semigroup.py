@@ -128,16 +128,15 @@ def apply_S(s: SymbolSeq, n: int, t: float, u: GridFunction) -> GridFunction:
     return MultiplierOp(u.grid, integrated_factor(s, n, t, u.grid)).apply(u)
 
 
-def resolvent_factor(s: SymbolSeq, n: int, lam: complex, grid: Grid,
-                     margin: float = RESOLVENT_MARGIN) -> np.ndarray:
+def resolvent_factor(s: SymbolSeq, n: int, lam: complex, grid: Grid) -> np.ndarray:
     """Per-mode factor 1/(lambda - a_n); guards spectral proximity."""
     a = s.on_grid(n, grid)
     gap = np.abs(lam - a)
     k = np.unravel_index(int(np.argmin(gap)), gap.shape)
-    if gap[k] <= margin:
+    if gap[k] <= RESOLVENT_MARGIN:
         xi = grid.frequency_vectors()[k]
         raise ResolventSingularityError(
-            f"lambda={lam} within {margin} of symbol value at xi={xi} (n={n})")
+            f"lambda={lam} within {RESOLVENT_MARGIN} of symbol value at xi={xi} (n={n})")
     return 1.0 / (lam - a)
 
 

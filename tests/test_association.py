@@ -11,7 +11,7 @@ from semigrouplab.association import (AssociationReport, bundled_family_pairs,
                                       check_semigroup_association, check_weighted_resolvent_association,
                                       check_resolvent_association,
                                       crosscheck_comparison_theorems, derivative_bound_quantity,
-                                      default_derivative_lambdas, fit_moderate,
+                                      fit_moderate,
                                       is_moderate_fit, make_association_report,
                                       max_keep_nan, resolvent_over_lambda_derivative)
 from semigrouplab.errors import InsufficientDataError
@@ -314,7 +314,7 @@ class TestDerivativeEngine:
         assert worst < 1e-6
 
     def test_check_derivative_bounds_reports_and_guard(self, heat, grid):
-        lams = default_derivative_lambdas(omega=1.0)
+        lams = list(1.0 + np.logspace(-2, 4, 25))
         report = check_derivative_bounds(heat, [4, 8, 16, 32], omega=1.0, k_max=20,
                           lambda_list=lams, grid=grid)
         assert all(np.isfinite(v) for v in report.bounds.values())

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from semigrouplab.cauchy import (ForcingSeq, SpaceTimeTestFunction,
+from semigrouplab.cauchy import (ForcingSeq, SpaceTimeTestFunction, _phi_k,
                                  bump_test_function, duhamel_solve,
                                  integral_equation_residual, solve_sequence,
                                  very_weak_pairing, very_weak_residual,
@@ -30,6 +31,41 @@ def heat():
 @pytest.fixture(scope="module")
 def grid():
     return Grid(1, 8.0, 512)
+
+
+class TestPhiK:
+    def test_accuracy_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2010)
+        mag = 10.0 ** rng.uniform(-8.0, math.log10(300.0), 4000)
+        z = mag * np.exp(1j * rng.uniform(-np.pi, np.pi, 4000))
+
+        def reference(x, k):
+            x = mpmath.mpc(x.real, x.imag)
+            head = sum(x**j / mpmath.factorial(j) for j in range(k))
+            return complex((mpmath.exp(x) - head) / x**k)
+
+        # 60 digits leave 36 after the cancellation of k = 3 at |z| = 1e-8
+        with mpmath.workdps(60):
+            for k, limit in ((1, 1e-15), (2, 1e-15), (3, 2e-15)):
+                ref = np.array([reference(x, k) for x in z])
+                err = np.abs(_phi_k(z, k) - ref) / np.abs(ref)
+                assert err.max() <= limit, (k, err.max(), abs(z[np.argmax(err)]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_overflow_raises_guard(self, k):
+        with pytest.raises(OverflowGuardError):
+            _phi_k(800.0 + 0j, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(r=st.floats(1.5, 2.5), angle=st.floats(-np.pi, np.pi), k=st.sampled_from([1, 2]))
+    def test_recurrence_across_series_edge(self, r, angle, k):
+        # phi_k(z) = 1/k! + z phi_(k+1)(z); phi_(k+1) switches branch at |z| = 2
+        z = np.array([r * np.exp(1j * angle)])
+        lhs = _phi_k(z, k)
+        rhs = 1.0 / math.factorial(k) + z * _phi_k(z, k + 1)
+        assert abs(lhs - rhs)[0] <= 1e-15 * (abs(lhs)[0] + 1.0 / math.factorial(k))
 
 
 class TestDuhamelSolve:
@@ -273,9 +309,3 @@ class TestModeratenessPropagation:
                  for n in ns]
         aw = np.polyfit(np.log(ns), np.log(sup_w), 1)[0]
         assert aw <= max(a1, a2) + 0.2
-
-    def test_forcing_continuity_defects_small(self, heat):
-        g = Grid(1, 4.0, 256)
-        f = ForcingSeq.separable(math.cos, lambda n: GridFunction.gaussian(g))
-        defects = f.continuity_defects(1, [0.0, 0.5, 1.0], delta=1e-5)
-        assert max(defects) < 1e-4

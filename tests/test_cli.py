@@ -63,6 +63,14 @@ class TestConfig:
             ("[perturbation]\nperturb_b = nan\n", "perturb_b"),
             ("[perturbation]\nperturb_b = 1+infj\n", "perturb_b"),
             ("[mollifier]\nmollifier = gaussian\n", "mollifier"),
+            ("[family]\ncoeffs = nan, 0, 0.025\n", "^coeffs must be finite"),
+            ("[family]\ncoeffs = 0, 0, infj\n", "^coeffs must be finite"),
+            ("[family]\nfractional_m = nan\n", "^fractional_m must be finite"),
+            ("[lambda]\nlambda_samples = nan\n", "^lambda_samples must be finite"),
+            ("[lambda]\nlambda_samples = 2, inf\n", "^lambda_samples must be finite"),
+            ("[data]\ndata_width = nan\n", "^data_width must be finite and positive"),
+            ("[data]\ndata_width = 0.0\n", "^data_width must be finite and positive"),
+            ("[forcing]\nforcing_amplitude = inf\n", "^forcing_amplitude must be finite"),
         ]
         for text, field in bad_inputs:
             with pytest.raises(ConfigError, match=field):
@@ -95,11 +103,6 @@ class TestVerifyCommand:
         code = main(["verify", "--config", str(tmp_path / "missing.cfg")])
         assert code == 2
         assert "not found" in capsys.readouterr().err
-
-    def test_jobs_flag(self, tmp_path):
-        code = main(["verify", "--config", write_cfg(tmp_path, FAST_VERIFY),
-                     "--out", str(tmp_path / "out"), "--jobs", "3"])
-        assert code == 0
 
 
 class TestSolveCommand:

@@ -5,31 +5,9 @@ import pytest
 from semigrouplab.association import make_association_report
 from semigrouplab.cauchy import ForcingSeq, MildSolutionSeq, solve_sequence
 from semigrouplab.csvio import (write_association, write_pairings, write_rows,
-                                write_snapshot, write_solution)
+                                write_solution)
 from semigrouplab.spectral import Grid, GridFunction
 from semigrouplab.symbols import heat_symbol_seq
-
-
-def test_snapshot_schema_1d(tmp_path):
-    g = Grid(1, 2.0, 8)
-    u = GridFunction(g, np.arange(8) * (1 + 2j))
-    path = tmp_path / "snap.csv"
-    write_snapshot(path, u)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,re,im"
-    assert len(lines) == 9
-    first = lines[1].split(",")
-    assert float(first[0]) == -2.0
-
-
-def test_snapshot_schema_2d(tmp_path):
-    g = Grid(2, 1.0, 4)
-    u = GridFunction(g, np.ones((4, 4)))
-    path = tmp_path / "snap2.csv"
-    write_snapshot(path, u)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,re,im"
-    assert len(lines) == 17
 
 
 def test_association_csv_and_sidecar(tmp_path):

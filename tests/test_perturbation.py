@@ -7,11 +7,11 @@ from semigrouplab.errors import OverflowGuardError
 from semigrouplab.perturbation import (PERTURBATION_PANELS, BoundedMultiplierSeq,
                                        constant_coefficient_example,
                                        perturbation_quadrature, perturbed_factor,
-                                       perturbed_factor_closed, perturbed_S,
+                                       perturbed_S,
                                        perturbation_claims_suite, summed_symbol_seq)
 from semigrouplab.quadrature import composite_gauss_points
-from semigrouplab.semigroup import (MultiplierOp, apply_S, phi, phi_at_times,
-                                    resolvent_factor)
+from semigrouplab.semigroup import (MultiplierOp, apply_S, integrated_factor, phi,
+                                    phi_at_times, resolvent_factor)
 from semigrouplab.spectral import Grid, GridFunction, lp_norm
 from semigrouplab.symbols import (PolySymbolParams, heat_symbol_seq, make_poly_symbol_seq,
                                   perturbed_heat_seq)
@@ -43,9 +43,10 @@ class TestPerturbedS:
     def test_factor_matches_summed_symbol(self, heat, grid):
         # the central oracle: quadrature form equals phi(t, a + b) per mode
         B = BoundedMultiplierSeq.constant(0.4 - 0.9j)
+        summed = summed_symbol_seq(heat, B)
         for t in (0.2, 1.0, 3.0):
             quad = perturbed_factor(heat, B, 2, t, grid)
-            closed = perturbed_factor_closed(heat, B, 2, t, grid)
+            closed = integrated_factor(summed, 2, t, grid)
             assert np.max(np.abs(quad - closed)) < 1e-10
 
     def test_imaginary_constant_magnitudes(self, heat, grid):
@@ -77,7 +78,7 @@ class TestPerturbedS:
         pts, wts = composite_gauss_points(0.0, 40.0 / lam, 64)
         quad = np.zeros(grid.shape, dtype=complex)
         for p, w in zip(pts, wts):
-            quad += w * np.exp(-lam * p) * perturbed_factor_closed(heat, B, n, p, grid)
+            quad += w * np.exp(-lam * p) * integrated_factor(summed, n, p, grid)
         target = resolvent_factor(summed, n, lam, grid)
         assert np.max(np.abs(lam * quad - target)) < 1e-8
 

@@ -90,6 +90,18 @@ class TestPhi:
         with pytest.raises(OverflowGuardError):
             phi(1.0, np.array([-1.0, 0.5j, 800.0, 1e-8]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(log_mag=st.floats(-9.0, 1.5), angle=st.floats(-np.pi, np.pi),
+           t=st.floats(0.0, 4.0), s=st.floats(0.0, 4.0))
+    def test_functional_equation(self, log_mag, angle, t, s):
+        # phi(t + s, a) = phi(t, a) + e^(ta) phi(s, a); e^x carries the rounding
+        # of its argument, so the bound grows with |(t + s) a|
+        a = 10.0**log_mag * np.exp(1j * angle)
+        first, growth, second = complex(phi(t, a)), np.exp(t * a), complex(phi(s, a))
+        scale = abs(first) + abs(growth) * abs(second)
+        defect = abs(complex(phi(t + s, a)) - first - growth * second)
+        assert defect <= 4e-15 * (1.0 + abs((t + s) * a)) * scale
+
 
 class TestApplyS:
     def test_time_zero_is_zero_operator(self, heat, gaussian):
@@ -157,6 +169,19 @@ class TestMultiplierNorms:
 
 
 class TestResolvent:
+    @settings(max_examples=100, deadline=None)
+    @given(lam_re=st.floats(0.01, 100.0), lam_im=st.floats(-100.0, 100.0),
+           mu_re=st.floats(0.01, 100.0), mu_im=st.floats(-100.0, 100.0))
+    def test_pseudoresolvent_identity_per_mode(self, heat, grid, lam_re, lam_im,
+                                               mu_re, mu_im):
+        # R(lam) - R(mu) = (mu - lam) R(lam) R(mu), mode by mode
+        lam, mu = complex(lam_re, lam_im), complex(mu_re, mu_im)
+        rl = resolvent_factor(heat, 3, lam, grid)
+        rm = resolvent_factor(heat, 3, mu, grid)
+        defect = np.abs(rl - rm - (mu - lam) * rl * rm)
+        scale = np.abs(rl) + np.abs(rm) + abs(mu - lam) * np.abs(rl * rm)
+        assert np.all(defect <= 1e-15 * scale)
+
     def test_factor_on_single_mode(self, heat, grid):
         mode = GridFunction.fourier_mode(grid, 8)
         xi0 = 8 * grid.freq_spacing
