@@ -9,7 +9,7 @@ growth bounds, and perturbation behavior of the resulting sequences.
 from .spectral import (Grid, GridFunction, DistributionRep, Mollifier,
                        transform, inverse_transform, lp_norm, pair, convolve,
                        mollify)
-from .symbols import (SymbolSeq, PolySymbolParams, SymbolCheckReport,
+from .symbols import (SymbolSeq, SymbolCheckReport,
                       make_poly_symbol_seq, make_fractional_symbol_seq,
                       check_symbol_class, check_A1_A3, check_p_condition,
                       heat_symbol_seq, perturbed_heat_seq)
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Grid", "GridFunction", "DistributionRep", "Mollifier",
     "transform", "inverse_transform", "lp_norm", "pair", "convolve", "mollify",
-    "SymbolSeq", "PolySymbolParams", "SymbolCheckReport",
+    "SymbolSeq", "SymbolCheckReport",
     "make_poly_symbol_seq", "make_fractional_symbol_seq",
     "check_symbol_class", "check_A1_A3", "check_p_condition",
     "heat_symbol_seq", "perturbed_heat_seq",

@@ -311,31 +311,16 @@ def check_weighted_resolvent_association(s: SymbolSeq, s_tilde: SymbolSeq,
                                          lambda_samples: Sequence[complex],
                                          test_seqs: Sequence[TestSequence],
                                          grid: Grid, n_list: Sequence[int],
-                                         label: str = "",
-                                         rerun_semigroup: bool = True,
-                                         t_samples: Sequence[float] = ()
-                                         ) -> AssociationReport:
-    """Decay of sup over lambda of ||lambda^b (R(lambda,A_n) - R(lambda,A~_n)) x_n||.
-
-    When associated, the semigroup-level check is rerun as the companion
-    (the forward direction of the strong-generator comparison theorem).
-    """
+                                         label: str = "") -> AssociationReport:
+    """Decay of sup over lambda of ||lambda^b (R(lambda,A_n) - R(lambda,A~_n)) x_n||."""
     for lam in lambda_samples:
         if not complex(lam).real > omega:
             raise ValueError(f"lambda sample {lam} has Re <= omega {omega}")
-    report = _sup_association(
+    return _sup_association(
         lambda n: (lam**b * (resolvent_factor(s, n, lam, grid)
                              - resolvent_factor(s_tilde, n, lam, grid))
                    for lam in map(complex, lambda_samples)),
         test_seqs, n_list, label or "weighted-resolvent")
-    if rerun_semigroup and report.is_associated():
-        ts = list(t_samples) or list(np.linspace(0.25, 5.0, 12))
-        companion = check_semigroup_association(
-            s, s_tilde, omega + 1.0, ts, test_seqs, grid, n_list,
-            label=f"{label}/companion", rerun_resolvent=False)
-        report.per_sequence.append(companion)
-        report.companion_agrees = companion.is_associated()
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +571,7 @@ def crosscheck_comparison_theorems(pairs: Sequence[FamilyPair],
         weighted = check_weighted_resolvent_association(
             pr.s, pr.s_tilde, omega, b,
             [omega + 1.0, omega + 1.0 + 5j, omega + 10.0], seqs, grid,
-            pr.n_list, label=f"{pr.name}/weighted", rerun_semigroup=False)
+            pr.n_list, label=f"{pr.name}/weighted")
         semigroup = check_semigroup_association(
             pr.s, pr.s_tilde, omega, ts, seqs, grid, pr.n_list,
             label=f"{pr.name}/semigroup", rerun_resolvent=False)

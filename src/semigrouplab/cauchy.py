@@ -90,7 +90,6 @@ class MildSolutionSeq:
 
     grid: Grid
     t_grid: np.ndarray
-    provenance: dict = field(default_factory=dict)
     _v: Dict[int, np.ndarray] = field(default_factory=dict)
     _w: Dict[int, np.ndarray] = field(default_factory=dict)
     _u0: Dict[int, GridFunction] = field(default_factory=dict)
@@ -179,8 +178,7 @@ def duhamel_solve(s: SymbolSeq, n: int, u0n: GridFunction, f: ForcingSeq,
         v[m + 1] = ez * v[m] + dt * ((u0hat + F) * p1 + dt * fhat[m] * p2 + dt * df * p3)
         F = F + 0.5 * dt * (fhat[m] + fhat[m + 1])
 
-    sol = MildSolutionSeq(grid=grid, t_grid=t_grid,
-                          provenance={"symbol": s.name, "n": [n]})
+    sol = MildSolutionSeq(grid=grid, t_grid=t_grid)
     ph = grid.phase()
     vol = grid.cell_volume
 
@@ -211,7 +209,6 @@ def solve_sequence(s: SymbolSeq, n_list: Sequence[int],
             out = one
         else:
             out.merge(one)
-    out.provenance["n"] = list(n_list)
     return out
 
 

@@ -25,8 +25,8 @@ from .association import (bundled_family_pairs, bundled_test_sequences,
                           crosscheck_comparison_theorems, max_keep_nan)
 from .cauchy import (ForcingSeq, bump_test_function, integral_equation_residual,
                      solve_sequence, very_weak_pairing, weak_limit_extract)
-from .config import (ExperimentConfig, default_config, load_config,
-                     serialize_config, time_grid)
+from .config import (ExperimentConfig, comparison_operand, default_config,
+                     load_config, serialize_config, time_grid)
 from .errors import ConfigError, SemigroupLabError
 from .perturbation import (BoundedMultiplierSeq, constant_coefficient_example,
                            perturbation_quadrature, perturbed_factor,
@@ -38,8 +38,8 @@ from .semigroup import (apply_S, bromwich_S, certify_growth,
                         pseudoresolvent_residual)
 from .spectral import (DistributionRep, Grid, GridFunction, Mollifier, lp_norm,
                        mollify)
-from .symbols import (PolySymbolParams, SymbolSeq, make_fractional_symbol_seq,
-                      make_poly_symbol_seq, shifted_symbol_seq)
+from .symbols import (SymbolSeq, make_fractional_symbol_seq, make_poly_symbol_seq,
+                      perturbed_heat_seq, shifted_symbol_seq)
 
 
 def build_grid(cfg: ExperimentConfig) -> Grid:
@@ -48,8 +48,7 @@ def build_grid(cfg: ExperimentConfig) -> Grid:
 
 def build_family(cfg: ExperimentConfig) -> SymbolSeq:
     if cfg.family_kind == "poly":
-        coeffs = tuple(cfg.coeffs)
-        return make_poly_symbol_seq(PolySymbolParams(rule=lambda n: coeffs, name=cfg.name))
+        return make_poly_symbol_seq(lambda n: cfg.coeffs, name=cfg.name)
     rate = {"constant": lambda n: 1.0,
             "one-plus-inverse": lambda n: 1.0 + 1.0 / n}[cfg.fractional_c_rate]
     return make_fractional_symbol_seq(rate, cfg.fractional_m, cfg.dimension, bound=2.0)
@@ -62,16 +61,14 @@ def build_comparison_family(cfg: ExperimentConfig, base: SymbolSeq) -> Optional[
     if mode == "drift":
         if cfg.family_kind != "poly":
             raise ConfigError("drift comparison needs a polynomial family")
-        coeffs = np.pad(np.asarray(cfg.coeffs, dtype=complex), (0, 3 - len(cfg.coeffs)))
-        rule = lambda n: (coeffs[0] + 1.0 / n, coeffs[1], coeffs[2] + 1.0 / n)
-        return make_poly_symbol_seq(PolySymbolParams(rule=rule, name=cfg.name + "+1/n"))
+        return perturbed_heat_seq(cfg.coeffs, name=cfg.name + "+1/n")
     if mode.startswith("shift:"):
-        value = complex(mode.split(":", 1)[1])
+        value = comparison_operand(mode)
         return shifted_symbol_seq(base, lambda n, v: np.full(v.shape[:-1], value),
                                   name=base.name + "+shift",
                                   re_bound_shift=max(0.0, value.real))
     if mode.startswith("scale:"):
-        factor = float(mode.split(":", 1)[1])
+        factor = comparison_operand(mode)
         return shifted_symbol_seq(base, lambda n, v: (factor - 1.0) * base.eval(n, v),
                                   name=f"{factor}*{base.name}")
     raise ConfigError(f"unknown comparison '{mode}'")
@@ -87,9 +84,14 @@ def build_data(cfg: ExperimentConfig, grid: Grid) -> DistributionRep:
     if cfg.data_kind == "gaussian":
         return DistributionRep.from_function(GridFunction.gaussian(grid, cfg.data_width))
     if cfg.data_kind == "file":
-        raw = np.loadtxt(cfg.data_path, delimiter=",", skiprows=1)
-        vals = raw[:, 1] + 1j * raw[:, 2]
-        return DistributionRep.from_function(GridFunction(grid, vals.reshape(grid.shape)))
+        try:
+            raw = np.loadtxt(cfg.data_path, delimiter=",", skiprows=1)
+            vals = (raw[:, 1] + 1j * raw[:, 2]).reshape(grid.shape)
+        except (OSError, ValueError, IndexError) as exc:
+            raise ConfigError(
+                f"data_path {cfg.data_path!r} must hold a header line and one row "
+                f"x, re, im per grid point ({grid.points ** grid.dimension}): {exc}") from exc
+        return DistributionRep.from_function(GridFunction(grid, vals))
     raise ConfigError(f"unknown data kind '{cfg.data_kind}'")
 
 
@@ -301,7 +303,7 @@ def run_associate(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True)
     weighted = check_weighted_resolvent_association(
         s, s_tilde, cfg.omega + 1.0, cfg.b,
         [cfg.omega + 2.0, cfg.omega + 2.0 + 5j], fixed, grid, n_list,
-        label="weighted", rerun_semigroup=False)
+        label="weighted")
     for name, r in (("generator", gen), ("resolvent", res), ("weighted", weighted)):
         csvio.write_association(out_dir / f"association_{name}.csv", r)
 

@@ -176,11 +176,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown family kind '{cfg.family_kind}'")
     if cfg.family_kind == "poly" and len(cfg.coeffs) > 3:
         raise ConfigError("polynomial families support degree <= 2")
-    if not (cfg.comparison in ("none", "drift")
-            or cfg.comparison.startswith(("shift:", "scale:"))):
+    if cfg.comparison.startswith(("shift:", "scale:")):
+        comparison_operand(cfg.comparison)
+    elif cfg.comparison not in ("none", "drift"):
         raise ConfigError(f"unknown comparison '{cfg.comparison}'")
     if cfg.data_kind not in ("delta", "delta_prime", "gaussian", "file", "zero"):
         raise ConfigError(f"unknown data kind '{cfg.data_kind}'")
+    if cfg.data_kind == "file" and not cfg.data_path:
+        raise ConfigError("data_path must name a file when data_kind = file")
     if cfg.forcing_kind not in ("none", "gaussian_pulse"):
         raise ConfigError(f"unknown forcing kind '{cfg.forcing_kind}'")
     if cfg.perturb_c_rate not in ("inverse", "inverse-sqrt", "zero"):
@@ -192,17 +195,31 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"n_list must be strictly increasing positive indices, got {n}")
     if not cfg.lambda_samples:
         raise ConfigError("lambda_samples must be nonempty")
-    for key in ("half_width", "data_width", "dt", "t_end", "t_max") + _LAYOUT["tolerances"]:
+    for key in (("half_width", "data_width", "fractional_m", "dt", "t_end", "t_max")
+                + _LAYOUT["tolerances"]):
         value = getattr(cfg, key)
         if not 0 < value < math.inf:
             raise ConfigError(f"{key} must be finite and positive, got {value}")
-    for key in ("coeffs", "fractional_m", "forcing_amplitude", "lambda_samples",
+    for key in ("coeffs", "forcing_amplitude", "lambda_samples",
                 "omega", "b", "perturb_b"):
         if not np.all(np.isfinite(getattr(cfg, key))):
             raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)}")
     steps = cfg.t_end / cfg.dt
     if abs(steps - round(steps)) > 1e-9:
         raise ConfigError("t_end must be an integer multiple of dt")
+
+
+def comparison_operand(comparison: str) -> complex | float:
+    """The finite complex after ``shift:`` or the finite real after ``scale:``."""
+    kind, raw = comparison.split(":", 1)
+    wanted = "complex" if kind == "shift" else "real"
+    try:
+        value = complex(raw) if kind == "shift" else float(raw)
+    except ValueError:
+        value = math.nan
+    if not np.isfinite(value):
+        raise ConfigError(f"comparison {kind}: needs a finite {wanted} number, got {raw!r}")
+    return value
 
 
 def default_config(scenario: str = "verify") -> ExperimentConfig:

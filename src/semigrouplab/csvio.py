@@ -19,9 +19,11 @@ from .semigroup import GrowthCertificate
 
 
 def _fmt(value) -> str:
+    # float() and complex() drop numpy scalar types, whose repr is np.float64(...)
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     if isinstance(value, complex):
+        value = complex(value)
         return repr(value.real) if value.imag == 0 else repr(value)
     return str(value)
 

@@ -41,7 +41,8 @@ from .quadrature import GAUSS_NODES_PER_PANEL, _gauss_rule
 from .semigroup import (EXP_GUARD, GrowthCertificate, MultiplierOp,
                         certify_growth, phi_at_times)
 from .spectral import Grid, GridFunction
-from .symbols import SymbolSeq, make_poly_symbol_seq, PolySymbolParams, shifted_symbol_seq
+from .symbols import (SymbolSeq, make_poly_symbol_seq, perturbed_heat_seq, poly_sup_re,
+                      shifted_symbol_seq)
 
 #: panel count of the s-integral in the quadrature oracle
 PERTURBATION_PANELS = 64
@@ -225,7 +226,7 @@ def perturbation_claims_suite(s: SymbolSeq, s_tilde: SymbolSeq, B: BoundedMultip
 
     weighted = check_weighted_resolvent_association(
         s, s_tilde, omega, b, [omega + 1.0, omega + 1.0 + 5j, omega + 10.0],
-        test_seqs, grid, n_list, label="base-pair", rerun_semigroup=False)
+        test_seqs, grid, n_list, label="base-pair")
     report.verdicts["base-weighted"] = weighted.verdict
     report.transported_association = check_semigroup_association(
         summed, summed_symbol_seq(s_tilde, B), omega, ts, test_seqs, grid,
@@ -245,14 +246,11 @@ def constant_coefficient_example(f: GridFunction, coeffs: Sequence[complex], n_l
     """
     if f.grid.dimension != 1:
         raise ValueError("the constant-coefficient example is one-dimensional")
-    base = np.pad(np.asarray(coeffs, dtype=complex), (0, max(0, 3 - len(coeffs))))
-    from .symbols import poly_sup_re
-    ruled = lambda n: (base[0] + 1.0 / n, base[1], base[2] + 1.0 / n)
-    bounds = [poly_sup_re(tuple(base))] + [poly_sup_re(ruled(n)) for n in n_list]
-    if not all(math.isfinite(v) for v in bounds):
+    # Re c_2 + 1/n > 0 whenever Re c_2 >= 0, so Re P_n is bounded above whenever Re P is
+    if not math.isfinite(poly_sup_re(coeffs)):
         raise ValueError("coefficients must keep Re p(2 pi i xi) bounded above")
-    fixed = make_poly_symbol_seq(PolySymbolParams(rule=lambda n: tuple(base), name="P(D)"))
-    family = make_poly_symbol_seq(PolySymbolParams(rule=ruled, name="P_n(D)"))
+    fixed = make_poly_symbol_seq(lambda n: coeffs, name="P(D)")
+    family = perturbed_heat_seq(coeffs, name="P_n(D)")
     ts = np.asarray(t_samples, dtype=float) if len(t_samples) else np.linspace(0, t_max, 51)[1:]
     return check_semigroup_association(family, fixed, 0.0, ts, [lambda n: f], f.grid, n_list,
                                        label="coefficient-perturbation", rerun_resolvent=False)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,8 @@ class SymbolSeq:
     trailing axis of length ``dimension_d`` and returns complex values of the
     leading shape.  ``re_bound`` is the uniform upper bound on Re a_n used by
     growth certificates (the spectral abscissa surrogate); it is kept separate
-    from the symbol order ``order_m``.
+    from the symbol order ``order_m``.  Polynomial families also carry
+    ``poly_coeffs(n)``, the padded coefficients c_0, c_1, c_2 of index n.
     """
 
     eval: Callable[[int, np.ndarray], np.ndarray]
@@ -40,7 +41,7 @@ class SymbolSeq:
     dimension_d: int
     re_bound: float
     name: str = ""
-    poly_rule: Optional[Callable[[int], Sequence[complex]]] = None
+    poly_coeffs: Optional[Callable[[int], Tuple[complex, complex, complex]]] = None
 
     def __call__(self, n: int, xi_vectors: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.eval(n, xi_vectors), dtype=complex)
@@ -56,24 +57,18 @@ class SymbolSeq:
         return self(n, grid.frequency_vectors())
 
 
-@dataclass(frozen=True)
-class PolySymbolParams:
-    """Coefficient rule for degree <= 2 constant-coefficient operators.
+def poly_coeffs(coeffs: Sequence[complex]) -> Tuple[complex, complex, complex]:
+    """Coefficients c_0, c_1, c_2 of a degree <= 2 operator, zero-padded to three.
 
-    ``rule(n)`` returns up to three complex coefficients c_0, c_1, c_2; the
-    operator is c_0 + c_1 d/dx + c_2 (d/dx)^2 and its symbol is
-    sum_j c_j (2 pi i xi)^j.
+    The operator is c_0 + c_1 d/dx + c_2 (d/dx)^2 and its symbol is
+    sum_j c_j (2 pi i xi)^j; more than three coefficients raise
+    ``UnsupportedFamilyError``.
     """
-
-    rule: Callable[[int], Sequence[complex]]
-    name: str = "poly"
-
-    def coeffs(self, n: int) -> np.ndarray:
-        c = np.asarray(self.rule(n), dtype=complex)
-        if c.ndim != 1 or c.size > 3:
-            raise UnsupportedFamilyError(
-                f"polynomial families support degree <= 2, got {c.size - 1}")
-        return np.pad(c, (0, 3 - c.size))
+    c = tuple(complex(v) for v in coeffs)
+    if len(c) > 3:
+        raise UnsupportedFamilyError(
+            f"polynomial families support degree <= 2, got {len(c) - 1}")
+    return c + (0j,) * (3 - len(c))
 
 
 @dataclass
@@ -112,8 +107,8 @@ def poly_sup_re(coeffs: Sequence[complex]) -> float:
     (2 alpha_2) when alpha_2 > 0; unbounded when alpha_2 < 0, or when
     alpha_2 = 0 with beta_1 != 0.
     """
-    c = np.pad(np.asarray(coeffs, dtype=complex), (0, max(0, 3 - len(coeffs))))
-    a0, b1, a2 = c[0].real, c[1].imag, c[2].real
+    c0, c1, c2 = poly_coeffs(coeffs)
+    a0, b1, a2 = c0.real, c1.imag, c2.real
     if a2 > 0:
         return a0 + b1 * b1 / (4.0 * a2)
     if a2 == 0 and b1 == 0:
@@ -126,29 +121,28 @@ def poly_omega(coeffs: Sequence[complex]) -> float:
     return max(0.0, poly_sup_re(coeffs))
 
 
-def make_poly_symbol_seq(params: PolySymbolParams) -> SymbolSeq:
+def make_poly_symbol_seq(rule: Callable[[int], Sequence[complex]],
+                         name: str = "poly") -> SymbolSeq:
     """Symbol family of a degree <= 2 differential operator sequence (d=1).
 
-    eval(n, xi) = sum_j c_j(n) (2 pi i xi)^j with the fixed transform
-    convention, so the heat generator (4 pi^2)^-1 (d/dx)^2 has symbol -xi^2.
+    ``rule(n)`` returns up to three coefficients c_0, c_1, c_2 (see
+    :func:`poly_coeffs`), and eval(n, xi) = sum_j c_j(n) (2 pi i xi)^j with the
+    fixed transform convention, so the heat generator (4 pi^2)^-1 (d/dx)^2 has
+    symbol -xi^2.
     """
-    params.coeffs(1)  # surface degree errors early
-    bound = -math.inf
-    for n in _PROBE_INDICES:
-        bound = max(bound, poly_sup_re(params.coeffs(n)))
+    def coeffs(n: int) -> Tuple[complex, complex, complex]:
+        return poly_coeffs(rule(n))
+
+    bound = max(poly_sup_re(coeffs(n)) for n in _PROBE_INDICES)
 
     def _eval(n: int, xi_vectors: np.ndarray) -> np.ndarray:
-        c = params.coeffs(n)
+        c0, c1, c2 = coeffs(n)
         z = TWO_PI * 1j * xi_vectors[..., 0]
-        return c[0] + c[1] * z + c[2] * z * z
+        return c0 + c1 * z + c2 * z * z
 
     # order/ellipticity exponent: the polynomial degree over the probe set
-    deg = 0
-    for n in _PROBE_INDICES[:8]:
-        c = params.coeffs(n)
-        nz = np.nonzero(np.abs(c) > 0)[0]
-        if nz.size:
-            deg = max(deg, int(nz[-1]))
+    deg = max((j for n in _PROBE_INDICES[:8] for j, c in enumerate(coeffs(n)) if abs(c) > 0),
+              default=0)
     return SymbolSeq(
         eval=_eval,
         order_m=float(deg),
@@ -156,13 +150,12 @@ def make_poly_symbol_seq(params: PolySymbolParams) -> SymbolSeq:
         cutoff_L=1.0,
         dimension_d=1,
         re_bound=bound,
-        name=params.name,
-        poly_rule=params.rule,
+        name=name,
+        poly_coeffs=coeffs,
     )
 
 
-def make_fractional_symbol_seq(c: Callable[[int], float] | Mapping[int, float],
-                               m: float, d: int,
+def make_fractional_symbol_seq(c: Callable[[int], float], m: float, d: int,
                                bound: Optional[float] = None) -> SymbolSeq:
     """Purely imaginary family a_n(xi) = i c_n |xi|^m.
 
@@ -170,8 +163,7 @@ def make_fractional_symbol_seq(c: Callable[[int], float] | Mapping[int, float],
     given it is checked on probe indices, otherwise the probe values must not
     exhibit growth.  Re a_n = 0 exactly, so ``re_bound`` is 0.
     """
-    rule = (lambda n: c[n]) if isinstance(c, Mapping) else c
-    probes = np.array([abs(float(rule(n))) for n in _PROBE_INDICES])
+    probes = np.array([abs(float(c(n))) for n in _PROBE_INDICES])
     if bound is not None:
         worst = float(probes.max())
         if worst > bound * (1 + 1e-12):
@@ -188,7 +180,7 @@ def make_fractional_symbol_seq(c: Callable[[int], float] | Mapping[int, float],
 
     def _eval(n: int, xi_vectors: np.ndarray) -> np.ndarray:
         mag = np.sqrt(np.sum(xi_vectors * xi_vectors, axis=-1))
-        return 1j * float(rule(n)) * mag ** m
+        return 1j * float(c(n)) * mag ** m
 
     return SymbolSeq(
         eval=_eval,
@@ -303,8 +295,8 @@ def check_A1_A3(s: SymbolSeq, n_list: Sequence[int], grid: Grid) -> SymbolCheckR
         sup_re = float(np.max(vals.real))
         report.sup_re[n] = sup_re
         report.re_bound_ok[n] = sup_re <= s.re_bound + 1e-12
-        if s.poly_rule is not None:
-            report.omega[n] = poly_omega(s.poly_rule(n))
+        if s.poly_coeffs is not None:
+            report.omega[n] = poly_omega(s.poly_coeffs(n))
         else:
             report.omega[n] = max(0.0, sup_re)
     cs = [report.ellipticity_constants[n] for n in n_list]
@@ -328,16 +320,11 @@ def check_p_condition(p: float, r: float, m: float, d: int) -> bool:
 
 def heat_symbol_seq() -> SymbolSeq:
     """The stationary heat family a_n(xi) = -xi^2 (generator (4pi^2)^-1 d^2/dx^2)."""
-    params = PolySymbolParams(rule=lambda n: (0.0, 0.0, 1.0 / (4 * np.pi**2)), name="heat")
-    return make_poly_symbol_seq(params)
+    return make_poly_symbol_seq(lambda n: (0.0, 0.0, 1.0 / (4 * np.pi**2)), name="heat")
 
 
 def perturbed_heat_seq(base_coeffs: Sequence[complex] = (0.0, 0.0, 1.0 / (4 * np.pi**2)),
-                               name: str = "heat+1/n") -> SymbolSeq:
-    """The perturbed family with c_0 + 1/n and c_2 + 1/n coefficients."""
-    base = np.pad(np.asarray(base_coeffs, dtype=complex), (0, 3 - len(base_coeffs)))
-
-    def rule(n: int):
-        return (base[0] + 1.0 / n, base[1], base[2] + 1.0 / n)
-
-    return make_poly_symbol_seq(PolySymbolParams(rule=rule, name=name))
+                       name: str = "heat+1/n") -> SymbolSeq:
+    """The coefficient drift P_n(D): ``base_coeffs`` with c_0 + 1/n and c_2 + 1/n."""
+    c0, c1, c2 = poly_coeffs(base_coeffs)
+    return make_poly_symbol_seq(lambda n: (c0 + 1.0 / n, c1, c2 + 1.0 / n), name=name)

@@ -15,8 +15,7 @@ from semigrouplab.quadrature import trapezoid_weights
 from semigrouplab.semigroup import phi
 from semigrouplab.spectral import (DistributionRep, Grid, GridFunction,
                                    Mollifier, lp_norm, mollify, transform)
-from semigrouplab.symbols import (PolySymbolParams, heat_symbol_seq,
-                                  make_poly_symbol_seq)
+from semigrouplab.symbols import heat_symbol_seq, make_poly_symbol_seq
 
 
 def tgrid(t_end, dt):
@@ -87,7 +86,7 @@ class TestDuhamelSolve:
 
     def test_constant_forcing_zero_mode(self, grid):
         # zero symbol: v_hat = f t^2/2 and w_hat = f t per mode
-        zero_sym = make_poly_symbol_seq(PolySymbolParams(rule=lambda n: (0.0,)))
+        zero_sym = make_poly_symbol_seq(lambda n: (0.0,))
         shape = GridFunction.gaussian(grid)
         forcing = ForcingSeq.separable(lambda t: 1.0, lambda n: shape)
         sol = duhamel_solve(zero_sym, 1, GridFunction.zero(grid), forcing,
@@ -143,7 +142,7 @@ class TestDuhamelSolve:
         assert lp_norm(w12 - (w1 + w2), 2) < 1e-12 * max(1.0, lp_norm(w12, 2))
 
     def test_overflow_guard_names_growth_bound(self, grid):
-        runaway = make_poly_symbol_seq(PolySymbolParams(rule=lambda n: (800.0,)))
+        runaway = make_poly_symbol_seq(lambda n: (800.0,))
         with pytest.raises(OverflowGuardError, match="re_bound"):
             duhamel_solve(runaway, 1, GridFunction.gaussian(grid),
                           ForcingSeq.zero(grid), tgrid(1.0, 1 / 16))
@@ -174,7 +173,7 @@ class TestIntegralEquationResidual:
     def test_single_mode_matches_trapezoid_error_model(self, grid):
         # for one exponential mode the defect is exactly the trapezoid error
         # of int_0^t e^(r a) dr times |a|, so it shrinks at second order
-        sym = make_poly_symbol_seq(PolySymbolParams(rule=lambda n: (-1.0,)))
+        sym = make_poly_symbol_seq(lambda n: (-1.0,))
         u0 = GridFunction(grid, np.ones(grid.points))
         f = ForcingSeq.zero(grid)
         res = []

@@ -71,6 +71,13 @@ class TestConfig:
             ("[data]\ndata_width = nan\n", "^data_width must be finite and positive"),
             ("[data]\ndata_width = 0.0\n", "^data_width must be finite and positive"),
             ("[forcing]\nforcing_amplitude = inf\n", "^forcing_amplitude must be finite"),
+            ("[family]\nfractional_m = -1\n", "^fractional_m must be finite and positive"),
+            ("[family]\nfractional_m = 0\n", "^fractional_m must be finite and positive"),
+            ("[comparison]\ncomparison = shift:nan\n", "^comparison shift: needs a finite complex"),
+            ("[comparison]\ncomparison = shift:abc\n", "^comparison shift: needs a finite complex"),
+            ("[comparison]\ncomparison = scale:inf\n", "^comparison scale: needs a finite real"),
+            ("[comparison]\ncomparison = scale:2j\n", "^comparison scale: needs a finite real"),
+            ("[data]\ndata_kind = file\n", "^data_path must name a file"),
         ]
         for text, field in bad_inputs:
             with pytest.raises(ConfigError, match=field):
@@ -106,6 +113,23 @@ class TestVerifyCommand:
 
 
 class TestSolveCommand:
+    @pytest.mark.parametrize("header, rows, code", [
+        ("x,re,im", ["0.5,1.0,0.0"] * 512, 0),
+        (None, [], 2),
+        ("x,re", ["0.5,1.0"] * 512, 2),
+        ("x,re,im", ["0.5,1.0,0.0"] * 10, 2),
+    ], ids=["valid", "missing", "two-columns", "short"])
+    def test_data_file(self, tmp_path, capsys, header, rows, code):
+        data = tmp_path / "datum.csv"
+        if header is not None:
+            data.write_text("\n".join([header] + rows) + "\n")
+        cfg = dataclasses.replace(default_config("solve"), points=512, n_list=(2, 3, 4, 5),
+                                  data_kind="file", data_path=str(data))
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "f"), "--no-plots"]) == code
+        assert ("data_path" in capsys.readouterr().err) == (code == 2)
+
+
     def test_heat_delta_scenario(self, tmp_path):
         cfg = dataclasses.replace(default_config("solve"), points=1024,
                                   n_list=(2, 4, 8, 16), output_dir=str(tmp_path / "o"))
@@ -196,3 +220,12 @@ class TestPerturbGrowthCommands:
         assert code == 0
         header = (tmp_path / "g" / "growth.csv").read_text().splitlines()[0]
         assert header == "n,M_n,M_prime_n,omega,b,fitted_C,fitted_a"
+
+    def test_growth_omega_is_a_plain_float(self, tmp_path):
+        # omega = re_bound + 0.5 = 2.5 here, the family's closed-form sup Re
+        cfg = dataclasses.replace(FAST_VERIFY, coeffs=(2.0 + 0j, 0j, 0.025 + 0j))
+        code = main(["growth", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "g")])
+        assert code == 0
+        rows = (tmp_path / "g" / "growth.csv").read_text().splitlines()[1:]
+        assert rows and all(r.split(",")[3] == "2.5" for r in rows)

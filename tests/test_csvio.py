@@ -32,6 +32,14 @@ def test_pairings_sorted_and_typed(tmp_path):
     assert lines[2].split(",")[:2] == ["4", "psiB"]
 
 
+def test_numpy_scalars_written_as_plain_numbers(tmp_path):
+    path = tmp_path / "scalars.csv"
+    write_rows(path, ["f", "c_real", "c", "re"],
+               [(np.float64(2.5), np.complex128(1.0), np.complex128(1 + 2j),
+                 np.complex128(3 + 4j).real)])
+    assert path.read_text().splitlines()[1] == "2.5,1.0,(1+2j),3.0"
+
+
 def test_writer_is_reproducible(tmp_path):
     rep = make_association_report([4, 8, 16, 32], [1 / 3, 1 / 7, 1 / 13, 1 / 29])
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,0 +1,151 @@
+"""Golden corpus: every subcommand on its default config.
+
+Each subcommand runs twice; the two output trees and stdouts must be
+byte-identical.  Every CSV is then compared with ``tests/golden/<command>.json``:
+numeric cells within 1e-9 relative (absolute floor 1e-12), other cells
+exactly.  ``solution.csv`` is stored as its row count, column sums and every
+``SOLUTION_STRIDE``-th row.  The ``worst`` column of ``verify.csv`` is an
+oracle error, so it is checked against its tolerance instead of the golden.
+
+Regenerate the goldens with ``PYTHONPATH=src python tests/test_golden.py``,
+only for an intended output change.
+"""
+import csv
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from semigrouplab.cli import main
+
+GOLDEN_DIR = Path(__file__).with_name("golden")
+COMMANDS = ("verify", "solve", "associate", "perturb", "growth")
+SOLUTION_STRIDE = 4096
+REL_TOL = 1e-9
+ABS_FLOOR = 1e-12
+
+
+def run_command(command: str, out_dir: Path) -> str:
+    """Run one subcommand on its default config; returns its stdout."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main([command, "--out", str(out_dir), "--no-plots"])
+    assert code == 0, f"{command} exited {code}"
+    return buf.getvalue()
+
+
+def _read_csv(path: Path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+def _column_sums(header, rows):
+    sums = [0.0] * len(header)
+    for row in rows:
+        for j, cell in enumerate(row):
+            sums[j] += float(cell)
+    return sums
+
+
+def summarize(out_dir: Path) -> dict:
+    """The golden record of every CSV in one output directory."""
+    record = {}
+    for path in sorted(out_dir.glob("*.csv")):
+        header, rows = _read_csv(path)
+        if path.name == "solution.csv":
+            record[path.name] = {
+                "header": header,
+                "row_count": len(rows),
+                "column_sums": _column_sums(header, rows),
+                "sampled_rows": rows[::SOLUTION_STRIDE],
+            }
+            continue
+        if path.name == "verify.csv":
+            worst = header.index("worst")
+            rows = [row[:worst] + [None] + row[worst + 1:] for row in rows]
+        record[path.name] = {"header": header, "rows": rows}
+    return record
+
+
+def _as_float(cell):
+    if not isinstance(cell, str):
+        return cell
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _cells_match(got, want) -> bool:
+    if got == want:
+        return True
+    g, w = _as_float(got), _as_float(want)
+    if g is None or w is None:
+        return False
+    return abs(g - w) <= max(REL_TOL * max(abs(g), abs(w)), ABS_FLOOR)
+
+
+def _compare_rows(name, got_rows, want_rows):
+    assert len(got_rows) == len(want_rows), f"{name}: row count"
+    for i, (got, want) in enumerate(zip(got_rows, want_rows)):
+        assert len(got) == len(want), f"{name} row {i}: width"
+        for j, (g, w) in enumerate(zip(got, want)):
+            assert _cells_match(g, w), f"{name} row {i} col {j}: {g!r} != {w!r}"
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    out = {}
+    for command in COMMANDS:
+        out[command] = [(root / f"run{k}" / command,
+                         run_command(command, root / f"run{k}" / command))
+                        for k in (1, 2)]
+    return out
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_rerun_byte_identical(runs, command):
+    (first, out1), (second, out2) = runs[command]
+    assert out1 == out2
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_matches_golden(runs, command):
+    out_dir = runs[command][0][0]
+    want = json.loads((GOLDEN_DIR / f"{command}.json").read_text())
+    got = summarize(out_dir)
+    assert sorted(got) == sorted(want)
+    for name, record in want.items():
+        assert got[name]["header"] == record["header"], name
+        if name == "solution.csv":
+            assert got[name]["row_count"] == record["row_count"]
+            _compare_rows(name, [got[name]["column_sums"]], [record["column_sums"]])
+            _compare_rows(name, got[name]["sampled_rows"], record["sampled_rows"])
+        else:
+            _compare_rows(name, got[name]["rows"], record["rows"])
+    if command == "verify":
+        header, rows = _read_csv(out_dir / "verify.csv")
+        worst, tol = header.index("worst"), header.index("tolerance")
+        for row in rows:
+            assert float(row[worst]) <= float(row[tol]), row
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in COMMANDS:
+            run_command(command, Path(tmp) / command)
+            record = summarize(Path(tmp) / command)
+            (GOLDEN_DIR / f"{command}.json").write_text(
+                json.dumps(record, indent=1, sort_keys=True) + "\n")
+            print(f"wrote {GOLDEN_DIR / (command + '.json')}")

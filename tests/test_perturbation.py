@@ -13,8 +13,7 @@ from semigrouplab.quadrature import composite_gauss_points
 from semigrouplab.semigroup import (MultiplierOp, apply_S, integrated_factor, phi,
                                     phi_at_times, resolvent_factor)
 from semigrouplab.spectral import Grid, GridFunction, lp_norm
-from semigrouplab.symbols import (PolySymbolParams, heat_symbol_seq, make_poly_symbol_seq,
-                                  perturbed_heat_seq)
+from semigrouplab.symbols import heat_symbol_seq, make_poly_symbol_seq, perturbed_heat_seq
 
 HEAT_C2 = 1.0 / (4.0 * np.pi**2)
 
@@ -142,7 +141,7 @@ class TestPerturbationQuadrature:
             perturbed_factor(heat, BoundedMultiplierSeq.constant(800.0), 1, 1.0, grid)
 
         def constant_family(c0):
-            return make_poly_symbol_seq(PolySymbolParams(rule=lambda n: (c0, 0.0, 0.0)))
+            return make_poly_symbol_seq(lambda n: (c0, 0.0, 0.0))
 
         # past the guard: Re a t > 709 overflows phi(t, a)
         with pytest.raises(OverflowGuardError):

@@ -14,7 +14,7 @@ from semigrouplab.semigroup import (MultiplierOp, apply_resolvent, apply_S,
 from semigrouplab.spectral import (Grid, GridFunction, inverse_transform,
                                    lp_norm)
 from semigrouplab.quadrature import trapezoid_weights
-from semigrouplab.symbols import (PolySymbolParams, perturbed_heat_seq,
+from semigrouplab.symbols import (perturbed_heat_seq,
                                   heat_symbol_seq, make_fractional_symbol_seq,
                                   make_poly_symbol_seq)
 
@@ -316,8 +316,7 @@ class TestCertifyGrowth:
     def test_moderate_exponent_of_approaching_family(self, grid):
         # constants sigma_n = omega - 1/n approach the abscissa, so a sample
         # just right of omega sees the bound grow like n
-        s = make_poly_symbol_seq(PolySymbolParams(
-            rule=lambda n: (1.0 - 1.0 / n,), name="approaching"))
+        s = make_poly_symbol_seq(lambda n: (1.0 - 1.0 / n,), name="approaching")
         cert = certify_growth(s, [4, 8, 16, 32, 64], omega=1.0, b=1.0,
                               lambda_samples=[1.001], t_samples=[1.0], grid=grid)
         assert cert.resolvent_fit.slope == pytest.approx(1.0, abs=0.1)

@@ -1,11 +1,12 @@
 """Symbol family constructors and hypothesis-check tests."""
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from semigrouplab.errors import (HypothesisViolationError,
                                  SymbolEvaluationError, UnsupportedFamilyError)
 from semigrouplab.spectral import Grid
-from semigrouplab.symbols import (PolySymbolParams, SymbolSeq, check_A1_A3,
+from semigrouplab.symbols import (SymbolSeq, check_A1_A3,
                                   check_p_condition, check_symbol_class,
                                   perturbed_heat_seq, heat_symbol_seq,
                                   make_fractional_symbol_seq,
@@ -16,6 +17,16 @@ TWO_PI = 2.0 * np.pi
 
 def xi_col(*values):
     return np.asarray(values, dtype=float)[:, None]
+
+
+COEFFICIENTS = st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+
+
+def coefficient_lists(min_size=1, max_size=3):
+    return st.lists(COEFFICIENTS, min_size=min_size, max_size=max_size)
+
+
+XI = xi_col(*np.linspace(-3.0, 3.0, 61))
 
 
 class TestPolyFamilies:
@@ -33,13 +44,17 @@ class TestPolyFamilies:
             assert np.allclose(s(n, xi), expected, atol=1e-13)
 
     def test_constant_term_at_zero_frequency(self):
-        params = PolySymbolParams(rule=lambda n: (2.0 + 3.0j, 1.0, 0.5))
-        s = make_poly_symbol_seq(params)
+        s = make_poly_symbol_seq(lambda n: (2.0 + 3.0j, 1.0, 0.5))
         assert s(7, xi_col(0.0))[0] == pytest.approx(2.0 + 3.0j)
 
-    def test_degree_above_two_rejected(self):
-        with pytest.raises(UnsupportedFamilyError):
-            make_poly_symbol_seq(PolySymbolParams(rule=lambda n: (1, 1, 1, 1)))
+    @seed(20261021)
+    @settings(max_examples=50, deadline=None)
+    @given(coeffs=coefficient_lists(min_size=4, max_size=6))
+    def test_degree_above_two_rejected(self, coeffs):
+        for build in (lambda: make_poly_symbol_seq(lambda n: coeffs),
+                      lambda: perturbed_heat_seq(coeffs), lambda: poly_sup_re(coeffs)):
+            with pytest.raises(UnsupportedFamilyError, match="degree <= 2"):
+                build()
 
     def test_sup_re_closed_form(self):
         # alpha_0 + beta_1^2 / (4 alpha_2) for positive alpha_2
@@ -47,6 +62,45 @@ class TestPolyFamilies:
         assert poly_sup_re((0.0, 0.0, 1.0)) == 0.0
         assert poly_sup_re((0.5, 0.0, 0.0)) == 0.5
         assert poly_sup_re((0.0, 1.0j, 0.0)) == np.inf
+
+
+class TestPolyCoefficientTable:
+    """One padded coefficient table: the symbol, its sup Re and the 1/n drift."""
+
+    @seed(20261018)
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs=coefficient_lists())
+    def test_symbol_is_coefficient_sum(self, coeffs):
+        s = make_poly_symbol_seq(lambda n: coeffs)
+        z = TWO_PI * 1j * XI[:, 0]
+        expected = sum(c * z**j for j, c in enumerate(coeffs))
+        scale = sum(abs(c) * np.abs(z) ** j for j, c in enumerate(coeffs))
+        assert np.all(np.abs(s(3, XI) - expected) <= 1e-14 * (1.0 + scale))
+
+    @seed(20261019)
+    @settings(max_examples=50, deadline=None)
+    @given(c0=COEFFICIENTS, c1_re=st.floats(-10.0, 10.0),
+           b1=st.floats(-5.0, 5.0), a2=st.floats(0.05, 5.0), b2=st.floats(-10.0, 10.0))
+    def test_sup_re_is_float_grid_maximum(self, c0, c1_re, b1, a2, b2):
+        # with these ranges the vertex xi = -b1 / (4 pi a2) lies inside |xi| <= 8
+        coeffs = (c0, complex(c1_re, b1), complex(a2, b2))
+        sup = poly_sup_re(coeffs)
+        assert type(sup) is float
+        xi = np.linspace(-10.0, 10.0, 200_001)
+        h = xi[1] - xi[0]
+        grid_max = float(np.max(make_poly_symbol_seq(lambda n: coeffs)(1, xi[:, None]).real))
+        # a sample lies within h/2 of the vertex of a parabola of curvature 4 pi^2 a2
+        assert -1e-11 <= sup - grid_max <= a2 * (np.pi * h) ** 2 + 1e-11
+
+    @seed(20261020)
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs=coefficient_lists(), n=st.integers(1, 200))
+    def test_drift_family_bitwise_equal_to_written_out_rule(self, coeffs, n):
+        c0, c1, c2 = list(coeffs) + [0j] * (3 - len(coeffs))
+        drifted = perturbed_heat_seq(coeffs)
+        written = make_poly_symbol_seq(lambda m: (c0 + 1.0 / m, c1, c2 + 1.0 / m))
+        assert np.array_equal(drifted(n, XI), written(n, XI))
+        assert drifted.re_bound == written.re_bound
 
 
 class TestFractionalFamilies:
@@ -84,16 +138,14 @@ class TestSymbolClassCheck:
             assert rep.class_constants[n] <= 1.0 + 1e-10
 
     def test_bounded_family_fits_flat(self):
-        params = PolySymbolParams(rule=lambda n: (0, 0, (1 + 1.0 / n) / (4 * np.pi**2)))
-        s = make_poly_symbol_seq(params)
+        s = make_poly_symbol_seq(lambda n: (0, 0, (1 + 1.0 / n) / (4 * np.pi**2)))
         grid = Grid(1, 8.0, 256)
         rep = check_symbol_class(s, [4, 8, 16, 32, 64], grid, max_order=2)
         assert rep.class_fit.slope <= 0.05
         assert not rep.non_moderate
 
     def test_linearly_growing_family_fits_slope_one(self):
-        params = PolySymbolParams(rule=lambda n: (0, 0, n / (4 * np.pi**2)))
-        s = make_poly_symbol_seq(params)
+        s = make_poly_symbol_seq(lambda n: (0, 0, n / (4 * np.pi**2)))
         grid = Grid(1, 8.0, 256)
         rep = check_symbol_class(s, [4, 8, 16, 32, 64], grid, max_order=2)
         assert rep.class_fit.slope == pytest.approx(1.0, abs=0.1)
@@ -131,7 +183,7 @@ class TestA1A3:
         # grid sup of Re p(2 pi i xi) vs alpha_0 + beta_1^2/(4 alpha_2);
         # dense frequency sampling so the parabola vertex is resolved
         coeffs = (1.0, 1.0j, 0.5)
-        s = make_poly_symbol_seq(PolySymbolParams(rule=lambda n: coeffs))
+        s = make_poly_symbol_seq(lambda n: coeffs)
         grid = Grid(1, 1024.0, 8192)
         rep = check_A1_A3(s, [1, 2, 3, 4], grid)
         closed = poly_sup_re(coeffs)
