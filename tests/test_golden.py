@@ -1,7 +1,10 @@
-"""Golden corpus: every subcommand on its default config.
+"""Golden corpus: every subcommand on its default config, plus named variants.
 
-Each subcommand runs twice; the two output trees and stdouts must be
-byte-identical.  Every CSV is then compared with ``tests/golden/<command>.json``:
+``VARIANTS`` adds configs that reach branches no default config reaches:
+``associate-shift`` runs ``associate`` with ``comparison = shift:0.5j``, the
+non-drift branch of the scenario.  Each case runs twice; the two output
+trees and stdouts must be byte-identical.  Every CSV is then compared with
+``tests/golden/<case>.json``:
 numeric cells within 1e-9 relative (absolute floor 1e-12), other cells
 exactly.  ``solution.csv`` is stored as its row count, column sums and every
 ``SOLUTION_STRIDE``-th row.  The ``worst`` column of ``verify.csv`` is an
@@ -16,23 +19,39 @@ import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
+from dataclasses import replace
+
 import pytest
 
 from semigrouplab.cli import main
+from semigrouplab.config import default_config, serialize_config
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
 COMMANDS = ("verify", "solve", "associate", "perturb", "growth")
+#: case name -> (subcommand, fields replaced in its default config)
+VARIANTS = {"associate-shift": ("associate", {"comparison": "shift:0.5j"})}
+CASES = {**{command: (command, {}) for command in COMMANDS}, **VARIANTS}
 SOLUTION_STRIDE = 4096
 REL_TOL = 1e-9
 ABS_FLOOR = 1e-12
 
 
-def run_command(command: str, out_dir: Path) -> str:
-    """Run one subcommand on its default config; returns its stdout."""
+def run_case(case: str, out_dir: Path) -> str:
+    """Run one case of ``CASES``; returns its stdout.
+
+    A variant's config is written beside ``out_dir`` and passed with --config.
+    """
+    command, changes = CASES[case]
+    argv = [command, "--out", str(out_dir), "--no-plots"]
+    if changes:
+        config = out_dir.with_name(out_dir.name + ".cfg")
+        config.parent.mkdir(parents=True, exist_ok=True)
+        config.write_text(serialize_config(replace(default_config(command), **changes)))
+        argv += ["--config", str(config)]
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main([command, "--out", str(out_dir), "--no-plots"])
-    assert code == 0, f"{command} exited {code}"
+        code = main(argv)
+    assert code == 0, f"{case} exited {code}"
     return buf.getvalue()
 
 
@@ -100,16 +119,15 @@ def _compare_rows(name, got_rows, want_rows):
 def runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     out = {}
-    for command in COMMANDS:
-        out[command] = [(root / f"run{k}" / command,
-                         run_command(command, root / f"run{k}" / command))
-                        for k in (1, 2)]
+    for case in CASES:
+        out[case] = [(root / f"run{k}" / case, run_case(case, root / f"run{k}" / case))
+                     for k in (1, 2)]
     return out
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_rerun_byte_identical(runs, command):
-    (first, out1), (second, out2) = runs[command]
+@pytest.mark.parametrize("case", CASES)
+def test_rerun_byte_identical(runs, case):
+    (first, out1), (second, out2) = runs[case]
     assert out1 == out2
     names = sorted(p.name for p in first.iterdir())
     assert names == sorted(p.name for p in second.iterdir())
@@ -117,10 +135,10 @@ def test_rerun_byte_identical(runs, command):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_matches_golden(runs, command):
-    out_dir = runs[command][0][0]
-    want = json.loads((GOLDEN_DIR / f"{command}.json").read_text())
+@pytest.mark.parametrize("case", CASES)
+def test_matches_golden(runs, case):
+    out_dir = runs[case][0][0]
+    want = json.loads((GOLDEN_DIR / f"{case}.json").read_text())
     got = summarize(out_dir)
     assert sorted(got) == sorted(want)
     for name, record in want.items():
@@ -131,7 +149,7 @@ def test_matches_golden(runs, command):
             _compare_rows(name, got[name]["sampled_rows"], record["sampled_rows"])
         else:
             _compare_rows(name, got[name]["rows"], record["rows"])
-    if command == "verify":
+    if case == "verify":
         header, rows = _read_csv(out_dir / "verify.csv")
         worst, tol = header.index("worst"), header.index("tolerance")
         for row in rows:
@@ -143,9 +161,9 @@ if __name__ == "__main__":
 
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for command in COMMANDS:
-            run_command(command, Path(tmp) / command)
-            record = summarize(Path(tmp) / command)
-            (GOLDEN_DIR / f"{command}.json").write_text(
+        for case in CASES:
+            run_case(case, Path(tmp) / case)
+            record = summarize(Path(tmp) / case)
+            (GOLDEN_DIR / f"{case}.json").write_text(
                 json.dumps(record, indent=1, sort_keys=True) + "\n")
-            print(f"wrote {GOLDEN_DIR / (command + '.json')}")
+            print(f"wrote {GOLDEN_DIR / (case + '.json')}")
