@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .association import AssociationReport
+from .association import SLOPE_MIN, AssociationReport
 from .cauchy import MildSolutionSeq
 from .semigroup import GrowthCertificate
 
@@ -55,7 +55,7 @@ def write_association(path: Path, report: AssociationReport) -> None:
         "slope": report.slope,
         "r_squared": report.r_squared,
         "tol_assoc": report.tol_assoc,
-        "slope_min": report.slope_min,
+        "slope_min": SLOPE_MIN,
     }
     if report.per_sequence:
         summary["sequences"] = [

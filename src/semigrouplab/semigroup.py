@@ -246,11 +246,6 @@ class GrowthCertificate:
     semigroup_fit: object = None
 
 
-def default_time_samples(t_max: float = 50.0, count: int = 40) -> list:
-    """Log-spaced positive times reaching both t -> 0 and large t."""
-    return list(np.logspace(-3, np.log10(t_max), count))
-
-
 def certify_growth(s: SymbolSeq, n_list: Sequence[int], omega: float, b: float,
                    lambda_samples: Sequence[complex], t_samples: Sequence[float],
                    grid: Grid) -> GrowthCertificate:
@@ -258,8 +253,10 @@ def certify_growth(s: SymbolSeq, n_list: Sequence[int], omega: float, b: float,
 
     For diagonal operators the L^2 operator norm is the max of the factor
     magnitude over the grid frequencies, so both bounds are exact maxima
-    over (sample set) x (grid modes).  Moderateness exponents of M_n and
-    M'_n are fitted when at least four indices are given.
+    over (sample set) x (grid modes).  A lambda sample on the numerical
+    spectrum raises ``ResolventSingularityError`` from
+    :func:`resolvent_factor`, naming lambda, xi and n.  Moderateness
+    exponents of M_n and M'_n are fitted when at least four indices are given.
     """
     from .association import fit_moderate
 
@@ -272,12 +269,8 @@ def certify_growth(s: SymbolSeq, n_list: Sequence[int], omega: float, b: float,
     for n in n_list:
         a = s.on_grid(n, grid)
         m_res = []
-        for lam in lambda_samples:
-            lam = complex(lam)
-            gap = np.abs(lam - a)
-            if np.min(gap) <= RESOLVENT_MARGIN:
-                raise ResolventSingularityError(f"sample {lam} hits the numerical spectrum")
-            m_res.append(np.max(np.abs(lam) ** b / gap))
+        for lam in map(complex, lambda_samples):
+            m_res.append(abs(lam) ** b * np.max(np.abs(resolvent_factor(s, n, lam, grid))))
         m_sg = []
         for t in t_samples:
             if t <= 0:

@@ -13,8 +13,8 @@ from semigrouplab.association import (AssociationReport, bundled_family_pairs,
                                       crosscheck_comparison_theorems, derivative_bound_quantity,
                                       fit_moderate,
                                       is_moderate_fit, make_association_report,
-                                      max_keep_nan, resolvent_over_lambda_derivative)
-from semigrouplab.errors import InsufficientDataError
+                                      resolvent_over_lambda_derivative)
+from semigrouplab.errors import InsufficientDataError, ResolventSingularityError
 from semigrouplab.spectral import Grid, GridFunction, Mollifier, lp_norm
 from semigrouplab.symbols import (perturbed_heat_seq,
                                   heat_symbol_seq, make_poly_symbol_seq,
@@ -107,12 +107,6 @@ class TestVerdictRule:
         with pytest.raises(ValueError, match="demo: norm at n=8"):
             make_association_report([4, 8, 16, 32], [1.0, bad, 0.5, 0.25], label="demo")
 
-    def test_running_sup_keeps_nan(self):
-        assert math.isnan(max_keep_nan(0.0, math.nan))
-        assert math.isnan(max_keep_nan(math.nan, 1.0))
-        assert max_keep_nan(0.5, 2.0) == 2.0
-        assert max_keep_nan(2.0, 0.5) == 2.0
-
 
 class TestG4:
     def test_stationary_family_has_unit_spread(self, heat, grid):
@@ -184,11 +178,10 @@ class TestGeisAndGE4:
                                      [gaussian_seq], grid, [4, 8, 16, 32])
         assert max(rep.norms) == 0.0
 
-    def test_drifted_pair_associated_with_companion(self, heat, drifted, grid, gaussian_seq):
+    def test_drifted_pair_associated(self, heat, drifted, grid, gaussian_seq):
         rep = check_semigroup_association(heat, drifted, 1.0, self.t_samples,
                                      [gaussian_seq], grid, [4, 8, 16, 32, 64])
         assert rep.verdict == "associated"
-        assert rep.companion_agrees
 
     @pytest.mark.parametrize("t_samples", [[math.nan], [0.5, math.nan]])
     def test_nan_time_sample_is_not_a_zero_norm(self, heat, drifted, grid, gaussian_seq,
@@ -267,6 +260,12 @@ class TestCrosscheck:
 
     def test_empty_pair_list(self, grid):
         assert crosscheck_comparison_theorems([], [2.0], grid) == []
+
+    def test_lambda_on_spectrum_names_the_mode(self, grid):
+        # a_n(0) = 0 for the heat family, so lambda = 0 hits the spectrum at xi = 0
+        with pytest.raises(ResolventSingularityError,
+                           match=r"lambda=0\.0 within .* xi=\[0\.\] \(n=4\)"):
+            crosscheck_comparison_theorems(bundled_family_pairs(grid)[:2], [0.0], grid)
 
 
 class TestDerivativeEngine:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semigrouplab import cli
 from semigrouplab.cli import main
 from semigrouplab.config import (ExperimentConfig, default_config, load_config,
                                  parse_config, serialize_config)
@@ -110,6 +111,51 @@ class TestVerifyCommand:
         code = main(["verify", "--config", str(tmp_path / "missing.cfg")])
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+
+def nan_on_second_call(monkeypatch, name):
+    """Patch ``cli.<name>`` so its second call returns NaN values.
+
+    Every site makes at least three calls, so the NaN lands mid-list: the
+    builtin ``max`` over a list keeps only a leading NaN and a running
+    ``max(worst, v)`` keeps none, so only a NaN-keeping sup reports it.
+    """
+    original, calls = getattr(cli, name), []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        value = original(*args, **kwargs)
+        return value * np.nan if len(calls) == 2 else value
+
+    monkeypatch.setattr(cli, name, patched)
+
+
+FAST_PERTURB = dataclasses.replace(default_config("perturb"), points=64, n_list=(4, 8, 16, 32))
+
+
+def _verify_status(suite, *extra):
+    """The status cell of one verify suite run on ``FAST_VERIFY``."""
+    run = getattr(cli, f"_suite_{suite}")
+    grid, s = cli.build_grid(FAST_VERIFY), cli.build_family(FAST_VERIFY)
+    return run(FAST_VERIFY, grid, s, *extra).row()[3]
+
+
+#: sup site -> (the cli name whose result enters the sup, run, the failure it must report)
+NAN_SITES = {
+    "laplace": ("laplace_identity_residual", lambda out: _verify_status("laplace"), "FAIL"),
+    "pseudoresolvent": ("pseudoresolvent_residual",
+                        lambda out: _verify_status("pseudoresolvent", None), "FAIL"),
+    "bromwich": ("lp_norm", lambda out: _verify_status("bromwich"), "FAIL"),
+    "perturbation-oracle": ("integrated_factor",
+                            lambda out: cli.run_perturb(FAST_PERTURB, out), 1),
+}
+
+
+@pytest.mark.parametrize("site", list(NAN_SITES))
+def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
+    name, run, failure = NAN_SITES[site]
+    nan_on_second_call(monkeypatch, name)
+    assert run(tmp_path) == failure
 
 
 class TestSolveCommand:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semigrouplab.association import SUITE_T_SAMPLES
 from semigrouplab.errors import OverflowGuardError
 from semigrouplab.perturbation import (PERTURBATION_PANELS, BoundedMultiplierSeq,
                                        constant_coefficient_example,
@@ -198,9 +199,8 @@ class TestProposition49Suite:
         B = BoundedMultiplierSeq.constant(0.5j, name="B")
         C = BoundedMultiplierSeq.vanishing(lambda n: 1.0 / n, name="C")
         drifted = perturbed_heat_seq()
-        n_list, ts, omega = [4, 8, 16, 32], [0.5, 1.5, 3.0], 1.5
-        rep = perturbation_claims_suite(heat, drifted, B, C, grid, n_list,
-                                        omega=omega, t_samples=ts)
+        n_list, ts, omega = [4, 8, 16, 32], SUITE_T_SAMPLES, 1.5
+        rep = perturbation_claims_suite(heat, drifted, B, C, grid, n_list, omega=omega)
 
         def quadrature_norms(s_other, B_other):
             norms = []

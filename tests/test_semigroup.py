@@ -333,6 +333,12 @@ class TestCertifyGrowth:
         assert np.isfinite(cert.resolvent_bounds[1])
         assert np.isnan(cert.semigroup_bounds[1])
 
+    def test_sample_on_spectrum_names_the_mode(self, heat, grid):
+        # a_1(0) = 0, so lambda = 0 (right of omega = -1) hits the spectrum at xi = 0
+        with pytest.raises(ResolventSingularityError, match=r"lambda=0j within .* xi=\[0\.\] \(n=1\)"):
+            certify_growth(heat, [1], omega=-1.0, b=1.0, lambda_samples=[0.0],
+                           t_samples=[1.0], grid=grid)
+
     def test_rejects_samples_left_of_omega(self, heat, grid):
         with pytest.raises(ValueError):
             certify_growth(heat, [1], omega=1.0, b=1.0,
