@@ -6,7 +6,7 @@ problems with distributional data, and measures moderateness, association,
 growth bounds, and perturbation behavior of the resulting sequences.
 """
 
-from .spectral import (Grid, GridFunction, DistributionRep, Mollifier,
+from .spectral import (Grid, GridFunction, DistributionRep, mollifier,
                        transform, inverse_transform, lp_norm, pair, convolve,
                        mollify)
 from .symbols import (SymbolSeq, SymbolCheckReport,
@@ -31,7 +31,7 @@ from .perturbation import (BoundedMultiplierSeq, perturbed_S,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid", "GridFunction", "DistributionRep", "Mollifier",
+    "Grid", "GridFunction", "DistributionRep", "mollifier",
     "transform", "inverse_transform", "lp_norm", "pair", "convolve", "mollify",
     "SymbolSeq", "SymbolCheckReport",
     "make_poly_symbol_seq", "make_fractional_symbol_seq",

@@ -210,7 +210,6 @@ class ResolventBoundReport:
     lower: float
     upper: float
     spread: float
-    growth_slope: Optional[float]
     bounded: bool
 
 
@@ -230,7 +229,7 @@ def check_resolvent_norm_bounds(s: SymbolSeq, n_list: Sequence[int], lambda_list
         lo, hi = min(vals.values()), max(vals.values())
         slope = fit_moderate(vals).slope if len(vals) >= 4 else None
         reports.append(ResolventBoundReport(lambda_value=complex(lam), lower=lo, upper=hi,
-                                spread=hi / lo, growth_slope=slope,
+                                spread=hi / lo,
                                 bounded=(slope is None or slope <= SLOPE_MIN)))
     return reports
 
@@ -413,19 +412,13 @@ def bundled_test_sequences(grid: Grid) -> Dict[str, TestSequence]:
     def spike(n: int) -> GridFunction:
         # Gaussian spike rescaled to L^2 norm exactly sqrt(n); keeps the
         # documented n^(1/2) growth even past the grid resolution scale
-        if grid.dimension == 1:
-            x = grid.coords()
-            raw = GridFunction(grid, np.exp(-np.pi * (n * x) ** 2))
-        else:
-            x, y = grid.coords()
-            raw = GridFunction(grid, np.exp(-np.pi * n**2 * (x * x + y * y)))
+        x = grid.coordinate_vectors()
+        raw = GridFunction(grid, np.exp(-np.pi * np.sum((n * x) ** 2, axis=-1)))
         return (math.sqrt(n) / lp_norm(raw, 2)) * raw
 
     xi_c = (grid.points // 8) * grid.freq_spacing
-    if grid.dimension == 1:
-        packet = GridFunction(grid, gauss.values * np.exp(TWO_PI * 1j * xi_c * grid.coords()))
-    else:
-        packet = GridFunction(grid, gauss.values * np.exp(TWO_PI * 1j * xi_c * grid.coords()[0]))
+    x = grid.coordinate_vectors()[..., 0]
+    packet = GridFunction(grid, gauss.values * np.exp(TWO_PI * 1j * xi_c * x))
 
     def grow(n: int) -> GridFunction:
         return math.sqrt(n) * gauss

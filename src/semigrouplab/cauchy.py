@@ -259,8 +259,9 @@ class SpaceTimeTestFunction:
         if not 0.0 < lo < hi < t_end + 1e-12:
             raise SpaceTimeSupportError(
                 f"{self.label}: time support [{lo}, {hi}] not inside (0, {t_end})")
-        edge = np.abs(self.rho.values).reshape(self.rho.grid.points, -1)
-        if float(np.abs(edge[0]).max()) > 1e-12 or float(np.abs(edge[-1]).max()) > 1e-12:
+        vals = np.abs(self.rho.values)
+        if any(float(np.take(vals, i, axis=axis).max()) > 1e-12
+               for axis in range(vals.ndim) for i in (0, -1)):
             raise SpaceTimeSupportError(
                 f"{self.label}: spatial factor does not vanish at the domain edge")
 
@@ -281,12 +282,10 @@ def bump_test_function(grid: Grid, t_center: float, t_width: float,
         out[inside] = np.exp(-1.0 / (1.0 - yi**2)) * (-2.0 * yi / (1.0 - yi**2) ** 2)
         return out / t_width
 
-    if grid.dimension == 1:
-        rho = GridFunction(grid, standard_bump((grid.coords() - x_center) / x_width))
-    else:
-        x, y = grid.coords()
-        r = np.sqrt((x - x_center) ** 2 + y**2)
-        rho = GridFunction(grid, standard_bump(r / x_width))
+    center = np.zeros(grid.dimension)
+    center[0] = x_center
+    r = np.sqrt(np.sum((grid.coordinate_vectors() - center) ** 2, axis=-1))
+    rho = GridFunction(grid, standard_bump(r / x_width))
     return SpaceTimeTestFunction(chi=chi, chi_prime=chi_prime, rho=rho,
                                  t_support=(t_center - t_width, t_center + t_width),
                                  label=label)
@@ -346,7 +345,6 @@ class WeakLimitReport:
     limits: dict = field(default_factory=dict)
     convergent: dict = field(default_factory=dict)
     subsequences: dict = field(default_factory=dict)
-    increments: dict = field(default_factory=dict)
 
     def all_convergent(self) -> bool:
         return bool(self.convergent) and all(self.convergent.values())
@@ -373,7 +371,6 @@ def weak_limit_extract(pairings: Mapping[Tuple[int, str], complex], tol: float) 
         ns = [n for n, _ in series]
         vals = np.array([v for _, v in series])
         inc = np.abs(np.diff(vals))
-        report.increments[label] = list(inc)
         ok = bool(inc[-1] < tol and inc[-1] <= inc[0] + tol)
         report.convergent[label] = ok
         report.limits[label] = complex(vals[-1])

@@ -27,7 +27,7 @@ from .cauchy import (ForcingSeq, bump_test_function, integral_equation_residual,
                      solve_sequence, very_weak_pairing, weak_limit_extract)
 from .config import (ExperimentConfig, comparison_operand, default_config,
                      load_config, serialize_config, time_grid)
-from .errors import ConfigError, SemigroupLabError
+from .errors import ConfigError, ResolutionError, SemigroupLabError
 from .perturbation import (BoundedMultiplierSeq, constant_coefficient_example,
                            perturbation_quadrature, perturbed_factor,
                            perturbation_claims_suite, summed_symbol_seq)
@@ -35,11 +35,12 @@ from .quadrature import composite_gauss_points
 from .semigroup import (apply_S, bromwich_S, certify_growth, integrated_factor,
                         laplace_identity_residual, phi_at_times,
                         pseudoresolvent_residual)
-from .spectral import (DistributionRep, Grid, GridFunction, Mollifier, lp_norm,
-                       mollify)
+from .spectral import DistributionRep, Grid, GridFunction, lp_norm, mollify
 from .symbols import (SymbolSeq, make_fractional_symbol_seq, make_poly_symbol_seq,
                       perturbed_heat_seq, shifted_symbol_seq)
 
+#: subcommands that fit a convergence or decay rate over the indices of n_list
+FIT_COMMANDS = ("solve", "associate", "perturb")
 #: time samples of the growth certificate: log-spaced, reaching t -> 0 and large t
 GROWTH_T_SAMPLES = list(np.logspace(-3, np.log10(50.0), 40))
 
@@ -224,15 +225,15 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
 def run_solve(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True) -> int:
     grid = build_grid(cfg)
     s = build_family(cfg)
-    theta = Mollifier()
     data = build_data(cfg, grid)
     forcing = build_forcing(cfg, grid)
     tg = time_grid(cfg)
-
-    def u0_for(n: int) -> GridFunction:
-        return mollify(data, theta, n)
-
-    sol = solve_sequence(s, cfg.n_list, u0_for, forcing, tg)
+    try:
+        sol = solve_sequence(s, cfg.n_list, lambda n: mollify(data, n), forcing, tg)
+    except ResolutionError as exc:
+        raise ConfigError(
+            f"n_list {list(cfg.n_list)} needs n * 2 half_width / points <= 1/4 for every n "
+            f"(points = {cfg.points}, half_width = {cfg.half_width}): {exc}") from exc
     csvio.write_solution(out_dir / "solution.csv", sol,
                          stride=max(1, len(tg) // 16))
 
@@ -385,7 +386,7 @@ def _plot_solution(sol, cfg: ExperimentConfig, out_dir: Path) -> None:
     if sol.grid.dimension != 1:
         return
     fig, ax = plt.subplots()
-    x = sol.grid.coords()
+    x = sol.grid.axis_points()
     for n in sol.indices():
         ax.plot(x, sol.w(n, float(sol.t_grid[-1])).values.real, label=f"n={n}")
     ax.legend()
@@ -428,6 +429,9 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
         else:
             cfg = default_config(args.command)
+        if args.command in FIT_COMMANDS and len(cfg.n_list) < 4:
+            raise ConfigError(f"n_list needs at least four indices for {args.command}, "
+                              f"which fits a rate over n; got {list(cfg.n_list)}")
     except FileNotFoundError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

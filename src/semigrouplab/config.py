@@ -40,8 +40,6 @@ class ExperimentConfig:
     fractional_c_rate: str = "constant"  # constant | one-plus-inverse
     # [comparison]  (second family: none | drift | shift:<complex> | scale:<real>)
     comparison: str = "drift"
-    # [mollifier]
-    mollifier: str = "bump"
     # [data]  (kind: delta | delta_prime | gaussian | file)
     data_kind: str = "delta"
     data_width: float = 1.0
@@ -79,7 +77,6 @@ _LAYOUT = {
     "grid": ("dimension", "half_width", "points"),
     "family": ("family_kind", "coeffs", "fractional_m", "fractional_c_rate"),
     "comparison": ("comparison",),
-    "mollifier": ("mollifier",),
     "data": ("data_kind", "data_width", "data_path"),
     "forcing": ("forcing_kind", "forcing_amplitude"),
     "sequence": ("n_list",),
@@ -188,8 +185,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown forcing kind '{cfg.forcing_kind}'")
     if cfg.perturb_c_rate not in ("inverse", "inverse-sqrt", "zero"):
         raise ConfigError(f"unknown C-sequence rate '{cfg.perturb_c_rate}'")
-    if cfg.mollifier != "bump":
-        raise ConfigError(f"mollifier must be 'bump', got '{cfg.mollifier}'")
     n = cfg.n_list
     if not n or n[0] < 1 or any(lo >= hi for lo, hi in zip(n, n[1:])):
         raise ConfigError(f"n_list must be strictly increasing positive indices, got {n}")

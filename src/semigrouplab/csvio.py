@@ -76,7 +76,7 @@ def write_solution(path: Path, sol: MildSolutionSeq, stride: int = 1) -> None:
     g = sol.grid
     if g.dimension != 1:
         raise ValueError("solution CSV export is defined for 1D grids")
-    xs = [repr(v) for v in g.coords().tolist()]
+    xs = [repr(v) for v in g.axis_points().tolist()]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write("n,t,x,re_w,im_w\n")

@@ -85,13 +85,10 @@ class BoundedMultiplierSeq:
                                     c_bound=abs(value), name=name)
 
     @staticmethod
-    def vanishing(rate: Callable[[int], float], shape: Optional[Callable] = None,
-                  bound: float = 1.0, name: str = "C") -> "BoundedMultiplierSeq":
-        """A family with sup-norms rate(n), e.g. rate = 1/n for the ideal."""
-        def _eval(n, v):
-            base = np.ones(v.shape[:-1]) if shape is None else shape(v)
-            return rate(n) * base
-        return BoundedMultiplierSeq(eval=_eval, c_bound=bound, name=name)
+    def vanishing(rate: Callable[[int], float], name: str = "C") -> "BoundedMultiplierSeq":
+        """A constant family with sup-norms rate(n) <= 1, e.g. rate = 1/n for the ideal."""
+        return BoundedMultiplierSeq(eval=lambda n, v: rate(n) * np.ones(v.shape[:-1]),
+                                    c_bound=1.0, name=name)
 
     def plus(self, other: "BoundedMultiplierSeq", name: str = "") -> "BoundedMultiplierSeq":
         return BoundedMultiplierSeq(
@@ -178,7 +175,6 @@ class PerturbationReport:
     growth: Optional[GrowthCertificate] = None
     pair_association: Optional[AssociationReport] = None
     transported_association: Optional[AssociationReport] = None
-    c_seq_fit: object = None
     verdicts: dict = field(default_factory=dict)
 
 
@@ -203,8 +199,8 @@ def perturbation_claims_suite(s: SymbolSeq, s_tilde: SymbolSeq, B: BoundedMultip
 
     # membership of C in the vanishing ideal, via its sup-norm decay
     c_norms = [float(np.max(np.abs(C_seq.on_grid(n, grid)))) for n in n_list]
-    report.c_seq_fit = make_association_report(list(n_list), c_norms, label="C-seq-norms")
-    if not report.c_seq_fit.is_associated():
+    c_seq_fit = make_association_report(list(n_list), c_norms, label="C-seq-norms")
+    if not c_seq_fit.is_associated():
         raise ValueError("C sequence does not vanish; claim 2 needs C in the ideal")
 
     summed = summed_symbol_seq(s, B)

@@ -243,7 +243,6 @@ class GrowthCertificate:
     resolvent_bounds: dict = field(default_factory=dict)
     semigroup_bounds: dict = field(default_factory=dict)
     resolvent_fit: object = None
-    semigroup_fit: object = None
 
 
 def certify_growth(s: SymbolSeq, n_list: Sequence[int], omega: float, b: float,
@@ -281,5 +280,4 @@ def certify_growth(s: SymbolSeq, n_list: Sequence[int], omega: float, b: float,
         cert.semigroup_bounds[n] = float(np.max(m_sg))
     if len(n_list) >= 4:
         cert.resolvent_fit = fit_moderate(cert.resolvent_bounds)
-        cert.semigroup_fit = fit_moderate(cert.semigroup_bounds)
     return cert

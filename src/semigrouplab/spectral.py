@@ -1,7 +1,11 @@
-"""Periodic grids, discrete Fourier transforms, mollifiers and regularization.
+"""Periodic grids, discrete Fourier transforms, the mollifier and regularization.
 
 The continuum R^d is truncated to the torus [-Lambda, Lambda)^d sampled with
-N points per axis.  The Fourier convention is
+N points per axis.  :class:`Grid` is the one place that lays out points: every
+sampled field is an array of shape ``grid.shape``, and the points themselves
+come as ``coordinate_vectors()`` and ``frequency_vectors()``, arrays of shape
+``grid.shape + (d,)``, so formulas in x or xi are written once for every d.
+The Fourier convention is
 
     F u(xi) = integral u(x) exp(-2 pi i xi x) dx,
 
@@ -14,11 +18,16 @@ the standard FFT layout.  The sampled transform
 
 is the Riemann sum of the continuum integral at xi_k; the (-1)^k phase
 accounts for the leftmost sample sitting at x = -Lambda.
+
+Distributions are regularized with one mollifier, the standard bump
+theta(x) = exp(-1/(1-|x|^2)) scaled to theta_n(x) = n^d theta(n x) with unit
+mass on the grid (:func:`mollifier`).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -77,41 +86,34 @@ class Grid:
         """Sample positions along one axis: -Lambda + j h."""
         return -self.half_width + self.spacing * np.arange(self.points)
 
-    def coords(self):
-        """Spatial coordinates; an array for d=1, a meshgrid tuple for d=2."""
-        x = self.axis_points()
-        if self.dimension == 1:
-            return x
-        return np.meshgrid(x, x, indexing="ij")
-
     def axis_frequencies(self) -> np.ndarray:
         """Frequencies xi_k = k/(2 Lambda) along one axis, FFT layout."""
         return np.fft.fftfreq(self.points, d=self.spacing)
 
-    def frequencies(self):
-        """Frequency coordinates matching :meth:`coords` in layout."""
-        xi = self.axis_frequencies()
-        if self.dimension == 1:
-            return xi
-        return np.meshgrid(xi, xi, indexing="ij")
+    def _vectors(self, axis: np.ndarray) -> np.ndarray:
+        """Points of the tensor grid ``axis``^d, stacked on a trailing axis of length d.
+
+        Entry [..., j] varies along array axis j only ("ij" indexing).
+        """
+        d = self.dimension
+        out = np.empty(self.shape + (d,))
+        for j in range(d):
+            out[..., j] = axis.reshape((-1,) + (1,) * (d - 1 - j))
+        return out
+
+    def coordinate_vectors(self) -> np.ndarray:
+        """Sample positions x, shape ``shape + (d,)``."""
+        return self._vectors(self.axis_points())
 
     def frequency_vectors(self) -> np.ndarray:
-        """Frequency points stacked on a trailing axis of length d."""
-        if self.dimension == 1:
-            return self.axis_frequencies()[:, None]
-        fx, fy = self.frequencies()
-        return np.stack([fx, fy], axis=-1)
-
-    def _axis_phase(self) -> np.ndarray:
-        k = np.fft.fftfreq(self.points) * self.points
-        return np.where(k.astype(int) % 2 == 0, 1.0, -1.0)
+        """Frequencies xi in FFT layout, shape ``shape + (d,)``."""
+        return self._vectors(self.axis_frequencies())
 
     def phase(self) -> np.ndarray:
         """(-1)^k phase factors in FFT layout, tensorized over axes."""
-        p = self._axis_phase()
-        if self.dimension == 1:
-            return p
-        return np.multiply.outer(p, p)
+        k = np.fft.fftfreq(self.points) * self.points
+        p = np.where(k.astype(int) % 2 == 0, 1.0, -1.0)
+        return functools.reduce(np.multiply.outer, [p] * self.dimension)
 
 
 @dataclass(frozen=True)
@@ -151,12 +153,9 @@ class GridFunction:
 
     @staticmethod
     def gaussian(grid: Grid, width: float = 1.0) -> "GridFunction":
-        """exp(-pi |x/width|^2); unit mass for width 1 in 1D."""
-        if grid.dimension == 1:
-            x = grid.coords()
-            return GridFunction(grid, np.exp(-np.pi * (x / width) ** 2))
-        x, y = grid.coords()
-        return GridFunction(grid, np.exp(-np.pi * (x * x + y * y) / width**2))
+        """exp(-pi |x/width|^2); unit mass for width 1."""
+        x = grid.coordinate_vectors()
+        return GridFunction(grid, np.exp(-np.pi * np.sum((x / width) ** 2, axis=-1)))
 
     @staticmethod
     def impulse(grid: Grid) -> "GridFunction":
@@ -172,7 +171,7 @@ class GridFunction:
         if grid.dimension != 1:
             raise ValueError("fourier_mode is defined for 1D grids")
         xi = index * grid.freq_spacing
-        x = grid.coords()
+        x = grid.axis_points()
         return GridFunction(grid, np.exp(TWO_PI * 1j * xi * x))
 
 
@@ -236,45 +235,24 @@ def standard_bump(y: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Mollifier:
-    """A nonnegative smooth profile with support in the unit ball.
+def mollifier(grid: Grid, n: int) -> GridFunction:
+    """theta_n(x) = n^d theta(n |x|) for the standard bump theta, at unit mass.
 
-    ``profile`` maps |y| (radial distance) to profile values.  The scaled
-    family is theta_n(x) = n^d theta(n x); each discretization is normalized
-    to exact unit mass on the grid, so the delta-sequence pairing property
-    holds at machine precision whenever the resolution guard n h <= 1/4 is
-    met.
+    The samples are normalized to exact unit mass on the grid, so the
+    delta-sequence pairing property holds at machine precision.  Sampling
+    alone does not enforce the resolution guard n h <= 1/4 (a crude delta
+    approximation is still a valid unit-mass grid function); :func:`mollify`
+    does, since regularization quality depends on it.
     """
-
-    profile: Callable[[np.ndarray], np.ndarray] = standard_bump
-    name: str = "bump"
-
-    def max_scale(self, grid: Grid) -> int:
-        """Largest n with n * spacing <= 1/4."""
-        return int(np.floor(0.25 / grid.spacing))
-
-    def sample(self, grid: Grid, n: int) -> GridFunction:
-        """Discretized theta_n on the grid, normalized to unit mass.
-
-        Sampling alone does not enforce the resolution guard (a crude
-        delta approximation is still a valid unit-mass grid function);
-        :func:`mollify` does, since regularization quality depends on it.
-        """
-        if n < 1:
-            raise ValueError(f"mollifier scale must be positive, got {n}")
-        if grid.dimension == 1:
-            r = np.abs(grid.coords())
-        else:
-            x, y = grid.coords()
-            r = np.sqrt(x * x + y * y)
-        vals = (float(n) ** grid.dimension) * self.profile(n * r)
-        if np.any(vals < 0):
-            raise ValueError("mollifier profile must be nonnegative")
-        mass = np.sum(vals) * grid.cell_volume
-        if mass <= 0:
-            raise ResolutionError(f"mollifier at n={n} has no grid support")
-        return GridFunction(grid, vals / mass)
+    if n < 1:
+        raise ValueError(f"mollifier scale must be positive, got {n}")
+    x = grid.coordinate_vectors()
+    r = np.sqrt(np.sum(x * x, axis=-1))
+    vals = (float(n) ** grid.dimension) * standard_bump(n * r)
+    mass = np.sum(vals) * grid.cell_volume
+    if mass <= 0:
+        raise ResolutionError(f"mollifier at n={n} has no grid support")
+    return GridFunction(grid, vals / mass)
 
 
 @dataclass(frozen=True)
@@ -309,10 +287,10 @@ class DistributionRep:
         return DistributionRep([((0,) * grid.dimension, GridFunction.impulse(grid))])
 
     @staticmethod
-    def delta_derivative(grid: Grid, axis: int = 0) -> "DistributionRep":
-        alpha = [0] * grid.dimension
-        alpha[axis] = 1
-        return DistributionRep([(tuple(alpha), GridFunction.impulse(grid))])
+    def delta_derivative(grid: Grid) -> "DistributionRep":
+        """d/dx_1 of the delta."""
+        alpha = (1,) + (0,) * (grid.dimension - 1)
+        return DistributionRep([(alpha, GridFunction.impulse(grid))])
 
     @staticmethod
     def from_function(g: GridFunction) -> "DistributionRep":
@@ -320,14 +298,12 @@ class DistributionRep:
 
 
 def _frequency_monomial(grid: Grid, alpha: tuple) -> np.ndarray:
-    """(2 pi i xi)^alpha over the frequency grid."""
-    if grid.dimension == 1:
-        return (TWO_PI * 1j * grid.axis_frequencies()) ** alpha[0]
-    fx, fy = grid.frequencies()
-    return (TWO_PI * 1j * fx) ** alpha[0] * (TWO_PI * 1j * fy) ** alpha[1]
+    """(2 pi i xi)^alpha = prod_j (2 pi i xi_j)^alpha_j over the frequency grid."""
+    xi = grid.frequency_vectors()
+    return np.prod((TWO_PI * 1j * xi) ** np.array(alpha), axis=-1)
 
 
-def mollify(u: DistributionRep, theta: Mollifier, n: int, p: float = 2.0) -> GridFunction:
+def mollify(u: DistributionRep, n: int) -> GridFunction:
     """Regularize: sum_alpha g_alpha * theta_n^(alpha), computed spectrally.
 
     The derivative lands on the mollifier: each term multiplies the
@@ -336,13 +312,13 @@ def mollify(u: DistributionRep, theta: Mollifier, n: int, p: float = 2.0) -> Gri
     """
     grid = u.grid
     if n * grid.spacing > 0.25:
-        raise ResolutionError(
-            f"scale n={n} unresolved on this grid: max usable n = {theta.max_scale(grid)}")
-    theta_hat = transform(theta.sample(grid, n)).values
+        raise ResolutionError(f"scale n={n} unresolved on this grid: "
+                              f"max usable n = {int(np.floor(0.25 / grid.spacing))}")
+    theta_hat = transform(mollifier(grid, n)).values
     acc = np.zeros(grid.shape, dtype=complex)
     for alpha, g in u.terms:
-        if not np.isfinite(lp_norm(g, p)):
-            raise ValueError(f"term {alpha} has non-finite L^{p} norm")
+        if not np.isfinite(lp_norm(g, 2)):
+            raise ValueError(f"term {alpha} has non-finite L^2 norm")
         acc = acc + _frequency_monomial(grid, alpha) * theta_hat * transform(g).values
     out = inverse_transform(GridFunction(grid, acc))
     if not np.all(np.isfinite(out.values)):

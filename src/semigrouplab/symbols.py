@@ -9,6 +9,7 @@ a run, except on non-finite symbol values.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
@@ -211,13 +212,12 @@ def shifted_symbol_seq(s: SymbolSeq, shift: Callable[[int, np.ndarray], np.ndarr
 
 
 def _multi_indices(d: int, max_order: int):
-    if d == 1:
-        return [(k,) for k in range(max_order + 1)]
-    out = []
-    for total in range(max_order + 1):
-        for i in range(total + 1):
-            out.append((total - i, i))
-    return out
+    """Multi-indices of length d and total order <= max_order, by total order.
+
+    Within one order the first entry decreases: (1, 0) before (0, 1).
+    """
+    descending = itertools.product(range(max_order, -1, -1), repeat=d)
+    return sorted((alpha for alpha in descending if sum(alpha) <= max_order), key=sum)
 
 
 def _fd_derivative(s: SymbolSeq, n: int, pts: np.ndarray, alpha: tuple, h: float) -> np.ndarray:

@@ -25,7 +25,7 @@ from semigrouplab.semigroup import (apply_S, bromwich_S,
                                     laplace_identity_residual, phi,
                                     phi_at_times, pseudoresolvent_residual)
 from semigrouplab.spectral import (DistributionRep, Grid, GridFunction,
-                                   Mollifier, lp_norm, mollify)
+                                   lp_norm, mollify)
 from semigrouplab.symbols import heat_symbol_seq, make_fractional_symbol_seq
 
 HEAT_C2 = 1.0 / (4.0 * np.pi**2)
@@ -115,11 +115,10 @@ def test_criterion_05_mild_solution_residual():
 def test_criterion_06_very_weak_to_weak():
     grid = Grid(1, 8.0, 2048)
     heat = heat_symbol_seq()
-    theta = Mollifier()
     delta = DistributionRep.delta(grid)
     n_list = [4, 8, 16, 32]
     tg = np.arange(0.0, 1.0 + 1e-9, 1 / 128)
-    sol = solve_sequence(heat, n_list, lambda n: mollify(delta, theta, n),
+    sol = solve_sequence(heat, n_list, lambda n: mollify(delta, n),
                          ForcingSeq.zero(grid), tg)
     tests = [bump_test_function(grid, 0.5, 0.4, 0.0, 1.0, "psi0"),
              bump_test_function(grid, 0.45, 0.35, 0.5, 1.2, "psi1"),
@@ -130,7 +129,7 @@ def test_criterion_06_very_weak_to_weak():
     tw = trapezoid_weights(len(tg), float(tg[1] - tg[0]))
     oracles = {}
     for psi in tests:
-        rho_f = np.interp(xf, grid.coords(), psi.rho.values.real)
+        rho_f = np.interp(xf, grid.axis_points(), psi.rho.values.real)
         inner = np.zeros(len(tg))
         for j, t in enumerate(tg):
             if t > 0:
@@ -150,14 +149,13 @@ def test_criterion_06_very_weak_to_weak():
 
 def test_criterion_07_mollifier_scaling():
     grid = Grid(1, 4.0, 2048)
-    theta = Mollifier()
     ns = [2, 4, 8, 16, 32]
     worst = 0.0
     for alpha in (0, 1):
         rep = (DistributionRep.delta(grid) if alpha == 0
                else DistributionRep.delta_derivative(grid))
         for q in (2.0, 4.0):
-            fit = fit_moderate({n: lp_norm(mollify(rep, theta, n), q) for n in ns})
+            fit = fit_moderate({n: lp_norm(mollify(rep, n), q) for n in ns})
             expected = alpha + (1.0 - 1.0 / q)
             worst = max(worst, abs(fit.slope - expected))
     record("07 mollifier scaling", worst < 0.1,

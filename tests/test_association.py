@@ -15,7 +15,7 @@ from semigrouplab.association import (AssociationReport, bundled_family_pairs,
                                       is_moderate_fit, make_association_report,
                                       resolvent_over_lambda_derivative)
 from semigrouplab.errors import InsufficientDataError, ResolventSingularityError
-from semigrouplab.spectral import Grid, GridFunction, Mollifier, lp_norm
+from semigrouplab.spectral import Grid, GridFunction, mollifier, lp_norm
 from semigrouplab.symbols import (perturbed_heat_seq,
                                   heat_symbol_seq, make_poly_symbol_seq,
                                   shifted_symbol_seq)
@@ -50,8 +50,7 @@ class TestFitModerate:
 
     def test_mollifier_l2_exponent(self):
         g = Grid(1, 4.0, 1024)
-        theta = Mollifier()
-        fit = fit_moderate({n: lp_norm(theta.sample(g, n), 2) for n in (2, 4, 8, 16)})
+        fit = fit_moderate({n: lp_norm(mollifier(g, n), 2) for n in (2, 4, 8, 16)})
         assert fit.slope == pytest.approx(0.5, abs=0.05)
 
     def test_exponential_growth_flagged(self):

@@ -1,4 +1,5 @@
 """Mild solutions, integral-equation residuals, pairings, weak limits."""
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from semigrouplab.errors import OverflowGuardError, SpaceTimeSupportError
 from semigrouplab.quadrature import trapezoid_weights
 from semigrouplab.semigroup import phi
 from semigrouplab.spectral import (DistributionRep, Grid, GridFunction,
-                                   Mollifier, lp_norm, mollify, transform)
+                                   lp_norm, mollify, standard_bump, transform)
 from semigrouplab.symbols import heat_symbol_seq, make_poly_symbol_seq
 
 
@@ -73,7 +74,7 @@ class TestDuhamelSolve:
         # sqrt(pi/(pi+t)) exp(-pi^2 x^2/(pi+t))
         u0 = GridFunction.gaussian(grid)
         sol = duhamel_solve(heat, 1, u0, ForcingSeq.zero(grid), tgrid(1.0, 1 / 64))
-        x = grid.coords()
+        x = grid.axis_points()
         for t in (0.25, 0.5, 1.0):
             exact = np.sqrt(np.pi / (np.pi + t)) * np.exp(-np.pi**2 * x**2 / (np.pi + t))
             assert lp_norm(sol.w(1, t) - GridFunction(grid, exact), 2) < 1e-6
@@ -200,10 +201,9 @@ class TestIntegralEquationResidual:
 @pytest.fixture(scope="module")
 def delta_solution(heat):
     g = Grid(1, 8.0, 2048)
-    theta = Mollifier()
     delta = DistributionRep.delta(g)
     return g, solve_sequence(heat, [4, 8, 16, 32],
-                             lambda n: mollify(delta, theta, n),
+                             lambda n: mollify(delta, n),
                              ForcingSeq.zero(g), tgrid(1.0, 1 / 128))
 
 
@@ -222,7 +222,7 @@ class TestVeryWeakPairing:
         g, sol = delta_solution
         psi = bump_test_function(g, 0.5, 0.4, 0.0, 1.0)
         xf = np.linspace(-4.0, 4.0, 8001)
-        rho_f = np.interp(xf, g.coords(), psi.rho.values.real)
+        rho_f = np.interp(xf, g.axis_points(), psi.rho.values.real)
         tg_ = sol.t_grid
         tw = trapezoid_weights(len(tg_), float(tg_[1] - tg_[0]))
         inner = np.zeros(len(tg_))
@@ -238,10 +238,9 @@ class TestVeryWeakPairing:
     def test_delta_prime_growth_exponent_reported(self, heat):
         # pairing magnitudes for delta'-data stay within a finite power of n
         g = Grid(1, 8.0, 2048)
-        theta = Mollifier()
         rep = DistributionRep.delta_derivative(g)
         sol = solve_sequence(heat, [4, 8, 16, 32],
-                             lambda n: mollify(rep, theta, n),
+                             lambda n: mollify(rep, n),
                              ForcingSeq.zero(g), tgrid(1.0, 1 / 128))
         psi = bump_test_function(g, 0.5, 0.4, 0.3, 1.0)
         vals = [abs(very_weak_pairing(sol, psi, n)) for n in (4, 8, 16, 32)]
@@ -260,6 +259,17 @@ class TestVeryWeakPairing:
         psi = bump_test_function(g, 0.9, 0.5)  # sticks out past t_end
         with pytest.raises(SpaceTimeSupportError):
             very_weak_pairing(sol, psi, 4)
+
+    def test_spatial_support_checked_on_every_face(self):
+        # a bump centred on the y = -Lambda face: 0.37 there, 0 on both x faces
+        g = Grid(2, 2.0, 32)
+        r = np.sqrt(np.sum((g.coordinate_vectors() - (0.0, -2.0)) ** 2, axis=-1))
+        psi = dataclasses.replace(bump_test_function(g, 0.5, 0.3),
+                                  rho=GridFunction(g, standard_bump(r)))
+        assert np.max(psi.rho.values[:, 0].real) == pytest.approx(np.exp(-1.0))
+        assert not psi.rho.values[[0, -1], :].any()
+        with pytest.raises(SpaceTimeSupportError, match="domain edge"):
+            psi.check_support(1.0)
 
 
 class TestWeakLimitExtract:
@@ -292,13 +302,12 @@ class TestModeratenessPropagation:
     def test_solution_exponent_bounded_by_data_exponents(self, heat):
         # theta_n data has L^2 exponent ~ 1/2; the damped solution stays below
         g = Grid(1, 8.0, 2048)
-        theta = Mollifier()
         delta = DistributionRep.delta(g)
         f = ForcingSeq.separable(lambda t: math.exp(-t),
-                                 lambda n: mollify(delta, theta, n))
+                                 lambda n: mollify(delta, n))
         tg_ = tgrid(1.0, 1 / 64)
         ns = [4, 8, 16, 32]
-        sol = solve_sequence(heat, ns, lambda n: mollify(delta, theta, n), f, tg_)
+        sol = solve_sequence(heat, ns, lambda n: mollify(delta, n), f, tg_)
         a1 = np.polyfit(np.log(ns),
                         np.log([lp_norm(sol.initial_datum(n), 2) for n in ns]), 1)[0]
         a2 = np.polyfit(np.log(ns),

@@ -63,7 +63,7 @@ class TestConfig:
             ("[growth]\nb = inf\n", "^b must be finite"),
             ("[perturbation]\nperturb_b = nan\n", "perturb_b"),
             ("[perturbation]\nperturb_b = 1+infj\n", "perturb_b"),
-            ("[mollifier]\nmollifier = gaussian\n", "mollifier"),
+            ("[mollifier]\nmollifier = bump\n", r"unknown section \[mollifier\]"),
             ("[family]\ncoeffs = nan, 0, 0.025\n", "^coeffs must be finite"),
             ("[family]\ncoeffs = 0, 0, infj\n", "^coeffs must be finite"),
             ("[family]\nfractional_m = nan\n", "^fractional_m must be finite"),
@@ -156,6 +156,25 @@ def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
     name, run, failure = NAN_SITES[site]
     nan_on_second_call(monkeypatch, name)
     assert run(tmp_path) == failure
+
+
+@pytest.mark.parametrize("command, text, names", [
+    ("solve", "[sequence]\nn_list = 4, 8, 16\n", ("n_list",)),
+    ("associate", "[sequence]\nn_list = 4, 8, 16\n", ("n_list",)),
+    ("perturb", "[sequence]\nn_list = 4, 8, 16\n", ("n_list",)),
+    # the 256-point default grid resolves n <= 4 only
+    ("solve", "[sequence]\nn_list = 4, 8, 16, 32\n", ("n_list", "points", "half_width")),
+    ("growth", "[mollifier]\nmollifier = bump\n", ("unknown section [mollifier]",)),
+], ids=["solve-three", "associate-three", "perturb-three", "solve-unresolved", "mollifier"])
+def test_bad_config_exits_2_naming_fields(tmp_path, capsys, command, text, names):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--no-plots"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    for name in names:
+        assert name in err
 
 
 class TestSolveCommand:

@@ -50,7 +50,7 @@ def test_writer_is_reproducible(tmp_path):
 
 def _per_cell_solution_rows(sol, stride):
     """The row-by-row solution export that write_solution must reproduce."""
-    x = sol.grid.coords()
+    x = sol.grid.axis_points()
     for n in sol.indices():
         w = sol.w_values(n)
         for j in range(0, len(sol.t_grid), stride):

@@ -2,7 +2,10 @@
 
 ``VARIANTS`` adds configs that reach branches no default config reaches:
 ``associate-shift`` runs ``associate`` with ``comparison = shift:0.5j``, the
-non-drift branch of the scenario.  Each case runs twice; the two output
+non-drift branch of the scenario, and ``associate-2d`` runs it on a 64 x 64
+grid in two dimensions with the fractional family and ``comparison =
+scale:1.5``, the only case on a two-dimensional grid.
+Each case runs twice; the two output
 trees and stdouts must be byte-identical.  Every CSV is then compared with
 ``tests/golden/<case>.json``:
 numeric cells within 1e-9 relative (absolute floor 1e-12), other cells
@@ -29,7 +32,11 @@ from semigrouplab.config import default_config, serialize_config
 GOLDEN_DIR = Path(__file__).with_name("golden")
 COMMANDS = ("verify", "solve", "associate", "perturb", "growth")
 #: case name -> (subcommand, fields replaced in its default config)
-VARIANTS = {"associate-shift": ("associate", {"comparison": "shift:0.5j"})}
+VARIANTS = {
+    "associate-shift": ("associate", {"comparison": "shift:0.5j"}),
+    "associate-2d": ("associate", {"dimension": 2, "points": 64,
+                                   "family_kind": "fractional", "comparison": "scale:1.5"}),
+}
 CASES = {**{command: (command, {}) for command in COMMANDS}, **VARIANTS}
 SOLUTION_STRIDE = 4096
 REL_TOL = 1e-9

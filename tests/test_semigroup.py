@@ -119,7 +119,7 @@ class TestApplyS:
         # S_n(t)u equals (F^-1 phi_t) * u computed by direct summation
         g = Grid(1, 4.0, 64)
         s = perturbed_heat_seq()
-        x = g.coords()
+        x = g.axis_points()
         u = GridFunction(g, np.exp(-np.pi * x**2) * (1 + 0.3 * np.sin(np.pi * x / 4)))
         n, t = 3, 0.4
         direct = apply_S(s, n, t, u)

@@ -2,11 +2,12 @@
 import numpy as np
 import pytest
 
+from semigrouplab.cauchy import bump_test_function
 from semigrouplab.errors import GridMismatchError, ResolutionError
 from semigrouplab.spectral import (DistributionRep, Grid, GridFunction,
-                                   Mollifier, convolve, inverse_transform,
+                                   mollifier, convolve, inverse_transform,
                                    lp_norm, mollify, pair, spectral_l2,
-                                   transform)
+                                   standard_bump, transform)
 
 
 def loglog_slope(ns, vals):
@@ -28,6 +29,31 @@ class TestGrid:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             Grid(3, 8.0, 64)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_layout_matches_meshgrid_and_outer_forms(self, d):
+        g = Grid(d, 2.0, 16)
+        for vectors, axis in ((g.coordinate_vectors(), g.axis_points()),
+                              (g.frequency_vectors(), g.axis_frequencies())):
+            expected = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1)
+            assert vectors.shape == g.shape + (d,)
+            assert np.array_equal(vectors, expected)
+        # (-1)^k for k = 0..7, -8..-1 in FFT layout alternates from +1
+        p = np.array([1.0, -1.0] * 8)
+        expected_phase = p if d == 1 else np.multiply.outer(p, p)
+        assert np.array_equal(g.phase(), expected_phase)
+
+    def test_1d_fields_equal_their_closed_forms(self):
+        # the forms written for every d reduce bit for bit to the 1-D formulas
+        g = Grid(1, 4.0, 256)
+        x = g.axis_points()
+        assert np.array_equal(GridFunction.gaussian(g, 1.8).values,
+                              np.exp(-np.pi * (x / 1.8) ** 2))
+        for n in (1, 4, 8):
+            vals = n * standard_bump(n * np.abs(x))
+            assert np.array_equal(mollifier(g, n).values, vals / (np.sum(vals) * g.spacing))
+        rho = bump_test_function(g, 0.5, 0.3, x_center=-0.4, x_width=1.5).rho
+        assert np.array_equal(rho.values, standard_bump((x + 0.4) / 1.5))
 
     @pytest.mark.parametrize("half_width", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_half_width(self, half_width):
@@ -92,7 +118,7 @@ class TestTransform:
 class TestLpNorm:
     def test_unit_box(self):
         g = Grid(1, 4.0, 128)
-        x = g.coords()
+        x = g.axis_points()
         box = GridFunction(g, (np.abs(x + 1e-9) < 0.5).astype(float))
         assert lp_norm(box, 2) == pytest.approx(1.0, abs=1e-12)
 
@@ -114,18 +140,16 @@ class TestLpNorm:
     def test_mollifier_scaling_exponent(self, q):
         # ||theta_n||_q grows like n^(d(1 - 1/q))
         g = Grid(1, 4.0, 1024)
-        theta = Mollifier()
         ns = [2, 4, 8, 16]
-        vals = [lp_norm(theta.sample(g, n), q) for n in ns]
+        vals = [lp_norm(mollifier(g, n), q) for n in ns]
         assert loglog_slope(ns, vals) == pytest.approx(1.0 - 1.0 / q, abs=0.05)
 
 
 class TestMollifier:
     def test_unit_mass_and_nonnegative(self):
         g = Grid(1, 4.0, 1024)
-        theta = Mollifier()
         for n in (1, 2, 8, 32):
-            th = theta.sample(g, n)
+            th = mollifier(g, n)
             mass = np.sum(th.values.real) * g.spacing
             assert mass == pytest.approx(1.0, abs=1e-10)
             assert np.all(th.values.real >= 0)
@@ -133,60 +157,55 @@ class TestMollifier:
     def test_resolution_guard_names_max_scale(self):
         g = Grid(1, 4.0, 256)  # h = 1/32, max n = 8
         with pytest.raises(ResolutionError, match="max usable n = 8"):
-            mollify(DistributionRep.delta(g), Mollifier(), 9)
+            mollify(DistributionRep.delta(g), 9)
 
     def test_unit_mass_2d(self):
         g = Grid(2, 2.0, 128)
-        th = Mollifier().sample(g, 4)
+        th = mollifier(g, 4)
         assert np.sum(th.values.real) * g.cell_volume == pytest.approx(1.0, abs=1e-10)
 
 
 class TestMollify:
     def test_delta_gives_mollifier_back(self):
         g = Grid(1, 4.0, 1024)
-        theta = Mollifier()
         for n in (2, 8, 32):
-            out = mollify(DistributionRep.delta(g), theta, n)
-            assert lp_norm(out - theta.sample(g, n), 1) < 1e-6
+            out = mollify(DistributionRep.delta(g), n)
+            assert lp_norm(out - mollifier(g, n), 1) < 1e-6
 
     def test_delta_prime_scaling(self):
         # g * theta_n' norms grow like n^(1 + d(1-1/q))
         g = Grid(1, 4.0, 2048)
-        theta = Mollifier()
         rep = DistributionRep.delta_derivative(g)
         ns = [2, 4, 8, 16, 32]
         for q in (2.0, 4.0):
-            vals = [lp_norm(mollify(rep, theta, n), q) for n in ns]
+            vals = [lp_norm(mollify(rep, n), q) for n in ns]
             assert loglog_slope(ns, vals) == pytest.approx(1.0 + (1.0 - 1.0 / q), abs=0.1)
 
     def test_smooth_data_converges_monotonically(self):
         g = Grid(1, 8.0, 2048)
-        theta = Mollifier()
         u = GridFunction.gaussian(g)
         rep = DistributionRep.from_function(u)
-        errs = [lp_norm(mollify(rep, theta, n) - u, 2) for n in (2, 4, 8, 16, 32)]
+        errs = [lp_norm(mollify(rep, n) - u, 2) for n in (2, 4, 8, 16, 32)]
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
 
     def test_linearity(self):
         g = Grid(1, 4.0, 512)
-        theta = Mollifier()
         rng = np.random.default_rng(4)
         g0 = GridFunction(g, rng.standard_normal(512))
         g1 = GridFunction(g, rng.standard_normal(512))
-        a = mollify(DistributionRep([((0,), g0)]), theta, 4)
-        b = mollify(DistributionRep([((1,), g1)]), theta, 4)
-        ab = mollify(DistributionRep([((0,), g0), ((1,), g1)]), theta, 4)
+        a = mollify(DistributionRep([((0,), g0)]), 4)
+        b = mollify(DistributionRep([((1,), g1)]), 4)
+        ab = mollify(DistributionRep([((0,), g0), ((1,), g1)]), 4)
         assert lp_norm(ab - (a + b), 2) < 1e-12 * max(1.0, lp_norm(ab, 2))
 
     def test_young_inequality_for_derivative_terms(self):
         # ||g * theta_n^(alpha)||_p <= ||g||_p ||theta_n^(alpha)||_1
         g = Grid(1, 4.0, 1024)
-        theta = Mollifier()
         rng = np.random.default_rng(5)
         for alpha in ((0,), (1,)):
             dens = GridFunction(g, rng.standard_normal(1024) + 1j * rng.standard_normal(1024))
-            out = mollify(DistributionRep([(alpha, dens)]), theta, 8)
-            th_hat = transform(theta.sample(g, 8)).values
+            out = mollify(DistributionRep([(alpha, dens)]), 8)
+            th_hat = transform(mollifier(g, 8)).values
             xi = g.axis_frequencies()
             deriv = inverse_transform(
                 GridFunction(g, (2j * np.pi * xi) ** alpha[0] * th_hat))
@@ -196,7 +215,7 @@ class TestMollify:
     def test_resolution_guard_via_mollify(self):
         g = Grid(1, 4.0, 128)  # h = 1/16, max n = 4
         with pytest.raises(ResolutionError):
-            mollify(DistributionRep.delta(g), Mollifier(), 8)
+            mollify(DistributionRep.delta(g), 8)
 
 
 class TestPair:
@@ -207,9 +226,8 @@ class TestPair:
     def test_delta_sequence_pairing(self):
         # <theta_n, psi> -> psi(0)
         g = Grid(1, 8.0, 1024)
-        theta = Mollifier()
         psi = GridFunction.gaussian(g)
-        val = pair(theta.sample(g, 32), psi)
+        val = pair(mollifier(g, 32), psi)
         assert abs(val - 1.0) < 1e-3
 
     def test_unit_mass_of_gaussian(self):

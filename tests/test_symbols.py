@@ -157,6 +157,15 @@ class TestSymbolClassCheck:
         for key, val in coarse.derivative_constants.items():
             assert fine.derivative_constants[key] >= val - 1e-12
 
+    @pytest.mark.parametrize("d, alphas", [
+        (1, [(0,), (1,), (2,)]),
+        (2, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+    ])
+    def test_multi_indices_by_total_order(self, d, alphas):
+        s = make_fractional_symbol_seq(lambda n: 1.0, m=2.0, d=d)
+        rep = check_symbol_class(s, [1], Grid(d, 4.0, 16), max_order=2)
+        assert [alpha for _, alpha in rep.derivative_constants] == alphas
+
     def test_max_order_capped(self):
         with pytest.raises(ValueError):
             check_symbol_class(heat_symbol_seq(), [1], Grid(1, 4.0, 64), max_order=3)

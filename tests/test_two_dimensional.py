@@ -5,7 +5,7 @@ import pytest
 from semigrouplab.cauchy import ForcingSeq, duhamel_solve
 from semigrouplab.semigroup import apply_resolvent, apply_S, phi
 from semigrouplab.spectral import (DistributionRep, Grid, GridFunction,
-                                   Mollifier, lp_norm, mollify, pair,
+                                   mollifier, lp_norm, mollify, pair,
                                    spectral_l2, transform)
 from semigrouplab.symbols import check_A1_A3, check_symbol_class, \
     make_fractional_symbol_seq
@@ -23,7 +23,7 @@ def schrodinger2():
 
 def test_gaussian_self_dual_2d(grid2):
     uhat = transform(GridFunction.gaussian(grid2))
-    fx, fy = grid2.frequencies()
+    fx, fy = np.moveaxis(grid2.frequency_vectors(), -1, 0)
     expected = np.exp(-np.pi * (fx**2 + fy**2))
     assert np.max(np.abs(uhat.values - expected)) < 1e-8
 
@@ -35,9 +35,8 @@ def test_parseval_2d(grid2):
 
 
 def test_mollify_delta_2d(grid2):
-    theta = Mollifier()
-    out = mollify(DistributionRep.delta(grid2), theta, 2)
-    assert lp_norm(out - theta.sample(grid2, 2), 1) < 1e-6
+    out = mollify(DistributionRep.delta(grid2), 2)
+    assert lp_norm(out - mollifier(grid2, 2), 1) < 1e-6
     # crude delta approximation at n=2: pairing within the second-moment error
     assert pair(out, GridFunction.gaussian(grid2, width=2.0)) == pytest.approx(
         1.0, abs=0.1)
@@ -57,7 +56,7 @@ def test_free_evolution_2d(schrodinger2, grid2):
     u = GridFunction.gaussian(grid2)
     out = apply_S(schrodinger2, 2, 0.3, u)
     uhat = transform(u).values
-    fx, fy = grid2.frequencies()
+    fx, fy = np.moveaxis(grid2.frequency_vectors(), -1, 0)
     a = 1j * 1.5 * (fx**2 + fy**2)
     expected = transform(apply_S(schrodinger2, 2, 0.3, u)).values
     assert np.max(np.abs(expected - phi(0.3, a) * uhat)) < 1e-10
