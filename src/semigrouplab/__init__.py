@@ -7,47 +7,46 @@ growth bounds, and perturbation behavior of the resulting sequences.
 """
 
 from .spectral import (Grid, GridFunction, DistributionRep, mollifier,
-                       transform, inverse_transform, lp_norm, pair, convolve,
-                       mollify)
+                       transform, inverse_transform, lp_norm, mollify)
 from .symbols import (SymbolSeq, SymbolCheckReport,
                       make_poly_symbol_seq, make_fractional_symbol_seq,
                       check_symbol_class, check_A1_A3, check_p_condition,
                       heat_symbol_seq, perturbed_heat_seq)
 from .semigroup import (MultiplierOp, GrowthCertificate, phi, apply_S,
-                        apply_resolvent, laplace_identity_residual,
+                        laplace_identity_residual,
                         pseudoresolvent_residual, bromwich_S, certify_growth)
 from .cauchy import (ForcingSeq, MildSolutionSeq, SpaceTimeTestFunction,
                      duhamel_solve, solve_sequence, integral_equation_residual,
-                     very_weak_pairing, very_weak_residual, weak_limit_extract,
+                     very_weak_pairing, weak_limit_extract,
                      bump_test_function)
 from .association import (ModerateSeq, AssociationReport, fit_moderate,
                           check_resolvent_norm_bounds, check_generator_association,
                           check_resolvent_association, check_semigroup_association,
                           check_weighted_resolvent_association, check_derivative_bounds, check_derivative_association, crosscheck_comparison_theorems,
                           bundled_test_sequences, bundled_family_pairs)
-from .perturbation import (BoundedMultiplierSeq, perturbed_S,
-                           perturbation_claims_suite, constant_coefficient_example)
+from .perturbation import (BoundedMultiplierSeq, perturbation_claims_suite,
+                           constant_coefficient_example)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Grid", "GridFunction", "DistributionRep", "mollifier",
-    "transform", "inverse_transform", "lp_norm", "pair", "convolve", "mollify",
+    "transform", "inverse_transform", "lp_norm", "mollify",
     "SymbolSeq", "SymbolCheckReport",
     "make_poly_symbol_seq", "make_fractional_symbol_seq",
     "check_symbol_class", "check_A1_A3", "check_p_condition",
     "heat_symbol_seq", "perturbed_heat_seq",
-    "MultiplierOp", "GrowthCertificate", "phi", "apply_S", "apply_resolvent",
+    "MultiplierOp", "GrowthCertificate", "phi", "apply_S",
     "laplace_identity_residual", "pseudoresolvent_residual", "bromwich_S",
     "certify_growth",
     "ForcingSeq", "MildSolutionSeq", "SpaceTimeTestFunction",
     "duhamel_solve", "solve_sequence", "integral_equation_residual",
-    "very_weak_pairing", "very_weak_residual", "weak_limit_extract",
+    "very_weak_pairing", "weak_limit_extract",
     "bump_test_function",
     "ModerateSeq", "AssociationReport", "fit_moderate",
     "check_resolvent_norm_bounds", "check_generator_association", "check_resolvent_association",
     "check_semigroup_association", "check_weighted_resolvent_association", "check_derivative_bounds", "check_derivative_association",
     "crosscheck_comparison_theorems", "bundled_test_sequences", "bundled_family_pairs",
-    "BoundedMultiplierSeq", "perturbed_S", "perturbation_claims_suite",
+    "BoundedMultiplierSeq", "perturbation_claims_suite",
     "constant_coefficient_example",
 ]

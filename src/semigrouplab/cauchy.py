@@ -2,12 +2,11 @@
 
 The Duhamel solution of d/dt w = a(D) w + f, w(0) = u_0 is computed per
 frequency mode with an exponential integrator that interpolates the forcing
-piecewise-linearly in time and integrates each panel in closed form.  The
-primitive v (with v' = w, v(0) = 0) is advanced by the same scheme, so the
+piecewise-linearly in time and integrates each panel in closed form, so the
 only discretization error in the solve is the forcing interpolation; with
-zero forcing both v and w are exact per mode.  The integrator's functions
-phi_1, phi_2, phi_3 are all built on ``semigroup.phi``: phi_1(z) = phi(1, z),
-and the higher two follow from it by recurrence or, near zero, by series.
+zero forcing w is exact per mode.  The integrator's functions phi_1 and
+phi_2 are both built on ``semigroup.phi``: phi_1(z) = phi(1, z), and phi_2
+follows from it by recurrence or, near zero, by series.
 
 Residuals of the integrated-equation form w = u_0 + a(D) int w + int f use
 plain trapezoid time integrals of the computed samples, which makes the
@@ -81,16 +80,14 @@ class ForcingSeq:
 
 @dataclass
 class MildSolutionSeq:
-    """Mild solutions v_n and their derivatives w_n on a shared time grid.
+    """Mild solutions w_n on a shared time grid.
 
     Per index n the arrays hold sample values of shape
-    (len(t_grid),) + grid.shape; v(n, 0) = 0 and w(n, 0) = u_{0,n} hold by
-    construction.
+    (len(t_grid),) + grid.shape; w(n, 0) = u_{0,n} holds by construction.
     """
 
     grid: Grid
     t_grid: np.ndarray
-    _v: Dict[int, np.ndarray] = field(default_factory=dict)
     _w: Dict[int, np.ndarray] = field(default_factory=dict)
     _u0: Dict[int, GridFunction] = field(default_factory=dict)
 
@@ -103,17 +100,11 @@ class MildSolutionSeq:
             raise ValueError(f"t={t} is not a time-grid node")
         return idx
 
-    def v(self, n: int, t: float) -> GridFunction:
-        return GridFunction(self.grid, self._v[n][self.time_index(t)])
-
     def w(self, n: int, t: float) -> GridFunction:
         return GridFunction(self.grid, self._w[n][self.time_index(t)])
 
     def w_values(self, n: int) -> np.ndarray:
         return self._w[n]
-
-    def v_values(self, n: int) -> np.ndarray:
-        return self._v[n]
 
     def initial_datum(self, n: int) -> GridFunction:
         return self._u0[n]
@@ -121,7 +112,6 @@ class MildSolutionSeq:
     def merge(self, other: "MildSolutionSeq") -> None:
         if other.grid != self.grid or len(other.t_grid) != len(self.t_grid):
             raise ValueError("solution sequences live on different grids")
-        self._v.update(other._v)
         self._w.update(other._w)
         self._u0.update(other._u0)
 
@@ -134,10 +124,8 @@ def duhamel_solve(s: SymbolSeq, n: int, u0n: GridFunction, f: ForcingSeq,
     uniform time-grid nodes; each panel is integrated exactly:
 
         w_(m+1) = e^z w_m + dt [f_m phi_1(z) + (f_(m+1) - f_m) phi_2(z)]
-        v_(m+1) = e^z v_m + dt [(u0 + F_m) phi_1(z) + dt f_m phi_2(z)
-                                + dt (f_(m+1) - f_m) phi_3(z)]
 
-    with z = dt a per mode and F the running trapezoid primitive of f.
+    with z = dt a per mode.
     Exact for zero forcing; unconditionally stable for Re a <= 0.
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -156,7 +144,7 @@ def duhamel_solve(s: SymbolSeq, n: int, u0n: GridFunction, f: ForcingSeq,
 
     z = dt * a
     ez = np.exp(z)
-    p1, p2, p3 = _phi_k(z, 1), _phi_k(z, 2), _phi_k(z, 3)
+    p1, p2 = _phi_k(z, 1), _phi_k(z, 2)
 
     M = len(t_grid) - 1
     fhat = np.empty((M + 1,) + grid.shape, dtype=complex)
@@ -166,34 +154,18 @@ def duhamel_solve(s: SymbolSeq, n: int, u0n: GridFunction, f: ForcingSeq,
             raise ValueError("forcing grid does not match the datum grid")
         fhat[j] = transform(fj).values
 
-    u0hat = transform(u0n).values
     w = np.empty_like(fhat)
-    v = np.empty_like(fhat)
-    w[0] = u0hat
-    v[0] = 0.0
-    F = np.zeros(grid.shape, dtype=complex)
+    w[0] = transform(u0n).values
     for m in range(M):
         df = fhat[m + 1] - fhat[m]
         w[m + 1] = ez * w[m] + dt * (fhat[m] * p1 + df * p2)
-        v[m + 1] = ez * v[m] + dt * ((u0hat + F) * p1 + dt * fhat[m] * p2 + dt * df * p3)
-        F = F + 0.5 * dt * (fhat[m] + fhat[m + 1])
 
-    sol = MildSolutionSeq(grid=grid, t_grid=t_grid)
     ph = grid.phase()
-    vol = grid.cell_volume
-
-    def back(arr):
-        """Inverse transform of every time slice, in place."""
-        for j in range(arr.shape[0]):
-            arr[j] = np.fft.ifftn(arr[j] * ph) / vol
-        return arr
-
-    w_vals = back(w)
-    w_vals[0] = u0n.values  # the initial condition holds exactly
-    v_vals = back(v)
-    v_vals[0] = 0.0
-    sol._w[n] = w_vals
-    sol._v[n] = v_vals
+    for j in range(M + 1):  # inverse transform of every time slice, in place
+        w[j] = np.fft.ifftn(w[j] * ph) / grid.cell_volume
+    w[0] = u0n.values  # the initial condition holds exactly
+    sol = MildSolutionSeq(grid=grid, t_grid=t_grid)
+    sol._w[n] = w
     sol._u0[n] = u0n
     return sol
 
@@ -242,14 +214,13 @@ def integral_equation_residual(sol: MildSolutionSeq, s: SymbolSeq, n: int,
 class SpaceTimeTestFunction:
     """Separable test function psi(t, x) = chi(t) rho(x).
 
-    ``chi`` and its derivative are callables vectorized over time arrays;
-    ``rho`` is sampled on the grid.  Support must sit inside the open slab
+    ``chi`` is a callable vectorized over time arrays; ``rho`` is sampled
+    on the grid.  Support must sit inside the open slab
     (0, t_end) x interior, declared through ``t_support`` and checked
     against each pairing's time horizon.
     """
 
     chi: Callable[[np.ndarray], np.ndarray]
-    chi_prime: Callable[[np.ndarray], np.ndarray]
     rho: GridFunction
     t_support: Tuple[float, float]
     label: str = "psi"
@@ -273,20 +244,11 @@ def bump_test_function(grid: Grid, t_center: float, t_width: float,
     def chi(t):
         return standard_bump((np.asarray(t, dtype=float) - t_center) / t_width)
 
-    def chi_prime(t):
-        t = np.asarray(t, dtype=float)
-        y = (t - t_center) / t_width
-        out = np.zeros_like(y)
-        inside = np.abs(y) < 1.0
-        yi = y[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - yi**2)) * (-2.0 * yi / (1.0 - yi**2) ** 2)
-        return out / t_width
-
     center = np.zeros(grid.dimension)
     center[0] = x_center
     r = np.sqrt(np.sum((grid.coordinate_vectors() - center) ** 2, axis=-1))
     rho = GridFunction(grid, standard_bump(r / x_width))
-    return SpaceTimeTestFunction(chi=chi, chi_prime=chi_prime, rho=rho,
+    return SpaceTimeTestFunction(chi=chi, rho=rho,
                                  t_support=(t_center - t_width, t_center + t_width),
                                  label=label)
 
@@ -301,40 +263,6 @@ def very_weak_pairing(sol: MildSolutionSeq, psi: SpaceTimeTestFunction, n: int) 
     rho = psi.rho.values
     space = np.tensordot(w, rho, axes=(tuple(range(1, w.ndim)), tuple(range(rho.ndim))))
     return complex(np.sum(tw * chi * space) * sol.grid.cell_volume)
-
-
-def very_weak_residual(sol: MildSolutionSeq, s: SymbolSeq, n: int, f: ForcingSeq,
-                       psi: SpaceTimeTestFunction) -> complex:
-    """Distributional defect <w, -d_t psi> - <a(D) w + f, psi> - boundary terms.
-
-    Vanishes (within quadrature error) because w solves the regularized
-    problem; the boundary terms are zero for admissible psi but are kept in
-    the formula.
-    """
-    t_grid = sol.t_grid
-    psi.check_support(float(t_grid[-1]))
-    grid = sol.grid
-    w = sol.w_values(n)
-    tw = trapezoid_weights(len(t_grid), float(t_grid[1] - t_grid[0]))
-    rho = psi.rho.values
-    axes = (tuple(range(1, w.ndim)), tuple(range(rho.ndim)))
-    vol = grid.cell_volume
-
-    space_w = np.tensordot(w, rho, axes=axes) * vol
-    part_time = -np.sum(tw * psi.chi_prime(t_grid) * space_w)
-
-    a_fac = s.on_grid(n, grid)
-    ph = grid.phase()
-    aw_space = np.empty(len(t_grid), dtype=complex)
-    f_space = np.empty(len(t_grid), dtype=complex)
-    for j, t in enumerate(t_grid):
-        awj = np.fft.ifftn(a_fac * np.fft.fftn(w[j]))
-        aw_space[j] = np.sum(awj * rho) * vol
-        f_space[j] = np.sum(f.eval(n, float(t)).values * rho) * vol
-    chi = psi.chi(t_grid)
-    part_op = np.sum(tw * chi * (aw_space + f_space))
-    boundary = chi[-1] * space_w[-1] - chi[0] * space_w[0]
-    return complex(part_time - part_op - boundary)
 
 
 @dataclass

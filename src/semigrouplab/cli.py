@@ -432,6 +432,9 @@ def main(argv=None) -> int:
         if args.command in FIT_COMMANDS and len(cfg.n_list) < 4:
             raise ConfigError(f"n_list needs at least four indices for {args.command}, "
                               f"which fits a rate over n; got {list(cfg.n_list)}")
+        if args.command == "solve" and cfg.dimension != 1:
+            raise ConfigError(f"solve writes solution.csv on 1-D grids only; "
+                              f"got dimension = {cfg.dimension}")
     except FileNotFoundError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

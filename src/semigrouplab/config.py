@@ -21,6 +21,9 @@ HEAT_C2 = 1.0 / (4.0 * math.pi**2)
 
 #: largest grid accepted, points ** dimension (the bundled scenarios use at most 8,192)
 MAX_GRID_MODES = 2**22
+#: largest solution accepted, len(n_list) * time nodes * grid modes; its complex
+#: samples take at most 256 MB (the bundled solve uses 1,056,768)
+MAX_SOLUTION_SAMPLES = 2**24
 
 
 @dataclass(frozen=True)
@@ -202,6 +205,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
     steps = cfg.t_end / cfg.dt
     if abs(steps - round(steps)) > 1e-9:
         raise ConfigError("t_end must be an integer multiple of dt")
+    nodes = round(steps) + 1
+    samples = len(n) * nodes * cfg.points ** cfg.dimension
+    if samples > MAX_SOLUTION_SAMPLES:
+        raise ConfigError(
+            f"len(n_list) * (t_end/dt + 1) * points ** dimension must be at most "
+            f"{MAX_SOLUTION_SAMPLES} solution samples, got {len(n)} * {nodes} * "
+            f"{cfg.points} ** {cfg.dimension} = {samples} (t_end = {cfg.t_end}, dt = {cfg.dt})")
 
 
 def comparison_operand(comparison: str) -> complex | float:

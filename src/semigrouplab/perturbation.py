@@ -38,8 +38,7 @@ from .association import (SUITE_T_SAMPLES, AssociationReport, bundled_test_seque
                           make_association_report)
 from .errors import OverflowGuardError
 from .quadrature import GAUSS_NODES_PER_PANEL, _gauss_rule
-from .semigroup import (EXP_GUARD, GrowthCertificate, MultiplierOp,
-                        certify_growth, phi_at_times)
+from .semigroup import EXP_GUARD, GrowthCertificate, certify_growth, phi_at_times
 from .spectral import Grid, GridFunction
 from .symbols import (SymbolSeq, make_poly_symbol_seq, perturbed_heat_seq, poly_sup_re,
                       shifted_symbol_seq)
@@ -53,8 +52,7 @@ class BoundedMultiplierSeq:
     """A perturbation family b_n(xi) with a declared uniform bound.
 
     Commutation with the resolvents is automatic for multipliers and is
-    recorded as a structural fact; ``validate_on`` checks the bound on a
-    grid sample.
+    recorded as a structural fact.
     """
 
     eval: Callable[[int, np.ndarray], np.ndarray]
@@ -64,20 +62,6 @@ class BoundedMultiplierSeq:
     def on_grid(self, n: int, grid: Grid) -> np.ndarray:
         vals = np.asarray(self.eval(n, grid.frequency_vectors()), dtype=complex)
         return np.broadcast_to(vals, grid.shape).astype(complex)
-
-    def validate_on(self, grid: Grid, n_list: Sequence[int]) -> float:
-        worst = 0.0
-        for n in n_list:
-            worst = max(worst, float(np.max(np.abs(self.on_grid(n, grid)))))
-        if worst > self.c_bound * (1 + 1e-12):
-            raise ValueError(
-                f"perturbation '{self.name}' exceeds its bound: {worst} > {self.c_bound}")
-        return worst
-
-    @staticmethod
-    def zero() -> "BoundedMultiplierSeq":
-        return BoundedMultiplierSeq(eval=lambda n, v: np.zeros(v.shape[:-1]),
-                                    c_bound=0.0, name="0")
 
     @staticmethod
     def constant(value: complex, name: str = "const") -> "BoundedMultiplierSeq":
@@ -152,14 +136,6 @@ def perturbed_factor(s: SymbolSeq, B: BoundedMultiplierSeq, n: int, t: float,
     if t == 0:
         return np.zeros(grid.shape, dtype=complex)
     return perturbation_quadrature(t, a, b)
-
-
-def perturbed_S(s: SymbolSeq, B: BoundedMultiplierSeq, n: int, t: float,
-                u: GridFunction) -> GridFunction:
-    """Apply the perturbed integrated semigroup (quadrature form)."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    return MultiplierOp(u.grid, perturbed_factor(s, B, n, t, u.grid)).apply(u)
 
 
 def summed_symbol_seq(s: SymbolSeq, B: BoundedMultiplierSeq) -> SymbolSeq:

@@ -140,11 +140,6 @@ def resolvent_factor(s: SymbolSeq, n: int, lam: complex, grid: Grid) -> np.ndarr
     return 1.0 / (lam - a)
 
 
-def apply_resolvent(s: SymbolSeq, n: int, lam: complex, u: GridFunction) -> GridFunction:
-    """Apply R(lambda, Op a_n) as the multiplier 1/(lambda - a_n(xi_k))."""
-    return MultiplierOp(u.grid, resolvent_factor(s, n, lam, u.grid)).apply(u)
-
-
 def laplace_identity_residual(s: SymbolSeq, n: int, lam: float, u: GridFunction,
                               T: float, panels: int) -> float:
     """Relative defect of R(lambda) u = lambda integral_0^T e^(-lambda t) S(t) u dt.

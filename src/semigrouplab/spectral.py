@@ -26,7 +26,7 @@ mass on the grid (:func:`mollifier`).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -165,15 +165,6 @@ class GridFunction:
         vals[center] = 1.0 / grid.cell_volume
         return GridFunction(grid, vals)
 
-    @staticmethod
-    def fourier_mode(grid: Grid, index: int) -> "GridFunction":
-        """exp(2 pi i xi_k x) for the k-th axis frequency (d=1 only)."""
-        if grid.dimension != 1:
-            raise ValueError("fourier_mode is defined for 1D grids")
-        xi = index * grid.freq_spacing
-        x = grid.axis_points()
-        return GridFunction(grid, np.exp(TWO_PI * 1j * xi * x))
-
 
 def _require_same_grid(u: GridFunction, v: GridFunction) -> None:
     if u.grid != v.grid:
@@ -201,29 +192,6 @@ def lp_norm(u: GridFunction, p: float) -> float:
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     return float((np.sum(np.abs(u.values) ** p) * u.grid.cell_volume) ** (1.0 / p))
-
-
-def spectral_l2(uhat: GridFunction) -> float:
-    """L^2 norm computed on the frequency side (Parseval)."""
-    g = uhat.grid
-    return float(np.sqrt(np.sum(np.abs(uhat.values) ** 2) * g.freq_spacing ** g.dimension))
-
-
-def pair(u: GridFunction, psi: GridFunction) -> complex:
-    """Real dual pairing sum u * psi * h^d (no conjugation)."""
-    _require_same_grid(u, psi)
-    return complex(np.sum(u.values * psi.values) * u.grid.cell_volume)
-
-
-def convolve(u: GridFunction, v: GridFunction) -> GridFunction:
-    """Periodic convolution on the torus, computed spectrally.
-
-    Matches the Riemann sum sum_m u(x_m) v(x_j - x_m) h^d with v extended
-    periodically; the convolution theorem holds with constant one.
-    """
-    _require_same_grid(u, v)
-    prod = transform(u).values * transform(v).values
-    return inverse_transform(GridFunction(u.grid, prod))
 
 
 def standard_bump(y: np.ndarray) -> np.ndarray:
@@ -264,7 +232,6 @@ class DistributionRep:
     """
 
     terms: Sequence[tuple]
-    max_order: int = field(init=False)
 
     def __post_init__(self):
         if not self.terms:
@@ -276,7 +243,6 @@ class DistributionRep:
             if any(a < 0 for a in alpha):
                 raise ValueError(f"multi-index {alpha} has negative entries")
         object.__setattr__(self, "terms", tuple((tuple(a), g) for a, g in self.terms))
-        object.__setattr__(self, "max_order", max(sum(a) for a, _ in self.terms))
 
     @property
     def grid(self) -> Grid:

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from semigrouplab.cauchy import (ForcingSeq, SpaceTimeTestFunction, _phi_k,
                                  bump_test_function, duhamel_solve,
                                  integral_equation_residual, solve_sequence,
-                                 very_weak_pairing, very_weak_residual,
-                                 weak_limit_extract)
+                                 very_weak_pairing, weak_limit_extract)
 from semigrouplab.errors import OverflowGuardError, SpaceTimeSupportError
 from semigrouplab.quadrature import trapezoid_weights
 from semigrouplab.semigroup import phi
@@ -82,17 +81,15 @@ class TestDuhamelSolve:
     def test_initial_values(self, heat, grid):
         u0 = GridFunction.gaussian(grid)
         sol = duhamel_solve(heat, 1, u0, ForcingSeq.zero(grid), tgrid(0.5, 1 / 32))
-        assert lp_norm(sol.v(1, 0.0), 2) == 0.0
         assert lp_norm(sol.w(1, 0.0) - u0, 2) < 1e-10
 
     def test_constant_forcing_zero_mode(self, grid):
-        # zero symbol: v_hat = f t^2/2 and w_hat = f t per mode
+        # zero symbol: w_hat = f t per mode
         zero_sym = make_poly_symbol_seq(lambda n: (0.0,))
         shape = GridFunction.gaussian(grid)
         forcing = ForcingSeq.separable(lambda t: 1.0, lambda n: shape)
         sol = duhamel_solve(zero_sym, 1, GridFunction.zero(grid), forcing,
                             tgrid(1.0, 1 / 32))
-        assert lp_norm(sol.v(1, 1.0) - 0.5 * shape, 2) < 1e-12
         assert lp_norm(sol.w(1, 1.0) - shape, 2) < 1e-12
 
     def test_forced_solution_against_quadrature_oracle(self, heat, grid):
@@ -117,19 +114,6 @@ class TestDuhamelSolve:
             errs.append(float(np.max(np.abs(what - oracle))))
         assert errs[0] < 1e-4
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
-
-    def test_derivative_consistency_richardson(self, heat, grid):
-        # finite differences of v converge to w at second order
-        u0 = GridFunction.gaussian(grid)
-        errors = []
-        for dt in (1 / 32, 1 / 64):
-            sol = duhamel_solve(heat, 1, u0, ForcingSeq.zero(grid), tgrid(1.0, dt))
-            idx = sol.time_index(0.5)
-            v = sol.v_values(1)
-            fd = (v[idx + 1] - v[idx - 1]) / (2 * dt)
-            w = sol.w_values(1)[idx]
-            errors.append(float(np.max(np.abs(fd - w))))
-        assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.15)
 
     def test_superposition(self, heat, grid):
         rng = np.random.default_rng(11)
@@ -211,8 +195,7 @@ class TestVeryWeakPairing:
     def test_zero_test_function(self, heat, delta_solution):
         g, sol = delta_solution
         base = bump_test_function(g, 0.5, 0.3)
-        zero_psi = SpaceTimeTestFunction(chi=base.chi, chi_prime=base.chi_prime,
-                                         rho=GridFunction.zero(g),
+        zero_psi = SpaceTimeTestFunction(chi=base.chi, rho=GridFunction.zero(g),
                                          t_support=base.t_support)
         assert very_weak_pairing(sol, zero_psi, 4) == 0
 
@@ -249,9 +232,21 @@ class TestVeryWeakPairing:
         assert slope < 3.0
 
     def test_distributional_residual_small(self, heat, delta_solution):
+        # <w, -d_t psi> - <a(D) w, psi> for psi = chi(t) rho(x); chi vanishes at
+        # both ends of the time grid, so there are no boundary terms
         g, sol = delta_solution
         psi = bump_test_function(g, 0.5, 0.35, 0.0, 1.2)
-        res = very_weak_residual(sol, heat, 8, ForcingSeq.zero(g), psi)
+        t = sol.t_grid
+        y = (t - 0.5) / 0.35
+        inside = np.abs(y) < 1.0
+        chi_prime = np.zeros_like(t)
+        yi = y[inside]
+        chi_prime[inside] = standard_bump(yi) * (-2.0 * yi / (1.0 - yi**2) ** 2) / 0.35
+        w = sol.w_values(8)
+        aw = np.fft.ifft(heat.on_grid(8, g) * np.fft.fft(w, axis=1), axis=1)
+        tw = trapezoid_weights(len(t), float(t[1] - t[0]))
+        rho = psi.rho.values * g.cell_volume
+        res = -np.sum(tw * chi_prime * (w @ rho)) - np.sum(tw * psi.chi(t) * (aw @ rho))
         assert abs(res) < 1e-3
 
     def test_support_violation_rejected(self, heat, delta_solution):

@@ -79,6 +79,9 @@ class TestConfig:
             ("[comparison]\ncomparison = scale:inf\n", "^comparison scale: needs a finite real"),
             ("[comparison]\ncomparison = scale:2j\n", "^comparison scale: needs a finite real"),
             ("[data]\ndata_kind = file\n", "^data_path must name a file"),
+            # 4 * 129 * 2**22 solution samples, about 8.7 GB per complex array
+            ("[grid]\npoints = 4194304\n", r"n_list.*t_end/dt.*points.*t_end = .*dt = "),
+            ("[time]\nt_end = 100000.0\n", r"n_list.*t_end/dt.*points.*t_end = .*dt = "),
         ]
         for text, field in bad_inputs:
             with pytest.raises(ConfigError, match=field):
@@ -165,7 +168,11 @@ def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
     # the 256-point default grid resolves n <= 4 only
     ("solve", "[sequence]\nn_list = 4, 8, 16, 32\n", ("n_list", "points", "half_width")),
     ("growth", "[mollifier]\nmollifier = bump\n", ("unknown section [mollifier]",)),
-], ids=["solve-three", "associate-three", "perturb-three", "solve-unresolved", "mollifier"])
+    # resolvable and small; rejected before the solve, not after it at the CSV export
+    ("solve", "[grid]\ndimension = 2\nhalf_width = 1.0\npoints = 32\n"
+              "[sequence]\nn_list = 1, 2, 3, 4\n", ("dimension",)),
+], ids=["solve-three", "associate-three", "perturb-three", "solve-unresolved", "mollifier",
+        "solve-2d"])
 def test_bad_config_exits_2_naming_fields(tmp_path, capsys, command, text, names):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

@@ -4,7 +4,10 @@
 ``associate-shift`` runs ``associate`` with ``comparison = shift:0.5j``, the
 non-drift branch of the scenario, and ``associate-2d`` runs it on a 64 x 64
 grid in two dimensions with the fractional family and ``comparison =
-scale:1.5``, the only case on a two-dimensional grid.
+scale:1.5``, the only case on a two-dimensional grid.  ``solve-forced``
+runs ``solve`` with ``forcing_kind = gaussian_pulse`` and ``data_kind =
+delta_prime``, the only case that reaches the forcing terms of the Duhamel
+integrator.
 Each case runs twice; the two output
 trees and stdouts must be byte-identical.  Every CSV is then compared with
 ``tests/golden/<case>.json``:
@@ -36,6 +39,7 @@ VARIANTS = {
     "associate-shift": ("associate", {"comparison": "shift:0.5j"}),
     "associate-2d": ("associate", {"dimension": 2, "points": 64,
                                    "family_kind": "fractional", "comparison": "scale:1.5"}),
+    "solve-forced": ("solve", {"forcing_kind": "gaussian_pulse", "data_kind": "delta_prime"}),
 }
 CASES = {**{command: (command, {}) for command in COMMANDS}, **VARIANTS}
 SOLUTION_STRIDE = 4096

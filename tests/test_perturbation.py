@@ -8,10 +8,9 @@ from semigrouplab.errors import OverflowGuardError
 from semigrouplab.perturbation import (PERTURBATION_PANELS, BoundedMultiplierSeq,
                                        constant_coefficient_example,
                                        perturbation_quadrature, perturbed_factor,
-                                       perturbed_S,
                                        perturbation_claims_suite, summed_symbol_seq)
 from semigrouplab.quadrature import composite_gauss_points
-from semigrouplab.semigroup import (MultiplierOp, apply_S, integrated_factor, phi,
+from semigrouplab.semigroup import (MultiplierOp, integrated_factor, phi,
                                     phi_at_times, resolvent_factor)
 from semigrouplab.spectral import Grid, GridFunction, lp_norm
 from semigrouplab.symbols import heat_symbol_seq, make_poly_symbol_seq, perturbed_heat_seq
@@ -35,10 +34,9 @@ def gaussian(grid):
 
 
 class TestPerturbedS:
-    def test_zero_perturbation_reproduces_semigroup(self, heat, grid, gaussian):
-        out = perturbed_S(heat, BoundedMultiplierSeq.zero(), 1, 0.7, gaussian)
-        ref = apply_S(heat, 1, 0.7, gaussian)
-        assert lp_norm(out - ref, 2) < 1e-12
+    def test_zero_perturbation_reproduces_semigroup(self, heat, grid):
+        out = perturbed_factor(heat, BoundedMultiplierSeq.constant(0.0), 1, 0.7, grid)
+        assert np.max(np.abs(out - integrated_factor(heat, 1, 0.7, grid))) < 1e-12
 
     def test_factor_matches_summed_symbol(self, heat, grid):
         # the central oracle: quadrature form equals phi(t, a + b) per mode
@@ -62,13 +60,8 @@ class TestPerturbedS:
         rng = np.random.default_rng(31)
         u = GridFunction(grid, rng.standard_normal(128))
         v = GridFunction(grid, rng.standard_normal(128))
-        both = perturbed_S(heat, B, 1, 0.5, u + v)
-        split = perturbed_S(heat, B, 1, 0.5, u) + perturbed_S(heat, B, 1, 0.5, v)
-        assert lp_norm(both - split, 2) < 1e-12
-
-    def test_time_zero(self, heat, grid, gaussian):
-        B = BoundedMultiplierSeq.constant(1.0j)
-        assert lp_norm(perturbed_S(heat, B, 1, 0.0, gaussian), 2) == 0.0
+        op = MultiplierOp(grid, perturbed_factor(heat, B, 1, 0.5, grid))
+        assert lp_norm(op.apply(u + v) - (op.apply(u) + op.apply(v)), 2) < 1e-12
 
     def test_laplace_identity_for_perturbed_family(self, heat, grid):
         # lambda int e^(-lambda t) S^B(t) dt = R(lambda, a + b) per mode
@@ -81,12 +74,6 @@ class TestPerturbedS:
             quad += w * np.exp(-lam * p) * integrated_factor(summed, n, p, grid)
         target = resolvent_factor(summed, n, lam, grid)
         assert np.max(np.abs(lam * quad - target)) < 1e-8
-
-    def test_bound_validation(self, grid):
-        B = BoundedMultiplierSeq(eval=lambda n, v: np.full(v.shape[:-1], 2.0),
-                                 c_bound=1.0)
-        with pytest.raises(ValueError, match="exceeds its bound"):
-            B.validate_on(grid, [1, 2])
 
 
 def plain_quadrature(t, a, b):
