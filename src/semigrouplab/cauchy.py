@@ -152,7 +152,7 @@ def duhamel_solve(s: SymbolSeq, n: int, u0n: GridFunction, f: ForcingSeq,
         fj = f.eval(n, float(t))
         if fj.grid != grid:
             raise ValueError("forcing grid does not match the datum grid")
-        fhat[j] = transform(fj).values
+        fhat[j] = transform(fj).values if fj.values.any() else 0.0
 
     w = np.empty_like(fhat)
     w[0] = transform(u0n).values

@@ -32,9 +32,8 @@ from .perturbation import (BoundedMultiplierSeq, constant_coefficient_example,
                            perturbation_quadrature, perturbed_factor,
                            perturbation_claims_suite, summed_symbol_seq)
 from .quadrature import composite_gauss_points
-from .semigroup import (apply_S, bromwich_S, certify_growth, integrated_factor,
-                        laplace_identity_residual, phi_at_times,
-                        pseudoresolvent_residual)
+from .semigroup import (apply_S, bromwich_S, certify_growth, laplace_identity_residual,
+                        phi_at_times, pseudoresolvent_residual)
 from .spectral import DistributionRep, Grid, GridFunction, lp_norm, mollify
 from .symbols import (SymbolSeq, make_fractional_symbol_seq, make_poly_symbol_seq,
                       perturbed_heat_seq, shifted_symbol_seq)
@@ -341,12 +340,12 @@ def run_perturb(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     summed = summed_symbol_seq(s, B)
     rng = np.random.default_rng(20240804)
+    samples = [(int(rng.choice(cfg.n_list)), float(rng.uniform(0.1, 2.0))) for _ in range(200)]
     deviations = []
-    for _ in range(200):
-        n = int(rng.choice(cfg.n_list))
-        t = float(rng.uniform(0.1, 2.0))
-        q = perturbed_factor(s, B, n, t, grid)
-        c = integrated_factor(summed, n, t, grid)
+    for n in sorted({n for n, _ in samples}):
+        ts = np.array([t for m, t in samples if m == n])
+        q = perturbed_factor(s, B, n, ts, grid)
+        c = phi_at_times(ts[:, None], summed.on_grid(n, grid))
         deviations.append(np.max(np.abs(q - c)))
     worst = float(np.max(deviations))
 

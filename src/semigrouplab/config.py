@@ -176,6 +176,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown family kind '{cfg.family_kind}'")
     if cfg.family_kind == "poly" and len(cfg.coeffs) > 3:
         raise ConfigError("polynomial families support degree <= 2")
+    if cfg.fractional_c_rate not in ("constant", "one-plus-inverse"):
+        raise ConfigError(f"unknown fractional_c_rate '{cfg.fractional_c_rate}'")
     if cfg.comparison.startswith(("shift:", "scale:")):
         comparison_operand(cfg.comparison)
     elif cfg.comparison not in ("none", "drift"):

@@ -13,15 +13,22 @@ The claims suite works with that closed form, through ``summed_symbol_seq``.
 The quadrature form is kept as the oracle the closed form is tested against:
 ``perturbation_quadrature`` evaluates it on broadcast arrays with the
 composite Gauss-Legendre rule (``PERTURBATION_PANELS`` panels of width
-h = t/PERTURBATION_PANELS, ``GAUSS_NODES_PER_PANEL`` nodes each).  A node is
-split as s = e_p + r_q, with panel start e_p = p h and in-panel offset
-r_q = h (1 + x_q)/2, and the two exact identities
+h = t/PERTURBATION_PANELS, ``GAUSS_NODES_PER_PANEL`` nodes each).  With the
+panels split as PERTURBATION_PANELS = coarse x fine, a node is a sum of three
+levels, s = c_i + f_j + r_q: a coarse start c_i = i fine h, a fine start
+f_j = j h and an in-panel offset r_q = h (1 + x_q)/2.  Per level the sums
 
-    phi(e + r, a) = phi(e, a) + e^(e a) phi(r, a)    (the functional equation)
-    e^((e + r) b) = e^(e b) e^(r b)
+    E = sum w e^(s b),   P = sum w e^(s b) phi(s, a),   X = sum w e^(s a) e^(s b)
 
-factor the double sum over panels and nodes into sums over panels times sums
-over nodes.  ``perturbed_factor`` and the ``verify`` perturbation suite both
+(w = 1 on the two start levels, the Gauss weights on the offsets) combine as
+
+    (E, P, X) . (e, p, x) = (E e, P e + X p, X x),
+
+which is exact by the functional equation phi(u + v, a) = phi(u, a)
++ e^(u a) phi(v, a) and e^((u + v) b) = e^(u b) e^(v b).  So the sum over all
+nodes needs exp and phi at coarse + fine + GAUSS_NODES_PER_PANEL points only,
+plus t for the boundary term.  ``perturbed_factor``, which takes a sequence of
+times and returns one row per time, and the ``verify`` perturbation suite both
 call it.
 """
 from __future__ import annotations
@@ -84,58 +91,64 @@ class BoundedMultiplierSeq:
 def perturbation_quadrature(t, a, b) -> np.ndarray:
     """e^(tb) phi(t,a) - b int_0^t e^(sb) phi(s,a) ds by the composite Gauss rule.
 
-    ``t``, ``a`` and ``b`` broadcast against each other (t >= 0).  With the
-    split s = e_p + r_q of the module docstring and the weights w_q = h g_q / 2
-    of the Gauss rule (x_q, g_q) on [-1, 1], the s-integral is
-
-        sum_p sum_q w_q e^(s b) phi(s, a)
-            = [sum_p e^(e_p b) phi(e_p, a)] [sum_q w_q e^(r_q b)]
-            + [sum_p e^(e_p a) e^(e_p b)] [sum_q w_q e^(r_q b) phi(r_q, a)],
-
-    so exp and phi run on PERTURBATION_PANELS + GAUSS_NODES_PER_PANEL points
-    per entry instead of their product.  Nothing is evaluated at a + b, so the
-    result stays independent of the closed form phi(t, a + b).  An overflow
-    raises ``OverflowGuardError``.
+    ``t``, ``a`` and ``b`` broadcast against each other (t >= 0).  The node
+    set is folded over its three levels as in the module docstring: the
+    s-integral is the P of (E, P, X)_coarse . (E, P, X)_fine . (E, P)_offsets,
+    so exp and phi run on coarse + fine + GAUSS_NODES_PER_PANEL + 1 points per
+    entry (8 + 8 + 12 + 1 for 64 panels) instead of one per node.  Nothing is
+    evaluated at a + b, so the result stays independent of the closed form
+    phi(t, a + b).  An overflow raises ``OverflowGuardError``.
     """
-    t = np.asarray(t, dtype=float)
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    t, a, b = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(a, dtype=complex),
+                                  np.asarray(b, dtype=complex))
+    # PERTURBATION_PANELS = coarse x fine, as square as the panel count allows
+    fine = next(d for d in range(math.isqrt(PERTURBATION_PANELS), 0, -1)
+                if PERTURBATION_PANELS % d == 0)
+    coarse = PERTURBATION_PANELS // fine
     gx, gw = _gauss_rule(GAUSS_NODES_PER_PANEL)
-    lead = (slice(None),) + (None,) * np.broadcast(t, a, b).ndim
+    starts = np.concatenate([fine * np.arange(coarse), np.arange(fine)])
     h = t / PERTURBATION_PANELS
-    starts = np.arange(PERTURBATION_PANELS)[lead] * h
-    offsets = (0.5 * (1.0 + gx))[lead] * h
+    # coarse starts, fine starts and offsets, then t itself for the boundary term
+    pts = np.concatenate([np.multiply.outer(np.concatenate([starts, 0.5 * (1.0 + gx)]), h),
+                          t[None]])
+    weights = np.multiply.outer(0.5 * gw, h)
+    c, f, q = slice(0, coarse), slice(coarse, starts.size), slice(starts.size, -1)
     with np.errstate(over="raise"):
         try:
-            e_b = np.exp(starts * b)
-            w_b = (0.5 * gw)[lead] * h * np.exp(offsets * b)
-            integral = (np.sum(e_b * phi_at_times(starts, a), axis=0) * np.sum(w_b, axis=0)
-                        + np.sum(np.exp(starts * a) * e_b, axis=0)
-                        * np.sum(w_b * phi_at_times(offsets, a), axis=0))
-            return np.exp(t * b) * phi_at_times(t, a) - b * integral
+            e_b = np.exp(pts * b)
+            p_b = e_b * phi_at_times(pts, a)
+            x_b = np.exp(pts[:starts.size] * a) * e_b[:starts.size]
+            # P and X of (E, P, X)_coarse . (E, P, X)_fine
+            p_cf = (p_b[c].sum(axis=0) * e_b[f].sum(axis=0)
+                    + x_b[c].sum(axis=0) * p_b[f].sum(axis=0))
+            x_cf = x_b[c].sum(axis=0) * x_b[f].sum(axis=0)
+            # times (E, P)_offsets: its P is the s-integral
+            integral = (p_cf * np.sum(weights * e_b[q], axis=0)
+                        + x_cf * np.sum(weights * p_b[q], axis=0))
+            return p_b[-1] - b * integral
         except FloatingPointError as exc:
             raise OverflowGuardError("perturbation quadrature overflows") from exc
 
 
-def perturbed_factor(s: SymbolSeq, B: BoundedMultiplierSeq, n: int, t: float,
+def perturbed_factor(s: SymbolSeq, B: BoundedMultiplierSeq, n: int, times: Sequence[float],
                      grid: Grid) -> np.ndarray:
-    """Quadrature oracle: e^(tb) phi(t,a) - b int_0^t e^(sb) phi(s,a) ds per mode.
+    """Quadrature oracle per time and mode: e^(tb) phi(t,a) - b int_0^t e^(sb) phi(s,a) ds.
 
-    Evaluated by ``perturbation_quadrature``: the s-integral runs on
-    PERTURBATION_PANELS panels of width h = t/PERTURBATION_PANELS; each Gauss
-    node s = e_p + r_q is split into its panel start e_p = p h and its offset
-    r_q, and phi(e + r, a) = phi(e, a) + e^(e a) phi(r, a) together with
-    e^((e + r) b) = e^(e b) e^(r b) turn the sum over all nodes into sums
-    over panel starts times sums over offsets.
+    Returns shape ``(len(times),) + grid.shape``.  a_n and b_n are evaluated
+    once, and the Re(a+b) t and Re(b) t overflow guards are checked once, at
+    the largest time.  Each time is one ``perturbation_quadrature`` call,
+    which folds the composite rule over coarse panel starts, fine panel
+    starts and Gauss offsets, so the kernel's temporaries stay one time deep.
+    A zero time gives a zero row: every node and phi(0, a) are zero.
     """
+    times = np.asarray(times, dtype=float)
     a = s.on_grid(n, grid)
     b = B.on_grid(n, grid)
-    guard = float(np.max((a + b).real)) * t
-    if guard > EXP_GUARD or float(np.max(b.real)) * t > EXP_GUARD:
+    t_max = float(np.max(times))
+    guard = float(np.max((a + b).real)) * t_max
+    if guard > EXP_GUARD or float(np.max(b.real)) * t_max > EXP_GUARD:
         raise OverflowGuardError(f"Re(a+b) t = {guard:.3g} would overflow")
-    if t == 0:
-        return np.zeros(grid.shape, dtype=complex)
-    return perturbation_quadrature(t, a, b)
+    return np.stack([perturbation_quadrature(t, a, b) for t in times])
 
 
 def summed_symbol_seq(s: SymbolSeq, B: BoundedMultiplierSeq) -> SymbolSeq:

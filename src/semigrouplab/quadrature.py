@@ -5,7 +5,8 @@ number of Gauss-Legendre nodes per panel on a uniform panel split.  The
 Laplace-transform and functional-equation checks take its nodes from
 ``composite_gauss_points``; the perturbation oracle
 (``perturbation.perturbation_quadrature``) applies the same rule from
-``_gauss_rule``, with each node split into its panel start and its offset.
+``_gauss_rule``, with each node split into a coarse panel start, a fine panel
+start and its in-panel offset, and the sum folded over those three levels.
 Twelve nodes per panel keep entire integrands with derivative scales up to
 ~200 per unit length below 1e-12 absolute error at the panel widths used in
 the bundled scenarios.

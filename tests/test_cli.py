@@ -74,6 +74,8 @@ class TestConfig:
             ("[forcing]\nforcing_amplitude = inf\n", "^forcing_amplitude must be finite"),
             ("[family]\nfractional_m = -1\n", "^fractional_m must be finite and positive"),
             ("[family]\nfractional_m = 0\n", "^fractional_m must be finite and positive"),
+            ("[family]\nfamily_kind = fractional\nfractional_c_rate = bogus\n",
+             "fractional_c_rate"),
             ("[comparison]\ncomparison = shift:nan\n", "^comparison shift: needs a finite complex"),
             ("[comparison]\ncomparison = shift:abc\n", "^comparison shift: needs a finite complex"),
             ("[comparison]\ncomparison = scale:inf\n", "^comparison scale: needs a finite real"),
@@ -149,7 +151,7 @@ NAN_SITES = {
     "pseudoresolvent": ("pseudoresolvent_residual",
                         lambda out: _verify_status("pseudoresolvent", None), "FAIL"),
     "bromwich": ("lp_norm", lambda out: _verify_status("bromwich"), "FAIL"),
-    "perturbation-oracle": ("integrated_factor",
+    "perturbation-oracle": ("phi_at_times",
                             lambda out: cli.run_perturb(FAST_PERTURB, out), 1),
 }
 

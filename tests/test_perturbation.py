@@ -35,7 +35,7 @@ def gaussian(grid):
 
 class TestPerturbedS:
     def test_zero_perturbation_reproduces_semigroup(self, heat, grid):
-        out = perturbed_factor(heat, BoundedMultiplierSeq.constant(0.0), 1, 0.7, grid)
+        out = perturbed_factor(heat, BoundedMultiplierSeq.constant(0.0), 1, [0.7], grid)[0]
         assert np.max(np.abs(out - integrated_factor(heat, 1, 0.7, grid))) < 1e-12
 
     def test_factor_matches_summed_symbol(self, heat, grid):
@@ -43,7 +43,7 @@ class TestPerturbedS:
         B = BoundedMultiplierSeq.constant(0.4 - 0.9j)
         summed = summed_symbol_seq(heat, B)
         for t in (0.2, 1.0, 3.0):
-            quad = perturbed_factor(heat, B, 2, t, grid)
+            quad = perturbed_factor(heat, B, 2, [t], grid)[0]
             closed = integrated_factor(summed, 2, t, grid)
             assert np.max(np.abs(quad - closed)) < 1e-10
 
@@ -51,7 +51,7 @@ class TestPerturbedS:
         kappa = 2.5
         B = BoundedMultiplierSeq.constant(1j * kappa)
         a = heat.on_grid(1, grid)
-        fac = perturbed_factor(heat, B, 1, 0.8, grid)
+        fac = perturbed_factor(heat, B, 1, [0.8], grid)[0]
         direct = phi(0.8, a + 1j * kappa)
         assert np.max(np.abs(np.abs(fac) - np.abs(direct))) < 1e-10
 
@@ -60,7 +60,7 @@ class TestPerturbedS:
         rng = np.random.default_rng(31)
         u = GridFunction(grid, rng.standard_normal(128))
         v = GridFunction(grid, rng.standard_normal(128))
-        op = MultiplierOp(grid, perturbed_factor(heat, B, 1, 0.5, grid))
+        op = MultiplierOp(grid, perturbed_factor(heat, B, 1, [0.5], grid)[0])
         assert lp_norm(op.apply(u + v) - (op.apply(u) + op.apply(v)), 2) < 1e-12
 
     def test_laplace_identity_for_perturbed_family(self, heat, grid):
@@ -126,7 +126,7 @@ class TestPerturbationQuadrature:
     def test_overflow_raises_and_never_returns_inf(self, heat, grid):
         # the Re(a+b) t guard
         with pytest.raises(OverflowGuardError):
-            perturbed_factor(heat, BoundedMultiplierSeq.constant(800.0), 1, 1.0, grid)
+            perturbed_factor(heat, BoundedMultiplierSeq.constant(800.0), 1, [1.0], grid)
 
         def constant_family(c0):
             return make_poly_symbol_seq(lambda n: (c0, 0.0, 0.0))
@@ -134,22 +134,43 @@ class TestPerturbationQuadrature:
         # past the guard: Re a t > 709 overflows phi(t, a)
         with pytest.raises(OverflowGuardError):
             perturbed_factor(constant_family(720.0), BoundedMultiplierSeq.constant(-30.0),
-                             1, 1.0, grid)
+                             1, [1.0], grid)
         # past the guard: e^(s b) phi(s, 0) = e^700 s overflows at s near t = 1e6
         cases = [(constant_family(0.0), 0.0007, 1e6)]
         cases += [(constant_family(c0), b, 1.0) for c0 in (690.0, 705.0, 709.0, 712.0)
                   for b in (-60.0, -30.0 + 2j, -5.0, 0.0)]
         for s, b, t in cases:
             try:
-                out = perturbed_factor(s, BoundedMultiplierSeq.constant(b), 1, t, grid)
+                out = perturbed_factor(s, BoundedMultiplierSeq.constant(b), 1, [t], grid)
             except OverflowGuardError:
                 continue
             assert np.all(np.isfinite(out))
 
+    def test_times_rows_match_kernel(self, heat, grid):
+        B = BoundedMultiplierSeq.constant(-0.3 + 1.7j)
+        times = [0.3, 1.1, 2.0, 0.7]
+        out = perturbed_factor(heat, B, 2, times, grid)
+        a, b = heat.on_grid(2, grid), B.on_grid(2, grid)
+        assert np.array_equal(out, np.stack([perturbation_quadrature(t, a, b) for t in times]))
+
+    def test_zero_time_among_nonzero_times_is_a_zero_row(self, heat, grid):
+        out = perturbed_factor(heat, BoundedMultiplierSeq.constant(0.4 - 0.9j), 2,
+                               [0.5, 0.0, 1.5], grid)
+        assert out.shape == (3,) + grid.shape
+        assert not np.any(out[1])
+        assert np.all(out[[0, 2]] != 0)
+
+    def test_guard_checks_the_largest_time(self, heat, grid):
+        # sup Re(a + b) = 400: only t = 2 passes Re(a+b) t = 700
+        B = BoundedMultiplierSeq.constant(400.0)
+        assert np.all(np.isfinite(perturbed_factor(heat, B, 1, [0.5, 1.0], grid)))
+        with pytest.raises(OverflowGuardError):
+            perturbed_factor(heat, B, 1, [0.5, 2.0, 1.0], grid)
+
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_zeros_at_time_zero(self, heat, dimension):
         g = Grid(dimension, 4.0, 16)
-        out = perturbed_factor(heat, BoundedMultiplierSeq.constant(0.4 - 0.9j), 2, 0.0, g)
+        out = perturbed_factor(heat, BoundedMultiplierSeq.constant(0.4 - 0.9j), 2, [0.0], g)[0]
         assert out.shape == g.shape and out.dtype == complex
         assert not np.any(out)
 
@@ -192,12 +213,10 @@ class TestProposition49Suite:
         def quadrature_norms(s_other, B_other):
             norms = []
             for n in n_list:
-                weighted = []
-                for t in ts:
-                    d = (perturbed_factor(heat, B, n, t, grid)
-                         - perturbed_factor(s_other, B_other, n, t, grid))
-                    x = MultiplierOp(grid, d).apply(gaussian)
-                    weighted.append(np.exp(-omega * t) * lp_norm(x, 2))
+                diffs = (perturbed_factor(heat, B, n, ts, grid)
+                         - perturbed_factor(s_other, B_other, n, ts, grid))
+                weighted = [np.exp(-omega * t) * lp_norm(MultiplierOp(grid, d).apply(gaussian), 2)
+                            for t, d in zip(ts, diffs)]
                 norms.append(max(weighted))
             return norms
 
