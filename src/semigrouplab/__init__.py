@@ -8,7 +8,7 @@ growth bounds, and perturbation behavior of the resulting sequences.
 
 from .spectral import (Grid, GridFunction, DistributionRep, mollifier,
                        transform, inverse_transform, lp_norm, mollify)
-from .symbols import (SymbolSeq, SymbolCheckReport,
+from .symbols import (SymbolSeq, SymbolCheckReport, ModerateSeq, fit_moderate,
                       make_poly_symbol_seq, make_fractional_symbol_seq,
                       check_symbol_class, check_A1_A3, check_p_condition,
                       heat_symbol_seq, perturbed_heat_seq)
@@ -19,7 +19,7 @@ from .cauchy import (ForcingSeq, MildSolutionSeq, SpaceTimeTestFunction,
                      duhamel_solve, solve_sequence, integral_equation_residual,
                      very_weak_pairing, weak_limit_extract,
                      bump_test_function)
-from .association import (ModerateSeq, AssociationReport, fit_moderate,
+from .association import (AssociationReport,
                           check_resolvent_norm_bounds, check_generator_association,
                           check_resolvent_association, check_semigroup_association,
                           check_weighted_resolvent_association, check_derivative_bounds, check_derivative_association, crosscheck_comparison_theorems,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Grid", "GridFunction", "DistributionRep", "mollifier",
     "transform", "inverse_transform", "lp_norm", "mollify",
-    "SymbolSeq", "SymbolCheckReport",
+    "SymbolSeq", "SymbolCheckReport", "ModerateSeq", "fit_moderate",
     "make_poly_symbol_seq", "make_fractional_symbol_seq",
     "check_symbol_class", "check_A1_A3", "check_p_condition",
     "heat_symbol_seq", "perturbed_heat_seq",
@@ -43,7 +43,7 @@ __all__ = [
     "duhamel_solve", "solve_sequence", "integral_equation_residual",
     "very_weak_pairing", "weak_limit_extract",
     "bump_test_function",
-    "ModerateSeq", "AssociationReport", "fit_moderate",
+    "AssociationReport",
     "check_resolvent_norm_bounds", "check_generator_association", "check_resolvent_association",
     "check_semigroup_association", "check_weighted_resolvent_association", "check_derivative_bounds", "check_derivative_association",
     "crosscheck_comparison_theorems", "bundled_test_sequences", "bundled_family_pairs",

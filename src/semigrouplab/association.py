@@ -1,4 +1,4 @@
-"""Moderateness fits, association verdicts, and theorem cross-checks.
+"""Association verdicts and theorem cross-checks.
 
 Association between two operator families means the norm of their difference
 applied to moderate test sequences tends to zero.  Finite computations cannot
@@ -19,26 +19,27 @@ quantitative decay conditions are measured.
 Every check is a sup over sampled t, lambda or k of ||F^-1(d F x_n)||_2 for the
 difference factors d of the two families.  The norms come from Parseval
 (:func:`semigroup.multiplier_norms`), with one FFT per (test sequence, n).
+The log-log fits over n are :func:`symbols.fit_moderate` and
+:func:`symbols.is_moderate_fit`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError
 from .semigroup import multiplier_norms, phi, resolvent_factor
 from .spectral import TWO_PI, Grid, GridFunction, lp_norm
-from .symbols import SymbolSeq, heat_symbol_seq, perturbed_heat_seq, shifted_symbol_seq
+from .symbols import (MIN_FIT_INDICES, NORM_FLOOR, ModerateSeq, SymbolSeq, fit_moderate,
+                      heat_symbol_seq, is_moderate_fit, perturbed_heat_seq, shifted_symbol_seq)
 
 # verdict thresholds (documented in the module docstring)
 TOL_ASSOC_REL = 1e-3
 SLOPE_MIN = 0.2
 DECAY_FACTOR = 0.5
 R2_MIN = 0.97
-NORM_FLOOR = 1e-300
 
 VERDICT_ASSOCIATED = "associated"
 VERDICT_NOT = "not-associated"
@@ -50,69 +51,12 @@ _SEVERITY = {VERDICT_ASSOCIATED: 0, VERDICT_INCONCLUSIVE: 1, VERDICT_NOT: 2}
 SUITE_T_SAMPLES = tuple(np.linspace(0.25, 5.0, 12))
 
 
-@dataclass(frozen=True)
-class ModerateSeq:
-    """Least-squares log-log fit of a positive sequence over its indices."""
-
-    indices: tuple
-    values: tuple
-    slope: float
-    constant: float
-    r_squared: float
-    floored: bool = False
-
-
-def fit_moderate(norms: Mapping[int, float]) -> ModerateSeq:
-    """Fit ||x_n|| ~ C n^a by least squares in log-log coordinates.
-
-    Requires at least four indices; zero values are replaced by a tiny
-    machine floor and flagged.
-    """
-    if len(norms) < 4:
-        raise InsufficientDataError(f"need >= 4 indices for a fit, got {len(norms)}")
-    ns = sorted(norms)
-    vals = np.array([float(norms[n]) for n in ns], dtype=float)
-    if np.any(vals < 0):
-        raise ValueError("norms must be nonnegative")
-    floored = bool(np.any(vals == 0))
-    vals = np.maximum(vals, NORM_FLOOR)
-    x = np.log(np.asarray(ns, dtype=float))
-    y = np.log(vals)
-    xm, ym = x.mean(), y.mean()
-    var = float(np.sum((x - xm) ** 2))
-    slope = float(np.sum((x - xm) * (y - ym)) / var)
-    intercept = ym - slope * xm
-    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
-    ss_tot = float(np.sum((y - ym) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return ModerateSeq(indices=tuple(ns), values=tuple(float(v) for v in vals),
-                       slope=slope, constant=float(math.exp(intercept)),
-                       r_squared=r2, floored=floored)
-
-
-def is_moderate_fit(fit: ModerateSeq) -> bool:
-    """Heuristic moderateness flag.
-
-    Non-moderate when the exponent is above 50, or when the sequence grows with
-    a poor, upward-curving power-law fit (the signature of faster-than-
-    polynomial growth on a finite index range).  Decreasing sequences are
-    always moderate.
-    """
-    if fit.slope > 50.0:
-        return False
-    if fit.slope > 0 and fit.r_squared < 0.9:
-        y = np.log(np.asarray(fit.values))
-        if len(y) >= 3 and float(np.mean(np.diff(y, 2))) > 0:
-            return False
-    return True
-
-
 @dataclass
 class AssociationReport:
     """Difference norms over n with a three-way decay verdict.
 
-    ``norms`` is the per-n envelope (max over test sequences); per-sequence
-    sub-reports are kept when several sequences were tested, and the overall
+    ``norms`` is the per-n envelope (max over test sequences), and ``slope``
+    and ``r_squared`` are its fit; when several sequences were tested the
     verdict is the most severe of the per-sequence verdicts.
     """
 
@@ -123,7 +67,6 @@ class AssociationReport:
     r_squared: float
     tol_assoc: float
     label: str = ""
-    per_sequence: list = field(default_factory=list)
 
     def is_associated(self) -> bool:
         return self.verdict == VERDICT_ASSOCIATED
@@ -167,14 +110,9 @@ def _combine_reports(reports: List[AssociationReport], label: str) -> Associatio
         return out
     indices = reports[0].indices
     envelope = [max(r.norms[i] for r in reports) for i in range(len(indices))]
-    worst = max(reports, key=lambda r: _SEVERITY[r.verdict])
-    env_fit = fit_moderate(dict(zip(indices, np.maximum(envelope, NORM_FLOOR)))) \
-        if max(envelope) > NORM_FLOOR else None
-    return AssociationReport(
-        indices=list(indices), norms=envelope, verdict=worst.verdict,
-        slope=env_fit.slope if env_fit else 0.0,
-        r_squared=env_fit.r_squared if env_fit else 1.0,
-        tol_assoc=TOL_ASSOC_REL * envelope[0], label=label, per_sequence=reports)
+    out = make_association_report(indices, envelope, label)
+    out.verdict = max(reports, key=lambda r: _SEVERITY[r.verdict]).verdict
+    return out
 
 
 TestSequence = Callable[[int], GridFunction]
@@ -227,7 +165,7 @@ def check_resolvent_norm_bounds(s: SymbolSeq, n_list: Sequence[int], lambda_list
             fac = resolvent_factor(s, n, lam, grid)
             vals[n] = float(np.max(np.abs(fac)))
         lo, hi = min(vals.values()), max(vals.values())
-        slope = fit_moderate(vals).slope if len(vals) >= 4 else None
+        slope = fit_moderate(vals).slope if len(vals) >= MIN_FIT_INDICES else None
         reports.append(ResolventBoundReport(lambda_value=complex(lam), lower=lo, upper=hi,
                                 spread=hi / lo,
                                 bounded=(slope is None or slope <= SLOPE_MIN)))
@@ -242,10 +180,10 @@ def verify_moderate_sequences(test_seqs: Sequence[TestSequence],
     a shared grid, so moderateness of the data is the only quantitative
     membership condition left to verify.
     """
-    if len(n_list) < 4:
+    if len(n_list) < MIN_FIT_INDICES:
         return
     for i, seq in enumerate(test_seqs):
-        fit = fit_moderate({n: max(lp_norm(seq(n), 2), NORM_FLOOR) for n in n_list})
+        fit = fit_moderate({n: lp_norm(seq(n), 2) for n in n_list})
         if not is_moderate_fit(fit):
             raise ValueError(f"test sequence {i} is not moderate "
                              f"(fitted exponent {fit.slope:.2f})")
@@ -373,7 +311,7 @@ def check_derivative_bounds(s: SymbolSeq, n_list: Sequence[int], omega: float, k
                     best, arg = q, (k, float(lam))
         report.bounds[n] = best
         report.argmax[n] = arg
-    if len(n_list) >= 4:
+    if len(n_list) >= MIN_FIT_INDICES:
         report.fit = fit_moderate(report.bounds)
     return report
 

@@ -24,7 +24,7 @@ from .errors import OverflowGuardError, SpaceTimeSupportError
 from .quadrature import trapezoid_weights
 from .semigroup import EXP_GUARD, MultiplierOp, phi
 from .spectral import (Grid, GridFunction, lp_norm, standard_bump, transform)
-from .symbols import SymbolSeq
+from .symbols import MIN_FIT_INDICES, SymbolSeq
 
 #: |z| below which phi_2 and phi_3 are summed as Taylor series
 _PHI_SERIES_RADIUS = 2.0
@@ -294,8 +294,9 @@ def weak_limit_extract(pairings: Mapping[Tuple[int, str], complex], tol: float) 
     report = WeakLimitReport(tol=tol)
     for label, series in sorted(by_psi.items()):
         series.sort()
-        if len(series) < 4:
-            raise ValueError(f"pairing sequence '{label}' has fewer than four indices")
+        if len(series) < MIN_FIT_INDICES:
+            raise ValueError(f"pairing sequence '{label}' has fewer than "
+                             f"{MIN_FIT_INDICES} indices")
         ns = [n for n, _ in series]
         vals = np.array([v for _, v in series])
         inc = np.abs(np.diff(vals))

@@ -35,10 +35,10 @@ from .quadrature import composite_gauss_points
 from .semigroup import (apply_S, bromwich_S, certify_growth, laplace_identity_residual,
                         phi_at_times, pseudoresolvent_residual)
 from .spectral import DistributionRep, Grid, GridFunction, lp_norm, mollify
-from .symbols import (SymbolSeq, make_fractional_symbol_seq, make_poly_symbol_seq,
-                      perturbed_heat_seq, shifted_symbol_seq)
+from .symbols import (MIN_FIT_INDICES, SymbolSeq, make_fractional_symbol_seq,
+                      make_poly_symbol_seq, perturbed_heat_seq, shifted_symbol_seq)
 
-#: subcommands that fit a convergence or decay rate over the indices of n_list
+#: subcommands that judge a decay rate or a weak limit over the indices of n_list
 FIT_COMMANDS = ("solve", "associate", "perturb")
 #: time samples of the growth certificate: log-spaced, reaching t -> 0 and large t
 GROWTH_T_SAMPLES = list(np.logspace(-3, np.log10(50.0), 40))
@@ -428,9 +428,10 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
         else:
             cfg = default_config(args.command)
-        if args.command in FIT_COMMANDS and len(cfg.n_list) < 4:
-            raise ConfigError(f"n_list needs at least four indices for {args.command}, "
-                              f"which fits a rate over n; got {list(cfg.n_list)}")
+        if args.command in FIT_COMMANDS and len(cfg.n_list) < MIN_FIT_INDICES:
+            raise ConfigError(f"n_list needs at least {MIN_FIT_INDICES} indices for "
+                              f"{args.command}, which judges a rate or a limit over n; "
+                              f"got {list(cfg.n_list)}")
         if args.command == "solve" and cfg.dimension != 1:
             raise ConfigError(f"solve writes solution.csv on 1-D grids only; "
                               f"got dimension = {cfg.dimension}")

@@ -16,6 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ConfigError
+from .symbols import poly_sup_re
 
 HEAT_C2 = 1.0 / (4.0 * math.pi**2)
 
@@ -204,6 +205,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 "omega", "b", "perturb_b"):
         if not np.all(np.isfinite(getattr(cfg, key))):
             raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)}")
+    if cfg.family_kind == "poly" and not math.isfinite(poly_sup_re(cfg.coeffs)):
+        raise ConfigError(f"coeffs must keep Re a(xi) bounded above (Re c_2 > 0, or "
+                          f"Re c_2 = 0 and Im c_1 = 0), got {cfg.coeffs}")
     steps = cfg.t_end / cfg.dt
     if abs(steps - round(steps)) > 1e-9:
         raise ConfigError("t_end must be an integer multiple of dt")

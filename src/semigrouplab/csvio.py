@@ -57,10 +57,6 @@ def write_association(path: Path, report: AssociationReport) -> None:
         "tol_assoc": report.tol_assoc,
         "slope_min": SLOPE_MIN,
     }
-    if report.per_sequence:
-        summary["sequences"] = [
-            {"label": r.label, "verdict": r.verdict, "slope": r.slope}
-            for r in report.per_sequence]
     sidecar = path.with_name(path.stem + "_summary.txt")
     sidecar.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 

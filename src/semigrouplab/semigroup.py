@@ -21,7 +21,7 @@ import numpy as np
 from .errors import OverflowGuardError, ResolventSingularityError, SymbolEvaluationError
 from .quadrature import composite_gauss_points, trapezoid_weights
 from .spectral import Grid, GridFunction
-from .symbols import SymbolSeq
+from .symbols import MIN_FIT_INDICES, SymbolSeq, fit_moderate
 
 #: admissibility margin for 1/(lambda - a) conditioning
 RESOLVENT_MARGIN = 1e-8
@@ -233,8 +233,6 @@ class GrowthCertificate:
     omega: float
     b: float
     n_list: list
-    lambda_samples: list
-    t_samples: list
     resolvent_bounds: dict = field(default_factory=dict)
     semigroup_bounds: dict = field(default_factory=dict)
     resolvent_fit: object = None
@@ -249,14 +247,11 @@ def certify_growth(s: SymbolSeq, n_list: Sequence[int], omega: float, b: float,
     magnitude over the grid frequencies, so both bounds are exact maxima
     over (sample set) x (grid modes).  A lambda sample on the numerical
     spectrum raises ``ResolventSingularityError`` from
-    :func:`resolvent_factor`, naming lambda, xi and n.  Moderateness
-    exponents of M_n and M'_n are fitted when at least four indices are given.
+    :func:`resolvent_factor`, naming lambda, xi and n.  The moderateness
+    exponent of M_n is fitted when at least ``MIN_FIT_INDICES`` indices are
+    given.
     """
-    from .association import fit_moderate
-
-    cert = GrowthCertificate(omega=omega, b=b, n_list=list(n_list),
-                             lambda_samples=list(lambda_samples),
-                             t_samples=list(t_samples))
+    cert = GrowthCertificate(omega=omega, b=b, n_list=list(n_list))
     for lam in lambda_samples:
         if not complex(lam).real > omega:
             raise ValueError(f"lambda sample {lam} has Re <= omega = {omega}")
@@ -273,6 +268,6 @@ def certify_growth(s: SymbolSeq, n_list: Sequence[int], omega: float, b: float,
         # np.max keeps a NaN bound, which the builtin max would read as 0
         cert.resolvent_bounds[n] = float(np.max(m_res))
         cert.semigroup_bounds[n] = float(np.max(m_sg))
-    if len(n_list) >= 4:
+    if len(n_list) >= MIN_FIT_INDICES:
         cert.resolvent_fit = fit_moderate(cert.resolvent_bounds)
     return cert

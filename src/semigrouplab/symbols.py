@@ -1,4 +1,4 @@
-"""Symbol sequences a_n(xi) and numerical checks of their hypotheses.
+"""Symbol sequences a_n(xi), the moderateness fit, and checks of their hypotheses.
 
 Symbols are frequency-side scalar fields; each one defines a multiplier
 operator through the `semigroup` module.  Built-in families cover constant-
@@ -6,21 +6,90 @@ coefficient differential operators of degree <= 2 in one dimension and the
 purely imaginary fractional family i c_n |xi|^m.  All hypothesis checks are
 report-generating: they compute grid extrema and growth fits but never fail
 a run, except on non-finite symbol values.
+
+Moderate sequences are the base notion of the theory, so their log-log fit
+over n (:func:`fit_moderate`, :func:`is_moderate_fit`) lives here, below
+every module that fits over n; ``MIN_FIT_INDICES`` is the one place the
+minimum index count of a fit is set.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import HypothesisViolationError, SymbolEvaluationError, UnsupportedFamilyError
+from .errors import (HypothesisViolationError, InsufficientDataError, SymbolEvaluationError,
+                     UnsupportedFamilyError)
 from .spectral import TWO_PI, Grid
 
 # probe indices used when inferring family-wide constants from a rule
 _PROBE_INDICES = tuple(range(1, 129))
+
+#: fewest indices a fit or limit over n is made from
+MIN_FIT_INDICES = 4
+#: stand-in for a zero value on the log scale of a fit
+NORM_FLOOR = 1e-300
+
+
+@dataclass(frozen=True)
+class ModerateSeq:
+    """Least-squares log-log fit of a positive sequence over its indices."""
+
+    indices: tuple
+    values: tuple
+    slope: float
+    constant: float
+    r_squared: float
+    floored: bool = False
+
+
+def fit_moderate(norms: Mapping[int, float]) -> ModerateSeq:
+    """Fit ||x_n|| ~ C n^a by least squares in log-log coordinates.
+
+    Requires at least ``MIN_FIT_INDICES`` indices; zero values are replaced
+    by ``NORM_FLOOR`` and flagged.
+    """
+    if len(norms) < MIN_FIT_INDICES:
+        raise InsufficientDataError(
+            f"need >= {MIN_FIT_INDICES} indices for a fit, got {len(norms)}")
+    ns = sorted(norms)
+    vals = np.array([float(norms[n]) for n in ns], dtype=float)
+    if np.any(vals < 0):
+        raise ValueError("norms must be nonnegative")
+    floored = bool(np.any(vals == 0))
+    vals = np.maximum(vals, NORM_FLOOR)
+    x = np.log(np.asarray(ns, dtype=float))
+    y = np.log(vals)
+    xm, ym = x.mean(), y.mean()
+    var = float(np.sum((x - xm) ** 2))
+    slope = float(np.sum((x - xm) * (y - ym)) / var)
+    intercept = ym - slope * xm
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum((y - ym) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return ModerateSeq(indices=tuple(ns), values=tuple(float(v) for v in vals),
+                       slope=slope, constant=float(math.exp(intercept)),
+                       r_squared=r2, floored=floored)
+
+
+def is_moderate_fit(fit: ModerateSeq) -> bool:
+    """Heuristic moderateness flag.
+
+    Non-moderate when the exponent is above 50, or when the sequence grows with
+    a poor, upward-curving power-law fit (the signature of faster-than-
+    polynomial growth on a finite index range).  Decreasing sequences are
+    always moderate.
+    """
+    if fit.slope > 50.0:
+        return False
+    if fit.slope > 0 and fit.r_squared < 0.9:
+        y = np.log(np.asarray(fit.values))
+        if len(y) >= 3 and float(np.mean(np.diff(y, 2))) > 0:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -157,27 +226,16 @@ def make_poly_symbol_seq(rule: Callable[[int], Sequence[complex]],
 
 
 def make_fractional_symbol_seq(c: Callable[[int], float], m: float, d: int,
-                               bound: Optional[float] = None) -> SymbolSeq:
+                               bound: float) -> SymbolSeq:
     """Purely imaginary family a_n(xi) = i c_n |xi|^m.
 
-    The coefficient sequence must be uniformly bounded; when ``bound`` is
-    given it is checked on probe indices, otherwise the probe values must not
-    exhibit growth.  Re a_n = 0 exactly, so ``re_bound`` is 0.
+    The coefficient sequence must be uniformly bounded by ``bound``, which
+    is checked on probe indices.  Re a_n = 0 exactly, so ``re_bound`` is 0.
     """
-    probes = np.array([abs(float(c(n))) for n in _PROBE_INDICES])
-    if bound is not None:
-        worst = float(probes.max())
-        if worst > bound * (1 + 1e-12):
-            raise HypothesisViolationError(
-                f"|c_n| = {worst} exceeds declared bound {bound} on sampled n")
-    elif probes.max() > 0:
-        # no declared bound: reject sampled growth (log-log slope over probes)
-        x = np.log(np.asarray(_PROBE_INDICES, dtype=float))
-        y = np.log(np.maximum(probes, 1e-300))
-        slope = float(np.polyfit(x, y, 1)[0])
-        if slope > 0.05 and probes.max() > 1.5 * probes.min():
-            raise HypothesisViolationError(
-                "sampled c_n grow with n; supply an explicit uniform bound")
+    worst = max(abs(float(c(n))) for n in _PROBE_INDICES)
+    if worst > bound * (1 + 1e-12):
+        raise HypothesisViolationError(
+            f"|c_n| = {worst} exceeds declared bound {bound} on sampled n")
 
     def _eval(n: int, xi_vectors: np.ndarray) -> np.ndarray:
         mag = np.sqrt(np.sum(xi_vectors * xi_vectors, axis=-1))
@@ -253,8 +311,6 @@ def check_symbol_class(s: SymbolSeq, n_list: Sequence[int], grid: Grid,
     frequency-grid spacing.  The per-n constants are fitted in log-log over n
     and the family is flagged non-moderate when the fit degenerates.
     """
-    from .association import fit_moderate, is_moderate_fit
-
     if max_order > 2:
         raise ValueError("finite-difference derivatives beyond order 2 are not attempted")
     pts = grid.frequency_vectors()
@@ -269,7 +325,7 @@ def check_symbol_class(s: SymbolSeq, n_list: Sequence[int], grid: Grid,
             report.derivative_constants[(n, alpha)] = c
             worst = max(worst, c)
         report.class_constants[n] = worst
-    if len(n_list) >= 4:
+    if len(n_list) >= MIN_FIT_INDICES:
         report.class_fit = fit_moderate({n: report.class_constants[n] for n in n_list})
         report.non_moderate = not is_moderate_fit(report.class_fit)
     return report

@@ -51,7 +51,7 @@ def test_criterion_01_laplace_identity():
 def test_criterion_02_pseudoresolvent_identity():
     grid = Grid(1, 8.0, 256)
     families = [heat_symbol_seq(),
-                make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, d=1)]
+                make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, d=1, bound=2.0)]
     rng = np.random.default_rng(42)
     u = GridFunction.gaussian(grid)
     worst = 0.0

@@ -11,6 +11,7 @@ from semigrouplab.config import (ExperimentConfig, default_config, load_config,
                                  parse_config, serialize_config)
 from semigrouplab.errors import ConfigError
 
+COMMANDS = ("verify", "solve", "associate", "perturb", "growth")
 FAST_VERIFY = dataclasses.replace(
     default_config("verify"), points=128, lambda_samples=(2.0 + 0j, 10.0 + 0j),
     n_list=(2, 3))
@@ -66,6 +67,9 @@ class TestConfig:
             ("[mollifier]\nmollifier = bump\n", r"unknown section \[mollifier\]"),
             ("[family]\ncoeffs = nan, 0, 0.025\n", "^coeffs must be finite"),
             ("[family]\ncoeffs = 0, 0, infj\n", "^coeffs must be finite"),
+            # Re a(xi) = 0.025 (2 pi xi)^2 is unbounded above
+            ("[family]\ncoeffs = 0, 0, -0.025\n", "^coeffs must keep Re a"),
+            ("[family]\ncoeffs = 0, 1j, 0\n", "^coeffs must keep Re a"),
             ("[family]\nfractional_m = nan\n", "^fractional_m must be finite"),
             ("[lambda]\nlambda_samples = nan\n", "^lambda_samples must be finite"),
             ("[lambda]\nlambda_samples = 2, inf\n", "^lambda_samples must be finite"),
@@ -173,8 +177,11 @@ def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
     # resolvable and small; rejected before the solve, not after it at the CSV export
     ("solve", "[grid]\ndimension = 2\nhalf_width = 1.0\npoints = 32\n"
               "[sequence]\nn_list = 1, 2, 3, 4\n", ("dimension",)),
+] + [
+    # Re a(xi) = 0.025 (2 pi xi)^2 is unbounded above
+    (command, "[family]\ncoeffs = 0, 0, -0.025\n", ("coeffs",)) for command in COMMANDS
 ], ids=["solve-three", "associate-three", "perturb-three", "solve-unresolved", "mollifier",
-        "solve-2d"])
+        "solve-2d"] + [f"{command}-unbounded-poly" for command in COMMANDS])
 def test_bad_config_exits_2_naming_fields(tmp_path, capsys, command, text, names):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

@@ -1,9 +1,13 @@
-"""Every exported name is reached from inside the package, or it is allowlisted.
+"""Package structure: exported names are reached, and imports form layers.
 
 A name in ``semigrouplab.__all__`` counts as reached when some module of the
 package other than ``__init__`` reads it as a ``Name`` or an ``Attribute``.
 An exported function that only tests read is a library path no subcommand
 runs; it either reaches an output or it goes.
+
+Every import of a package module sits at module level, so the import graph
+is visible at the top of each file and a lower module never reaches back up
+to a higher one from inside a function.
 """
 import ast
 from pathlib import Path
@@ -40,3 +44,13 @@ def _identifiers_read() -> set:
 def test_every_export_is_reached_inside_the_package():
     unreached = set(semigrouplab.__all__) - _identifiers_read()
     assert unreached == UNREACHED_ALLOWLIST
+
+
+def test_no_function_level_package_imports():
+    found = [f"{path.name}:{node.lineno} in {fn.name}"
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text()))
+             if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn)
+             if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert found == []
