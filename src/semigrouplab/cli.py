@@ -32,8 +32,8 @@ from .perturbation import (BoundedMultiplierSeq, constant_coefficient_example,
                            perturbation_quadrature, perturbed_factor,
                            perturbation_claims_suite, summed_symbol_seq)
 from .quadrature import composite_gauss_points
-from .semigroup import (apply_S, bromwich_S, certify_growth, laplace_identity_residual,
-                        phi_at_times, pseudoresolvent_residual)
+from .semigroup import (apply_S, block_rows, bromwich_S, certify_growth,
+                        laplace_identity_residual, phi_at_times, pseudoresolvent_residual)
 from .spectral import DistributionRep, Grid, GridFunction, lp_norm, mollify
 from .symbols import (MIN_FIT_INDICES, SymbolSeq, make_fractional_symbol_seq,
                       make_poly_symbol_seq, perturbed_heat_seq, shifted_symbol_seq)
@@ -154,15 +154,19 @@ def _suite_functional_equation(cfg: ExperimentConfig) -> SuiteResult:
     a = r * np.exp(1j * ang)
     lhs = phi_at_times(t, a) * phi_at_times(sdur, a)
     unit_pts, unit_wts = composite_gauss_points(0.0, 1.0, panels=64)
-    # draws per block: at most about 2e5 entries, well below the Bromwich
-    # suite's blocks, so this suite does not raise the peak memory of verify
-    chunk = max(1, int(2e5 / unit_pts.size))
+    # draws per block of BLOCK_ENTRIES (draw, node) entries; the buffers serve every block
+    rows = block_rows(unit_pts.size)
+    pts, shifted = np.empty((2, min(rows, len(t)), unit_pts.size))
+    vals, tail = np.empty((2,) + pts.shape, dtype=complex)
     rhs = np.empty_like(lhs)
-    for i0 in range(0, len(t), chunk):
-        blk = slice(i0, i0 + chunk)
-        pts, a_blk = sdur[blk, None] * unit_pts, a[blk, None]
-        vals = phi_at_times(t[blk, None] + pts, a_blk) - phi_at_times(pts, a_blk)
-        rhs[blk] = sdur[blk] * (vals @ unit_wts)
+    for i0 in range(0, len(t), rows):
+        blk = slice(i0, i0 + rows)
+        m, a_blk = len(t[blk]), a[blk, None]
+        np.multiply(sdur[blk, None], unit_pts, out=pts[:m])
+        np.add(t[blk, None], pts[:m], out=shifted[:m])
+        phi_at_times(shifted[:m], a_blk, out=vals[:m])
+        vals[:m] -= phi_at_times(pts[:m], a_blk, out=tail[:m])
+        rhs[blk] = sdur[blk] * (vals[:m] @ unit_wts)
     return SuiteResult("functional-equation", float(np.max(np.abs(lhs - rhs))),
                        cfg.tol_functional_equation)
 
@@ -194,6 +198,12 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     grid = build_grid(cfg)
     s = build_family(cfg)
     s_tilde = build_comparison_family(cfg, s)
+    # the Laplace suite integrates up to T = 40 / (Re lambda - omega)
+    omega = max(0.0, s.re_bound)
+    left = [l for l in cfg.lambda_samples if not complex(l).real > omega]
+    if left:
+        raise ConfigError(f"lambda_samples {left} need a real part above omega = {omega} "
+                          f"for the Laplace suite")
     tasks: List[Callable[[], SuiteResult]] = [
         lambda: _suite_laplace(cfg, grid, s),
         lambda: _suite_pseudoresolvent(cfg, grid, s, s_tilde),

@@ -32,15 +32,28 @@ PHI_TAYLOR_THRESHOLD = 1e-6
 #: exp overflow guard on Re(a) * t
 EXP_GUARD = 700.0
 
+#: complex entries per block of the (node x mode) quadrature oracles: 256 KiB,
+#: so a block and its phi temporaries stay in cache and the peak stays small
+BLOCK_ENTRIES = 2**14
 
-def phi(t: float, a) -> np.ndarray:
+
+def block_rows(width: int) -> int:
+    """Rows of ``width`` entries in one block of ``BLOCK_ENTRIES``, at least one."""
+    return max(1, BLOCK_ENTRIES // max(width, 1))
+
+
+def phi(t: float, a, out=None) -> np.ndarray:
     """(exp(t a) - 1)/a, the integrated-semigroup factor; entire in a.
 
     For |t a| below 1e-6 the four-term Taylor expansion
     t (1 + ta/2 + (ta)^2/6 + (ta)^3/24) avoids the removable singularity.
     Below |t a| = 1 the exact value is 2 exp(ta/2) sinh(ta/2) / a, free of the
     e^(ta) - 1 cancellation, so the branches agree to well below 1e-12 at the
-    crossover.  Each branch is evaluated only on its own entries.
+    crossover.  Each branch is evaluated only on its own entries.  The
+    |t a| >= 1 branch, which holds most entries of a grid, is computed in
+    place in ``out`` through ``where=`` masks; the two near branches are
+    gathered.  ``out`` is a complex array of a's shape, allocated when
+    omitted, and is returned.
     """
     if t < 0:
         raise ValueError(f"phi needs t >= 0, got {t}")
@@ -48,31 +61,37 @@ def phi(t: float, a) -> np.ndarray:
     ta = t * a
     mag = np.abs(ta)
     small = mag < PHI_TAYLOR_THRESHOLD
-    mid = ~small & (mag < 1.0)
-    # complement of the other two, so non-finite entries land here
-    plain = ~(small | mid)
-    out = np.empty_like(ta)
+    near = mag < 1.0
+    mid = near & ~small
+    # not near, so non-finite entries land here
+    plain = ~near
+    if out is None:
+        out = np.empty_like(ta)
     with np.errstate(over="raise"):
         try:
+            np.exp(ta, out=out, where=plain)
+            np.subtract(out, 1.0, out=out, where=plain)
+            np.divide(out, a, out=out, where=plain)
             half = 0.5 * ta[mid]
             out[mid] = 2.0 * np.exp(half) * np.sinh(half) / a[mid]
-            out[plain] = (np.exp(ta[plain]) - 1.0) / a[plain]
         except FloatingPointError as exc:
             raise OverflowGuardError(f"exp(t a) overflow at t={t}") from exc
-    z = ta[small]
-    out[small] = t * (1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0)
+    if small.any():
+        z = ta[small]
+        out[small] = t * (1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0)
     return out
 
 
-def phi_at_times(times: np.ndarray, a) -> np.ndarray:
+def phi_at_times(times: np.ndarray, a, out=None) -> np.ndarray:
     """phi evaluated on a vector of times for broadcastable symbol values.
 
     Uses phi(t, a) = t * phi(1, t a); shapes follow numpy broadcasting of
-    ``times`` against ``a``.
+    ``times`` against ``a``, and ``out`` (optional) receives the result.
     """
     times = np.asarray(times, dtype=float)
     ta = times * np.asarray(a, dtype=complex)
-    return times * phi(1.0, ta)
+    out = phi(1.0, ta, out=out)
+    return np.multiply(times, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -160,10 +179,13 @@ def laplace_identity_residual(s: SymbolSeq, n: int, lam: float, u: GridFunction,
     pts, wts = composite_gauss_points(0.0, T, panels)
     weights = wts * np.exp(-lam * pts)
     flat = a.reshape(-1)
-    # nodes per block, so a block holds at most about 2e6 entries
-    chunk = max(1, int(2e6 / flat.size))
-    quad = sum(weights[i0:i0 + chunk] @ phi_at_times(pts[i0:i0 + chunk, None], flat[None, :])
-               for i0 in range(0, len(pts), chunk))
+    rows = block_rows(flat.size)
+    block = np.empty((min(rows, len(pts)), flat.size), dtype=complex)
+    quad = np.zeros(flat.size, dtype=complex)
+    for i0 in range(0, len(pts), rows):
+        nodes = pts[i0:i0 + rows, None]
+        quad += weights[i0:i0 + rows] @ phi_at_times(nodes, flat[None, :],
+                                                     out=block[:len(nodes)])
     defect = target - lam * quad.reshape(grid.shape)
     # the unit factor gives ||u||_2
     defect_norm, unorm = multiplier_norms([defect, np.ones(grid.shape)], [u])[:, 0]
@@ -192,9 +214,10 @@ def bromwich_S(s: SymbolSeq, n: int, times: Sequence[float], u: GridFunction,
     1/r_max at fixed t > 0, so this is an independent, slowly converging
     check on :func:`apply_S`.
 
-    One pass over the nodes serves all times: per block of about 2e6
-    (node, mode) entries the Cauchy kernel 1/(lambda_j - a_k) is built once
-    and multiplied by the (times x nodes) weights w_j e^(lambda_j t_i) / lambda_j.
+    One pass over the nodes serves all times: per block of ``BLOCK_ENTRIES``
+    (node, mode) entries, in one buffer reused by every block, the Cauchy
+    kernel 1/(lambda_j - a_k) is built once and multiplied by the
+    (times x nodes) weights w_j e^(lambda_j t_i) / lambda_j.
     On the line |lambda - a_k| >= alpha - omega, also in floating point, so the
     spectral-proximity scan runs only when alpha - omega <= RESOLVENT_MARGIN.
     """
@@ -208,14 +231,15 @@ def bromwich_S(s: SymbolSeq, n: int, times: Sequence[float], u: GridFunction,
     w = trapezoid_weights(steps + 1, r[1] - r[0])
     flat = a.reshape(-1)
     acc = np.zeros((len(times), flat.size), dtype=complex)
-    chunk = max(1, int(2e6 / max(flat.size, 1)))
-    for i0 in range(0, len(r), chunk):
-        lam = alpha + 1j * r[i0:i0 + chunk]
-        kernel = lam[:, None] - flat[None, :]
+    rows = block_rows(flat.size)
+    block = np.empty((min(rows, len(r)), flat.size), dtype=complex)
+    for i0 in range(0, len(r), rows):
+        lam = alpha + 1j * r[i0:i0 + rows]
+        kernel = np.subtract(lam[:, None], flat[None, :], out=block[:len(lam)])
         if alpha - omega <= RESOLVENT_MARGIN and np.min(np.abs(kernel)) <= RESOLVENT_MARGIN:
             raise ResolventSingularityError("contour passes through the numerical spectrum")
         np.reciprocal(kernel, out=kernel)
-        acc += (w[i0:i0 + chunk] * np.exp(times[:, None] * lam) / lam) @ kernel
+        acc += (w[i0:i0 + rows] * np.exp(times[:, None] * lam) / lam) @ kernel
     factors = (acc / (2.0 * np.pi)).reshape((len(times),) + grid.shape)
     return [MultiplierOp(grid, factor).apply(u) for factor in factors]
 

@@ -1,15 +1,17 @@
 """Harness tests: config round-trip, subcommands, exit codes, determinism."""
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semigrouplab import cli
+from semigrouplab import cli, semigroup
 from semigrouplab.cli import main
 from semigrouplab.config import (ExperimentConfig, default_config, load_config,
                                  parse_config, serialize_config)
 from semigrouplab.errors import ConfigError
+from semigrouplab.spectral import GridFunction
 
 COMMANDS = ("verify", "solve", "associate", "perturb", "growth")
 FAST_VERIFY = dataclasses.replace(
@@ -108,8 +110,8 @@ class TestVerifyCommand:
         assert summary.count("pass") == 5
 
     def test_lambda_inside_spectrum_names_singularity(self, tmp_path, capsys):
-        # -4 = a(xi) at xi = 2, an exact spectral hit for the heat family
-        bad = dataclasses.replace(FAST_VERIFY, lambda_samples=(-4.0 + 0j,))
+        # 1e-9 is right of omega = 0 but within RESOLVENT_MARGIN of a(0) = 0 for heat
+        bad = dataclasses.replace(FAST_VERIFY, lambda_samples=(1e-9 + 0j,))
         code = main(["verify", "--config", write_cfg(tmp_path, bad),
                      "--out", str(tmp_path / "out")])
         assert code == 1
@@ -120,6 +122,52 @@ class TestVerifyCommand:
         code = main(["verify", "--config", str(tmp_path / "missing.cfg")])
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+
+class TestVerifyBlocks:
+    """The (node x mode) oracles are summed in blocks of ``semigroup.BLOCK_ENTRIES``."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        cfg = default_config("verify")
+        grid, s = cli.build_grid(cfg), cli.build_family(cfg)
+        return cfg, grid, s, GridFunction.gaussian(grid)
+
+    def test_block_size_does_not_change_results(self, monkeypatch, setting):
+        cfg, grid, s, u = setting
+        results = []
+        # one row per block, the default, and one block for everything; 20,001 contour
+        # nodes over 256 modes leave a partial last block at the default
+        for entries in (1, semigroup.BLOCK_ENTRIES, 10**9):
+            monkeypatch.setattr(semigroup, "BLOCK_ENTRIES", entries)
+            contours = semigroup.bromwich_S(s, 1, (0.25, 1.0), u, alpha=2.0, r_max=200.0,
+                                            steps=20000)
+            results.append((semigroup.laplace_identity_residual(s, 2, 10.0, u, 4.0, panels=64),
+                            cli._suite_functional_equation(cfg).worst,
+                            np.stack([c.values for c in contours])))
+        (laplace, fe, contour), others = results[0], results[1:]
+        for other_laplace, other_fe, other_contour in others:
+            # both are defects of quantities of order one
+            assert abs(other_laplace - laplace) <= 1e-12
+            assert abs(other_fe - fe) <= 1e-12
+            assert np.max(np.abs(other_contour - contour)) <= 1e-12 * np.max(np.abs(contour))
+
+    def test_each_suite_peak_memory_is_small(self, setting):
+        cfg, grid, s, _ = setting
+        suites = [lambda: cli._suite_laplace(cfg, grid, s),
+                  lambda: cli._suite_pseudoresolvent(cfg, grid, s, None),
+                  lambda: cli._suite_functional_equation(cfg),
+                  lambda: cli._suite_bromwich(cfg, grid, s),
+                  lambda: cli._suite_perturbation_oracle(cfg, grid, s)]
+        peaks = []
+        for run in suites:
+            tracemalloc.start()
+            try:
+                assert run().passed
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 8 * 2**20, [f"{p / 2**20:.1f} MiB" for p in peaks]
 
 
 def nan_on_second_call(monkeypatch, name):
@@ -180,8 +228,14 @@ def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
 ] + [
     # Re a(xi) = 0.025 (2 pi xi)^2 is unbounded above
     (command, "[family]\ncoeffs = 0, 0, -0.025\n", ("coeffs",)) for command in COMMANDS
+] + [
+    # the Laplace suite needs Re lambda > omega = 0 for the default heat family
+    ("verify", f"[lambda]\nlambda_samples = {samples}\n", ("lambda_samples",))
+    for samples in ("0.0, 10.0", "0+5j, 10.0", "-1.0", "2.0, -4.0")
 ], ids=["solve-three", "associate-three", "perturb-three", "solve-unresolved", "mollifier",
-        "solve-2d"] + [f"{command}-unbounded-poly" for command in COMMANDS])
+        "solve-2d"] + [f"{command}-unbounded-poly" for command in COMMANDS]
+   + ["verify-lambda-zero", "verify-lambda-imaginary", "verify-lambda-negative",
+      "verify-lambda-second"])
 def test_bad_config_exits_2_naming_fields(tmp_path, capsys, command, text, names):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

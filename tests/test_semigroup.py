@@ -85,10 +85,27 @@ class TestPhi:
         assert out.shape == (4, 3)
         for i, t in enumerate(times):
             assert np.allclose(out[i], phi(t, a), rtol=1e-14, atol=0.0)
+        # a prefilled output buffer is filled with the same bytes and returned
+        buf = np.full((4, 3), np.nan + 0j)
+        assert phi_at_times(times[:, None], a[None], out=buf) is buf
+        assert buf.tobytes() == out.tobytes()
 
     def test_single_overflowing_entry_raises(self):
-        with pytest.raises(OverflowGuardError):
-            phi(1.0, np.array([-1.0, 0.5j, 800.0, 1e-8]))
+        for out in (None, np.empty(4, dtype=complex)):
+            with pytest.raises(OverflowGuardError):
+                phi(1.0, np.array([-1.0, 0.5j, 800.0, 1e-8]), out=out)
+
+    def test_output_buffer_is_filled_and_returned(self):
+        # non-finite entries, and at t = 1 |ta| just either side of both branch crossovers
+        a = np.array([0.0, np.nan, -np.inf, complex(np.nan, 1.0), -2.0, 30j]
+                     + [s * np.nextafter(edge, side) for edge in (1e-6, 1.0)
+                        for side in (0.0, 2.0) for s in (1.0, -1.0, 1j)], dtype=complex)
+        for t in (0.0, 1.0, 2.5):
+            # a prefilled buffer shows that every entry is written
+            buf = np.full(a.shape, 7.0 + 7.0j)
+            with np.errstate(invalid="ignore"):
+                assert phi(t, a, out=buf) is buf
+                assert buf.tobytes() == phi(t, a).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(log_mag=st.floats(-9.0, 1.5), angle=st.floats(-np.pi, np.pi),
@@ -259,7 +276,7 @@ class TestBromwich:
             bromwich_S(heat, 1, [0.5], gaussian, alpha=-1.0, r_max=50.0, steps=1000)
 
     def test_all_times_match_per_time_sum(self, heat, grid, gaussian):
-        # 8,001 nodes x 256 modes spans two blocks of the kernel
+        # 8,001 nodes x 256 modes spans many blocks of the kernel, the last one partial
         times, alpha, r_max, steps = (0.0, 0.25, 1.0), 2.0, 50.0, 8000
         outs = bromwich_S(heat, 1, times, gaussian, alpha, r_max, steps)
         a = heat.on_grid(1, grid)
