@@ -17,8 +17,9 @@ hold by construction; they are recorded as structural facts and only the
 quantitative decay conditions are measured.
 
 Every check is a sup over sampled t, lambda or k of ||F^-1(d F x_n)||_2 for the
-difference factors d of the two families.  The norms come from Parseval
-(:func:`semigroup.multiplier_norms`), with one FFT per (test sequence, n).
+difference factors d of the two families, one (samples x modes) block per n.
+The norms come from Parseval (:func:`semigroup.multiplier_norms`), with one FFT
+per (test sequence, n) and one matrix product per block.
 The log-log fits over n are :func:`symbols.fit_moderate` and
 :func:`symbols.is_moderate_fit`.
 """
@@ -26,11 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .semigroup import multiplier_norms, phi, resolvent_factor
+from .semigroup import multiplier_norms, phi, resolvent_factor, sample_axis
 from .spectral import TWO_PI, Grid, GridFunction, lp_norm
 from .symbols import (MIN_FIT_INDICES, NORM_FLOOR, ModerateSeq, SymbolSeq, fit_moderate,
                       heat_symbol_seq, is_moderate_fit, perturbed_heat_seq, shifted_symbol_seq)
@@ -118,13 +119,14 @@ def _combine_reports(reports: List[AssociationReport], label: str) -> Associatio
 TestSequence = Callable[[int], GridFunction]
 
 
-def _sup_association(factors_for: Callable[[int], Iterable[np.ndarray]],
+def _sup_association(factors_for: Callable[[int], np.ndarray],
                      test_seqs: Sequence[TestSequence], n_list: Sequence[int],
                      label: str) -> AssociationReport:
-    """Verdict on sup over ``factors_for(n)`` of ||F^-1(d F x_n)||_2 per test sequence.
+    """Verdict on sup over the rows d of ``factors_for(n)`` of ||F^-1(d F x_n)||_2.
 
-    Each n's factors are built once for all test sequences.  A NaN norm is
-    kept, so :func:`make_association_report` rejects it.
+    Each n's block, of shape (samples,) + grid.shape, is built once for all
+    test sequences.  A NaN norm is kept, so :func:`make_association_report`
+    rejects it.
     """
     if not test_seqs:
         raise ValueError(f"{label}: no test sequences")
@@ -158,12 +160,12 @@ def check_resolvent_norm_bounds(s: SymbolSeq, n_list: Sequence[int], lambda_list
     On a grid the norms are always finite and positive, so the report gives
     the spread c_2/c_1 and flags families whose norms grow with n.
     """
+    modes = tuple(range(1, grid.dimension + 1))
+    sups = [np.max(np.abs(resolvent_factor(s, n, lambda_list, grid)), axis=modes)
+            for n in n_list]
     reports = []
-    for lam in lambda_list:
-        vals = {}
-        for n in n_list:
-            fac = resolvent_factor(s, n, lam, grid)
-            vals[n] = float(np.max(np.abs(fac)))
+    for j, lam in enumerate(lambda_list):
+        vals = {n: float(sup[j]) for n, sup in zip(n_list, sups)}
         lo, hi = min(vals.values()), max(vals.values())
         slope = fit_moderate(vals).slope if len(vals) >= MIN_FIT_INDICES else None
         reports.append(ResolventBoundReport(lambda_value=complex(lam), lower=lo, upper=hi,
@@ -194,7 +196,7 @@ def check_generator_association(s: SymbolSeq, s_tilde: SymbolSeq,
                                 n_list: Sequence[int], label: str = "") -> AssociationReport:
     """Decay of ||(Op a_n - Op a~_n) x_n||_2 over the test sequences."""
     verify_moderate_sequences(test_seqs, n_list)
-    return _sup_association(lambda n: [s.on_grid(n, grid) - s_tilde.on_grid(n, grid)],
+    return _sup_association(lambda n: (s.on_grid(n, grid) - s_tilde.on_grid(n, grid))[None],
                             test_seqs, n_list, label or "generator")
 
 
@@ -204,8 +206,8 @@ def check_resolvent_association(s: SymbolSeq, s_tilde: SymbolSeq,
                                 n_list: Sequence[int], label: str = "") -> AssociationReport:
     """Decay of sup over lambda of ||(R(lambda,A_n) - R(lambda,A~_n)) x_n||_2."""
     return _sup_association(
-        lambda n: (resolvent_factor(s, n, lam, grid) - resolvent_factor(s_tilde, n, lam, grid)
-                   for lam in lambda_list),
+        lambda n: (resolvent_factor(s, n, lambda_list, grid)
+                   - resolvent_factor(s_tilde, n, lambda_list, grid)),
         test_seqs, n_list, label or "resolvent")
 
 
@@ -219,12 +221,12 @@ def check_semigroup_association(s: SymbolSeq, s_tilde: SymbolSeq, omega: float,
     direction of the comparison theorems is checked by
     :func:`crosscheck_comparison_theorems`, which runs both checks per pair.
     """
-    def factors_for(n):
-        a = s.on_grid(n, grid)
-        at = s_tilde.on_grid(n, grid)
-        return (math.exp(-omega * t) * (phi(t, a) - phi(t, at)) for t in map(float, t_samples))
-
-    return _sup_association(factors_for, test_seqs, n_list, label or "semigroup")
+    weights = sample_axis([math.exp(-omega * t) for t in map(float, t_samples)], grid)
+    times = sample_axis(np.asarray(t_samples, dtype=float), grid)
+    return _sup_association(
+        lambda n: weights * (phi(times, s.on_grid(n, grid))
+                             - phi(times, s_tilde.on_grid(n, grid))),
+        test_seqs, n_list, label or "semigroup")
 
 
 def check_weighted_resolvent_association(s: SymbolSeq, s_tilde: SymbolSeq,
@@ -237,10 +239,11 @@ def check_weighted_resolvent_association(s: SymbolSeq, s_tilde: SymbolSeq,
     for lam in lambda_samples:
         if not complex(lam).real > omega:
             raise ValueError(f"lambda sample {lam} has Re <= omega {omega}")
+    lams = [complex(lam) for lam in lambda_samples]
+    weights = sample_axis([lam**b for lam in lams], grid)
     return _sup_association(
-        lambda n: (lam**b * (resolvent_factor(s, n, lam, grid)
-                             - resolvent_factor(s_tilde, n, lam, grid))
-                   for lam in map(complex, lambda_samples)),
+        lambda n: weights * (resolvent_factor(s, n, lams, grid)
+                             - resolvent_factor(s_tilde, n, lams, grid)),
         test_seqs, n_list, label or "weighted-resolvent")
 
 
@@ -327,9 +330,10 @@ def check_derivative_association(s: SymbolSeq, s_tilde: SymbolSeq, n_list: Seque
     def factors_for(n):
         a = s.on_grid(n, grid)
         at = s_tilde.on_grid(n, grid)
-        return ((lam - omega) ** (k + 1) * (resolvent_over_lambda_derivative(float(lam), a, k)
+        rows = [(lam - omega) ** (k + 1) * (resolvent_over_lambda_derivative(float(lam), a, k)
                                             - resolvent_over_lambda_derivative(float(lam), at, k))
-                for lam in lambda_list for k in orders)
+                for lam in lambda_list for k in orders]
+        return np.array(rows, dtype=complex).reshape((-1,) + grid.shape)
 
     return _sup_association(factors_for, test_seqs, n_list, label or "derivative-association")
 

@@ -33,7 +33,7 @@ from .perturbation import (BoundedMultiplierSeq, constant_coefficient_example,
                            perturbation_claims_suite, summed_symbol_seq)
 from .quadrature import composite_gauss_points
 from .semigroup import (apply_S, block_rows, bromwich_S, certify_growth,
-                        laplace_identity_residual, phi_at_times, pseudoresolvent_residual)
+                        laplace_identity_residual, phi, pseudoresolvent_residual, sample_axis)
 from .spectral import DistributionRep, Grid, GridFunction, lp_norm, mollify
 from .symbols import (MIN_FIT_INDICES, SymbolSeq, make_fractional_symbol_seq,
                       make_poly_symbol_seq, perturbed_heat_seq, shifted_symbol_seq)
@@ -109,6 +109,13 @@ def build_forcing(cfg: ExperimentConfig, grid: Grid) -> ForcingSeq:
     return ForcingSeq.separable(profile=lambda t: math.cos(t), shape_for=shape_for)
 
 
+def _require_omega_bound(cfg: ExperimentConfig, *families: SymbolSeq) -> None:
+    """The weighted-resolvent and growth samples omega + c need omega >= every sup Re a_n."""
+    bound = max(fam.re_bound for fam in families)
+    if cfg.omega < bound:
+        raise ConfigError(f"omega = {cfg.omega} is below sup Re a_n = {bound} of the families")
+
+
 class SuiteResult:
     def __init__(self, name: str, worst: float, tol: float, note: str = ""):
         self.name = name
@@ -124,8 +131,8 @@ class SuiteResult:
 def _suite_laplace(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) -> SuiteResult:
     u = GridFunction.gaussian(grid)
     omega = max(0.0, s.re_bound)
-    residuals = [laplace_identity_residual(s, n, lam, u, 40.0 / (lam - omega), panels=64)
-                 for lam in (complex(l).real for l in cfg.lambda_samples)
+    residuals = [laplace_identity_residual(s, n, lam, u, 40.0 / (lam.real - omega), panels=64)
+                 for lam in map(complex, cfg.lambda_samples)
                  for n in cfg.n_list[:2]]
     # np.max keeps a NaN, which the builtin max would drop
     return SuiteResult("laplace-identity", float(np.max(residuals)), cfg.tol_laplace)
@@ -152,7 +159,7 @@ def _suite_functional_equation(cfg: ExperimentConfig) -> SuiteResult:
               rng.uniform(0.5 * np.pi, 1.5 * np.pi)) for _ in range(1000)]
     t, sdur, r, ang = (np.array(col) for col in zip(*draws))
     a = r * np.exp(1j * ang)
-    lhs = phi_at_times(t, a) * phi_at_times(sdur, a)
+    lhs = phi(t, a) * phi(sdur, a)
     unit_pts, unit_wts = composite_gauss_points(0.0, 1.0, panels=64)
     # draws per block of BLOCK_ENTRIES (draw, node) entries; the buffers serve every block
     rows = block_rows(unit_pts.size)
@@ -164,8 +171,8 @@ def _suite_functional_equation(cfg: ExperimentConfig) -> SuiteResult:
         m, a_blk = len(t[blk]), a[blk, None]
         np.multiply(sdur[blk, None], unit_pts, out=pts[:m])
         np.add(t[blk, None], pts[:m], out=shifted[:m])
-        phi_at_times(shifted[:m], a_blk, out=vals[:m])
-        vals[:m] -= phi_at_times(pts[:m], a_blk, out=tail[:m])
+        phi(shifted[:m], a_blk, out=vals[:m])
+        vals[:m] -= phi(pts[:m], a_blk, out=tail[:m])
         rhs[blk] = sdur[blk] * (vals[:m] @ unit_wts)
     return SuiteResult("functional-equation", float(np.max(np.abs(lhs - rhs))),
                        cfg.tol_functional_equation)
@@ -189,7 +196,7 @@ def _suite_perturbation_oracle(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) 
         ta_, tb_ = rng.uniform(0.5 * np.pi, 1.5 * np.pi, size=2)
         draws.append((ra * np.exp(1j * ta_), rb * np.exp(1j * tb_), rng.uniform(0.01, 5.0)))
     a, b, t = (np.array(col) for col in zip(*draws))
-    deviation = np.abs(perturbation_quadrature(t, a, b) - phi_at_times(t, a + b))
+    deviation = np.abs(perturbation_quadrature(t, a, b) - phi(t, a + b))
     return SuiteResult("perturbation-oracle", float(np.max(deviation)),
                        cfg.tol_perturbation_oracle)
 
@@ -288,6 +295,7 @@ def run_associate(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True)
     s_tilde = build_comparison_family(cfg, s)
     if s_tilde is None:
         raise ConfigError("associate needs a comparison family (section [comparison])")
+    _require_omega_bound(cfg, s, s_tilde)
     lam_list = [complex(l) for l in cfg.lambda_samples if complex(l).imag == 0][:2]
     if not lam_list:
         raise ConfigError("associate needs a real lambda in lambda_samples")
@@ -340,6 +348,7 @@ def run_perturb(cfg: ExperimentConfig, out_dir: Path) -> int:
     grid = build_grid(cfg)
     s = build_family(cfg)
     s_tilde = build_comparison_family(cfg, s) or s
+    _require_omega_bound(cfg, s, s_tilde)
     B = BoundedMultiplierSeq.constant(cfg.perturb_b, name="B")
     rate = {"inverse": lambda n: 1.0 / n,
             "inverse-sqrt": lambda n: 1.0 / math.sqrt(n),
@@ -355,7 +364,7 @@ def run_perturb(cfg: ExperimentConfig, out_dir: Path) -> int:
     for n in sorted({n for n, _ in samples}):
         ts = np.array([t for m, t in samples if m == n])
         q = perturbed_factor(s, B, n, ts, grid)
-        c = phi_at_times(ts[:, None], summed.on_grid(n, grid))
+        c = phi(sample_axis(ts, grid), summed.on_grid(n, grid))
         deviations.append(np.max(np.abs(q - c)))
     worst = float(np.max(deviations))
 

@@ -45,7 +45,7 @@ from .association import (SUITE_T_SAMPLES, AssociationReport, bundled_test_seque
                           make_association_report)
 from .errors import OverflowGuardError
 from .quadrature import GAUSS_NODES_PER_PANEL, _gauss_rule
-from .semigroup import EXP_GUARD, GrowthCertificate, certify_growth, phi_at_times
+from .semigroup import EXP_GUARD, GrowthCertificate, certify_growth, phi
 from .spectral import Grid, GridFunction
 from .symbols import (SymbolSeq, make_poly_symbol_seq, perturbed_heat_seq, poly_sup_re,
                       shifted_symbol_seq)
@@ -116,7 +116,7 @@ def perturbation_quadrature(t, a, b) -> np.ndarray:
     with np.errstate(over="raise"):
         try:
             e_b = np.exp(pts * b)
-            p_b = e_b * phi_at_times(pts, a)
+            p_b = e_b * phi(pts, a)
             x_b = np.exp(pts[:starts.size] * a) * e_b[:starts.size]
             # P and X of (E, P, X)_coarse . (E, P, X)_fine
             p_cf = (p_b[c].sum(axis=0) * e_b[f].sum(axis=0)

@@ -14,7 +14,7 @@ contour inversion are implemented as quadratures and serve as mutual oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,23 +42,31 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_ENTRIES // max(width, 1))
 
 
-def phi(t: float, a, out=None) -> np.ndarray:
+def sample_axis(values, grid: Grid) -> np.ndarray:
+    """``values`` as a leading sample axis that broadcasts against ``grid.shape``."""
+    return np.reshape(values, np.shape(values) + (1,) * grid.dimension)
+
+
+def phi(t, a, out=None) -> np.ndarray:
     """(exp(t a) - 1)/a, the integrated-semigroup factor; entire in a.
 
-    For |t a| below 1e-6 the four-term Taylor expansion
-    t (1 + ta/2 + (ta)^2/6 + (ta)^3/24) avoids the removable singularity.
-    Below |t a| = 1 the exact value is 2 exp(ta/2) sinh(ta/2) / a, free of the
-    e^(ta) - 1 cancellation, so the branches agree to well below 1e-12 at the
-    crossover.  Each branch is evaluated only on its own entries.  The
-    |t a| >= 1 branch, which holds most entries of a grid, is computed in
-    place in ``out`` through ``where=`` masks; the two near branches are
-    gathered.  ``out`` is a complex array of a's shape, allocated when
-    omitted, and is returned.
+    ``t`` may be an array of times broadcasting against ``a``, such as
+    ``sample_axis(times, grid)``; each entry equals the scalar-t call bitwise.
+    For |t a| below 1e-6 the Taylor expansion t (1 + ta/2 + (ta)^2/6 + (ta)^3/24)
+    avoids the removable singularity.  Below |t a| = 1 the exact value is
+    2 exp(ta/2) sinh(ta/2) / a, free of the e^(ta) - 1 cancellation, so the
+    branches agree to well below 1e-12 at the crossover.  Each branch is
+    evaluated only on its own entries.  The |t a| >= 1 branch, which holds
+    most entries of a grid, is computed in place in ``out`` through ``where=``
+    masks; the two near branches are gathered.  ``out`` is a complex array of
+    the broadcast shape, allocated when omitted, and is returned.
     """
-    if t < 0:
-        raise ValueError(f"phi needs t >= 0, got {t}")
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError(f"phi needs t >= 0, got {np.min(t)}")
     a = np.asarray(a, dtype=complex)
     ta = t * a
+    t, a = np.broadcast_to(t, ta.shape), np.broadcast_to(a, ta.shape)
     mag = np.abs(ta)
     small = mag < PHI_TAYLOR_THRESHOLD
     near = mag < 1.0
@@ -75,23 +83,12 @@ def phi(t: float, a, out=None) -> np.ndarray:
             half = 0.5 * ta[mid]
             out[mid] = 2.0 * np.exp(half) * np.sinh(half) / a[mid]
         except FloatingPointError as exc:
-            raise OverflowGuardError(f"exp(t a) overflow at t={t}") from exc
+            hit = np.unravel_index(np.nanargmax(ta.real), ta.shape)  # the largest Re(t a)
+            raise OverflowGuardError(f"exp(t a) overflow at t={t[hit]}") from exc
     if small.any():
         z = ta[small]
-        out[small] = t * (1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0)
+        out[small] = t[small] * (1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0)
     return out
-
-
-def phi_at_times(times: np.ndarray, a, out=None) -> np.ndarray:
-    """phi evaluated on a vector of times for broadcastable symbol values.
-
-    Uses phi(t, a) = t * phi(1, t a); shapes follow numpy broadcasting of
-    ``times`` against ``a``, and ``out`` (optional) receives the result.
-    """
-    times = np.asarray(times, dtype=float)
-    ta = times * np.asarray(a, dtype=complex)
-    out = phi(1.0, ta, out=out)
-    return np.multiply(times, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -115,23 +112,22 @@ class MultiplierOp:
         return GridFunction(self.grid, out)
 
 
-def multiplier_norms(factors: Iterable[np.ndarray], us: Sequence[GridFunction]) -> np.ndarray:
-    """||F^-1(d . F u)||_2 for each factor d (rows) and grid function u (columns).
+def multiplier_norms(factors: np.ndarray, us: Sequence[GridFunction]) -> np.ndarray:
+    """||F^-1(d . F u)||_2 for each factor d in the block (rows) and grid function u (columns).
 
-    Parseval gives sqrt(h^dim / N^dim * sum_k |d_k|^2 |(F u)_k|^2): one forward
-    FFT per u, no inverse FFT, and one factor in memory at a time.
+    ``factors`` has shape (K,) + grid.shape.  Parseval gives
+    sqrt(h^dim / N^dim * sum_k |d_k|^2 |(F u)_k|^2): one forward FFT per u,
+    no inverse FFT, and one (K x modes) @ (modes x len(us)) product.
     """
     grid = us[0].grid
     if any(u.grid != grid for u in us):
         raise ValueError("operands live on different grids")
+    if np.shape(factors)[1:] != grid.shape:
+        raise ValueError(f"factor shape {np.shape(factors)[1:]} != grid shape {grid.shape}")
     spectra = np.stack([np.abs(np.fft.fftn(u.values)).ravel() ** 2 for u in us])
     spectra *= grid.cell_volume / spectra.shape[1]
-    rows = []
-    for d in factors:
-        if np.shape(d) != grid.shape:
-            raise ValueError(f"factor shape {np.shape(d)} != grid shape {grid.shape}")
-        rows.append(np.sqrt(spectra @ (np.abs(d).ravel() ** 2)))
-    return np.array(rows).reshape(len(rows), len(us))
+    power = np.abs(factors).reshape(len(factors), spectra.shape[1]) ** 2
+    return np.sqrt(power @ spectra.T)
 
 
 def integrated_factor(s: SymbolSeq, n: int, t: float, grid: Grid) -> np.ndarray:
@@ -147,34 +143,39 @@ def apply_S(s: SymbolSeq, n: int, t: float, u: GridFunction) -> GridFunction:
     return MultiplierOp(u.grid, integrated_factor(s, n, t, u.grid)).apply(u)
 
 
-def resolvent_factor(s: SymbolSeq, n: int, lam: complex, grid: Grid) -> np.ndarray:
-    """Per-mode factor 1/(lambda - a_n); guards spectral proximity."""
+def resolvent_factor(s: SymbolSeq, n: int, lam, grid: Grid) -> np.ndarray:
+    """Per-mode factor 1/(lambda - a_n); a sequence of lambdas adds a leading axis.
+
+    A lambda within ``RESOLVENT_MARGIN`` of a symbol value raises, naming it as passed, xi and n.
+    """
     a = s.on_grid(n, grid)
-    gap = np.abs(lam - a)
-    k = np.unravel_index(int(np.argmin(gap)), gap.shape)
-    if gap[k] <= RESOLVENT_MARGIN:
-        xi = grid.frequency_vectors()[k]
+    diff = sample_axis(lam, grid) - a
+    gap = np.abs(diff)
+    if gap.size and np.min(gap) <= RESOLVENT_MARGIN:
+        hit = np.unravel_index(int(np.argmin(gap)), gap.shape)
+        lead = gap.ndim - a.ndim
         raise ResolventSingularityError(
-            f"lambda={lam} within {RESOLVENT_MARGIN} of symbol value at xi={xi} (n={n})")
-    return 1.0 / (lam - a)
+            f"lambda={lam[hit[0]] if lead else lam} within {RESOLVENT_MARGIN} of symbol value "
+            f"at xi={grid.frequency_vectors()[hit[lead:]]} (n={n})")
+    return np.divide(1.0, diff, out=diff)
 
 
-def laplace_identity_residual(s: SymbolSeq, n: int, lam: float, u: GridFunction,
+def laplace_identity_residual(s: SymbolSeq, n: int, lam: complex, u: GridFunction,
                               T: float, panels: int) -> float:
     """Relative defect of R(lambda) u = lambda integral_0^T e^(-lambda t) S(t) u dt.
 
-    The truncated transform is evaluated with the composite Gauss-Legendre
-    rule, per mode, and compared with the resolvent factor in L^2.  The
-    caller chooses T so the dropped tail is below the target (the bundled
-    scenarios use T = 40/(lambda - omega)).
+    The truncated transform at a complex lambda right of sup Re a_n is
+    evaluated with the composite Gauss-Legendre rule, per mode, and compared
+    with the resolvent factor in L^2.  The caller chooses T so the dropped
+    tail is below the target (the bundled scenarios use T = 40/(Re lambda - omega)).
     """
     grid = u.grid
     a = s.on_grid(n, grid)
     target = resolvent_factor(s, n, lam, grid)  # raises on spectral proximity
     omega = float(np.max(a.real))
-    if not lam > omega:
-        raise ValueError(f"need lambda > sup Re a_n = {omega}, got {lam}")
-    if np.exp((omega - lam) * T) >= 1e-12:
+    if not lam.real > omega:
+        raise ValueError(f"need Re lambda > sup Re a_n = {omega}, got {lam}")
+    if np.exp((omega - lam.real) * T) >= 1e-12:
         raise ValueError(f"T={T} leaves a truncation tail above 1e-12")
     pts, wts = composite_gauss_points(0.0, T, panels)
     weights = wts * np.exp(-lam * pts)
@@ -184,11 +185,10 @@ def laplace_identity_residual(s: SymbolSeq, n: int, lam: float, u: GridFunction,
     quad = np.zeros(flat.size, dtype=complex)
     for i0 in range(0, len(pts), rows):
         nodes = pts[i0:i0 + rows, None]
-        quad += weights[i0:i0 + rows] @ phi_at_times(nodes, flat[None, :],
-                                                     out=block[:len(nodes)])
+        quad += weights[i0:i0 + rows] @ phi(nodes, flat, out=block[:len(nodes)])
     defect = target - lam * quad.reshape(grid.shape)
     # the unit factor gives ||u||_2
-    defect_norm, unorm = multiplier_norms([defect, np.ones(grid.shape)], [u])[:, 0]
+    defect_norm, unorm = multiplier_norms(np.stack([defect, np.ones(grid.shape)]), [u])[:, 0]
     return float(defect_norm / unorm) if unorm else 0.0
 
 
@@ -196,11 +196,10 @@ def pseudoresolvent_residual(s: SymbolSeq, n: int, lam: complex, mu: complex,
                              u: GridFunction) -> float:
     """Relative defect of R(lam) - R(mu) = (mu - lam) R(lam) R(mu) on u."""
     grid = u.grid
-    rl = resolvent_factor(s, n, lam, grid)
-    rm = resolvent_factor(s, n, mu, grid)
+    rl, rm = resolvent_factor(s, n, [lam, mu], grid)
     defect = rl - rm - (mu - lam) * rl * rm
     # the unit factor gives ||u||_2
-    defect_norm, unorm = multiplier_norms([defect, np.ones(grid.shape)], [u])[:, 0]
+    defect_norm, unorm = multiplier_norms(np.stack([defect, np.ones(grid.shape)]), [u])[:, 0]
     return float(defect_norm / unorm) if unorm else 0.0
 
 
@@ -269,29 +268,30 @@ def certify_growth(s: SymbolSeq, n_list: Sequence[int], omega: float, b: float,
 
     For diagonal operators the L^2 operator norm is the max of the factor
     magnitude over the grid frequencies, so both bounds are exact maxima
-    over (sample set) x (grid modes).  A lambda sample on the numerical
-    spectrum raises ``ResolventSingularityError`` from
+    over (sample set) x (grid modes), one block per index.  A lambda sample
+    on the numerical spectrum raises ``ResolventSingularityError`` from
     :func:`resolvent_factor`, naming lambda, xi and n.  The moderateness
     exponent of M_n is fitted when at least ``MIN_FIT_INDICES`` indices are
     given.
     """
     cert = GrowthCertificate(omega=omega, b=b, n_list=list(n_list))
-    for lam in lambda_samples:
-        if not complex(lam).real > omega:
+    lams = [complex(lam) for lam in lambda_samples]
+    for lam in lams:
+        if not lam.real > omega:
             raise ValueError(f"lambda sample {lam} has Re <= omega = {omega}")
+    times = np.asarray(t_samples, dtype=float)
+    if np.any(times <= 0):
+        raise ValueError("t samples must be positive")
+    # the weights are >= 0, so weighting every mode keeps the max of each sample exact
+    lam_weights = sample_axis([abs(lam) ** b for lam in lams], grid)
+    t_weights = sample_axis(np.exp(-omega * times) * times ** (-b), grid)
+    times = sample_axis(times, grid)
     for n in n_list:
-        a = s.on_grid(n, grid)
-        m_res = []
-        for lam in map(complex, lambda_samples):
-            m_res.append(abs(lam) ** b * np.max(np.abs(resolvent_factor(s, n, lam, grid))))
-        m_sg = []
-        for t in t_samples:
-            if t <= 0:
-                raise ValueError("t samples must be positive")
-            m_sg.append(np.exp(-omega * t) * t ** (-b) * np.max(np.abs(phi(t, a))))
+        res = lam_weights * np.abs(resolvent_factor(s, n, lams, grid))
+        sg = t_weights * np.abs(phi(times, s.on_grid(n, grid)))
         # np.max keeps a NaN bound, which the builtin max would read as 0
-        cert.resolvent_bounds[n] = float(np.max(m_res))
-        cert.semigroup_bounds[n] = float(np.max(m_sg))
+        cert.resolvent_bounds[n] = float(np.max(res))
+        cert.semigroup_bounds[n] = float(np.max(sg))
     if len(n_list) >= MIN_FIT_INDICES:
         cert.resolvent_fit = fit_moderate(cert.resolvent_bounds)
     return cert

@@ -23,7 +23,7 @@ from semigrouplab.perturbation import (BoundedMultiplierSeq, constant_coefficien
 from semigrouplab.quadrature import composite_gauss_points, trapezoid_weights
 from semigrouplab.semigroup import (apply_S, bromwich_S,
                                     laplace_identity_residual, phi,
-                                    phi_at_times, pseudoresolvent_residual)
+                                    pseudoresolvent_residual)
 from semigrouplab.spectral import (DistributionRep, Grid, GridFunction,
                                    lp_norm, mollify)
 from semigrouplab.symbols import heat_symbol_seq, make_fractional_symbol_seq
@@ -74,7 +74,7 @@ def test_criterion_03_functional_equation():
         a = radius * np.exp(1j * angle)
         lhs = complex(phi(t, a) * phi(s, a))
         pts, wts = composite_gauss_points(0.0, s, panels=64)
-        rhs = complex(np.sum(wts * (phi_at_times(t + pts, a) - phi_at_times(pts, a))))
+        rhs = complex(np.sum(wts * (phi(t + pts, a) - phi(pts, a))))
         worst = max(worst, abs(lhs - rhs))
     record("03 functional equation", worst < 1e-8, f"max residual {worst:.3e}")
 
@@ -194,7 +194,7 @@ def test_criterion_10_perturbation_oracle():
         b = rb * np.exp(1j * tb)
         t = rng.uniform(0.01, 5.0)
         pts, wts = composite_gauss_points(0.0, t, panels=64)
-        integral = np.sum(wts * np.exp(pts * b) * phi_at_times(pts, a))
+        integral = np.sum(wts * np.exp(pts * b) * phi(pts, a))
         quad = np.exp(t * b) * phi(t, a) - b * integral
         worst = max(worst, abs(complex(quad) - complex(phi(t, a + b))))
 

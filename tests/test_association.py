@@ -1,10 +1,12 @@
 """Moderateness fits, association verdicts, theorem cross-checks, derivative engine."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from semigrouplab.association import (AssociationReport, bundled_family_pairs,
+from semigrouplab import association
+from semigrouplab.association import (SUITE_T_SAMPLES, AssociationReport, bundled_family_pairs,
                                       bundled_test_sequences, check_derivative_bounds,
                                       check_derivative_association, check_resolvent_norm_bounds,
                                       check_generator_association,
@@ -15,9 +17,11 @@ from semigrouplab.association import (AssociationReport, bundled_family_pairs,
                                       is_moderate_fit, make_association_report,
                                       resolvent_over_lambda_derivative)
 from semigrouplab.errors import InsufficientDataError, ResolventSingularityError
+from semigrouplab.semigroup import certify_growth, multiplier_norms, phi, resolvent_factor
 from semigrouplab.spectral import Grid, GridFunction, mollifier, lp_norm
 from semigrouplab.symbols import (perturbed_heat_seq,
-                                  heat_symbol_seq, make_poly_symbol_seq,
+                                  heat_symbol_seq, make_fractional_symbol_seq,
+                                  make_poly_symbol_seq,
                                   shifted_symbol_seq)
 
 
@@ -238,6 +242,66 @@ def test_no_samples_is_not_a_verdict(label, heat, drifted, grid, gaussian_seq):
     # a sup over nothing is not a zero difference
     with pytest.raises(ValueError, match=f"^{label}: no "):
         EMPTY_SAMPLE_CHECKS[label](heat, drifted, grid, gaussian_seq)
+
+
+class TestBlockKernel:
+    """Each association sup is one (samples x modes) factor block per index."""
+
+    def test_semigroup_check_makes_one_block_per_index(self, monkeypatch, heat, drifted, grid,
+                                                       gaussian_seq):
+        counts = Counter()
+
+        def counting(name):
+            fn = getattr(association, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("phi", "multiplier_norms"):
+            monkeypatch.setattr(association, name, counting(name))
+        check_semigroup_association(heat, drifted, 1.0, SUITE_T_SAMPLES, [gaussian_seq], grid,
+                                    N_LIST)
+        assert counts == {"phi": 2 * len(N_LIST), "multiplier_norms": len(N_LIST)}
+
+    def test_two_dimensional_blocks_match_per_sample_norms(self):
+        g2 = Grid(2, 3.0, 64)
+        s = make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, d=2, bound=2.0)
+        s_tilde = shifted_symbol_seq(s, lambda n, v: np.exp(-np.sum(v * v, axis=-1)) / n,
+                                     re_bound_shift=1.0)
+        x = GridFunction.gaussian(g2)
+        n_list, omega, b = [2, 4, 8, 16], 3.0, 1.0
+        times, lams = [0.25, 1.0, 3.0], [4.0, 4.0 + 5j, 13.0]
+
+        def per_sample(factor, samples):
+            return [max(multiplier_norms(factor(n, sample)[None], [x])[0, 0]
+                        for sample in samples) for n in n_list]
+
+        def diff(n, lam):
+            return resolvent_factor(s, n, lam, g2) - resolvent_factor(s_tilde, n, lam, g2)
+
+        cases = [
+            (check_generator_association(s, s_tilde, [lambda n: x], g2, n_list),
+             per_sample(lambda n, _: s.on_grid(n, g2) - s_tilde.on_grid(n, g2), [None])),
+            (check_resolvent_association(s, s_tilde, lams, [lambda n: x], g2, n_list),
+             per_sample(diff, lams)),
+            (check_weighted_resolvent_association(s, s_tilde, omega, b, lams, [lambda n: x],
+                                                  g2, n_list),
+             per_sample(lambda n, lam: lam**b * diff(n, lam), lams)),
+            (check_semigroup_association(s, s_tilde, omega, times, [lambda n: x], g2, n_list),
+             per_sample(lambda n, t: math.exp(-omega * t)
+                        * (phi(t, s.on_grid(n, g2)) - phi(t, s_tilde.on_grid(n, g2))), times)),
+        ]
+        for report, expected in cases:
+            assert report.norms == pytest.approx(expected, rel=1e-14, abs=0.0)
+        cert = certify_growth(s, n_list, omega, b, lams, times, g2)
+        for n in n_list:
+            assert cert.resolvent_bounds[n] == max(
+                abs(lam) ** b * np.max(np.abs(resolvent_factor(s, n, lam, g2))) for lam in lams)
+            assert cert.semigroup_bounds[n] == max(
+                np.exp(-omega * t) * t ** (-b) * np.max(np.abs(phi(t, s.on_grid(n, g2))))
+                for t in times)
 
 
 class TestCrosscheck:

@@ -170,6 +170,22 @@ class TestVerifyBlocks:
         assert max(peaks) <= 8 * 2**20, [f"{p / 2**20:.1f} MiB" for p in peaks]
 
 
+def test_laplace_suite_samples_complex_lambda_as_given():
+    cfg = dataclasses.replace(FAST_VERIFY, lambda_samples=(2.0 + 5j,))
+    grid, s = cli.build_grid(cfg), cli.build_family(cfg)
+    u = GridFunction.gaussian(grid)
+    omega = max(0.0, s.re_bound)
+
+    def direct(lam):
+        return max(semigroup.laplace_identity_residual(s, n, lam, u, 40.0 / (lam.real - omega),
+                                                       panels=64)
+                   for n in cfg.n_list[:2])
+
+    worst = cli._suite_laplace(cfg, grid, s).worst
+    assert worst == direct(2.0 + 5j)
+    assert worst != direct(2.0 + 0j)
+
+
 def nan_on_second_call(monkeypatch, name):
     """Patch ``cli.<name>`` so its second call returns NaN values.
 
@@ -203,7 +219,7 @@ NAN_SITES = {
     "pseudoresolvent": ("pseudoresolvent_residual",
                         lambda out: _verify_status("pseudoresolvent", None), "FAIL"),
     "bromwich": ("lp_norm", lambda out: _verify_status("bromwich"), "FAIL"),
-    "perturbation-oracle": ("phi_at_times",
+    "perturbation-oracle": ("phi",
                             lambda out: cli.run_perturb(FAST_PERTURB, out), 1),
 }
 
@@ -232,10 +248,13 @@ def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
     # the Laplace suite needs Re lambda > omega = 0 for the default heat family
     ("verify", f"[lambda]\nlambda_samples = {samples}\n", ("lambda_samples",))
     for samples in ("0.0, 10.0", "0+5j, 10.0", "-1.0", "2.0, -4.0")
+] + [
+    # the drift comparison has sup Re a_n = 1, so omega + 2 would sample left of it
+    (command, "[growth]\nomega = -5\n", ("omega",)) for command in ("associate", "perturb")
 ], ids=["solve-three", "associate-three", "perturb-three", "solve-unresolved", "mollifier",
         "solve-2d"] + [f"{command}-unbounded-poly" for command in COMMANDS]
    + ["verify-lambda-zero", "verify-lambda-imaginary", "verify-lambda-negative",
-      "verify-lambda-second"])
+      "verify-lambda-second", "associate-omega-below-bound", "perturb-omega-below-bound"])
 def test_bad_config_exits_2_naming_fields(tmp_path, capsys, command, text, names):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -346,6 +365,15 @@ class TestPerturbGrowthCommands:
                      "--out", str(tmp_path / "p")])
         assert code == 0
         summary = (tmp_path / "p" / "perturb_summary.txt").read_text()
+        assert "claim 2 perturbed pair: associated" in summary
+
+    def test_perturb_on_a_two_dimensional_grid(self, tmp_path):
+        cfg = dataclasses.replace(default_config("perturb"), dimension=2, half_width=3.0,
+                                  points=16, n_list=(1, 2, 3, 4))
+        code = main(["perturb", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "p2")])
+        assert code == 0
+        summary = (tmp_path / "p2" / "perturb_summary.txt").read_text()
         assert "claim 2 perturbed pair: associated" in summary
 
     def test_growth_writes_certificate(self, tmp_path):

@@ -10,8 +10,7 @@ from semigrouplab.perturbation import (PERTURBATION_PANELS, BoundedMultiplierSeq
                                        perturbation_quadrature, perturbed_factor,
                                        perturbation_claims_suite, summed_symbol_seq)
 from semigrouplab.quadrature import composite_gauss_points
-from semigrouplab.semigroup import (MultiplierOp, integrated_factor, phi,
-                                    phi_at_times, resolvent_factor)
+from semigrouplab.semigroup import MultiplierOp, integrated_factor, phi, resolvent_factor
 from semigrouplab.spectral import Grid, GridFunction, lp_norm
 from semigrouplab.symbols import heat_symbol_seq, make_poly_symbol_seq, perturbed_heat_seq
 
@@ -83,7 +82,7 @@ def plain_quadrature(t, a, b):
     cancel down to phi(t, a + b), so rounding is relative to that sum.
     """
     pts, wts = composite_gauss_points(0.0, t, PERTURBATION_PANELS)
-    terms = wts * np.exp(pts * b) * phi_at_times(pts, a)
+    terms = wts * np.exp(pts * b) * phi(pts, a)
     first = np.exp(t * b) * phi(t, a)
     return first - b * np.sum(terms), abs(first) + abs(b) * np.sum(np.abs(terms))
 

@@ -9,8 +9,8 @@ from semigrouplab.semigroup import (MultiplierOp, apply_S,
                                     bromwich_S, certify_growth,
                                     integrated_factor,
                                     laplace_identity_residual, multiplier_norms,
-                                    phi, phi_at_times,
-                                    pseudoresolvent_residual, resolvent_factor)
+                                    phi, pseudoresolvent_residual, resolvent_factor,
+                                    sample_axis)
 from semigrouplab.spectral import (Grid, GridFunction, inverse_transform,
                                    lp_norm)
 from semigrouplab.quadrature import trapezoid_weights
@@ -78,17 +78,43 @@ class TestPhi:
         assert out.shape == a.shape
         assert np.array_equal(out, np.array([complex(phi(t, x)) for x in a]))
 
-    def test_phi_at_times_broadcast_shape(self):
-        times = np.array([0.0, 1e-7, 0.5, 2.0])
-        a = np.array([-4.0 + 1j, 2e-7, 0.3j])
-        out = phi_at_times(times[:, None], a[None])
-        assert out.shape == (4, 3)
-        for i, t in enumerate(times):
-            assert np.allclose(out[i], phi(t, a), rtol=1e-14, atol=0.0)
-        # a prefilled output buffer is filled with the same bytes and returned
-        buf = np.full((4, 3), np.nan + 0j)
-        assert phi_at_times(times[:, None], a[None], out=buf) is buf
-        assert buf.tobytes() == out.tobytes()
+    def test_time_axis_matches_scalar_calls(self):
+        # each row of a batched call is bitwise the scalar-t call, with entries
+        # one ulp either side of both branch crossovers |ta| = 1e-6 and 1 for every
+        # nonzero time, and non-finite entries; a positive real part only where
+        # e^(2a) stays finite
+        times = np.array([0.0, 1e-7, 0.37, 1.0, 2.0])
+        edges = [s * np.nextafter(edge / t, side) for t in times[1:] for edge in (1e-6, 1.0)
+                 for side in (0.0, np.inf)
+                 for s in (-1.0, 1j, -0.6 + 0.8j) + ((1.0, 0.6 + 0.8j) if t > 0.1 else ())]
+        a = np.array(edges + [0.0, np.nan, complex(np.nan, 1.0), -40.0 + 3.0j, 25j])
+        with np.errstate(invalid="ignore"):
+            out = phi(times[:, None], a)
+            stacked = np.stack([phi(t, a) for t in times])
+            assert out.shape == (len(times), len(a))
+            assert out.tobytes() == stacked.tobytes()
+            # a prefilled output buffer is filled with the same bytes and returned
+            buf = np.full(out.shape, 7.0 + 7.0j)
+            assert phi(times[:, None], a, out=buf) is buf
+            assert buf.tobytes() == out.tobytes()
+
+    def test_time_axis_on_a_two_dimensional_grid(self, heat):
+        g2 = Grid(2, 3.0, 16)
+        times = np.array([0.1, 0.5, 3.0])
+        a = heat.on_grid(2, g2)
+        out = phi(sample_axis(times, g2), a)
+        assert out.shape == (3,) + g2.shape
+        assert out.tobytes() == np.stack([phi(t, a) for t in times]).tobytes()
+
+    def test_overflow_in_one_row_raises_naming_its_time(self):
+        a = np.array([-1.0, 0.5j, 400.0, 1e-8])
+        phi(1.0, a)  # e^400 is finite; only the t = 2.5 row overflows
+        with pytest.raises(OverflowGuardError, match=r"t=2\.5"):
+            phi(np.array([[0.5], [1.0], [2.5], [0.1]]), a)
+
+    def test_negative_time_in_a_batch_rejected(self):
+        with pytest.raises(ValueError, match="-0.5"):
+            phi(np.array([[1.0], [-0.5]]), np.array([1.0, 2.0]))
 
     def test_single_overflowing_entry_raises(self):
         for out in (None, np.empty(4, dtype=complex)):
@@ -169,7 +195,7 @@ class TestMultiplierNorms:
         zero_at = min(zero_at, n_factors)
         factors.insert(zero_at, np.zeros(grid.shape, dtype=complex))
         us = [GridFunction(grid, v) for v in data.draw(grid_fields(grid, 2))]
-        out = multiplier_norms(iter(factors), us)
+        out = multiplier_norms(np.stack(factors), us)
         assert out.shape == (len(factors), len(us))
         assert np.all(out[zero_at] == 0.0)
         for i, d in enumerate(factors):
@@ -179,9 +205,12 @@ class TestMultiplierNorms:
 
     def test_rejects_mismatched_shapes(self, grid, gaussian):
         with pytest.raises(ValueError, match="factor shape"):
-            multiplier_norms([np.ones(7)], [gaussian])
+            multiplier_norms(np.ones((1, 7)), [gaussian])
+        with pytest.raises(ValueError, match="factor shape"):
+            # one factor without the leading sample axis
+            multiplier_norms(np.ones(grid.shape), [gaussian])
         with pytest.raises(ValueError, match="different grids"):
-            multiplier_norms([np.ones(grid.shape)],
+            multiplier_norms(np.ones((1,) + grid.shape),
                              [gaussian, GridFunction.gaussian(Grid(1, 4.0, 256))])
 
 
@@ -215,6 +244,19 @@ class TestResolvent:
         with pytest.raises(ResolventSingularityError):
             resolvent_factor(heat, 1, -xi_k**2, grid)
 
+    def test_lambda_axis_matches_scalar_calls(self, heat, grid):
+        lams = [2.0, 0.5 + 3j, 17.0 - 1j]
+        out = resolvent_factor(heat, 3, lams, grid)
+        assert out.shape == (3,) + grid.shape
+        assert out.tobytes() == np.stack([resolvent_factor(heat, 3, lam, grid)
+                                          for lam in lams]).tobytes()
+
+    def test_lambda_axis_names_the_offending_lambda(self, heat, grid):
+        # a_4(0) = 0, so the second lambda hits the spectrum at xi = 0
+        with pytest.raises(ResolventSingularityError,
+                           match=r"lambda=0\.0 within .* xi=\[0\.\] \(n=4\)"):
+            resolvent_factor(heat, 4, [2.0, 0.0, 3.0], grid)
+
 
 class TestLaplaceIdentity:
     def test_heat_reference_lambda(self, heat, gaussian):
@@ -229,6 +271,14 @@ class TestLaplaceIdentity:
     def test_large_lambda(self, heat, gaussian):
         res = laplace_identity_residual(heat, 1, 1000.0, gaussian, T=0.04, panels=64)
         assert res < 1e-8
+
+    def test_complex_lambda(self, heat, gaussian):
+        res = laplace_identity_residual(heat, 1, 2.0 + 5j, gaussian, T=20.0, panels=64)
+        assert res < 1e-8
+        assert res != laplace_identity_residual(heat, 1, 2.0, gaussian, T=20.0, panels=64)
+        # Re lambda = 0 = sup Re a_1, so the transform does not converge
+        with pytest.raises(ValueError, match="Re lambda"):
+            laplace_identity_residual(heat, 1, 5j, gaussian, T=20.0, panels=64)
 
     def test_truncation_guard(self, heat, gaussian):
         with pytest.raises(ValueError, match="truncation"):
