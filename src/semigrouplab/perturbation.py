@@ -11,25 +11,9 @@ i.e. the perturbed family is the integrated semigroup of the summed symbol.
 The claims suite works with that closed form, through ``summed_symbol_seq``.
 
 The quadrature form is kept as the oracle the closed form is tested against:
-``perturbation_quadrature`` evaluates it on broadcast arrays with the
-composite Gauss-Legendre rule (``PERTURBATION_PANELS`` panels of width
-h = t/PERTURBATION_PANELS, ``GAUSS_NODES_PER_PANEL`` nodes each).  With the
-panels split as PERTURBATION_PANELS = coarse x fine, a node is a sum of three
-levels, s = c_i + f_j + r_q: a coarse start c_i = i fine h, a fine start
-f_j = j h and an in-panel offset r_q = h (1 + x_q)/2.  Per level the sums
-
-    E = sum w e^(s b),   P = sum w e^(s b) phi(s, a),   X = sum w e^(s a) e^(s b)
-
-(w = 1 on the two start levels, the Gauss weights on the offsets) combine as
-
-    (E, P, X) . (e, p, x) = (E e, P e + X p, X x),
-
-which is exact by the functional equation phi(u + v, a) = phi(u, a)
-+ e^(u a) phi(v, a) and e^((u + v) b) = e^(u b) e^(v b).  So the sum over all
-nodes needs exp and phi at coarse + fine + GAUSS_NODES_PER_PANEL points only,
-plus t for the boundary term.  ``perturbed_factor``, which takes a sequence of
-times and returns one row per time, and the ``verify`` perturbation suite both
-call it.
+``perturbation_quadrature`` takes its s-integral from ``semigroup.time_integral``
+on ``PERTURBATION_PANELS`` panels.  ``perturbed_factor`` (one row per time) and
+the ``verify`` perturbation suite both call it.
 """
 from __future__ import annotations
 
@@ -44,8 +28,7 @@ from .association import (SUITE_T_SAMPLES, AssociationReport, bundled_test_seque
                           check_weighted_resolvent_association,
                           make_association_report)
 from .errors import OverflowGuardError
-from .quadrature import GAUSS_NODES_PER_PANEL, _gauss_rule
-from .semigroup import EXP_GUARD, GrowthCertificate, certify_growth, phi
+from .semigroup import EXP_GUARD, GrowthCertificate, certify_growth, phi, time_integral
 from .spectral import Grid, GridFunction
 from .symbols import (SymbolSeq, make_poly_symbol_seq, perturbed_heat_seq, poly_sup_re,
                       shifted_symbol_seq)
@@ -91,41 +74,12 @@ class BoundedMultiplierSeq:
 def perturbation_quadrature(t, a, b) -> np.ndarray:
     """e^(tb) phi(t,a) - b int_0^t e^(sb) phi(s,a) ds by the composite Gauss rule.
 
-    ``t``, ``a`` and ``b`` broadcast against each other (t >= 0).  The node
-    set is folded over its three levels as in the module docstring: the
-    s-integral is the P of (E, P, X)_coarse . (E, P, X)_fine . (E, P)_offsets,
-    so exp and phi run on coarse + fine + GAUSS_NODES_PER_PANEL + 1 points per
-    entry (8 + 8 + 12 + 1 for 64 panels) instead of one per node.  Nothing is
-    evaluated at a + b, so the result stays independent of the closed form
-    phi(t, a + b).  An overflow raises ``OverflowGuardError``.
+    ``t``, ``a`` and ``b`` broadcast (t >= 0).  Nothing is evaluated at a + b, so
+    the result stays independent of phi(t, a + b).  Overflows raise ``OverflowGuardError``.
     """
-    t, a, b = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(a, dtype=complex),
-                                  np.asarray(b, dtype=complex))
-    # PERTURBATION_PANELS = coarse x fine, as square as the panel count allows
-    fine = next(d for d in range(math.isqrt(PERTURBATION_PANELS), 0, -1)
-                if PERTURBATION_PANELS % d == 0)
-    coarse = PERTURBATION_PANELS // fine
-    gx, gw = _gauss_rule(GAUSS_NODES_PER_PANEL)
-    starts = np.concatenate([fine * np.arange(coarse), np.arange(fine)])
-    h = t / PERTURBATION_PANELS
-    # coarse starts, fine starts and offsets, then t itself for the boundary term
-    pts = np.concatenate([np.multiply.outer(np.concatenate([starts, 0.5 * (1.0 + gx)]), h),
-                          t[None]])
-    weights = np.multiply.outer(0.5 * gw, h)
-    c, f, q = slice(0, coarse), slice(coarse, starts.size), slice(starts.size, -1)
     with np.errstate(over="raise"):
         try:
-            e_b = np.exp(pts * b)
-            p_b = e_b * phi(pts, a)
-            x_b = np.exp(pts[:starts.size] * a) * e_b[:starts.size]
-            # P and X of (E, P, X)_coarse . (E, P, X)_fine
-            p_cf = (p_b[c].sum(axis=0) * e_b[f].sum(axis=0)
-                    + x_b[c].sum(axis=0) * p_b[f].sum(axis=0))
-            x_cf = x_b[c].sum(axis=0) * x_b[f].sum(axis=0)
-            # times (E, P)_offsets: its P is the s-integral
-            integral = (p_cf * np.sum(weights * e_b[q], axis=0)
-                        + x_cf * np.sum(weights * p_b[q], axis=0))
-            return p_b[-1] - b * integral
+            return np.exp(t * b) * phi(t, a) - b * time_integral(t, a, b, PERTURBATION_PANELS)
         except FloatingPointError as exc:
             raise OverflowGuardError("perturbation quadrature overflows") from exc
 
@@ -136,9 +90,8 @@ def perturbed_factor(s: SymbolSeq, B: BoundedMultiplierSeq, n: int, times: Seque
 
     Returns shape ``(len(times),) + grid.shape``.  a_n and b_n are evaluated
     once, and the Re(a+b) t and Re(b) t overflow guards are checked once, at
-    the largest time.  Each time is one ``perturbation_quadrature`` call,
-    which folds the composite rule over coarse panel starts, fine panel
-    starts and Gauss offsets, so the kernel's temporaries stay one time deep.
+    the largest time.  Each time is one ``perturbation_quadrature`` call, so
+    the kernel's temporaries stay one time deep.
     A zero time gives a zero row: every node and phi(0, a) are zero.
     """
     times = np.asarray(times, dtype=float)

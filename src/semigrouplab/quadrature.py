@@ -1,15 +1,12 @@
 """Composite Gauss-Legendre quadrature helpers.
 
-The time-integral oracles of the package use one composite rule: a fixed
-number of Gauss-Legendre nodes per panel on a uniform panel split.  The
-Laplace-transform and functional-equation checks take its nodes from
-``composite_gauss_points``; the perturbation oracle
-(``perturbation.perturbation_quadrature``) applies the same rule from
-``_gauss_rule``, with each node split into a coarse panel start, a fine panel
-start and its in-panel offset, and the sum folded over those three levels.
-Twelve nodes per panel keep entire integrands with derivative scales up to
-~200 per unit length below 1e-12 absolute error at the panel widths used in
-the bundled scenarios.
+The time-integral oracles use one composite rule: ``GAUSS_NODES_PER_PANEL``
+Gauss-Legendre nodes per panel on a uniform panel split.  The functional-equation
+check takes its nodes from ``composite_gauss_points``; ``semigroup.time_integral``
+(the Laplace check and the perturbation oracle) folds the same rule from
+``_gauss_rule`` over panel starts and offsets.  Twelve nodes per panel keep
+entire integrands with derivative scales up to ~200 per unit length below 1e-12
+absolute error at the panel widths used in the bundled scenarios.
 """
 from __future__ import annotations
 

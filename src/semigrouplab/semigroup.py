@@ -7,19 +7,20 @@ a symbol a has per-mode factor
     phi(t, a) = integral_0^t exp(s a) ds = (exp(t a) - 1) / a,
 
 an entire function of a evaluated through a Taylor branch near t a = 0.  The
-resolvent factor is 1/(lambda - a).  The Laplace identity
-R(lambda) = lambda integral_0^inf exp(-lambda t) S(t) dt and the Bromwich
-contour inversion are implemented as quadratures and serve as mutual oracles.
+resolvent factor is 1/(lambda - a).  The Laplace identity R(lambda) = lambda
+integral_0^inf exp(-lambda t) S(t) dt, by ``time_integral`` at b = -lambda (the
+perturbation oracle's kernel too), and the Bromwich inversion are mutual oracles.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import OverflowGuardError, ResolventSingularityError, SymbolEvaluationError
-from .quadrature import composite_gauss_points, trapezoid_weights
+from .quadrature import GAUSS_NODES_PER_PANEL, _gauss_rule, trapezoid_weights
 from .spectral import Grid, GridFunction
 from .symbols import MIN_FIT_INDICES, SymbolSeq, fit_moderate
 
@@ -89,6 +90,48 @@ def phi(t, a, out=None) -> np.ndarray:
         z = ta[small]
         out[small] = t[small] * (1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0)
     return out
+
+
+def panel_split(panels: int):
+    """(coarse, fine, levels): panels = coarse x fine, as square as it allows, and the
+    levels = coarse + fine + GAUSS_NODES_PER_PANEL points ``time_integral`` takes per entry."""
+    if panels < 1:
+        raise ValueError(f"panels must be positive, got {panels}")
+    fine = next(d for d in range(math.isqrt(panels), 0, -1) if panels % d == 0)
+    return panels // fine, fine, panels // fine + fine + GAUSS_NODES_PER_PANEL
+
+
+def time_integral(t, a, b, panels: int) -> np.ndarray:
+    """integral_0^t e^(s b) phi(s, a) ds by the composite Gauss rule on ``panels`` panels.
+
+    ``t``, ``a`` and ``b`` broadcast (t >= 0).  With panels = coarse x fine, a
+    node is s = c + f + r: coarse start, fine start, in-panel offset.  Per level,
+    E = sum w e^(s b), P = sum w e^(s b) phi(s, a) and X = sum w e^(s a) e^(s b),
+    with w = 1 on the starts and the Gauss weights on the offsets, combine as
+    (E, P, X).(e, p, x) = (E e, P e + X p, X x), since phi(u + v, a) = phi(u, a)
+    + e^(u a) phi(v, a).  So exp and phi run on 8 + 8 + 12 points per entry for
+    64 panels, not 768.  Overflow raises ``FloatingPointError`` (phi's: ``OverflowGuardError``).
+    """
+    coarse, fine, _ = panel_split(panels)
+    gx, gw = _gauss_rule(GAUSS_NODES_PER_PANEL)
+    starts = np.concatenate([fine * np.arange(coarse), np.arange(fine)])
+    h = np.asarray(t, dtype=float) / panels
+    # a level axis in front of the broadcast dimensions, so a scalar t or b stays unexpanded
+    lead = (-1,) + (1,) * max(np.ndim(t), np.ndim(a), np.ndim(b))
+    pts = np.reshape(np.concatenate([starts, 0.5 * (1.0 + gx)]), lead) * h
+    weights = np.reshape(0.5 * gw, lead) * h
+    c, f, q = slice(0, coarse), slice(coarse, starts.size), slice(starts.size, None)
+    with np.errstate(over="raise"):
+        e_b = np.exp(pts * b)
+        p_b = e_b * phi(pts, a)
+        x_b = np.exp(pts[:starts.size] * a) * e_b[:starts.size]
+        # P and X of (E, P, X)_coarse . (E, P, X)_fine
+        p_cf = (p_b[c].sum(axis=0) * e_b[f].sum(axis=0)
+                + x_b[c].sum(axis=0) * p_b[f].sum(axis=0))
+        x_cf = x_b[c].sum(axis=0) * x_b[f].sum(axis=0)
+        # times (E, P)_offsets: its P is the integral
+        return (p_cf * np.sum(weights * e_b[q], axis=0)
+                + x_cf * np.sum(weights * p_b[q], axis=0))
 
 
 @dataclass(frozen=True)
@@ -164,10 +207,10 @@ def laplace_identity_residual(s: SymbolSeq, n: int, lam: complex, u: GridFunctio
                               T: float, panels: int) -> float:
     """Relative defect of R(lambda) u = lambda integral_0^T e^(-lambda t) S(t) u dt.
 
-    The truncated transform at a complex lambda right of sup Re a_n is
-    evaluated with the composite Gauss-Legendre rule, per mode, and compared
-    with the resolvent factor in L^2.  The caller chooses T so the dropped
-    tail is below the target (the bundled scenarios use T = 40/(Re lambda - omega)).
+    The transform is ``time_integral(T, a_n, -lambda, panels)`` on chunks of
+    ``block_rows(levels)`` modes (levels = points per mode: 256 modes are one
+    chunk); the scenarios use T = 40/(Re lambda - omega).  An overflow, or
+    T sup Re a_n > ``EXP_GUARD``, raises naming lambda, n and T.
     """
     grid = u.grid
     a = s.on_grid(n, grid)
@@ -177,30 +220,37 @@ def laplace_identity_residual(s: SymbolSeq, n: int, lam: complex, u: GridFunctio
         raise ValueError(f"need Re lambda > sup Re a_n = {omega}, got {lam}")
     if np.exp((omega - lam.real) * T) >= 1e-12:
         raise ValueError(f"T={T} leaves a truncation tail above 1e-12")
-    pts, wts = composite_gauss_points(0.0, T, panels)
-    weights = wts * np.exp(-lam * pts)
-    flat = a.reshape(-1)
-    rows = block_rows(flat.size)
-    block = np.empty((min(rows, len(pts)), flat.size), dtype=complex)
-    quad = np.zeros(flat.size, dtype=complex)
-    for i0 in range(0, len(pts), rows):
-        nodes = pts[i0:i0 + rows, None]
-        quad += weights[i0:i0 + rows] @ phi(nodes, flat, out=block[:len(nodes)])
+    stage = f"Laplace identity at lambda={lam}, n={n}, T={T:.6g}"
+    if omega * T > EXP_GUARD:  # S(T) itself overflows
+        raise OverflowGuardError(f"{stage}: T sup Re a_n = {omega * T:.4g} overflows S(T)")
+    rows = block_rows(panel_split(panels)[2])
+    try:
+        quad = np.concatenate([time_integral(T, a.flat[i0:i0 + rows], -lam, panels)
+                               for i0 in range(0, a.size, rows)])
+    except (FloatingPointError, OverflowGuardError) as exc:
+        raise OverflowGuardError(f"{stage}: {exc}") from exc
     defect = target - lam * quad.reshape(grid.shape)
     # the unit factor gives ||u||_2
     defect_norm, unorm = multiplier_norms(np.stack([defect, np.ones(grid.shape)]), [u])[:, 0]
     return float(defect_norm / unorm) if unorm else 0.0
 
 
-def pseudoresolvent_residual(s: SymbolSeq, n: int, lam: complex, mu: complex,
-                             u: GridFunction) -> float:
-    """Relative defect of R(lam) - R(mu) = (mu - lam) R(lam) R(mu) on u."""
+def pseudoresolvent_residual(s: SymbolSeq, n: int, lam, mu, u: GridFunction):
+    """Relative defect of R(lam) - R(mu) = (mu - lam) R(lam) R(mu) on u.
+
+    Two numbers give a float, equal-length sequences one residual per pair from
+    one ``resolvent_factor`` and one ``multiplier_norms`` call, whose unit factor
+    gives ||u||_2.  A zero u gives zeros; lam = mu gives exactly zero.
+    """
     grid = u.grid
-    rl, rm = resolvent_factor(s, n, [lam, mu], grid)
-    defect = rl - rm - (mu - lam) * rl * rm
-    # the unit factor gives ||u||_2
-    defect_norm, unorm = multiplier_norms(np.stack([defect, np.ones(grid.shape)]), [u])[:, 0]
-    return float(defect_norm / unorm) if unorm else 0.0
+    lams, mus = np.atleast_1d(lam), np.atleast_1d(mu)
+    if lams.ndim != 1 or lams.shape != mus.shape:
+        raise ValueError(f"lambda and mu need equal lengths, got {lams.shape} and {mus.shape}")
+    rl, rm = np.split(resolvent_factor(s, n, np.concatenate([lams, mus]), grid), 2)
+    defect = rl - rm - sample_axis(mus - lams, grid) * rl * rm
+    norms = multiplier_norms(np.concatenate([defect, np.ones((1,) + grid.shape)]), [u])[:, 0]
+    residuals = norms[:-1] / norms[-1] if norms[-1] else np.zeros_like(norms[:-1])
+    return float(residuals[0]) if np.ndim(lam) == 0 else residuals
 
 
 def bromwich_S(s: SymbolSeq, n: int, times: Sequence[float], u: GridFunction,

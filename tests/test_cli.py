@@ -1,6 +1,7 @@
 """Harness tests: config round-trip, subcommands, exit codes, determinism."""
 import dataclasses
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 
 from semigrouplab import cli, semigroup
 from semigrouplab.cli import main
-from semigrouplab.config import (ExperimentConfig, default_config, load_config,
+from semigrouplab.config import (HEAT_C2, ExperimentConfig, default_config, load_config,
                                  parse_config, serialize_config)
 from semigrouplab.errors import ConfigError
-from semigrouplab.spectral import GridFunction
+from semigrouplab.quadrature import composite_gauss_points
+from semigrouplab.spectral import Grid, GridFunction
+from semigrouplab.symbols import heat_symbol_seq
 
 COMMANDS = ("verify", "solve", "associate", "perturb", "growth")
 FAST_VERIFY = dataclasses.replace(
@@ -169,6 +172,72 @@ class TestVerifyBlocks:
                 tracemalloc.stop()
         assert max(peaks) <= 8 * 2**20, [f"{p / 2**20:.1f} MiB" for p in peaks]
 
+    def test_two_dimensional_laplace_is_small_and_matches_the_plain_rule(self, monkeypatch):
+        g2, s, n, lam, T = Grid(2, 8.0, 128), heat_symbol_seq(), 2, 2.0 + 1j, 20.0
+        u = GridFunction.gaussian(g2)
+        tracemalloc.start()
+        try:
+            res = semigroup.laplace_identity_residual(s, n, lam, u, T, panels=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"{peak / 2**20:.1f} MiB"
+        # the plain rule on all 768 nodes, 64 nodes at a time
+        a = s.on_grid(n, g2).ravel()
+        pts, wts = composite_gauss_points(0.0, T, 64)
+        quad = sum((wts[i:i + 64] * np.exp(-lam * pts[i:i + 64]))
+                   @ semigroup.phi(pts[i:i + 64, None], a) for i in range(0, len(pts), 64))
+        defect = semigroup.resolvent_factor(s, n, lam, g2) - lam * quad.reshape(g2.shape)
+        norms = semigroup.multiplier_norms(np.stack([defect, np.ones(g2.shape)]), [u])[:, 0]
+        assert abs(res - norms[0] / norms[1]) <= 1e-14
+        # phi runs on coarse + fine + Gauss points per mode, 8 + 8 + 12, never on 768
+        entries = []
+        phi = semigroup.phi
+
+        def counted(t, a, out=None):
+            entries.append(np.broadcast(t, a).size)
+            return phi(t, a, out=out)
+
+        monkeypatch.setattr(semigroup, "phi", counted)
+        assert semigroup.laplace_identity_residual(s, n, lam, u, T, panels=64) == res
+        assert 0 < sum(entries) <= 29 * g2.shape[0] * g2.shape[1]
+
+
+def test_pseudoresolvent_suite_makes_one_block_per_index(monkeypatch):
+    counts = Counter()
+
+    def counting(name):
+        fn = getattr(semigroup, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("resolvent_factor", "multiplier_norms"):
+        monkeypatch.setattr(semigroup, name, counting(name))
+    grid, s = cli.build_grid(FAST_VERIFY), cli.build_family(FAST_VERIFY)
+    s_tilde = cli.build_comparison_family(FAST_VERIFY, s)
+    assert s_tilde is not None
+    assert cli._suite_pseudoresolvent(FAST_VERIFY, grid, s, s_tilde).passed
+    # two families times two indices, for the 50 (lambda, mu) pairs
+    assert counts == {"resolvent_factor": 4, "multiplier_norms": 4}
+
+
+def test_laplace_overflow_names_the_stage(tmp_path, capsys):
+    # sup Re a = 1.9 < 2, so lambda = 2 is valid, and T = 40/(2 - 1.9) = 400;
+    # S(400) carries e^(1.9 * 400), past the exp overflow guard
+    cfg = dataclasses.replace(default_config("verify"),
+                              coeffs=(1.9 + 0j, 0j, complex(HEAT_C2)))
+    code = main(["verify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert ("error: OverflowGuardError: Laplace identity at lambda=(2+0j), n=4, T=400: "
+            "T sup Re a_n = 760 overflows S(T)") in out.splitlines()
+    assert "Traceback" not in out + err
+    assert "laplace-identity" not in out
+    assert "laplace-identity" not in (tmp_path / "verify.csv").read_text()
+
 
 def test_laplace_suite_samples_complex_lambda_as_given():
     cfg = dataclasses.replace(FAST_VERIFY, lambda_samples=(2.0 + 5j,))
@@ -189,9 +258,12 @@ def test_laplace_suite_samples_complex_lambda_as_given():
 def nan_on_second_call(monkeypatch, name):
     """Patch ``cli.<name>`` so its second call returns NaN values.
 
-    Every site makes at least three calls, so the NaN lands mid-list: the
-    builtin ``max`` over a list keeps only a leading NaN and a running
-    ``max(worst, v)`` keeps none, so only a NaN-keeping sup reports it.
+    Every site makes at least two calls, so the NaN never leads the list: the
+    pseudoresolvent site makes two on ``FAST_VERIFY`` (one block of pairs per
+    index), so there it lands last, and the others make three or more.  The
+    builtin ``max`` over a list keeps only a leading NaN (``max([x, nan])``
+    is x) and a running ``max(worst, v)`` keeps none, so only a NaN-keeping
+    sup such as ``np.max`` reports it.
     """
     original, calls = getattr(cli, name), []
 

@@ -10,10 +10,10 @@ from semigrouplab.semigroup import (MultiplierOp, apply_S,
                                     integrated_factor,
                                     laplace_identity_residual, multiplier_norms,
                                     phi, pseudoresolvent_residual, resolvent_factor,
-                                    sample_axis)
+                                    sample_axis, time_integral)
 from semigrouplab.spectral import (Grid, GridFunction, inverse_transform,
                                    lp_norm)
-from semigrouplab.quadrature import trapezoid_weights
+from semigrouplab.quadrature import composite_gauss_points, trapezoid_weights
 from semigrouplab.symbols import (perturbed_heat_seq,
                                   heat_symbol_seq, make_fractional_symbol_seq,
                                   make_poly_symbol_seq)
@@ -284,6 +284,18 @@ class TestLaplaceIdentity:
         with pytest.raises(ValueError, match="truncation"):
             laplace_identity_residual(heat, 1, 2.0, gaussian, T=1.0, panels=8)
 
+    def test_overflow_raises_naming_lambda_n_and_T(self, gaussian):
+        # e^(-lambda s) overflows near s = T = 400 although e^((a - lambda) s) decays:
+        # the kernel's FloatingPointError becomes the named guard error, never an inf
+        s = make_poly_symbol_seq(lambda n: (-5.0, 0.0, 0.025), name="shifted")
+        with pytest.raises(OverflowGuardError,
+                           match=r"^Laplace identity at lambda=\(-4\.9\+0j\), n=1, T=400: "):
+            laplace_identity_residual(s, 1, -4.9 + 0j, gaussian, T=400.0, panels=64)
+        # S(T) itself overflows: sup Re a_n T = 1.9 x 400 is past EXP_GUARD
+        s = make_poly_symbol_seq(lambda n: (1.9, 0.0, 0.025), name="growing")
+        with pytest.raises(OverflowGuardError, match=r"n=1, T=400: T sup Re a_n = 760 "):
+            laplace_identity_residual(s, 1, 2.0 + 0j, gaussian, T=400.0, panels=64)
+
     def test_quadrature_convergence_order(self, heat, gaussian):
         # composite Gauss-Legendre error drops at order >= 4 in the panel count
         errs = []
@@ -295,9 +307,85 @@ class TestLaplaceIdentity:
         assert min(order1, order2) >= 4.0
 
 
+def plain_time_integral(T, a, lam, panels):
+    """integral_0^T e^(-lambda s) phi(s, a) ds with every node of the composite rule.
+
+    Returns the value and the sum of the magnitudes of its terms, per entry of a.
+    """
+    pts, wts = composite_gauss_points(0.0, T, panels)
+    terms = (wts * np.exp(-lam * pts))[:, None] * phi(pts[:, None], np.ravel(a))
+    return (terms.sum(axis=0).reshape(np.shape(a)),
+            np.abs(terms).sum(axis=0).reshape(np.shape(a)))
+
+
+@st.composite
+def laplace_cases(draw, shape):
+    # |a| <= 100 with Re a T <= 5, and Re lambda > 0 as the Laplace check needs; T <= 5
+    # as for the perturbation oracle, since a node's rounding moves e^(s a) by |s a| ulps
+    T = draw(st.floats(0.0, 5.0))
+    size = int(np.prod(shape))
+    mag = np.array(draw(st.lists(st.floats(0.0, 100.0), min_size=size, max_size=size)))
+    ang = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=size, max_size=size)))
+    a = (mag * np.exp(1j * ang)).reshape(shape)
+    if T > 0:
+        a = np.minimum(a.real, 5.0 / T) + 1j * a.imag
+    lam = complex(draw(st.floats(0.01, 100.0)),
+                  draw(st.just(0.0) | st.floats(-50.0, 50.0)))
+    return T, a, lam
+
+
+class TestTimeIntegral:
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.sampled_from([(), (3,), (2, 3)]), panels=st.sampled_from([1, 2, 4, 64]),
+           data=st.data())
+    def test_matches_plain_quadrature(self, shape, panels, data):
+        # the Laplace check's integral, b = -lambda, against the unfolded rule
+        T, a, lam = data.draw(laplace_cases(shape))
+        out = time_integral(T, a, -lam, panels)
+        assert out.shape == shape
+        ref, magnitude = plain_time_integral(T, a, lam, panels)
+        # the floor covers subnormal terms, whose rounding is absolute
+        assert np.all(np.abs(out - ref) <= 1e-13 * magnitude + 1e-300)
+
+    def test_rejects_a_non_positive_panel_count(self):
+        with pytest.raises(ValueError, match="panels"):
+            time_integral(1.0, -1.0, -2.0, 0)
+
+
 class TestPseudoresolvent:
     def test_equal_arguments_exact_zero(self, heat, gaussian):
         assert pseudoresolvent_residual(heat, 1, 2.0, 2.0, gaussian) == 0.0
+
+    @pytest.mark.parametrize("case", ["heat", "fractional", "heat-2d"])
+    def test_pairs_match_scalar_calls(self, heat, grid, case):
+        if case == "fractional":
+            s = make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, d=1, bound=2.0)
+        else:
+            s = heat
+        g = Grid(2, 3.0, 16) if case == "heat-2d" else grid
+        rng = np.random.default_rng(11)
+        u = GridFunction(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        lams = [2.0, 3.0 + 4j, 40.0 - 7j, 2.5 + 1j]
+        mus = [5.0, 0.5 - 2j, 3.0 + 4j, 2.5 + 1j]
+        out = pseudoresolvent_residual(s, 2, lams, mus, u)
+        assert out.shape == (len(lams),)
+        assert out[-1] == 0.0
+        for lam, mu, value in zip(lams, mus, out):
+            assert value == pytest.approx(pseudoresolvent_residual(s, 2, lam, mu, u),
+                                          rel=1e-14, abs=0.0)
+
+    def test_pairs_on_zero_input_and_equal_arguments_are_exact_zeros(self, heat, grid,
+                                                                    gaussian):
+        lams = np.array([2.0, 3.0 + 4j, 40.0 - 7j])
+        assert pseudoresolvent_residual(heat, 1, 2.0, 5.0, GridFunction.zero(grid)) == 0.0
+        zero = pseudoresolvent_residual(heat, 1, lams, lams[::-1], GridFunction.zero(grid))
+        assert zero.tolist() == [0.0, 0.0, 0.0]
+        same = pseudoresolvent_residual(heat, 1, lams, lams.copy(), gaussian)
+        assert same.tolist() == [0.0, 0.0, 0.0]
+
+    def test_pairs_need_equal_lengths(self, heat, gaussian):
+        with pytest.raises(ValueError, match="equal lengths"):
+            pseudoresolvent_residual(heat, 1, [2.0, 3.0], [5.0], gaussian)
 
     def test_heat_random_input(self, heat, grid):
         rng = np.random.default_rng(7)
