@@ -17,9 +17,9 @@ hold by construction; they are recorded as structural facts and only the
 quantitative decay conditions are measured.
 
 Every check is a sup over sampled t, lambda or k of ||F^-1(d F x_n)||_2 for the
-difference factors d of the two families, one (samples x modes) block per n.
-The norms come from Parseval (:func:`semigroup.multiplier_norms`), with one FFT
-per (test sequence, n) and one matrix product per block.
+difference factors d.  A level maps (n, a_n, a~_n) to its (samples,) + grid.shape block
+of d.  :func:`_sup_association` is one pass per n for all levels of a pair: a_n and a~_n
+once, one FFT per test sequence, one Parseval product (:func:`semigroup.multiplier_norms`).
 The log-log fits over n are :func:`symbols.fit_moderate` and
 :func:`symbols.is_moderate_fit`.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -103,43 +103,59 @@ def make_association_report(indices: Sequence[int], norms: Sequence[float],
                              r_squared=fit.r_squared, tol_assoc=tol_assoc, label=label)
 
 
-def _combine_reports(reports: List[AssociationReport], label: str) -> AssociationReport:
-    """Envelope norms plus the most severe per-sequence verdict."""
-    if len(reports) == 1:
-        out = reports[0]
-        out.label = label or out.label
-        return out
-    indices = reports[0].indices
-    envelope = [max(r.norms[i] for r in reports) for i in range(len(indices))]
-    out = make_association_report(indices, envelope, label)
-    out.verdict = max(reports, key=lambda r: _SEVERITY[r.verdict]).verdict
-    return out
-
-
 TestSequence = Callable[[int], GridFunction]
 
 
-def _sup_association(factors_for: Callable[[int], np.ndarray],
-                     test_seqs: Sequence[TestSequence], n_list: Sequence[int],
-                     label: str) -> AssociationReport:
-    """Verdict on sup over the rows d of ``factors_for(n)`` of ||F^-1(d F x_n)||_2.
+def _sup_association(s: SymbolSeq, s_tilde: SymbolSeq, levels: Mapping[str, Callable],
+                     test_seqs: Sequence[TestSequence], grid: Grid,
+                     n_list: Sequence[int]) -> Dict[str, AssociationReport]:
+    """One report per level label: sup over its rows d of ||F^-1(d F x_n)||_2.
 
-    Each n's block, of shape (samples,) + grid.shape, is built once for all
-    test sequences.  A NaN norm is kept, so :func:`make_association_report`
-    rejects it.
+    A report's norms are the envelope over the test sequences, and its verdict is
+    the most severe per-sequence verdict.  A NaN norm is kept, so
+    :func:`make_association_report` rejects it.
     """
     if not test_seqs:
-        raise ValueError(f"{label}: no test sequences")
-    sups = []
+        raise ValueError(f"{', '.join(levels)}: no test sequences")
+    sups: Dict[str, list] = {label: [] for label in levels}
     for n in n_list:
-        norms = multiplier_norms(factors_for(n), [seq(n) for seq in test_seqs])
-        if not len(norms):
-            raise ValueError(f"{label}: no samples")
-        sups.append(np.max(norms, axis=0))  # np.max keeps a NaN
-    reports = [make_association_report(n_list, [sup[i] for sup in sups],
-                                       label=f"{label}/seq{i}")
-               for i in range(len(test_seqs))]
-    return _combine_reports(reports, label)
+        a, a_tilde = s.on_grid(n, grid), s_tilde.on_grid(n, grid)
+        blocks = [level(n, a, a_tilde) for level in levels.values()]
+        norms = multiplier_norms(np.concatenate(blocks), [seq(n) for seq in test_seqs])
+        ends = np.cumsum([len(block) for block in blocks])[:-1]
+        for (label, sup), rows in zip(sups.items(), np.split(norms, ends)):
+            if not len(rows):
+                raise ValueError(f"{label}: no samples")
+            sup.append(np.max(rows, axis=0))  # np.max keeps a NaN
+    reports = {}
+    for label, sup in sups.items():
+        verdicts = [make_association_report(n_list, norms, label=f"{label}/seq{i}").verdict
+                    for i, norms in enumerate(np.transpose(sup))]
+        reports[label] = make_association_report(n_list, np.max(sup, axis=1), label)
+        reports[label].verdict = max(verdicts, key=_SEVERITY.get)
+    return reports
+
+
+def _generator_level(n: int, a: np.ndarray, a_tilde: np.ndarray) -> np.ndarray:
+    return (a - a_tilde)[None]
+
+
+def _resolvent_level(lambda_samples: Sequence[complex], grid: Grid, b: float = 0.0,
+                     omega: float = -math.inf) -> Callable:
+    """lambda^b (R(lambda, a_n) - R(lambda, a~_n)) per lambda sample, each with Re > omega."""
+    for lam in lambda_samples:
+        if not complex(lam).real > omega:
+            raise ValueError(f"lambda sample {lam} has Re <= omega {omega}")
+    weights = sample_axis([complex(lam)**b for lam in lambda_samples], grid)
+    return lambda n, a, a_tilde: weights * (resolvent_factor(a, lambda_samples, grid, n)
+                                            - resolvent_factor(a_tilde, lambda_samples, grid, n))
+
+
+def _semigroup_level(omega: float, t_samples: Sequence[float], grid: Grid) -> Callable:
+    """e^(-omega t) (phi(t, a_n) - phi(t, a~_n)) per time sample."""
+    weights = sample_axis([math.exp(-omega * t) for t in map(float, t_samples)], grid)
+    times = sample_axis(np.asarray(t_samples, dtype=float), grid)
+    return lambda n, a, a_tilde: weights * (phi(times, a) - phi(times, a_tilde))
 
 
 @dataclass
@@ -161,8 +177,8 @@ def check_resolvent_norm_bounds(s: SymbolSeq, n_list: Sequence[int], lambda_list
     the spread c_2/c_1 and flags families whose norms grow with n.
     """
     modes = tuple(range(1, grid.dimension + 1))
-    sups = [np.max(np.abs(resolvent_factor(s, n, lambda_list, grid)), axis=modes)
-            for n in n_list]
+    sups = [np.max(np.abs(resolvent_factor(s.on_grid(n, grid), lambda_list, grid, n)),
+                   axis=modes) for n in n_list]
     reports = []
     for j, lam in enumerate(lambda_list):
         vals = {n: float(sup[j]) for n, sup in zip(n_list, sups)}
@@ -196,8 +212,8 @@ def check_generator_association(s: SymbolSeq, s_tilde: SymbolSeq,
                                 n_list: Sequence[int], label: str = "") -> AssociationReport:
     """Decay of ||(Op a_n - Op a~_n) x_n||_2 over the test sequences."""
     verify_moderate_sequences(test_seqs, n_list)
-    return _sup_association(lambda n: (s.on_grid(n, grid) - s_tilde.on_grid(n, grid))[None],
-                            test_seqs, n_list, label or "generator")
+    label = label or "generator"
+    return _sup_association(s, s_tilde, {label: _generator_level}, test_seqs, grid, n_list)[label]
 
 
 def check_resolvent_association(s: SymbolSeq, s_tilde: SymbolSeq,
@@ -205,10 +221,8 @@ def check_resolvent_association(s: SymbolSeq, s_tilde: SymbolSeq,
                                 test_seqs: Sequence[TestSequence], grid: Grid,
                                 n_list: Sequence[int], label: str = "") -> AssociationReport:
     """Decay of sup over lambda of ||(R(lambda,A_n) - R(lambda,A~_n)) x_n||_2."""
-    return _sup_association(
-        lambda n: (resolvent_factor(s, n, lambda_list, grid)
-                   - resolvent_factor(s_tilde, n, lambda_list, grid)),
-        test_seqs, n_list, label or "resolvent")
+    label, level = label or "resolvent", _resolvent_level(lambda_list, grid)
+    return _sup_association(s, s_tilde, {label: level}, test_seqs, grid, n_list)[label]
 
 
 def check_semigroup_association(s: SymbolSeq, s_tilde: SymbolSeq, omega: float,
@@ -217,16 +231,11 @@ def check_semigroup_association(s: SymbolSeq, s_tilde: SymbolSeq, omega: float,
                                 n_list: Sequence[int], label: str = "") -> AssociationReport:
     """Decay of sup over t of e^(-omega t) ||(S_n(t) - S~_n(t)) x_n||_2.
 
-    Only the semigroup difference is measured.  The "semigroup => resolvent"
-    direction of the comparison theorems is checked by
-    :func:`crosscheck_comparison_theorems`, which runs both checks per pair.
+    The "semigroup => resolvent" direction of the comparison theorems is checked
+    by :func:`crosscheck_comparison_theorems`, which runs both levels per pair.
     """
-    weights = sample_axis([math.exp(-omega * t) for t in map(float, t_samples)], grid)
-    times = sample_axis(np.asarray(t_samples, dtype=float), grid)
-    return _sup_association(
-        lambda n: weights * (phi(times, s.on_grid(n, grid))
-                             - phi(times, s_tilde.on_grid(n, grid))),
-        test_seqs, n_list, label or "semigroup")
+    label, level = label or "semigroup", _semigroup_level(omega, t_samples, grid)
+    return _sup_association(s, s_tilde, {label: level}, test_seqs, grid, n_list)[label]
 
 
 def check_weighted_resolvent_association(s: SymbolSeq, s_tilde: SymbolSeq,
@@ -236,15 +245,8 @@ def check_weighted_resolvent_association(s: SymbolSeq, s_tilde: SymbolSeq,
                                          grid: Grid, n_list: Sequence[int],
                                          label: str = "") -> AssociationReport:
     """Decay of sup over lambda of ||lambda^b (R(lambda,A_n) - R(lambda,A~_n)) x_n||."""
-    for lam in lambda_samples:
-        if not complex(lam).real > omega:
-            raise ValueError(f"lambda sample {lam} has Re <= omega {omega}")
-    lams = [complex(lam) for lam in lambda_samples]
-    weights = sample_axis([lam**b for lam in lams], grid)
-    return _sup_association(
-        lambda n: weights * (resolvent_factor(s, n, lams, grid)
-                             - resolvent_factor(s_tilde, n, lams, grid)),
-        test_seqs, n_list, label or "weighted-resolvent")
+    label, level = label or "weighted-resolvent", _resolvent_level(lambda_samples, grid, b, omega)
+    return _sup_association(s, s_tilde, {label: level}, test_seqs, grid, n_list)[label]
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +327,19 @@ def check_derivative_association(s: SymbolSeq, s_tilde: SymbolSeq, n_list: Seque
              label: str = "") -> AssociationReport:
     """Association in the derivative-bound metric: the same quantity on the
     resolvent difference, applied to test sequences."""
+    label = label or "derivative-association"
+    level = _derivative_level(omega, k_max, lambda_list, grid)
+    return _sup_association(s, s_tilde, {label: level}, test_seqs, grid, n_list)[label]
+
+
+def _derivative_level(omega: float, k_max: int, lambda_list: Sequence[float],
+                      grid: Grid) -> Callable:
+    """(lambda - omega)^(k+1) times the difference of the k-th derivative terms, per (lambda, k)."""
     orders = _orders(k_max)
-
-    def factors_for(n):
-        a = s.on_grid(n, grid)
-        at = s_tilde.on_grid(n, grid)
-        rows = [(lam - omega) ** (k + 1) * (resolvent_over_lambda_derivative(float(lam), a, k)
-                                            - resolvent_over_lambda_derivative(float(lam), at, k))
-                for lam in lambda_list for k in orders]
-        return np.array(rows, dtype=complex).reshape((-1,) + grid.shape)
-
-    return _sup_association(factors_for, test_seqs, n_list, label or "derivative-association")
+    return lambda n, a, a_tilde: np.array(
+        [(lam - omega) ** (k + 1) * (resolvent_over_lambda_derivative(float(lam), a, k)
+                                     - resolvent_over_lambda_derivative(float(lam), a_tilde, k))
+         for lam in lambda_list for k in orders], dtype=complex).reshape((-1,) + grid.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -470,32 +474,27 @@ class PairCrossCheck:
 def crosscheck_comparison_theorems(pairs: Sequence[FamilyPair],
                                    lambda_list: Sequence[complex],
                                    grid: Grid) -> List[PairCrossCheck]:
-    """Run all four association checks per pair and list verdict conflicts.
+    """Run all four association levels per pair in one pass and list verdict conflicts.
 
-    The resolvent check samples ``lambda_list``; the weighted check uses
-    omega = 2, b = 1 and lambda in {3, 3 + 5i, 12}; the semigroup check
+    The resolvent level samples ``lambda_list``; the weighted level uses
+    omega = 2, b = 1 and lambda in {3, 3 + 5i, 12}; the semigroup level
     uses omega = 2 and the times ``SUITE_T_SAMPLES``.  A lambda on the
     numerical spectrum of a pair raises ``ResolventSingularityError`` from
-    the resolvent check.  Disagreements indicate tolerance artifacts; on
+    the resolvent level.  Disagreements indicate tolerance artifacts; on
     the bundled suite there are none.
     """
     omega, b = 2.0, 1.0
     seqs_all = bundled_test_sequences(grid)
+    levels = {"generator": _generator_level, "resolvent": _resolvent_level(lambda_list, grid),
+              "weighted": _resolvent_level([omega + 1.0, omega + 1.0 + 5j, omega + 10.0],
+                                           grid, b, omega),
+              "semigroup": _semigroup_level(omega, SUITE_T_SAMPLES, grid)}
     out = []
     for pr in pairs:
         seqs = [seqs_all[name] for name in pr.seq_names]
-        gen = check_generator_association(pr.s, pr.s_tilde, seqs, grid, pr.n_list,
-                                          label=f"{pr.name}/gen")
-        res = check_resolvent_association(pr.s, pr.s_tilde, lambda_list, seqs, grid,
-                                          pr.n_list, label=f"{pr.name}/res")
-        weighted = check_weighted_resolvent_association(
-            pr.s, pr.s_tilde, omega, b,
-            [omega + 1.0, omega + 1.0 + 5j, omega + 10.0], seqs, grid,
-            pr.n_list, label=f"{pr.name}/weighted")
-        semigroup = check_semigroup_association(
-            pr.s, pr.s_tilde, omega, SUITE_T_SAMPLES, seqs, grid, pr.n_list,
-            label=f"{pr.name}/semigroup")
-        out.append(PairCrossCheck(name=pr.name, character=pr.character,
-                                  generator=gen.verdict, resolvent=res.verdict,
-                                  weighted=weighted.verdict, semigroup=semigroup.verdict))
+        verify_moderate_sequences(seqs, pr.n_list)
+        labelled = {f"{pr.name}/{name}": level for name, level in levels.items()}
+        reports = _sup_association(pr.s, pr.s_tilde, labelled, seqs, grid, pr.n_list)
+        verdicts = dict(zip(levels, (report.verdict for report in reports.values())))
+        out.append(PairCrossCheck(pr.name, pr.character, **verdicts))
     return out

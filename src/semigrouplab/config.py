@@ -162,7 +162,7 @@ def load_config(path) -> ExperimentConfig:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
-    return parse_config(p.read_text())
+    return parse_config(p.read_text(encoding="utf-8"))
 
 
 def validate_config(cfg: ExperimentConfig) -> None:

@@ -186,12 +186,11 @@ def apply_S(s: SymbolSeq, n: int, t: float, u: GridFunction) -> GridFunction:
     return MultiplierOp(u.grid, integrated_factor(s, n, t, u.grid)).apply(u)
 
 
-def resolvent_factor(s: SymbolSeq, n: int, lam, grid: Grid) -> np.ndarray:
-    """Per-mode factor 1/(lambda - a_n); a sequence of lambdas adds a leading axis.
+def resolvent_factor(a: np.ndarray, lam, grid: Grid, n: int) -> np.ndarray:
+    """Per-mode factor 1/(lambda - a) of symbol values a = a_n; lambdas add a leading axis.
 
-    A lambda within ``RESOLVENT_MARGIN`` of a symbol value raises, naming it as passed, xi and n.
+    A lambda within ``RESOLVENT_MARGIN`` of a value of a raises, naming it as passed, xi and n.
     """
-    a = s.on_grid(n, grid)
     diff = sample_axis(lam, grid) - a
     gap = np.abs(diff)
     if gap.size and np.min(gap) <= RESOLVENT_MARGIN:
@@ -214,7 +213,7 @@ def laplace_identity_residual(s: SymbolSeq, n: int, lam: complex, u: GridFunctio
     """
     grid = u.grid
     a = s.on_grid(n, grid)
-    target = resolvent_factor(s, n, lam, grid)  # raises on spectral proximity
+    target = resolvent_factor(a, lam, grid, n)  # raises on spectral proximity
     omega = float(np.max(a.real))
     if not lam.real > omega:
         raise ValueError(f"need Re lambda > sup Re a_n = {omega}, got {lam}")
@@ -246,7 +245,7 @@ def pseudoresolvent_residual(s: SymbolSeq, n: int, lam, mu, u: GridFunction):
     lams, mus = np.atleast_1d(lam), np.atleast_1d(mu)
     if lams.ndim != 1 or lams.shape != mus.shape:
         raise ValueError(f"lambda and mu need equal lengths, got {lams.shape} and {mus.shape}")
-    rl, rm = np.split(resolvent_factor(s, n, np.concatenate([lams, mus]), grid), 2)
+    rl, rm = np.split(resolvent_factor(s.on_grid(n, grid), np.append(lams, mus), grid, n), 2)
     defect = rl - rm - sample_axis(mus - lams, grid) * rl * rm
     norms = multiplier_norms(np.concatenate([defect, np.ones((1,) + grid.shape)]), [u])[:, 0]
     residuals = norms[:-1] / norms[-1] if norms[-1] else np.zeros_like(norms[:-1])
@@ -337,8 +336,9 @@ def certify_growth(s: SymbolSeq, n_list: Sequence[int], omega: float, b: float,
     t_weights = sample_axis(np.exp(-omega * times) * times ** (-b), grid)
     times = sample_axis(times, grid)
     for n in n_list:
-        res = lam_weights * np.abs(resolvent_factor(s, n, lams, grid))
-        sg = t_weights * np.abs(phi(times, s.on_grid(n, grid)))
+        a = s.on_grid(n, grid)
+        res = lam_weights * np.abs(resolvent_factor(a, lams, grid, n))
+        sg = t_weights * np.abs(phi(times, a))
         # np.max keeps a NaN bound, which the builtin max would read as 0
         cert.resolvent_bounds[n] = float(np.max(res))
         cert.semigroup_bounds[n] = float(np.max(sg))

@@ -244,6 +244,14 @@ def test_no_samples_is_not_a_verdict(label, heat, drifted, grid, gaussian_seq):
         EMPTY_SAMPLE_CHECKS[label](heat, drifted, grid, gaussian_seq)
 
 
+def test_an_empty_level_among_several_is_named(heat, drifted, grid, gaussian_seq):
+    levels = {"generator": association._generator_level,
+              "resolvent": association._resolvent_level([], grid),
+              "semigroup": association._semigroup_level(1.0, [0.5], grid)}
+    with pytest.raises(ValueError, match="^resolvent: no samples$"):
+        association._sup_association(heat, drifted, levels, [gaussian_seq], grid, N_LIST)
+
+
 class TestBlockKernel:
     """Each association sup is one (samples x modes) factor block per index."""
 
@@ -279,7 +287,8 @@ class TestBlockKernel:
                         for sample in samples) for n in n_list]
 
         def diff(n, lam):
-            return resolvent_factor(s, n, lam, g2) - resolvent_factor(s_tilde, n, lam, g2)
+            return (resolvent_factor(s.on_grid(n, g2), lam, g2, n)
+                    - resolvent_factor(s_tilde.on_grid(n, g2), lam, g2, n))
 
         cases = [
             (check_generator_association(s, s_tilde, [lambda n: x], g2, n_list),
@@ -298,7 +307,8 @@ class TestBlockKernel:
         cert = certify_growth(s, n_list, omega, b, lams, times, g2)
         for n in n_list:
             assert cert.resolvent_bounds[n] == max(
-                abs(lam) ** b * np.max(np.abs(resolvent_factor(s, n, lam, g2))) for lam in lams)
+                abs(lam) ** b * np.max(np.abs(resolvent_factor(s.on_grid(n, g2), lam, g2, n)))
+                for lam in lams)
             assert cert.semigroup_bounds[n] == max(
                 np.exp(-omega * t) * t ** (-b) * np.max(np.abs(phi(t, s.on_grid(n, g2))))
                 for t in times)
@@ -323,6 +333,38 @@ class TestCrosscheck:
 
     def test_empty_pair_list(self, grid):
         assert crosscheck_comparison_theorems([], [2.0], grid) == []
+
+    def test_one_pass_matches_the_single_level_checks(self, grid, monkeypatch):
+        # the cross-check runs all four levels of a pair in one kernel call; each
+        # level must give the verdict and envelope of its own public check
+        kernel_reports = []
+        kernel = association._sup_association
+
+        def recording(*args):
+            kernel_reports.append(kernel(*args))
+            return kernel_reports[-1]
+
+        monkeypatch.setattr(association, "_sup_association", recording)
+        pairs, lams = bundled_family_pairs(grid), [2.0, 10.0]
+        checks = crosscheck_comparison_theorems(pairs, lams, grid)
+        monkeypatch.undo()
+        assert len(kernel_reports) == len(pairs)
+        seqs_all = bundled_test_sequences(grid)
+        for pr, check, reports in zip(pairs, checks, kernel_reports):
+            seqs = [seqs_all[name] for name in pr.seq_names]
+            args = (seqs, grid, pr.n_list)
+            single = {
+                "generator": check_generator_association(pr.s, pr.s_tilde, *args),
+                "resolvent": check_resolvent_association(pr.s, pr.s_tilde, lams, *args),
+                "weighted": check_weighted_resolvent_association(
+                    pr.s, pr.s_tilde, 2.0, 1.0, [3.0, 3.0 + 5j, 12.0], *args),
+                "semigroup": check_semigroup_association(pr.s, pr.s_tilde, 2.0,
+                                                         SUITE_T_SAMPLES, *args),
+            }
+            assert list(reports) == [f"{pr.name}/{level}" for level in single]
+            for (level, expected), report in zip(single.items(), reports.values()):
+                assert getattr(check, level) == report.verdict == expected.verdict, level
+                assert report.norms == pytest.approx(expected.norms, rel=1e-14, abs=0.0)
 
     def test_lambda_on_spectrum_names_the_mode(self, grid):
         # a_n(0) = 0 for the heat family, so lambda = 0 hits the spectrum at xi = 0

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semigrouplab import cli, semigroup
+from semigrouplab import association, cli, semigroup, symbols
 from semigrouplab.cli import main
 from semigrouplab.config import (HEAT_C2, ExperimentConfig, default_config, load_config,
                                  parse_config, serialize_config)
@@ -187,7 +187,8 @@ class TestVerifyBlocks:
         pts, wts = composite_gauss_points(0.0, T, 64)
         quad = sum((wts[i:i + 64] * np.exp(-lam * pts[i:i + 64]))
                    @ semigroup.phi(pts[i:i + 64, None], a) for i in range(0, len(pts), 64))
-        defect = semigroup.resolvent_factor(s, n, lam, g2) - lam * quad.reshape(g2.shape)
+        defect = (semigroup.resolvent_factor(s.on_grid(n, g2), lam, g2, n)
+                  - lam * quad.reshape(g2.shape))
         norms = semigroup.multiplier_norms(np.stack([defect, np.ones(g2.shape)]), [u])[:, 0]
         assert abs(res - norms[0] / norms[1]) <= 1e-14
         # phi runs on coarse + fine + Gauss points per mode, 8 + 8 + 12, never on 768
@@ -237,6 +238,16 @@ def test_laplace_overflow_names_the_stage(tmp_path, capsys):
     assert "Traceback" not in out + err
     assert "laplace-identity" not in out
     assert "laplace-identity" not in (tmp_path / "verify.csv").read_text()
+
+
+@pytest.mark.parametrize("c0", [1.0, 1.5])
+def test_bromwich_suite_passes_right_of_the_imaginary_axis(tmp_path, c0):
+    # sup Re a = c0: the contour at alpha = c0 + 0.5 keeps the e^(alpha t) truncation small
+    cfg = dataclasses.replace(default_config("verify"), coeffs=(complex(c0), 0j, complex(HEAT_C2)))
+    assert main(["verify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+    rows = {r.split(",")[0]: r.split(",") for r in
+            (tmp_path / "verify.csv").read_text().splitlines()[1:]}
+    assert float(rows["bromwich-oracle"][1]) <= 5e-5
 
 
 def test_laplace_suite_samples_complex_lambda_as_given():
@@ -323,10 +334,15 @@ def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
 ] + [
     # the drift comparison has sup Re a_n = 1, so omega + 2 would sample left of it
     (command, "[growth]\nomega = -5\n", ("omega",)) for command in ("associate", "perturb")
+] + [
+    # the drift scenario is the one-dimensional constant-coefficient example
+    ("associate", "[grid]\ndimension = 2\npoints = 32\n[comparison]\ncomparison = drift\n",
+     ("comparison", "drift", "dimension = 2")),
 ], ids=["solve-three", "associate-three", "perturb-three", "solve-unresolved", "mollifier",
         "solve-2d"] + [f"{command}-unbounded-poly" for command in COMMANDS]
    + ["verify-lambda-zero", "verify-lambda-imaginary", "verify-lambda-negative",
-      "verify-lambda-second", "associate-omega-below-bound", "perturb-omega-below-bound"])
+      "verify-lambda-second", "associate-omega-below-bound", "perturb-omega-below-bound",
+      "associate-drift-2d"])
 def test_bad_config_exits_2_naming_fields(tmp_path, capsys, command, text, names):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -334,6 +350,40 @@ def test_bad_config_exits_2_naming_fields(tmp_path, capsys, command, text, names
                  "--no-plots"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
+    for name in names:
+        assert name in err
+
+
+def _write(path: Path, text: str, encoding: str = "utf-8") -> str:
+    path.write_text(text, encoding=encoding)
+    return str(path)
+
+
+#: case -> (extra argv, the prefix and path the message must name); ``blocker`` is a file
+BAD_PATHS = {
+    "out-is-a-file": lambda tmp, blocker: (
+        ["--out", str(blocker)], ("usage error: --out", str(blocker))),
+    "out-under-a-file": lambda tmp, blocker: (
+        ["--out", str(blocker / "sub")], ("usage error: --out", str(blocker / "sub"))),
+    "output-dir-under-a-file": lambda tmp, blocker: (
+        ["--config", _write(tmp / "o.cfg", f"[output]\noutput_dir = {blocker / 'sub'}\n")],
+        ("config error: output_dir", str(blocker / "sub"))),
+    "config-is-a-directory": lambda tmp, blocker: (
+        ["--config", str(tmp)], ("usage error: --config", str(tmp))),
+    "config-not-utf8": lambda tmp, blocker: (
+        ["--config", _write(tmp / "latin1.cfg", "[family]\nname = caf\xe9\n", "latin-1")],
+        ("usage error: --config", str(tmp / "latin1.cfg"))),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PATHS))
+def test_bad_path_exits_2_naming_it(tmp_path, capsys, case):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    argv, names = BAD_PATHS[case](tmp_path, blocker)
+    assert main(["growth"] + argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
     for name in names:
         assert name in err
 
@@ -428,6 +478,32 @@ class TestAssociateCommand:
         assert code == 0
         summary = (tmp_path / "n" / "association_summary.txt").read_text()
         assert '"verdict": "not-associated"' in summary
+
+
+def test_associate_evaluates_each_symbol_and_spectrum_once_per_pair_and_index(
+        tmp_path, monkeypatch):
+    # the counts of the one-pass association kernel on the default config; a check
+    # that went back to one pass per level would evaluate symbols and FFTs again
+    counts, kernel_indices = Counter(), []
+
+    def counting(owner, name, record=None):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            if record is not None:
+                record.append(len(args[-1]))  # the kernel's n_list
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(symbols.SymbolSeq, "on_grid")
+    counting(np.fft, "fftn")
+    counting(association, "multiplier_norms")
+    counting(association, "_sup_association", kernel_indices)
+    assert cli.run_associate(default_config("associate"), tmp_path, make_plots=False) == 0
+    assert 0 < counts["multiplier_norms"] <= sum(kernel_indices)
+    assert 0 < counts["on_grid"] <= 135
+    assert 0 < counts["fftn"] <= 145
 
 
 class TestPerturbGrowthCommands:

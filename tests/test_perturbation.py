@@ -71,7 +71,7 @@ class TestPerturbedS:
         quad = np.zeros(grid.shape, dtype=complex)
         for p, w in zip(pts, wts):
             quad += w * np.exp(-lam * p) * integrated_factor(summed, n, p, grid)
-        target = resolvent_factor(summed, n, lam, grid)
+        target = resolvent_factor(summed.on_grid(n, grid), lam, grid, n)
         assert np.max(np.abs(lam * quad - target)) < 1e-8
 
 

@@ -222,8 +222,8 @@ class TestResolvent:
                                                mu_re, mu_im):
         # R(lam) - R(mu) = (mu - lam) R(lam) R(mu), mode by mode
         lam, mu = complex(lam_re, lam_im), complex(mu_re, mu_im)
-        rl = resolvent_factor(heat, 3, lam, grid)
-        rm = resolvent_factor(heat, 3, mu, grid)
+        rl = resolvent_factor(heat.on_grid(3, grid), lam, grid, 3)
+        rm = resolvent_factor(heat.on_grid(3, grid), mu, grid, 3)
         defect = np.abs(rl - rm - (mu - lam) * rl * rm)
         scale = np.abs(rl) + np.abs(rm) + abs(mu - lam) * np.abs(rl * rm)
         assert np.all(defect <= 1e-15 * scale)
@@ -231,31 +231,31 @@ class TestResolvent:
     def test_factor_on_single_mode(self, heat, grid):
         xi0 = 8 * grid.freq_spacing
         mode = GridFunction(grid, np.exp(2j * np.pi * xi0 * grid.axis_points()))
-        out = MultiplierOp(grid, resolvent_factor(heat, 1, 1.0, grid)).apply(mode)
+        out = MultiplierOp(grid, resolvent_factor(heat.on_grid(1, grid), 1.0, grid, 1)).apply(mode)
         assert np.max(np.abs(out.values - mode.values / (1.0 + xi0**2))) < 1e-12
 
     def test_l2_operator_norm_is_inverse_lambda(self, heat, grid):
         for lam in (0.5, 2.0, 17.0):
-            fac = resolvent_factor(heat, 1, lam, grid)
+            fac = resolvent_factor(heat.on_grid(1, grid), lam, grid, 1)
             assert np.max(np.abs(fac)) == pytest.approx(1.0 / lam, rel=1e-12)
 
     def test_exact_spectral_hit_raises(self, heat, grid):
         xi_k = 16 * grid.freq_spacing
         with pytest.raises(ResolventSingularityError):
-            resolvent_factor(heat, 1, -xi_k**2, grid)
+            resolvent_factor(heat.on_grid(1, grid), -xi_k**2, grid, 1)
 
     def test_lambda_axis_matches_scalar_calls(self, heat, grid):
         lams = [2.0, 0.5 + 3j, 17.0 - 1j]
-        out = resolvent_factor(heat, 3, lams, grid)
+        out = resolvent_factor(heat.on_grid(3, grid), lams, grid, 3)
         assert out.shape == (3,) + grid.shape
-        assert out.tobytes() == np.stack([resolvent_factor(heat, 3, lam, grid)
+        assert out.tobytes() == np.stack([resolvent_factor(heat.on_grid(3, grid), lam, grid, 3)
                                           for lam in lams]).tobytes()
 
     def test_lambda_axis_names_the_offending_lambda(self, heat, grid):
         # a_4(0) = 0, so the second lambda hits the spectrum at xi = 0
         with pytest.raises(ResolventSingularityError,
                            match=r"lambda=0\.0 within .* xi=\[0\.\] \(n=4\)"):
-            resolvent_factor(heat, 4, [2.0, 0.0, 3.0], grid)
+            resolvent_factor(heat.on_grid(4, grid), [2.0, 0.0, 3.0], grid, 4)
 
 
 class TestLaplaceIdentity:
@@ -437,7 +437,7 @@ class TestBromwich:
 class TestCommutation:
     def test_semigroup_commutes_with_resolvent(self, heat, grid, gaussian):
         s_op = MultiplierOp(grid, integrated_factor(heat, 1, 0.8, grid))
-        r_op = MultiplierOp(grid, resolvent_factor(heat, 1, 3.0, grid))
+        r_op = MultiplierOp(grid, resolvent_factor(heat.on_grid(1, grid), 3.0, grid, 1))
         ab = s_op.apply(r_op.apply(gaussian))
         ba = r_op.apply(s_op.apply(gaussian))
         assert lp_norm(ab - ba, 2) < 1e-12

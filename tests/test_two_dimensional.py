@@ -60,7 +60,7 @@ def test_free_evolution_2d(schrodinger2, grid2):
     a = 1j * 1.5 * (fx**2 + fy**2)
     expected = transform(apply_S(schrodinger2, 2, 0.3, u)).values
     assert np.max(np.abs(expected - phi(0.3, a) * uhat)) < 1e-10
-    resolvent = MultiplierOp(grid2, resolvent_factor(schrodinger2, 2, 2.0, grid2))
+    resolvent = MultiplierOp(grid2, resolvent_factor(schrodinger2.on_grid(2, grid2), 2.0, grid2, 2))
     assert lp_norm(resolvent.apply(u), 2) > 0
 
 
