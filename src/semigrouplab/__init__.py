@@ -8,9 +8,8 @@ growth bounds, and perturbation behavior of the resulting sequences.
 
 from .spectral import (Grid, GridFunction, DistributionRep, mollifier,
                        transform, inverse_transform, lp_norm, mollify)
-from .symbols import (SymbolSeq, SymbolCheckReport, ModerateSeq, fit_moderate,
+from .symbols import (SymbolSeq, ModerateSeq, fit_moderate,
                       make_poly_symbol_seq, make_fractional_symbol_seq,
-                      check_symbol_class, check_A1_A3, check_p_condition,
                       heat_symbol_seq, perturbed_heat_seq)
 from .semigroup import (MultiplierOp, GrowthCertificate, phi, apply_S,
                         laplace_identity_residual,
@@ -32,9 +31,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Grid", "GridFunction", "DistributionRep", "mollifier",
     "transform", "inverse_transform", "lp_norm", "mollify",
-    "SymbolSeq", "SymbolCheckReport", "ModerateSeq", "fit_moderate",
+    "SymbolSeq", "ModerateSeq", "fit_moderate",
     "make_poly_symbol_seq", "make_fractional_symbol_seq",
-    "check_symbol_class", "check_A1_A3", "check_p_condition",
     "heat_symbol_seq", "perturbed_heat_seq",
     "MultiplierOp", "GrowthCertificate", "phi", "apply_S",
     "laplace_identity_residual", "pseudoresolvent_residual", "bromwich_S",

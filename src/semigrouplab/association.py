@@ -391,7 +391,7 @@ class FamilyPair:
     character: str
 
 
-def bundled_family_pairs(grid: Grid) -> List[FamilyPair]:
+def bundled_family_pairs() -> List[FamilyPair]:
     heat = heat_symbol_seq()
     drifted = perturbed_heat_seq()
     std = (4, 8, 16, 32, 64)

@@ -8,6 +8,7 @@ convenience and can be disabled with --no-plots.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from .association import (bundled_family_pairs, bundled_test_sequences,
 from .cauchy import (ForcingSeq, bump_test_function, integral_equation_residual,
                      solve_sequence, very_weak_pairing, weak_limit_extract)
 from .config import (ExperimentConfig, comparison_operand, default_config,
-                     load_config, serialize_config, time_grid)
+                     load_config, scaled_sup_re, serialize_config, time_grid)
 from .errors import ConfigError, ResolutionError, SemigroupLabError
 from .perturbation import (BoundedMultiplierSeq, constant_coefficient_example,
                            perturbation_quadrature, perturbed_factor,
@@ -53,7 +54,7 @@ def build_family(cfg: ExperimentConfig) -> SymbolSeq:
         return make_poly_symbol_seq(lambda n: cfg.coeffs, name=cfg.name)
     rate = {"constant": lambda n: 1.0,
             "one-plus-inverse": lambda n: 1.0 + 1.0 / n}[cfg.fractional_c_rate]
-    return make_fractional_symbol_seq(rate, cfg.fractional_m, cfg.dimension, bound=2.0)
+    return make_fractional_symbol_seq(rate, cfg.fractional_m, bound=2.0)
 
 
 def build_comparison_family(cfg: ExperimentConfig, base: SymbolSeq) -> Optional[SymbolSeq]:
@@ -71,8 +72,9 @@ def build_comparison_family(cfg: ExperimentConfig, base: SymbolSeq) -> Optional[
                                   re_bound_shift=max(0.0, value.real))
     if mode.startswith("scale:"):
         factor = comparison_operand(mode)
-        return shifted_symbol_seq(base, lambda n, v: (factor - 1.0) * base.eval(n, v),
-                                  name=f"{factor}*{base.name}")
+        scaled = shifted_symbol_seq(base, lambda n, v: (factor - 1.0) * base.eval(n, v),
+                                    name=f"{factor}*{base.name}")
+        return dataclasses.replace(scaled, re_bound=scaled_sup_re(cfg))
     raise ConfigError(f"unknown comparison '{mode}'")
 
 
@@ -195,7 +197,7 @@ def _suite_bromwich(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) -> SuiteRes
     return SuiteResult("bromwich-oracle", float(np.max(errors)), cfg.tol_bromwich)
 
 
-def _suite_perturbation_oracle(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) -> SuiteResult:
+def _suite_perturbation_oracle(cfg: ExperimentConfig) -> SuiteResult:
     rng = np.random.default_rng(20240803)
     draws = []
     for _ in range(1000):
@@ -223,7 +225,7 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
         lambda: _suite_pseudoresolvent(cfg, grid, s, s_tilde),
         lambda: _suite_functional_equation(cfg),
         lambda: _suite_bromwich(cfg, grid, s),
-        lambda: _suite_perturbation_oracle(cfg, grid, s),
+        lambda: _suite_perturbation_oracle(cfg),
     ]
     results: List[SuiteResult] = []
     failures: List[str] = []
@@ -282,15 +284,16 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True) -> 
     csvio.write_rows(out_dir / "weak_limits.csv",
                      ["psi_id", "convergent", "re_limit", "im_limit", "subsequence"], rows)
 
+    # per-slice L^2 norms weighted by e^(-omega t); np.max keeps a NaN
     moderate_rows = [(n, lp_norm(sol.initial_datum(n), 2),
-                      max(lp_norm(sol.w(n, float(t)), 2) * math.exp(-cfg.omega * float(t))
-                          for t in tg))
+                      float(np.max(np.sqrt(np.sum(np.abs(sol.w_values(n)) ** 2, axis=-1)
+                                           * grid.cell_volume) * np.exp(-cfg.omega * tg))))
                      for n in cfg.n_list]
     csvio.write_rows(out_dir / "moderateness.csv",
                      ["n", "initial_l2", "sup_weighted_l2"], moderate_rows)
 
     if make_plots:
-        _plot_solution(sol, cfg, out_dir)
+        _plot_solution(sol, out_dir)
     print(f"solved {len(cfg.n_list)} regularized problems; "
           f"all pairings convergent: {report.all_convergent()}")
     return 0
@@ -339,7 +342,7 @@ def run_associate(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True)
                      [(r.lambda_value, r.lower, r.upper, r.spread, r.bounded)
                       for r in bounds])
 
-    checks = crosscheck_comparison_theorems(bundled_family_pairs(grid), lam_list, grid)
+    checks = crosscheck_comparison_theorems(bundled_family_pairs(), lam_list, grid)
     csvio.write_rows(out_dir / "theorem_agreement.csv",
                      ["pair", "character", "generator", "resolvent", "weighted",
                       "semigroup", "disagreements"],
@@ -404,7 +407,7 @@ def run_growth(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def _plot_solution(sol, cfg: ExperimentConfig, out_dir: Path) -> None:
+def _plot_solution(sol, out_dir: Path) -> None:
     try:
         import matplotlib
         matplotlib.use("Agg")

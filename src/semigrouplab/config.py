@@ -208,6 +208,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.family_kind == "poly" and not math.isfinite(poly_sup_re(cfg.coeffs)):
         raise ConfigError(f"coeffs must keep Re a(xi) bounded above (Re c_2 > 0, or "
                           f"Re c_2 = 0 and Im c_1 = 0), got {cfg.coeffs}")
+    if cfg.comparison.startswith("scale:") and not math.isfinite(scaled_sup_re(cfg)):
+        raise ConfigError(f"comparison {cfg.comparison} makes Re a(xi) unbounded above "
+                          f"for coeffs {cfg.coeffs}")
     steps = cfg.t_end / cfg.dt
     if abs(steps - round(steps)) > 1e-9:
         raise ConfigError("t_end must be an integer multiple of dt")
@@ -231,6 +234,18 @@ def comparison_operand(comparison: str) -> complex | float:
     if not np.isfinite(value):
         raise ConfigError(f"comparison {kind}: needs a finite {wanted} number, got {raw!r}")
     return value
+
+
+def scaled_sup_re(cfg: ExperimentConfig) -> float:
+    """sup Re of the ``scale:<f>`` comparison f a_n.
+
+    The closed form on f * coeffs for a polynomial family; 0 for the
+    fractional family, whose Re a_n is 0.
+    """
+    if cfg.family_kind != "poly":
+        return 0.0
+    factor = comparison_operand(cfg.comparison)
+    return poly_sup_re([factor * c for c in cfg.coeffs])
 
 
 def default_config(scenario: str = "verify") -> ExperimentConfig:

@@ -51,7 +51,7 @@ def test_criterion_01_laplace_identity():
 def test_criterion_02_pseudoresolvent_identity():
     grid = Grid(1, 8.0, 256)
     families = [heat_symbol_seq(),
-                make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, d=1, bound=2.0)]
+                make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, bound=2.0)]
     rng = np.random.default_rng(42)
     u = GridFunction.gaussian(grid)
     worst = 0.0
@@ -173,7 +173,7 @@ def test_criterion_08_constant_coefficient_example():
 
 def test_criterion_09_theorem_agreement_suite():
     grid = Grid(1, 4.0, 128)
-    pairs = bundled_family_pairs(grid)
+    pairs = bundled_family_pairs()
     checks = crosscheck_comparison_theorems(pairs, [2.0], grid)
     characters = {c.character for c in checks}
     disagreements = sum(len(c.disagreements()) for c in checks)

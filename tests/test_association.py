@@ -275,7 +275,7 @@ class TestBlockKernel:
 
     def test_two_dimensional_blocks_match_per_sample_norms(self):
         g2 = Grid(2, 3.0, 64)
-        s = make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, d=2, bound=2.0)
+        s = make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, bound=2.0)
         s_tilde = shifted_symbol_seq(s, lambda n, v: np.exp(-np.sum(v * v, axis=-1)) / n,
                                      re_bound_shift=1.0)
         x = GridFunction.gaussian(g2)
@@ -316,7 +316,7 @@ class TestBlockKernel:
 
 class TestCrosscheck:
     def test_bundled_suite_has_no_disagreements(self, grid):
-        pairs = bundled_family_pairs(grid)
+        pairs = bundled_family_pairs()
         assert len(pairs) >= 8
         checks = crosscheck_comparison_theorems(pairs, [2.0], grid)
         characters = {c.character for c in checks}
@@ -325,7 +325,7 @@ class TestCrosscheck:
             assert c.disagreements() == []
 
     def test_borderline_pair_recorded_as_agreement(self, grid):
-        pairs = [p for p in bundled_family_pairs(grid) if p.character == "borderline"]
+        pairs = [p for p in bundled_family_pairs() if p.character == "borderline"]
         checks = crosscheck_comparison_theorems(pairs, [2.0], grid)
         assert checks[0].generator == "inconclusive"
         assert checks[0].resolvent == "inconclusive"
@@ -345,7 +345,7 @@ class TestCrosscheck:
             return kernel_reports[-1]
 
         monkeypatch.setattr(association, "_sup_association", recording)
-        pairs, lams = bundled_family_pairs(grid), [2.0, 10.0]
+        pairs, lams = bundled_family_pairs(), [2.0, 10.0]
         checks = crosscheck_comparison_theorems(pairs, lams, grid)
         monkeypatch.undo()
         assert len(kernel_reports) == len(pairs)
@@ -370,7 +370,7 @@ class TestCrosscheck:
         # a_n(0) = 0 for the heat family, so lambda = 0 hits the spectrum at xi = 0
         with pytest.raises(ResolventSingularityError,
                            match=r"lambda=0\.0 within .* xi=\[0\.\] \(n=4\)"):
-            crosscheck_comparison_theorems(bundled_family_pairs(grid)[:2], [0.0], grid)
+            crosscheck_comparison_theorems(bundled_family_pairs()[:2], [0.0], grid)
 
 
 class TestDerivativeEngine:

@@ -12,6 +12,7 @@ from semigrouplab.cli import main
 from semigrouplab.config import (HEAT_C2, ExperimentConfig, default_config, load_config,
                                  parse_config, serialize_config)
 from semigrouplab.errors import ConfigError
+from semigrouplab.perturbation import BoundedMultiplierSeq, summed_symbol_seq
 from semigrouplab.quadrature import composite_gauss_points
 from semigrouplab.spectral import Grid, GridFunction
 from semigrouplab.symbols import heat_symbol_seq
@@ -161,7 +162,7 @@ class TestVerifyBlocks:
                   lambda: cli._suite_pseudoresolvent(cfg, grid, s, None),
                   lambda: cli._suite_functional_equation(cfg),
                   lambda: cli._suite_bromwich(cfg, grid, s),
-                  lambda: cli._suite_perturbation_oracle(cfg, grid, s)]
+                  lambda: cli._suite_perturbation_oracle(cfg)]
         peaks = []
         for run in suites:
             tracemalloc.start()
@@ -338,11 +339,17 @@ def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
     # the drift scenario is the one-dimensional constant-coefficient example
     ("associate", "[grid]\ndimension = 2\npoints = 32\n[comparison]\ncomparison = drift\n",
      ("comparison", "drift", "dimension = 2")),
+    # scale:2 doubles sup Re a = 0.5, so omega = 0.6 is below the scaled family's bound 1
+    ("associate", "[family]\ncoeffs = 0.5, 0, 0.025\n[comparison]\ncomparison = scale:2\n"
+                  "[growth]\nomega = 0.6\n", ("omega", "1.0")),
+    # scale:-1 turns the heat family into anti-diffusion, Re a unbounded above
+    ("associate", "[comparison]\ncomparison = scale:-1\n", ("comparison", "scale:-1")),
 ], ids=["solve-three", "associate-three", "perturb-three", "solve-unresolved", "mollifier",
         "solve-2d"] + [f"{command}-unbounded-poly" for command in COMMANDS]
    + ["verify-lambda-zero", "verify-lambda-imaginary", "verify-lambda-negative",
       "verify-lambda-second", "associate-omega-below-bound", "perturb-omega-below-bound",
-      "associate-drift-2d"])
+      "associate-drift-2d", "associate-scale-omega-below-bound",
+      "associate-scale-unbounded"])
 def test_bad_config_exits_2_naming_fields(tmp_path, capsys, command, text, names):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -352,6 +359,52 @@ def test_bad_config_exits_2_naming_fields(tmp_path, capsys, command, text, names
     assert err.startswith("config error:")
     for name in names:
         assert name in err
+
+
+#: comparisons whose declared sup Re a_n is checked, on poly bases with c0 = 0.5 and -0.2
+RE_BOUND_COMPARISONS = ("drift", "shift:0.5j", "shift:-1", "scale:1.5", "scale:2", "scale:0")
+
+
+def _built_families() -> dict:
+    """Every family the code builds, id -> (family, n_list), on the associate grid."""
+    cfg = default_config("associate")
+    families = {}
+    for c0 in (0.5, -0.2):
+        poly = dataclasses.replace(cfg, coeffs=(c0, 0, HEAT_C2))
+        s = cli.build_family(poly)
+        families[f"c0={c0}"] = (s, cfg.n_list)
+        for mode in RE_BOUND_COMPARISONS:
+            families[f"c0={c0}-{mode}"] = (
+                cli.build_comparison_family(dataclasses.replace(poly, comparison=mode), s),
+                cfg.n_list)
+        for b in (0.5j, 0.5, -0.5):
+            families[f"c0={c0}+B={b}"] = (
+                summed_symbol_seq(s, BoundedMultiplierSeq.constant(b)), cfg.n_list)
+    fractional = dataclasses.replace(cfg, family_kind="fractional",
+                                     fractional_c_rate="one-plus-inverse")
+    s = cli.build_family(fractional)
+    families["fractional"] = (s, cfg.n_list)
+    for mode in RE_BOUND_COMPARISONS[1:]:
+        families[f"fractional-{mode}"] = (
+            cli.build_comparison_family(dataclasses.replace(fractional, comparison=mode), s),
+            cfg.n_list)
+    for pair in association.bundled_family_pairs():
+        families[f"pair-{pair.name}"] = (pair.s, pair.n_list)
+        families[f"pair-{pair.name}-tilde"] = (pair.s_tilde, pair.n_list)
+    return families
+
+
+BUILT_FAMILIES = _built_families()
+
+
+@pytest.mark.parametrize("family", list(BUILT_FAMILIES))
+def test_grid_sup_re_is_within_the_declared_bound(family):
+    # on L^2 a multiplier family generates exactly when sup Re a_n is finite,
+    # and omega, the Laplace horizon and the contour abscissa all read re_bound
+    s, n_list = BUILT_FAMILIES[family]
+    grid = cli.build_grid(default_config("associate"))
+    sup_re = max(float(np.max(s.on_grid(n, grid).real)) for n in n_list)
+    assert sup_re <= s.re_bound + 1e-12, (sup_re, s.re_bound)
 
 
 def _write(path: Path, text: str, encoding: str = "utf-8") -> str:

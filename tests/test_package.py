@@ -16,15 +16,19 @@ import semigrouplab
 
 PACKAGE_DIR = Path(semigrouplab.__file__).parent
 #: exported but read by no module; each stays until ROADMAP open item 4
-#: ("Every paper hypothesis reaches an output, or it goes") decides it
+#: ("Every paper hypothesis reaches an output, or it goes") decides it.
+#: Group 2, the L^p symbol-class checks, went: on L^2 they bound no output.
 UNREACHED_ALLOWLIST = {
-    # item 4, group 1: the derivative-bound engine
+    # item 4, group 1: the derivative-bound engine, kept for the growth wiring
     "check_derivative_bounds",
     "check_derivative_association",
-    # item 4, group 2: the symbol-class and hypothesis checks
-    "check_symbol_class",
-    "check_A1_A3",
-    "check_p_condition",
+}
+#: (function, parameter) pairs whose value a protocol fixes but the body need not read
+UNREAD_PARAMETER_ALLOWLIST = {
+    # a level maps (n, a_n, a~_n) to its block; the generator level needs no n
+    ("_generator_level", "n"),
+    # ForcingSeq.separable calls shape_for(n); the bundled forcing shape is one for all n
+    ("shape_for", "n"),
 }
 
 
@@ -54,3 +58,18 @@ def test_no_function_level_package_imports():
              for node in ast.walk(fn)
              if isinstance(node, ast.ImportFrom) and node.level > 0]
     assert found == []
+
+
+def test_every_parameter_is_read():
+    unread = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread |= {(fn.name, p) for p in params if p not in read}
+    assert unread == UNREAD_PARAMETER_ALLOWLIST

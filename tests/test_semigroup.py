@@ -359,7 +359,7 @@ class TestPseudoresolvent:
     @pytest.mark.parametrize("case", ["heat", "fractional", "heat-2d"])
     def test_pairs_match_scalar_calls(self, heat, grid, case):
         if case == "fractional":
-            s = make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, d=1, bound=2.0)
+            s = make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, bound=2.0)
         else:
             s = heat
         g = Grid(2, 3.0, 16) if case == "heat-2d" else grid
@@ -393,7 +393,7 @@ class TestPseudoresolvent:
         assert pseudoresolvent_residual(heat, 1, 2.0, 5.0, u) < 1e-12
 
     def test_fractional_family(self, grid, gaussian):
-        s = make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, d=1, bound=2.0)
+        s = make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, bound=2.0)
         assert pseudoresolvent_residual(s, 2, 1.0 + 0.0j, 3.0, gaussian) < 1e-12
 
 

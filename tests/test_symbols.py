@@ -1,4 +1,4 @@
-"""Symbol family constructors and hypothesis-check tests."""
+"""Symbol family constructors, their closed-form sup Re, and non-finite values."""
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -6,9 +6,7 @@ from hypothesis import given, seed, settings, strategies as st
 from semigrouplab.errors import (HypothesisViolationError,
                                  SymbolEvaluationError, UnsupportedFamilyError)
 from semigrouplab.spectral import Grid
-from semigrouplab.symbols import (SymbolSeq, check_A1_A3,
-                                  check_p_condition, check_symbol_class,
-                                  perturbed_heat_seq, heat_symbol_seq,
+from semigrouplab.symbols import (SymbolSeq, perturbed_heat_seq, heat_symbol_seq,
                                   make_fractional_symbol_seq,
                                   make_poly_symbol_seq, poly_sup_re)
 
@@ -105,123 +103,29 @@ class TestPolyCoefficientTable:
 
 class TestFractionalFamilies:
     def test_direct_substitution(self):
-        s = make_fractional_symbol_seq(lambda n: 1.0, m=2.0, d=1, bound=2.0)
+        s = make_fractional_symbol_seq(lambda n: 1.0, m=2.0, bound=2.0)
         assert s(5, xi_col(3.0))[0] == pytest.approx(9.0j)
 
     def test_real_part_identically_zero(self):
-        s = make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, d=1, bound=2.0)
+        s = make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, bound=2.0)
         xi = xi_col(*np.linspace(-8, 8, 101))
         for n in (1, 3, 17):
             assert np.all(s(n, xi).real == 0.0)
         assert s.re_bound == 0.0
 
-    def test_ellipticity_constant_one(self):
-        s = make_fractional_symbol_seq(lambda n: 1.0, m=2.0, d=1, bound=2.0)
-        grid = Grid(1, 8.0, 256)
-        rep = check_A1_A3(s, [1, 2, 3, 4], grid)
-        for n in (1, 2, 3, 4):
-            assert rep.ellipticity_constants[n] == pytest.approx(1.0, abs=1e-12)
-            assert rep.sup_re[n] == 0.0
-
     def test_unbounded_coefficients_rejected(self):
         with pytest.raises(HypothesisViolationError):
-            make_fractional_symbol_seq(lambda n: 1.0 + 0.1 * n, m=1.0, d=1, bound=2.0)
+            make_fractional_symbol_seq(lambda n: 1.0 + 0.1 * n, m=1.0, bound=2.0)
 
 
 class TestSymbolClassCheck:
-    def test_heat_constant_at_most_one(self):
-        grid = Grid(1, 8.0, 256)
-        rep = check_symbol_class(heat_symbol_seq(), [1, 2, 3, 4], grid, max_order=0)
-        for n in (1, 2, 3, 4):
-            assert rep.class_constants[n] <= 1.0 + 1e-10
-
-    def test_bounded_family_fits_flat(self):
-        s = make_poly_symbol_seq(lambda n: (0, 0, (1 + 1.0 / n) / (4 * np.pi**2)))
-        grid = Grid(1, 8.0, 256)
-        rep = check_symbol_class(s, [4, 8, 16, 32, 64], grid, max_order=2)
-        assert rep.class_fit.slope <= 0.05
-        assert not rep.non_moderate
-
-    def test_linearly_growing_family_fits_slope_one(self):
-        s = make_poly_symbol_seq(lambda n: (0, 0, n / (4 * np.pi**2)))
-        grid = Grid(1, 8.0, 256)
-        rep = check_symbol_class(s, [4, 8, 16, 32, 64], grid, max_order=2)
-        assert rep.class_fit.slope == pytest.approx(1.0, abs=0.1)
-
-    def test_monotone_under_grid_refinement(self):
-        s = heat_symbol_seq()
-        coarse = check_symbol_class(s, [1, 2], Grid(1, 8.0, 128), max_order=2)
-        fine = check_symbol_class(s, [1, 2], Grid(1, 8.0, 256), max_order=2)
-        for key, val in coarse.derivative_constants.items():
-            assert fine.derivative_constants[key] >= val - 1e-12
-
-    @pytest.mark.parametrize("d, alphas", [
-        (1, [(0,), (1,), (2,)]),
-        (2, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
-    ])
-    def test_multi_indices_by_total_order(self, d, alphas):
-        s = make_fractional_symbol_seq(lambda n: 1.0, m=2.0, d=d, bound=2.0)
-        rep = check_symbol_class(s, [1], Grid(d, 4.0, 16), max_order=2)
-        assert [alpha for _, alpha in rep.derivative_constants] == alphas
-
-    def test_max_order_capped(self):
-        with pytest.raises(ValueError):
-            check_symbol_class(heat_symbol_seq(), [1], Grid(1, 4.0, 64), max_order=3)
+    """Symbol values outside every symbol class: non-finite ones raise."""
 
     def test_non_finite_symbol_reported(self):
         def bad(n, v):
             out = np.full(v.shape[:-1], np.nan, dtype=complex)
             return out
-        s = SymbolSeq(eval=bad, order_m=0, ellipticity_r=1, cutoff_L=1,
-                      dimension_d=1, re_bound=0, name="bad")
+        s = SymbolSeq(eval=bad, re_bound=0, name="bad")
         with pytest.raises(SymbolEvaluationError, match="bad"):
-            check_symbol_class(s, [1], Grid(1, 4.0, 64), max_order=0)
+            s.on_grid(1, Grid(1, 4.0, 64))
 
-
-class TestA1A3:
-    def test_heat_reference_values(self):
-        grid = Grid(1, 8.0, 256)
-        rep = check_A1_A3(heat_symbol_seq(), [1, 2], grid)
-        assert rep.ellipticity_constants[1] == pytest.approx(1.0, abs=1e-12)
-        assert rep.sup_re[1] == 0.0
-        assert rep.c0_ok
-
-    def test_quadratic_family_abscissa_matches_closed_form(self):
-        # grid sup of Re p(2 pi i xi) vs alpha_0 + beta_1^2/(4 alpha_2);
-        # dense frequency sampling so the parabola vertex is resolved
-        coeffs = (1.0, 1.0j, 0.5)
-        s = make_poly_symbol_seq(lambda n: coeffs)
-        grid = Grid(1, 1024.0, 8192)
-        rep = check_A1_A3(s, [1, 2, 3, 4], grid)
-        closed = poly_sup_re(coeffs)
-        assert rep.sup_re[1] == pytest.approx(closed, rel=1e-6)
-        assert rep.omega[1] == pytest.approx(max(0.0, closed), rel=1e-12)
-
-    def test_omega_formula_for_drifted_family(self):
-        s = perturbed_heat_seq()
-        rep = check_A1_A3(s, [4, 8], Grid(1, 8.0, 256))
-        for n in (4, 8):
-            assert rep.omega[n] == pytest.approx(1.0 / n)
-
-    def test_c0_estimate_reported(self):
-        rep = check_A1_A3(heat_symbol_seq(), [1], Grid(1, 8.0, 64))
-        assert rep.c0_estimate >= 1.0
-
-
-class TestPCondition:
-    def test_p_equal_two_always_admissible(self):
-        assert check_p_condition(2.0, 0.5, 7.0, 2)
-
-    def test_arithmetic_true_case(self):
-        assert check_p_condition(4.0, 2.0, 2.0, 1)
-
-    def test_arithmetic_false_case(self):
-        assert not check_p_condition(8.0, 1.0, 4.0, 4)
-
-    def test_degenerate_order_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            check_p_condition(2.0, 1.0, 0.0, 1)
-
-    def test_p_range(self):
-        with pytest.raises(ValueError):
-            check_p_condition(1.0, 1.0, 1.0, 1)

@@ -6,8 +6,7 @@ from semigrouplab.cauchy import ForcingSeq, duhamel_solve
 from semigrouplab.semigroup import MultiplierOp, apply_S, phi, resolvent_factor
 from semigrouplab.spectral import (DistributionRep, Grid, GridFunction,
                                    mollifier, lp_norm, mollify, transform)
-from semigrouplab.symbols import check_A1_A3, check_symbol_class, \
-    make_fractional_symbol_seq
+from semigrouplab.symbols import make_fractional_symbol_seq
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +16,7 @@ def grid2():
 
 @pytest.fixture(scope="module")
 def schrodinger2():
-    return make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, d=2, bound=2.0)
+    return make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, bound=2.0)
 
 
 def test_gaussian_self_dual_2d(grid2):
@@ -40,15 +39,6 @@ def test_mollify_delta_2d(grid2):
     # crude delta approximation at n=2: pairing within the second-moment error
     pairing = np.sum(out.values * GridFunction.gaussian(grid2, width=2.0).values)
     assert pairing * grid2.cell_volume == pytest.approx(1.0, abs=0.1)
-
-
-def test_symbol_checks_2d(schrodinger2, grid2):
-    rep = check_A1_A3(schrodinger2, [1, 2, 3, 4], grid2)
-    for n in (1, 2, 3, 4):
-        assert rep.sup_re[n] == 0.0
-        assert rep.ellipticity_constants[n] == pytest.approx(1.0 + 1.0 / n, rel=1e-12)
-    cls = check_symbol_class(schrodinger2, [1, 2], grid2, max_order=2)
-    assert all(np.isfinite(v) for v in cls.class_constants.values())
 
 
 def test_free_evolution_2d(schrodinger2, grid2):
