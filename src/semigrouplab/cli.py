@@ -26,8 +26,8 @@ from .association import (bundled_family_pairs, bundled_test_sequences,
                           crosscheck_comparison_theorems)
 from .cauchy import (ForcingSeq, bump_test_function, integral_equation_residual,
                      solve_sequence, very_weak_pairing, weak_limit_extract)
-from .config import (ExperimentConfig, comparison_operand, default_config,
-                     load_config, scaled_sup_re, serialize_config, time_grid)
+from .config import (PERTURB_ORACLE_T_MAX, ExperimentConfig, comparison_operand,
+                     default_config, load_config, scaled_sup_re, serialize_config, time_grid)
 from .errors import ConfigError, ResolutionError, SemigroupLabError
 from .perturbation import (BoundedMultiplierSeq, constant_coefficient_example,
                            perturbation_quadrature, perturbed_factor,
@@ -156,9 +156,8 @@ def _suite_pseudoresolvent(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq,
 
 def _suite_functional_equation(cfg: ExperimentConfig) -> SuiteResult:
     rng = np.random.default_rng(20240802)
-    draws = [(rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0), rng.uniform(0.0, 100.0),
-              rng.uniform(0.5 * np.pi, 1.5 * np.pi)) for _ in range(1000)]
-    t, sdur, r, ang = (np.array(col) for col in zip(*draws))
+    t, sdur, r, ang = rng.uniform([0.05, 0.05, 0.0, 0.5 * np.pi],
+                                  [2.0, 2.0, 100.0, 1.5 * np.pi], (1000, 4)).T
     a = r * np.exp(1j * ang)
     lhs = phi(t, a) * phi(sdur, a)
     unit_pts, unit_wts = composite_gauss_points(0.0, 1.0, panels=64)
@@ -199,12 +198,9 @@ def _suite_bromwich(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) -> SuiteRes
 
 def _suite_perturbation_oracle(cfg: ExperimentConfig) -> SuiteResult:
     rng = np.random.default_rng(20240803)
-    draws = []
-    for _ in range(1000):
-        ra, rb = rng.uniform(0, 100.0, size=2)
-        ta_, tb_ = rng.uniform(0.5 * np.pi, 1.5 * np.pi, size=2)
-        draws.append((ra * np.exp(1j * ta_), rb * np.exp(1j * tb_), rng.uniform(0.01, 5.0)))
-    a, b, t = (np.array(col) for col in zip(*draws))
+    ra, rb, ta, tb, t = rng.uniform([0.0, 0.0, 0.5 * np.pi, 0.5 * np.pi, 0.01],
+                                    [100.0, 100.0, 1.5 * np.pi, 1.5 * np.pi, 5.0], (1000, 5)).T
+    a, b = ra * np.exp(1j * ta), rb * np.exp(1j * tb)
     deviation = np.abs(perturbation_quadrature(t, a, b) - phi(t, a + b))
     return SuiteResult("perturbation-oracle", float(np.max(deviation)),
                        cfg.tol_perturbation_oracle)
@@ -372,7 +368,8 @@ def run_perturb(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     summed = summed_symbol_seq(s, B)
     rng = np.random.default_rng(20240804)
-    samples = [(int(rng.choice(cfg.n_list)), float(rng.uniform(0.1, 2.0))) for _ in range(200)]
+    samples = [(int(rng.choice(cfg.n_list)), float(rng.uniform(0.1, PERTURB_ORACLE_T_MAX)))
+               for _ in range(200)]
     deviations = []
     for n in sorted({n for n, _ in samples}):
         ts = np.array([t for m, t in samples if m == n])

@@ -16,6 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ConfigError
+from .perturbation import PERTURBATION_PANELS
 from .symbols import poly_sup_re
 
 HEAT_C2 = 1.0 / (4.0 * math.pi**2)
@@ -25,6 +26,12 @@ MAX_GRID_MODES = 2**22
 #: largest solution accepted, len(n_list) * time nodes * grid modes; its complex
 #: samples take at most 256 MB (the bundled solve uses 1,056,768)
 MAX_SOLUTION_SAMPLES = 2**24
+#: largest time at which ``perturb`` samples its quadrature oracle
+PERTURB_ORACLE_T_MAX = 2.0
+#: largest panel step |b| h at which that oracle keeps its 1e-10 gate: on the
+#: perturb scenario |perturb_b| = 256 (|b| h = 8) deviates by at most 1.3e-13,
+#: 400j by 4.8e-10 and 800j by 2.2e-3
+PERTURB_STEP_MAX = 8.0
 
 
 @dataclass(frozen=True)
@@ -205,6 +212,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 "omega", "b", "perturb_b"):
         if not np.all(np.isfinite(getattr(cfg, key))):
             raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)}")
+    b_max = PERTURB_STEP_MAX * PERTURBATION_PANELS / PERTURB_ORACLE_T_MAX
+    if abs(cfg.perturb_b) > b_max:
+        raise ConfigError(f"perturb_b must have |perturb_b| <= {b_max:g}, so that the "
+                          f"oracle's {PERTURBATION_PANELS} panels resolve e^(s perturb_b) "
+                          f"up to t = {PERTURB_ORACLE_T_MAX:g}; got {cfg.perturb_b}")
     if cfg.family_kind == "poly" and not math.isfinite(poly_sup_re(cfg.coeffs)):
         raise ConfigError(f"coeffs must keep Re a(xi) bounded above (Re c_2 > 0, or "
                           f"Re c_2 = 0 and Im c_1 = 0), got {cfg.coeffs}")

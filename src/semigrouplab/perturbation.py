@@ -13,7 +13,9 @@ The claims suite works with that closed form, through ``summed_symbol_seq``.
 The quadrature form is kept as the oracle the closed form is tested against:
 ``perturbation_quadrature`` takes its s-integral from ``semigroup.time_integral``
 on ``PERTURBATION_PANELS`` panels.  ``perturbed_factor`` (one row per time) and
-the ``verify`` perturbation suite both call it.
+the ``verify`` perturbation suite both call it.  b goes in the shape its family
+gives: every family the lab builds is constant in xi, so b stays a scalar and
+the rule takes one e^(s b) per node, not one per node and mode.
 """
 from __future__ import annotations
 
@@ -50,18 +52,28 @@ class BoundedMultiplierSeq:
     name: str = "B"
 
     def on_grid(self, n: int, grid: Grid) -> np.ndarray:
+        """b_n at the grid frequencies, FFT layout, in the shape ``eval`` gives.
+
+        That shape must broadcast against ``grid.shape``, and it is not
+        expanded: a xi-constant family stays 0-d, so the kernels take one
+        e^(s b) per level instead of one per mode.
+        """
         vals = np.asarray(self.eval(n, grid.frequency_vectors()), dtype=complex)
-        return np.broadcast_to(vals, grid.shape).astype(complex)
+        if vals.ndim > grid.dimension or any(
+                v not in (1, g) for v, g in zip(vals.shape[::-1], grid.shape[::-1])):
+            raise ValueError(f"{self.name} values of shape {vals.shape} do not broadcast "
+                             f"against grid shape {grid.shape}")
+        return vals
 
     @staticmethod
     def constant(value: complex, name: str = "const") -> "BoundedMultiplierSeq":
-        return BoundedMultiplierSeq(eval=lambda n, v: np.full(v.shape[:-1], value),
+        return BoundedMultiplierSeq(eval=lambda n, v: np.asarray(value),
                                     c_bound=abs(value), name=name)
 
     @staticmethod
     def vanishing(rate: Callable[[int], float], name: str = "C") -> "BoundedMultiplierSeq":
         """A constant family with sup-norms rate(n) <= 1, e.g. rate = 1/n for the ideal."""
-        return BoundedMultiplierSeq(eval=lambda n, v: rate(n) * np.ones(v.shape[:-1]),
+        return BoundedMultiplierSeq(eval=lambda n, v: np.asarray(rate(n), dtype=float),
                                     c_bound=1.0, name=name)
 
     def plus(self, other: "BoundedMultiplierSeq", name: str = "") -> "BoundedMultiplierSeq":
@@ -89,9 +101,9 @@ def perturbed_factor(s: SymbolSeq, B: BoundedMultiplierSeq, n: int, times: Seque
     """Quadrature oracle per time and mode: e^(tb) phi(t,a) - b int_0^t e^(sb) phi(s,a) ds.
 
     Returns shape ``(len(times),) + grid.shape``.  a_n and b_n are evaluated
-    once, and the Re(a+b) t and Re(b) t overflow guards are checked once, at
-    the largest time.  Each time is one ``perturbation_quadrature`` call, so
-    the kernel's temporaries stay one time deep.
+    once, b_n in the shape ``B.on_grid`` gives, and the Re(a+b) t and Re(b) t
+    overflow guards are checked once, at the largest time.  Each time is one
+    ``perturbation_quadrature`` call, so the kernel's temporaries stay one time deep.
     A zero time gives a zero row: every node and phi(0, a) are zero.
     """
     times = np.asarray(times, dtype=float)

@@ -109,8 +109,12 @@ def time_integral(t, a, b, panels: int) -> np.ndarray:
     E = sum w e^(s b), P = sum w e^(s b) phi(s, a) and X = sum w e^(s a) e^(s b),
     with w = 1 on the starts and the Gauss weights on the offsets, combine as
     (E, P, X).(e, p, x) = (E e, P e + X p, X x), since phi(u + v, a) = phi(u, a)
-    + e^(u a) phi(v, a).  So exp and phi run on 8 + 8 + 12 points per entry for
-    64 panels, not 768.  Overflow raises ``FloatingPointError`` (phi's: ``OverflowGuardError``).
+    + e^(u a) phi(v, a).  So phi runs on 8 + 8 + 12 points per entry of a for
+    64 panels, not 768, and e^(s b) on 28 per entry of b: a scalar b, as in the
+    Laplace check and for a xi-constant perturbation, takes 28 in all.  The
+    start levels' e^(s a) come from that phi block as 1 + a phi(s, a), within
+    a few ulp x (1 + |e^(s a)|) of exp.  Overflow raises ``FloatingPointError``
+    (phi's: ``OverflowGuardError``).
     """
     coarse, fine, _ = panel_split(panels)
     gx, gw = _gauss_rule(GAUSS_NODES_PER_PANEL)
@@ -123,8 +127,9 @@ def time_integral(t, a, b, panels: int) -> np.ndarray:
     c, f, q = slice(0, coarse), slice(coarse, starts.size), slice(starts.size, None)
     with np.errstate(over="raise"):
         e_b = np.exp(pts * b)
-        p_b = e_b * phi(pts, a)
-        x_b = np.exp(pts[:starts.size] * a) * e_b[:starts.size]
+        phi_a = phi(pts, a)
+        p_b = e_b * phi_a
+        x_b = (1.0 + a * phi_a[:starts.size]) * e_b[:starts.size]
         # P and X of (E, P, X)_coarse . (E, P, X)_fine
         p_cf = (p_b[c].sum(axis=0) * e_b[f].sum(axis=0)
                 + x_b[c].sum(axis=0) * p_b[f].sum(axis=0))

@@ -70,6 +70,9 @@ class TestConfig:
             ("[growth]\nb = inf\n", "^b must be finite"),
             ("[perturbation]\nperturb_b = nan\n", "perturb_b"),
             ("[perturbation]\nperturb_b = 1+infj\n", "perturb_b"),
+            # 64 panels up to t = 2 resolve e^(s b) only for |b| <= 256
+            ("[perturbation]\nperturb_b = 257j\n", r"^perturb_b must have .* <= 256,"),
+            ("[perturbation]\nperturb_b = -800\n", r"^perturb_b must have .* <= 256,"),
             ("[mollifier]\nmollifier = bump\n", r"unknown section \[mollifier\]"),
             ("[family]\ncoeffs = nan, 0, 0.025\n", "^coeffs must be finite"),
             ("[family]\ncoeffs = 0, 0, infj\n", "^coeffs must be finite"),
@@ -98,6 +101,8 @@ class TestConfig:
         for text, field in bad_inputs:
             with pytest.raises(ConfigError, match=field):
                 parse_config(text)
+        for b in ("256j", "-256", "-181-181j"):
+            assert parse_config(f"[perturbation]\nperturb_b = {b}\n").perturb_b == complex(b)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -224,6 +229,43 @@ def test_pseudoresolvent_suite_makes_one_block_per_index(monkeypatch):
     assert cli._suite_pseudoresolvent(FAST_VERIFY, grid, s, s_tilde).passed
     # two families times two indices, for the 50 (lambda, mu) pairs
     assert counts == {"resolvent_factor": 4, "multiplier_norms": 4}
+
+
+def _first_call_args(monkeypatch, name, suite):
+    """The arguments of the first ``cli.<name>`` call that ``suite`` makes."""
+    calls, fn = [], getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    assert suite(FAST_VERIFY).passed
+    return calls[0]
+
+
+def test_functional_equation_draws_match_the_scalar_loop(monkeypatch):
+    t_in, a_in = _first_call_args(monkeypatch, "phi", cli._suite_functional_equation)
+    rng = np.random.default_rng(20240802)
+    draws = [(rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0), rng.uniform(0.0, 100.0),
+              rng.uniform(0.5 * np.pi, 1.5 * np.pi)) for _ in range(1000)]
+    t, _, r, ang = (np.array(col) for col in zip(*draws))
+    assert np.asarray(t_in).tobytes() == t.tobytes()
+    assert np.asarray(a_in).tobytes() == (r * np.exp(1j * ang)).tobytes()
+
+
+def test_perturbation_oracle_draws_match_the_scalar_loop(monkeypatch):
+    args = _first_call_args(monkeypatch, "perturbation_quadrature",
+                            cli._suite_perturbation_oracle)
+    rng = np.random.default_rng(20240803)
+    draws = []
+    for _ in range(1000):
+        ra, rb = rng.uniform(0, 100.0, size=2)
+        ta_, tb_ = rng.uniform(0.5 * np.pi, 1.5 * np.pi, size=2)
+        draws.append((ra * np.exp(1j * ta_), rb * np.exp(1j * tb_), rng.uniform(0.01, 5.0)))
+    t, a, b = args
+    for got, want in zip((a, b, t), zip(*draws)):
+        assert np.asarray(got).tobytes() == np.array(want).tobytes()
 
 
 def test_laplace_overflow_names_the_stage(tmp_path, capsys):

@@ -1,8 +1,12 @@
 """Commuting bounded perturbation tests: the quadrature construction and claims."""
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semigrouplab import semigroup
 from semigrouplab.association import SUITE_T_SAMPLES
 from semigrouplab.errors import OverflowGuardError
 from semigrouplab.perturbation import (PERTURBATION_PANELS, BoundedMultiplierSeq,
@@ -10,7 +14,8 @@ from semigrouplab.perturbation import (PERTURBATION_PANELS, BoundedMultiplierSeq
                                        perturbation_quadrature, perturbed_factor,
                                        perturbation_claims_suite, summed_symbol_seq)
 from semigrouplab.quadrature import composite_gauss_points
-from semigrouplab.semigroup import MultiplierOp, integrated_factor, phi, resolvent_factor
+from semigrouplab.semigroup import (MultiplierOp, integrated_factor, panel_split, phi,
+                                   resolvent_factor)
 from semigrouplab.spectral import Grid, GridFunction, lp_norm
 from semigrouplab.symbols import heat_symbol_seq, make_poly_symbol_seq, perturbed_heat_seq
 
@@ -172,6 +177,58 @@ class TestPerturbationQuadrature:
         out = perturbed_factor(heat, BoundedMultiplierSeq.constant(0.4 - 0.9j), 2, [0.0], g)[0]
         assert out.shape == g.shape and out.dtype == complex
         assert not np.any(out)
+
+
+class TestMultiplierShapes:
+    def test_constant_families_stay_scalar(self, grid):
+        B = BoundedMultiplierSeq.constant(0.4 - 0.9j)
+        C = BoundedMultiplierSeq.vanishing(lambda n: 1.0 / n)
+        for seq in (B, C, B.plus(C)):
+            assert seq.on_grid(2, grid).shape == ()
+        assert B.plus(C).on_grid(2, grid) == 0.9 - 0.9j
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 128), (128, 1)])
+    def test_a_shape_that_does_not_broadcast_raises(self, grid, shape):
+        bad = BoundedMultiplierSeq(eval=lambda n, v: np.ones(shape), c_bound=1.0, name="bad")
+        message = f"shape {shape} do not broadcast against grid shape (128,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bad.on_grid(1, grid)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_xi_dependent_perturbation_matches_plain_quadrature(self, heat, dimension):
+        g = Grid(dimension, 3.0, 16)
+        B = BoundedMultiplierSeq(
+            eval=lambda n, v: 0.3j * np.cos(v[..., 0]) + 0.1 * np.sin(v[..., -1]) - 0.2,
+            c_bound=0.6, name="xi")
+        times = [0.4, 1.3]
+        out = perturbed_factor(heat, B, 2, times, g)
+        a, b = heat.on_grid(2, g), B.on_grid(2, g)
+        assert b.shape == g.shape and np.ptp(b.imag) > 0.1
+        for row, t in zip(out, times):
+            for idx in np.ndindex(g.shape):
+                ref, magnitude = plain_quadrature(t, a[idx], b[idx])
+                assert abs(complex(row[idx]) - complex(ref)) <= 1e-13 * max(1.0, magnitude)
+
+    def test_constant_perturbation_takes_one_exp_per_level(self, heat, grid, monkeypatch):
+        # time_integral's own exp calls: e^(s b) on the levels only, and no second
+        # e^(s a) at the starts, whose values come from the phi block
+        entries = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(x, *args, **kwargs):
+                if sys._getframe(1).f_code.co_name == "time_integral":
+                    entries.append(np.size(x))
+                return np.exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(semigroup, "np", CountingNumpy())
+        times = [0.3, 1.1, 2.0]
+        perturbed_factor(heat, BoundedMultiplierSeq.constant(0.4 - 0.9j), 2, times, grid)
+        assert grid.shape == (128,)
+        assert entries == [panel_split(PERTURBATION_PANELS)[2]] * len(times)
 
 
 class TestProposition49Suite:
