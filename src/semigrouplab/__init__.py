@@ -18,10 +18,10 @@ from .cauchy import (ForcingSeq, MildSolutionSeq, SpaceTimeTestFunction,
                      duhamel_solve, solve_sequence, integral_equation_residual,
                      very_weak_pairing, weak_limit_extract,
                      bump_test_function)
-from .association import (AssociationReport,
-                          check_resolvent_norm_bounds, check_generator_association,
-                          check_resolvent_association, check_semigroup_association,
-                          check_weighted_resolvent_association, check_derivative_bounds, check_derivative_association, crosscheck_comparison_theorems,
+from .association import (AssociationReport, check_association, generator_level,
+                          resolvent_level, semigroup_level, derivative_level,
+                          check_resolvent_norm_bounds, check_derivative_bounds,
+                          crosscheck_comparison_theorems,
                           bundled_test_sequences, bundled_family_pairs)
 from .perturbation import (BoundedMultiplierSeq, perturbation_claims_suite,
                            constant_coefficient_example)
@@ -42,8 +42,8 @@ __all__ = [
     "very_weak_pairing", "weak_limit_extract",
     "bump_test_function",
     "AssociationReport",
-    "check_resolvent_norm_bounds", "check_generator_association", "check_resolvent_association",
-    "check_semigroup_association", "check_weighted_resolvent_association", "check_derivative_bounds", "check_derivative_association",
+    "check_association", "generator_level", "resolvent_level", "semigroup_level",
+    "derivative_level", "check_resolvent_norm_bounds", "check_derivative_bounds",
     "crosscheck_comparison_theorems", "bundled_test_sequences", "bundled_family_pairs",
     "BoundedMultiplierSeq", "perturbation_claims_suite",
     "constant_coefficient_example",

@@ -18,8 +18,12 @@ quantitative decay conditions are measured.
 
 Every check is a sup over sampled t, lambda or k of ||F^-1(d F x_n)||_2 for the
 difference factors d.  A level maps (n, a_n, a~_n) to its (samples,) + grid.shape block
-of d.  :func:`_sup_association` is one pass per n for all levels of a pair: a_n and a~_n
-once, one FFT per test sequence, one Parseval product (:func:`semigroup.multiplier_norms`).
+of d: :func:`generator_level`, :func:`resolvent_level` (with ``b`` and ``omega`` it is
+the weighted resolvent level), :func:`semigroup_level` and :func:`derivative_level`.
+:func:`check_association` is the one entry point: it takes a pair, a mapping of labels
+to levels and the moderate test sequences, and makes one pass per n for all levels:
+a_n and a~_n once, one FFT per test sequence, one Parseval product
+(:func:`semigroup.multiplier_norms`).
 The log-log fits over n are :func:`symbols.fit_moderate` and
 :func:`symbols.is_moderate_fit`.
 """
@@ -106,17 +110,38 @@ def make_association_report(indices: Sequence[int], norms: Sequence[float],
 TestSequence = Callable[[int], GridFunction]
 
 
-def _sup_association(s: SymbolSeq, s_tilde: SymbolSeq, levels: Mapping[str, Callable],
-                     test_seqs: Sequence[TestSequence], grid: Grid,
-                     n_list: Sequence[int]) -> Dict[str, AssociationReport]:
+def verify_moderate_sequences(test_seqs: Sequence[TestSequence],
+                              n_list: Sequence[int]) -> None:
+    """Precondition of the association checks: test sequences are moderate.
+
+    Domain and range identities hold structurally for multiplier families on
+    a shared grid, so moderateness of the data is the only quantitative
+    membership condition left to verify.
+    """
+    if len(n_list) < MIN_FIT_INDICES:
+        return
+    for i, seq in enumerate(test_seqs):
+        fit = fit_moderate({n: lp_norm(seq(n), 2) for n in n_list})
+        if not is_moderate_fit(fit):
+            raise ValueError(f"test sequence {i} is not moderate "
+                             f"(fitted exponent {fit.slope:.2f})")
+
+
+def check_association(s: SymbolSeq, s_tilde: SymbolSeq, levels: Mapping[str, Callable],
+                      test_seqs: Sequence[TestSequence], grid: Grid,
+                      n_list: Sequence[int]) -> Dict[str, AssociationReport]:
     """One report per level label: sup over its rows d of ||F^-1(d F x_n)||_2.
 
-    A report's norms are the envelope over the test sequences, and its verdict is
+    ``levels`` maps each label to a level (:func:`generator_level`, or one built by
+    :func:`resolvent_level`, :func:`semigroup_level` or :func:`derivative_level`).
+    The test sequences must be moderate (:func:`verify_moderate_sequences`).  A
+    report's norms are the envelope over the test sequences, and its verdict is
     the most severe per-sequence verdict.  A NaN norm is kept, so
     :func:`make_association_report` rejects it.
     """
     if not test_seqs:
         raise ValueError(f"{', '.join(levels)}: no test sequences")
+    verify_moderate_sequences(test_seqs, n_list)
     sups: Dict[str, list] = {label: [] for label in levels}
     for n in n_list:
         a, a_tilde = s.on_grid(n, grid), s_tilde.on_grid(n, grid)
@@ -136,13 +161,17 @@ def _sup_association(s: SymbolSeq, s_tilde: SymbolSeq, levels: Mapping[str, Call
     return reports
 
 
-def _generator_level(n: int, a: np.ndarray, a_tilde: np.ndarray) -> np.ndarray:
+def generator_level(n: int, a: np.ndarray, a_tilde: np.ndarray) -> np.ndarray:
+    """a_n - a~_n: the generator level, one row."""
     return (a - a_tilde)[None]
 
 
-def _resolvent_level(lambda_samples: Sequence[complex], grid: Grid, b: float = 0.0,
-                     omega: float = -math.inf) -> Callable:
-    """lambda^b (R(lambda, a_n) - R(lambda, a~_n)) per lambda sample, each with Re > omega."""
+def resolvent_level(lambda_samples: Sequence[complex], grid: Grid, b: float = 0.0,
+                    omega: float = -math.inf) -> Callable:
+    """lambda^b (R(lambda, a_n) - R(lambda, a~_n)) per lambda sample, each with Re > omega.
+
+    The defaults give the plain resolvent level; b and omega give the weighted one.
+    """
     for lam in lambda_samples:
         if not complex(lam).real > omega:
             raise ValueError(f"lambda sample {lam} has Re <= omega {omega}")
@@ -151,7 +180,7 @@ def _resolvent_level(lambda_samples: Sequence[complex], grid: Grid, b: float = 0
                                             - resolvent_factor(a_tilde, lambda_samples, grid, n))
 
 
-def _semigroup_level(omega: float, t_samples: Sequence[float], grid: Grid) -> Callable:
+def semigroup_level(omega: float, t_samples: Sequence[float], grid: Grid) -> Callable:
     """e^(-omega t) (phi(t, a_n) - phi(t, a~_n)) per time sample."""
     weights = sample_axis([math.exp(-omega * t) for t in map(float, t_samples)], grid)
     times = sample_axis(np.asarray(t_samples, dtype=float), grid)
@@ -188,65 +217,6 @@ def check_resolvent_norm_bounds(s: SymbolSeq, n_list: Sequence[int], lambda_list
                                 spread=hi / lo,
                                 bounded=(slope is None or slope <= SLOPE_MIN)))
     return reports
-
-
-def verify_moderate_sequences(test_seqs: Sequence[TestSequence],
-                              n_list: Sequence[int]) -> None:
-    """Precondition of the association checks: test sequences are moderate.
-
-    Domain and range identities hold structurally for multiplier families on
-    a shared grid, so moderateness of the data is the only quantitative
-    membership condition left to verify.
-    """
-    if len(n_list) < MIN_FIT_INDICES:
-        return
-    for i, seq in enumerate(test_seqs):
-        fit = fit_moderate({n: lp_norm(seq(n), 2) for n in n_list})
-        if not is_moderate_fit(fit):
-            raise ValueError(f"test sequence {i} is not moderate "
-                             f"(fitted exponent {fit.slope:.2f})")
-
-
-def check_generator_association(s: SymbolSeq, s_tilde: SymbolSeq,
-                                test_seqs: Sequence[TestSequence], grid: Grid,
-                                n_list: Sequence[int], label: str = "") -> AssociationReport:
-    """Decay of ||(Op a_n - Op a~_n) x_n||_2 over the test sequences."""
-    verify_moderate_sequences(test_seqs, n_list)
-    label = label or "generator"
-    return _sup_association(s, s_tilde, {label: _generator_level}, test_seqs, grid, n_list)[label]
-
-
-def check_resolvent_association(s: SymbolSeq, s_tilde: SymbolSeq,
-                                lambda_list: Sequence[complex],
-                                test_seqs: Sequence[TestSequence], grid: Grid,
-                                n_list: Sequence[int], label: str = "") -> AssociationReport:
-    """Decay of sup over lambda of ||(R(lambda,A_n) - R(lambda,A~_n)) x_n||_2."""
-    label, level = label or "resolvent", _resolvent_level(lambda_list, grid)
-    return _sup_association(s, s_tilde, {label: level}, test_seqs, grid, n_list)[label]
-
-
-def check_semigroup_association(s: SymbolSeq, s_tilde: SymbolSeq, omega: float,
-                                t_samples: Sequence[float],
-                                test_seqs: Sequence[TestSequence], grid: Grid,
-                                n_list: Sequence[int], label: str = "") -> AssociationReport:
-    """Decay of sup over t of e^(-omega t) ||(S_n(t) - S~_n(t)) x_n||_2.
-
-    The "semigroup => resolvent" direction of the comparison theorems is checked
-    by :func:`crosscheck_comparison_theorems`, which runs both levels per pair.
-    """
-    label, level = label or "semigroup", _semigroup_level(omega, t_samples, grid)
-    return _sup_association(s, s_tilde, {label: level}, test_seqs, grid, n_list)[label]
-
-
-def check_weighted_resolvent_association(s: SymbolSeq, s_tilde: SymbolSeq,
-                                         omega: float, b: float,
-                                         lambda_samples: Sequence[complex],
-                                         test_seqs: Sequence[TestSequence],
-                                         grid: Grid, n_list: Sequence[int],
-                                         label: str = "") -> AssociationReport:
-    """Decay of sup over lambda of ||lambda^b (R(lambda,A_n) - R(lambda,A~_n)) x_n||."""
-    label, level = label or "weighted-resolvent", _resolvent_level(lambda_samples, grid, b, omega)
-    return _sup_association(s, s_tilde, {label: level}, test_seqs, grid, n_list)[label]
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +291,10 @@ def check_derivative_bounds(s: SymbolSeq, n_list: Sequence[int], omega: float, k
     return report
 
 
-def check_derivative_association(s: SymbolSeq, s_tilde: SymbolSeq, n_list: Sequence[int], omega: float,
-             k_max: int, lambda_list: Sequence[float],
-             test_seqs: Sequence[TestSequence], grid: Grid,
-             label: str = "") -> AssociationReport:
-    """Association in the derivative-bound metric: the same quantity on the
-    resolvent difference, applied to test sequences."""
-    label = label or "derivative-association"
-    level = _derivative_level(omega, k_max, lambda_list, grid)
-    return _sup_association(s, s_tilde, {label: level}, test_seqs, grid, n_list)[label]
-
-
-def _derivative_level(omega: float, k_max: int, lambda_list: Sequence[float],
-                      grid: Grid) -> Callable:
-    """(lambda - omega)^(k+1) times the difference of the k-th derivative terms, per (lambda, k)."""
+def derivative_level(omega: float, k_max: int, lambda_list: Sequence[float],
+                     grid: Grid) -> Callable:
+    """The derivative-bound metric on the resolvent difference, per (lambda, k): (lambda -
+    omega)^(k+1) times the difference of the k-th derivative terms."""
     orders = _orders(k_max)
     return lambda n, a, a_tilde: np.array(
         [(lam - omega) ** (k + 1) * (resolvent_over_lambda_derivative(float(lam), a, k)
@@ -485,16 +445,15 @@ def crosscheck_comparison_theorems(pairs: Sequence[FamilyPair],
     """
     omega, b = 2.0, 1.0
     seqs_all = bundled_test_sequences(grid)
-    levels = {"generator": _generator_level, "resolvent": _resolvent_level(lambda_list, grid),
-              "weighted": _resolvent_level([omega + 1.0, omega + 1.0 + 5j, omega + 10.0],
-                                           grid, b, omega),
-              "semigroup": _semigroup_level(omega, SUITE_T_SAMPLES, grid)}
+    levels = {"generator": generator_level, "resolvent": resolvent_level(lambda_list, grid),
+              "weighted": resolvent_level([omega + 1.0, omega + 1.0 + 5j, omega + 10.0],
+                                          grid, b, omega),
+              "semigroup": semigroup_level(omega, SUITE_T_SAMPLES, grid)}
     out = []
     for pr in pairs:
         seqs = [seqs_all[name] for name in pr.seq_names]
-        verify_moderate_sequences(seqs, pr.n_list)
         labelled = {f"{pr.name}/{name}": level for name, level in levels.items()}
-        reports = _sup_association(pr.s, pr.s_tilde, labelled, seqs, grid, pr.n_list)
+        reports = check_association(pr.s, pr.s_tilde, labelled, seqs, grid, pr.n_list)
         verdicts = dict(zip(levels, (report.verdict for report in reports.values())))
         out.append(PairCrossCheck(pr.name, pr.character, **verdicts))
     return out

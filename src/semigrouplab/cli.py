@@ -17,13 +17,9 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import csvio
-from .association import (bundled_family_pairs, bundled_test_sequences,
-                          check_generator_association,
-                          check_resolvent_association,
-                          check_resolvent_norm_bounds,
-                          check_semigroup_association,
-                          check_weighted_resolvent_association,
-                          crosscheck_comparison_theorems)
+from .association import (bundled_family_pairs, bundled_test_sequences, check_association,
+                          check_resolvent_norm_bounds, crosscheck_comparison_theorems,
+                          generator_level, resolvent_level, semigroup_level)
 from .cauchy import (ForcingSeq, bump_test_function, integral_equation_residual,
                      solve_sequence, very_weak_pairing, weak_limit_extract)
 from .config import (PERTURB_ORACLE_T_MAX, ExperimentConfig, comparison_operand,
@@ -314,22 +310,17 @@ def run_associate(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True)
     if cfg.comparison == "drift":
         rep = constant_coefficient_example(f, cfg.coeffs, n_list, cfg.t_max)
     else:
-        rep = check_semigroup_association(s, s_tilde, cfg.omega,
-                                          list(np.linspace(0, cfg.t_max, 21)[1:]),
-                                          [lambda n: f], grid, n_list,
-                                          label="semigroup-difference")
+        level = semigroup_level(cfg.omega, np.linspace(0, cfg.t_max, 21)[1:], grid)
+        rep = check_association(s, s_tilde, {"semigroup-difference": level},
+                                [lambda n: f], grid, n_list)["semigroup-difference"]
     csvio.write_association(out_dir / "association.csv", rep)
 
-    seqs = bundled_test_sequences(grid)
-    fixed = [seqs["gaussian"]]
-    gen = check_generator_association(s, s_tilde, fixed, grid, n_list, label="generator")
-    res = check_resolvent_association(s, s_tilde, lam_list, fixed, grid, n_list,
-                                      label="resolvent")
-    weighted = check_weighted_resolvent_association(
-        s, s_tilde, cfg.omega + 1.0, cfg.b,
-        [cfg.omega + 2.0, cfg.omega + 2.0 + 5j], fixed, grid, n_list,
-        label="weighted")
-    for name, r in (("generator", gen), ("resolvent", res), ("weighted", weighted)):
+    levels = {"generator": generator_level, "resolvent": resolvent_level(lam_list, grid),
+              "weighted": resolvent_level([cfg.omega + 2.0, cfg.omega + 2.0 + 5j], grid,
+                                          cfg.b, cfg.omega + 1.0)}
+    reports = check_association(s, s_tilde, levels, [bundled_test_sequences(grid)["gaussian"]],
+                                grid, n_list)
+    for name, r in reports.items():
         csvio.write_association(out_dir / f"association_{name}.csv", r)
 
     bounds = check_resolvent_norm_bounds(s, n_list, lam_list, grid)

@@ -32,6 +32,12 @@ PERTURB_ORACLE_T_MAX = 2.0
 #: perturb scenario |perturb_b| = 256 (|b| h = 8) deviates by at most 1.3e-13,
 #: 400j by 4.8e-10 and 800j by 2.2e-3
 PERTURB_STEP_MAX = 8.0
+#: largest size |b| e^(T max(0, Re b)), T = PERTURB_ORACLE_T_MAX, of the terms that cancel
+#: in that oracle at which it keeps its 1e-10 gate: its round-off is at most 5.3e-16 times
+#: that size on the perturb scenario (perfbench seeds 0 and 7), so b = 5 (size 1.1e5)
+#: deviates by at most 4.5e-11 and 3+250j (1.0e5) by 3.2e-11, while 5.5 (3.3e5) deviates
+#: by 1.3e-10, 4+150j (4.5e5) by 2.1e-10, 6 (9.8e5) by 4.0e-10 and 10 (4.9e9) by 2.3e-6
+PERTURB_TERM_MAX = 1.2e5
 
 
 @dataclass(frozen=True)
@@ -217,6 +223,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"perturb_b must have |perturb_b| <= {b_max:g}, so that the "
                           f"oracle's {PERTURBATION_PANELS} panels resolve e^(s perturb_b) "
                           f"up to t = {PERTURB_ORACLE_T_MAX:g}; got {cfg.perturb_b}")
+    term = abs(cfg.perturb_b) * math.exp(PERTURB_ORACLE_T_MAX * max(0.0, cfg.perturb_b.real))
+    if term > PERTURB_TERM_MAX:
+        raise ConfigError(f"perturb_b must have |perturb_b| e^({PERTURB_ORACLE_T_MAX:g} "
+                          f"max(0, Re perturb_b)) <= {PERTURB_TERM_MAX:g}, so that the "
+                          f"oracle's cancelling terms stay inside its round-off budget; "
+                          f"got {cfg.perturb_b} (size {term:.3g})")
     if cfg.family_kind == "poly" and not math.isfinite(poly_sup_re(cfg.coeffs)):
         raise ConfigError(f"coeffs must keep Re a(xi) bounded above (Re c_2 > 0, or "
                           f"Re c_2 = 0 and Im c_1 = 0), got {cfg.coeffs}")

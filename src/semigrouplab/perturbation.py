@@ -26,9 +26,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .association import (SUITE_T_SAMPLES, AssociationReport, bundled_test_sequences,
-                          check_semigroup_association,
-                          check_weighted_resolvent_association,
-                          make_association_report)
+                          check_association, make_association_report, resolvent_level,
+                          semigroup_level)
 from .errors import OverflowGuardError
 from .semigroup import EXP_GUARD, GrowthCertificate, certify_growth, phi, time_integral
 from .spectral import Grid, GridFunction
@@ -165,18 +164,18 @@ def perturbation_claims_suite(s: SymbolSeq, s_tilde: SymbolSeq, B: BoundedMultip
         report.growth.resolvent_fit is None
         or report.growth.resolvent_fit.slope <= 1.0)
 
-    report.pair_association = check_semigroup_association(
-        summed, summed_symbol_seq(s, B.plus(C_seq)), omega, SUITE_T_SAMPLES, test_seqs,
-        grid, n_list, label="B vs B+C")
+    semigroup = semigroup_level(omega, SUITE_T_SAMPLES, grid)
+    report.pair_association = check_association(
+        summed, summed_symbol_seq(s, B.plus(C_seq)), {"B vs B+C": semigroup}, test_seqs,
+        grid, n_list)["B vs B+C"]
     report.verdicts["perturbed-pair"] = report.pair_association.verdict
 
-    weighted = check_weighted_resolvent_association(
-        s, s_tilde, omega, b, [omega + 1.0, omega + 1.0 + 5j, omega + 10.0],
-        test_seqs, grid, n_list, label="base-pair")
-    report.verdicts["base-weighted"] = weighted.verdict
-    report.transported_association = check_semigroup_association(
-        summed, summed_symbol_seq(s_tilde, B), omega, SUITE_T_SAMPLES, test_seqs,
-        grid, n_list, label="transported")
+    weighted = resolvent_level([omega + 1.0, omega + 1.0 + 5j, omega + 10.0], grid, b, omega)
+    report.verdicts["base-weighted"] = check_association(
+        s, s_tilde, {"base-pair": weighted}, test_seqs, grid, n_list)["base-pair"].verdict
+    report.transported_association = check_association(
+        summed, summed_symbol_seq(s_tilde, B), {"transported": semigroup}, test_seqs,
+        grid, n_list)["transported"]
     report.verdicts["transported"] = report.transported_association.verdict
     return report
 
@@ -197,5 +196,6 @@ def constant_coefficient_example(f: GridFunction, coeffs: Sequence[complex], n_l
     fixed = make_poly_symbol_seq(lambda n: coeffs, name="P(D)")
     family = perturbed_heat_seq(coeffs, name="P_n(D)")
     ts = np.linspace(0, t_max, 51)[1:]
-    return check_semigroup_association(family, fixed, 0.0, ts, [lambda n: f], f.grid, n_list,
-                                       label="coefficient-perturbation")
+    label = "coefficient-perturbation"
+    return check_association(family, fixed, {label: semigroup_level(0.0, ts, f.grid)},
+                             [lambda n: f], f.grid, n_list)[label]

@@ -7,15 +7,12 @@ import pytest
 
 from semigrouplab import association
 from semigrouplab.association import (SUITE_T_SAMPLES, AssociationReport, bundled_family_pairs,
-                                      bundled_test_sequences, check_derivative_bounds,
-                                      check_derivative_association, check_resolvent_norm_bounds,
-                                      check_generator_association,
-                                      check_semigroup_association, check_weighted_resolvent_association,
-                                      check_resolvent_association,
+                                      bundled_test_sequences, check_association,
+                                      check_derivative_bounds, check_resolvent_norm_bounds,
                                       crosscheck_comparison_theorems, derivative_bound_quantity,
-                                      fit_moderate,
-                                      is_moderate_fit, make_association_report,
-                                      resolvent_over_lambda_derivative)
+                                      derivative_level, fit_moderate, generator_level,
+                                      is_moderate_fit, make_association_report, resolvent_level,
+                                      resolvent_over_lambda_derivative, semigroup_level)
 from semigrouplab.errors import InsufficientDataError, ResolventSingularityError
 from semigrouplab.semigroup import certify_growth, multiplier_norms, phi, resolvent_factor
 from semigrouplab.spectral import Grid, GridFunction, mollifier, lp_norm
@@ -44,6 +41,11 @@ def drifted():
 def gaussian_seq(grid):
     f = GridFunction.gaussian(grid)
     return lambda n: f
+
+
+def single(s, s_tilde, level, test_seqs, grid, n_list):
+    """The report of one level run alone through the kernel."""
+    return check_association(s, s_tilde, {"level": level}, test_seqs, grid, n_list)["level"]
 
 
 class TestFitModerate:
@@ -129,47 +131,47 @@ class TestG4:
 
 class TestGeneratorAssociation:
     def test_identical_families_zero(self, heat, grid, gaussian_seq):
-        rep = check_generator_association(heat, heat_symbol_seq(), [gaussian_seq],
-                                          grid, [4, 8, 16, 32])
+        rep = single(heat, heat_symbol_seq(), generator_level, [gaussian_seq],
+                     grid, [4, 8, 16, 32])
         assert rep.verdict == "associated"
         assert max(rep.norms) == 0.0
 
     def test_drifted_pair_fixed_gaussian(self, heat, drifted, grid, gaussian_seq):
-        rep = check_generator_association(heat, drifted, [gaussian_seq], grid,
-                                          [4, 8, 16, 32, 64])
+        rep = single(heat, drifted, generator_level, [gaussian_seq], grid,
+                     [4, 8, 16, 32, 64])
         assert rep.verdict == "associated"
         assert rep.slope == pytest.approx(-1.0, abs=0.1)
 
     def test_constant_shift_not_associated(self, heat, grid, gaussian_seq):
         shifted = shifted_symbol_seq(heat, lambda n, v: np.ones(v.shape[:-1]),
                                      re_bound_shift=1.0)
-        rep = check_generator_association(heat, shifted, [gaussian_seq], grid,
-                                          [4, 8, 16, 32])
+        rep = single(heat, shifted, generator_level, [gaussian_seq], grid,
+                     [4, 8, 16, 32])
         assert rep.verdict == "not-associated"
 
     def test_symmetry_in_the_pair(self, heat, drifted, grid, gaussian_seq):
-        ab = check_generator_association(heat, drifted, [gaussian_seq], grid, [4, 8, 16, 32])
-        ba = check_generator_association(drifted, heat, [gaussian_seq], grid, [4, 8, 16, 32])
+        ab = single(heat, drifted, generator_level, [gaussian_seq], grid, [4, 8, 16, 32])
+        ba = single(drifted, heat, generator_level, [gaussian_seq], grid, [4, 8, 16, 32])
         assert ab.norms == ba.norms
 
 
 class TestResolventAssociation:
     def test_identical_zero(self, heat, grid, gaussian_seq):
-        rep = check_resolvent_association(heat, heat_symbol_seq(), [2.0],
-                                          [gaussian_seq], grid, [4, 8, 16, 32])
+        rep = single(heat, heat_symbol_seq(), resolvent_level([2.0], grid),
+                     [gaussian_seq], grid, [4, 8, 16, 32])
         assert max(rep.norms) == 0.0
 
     def test_drifted_pair(self, heat, drifted, grid):
         wide = GridFunction.gaussian(grid, width=1.8)
-        rep = check_resolvent_association(heat, drifted, [2.0], [lambda n: wide],
-                                          grid, [4, 8, 16, 32, 64])
+        rep = single(heat, drifted, resolvent_level([2.0], grid), [lambda n: wide],
+                     grid, [4, 8, 16, 32, 64])
         assert rep.verdict == "associated"
         assert -1.2 < rep.slope < -0.7
 
     def test_divergent_pair(self, heat, grid, gaussian_seq):
         scaled = shifted_symbol_seq(heat, lambda n, v: -np.sum(v * v, axis=-1))
-        rep = check_resolvent_association(heat, scaled, [2.0], [gaussian_seq],
-                                          grid, [4, 8, 16, 32])
+        rep = single(heat, scaled, resolvent_level([2.0], grid), [gaussian_seq],
+                     grid, [4, 8, 16, 32])
         assert rep.verdict == "not-associated"
 
 
@@ -177,79 +179,105 @@ class TestGeisAndGE4:
     t_samples = list(np.linspace(0.25, 5.0, 12))
 
     def test_identical_zero(self, heat, grid, gaussian_seq):
-        rep = check_semigroup_association(heat, heat_symbol_seq(), 1.0, self.t_samples,
-                                     [gaussian_seq], grid, [4, 8, 16, 32])
+        rep = single(heat, heat_symbol_seq(), semigroup_level(1.0, self.t_samples, grid),
+                     [gaussian_seq], grid, [4, 8, 16, 32])
         assert max(rep.norms) == 0.0
 
     def test_drifted_pair_associated(self, heat, drifted, grid, gaussian_seq):
-        rep = check_semigroup_association(heat, drifted, 1.0, self.t_samples,
-                                     [gaussian_seq], grid, [4, 8, 16, 32, 64])
+        rep = single(heat, drifted, semigroup_level(1.0, self.t_samples, grid),
+                     [gaussian_seq], grid, [4, 8, 16, 32, 64])
         assert rep.verdict == "associated"
 
     @pytest.mark.parametrize("t_samples", [[math.nan], [0.5, math.nan]])
     def test_nan_time_sample_is_not_a_zero_norm(self, heat, drifted, grid, gaussian_seq,
                                                 t_samples):
         with pytest.raises(ValueError, match="n=4 is nan"):
-            check_semigroup_association(heat, drifted, 1.0, t_samples,
-                                        [gaussian_seq], grid, [4, 8, 16, 32, 64])
+            single(heat, drifted, semigroup_level(1.0, t_samples, grid),
+                   [gaussian_seq], grid, [4, 8, 16, 32, 64])
 
     def test_shifted_pair_not_associated(self, heat, grid, gaussian_seq):
         shifted = shifted_symbol_seq(heat, lambda n, v: np.ones(v.shape[:-1]),
                                      re_bound_shift=1.0)
-        rep = check_semigroup_association(heat, shifted, 2.0, self.t_samples,
-                                     [gaussian_seq], grid, [4, 8, 16, 32])
+        rep = single(heat, shifted, semigroup_level(2.0, self.t_samples, grid),
+                     [gaussian_seq], grid, [4, 8, 16, 32])
         assert rep.verdict == "not-associated"
 
     def test_weighted_drifted_pair(self, heat, drifted, grid, gaussian_seq):
-        rep = check_weighted_resolvent_association(heat, drifted, 1.0, 1.0, [2.0, 2.0 + 5j, 11.0],
-                        [gaussian_seq], grid, [4, 8, 16, 32, 64])
+        rep = single(heat, drifted, resolvent_level([2.0, 2.0 + 5j, 11.0], grid, 1.0, 1.0),
+                     [gaussian_seq], grid, [4, 8, 16, 32, 64])
         assert rep.verdict == "associated"
 
     def test_weighted_sqrt_decay(self, heat, grid, gaussian_seq):
         slow = shifted_symbol_seq(
             heat, lambda n, v: np.exp(-np.sum(v * v, axis=-1)) / math.sqrt(n),
             re_bound_shift=1.0)
-        rep = check_weighted_resolvent_association(heat, slow, 1.0, 1.0, [2.0, 11.0], [gaussian_seq], grid,
-                        [4, 8, 16, 32, 64])
+        rep = single(heat, slow, resolvent_level([2.0, 11.0], grid, 1.0, 1.0), [gaussian_seq],
+                     grid, [4, 8, 16, 32, 64])
         assert rep.verdict == "associated"
         assert rep.slope == pytest.approx(-0.5, abs=0.1)
 
-    def test_weighted_rejects_samples_in_half_plane(self, heat, drifted, grid, gaussian_seq):
-        with pytest.raises(ValueError):
-            check_weighted_resolvent_association(heat, drifted, 1.0, 1.0, [0.5], [gaussian_seq], grid, [4, 8, 16, 32])
+    def test_weighted_rejects_samples_in_half_plane(self, grid):
+        with pytest.raises(ValueError, match="Re <= omega"):
+            resolvent_level([0.5], grid, 1.0, 1.0)
 
 
 N_LIST = [4, 8, 16, 32]
 
 
-#: each check run with an empty sample list (test sequences, for the generator)
+#: each level with an empty sample list (test sequences, for the generator): (level, seqs)
 EMPTY_SAMPLE_CHECKS = {
-    "generator": lambda s, st, g, x: check_generator_association(
-        s, st, [], g, N_LIST, label="generator"),
-    "resolvent": lambda s, st, g, x: check_resolvent_association(
-        s, st, [], [x], g, N_LIST, label="resolvent"),
-    "weighted": lambda s, st, g, x: check_weighted_resolvent_association(
-        s, st, 1.0, 1.0, [], [x], g, N_LIST, label="weighted"),
-    "semigroup": lambda s, st, g, x: check_semigroup_association(
-        s, st, 1.0, [], [x], g, N_LIST, label="semigroup"),
-    "derivative": lambda s, st, g, x: check_derivative_association(
-        s, st, N_LIST, 1.0, 3, [], [x], g, label="derivative"),
+    "generator": lambda g, x: (generator_level, []),
+    "resolvent": lambda g, x: (resolvent_level([], g), [x]),
+    "weighted": lambda g, x: (resolvent_level([], g, 1.0, 1.0), [x]),
+    "semigroup": lambda g, x: (semigroup_level(1.0, [], g), [x]),
+    "derivative": lambda g, x: (derivative_level(1.0, 3, [], g), [x]),
+}
+
+#: each level with samples
+LEVELS = {
+    "generator": lambda g: generator_level,
+    "resolvent": lambda g: resolvent_level([2.0], g),
+    "weighted": lambda g: resolvent_level([2.0, 11.0], g, 1.0, 1.0),
+    "semigroup": lambda g: semigroup_level(1.0, [0.5], g),
+    "derivative": lambda g: derivative_level(1.0, 3, [2.0], g),
 }
 
 
 @pytest.mark.parametrize("label", list(EMPTY_SAMPLE_CHECKS))
 def test_no_samples_is_not_a_verdict(label, heat, drifted, grid, gaussian_seq):
     # a sup over nothing is not a zero difference
+    level, test_seqs = EMPTY_SAMPLE_CHECKS[label](grid, gaussian_seq)
     with pytest.raises(ValueError, match=f"^{label}: no "):
-        EMPTY_SAMPLE_CHECKS[label](heat, drifted, grid, gaussian_seq)
+        check_association(heat, drifted, {label: level}, test_seqs, grid, N_LIST)
 
 
 def test_an_empty_level_among_several_is_named(heat, drifted, grid, gaussian_seq):
-    levels = {"generator": association._generator_level,
-              "resolvent": association._resolvent_level([], grid),
-              "semigroup": association._semigroup_level(1.0, [0.5], grid)}
+    levels = {"generator": generator_level,
+              "resolvent": resolvent_level([], grid),
+              "semigroup": semigroup_level(1.0, [0.5], grid)}
     with pytest.raises(ValueError, match="^resolvent: no samples$"):
-        association._sup_association(heat, drifted, levels, [gaussian_seq], grid, N_LIST)
+        check_association(heat, drifted, levels, [gaussian_seq], grid, N_LIST)
+
+
+#: e^n on four doubling indices fits a power law with R^2 = 0.92, which the moderateness
+#: heuristic accepts; on five (R^2 = 0.87) it is refused
+EXPLODING_N_LIST = [4, 8, 16, 32, 64]
+
+
+@pytest.mark.parametrize("label", list(LEVELS))
+def test_every_level_refuses_a_sequence_that_is_not_moderate(label, heat, drifted, grid):
+    gauss = GridFunction.gaussian(grid)
+    with pytest.raises(ValueError, match="not moderate"):
+        check_association(heat, drifted, {label: LEVELS[label](grid)},
+                          [lambda n: math.exp(n) * gauss], grid, EXPLODING_N_LIST)
+
+
+def test_crosscheck_refuses_a_sequence_that_is_not_moderate(monkeypatch, grid):
+    gauss = GridFunction.gaussian(grid)
+    exploding = {name: (lambda n: math.exp(n) * gauss) for name in bundled_test_sequences(grid)}
+    monkeypatch.setattr(association, "bundled_test_sequences", lambda g: exploding)
+    with pytest.raises(ValueError, match="not moderate"):
+        crosscheck_comparison_theorems(bundled_family_pairs()[:1], [2.0], grid)
 
 
 class TestBlockKernel:
@@ -269,8 +297,8 @@ class TestBlockKernel:
 
         for name in ("phi", "multiplier_norms"):
             monkeypatch.setattr(association, name, counting(name))
-        check_semigroup_association(heat, drifted, 1.0, SUITE_T_SAMPLES, [gaussian_seq], grid,
-                                    N_LIST)
+        single(heat, drifted, semigroup_level(1.0, SUITE_T_SAMPLES, grid), [gaussian_seq], grid,
+               N_LIST)
         assert counts == {"phi": 2 * len(N_LIST), "multiplier_norms": len(N_LIST)}
 
     def test_two_dimensional_blocks_match_per_sample_norms(self):
@@ -290,20 +318,21 @@ class TestBlockKernel:
             return (resolvent_factor(s.on_grid(n, g2), lam, g2, n)
                     - resolvent_factor(s_tilde.on_grid(n, g2), lam, g2, n))
 
-        cases = [
-            (check_generator_association(s, s_tilde, [lambda n: x], g2, n_list),
-             per_sample(lambda n, _: s.on_grid(n, g2) - s_tilde.on_grid(n, g2), [None])),
-            (check_resolvent_association(s, s_tilde, lams, [lambda n: x], g2, n_list),
-             per_sample(diff, lams)),
-            (check_weighted_resolvent_association(s, s_tilde, omega, b, lams, [lambda n: x],
-                                                  g2, n_list),
-             per_sample(lambda n, lam: lam**b * diff(n, lam), lams)),
-            (check_semigroup_association(s, s_tilde, omega, times, [lambda n: x], g2, n_list),
-             per_sample(lambda n, t: math.exp(-omega * t)
-                        * (phi(t, s.on_grid(n, g2)) - phi(t, s_tilde.on_grid(n, g2))), times)),
-        ]
-        for report, expected in cases:
-            assert report.norms == pytest.approx(expected, rel=1e-14, abs=0.0)
+        reports = check_association(s, s_tilde, {
+            "generator": generator_level, "resolvent": resolvent_level(lams, g2),
+            "weighted": resolvent_level(lams, g2, b, omega),
+            "semigroup": semigroup_level(omega, times, g2)}, [lambda n: x], g2, n_list)
+        expected = {
+            "generator": per_sample(lambda n, _: s.on_grid(n, g2) - s_tilde.on_grid(n, g2),
+                                    [None]),
+            "resolvent": per_sample(diff, lams),
+            "weighted": per_sample(lambda n, lam: lam**b * diff(n, lam), lams),
+            "semigroup": per_sample(lambda n, t: math.exp(-omega * t)
+                                    * (phi(t, s.on_grid(n, g2)) - phi(t, s_tilde.on_grid(n, g2))),
+                                    times),
+        }
+        for label, report in reports.items():
+            assert report.norms == pytest.approx(expected[label], rel=1e-14, abs=0.0), label
         cert = certify_growth(s, n_list, omega, b, lams, times, g2)
         for n in n_list:
             assert cert.resolvent_bounds[n] == max(
@@ -336,15 +365,15 @@ class TestCrosscheck:
 
     def test_one_pass_matches_the_single_level_checks(self, grid, monkeypatch):
         # the cross-check runs all four levels of a pair in one kernel call; each
-        # level must give the verdict and envelope of its own public check
+        # level must give the verdict and envelope of that level run alone
         kernel_reports = []
-        kernel = association._sup_association
+        kernel = association.check_association
 
         def recording(*args):
             kernel_reports.append(kernel(*args))
             return kernel_reports[-1]
 
-        monkeypatch.setattr(association, "_sup_association", recording)
+        monkeypatch.setattr(association, "check_association", recording)
         pairs, lams = bundled_family_pairs(), [2.0, 10.0]
         checks = crosscheck_comparison_theorems(pairs, lams, grid)
         monkeypatch.undo()
@@ -353,16 +382,16 @@ class TestCrosscheck:
         for pr, check, reports in zip(pairs, checks, kernel_reports):
             seqs = [seqs_all[name] for name in pr.seq_names]
             args = (seqs, grid, pr.n_list)
-            single = {
-                "generator": check_generator_association(pr.s, pr.s_tilde, *args),
-                "resolvent": check_resolvent_association(pr.s, pr.s_tilde, lams, *args),
-                "weighted": check_weighted_resolvent_association(
-                    pr.s, pr.s_tilde, 2.0, 1.0, [3.0, 3.0 + 5j, 12.0], *args),
-                "semigroup": check_semigroup_association(pr.s, pr.s_tilde, 2.0,
-                                                         SUITE_T_SAMPLES, *args),
+            alone = {
+                "generator": single(pr.s, pr.s_tilde, generator_level, *args),
+                "resolvent": single(pr.s, pr.s_tilde, resolvent_level(lams, grid), *args),
+                "weighted": single(pr.s, pr.s_tilde,
+                                   resolvent_level([3.0, 3.0 + 5j, 12.0], grid, 1.0, 2.0), *args),
+                "semigroup": single(pr.s, pr.s_tilde,
+                                    semigroup_level(2.0, SUITE_T_SAMPLES, grid), *args),
             }
-            assert list(reports) == [f"{pr.name}/{level}" for level in single]
-            for (level, expected), report in zip(single.items(), reports.values()):
+            assert list(reports) == [f"{pr.name}/{level}" for level in alone]
+            for (level, expected), report in zip(alone.items(), reports.values()):
                 assert getattr(check, level) == report.verdict == expected.verdict, level
                 assert report.norms == pytest.approx(expected.norms, rel=1e-14, abs=0.0)
 
@@ -433,9 +462,8 @@ class TestDerivativeEngine:
         assert np.max(np.abs(q - direct)) < 1e-14
 
     def test_check_derivative_association_drifted_pair(self, heat, drifted, grid, gaussian_seq):
-        rep = check_derivative_association(heat, drifted, [4, 8, 16, 32, 64], omega=1.0, k_max=10,
-                       lambda_list=[1.5, 2.0, 4.0], test_seqs=[gaussian_seq],
-                       grid=grid)
+        rep = single(heat, drifted, derivative_level(1.0, 10, [1.5, 2.0, 4.0], grid),
+                     [gaussian_seq], grid, [4, 8, 16, 32, 64])
         assert isinstance(rep, AssociationReport)
         assert rep.verdict == "associated"
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semigrouplab import association, cli, semigroup, symbols
+from semigrouplab import association, cli, perturbation, semigroup, symbols
 from semigrouplab.cli import main
 from semigrouplab.config import (HEAT_C2, ExperimentConfig, default_config, load_config,
                                  parse_config, serialize_config)
@@ -73,6 +73,10 @@ class TestConfig:
             # 64 panels up to t = 2 resolve e^(s b) only for |b| <= 256
             ("[perturbation]\nperturb_b = 257j\n", r"^perturb_b must have .* <= 256,"),
             ("[perturbation]\nperturb_b = -800\n", r"^perturb_b must have .* <= 256,"),
+            # the oracle's cancelling terms grow like |b| e^(2 Re b)
+            ("[perturbation]\nperturb_b = 6\n", r"^perturb_b must have .* <= 120000,"),
+            ("[perturbation]\nperturb_b = 4+150j\n", r"^perturb_b must have .* <= 120000,"),
+            ("[perturbation]\nperturb_b = 10\n", r"^perturb_b must have .* <= 120000,"),
             ("[mollifier]\nmollifier = bump\n", r"unknown section \[mollifier\]"),
             ("[family]\ncoeffs = nan, 0, 0.025\n", "^coeffs must be finite"),
             ("[family]\ncoeffs = 0, 0, infj\n", "^coeffs must be finite"),
@@ -101,7 +105,7 @@ class TestConfig:
         for text, field in bad_inputs:
             with pytest.raises(ConfigError, match=field):
                 parse_config(text)
-        for b in ("256j", "-256", "-181-181j"):
+        for b in ("256j", "-256", "-181-181j", "5", "3+250j"):
             assert parse_config(f"[perturbation]\nperturb_b = {b}\n").perturb_b == complex(b)
 
     def test_load_missing_file(self, tmp_path):
@@ -594,11 +598,16 @@ def test_associate_evaluates_each_symbol_and_spectrum_once_per_pair_and_index(
     counting(symbols.SymbolSeq, "on_grid")
     counting(np.fft, "fftn")
     counting(association, "multiplier_norms")
-    counting(association, "_sup_association", kernel_indices)
+    # each module that calls the kernel holds its own reference to it
+    for caller in (association, cli, perturbation):
+        counting(caller, "check_association", kernel_indices)
     assert cli.run_associate(default_config("associate"), tmp_path, make_plots=False) == 0
+    # the scenario check, the merged generator/resolvent/weighted call, one per pair
+    assert len(kernel_indices) == 2 + len(association.bundled_family_pairs())
     assert 0 < counts["multiplier_norms"] <= sum(kernel_indices)
-    assert 0 < counts["on_grid"] <= 135
-    assert 0 < counts["fftn"] <= 145
+    assert 0 < counts["multiplier_norms"] <= 55
+    assert 0 < counts["on_grid"] <= 115
+    assert 0 < counts["fftn"] <= 135
 
 
 class TestPerturbGrowthCommands:

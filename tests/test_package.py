@@ -21,12 +21,12 @@ PACKAGE_DIR = Path(semigrouplab.__file__).parent
 UNREACHED_ALLOWLIST = {
     # item 4, group 1: the derivative-bound engine, kept for the growth wiring
     "check_derivative_bounds",
-    "check_derivative_association",
+    "derivative_level",
 }
 #: (function, parameter) pairs whose value a protocol fixes but the body need not read
 UNREAD_PARAMETER_ALLOWLIST = {
     # a level maps (n, a_n, a~_n) to its block; the generator level needs no n
-    ("_generator_level", "n"),
+    ("generator_level", "n"),
     # ForcingSeq.separable calls shape_for(n); the bundled forcing shape is one for all n
     ("shape_for", "n"),
 }
@@ -73,3 +73,14 @@ def test_every_parameter_is_read():
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
             unread |= {(fn.name, p) for p in params if p not in read}
     assert unread == UNREAD_PARAMETER_ALLOWLIST
+
+
+def test_one_association_kernel():
+    # the one "sup over samples of a diagonal-operator norm": within association.py
+    # only check_association calls multiplier_norms
+    tree = ast.parse((PACKAGE_DIR / "association.py").read_text())
+    callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "multiplier_norms"}
+    assert callers == {"check_association"}
