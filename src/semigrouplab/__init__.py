@@ -13,18 +13,17 @@ from .symbols import (SymbolSeq, ModerateSeq, fit_moderate,
                       heat_symbol_seq, perturbed_heat_seq)
 from .semigroup import (MultiplierOp, GrowthCertificate, phi, apply_S,
                         laplace_identity_residual,
-                        pseudoresolvent_residual, bromwich_S, certify_growth)
+                        pseudoresolvent_residual, bromwich_S, certify_growth,
+                        Level, generator_level, resolvent_level, semigroup_level,
+                        derivative_level, operator_sups)
 from .cauchy import (ForcingSeq, MildSolutionSeq, SpaceTimeTestFunction,
                      duhamel_solve, solve_sequence, integral_equation_residual,
                      very_weak_pairing, weak_limit_extract,
                      bump_test_function)
-from .association import (AssociationReport, check_association, generator_level,
-                          resolvent_level, semigroup_level, derivative_level,
-                          check_resolvent_norm_bounds, check_derivative_bounds,
-                          crosscheck_comparison_theorems,
+from .association import (AssociationReport, check_association,
+                          check_resolvent_norm_bounds, crosscheck_comparison_theorems,
                           bundled_test_sequences, bundled_family_pairs)
-from .perturbation import (BoundedMultiplierSeq, perturbation_claims_suite,
-                           constant_coefficient_example)
+from .perturbation import BoundedMultiplierSeq, perturbation_claims_suite
 
 __version__ = "0.1.0"
 
@@ -36,15 +35,14 @@ __all__ = [
     "heat_symbol_seq", "perturbed_heat_seq",
     "MultiplierOp", "GrowthCertificate", "phi", "apply_S",
     "laplace_identity_residual", "pseudoresolvent_residual", "bromwich_S",
-    "certify_growth",
+    "certify_growth", "Level", "generator_level", "resolvent_level", "semigroup_level",
+    "derivative_level", "operator_sups",
     "ForcingSeq", "MildSolutionSeq", "SpaceTimeTestFunction",
     "duhamel_solve", "solve_sequence", "integral_equation_residual",
     "very_weak_pairing", "weak_limit_extract",
     "bump_test_function",
     "AssociationReport",
-    "check_association", "generator_level", "resolvent_level", "semigroup_level",
-    "derivative_level", "check_resolvent_norm_bounds", "check_derivative_bounds",
+    "check_association", "check_resolvent_norm_bounds",
     "crosscheck_comparison_theorems", "bundled_test_sequences", "bundled_family_pairs",
     "BoundedMultiplierSeq", "perturbation_claims_suite",
-    "constant_coefficient_example",
 ]

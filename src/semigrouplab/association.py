@@ -16,29 +16,31 @@ Domain and range identities between two multiplier families on a shared grid
 hold by construction; they are recorded as structural facts and only the
 quantitative decay conditions are measured.
 
-Every check is a sup over sampled t, lambda or k of ||F^-1(d F x_n)||_2 for the
-difference factors d.  A level maps (n, a_n, a~_n) to its (samples,) + grid.shape block
-of d: :func:`generator_level`, :func:`resolvent_level` (with ``b`` and ``omega`` it is
-the weighted resolvent level), :func:`semigroup_level` and :func:`derivative_level`.
+Every association check is a sup over sampled t, lambda or k of ||F^-1(d F x_n)||_2
+for the difference factors d = w (F(a_n) - F(a~_n)) of a :class:`semigroup.Level`
+(``generator_level``, ``resolvent_level``, with ``b`` and ``omega`` the weighted
+resolvent level, ``semigroup_level`` and ``derivative_level``).
 :func:`check_association` is the one entry point: it takes a pair, a mapping of labels
 to levels and the moderate test sequences, and makes one pass per n for all levels:
 a_n and a~_n once, one FFT per test sequence, one Parseval product
-(:func:`semigroup.multiplier_norms`).
+(:func:`semigroup.multiplier_norms`).  The operator-norm sups of one family, such as
+:func:`check_resolvent_norm_bounds`, are :func:`semigroup.operator_sups` of a level.
 The log-log fits over n are :func:`symbols.fit_moderate` and
 :func:`symbols.is_moderate_fit`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Sequence
 
 import numpy as np
 
-from .semigroup import multiplier_norms, phi, resolvent_factor, sample_axis
+from .semigroup import (Level, generator_level, multiplier_norms, operator_sups,
+                        resolvent_level, semigroup_level)
 from .spectral import TWO_PI, Grid, GridFunction, lp_norm
-from .symbols import (MIN_FIT_INDICES, NORM_FLOOR, ModerateSeq, SymbolSeq, fit_moderate,
-                      heat_symbol_seq, is_moderate_fit, perturbed_heat_seq, shifted_symbol_seq)
+from .symbols import (MIN_FIT_INDICES, NORM_FLOOR, SymbolSeq, fit_moderate, heat_symbol_seq,
+                      is_moderate_fit, perturbed_heat_seq, shifted_symbol_seq)
 
 # verdict thresholds (documented in the module docstring)
 TOL_ASSOC_REL = 1e-3
@@ -127,13 +129,13 @@ def verify_moderate_sequences(test_seqs: Sequence[TestSequence],
                              f"(fitted exponent {fit.slope:.2f})")
 
 
-def check_association(s: SymbolSeq, s_tilde: SymbolSeq, levels: Mapping[str, Callable],
+def check_association(s: SymbolSeq, s_tilde: SymbolSeq, levels: Mapping[str, Level],
                       test_seqs: Sequence[TestSequence], grid: Grid,
                       n_list: Sequence[int]) -> Dict[str, AssociationReport]:
     """One report per level label: sup over its rows d of ||F^-1(d F x_n)||_2.
 
-    ``levels`` maps each label to a level (:func:`generator_level`, or one built by
-    :func:`resolvent_level`, :func:`semigroup_level` or :func:`derivative_level`).
+    ``levels`` maps each label to a :class:`semigroup.Level`; its rows are
+    d = w (F(a_n) - F(a~_n)).
     The test sequences must be moderate (:func:`verify_moderate_sequences`).  A
     report's norms are the envelope over the test sequences, and its verdict is
     the most severe per-sequence verdict.  A NaN norm is kept, so
@@ -145,7 +147,8 @@ def check_association(s: SymbolSeq, s_tilde: SymbolSeq, levels: Mapping[str, Cal
     sups: Dict[str, list] = {label: [] for label in levels}
     for n in n_list:
         a, a_tilde = s.on_grid(n, grid), s_tilde.on_grid(n, grid)
-        blocks = [level(n, a, a_tilde) for level in levels.values()]
+        blocks = [level.weights * (level.factor(n, a) - level.factor(n, a_tilde))
+                  for level in levels.values()]
         norms = multiplier_norms(np.concatenate(blocks), [seq(n) for seq in test_seqs])
         ends = np.cumsum([len(block) for block in blocks])[:-1]
         for (label, sup), rows in zip(sups.items(), np.split(norms, ends)):
@@ -159,32 +162,6 @@ def check_association(s: SymbolSeq, s_tilde: SymbolSeq, levels: Mapping[str, Cal
         reports[label] = make_association_report(n_list, np.max(sup, axis=1), label)
         reports[label].verdict = max(verdicts, key=_SEVERITY.get)
     return reports
-
-
-def generator_level(n: int, a: np.ndarray, a_tilde: np.ndarray) -> np.ndarray:
-    """a_n - a~_n: the generator level, one row."""
-    return (a - a_tilde)[None]
-
-
-def resolvent_level(lambda_samples: Sequence[complex], grid: Grid, b: float = 0.0,
-                    omega: float = -math.inf) -> Callable:
-    """lambda^b (R(lambda, a_n) - R(lambda, a~_n)) per lambda sample, each with Re > omega.
-
-    The defaults give the plain resolvent level; b and omega give the weighted one.
-    """
-    for lam in lambda_samples:
-        if not complex(lam).real > omega:
-            raise ValueError(f"lambda sample {lam} has Re <= omega {omega}")
-    weights = sample_axis([complex(lam)**b for lam in lambda_samples], grid)
-    return lambda n, a, a_tilde: weights * (resolvent_factor(a, lambda_samples, grid, n)
-                                            - resolvent_factor(a_tilde, lambda_samples, grid, n))
-
-
-def semigroup_level(omega: float, t_samples: Sequence[float], grid: Grid) -> Callable:
-    """e^(-omega t) (phi(t, a_n) - phi(t, a~_n)) per time sample."""
-    weights = sample_axis([math.exp(-omega * t) for t in map(float, t_samples)], grid)
-    times = sample_axis(np.asarray(t_samples, dtype=float), grid)
-    return lambda n, a, a_tilde: weights * (phi(times, a) - phi(times, a_tilde))
 
 
 @dataclass
@@ -205,101 +182,16 @@ def check_resolvent_norm_bounds(s: SymbolSeq, n_list: Sequence[int], lambda_list
     On a grid the norms are always finite and positive, so the report gives
     the spread c_2/c_1 and flags families whose norms grow with n.
     """
-    modes = tuple(range(1, grid.dimension + 1))
-    sups = [np.max(np.abs(resolvent_factor(s.on_grid(n, grid), lambda_list, grid, n)),
-                   axis=modes) for n in n_list]
+    sups = operator_sups(s, {"resolvent": resolvent_level(lambda_list, grid)}, grid, n_list)
     reports = []
-    for j, lam in enumerate(lambda_list):
-        vals = {n: float(sup[j]) for n, sup in zip(n_list, sups)}
+    for lam, column in zip(lambda_list, sups["resolvent"].T):
+        vals = dict(zip(n_list, map(float, column)))
         lo, hi = min(vals.values()), max(vals.values())
         slope = fit_moderate(vals).slope if len(vals) >= MIN_FIT_INDICES else None
         reports.append(ResolventBoundReport(lambda_value=complex(lam), lower=lo, upper=hi,
                                 spread=hi / lo,
                                 bounded=(slope is None or slope <= SLOPE_MIN)))
     return reports
-
-
-# ---------------------------------------------------------------------------
-# derivative engine for the densely-defined generation condition
-
-
-def _orders(k_max: int) -> range:
-    """The derivative orders 0..k_max; k_max beyond 60 is refused.
-
-    The partial-fraction form keeps all powers as ratios, so no factorial
-    ever materializes; the bound keeps the checks inside their documented
-    envelope.
-    """
-    if k_max > 60:
-        raise ValueError("k_max > 60 exceeds the factorial-overflow guard")
-    return range(k_max + 1)
-
-
-def resolvent_over_lambda_derivative(lam: float, a: np.ndarray, k: int) -> np.ndarray:
-    """k-th lambda-derivative of 1/(lambda (lambda - a)) divided by k!.
-
-    For a != 0:  (1/a) (-1)^k k! ((lambda-a)^(-k-1) - lambda^(-k-1)); the
-    a = 0 modes reduce to (-1)^k (k+1)! lambda^(-k-2).  The k! cancels in
-    the certified quantity, so everything is computed through the stable
-    ratio form without explicit factorials.
-    """
-    a = np.asarray(a, dtype=complex)
-    sign = -1.0 if k % 2 else 1.0
-    safe = np.where(a == 0, 1.0, a)
-    general = sign / safe * ((lam - a) ** (-k - 1) - lam ** (-k - 1))
-    zero_mode = sign * (k + 1) * lam ** (-k - 2)
-    return np.where(a == 0, zero_mode, general)
-
-
-def derivative_bound_quantity(lam: float, omega: float, a: np.ndarray, k: int) -> np.ndarray:
-    """|(lambda-omega)^(k+1) (R/lambda)^(k) / k!| per mode, in ratio form."""
-    d = resolvent_over_lambda_derivative(lam, a, k)
-    return np.abs((lam - omega) ** (k + 1) * d)
-
-
-@dataclass
-class DerivativeBoundReport:
-    """Sampled suprema of the derivative-bound quantity per family index."""
-
-    omega: float
-    k_max: int
-    lambda_list: list
-    bounds: dict = field(default_factory=dict)
-    argmax: dict = field(default_factory=dict)
-    fit: Optional[ModerateSeq] = None
-
-
-def check_derivative_bounds(s: SymbolSeq, n_list: Sequence[int], omega: float, k_max: int,
-             lambda_list: Sequence[float], grid: Grid) -> DerivativeBoundReport:
-    """Sampled sup over (k <= k_max, lambda) of the derivative-bound quantity."""
-    orders = _orders(k_max)
-    report = DerivativeBoundReport(omega=omega, k_max=k_max, lambda_list=list(lambda_list))
-    for n in n_list:
-        a = s.on_grid(n, grid)
-        best, arg = 0.0, None
-        for lam in lambda_list:
-            if not lam > omega:
-                raise ValueError(f"lambda={lam} must exceed omega={omega}")
-            for k in orders:
-                q = float(np.max(derivative_bound_quantity(float(lam), omega, a, k)))
-                if q > best:
-                    best, arg = q, (k, float(lam))
-        report.bounds[n] = best
-        report.argmax[n] = arg
-    if len(n_list) >= MIN_FIT_INDICES:
-        report.fit = fit_moderate(report.bounds)
-    return report
-
-
-def derivative_level(omega: float, k_max: int, lambda_list: Sequence[float],
-                     grid: Grid) -> Callable:
-    """The derivative-bound metric on the resolvent difference, per (lambda, k): (lambda -
-    omega)^(k+1) times the difference of the k-th derivative terms."""
-    orders = _orders(k_max)
-    return lambda n, a, a_tilde: np.array(
-        [(lam - omega) ** (k + 1) * (resolvent_over_lambda_derivative(float(lam), a, k)
-                                     - resolvent_over_lambda_derivative(float(lam), a_tilde, k))
-         for lam in lambda_list for k in orders], dtype=complex).reshape((-1,) + grid.shape)
 
 
 # ---------------------------------------------------------------------------

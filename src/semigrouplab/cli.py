@@ -18,19 +18,18 @@ import numpy as np
 
 from . import csvio
 from .association import (bundled_family_pairs, bundled_test_sequences, check_association,
-                          check_resolvent_norm_bounds, crosscheck_comparison_theorems,
-                          generator_level, resolvent_level, semigroup_level)
+                          check_resolvent_norm_bounds, crosscheck_comparison_theorems)
 from .cauchy import (ForcingSeq, bump_test_function, integral_equation_residual,
                      solve_sequence, very_weak_pairing, weak_limit_extract)
 from .config import (PERTURB_ORACLE_T_MAX, ExperimentConfig, comparison_operand,
                      default_config, load_config, scaled_sup_re, serialize_config, time_grid)
 from .errors import ConfigError, ResolutionError, SemigroupLabError
-from .perturbation import (BoundedMultiplierSeq, constant_coefficient_example,
-                           perturbation_quadrature, perturbed_factor,
+from .perturbation import (BoundedMultiplierSeq, perturbation_quadrature, perturbed_factor,
                            perturbation_claims_suite, summed_symbol_seq)
 from .quadrature import composite_gauss_points
-from .semigroup import (apply_S, block_rows, bromwich_S, certify_growth,
-                        laplace_identity_residual, phi, pseudoresolvent_residual, sample_axis)
+from .semigroup import (apply_S, block_rows, bromwich_S, certify_growth, generator_level,
+                        laplace_identity_residual, phi, pseudoresolvent_residual,
+                        resolvent_level, sample_axis, semigroup_level)
 from .spectral import DistributionRep, Grid, GridFunction, lp_norm, mollify
 from .symbols import (MIN_FIT_INDICES, SymbolSeq, make_fractional_symbol_seq,
                       make_poly_symbol_seq, perturbed_heat_seq, shifted_symbol_seq)
@@ -307,12 +306,11 @@ def run_associate(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True)
     f = GridFunction.gaussian(grid, cfg.data_width)
     n_list = cfg.n_list
 
-    if cfg.comparison == "drift":
-        rep = constant_coefficient_example(f, cfg.coeffs, n_list, cfg.t_max)
-    else:
-        level = semigroup_level(cfg.omega, np.linspace(0, cfg.t_max, 21)[1:], grid)
-        rep = check_association(s, s_tilde, {"semigroup-difference": level},
-                                [lambda n: f], grid, n_list)["semigroup-difference"]
+    # drift is the constant-coefficient example: c_0 and c_2 perturbed by 1/n, at omega = 0
+    label, omega, times = (("coefficient-perturbation", 0.0, 50) if cfg.comparison == "drift"
+                           else ("semigroup-difference", cfg.omega, 20))
+    level = semigroup_level(omega, np.linspace(0, cfg.t_max, times + 1)[1:], grid)
+    rep = check_association(s, s_tilde, {label: level}, [lambda n: f], grid, n_list)[label]
     csvio.write_association(out_dir / "association.csv", rep)
 
     levels = {"generator": generator_level, "resolvent": resolvent_level(lam_list, grid),

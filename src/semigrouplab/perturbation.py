@@ -19,20 +19,18 @@ the rule takes one e^(s b) per node, not one per node and mode.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .association import (SUITE_T_SAMPLES, AssociationReport, bundled_test_sequences,
-                          check_association, make_association_report, resolvent_level,
-                          semigroup_level)
+                          check_association, make_association_report)
 from .errors import OverflowGuardError
-from .semigroup import EXP_GUARD, GrowthCertificate, certify_growth, phi, time_integral
-from .spectral import Grid, GridFunction
-from .symbols import (SymbolSeq, make_poly_symbol_seq, perturbed_heat_seq, poly_sup_re,
-                      shifted_symbol_seq)
+from .semigroup import (EXP_GUARD, GrowthCertificate, certify_growth, phi, resolvent_level,
+                        semigroup_level, time_integral)
+from .spectral import Grid
+from .symbols import SymbolSeq, shifted_symbol_seq
 
 #: panel count of the s-integral in the quadrature oracle
 PERTURBATION_PANELS = 64
@@ -178,24 +176,3 @@ def perturbation_claims_suite(s: SymbolSeq, s_tilde: SymbolSeq, B: BoundedMultip
         grid, n_list)["transported"]
     report.verdicts["transported"] = report.transported_association.verdict
     return report
-
-
-def constant_coefficient_example(f: GridFunction, coeffs: Sequence[complex], n_list: Sequence[int],
-                                 t_max: float) -> AssociationReport:
-    """The constant-coefficient example: perturb c_0 and c_2 by 1/n.
-
-    Builds the fixed operator from ``coeffs`` and the family with c_0 + 1/n
-    and c_2 + 1/n, then reports the decay of sup over t in (0, t_max], at
-    50 equally spaced times, of ||S_n(t) f - S(t) f||_2.
-    """
-    if f.grid.dimension != 1:
-        raise ValueError("the constant-coefficient example is one-dimensional")
-    # Re c_2 + 1/n > 0 whenever Re c_2 >= 0, so Re P_n is bounded above whenever Re P is
-    if not math.isfinite(poly_sup_re(coeffs)):
-        raise ValueError("coefficients must keep Re p(2 pi i xi) bounded above")
-    fixed = make_poly_symbol_seq(lambda n: coeffs, name="P(D)")
-    family = perturbed_heat_seq(coeffs, name="P_n(D)")
-    ts = np.linspace(0, t_max, 51)[1:]
-    label = "coefficient-perturbation"
-    return check_association(family, fixed, {label: semigroup_level(0.0, ts, f.grid)},
-                             [lambda n: f], f.grid, n_list)[label]

@@ -1,4 +1,4 @@
-"""Integrated semigroups, resolvents, and growth certification for multiplier families.
+"""Integrated semigroups, resolvents, sampled operator levels and growth certification.
 
 Every operator here is diagonal in frequency: a scalar field over the grid
 frequencies applied as F^-1 (factor . F u).  The once-integrated semigroup of
@@ -10,12 +10,19 @@ an entire function of a evaluated through a Taylor branch near t a = 0.  The
 resolvent factor is 1/(lambda - a).  The Laplace identity R(lambda) = lambda
 integral_0^inf exp(-lambda t) S(t) dt, by ``time_integral`` at b = -lambda (the
 perturbation oracle's kernel too), and the Bromwich inversion are mutual oracles.
+
+A :class:`Level` is a sampled family of such operators, row j being w_j F_j(a_n):
+:data:`generator_level`, :func:`resolvent_level`, :func:`semigroup_level` and
+:func:`derivative_level` (Arendt's generation bound).  Its sups have two reductions:
+``association.check_association`` takes the L^2 norms of w (F(a_n) - F(a~_n)) on test
+sequences, and :func:`operator_sups` the operator norms |w| max_xi |F(a_n)|, one
+``on_grid`` per n, on which :func:`certify_growth` and the resolvent-norm bounds rest.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Dict, Mapping, Sequence
 
 import numpy as np
 
@@ -207,6 +214,106 @@ def resolvent_factor(a: np.ndarray, lam, grid: Grid, n: int) -> np.ndarray:
     return np.divide(1.0, diff, out=diff)
 
 
+@dataclass(frozen=True)
+class Level:
+    """Sampled diagonal operators w_j F_j(a_n), one row each.
+
+    ``weights`` has shape (rows,) + (1,) * dim, and ``factor(n, a)`` gives the
+    (rows,) + grid.shape block F(a) of the symbol values a = a_n.
+    """
+
+    weights: np.ndarray
+    factor: Callable[[int, np.ndarray], np.ndarray]
+
+
+#: a_n itself, one row
+generator_level = Level(np.ones(1), lambda n, a: a[None])
+
+
+def resolvent_level(lambda_samples: Sequence[complex], grid: Grid, b: float = 0.0,
+                    omega: float = -math.inf) -> Level:
+    """lambda^b R(lambda, a_n) per lambda sample, each with Re > omega.
+
+    The defaults give the plain resolvent level; b and omega give the weighted one.
+    """
+    for lam in lambda_samples:
+        if not complex(lam).real > omega:
+            raise ValueError(f"lambda sample {lam} has Re <= omega {omega}")
+    return Level(sample_axis([complex(lam)**b for lam in lambda_samples], grid),
+                 lambda n, a: resolvent_factor(a, lambda_samples, grid, n))
+
+
+def semigroup_level(omega: float, t_samples: Sequence[float], grid: Grid) -> Level:
+    """e^(-omega t) phi(t, a_n) per time sample."""
+    times = sample_axis(np.asarray(t_samples, dtype=float), grid)
+    return Level(sample_axis([math.exp(-omega * t) for t in map(float, t_samples)], grid),
+                 lambda n, a: phi(times, a))
+
+
+def _orders(k_max: int) -> range:
+    """The derivative orders 0..k_max; k_max beyond 60 is refused.
+
+    The partial-fraction form keeps all powers as ratios, so no factorial
+    ever materializes; the bound keeps the checks inside their documented
+    envelope.
+    """
+    if k_max > 60:
+        raise ValueError("k_max > 60 exceeds the factorial-overflow guard")
+    return range(k_max + 1)
+
+
+def resolvent_over_lambda_derivative(lam: float, a: np.ndarray, k: int) -> np.ndarray:
+    """k-th lambda-derivative of 1/(lambda (lambda - a)) divided by k!.
+
+    For a != 0:  (1/a) (-1)^k k! ((lambda-a)^(-k-1) - lambda^(-k-1)); the
+    a = 0 modes reduce to (-1)^k (k+1)! lambda^(-k-2).  The k! cancels in
+    the certified quantity, so everything is computed through the stable
+    ratio form without explicit factorials.
+    """
+    a = np.asarray(a, dtype=complex)
+    sign = -1.0 if k % 2 else 1.0
+    safe = np.where(a == 0, 1.0, a)
+    general = sign / safe * ((lam - a) ** (-k - 1) - lam ** (-k - 1))
+    zero_mode = sign * (k + 1) * lam ** (-k - 2)
+    return np.where(a == 0, zero_mode, general)
+
+
+def derivative_level(omega: float, k_max: int, lambda_list: Sequence[float],
+                     grid: Grid) -> Level:
+    """(lambda - omega)^(k+1) (d/dlambda)^k (R(lambda, a_n)/lambda) / k! per (lambda, k).
+
+    Rows run over lambda > omega and k <= k_max, k fastest.  A bound on their operator
+    norms uniform in lambda and k is Arendt's condition for generating an exponentially
+    bounded once-integrated semigroup.
+    """
+    orders = _orders(k_max)
+    for lam in lambda_list:
+        if not lam > omega:
+            raise ValueError(f"lambda={lam} must exceed omega={omega}")
+    weights = sample_axis([(lam - omega) ** (k + 1) for lam in lambda_list for k in orders], grid)
+    return Level(weights, lambda n, a: np.array(
+        [resolvent_over_lambda_derivative(float(lam), a, k) for lam in lambda_list for k in orders],
+        dtype=complex).reshape((-1,) + grid.shape))
+
+
+def operator_sups(s: SymbolSeq, levels: Mapping[str, Level], grid: Grid,
+                  n_list: Sequence[int]) -> Dict[str, np.ndarray]:
+    """Per label, the (len(n_list), rows) operator norms |w| max_xi |F(a_n)|.
+
+    For diagonal operators the L^2 operator norm is the max of the factor magnitude
+    over the grid modes.  a_n is evaluated once per n for all levels.  Rounding is
+    monotone, so for w >= 0 each entry equals max_xi (w |F|) bitwise; np.max keeps a NaN.
+    """
+    modes = tuple(range(1, grid.dimension + 1))
+    scales = {label: np.abs(level.weights).ravel() for label, level in levels.items()}
+    sups = {label: np.empty((len(n_list), scale.size)) for label, scale in scales.items()}
+    for i, n in enumerate(n_list):
+        a = s.on_grid(n, grid)
+        for label, level in levels.items():
+            sups[label][i] = scales[label] * np.max(np.abs(level.factor(n, a)), axis=modes)
+    return sups
+
+
 def laplace_identity_residual(s: SymbolSeq, n: int, lam: complex, u: GridFunction,
                               T: float, panels: int) -> float:
     """Relative defect of R(lambda) u = lambda integral_0^T e^(-lambda t) S(t) u dt.
@@ -320,33 +427,26 @@ def certify_growth(s: SymbolSeq, n_list: Sequence[int], omega: float, b: float,
                    grid: Grid) -> GrowthCertificate:
     """Sample the half-plane resolvent bound and the weighted semigroup bound.
 
-    For diagonal operators the L^2 operator norm is the max of the factor
-    magnitude over the grid frequencies, so both bounds are exact maxima
-    over (sample set) x (grid modes), one block per index.  A lambda sample
-    on the numerical spectrum raises ``ResolventSingularityError`` from
-    :func:`resolvent_factor`, naming lambda, xi and n.  The moderateness
-    exponent of M_n is fitted when at least ``MIN_FIT_INDICES`` indices are
-    given.
+    Both bounds are maxima of :func:`operator_sups` over the sample sets, so exact
+    maxima over (sample set) x (grid modes).  A lambda sample on the numerical
+    spectrum raises ``ResolventSingularityError`` from :func:`resolvent_factor`,
+    naming lambda, xi and n.  The moderateness exponent of M_n is fitted when at
+    least ``MIN_FIT_INDICES`` indices are given.
     """
     cert = GrowthCertificate(omega=omega, b=b, n_list=list(n_list))
     lams = [complex(lam) for lam in lambda_samples]
-    for lam in lams:
-        if not lam.real > omega:
-            raise ValueError(f"lambda sample {lam} has Re <= omega = {omega}")
     times = np.asarray(t_samples, dtype=float)
     if np.any(times <= 0):
         raise ValueError("t samples must be positive")
-    # the weights are >= 0, so weighting every mode keeps the max of each sample exact
-    lam_weights = sample_axis([abs(lam) ** b for lam in lams], grid)
-    t_weights = sample_axis(np.exp(-omega * times) * times ** (-b), grid)
-    times = sample_axis(times, grid)
-    for n in n_list:
-        a = s.on_grid(n, grid)
-        res = lam_weights * np.abs(resolvent_factor(a, lams, grid, n))
-        sg = t_weights * np.abs(phi(times, a))
-        # np.max keeps a NaN bound, which the builtin max would read as 0
-        cert.resolvent_bounds[n] = float(np.max(res))
-        cert.semigroup_bounds[n] = float(np.max(sg))
+    # the levels' factors with the certificate's weights |lambda|^b and e^(-omega t) t^(-b)
+    levels = {"resolvent": Level(sample_axis([abs(lam) ** b for lam in lams], grid),
+                                 resolvent_level(lams, grid, omega=omega).factor),
+              "semigroup": Level(sample_axis(np.exp(-omega * times) * times ** (-b), grid),
+                                 semigroup_level(omega, times, grid).factor)}
+    sups = operator_sups(s, levels, grid, n_list)
+    # np.max keeps a NaN bound, which the builtin max would read as 0
+    cert.resolvent_bounds = {n: float(np.max(row)) for n, row in zip(n_list, sups["resolvent"])}
+    cert.semigroup_bounds = {n: float(np.max(row)) for n, row in zip(n_list, sups["semigroup"])}
     if len(n_list) >= MIN_FIT_INDICES:
         cert.resolvent_fit = fit_moderate(cert.resolvent_bounds)
     return cert

@@ -49,7 +49,8 @@ def fit_moderate(norms: Mapping[int, float]) -> ModerateSeq:
     """Fit ||x_n|| ~ C n^a by least squares in log-log coordinates.
 
     Requires at least ``MIN_FIT_INDICES`` indices; zero values are replaced
-    by ``NORM_FLOOR`` and flagged.
+    by ``NORM_FLOOR`` and flagged.  A constant sequence fits exactly: slope 0
+    and R^2 = 1, whatever the rounding of the mean of its logs.
     """
     if len(norms) < MIN_FIT_INDICES:
         raise InsufficientDataError(
@@ -62,7 +63,7 @@ def fit_moderate(norms: Mapping[int, float]) -> ModerateSeq:
     vals = np.maximum(vals, NORM_FLOOR)
     x = np.log(np.asarray(ns, dtype=float))
     y = np.log(vals)
-    xm, ym = x.mean(), y.mean()
+    xm, ym = x.mean(), (y[0] if np.ptp(y) == 0 else y.mean())
     var = float(np.sum((x - xm) ** 2))
     slope = float(np.sum((x - xm) * (y - ym)) / var)
     intercept = ym - slope * xm

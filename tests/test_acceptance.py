@@ -10,23 +10,23 @@ from pathlib import Path
 
 import numpy as np
 
-from semigrouplab.association import (bundled_family_pairs,
-                                      crosscheck_comparison_theorems, fit_moderate,
-                                      resolvent_over_lambda_derivative)
+from semigrouplab.association import (bundled_family_pairs, check_association,
+                                      crosscheck_comparison_theorems, fit_moderate)
 from semigrouplab.cauchy import (ForcingSeq, bump_test_function,
                                  integral_equation_residual, solve_sequence,
                                  very_weak_pairing, weak_limit_extract)
 from semigrouplab.cli import main
 from semigrouplab.config import default_config, serialize_config
-from semigrouplab.perturbation import (BoundedMultiplierSeq, constant_coefficient_example,
-                                       perturbation_claims_suite)
+from semigrouplab.perturbation import BoundedMultiplierSeq, perturbation_claims_suite
 from semigrouplab.quadrature import composite_gauss_points, trapezoid_weights
 from semigrouplab.semigroup import (apply_S, bromwich_S,
                                     laplace_identity_residual, phi,
-                                    pseudoresolvent_residual)
+                                    pseudoresolvent_residual, resolvent_over_lambda_derivative,
+                                    semigroup_level)
 from semigrouplab.spectral import (DistributionRep, Grid, GridFunction,
                                    lp_norm, mollify)
-from semigrouplab.symbols import heat_symbol_seq, make_fractional_symbol_seq
+from semigrouplab.symbols import (heat_symbol_seq, make_fractional_symbol_seq,
+                                  make_poly_symbol_seq, perturbed_heat_seq)
 
 HEAT_C2 = 1.0 / (4.0 * np.pi**2)
 
@@ -165,7 +165,11 @@ def test_criterion_07_mollifier_scaling():
 def test_criterion_08_constant_coefficient_example():
     grid = Grid(1, 4.0, 128)
     f = GridFunction.gaussian(grid, width=1.8)
-    rep = constant_coefficient_example(f, (0.0, 0.0, HEAT_C2), [4, 8, 16, 32, 64], t_max=5.0)
+    # c_0 and c_2 perturbed by 1/n; sup over 50 times in (0, 5] at omega = 0, as `associate` runs it
+    coeffs = (0.0, 0.0, HEAT_C2)
+    level = semigroup_level(0.0, np.linspace(0, 5.0, 51)[1:], grid)
+    rep = check_association(perturbed_heat_seq(coeffs), make_poly_symbol_seq(lambda n: coeffs),
+                            {"drift": level}, [lambda n: f], grid, [4, 8, 16, 32, 64])["drift"]
     ok = rep.verdict == "associated" and abs(rep.slope + 1.0) <= 0.1
     record("08 coefficient-drift example", ok,
            f"verdict {rep.verdict}; slope {rep.slope:.3f}")

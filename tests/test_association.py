@@ -4,19 +4,21 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from semigrouplab import association
+from semigrouplab import association, semigroup
 from semigrouplab.association import (SUITE_T_SAMPLES, AssociationReport, bundled_family_pairs,
                                       bundled_test_sequences, check_association,
-                                      check_derivative_bounds, check_resolvent_norm_bounds,
-                                      crosscheck_comparison_theorems, derivative_bound_quantity,
-                                      derivative_level, fit_moderate, generator_level,
-                                      is_moderate_fit, make_association_report, resolvent_level,
-                                      resolvent_over_lambda_derivative, semigroup_level)
+                                      check_resolvent_norm_bounds,
+                                      crosscheck_comparison_theorems, fit_moderate,
+                                      is_moderate_fit, make_association_report)
 from semigrouplab.errors import InsufficientDataError, ResolventSingularityError
-from semigrouplab.semigroup import certify_growth, multiplier_norms, phi, resolvent_factor
+from semigrouplab.semigroup import (certify_growth, derivative_level, generator_level,
+                                    multiplier_norms, operator_sups, phi, resolvent_factor,
+                                    resolvent_level, resolvent_over_lambda_derivative,
+                                    semigroup_level)
 from semigrouplab.spectral import Grid, GridFunction, mollifier, lp_norm
-from semigrouplab.symbols import (perturbed_heat_seq,
+from semigrouplab.symbols import (NORM_FLOOR, perturbed_heat_seq,
                                   heat_symbol_seq, make_fractional_symbol_seq,
                                   make_poly_symbol_seq,
                                   shifted_symbol_seq)
@@ -82,6 +84,39 @@ class TestFitModerate:
     def test_zero_values_floored_and_flagged(self):
         fit = fit_moderate({1: 0.0, 2: 1.0, 3: 1.0, 4: 1.0})
         assert fit.floored
+
+    @pytest.mark.parametrize("value", [0.9, 5.7])
+    def test_constant_sequence_fits_exactly(self, value):
+        # the float mean of these equal logs is off by one rounding
+        fit = fit_moderate({n: value for n in (4, 8, 16, 32, 64)})
+        assert (fit.slope, fit.r_squared) == (0.0, 1.0)
+        assert fit.constant == pytest.approx(value, rel=1e-15)
+
+
+#: index lists the verdict properties are drawn on
+PROPERTY_N_LISTS = st.sampled_from([(4, 8, 16, 32), (4, 8, 16, 32, 64), (3, 5, 7, 11, 13)])
+
+
+class TestVerdictProperties:
+    """The verdict rule on exact power laws, constants (exponent 0) among them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.floats(1e-250, 1e250),
+           exponent=st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0]),
+           scale=st.floats(1e-6, 1e6), n_list=PROPERTY_N_LISTS)
+    def test_verdict_invariant_under_a_common_scale(self, value, exponent, scale, n_list):
+        norms = [value * n**exponent for n in n_list]
+        scaled = [scale * v for v in norms]
+        assert min(norms + scaled) > NORM_FLOOR
+        assert (make_association_report(n_list, scaled).verdict
+                == make_association_report(n_list, norms).verdict)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.floats(1e-250, 1e250), ulps=st.integers(-4, 4), n_list=PROPERTY_N_LISTS)
+    def test_constant_verdict_invariant_under_a_few_ulp(self, value, ulps, n_list):
+        # a constant that does not decay is not associated, whatever its last bits
+        for v in (value, value + ulps * math.ulp(value)):
+            assert make_association_report(n_list, [v] * len(n_list)).verdict == "not-associated"
 
 
 class TestVerdictRule:
@@ -287,16 +322,17 @@ class TestBlockKernel:
                                                        gaussian_seq):
         counts = Counter()
 
-        def counting(name):
-            fn = getattr(association, name)
+        def counting(module, name):
+            fn = getattr(module, name)
 
             def counted(*args, **kwargs):
                 counts[name] += 1
                 return fn(*args, **kwargs)
-            return counted
+            monkeypatch.setattr(module, name, counted)
 
-        for name in ("phi", "multiplier_norms"):
-            monkeypatch.setattr(association, name, counting(name))
+        # the semigroup level's factor calls phi in its own module
+        counting(semigroup, "phi")
+        counting(association, "multiplier_norms")
         single(heat, drifted, semigroup_level(1.0, SUITE_T_SAMPLES, grid), [gaussian_seq], grid,
                N_LIST)
         assert counts == {"phi": 2 * len(N_LIST), "multiplier_norms": len(N_LIST)}
@@ -403,19 +439,22 @@ class TestCrosscheck:
 
 
 class TestDerivativeEngine:
-    def test_zero_symbol_closed_form(self):
-        # modes with a = 0: quantity is (k+1)/lambda when omega = 0
-        a = np.array([0.0], dtype=complex)
-        for k in (0, 1, 2, 5):
-            for lam in (0.5, 2.0, 10.0):
-                q = derivative_bound_quantity(lam, 0.0, a, k)[0]
-                assert q == pytest.approx((k + 1) / lam, rel=1e-12)
+    """The Arendt derivative bound as a level, through the operator-norm kernel."""
 
-    def test_heat_mode_reference_value(self):
+    def test_zero_symbol_closed_form(self, grid):
+        # modes with a = 0: quantity is (k+1)/lambda when omega = 0
+        zero = make_poly_symbol_seq(lambda n: (0.0,), name="zero")
+        lams, k_max = [0.5, 2.0, 10.0], 5
+        sups = operator_sups(zero, {"d": derivative_level(0.0, k_max, lams, grid)}, grid, [1])
+        expected = [(k + 1) / lam for lam in lams for k in range(k_max + 1)]
+        assert sups["d"][0] == pytest.approx(expected, rel=1e-12)
+
+    def test_heat_mode_reference_value(self, grid):
         # a = -1, lambda = 2, omega = 0, k = 0:
         # (lambda - omega) |R(lambda)/lambda| = 2 / (2 * 3) = 1/3
-        q = derivative_bound_quantity(2.0, 0.0, np.array([-1.0 + 0j]), 0)[0]
-        assert q == pytest.approx(1.0 / 3.0, rel=1e-14)
+        minus_one = make_poly_symbol_seq(lambda n: (-1.0,), name="-1")
+        sups = operator_sups(minus_one, {"d": derivative_level(0.0, 0, [2.0], grid)}, grid, [1])
+        assert sups["d"][0, 0] == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_partial_fractions_match_finite_differences(self, k):
@@ -444,22 +483,31 @@ class TestDerivativeEngine:
             worst = max(worst, abs(rich - exact) / abs(exact))
         assert worst < 1e-6
 
-    def test_check_derivative_bounds_reports_and_guard(self, heat, grid):
-        lams = list(1.0 + np.logspace(-2, 4, 25))
-        report = check_derivative_bounds(heat, [4, 8, 16, 32], omega=1.0, k_max=20,
-                          lambda_list=lams, grid=grid)
-        assert all(np.isfinite(v) for v in report.bounds.values())
-        assert report.fit is not None
+    def test_derivative_sups_argmax_and_guard(self, heat, grid):
+        lams, k_max, n_list = list(1.0 + np.logspace(-2, 4, 25)), 20, [4, 8, 16, 32]
+        sups = operator_sups(heat, {"arendt": derivative_level(1.0, k_max, lams, grid)}, grid,
+                             n_list)["arendt"]
+        assert sups.shape == (len(n_list), len(lams) * (k_max + 1))
+        assert np.all(np.isfinite(sups))
+        # the sup and where it was reached: the rows run over (lambda, k), k fastest
+        for n, row in zip(n_list, sups):
+            j, k = divmod(int(np.argmax(row)), k_max + 1)
+            a = heat.on_grid(n, grid)
+            direct = (lams[j] - 1.0) ** (k + 1) * np.max(
+                np.abs(resolvent_over_lambda_derivative(lams[j], a, k)))
+            assert np.max(row) == pytest.approx(direct, rel=1e-14)
+        assert is_moderate_fit(fit_moderate(dict(zip(n_list, np.max(sups, axis=1)))))
         with pytest.raises(ValueError, match="k_max"):
-            check_derivative_bounds(heat, [4], omega=1.0, k_max=61, lambda_list=lams, grid=grid)
+            derivative_level(1.0, 61, lams, grid)
+        with pytest.raises(ValueError, match="must exceed omega"):
+            derivative_level(1.0, 3, [1.0], grid)
 
     def test_k_zero_consistent_with_resolvent_norm(self, heat, grid):
         # (lambda - omega)^1 (R/lambda) at k=0 equals (lambda-omega)/lambda * R
         lam, omega = 3.0, 1.0
-        a = heat.on_grid(1, grid)
-        q = derivative_bound_quantity(lam, omega, a, 0)
-        direct = (lam - omega) / lam * np.abs(1.0 / (lam - a))
-        assert np.max(np.abs(q - direct)) < 1e-14
+        sups = operator_sups(heat, {"d": derivative_level(omega, 0, [lam], grid),
+                                    "r": resolvent_level([lam], grid)}, grid, [1])
+        assert abs(sups["d"][0, 0] - (lam - omega) / lam * sups["r"][0, 0]) < 1e-14
 
     def test_check_derivative_association_drifted_pair(self, heat, drifted, grid, gaussian_seq):
         rep = single(heat, drifted, derivative_level(1.0, 10, [1.5, 2.0, 4.0], grid),

@@ -610,6 +610,20 @@ def test_associate_evaluates_each_symbol_and_spectrum_once_per_pair_and_index(
     assert 0 < counts["fftn"] <= 135
 
 
+def test_growth_evaluates_the_symbol_once_per_index(tmp_path, monkeypatch):
+    # M_n and M'_n come from one operator_sups pass over the default n_list
+    calls = []
+    on_grid = symbols.SymbolSeq.on_grid
+
+    def counted(self, n, grid):
+        calls.append(n)
+        return on_grid(self, n, grid)
+
+    monkeypatch.setattr(symbols.SymbolSeq, "on_grid", counted)
+    assert cli.run_growth(default_config("growth"), tmp_path) == 0
+    assert len(calls) == 4
+
+
 class TestPerturbGrowthCommands:
     def test_perturb_default(self, tmp_path):
         cfg = dataclasses.replace(default_config("perturb"), n_list=(4, 8, 16, 32))

@@ -19,14 +19,11 @@ PACKAGE_DIR = Path(semigrouplab.__file__).parent
 #: ("Every paper hypothesis reaches an output, or it goes") decides it.
 #: Group 2, the L^p symbol-class checks, went: on L^2 they bound no output.
 UNREACHED_ALLOWLIST = {
-    # item 4, group 1: the derivative-bound engine, kept for the growth wiring
-    "check_derivative_bounds",
+    # item 4, group 1: Arendt's derivative bound, a level kept for the growth wiring
     "derivative_level",
 }
 #: (function, parameter) pairs whose value a protocol fixes but the body need not read
 UNREAD_PARAMETER_ALLOWLIST = {
-    # a level maps (n, a_n, a~_n) to its block; the generator level needs no n
-    ("generator_level", "n"),
     # ForcingSeq.separable calls shape_for(n); the bundled forcing shape is one for all n
     ("shape_for", "n"),
 }
@@ -75,12 +72,25 @@ def test_every_parameter_is_read():
     assert unread == UNREAD_PARAMETER_ALLOWLIST
 
 
+def _callers(module: str, name: str) -> set:
+    """The functions of ``module`` that call ``name``, as a plain name or as a method."""
+    tree = ast.parse((PACKAGE_DIR / module).read_text())
+    return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+
+
+#: semigroup.py functions that evaluate a_n for one index and take no sup over samples
+IDENTITY_ORACLES = {"integrated_factor", "laplace_identity_residual",
+                    "pseudoresolvent_residual", "bromwich_S"}
+
+
 def test_one_association_kernel():
     # the one "sup over samples of a diagonal-operator norm": within association.py
     # only check_association calls multiplier_norms
-    tree = ast.parse((PACKAGE_DIR / "association.py").read_text())
-    callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-               for node in ast.walk(fn)
-               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-               and node.func.id == "multiplier_norms"}
-    assert callers == {"check_association"}
+    assert _callers("association.py", "multiplier_norms") == {"check_association"}
+    # and its two reductions are the only sups that evaluate symbols: growth
+    # certificates and resolvent-norm bounds go through operator_sups
+    on_grid = _callers("association.py", "on_grid") | _callers("semigroup.py", "on_grid")
+    assert on_grid - IDENTITY_ORACLES == {"check_association", "operator_sups"}

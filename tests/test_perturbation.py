@@ -1,4 +1,5 @@
 """Commuting bounded perturbation tests: the quadrature construction and claims."""
+import dataclasses
 import re
 import sys
 
@@ -7,15 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semigrouplab import semigroup
-from semigrouplab.association import SUITE_T_SAMPLES
-from semigrouplab.errors import OverflowGuardError
+from semigrouplab.association import SUITE_T_SAMPLES, check_association
+from semigrouplab.config import default_config, validate_config
+from semigrouplab.errors import ConfigError, OverflowGuardError
 from semigrouplab.perturbation import (PERTURBATION_PANELS, BoundedMultiplierSeq,
-                                       constant_coefficient_example,
                                        perturbation_quadrature, perturbed_factor,
                                        perturbation_claims_suite, summed_symbol_seq)
 from semigrouplab.quadrature import composite_gauss_points
 from semigrouplab.semigroup import (MultiplierOp, integrated_factor, panel_split, phi,
-                                   resolvent_factor)
+                                   resolvent_factor, semigroup_level)
 from semigrouplab.spectral import Grid, GridFunction, lp_norm
 from semigrouplab.symbols import heat_symbol_seq, make_poly_symbol_seq, perturbed_heat_seq
 
@@ -288,25 +289,32 @@ class TestProposition49Suite:
             perturbation_claims_suite(heat, heat, B, C, grid, [4, 8, 16, 32], omega=1.5)
 
 
+def drift_report(f, n_list):
+    """The constant-coefficient example as `associate` runs it: c_0 and c_2 perturbed by
+    1/n, sup over 50 times in (0, 5] at omega = 0."""
+    coeffs = (0.0, 0.0, HEAT_C2)
+    level = semigroup_level(0.0, np.linspace(0, 5.0, 51)[1:], f.grid)
+    return check_association(perturbed_heat_seq(coeffs), make_poly_symbol_seq(lambda n: coeffs),
+                             {"drift": level}, [lambda n: f], f.grid, n_list)["drift"]
+
+
 class TestClosingExample:
     def test_heat_coefficients_associated_with_unit_slope(self, grid):
-        f = GridFunction.gaussian(grid, width=1.8)
-        rep = constant_coefficient_example(f, (0.0, 0.0, HEAT_C2), [4, 8, 16, 32, 64], t_max=5.0)
+        rep = drift_report(GridFunction.gaussian(grid, width=1.8), [4, 8, 16, 32, 64])
         assert rep.verdict == "associated"
         assert rep.slope == pytest.approx(-1.0, abs=0.1)
 
     def test_tail_norm_drops_by_at_least_eight(self, grid):
-        f = GridFunction.gaussian(grid)
-        rep = constant_coefficient_example(f, (0.0, 0.0, HEAT_C2), [4, 8, 16, 32, 64], t_max=5.0)
+        rep = drift_report(GridFunction.gaussian(grid), [4, 8, 16, 32, 64])
         assert rep.norms[0] / rep.norms[-1] >= 8.0
 
     def test_zero_data_gives_zero_norms(self, grid):
-        rep = constant_coefficient_example(GridFunction.zero(grid), (0.0, 0.0, HEAT_C2),
-                              [4, 8, 16, 32], t_max=5.0)
+        rep = drift_report(GridFunction.zero(grid), [4, 8, 16, 32])
         assert max(rep.norms) == 0.0
         assert rep.verdict == "associated"
 
-    def test_unstable_coefficients_rejected(self, grid):
-        with pytest.raises(ValueError):
-            constant_coefficient_example(GridFunction.gaussian(grid), (0.0, 0.0, -1.0),
-                            [4, 8], t_max=1.0)
+    def test_unstable_coefficients_rejected(self):
+        # Re a(xi) unbounded above: the config is refused before any association runs
+        cfg = dataclasses.replace(default_config("associate"), coeffs=(0.0, 0.0, -1.0))
+        with pytest.raises(ConfigError, match="coeffs"):
+            validate_config(cfg)
