@@ -8,7 +8,7 @@ growth bounds, and perturbation behavior of the resulting sequences.
 
 from .spectral import (Grid, GridFunction, DistributionRep, mollifier,
                        transform, inverse_transform, lp_norm, mollify)
-from .symbols import (SymbolSeq, ModerateSeq, fit_moderate,
+from .symbols import (SymbolSeq, ModerateSeq, fit_moderate, constant_symbol_seq,
                       make_poly_symbol_seq, make_fractional_symbol_seq,
                       heat_symbol_seq, perturbed_heat_seq)
 from .semigroup import (MultiplierOp, GrowthCertificate, phi, apply_S,
@@ -23,14 +23,14 @@ from .cauchy import (ForcingSeq, MildSolutionSeq, SpaceTimeTestFunction,
 from .association import (AssociationReport, check_association,
                           check_resolvent_norm_bounds, crosscheck_comparison_theorems,
                           bundled_test_sequences, bundled_family_pairs)
-from .perturbation import BoundedMultiplierSeq, perturbation_claims_suite
+from .perturbation import perturbation_claims_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Grid", "GridFunction", "DistributionRep", "mollifier",
     "transform", "inverse_transform", "lp_norm", "mollify",
-    "SymbolSeq", "ModerateSeq", "fit_moderate",
+    "SymbolSeq", "ModerateSeq", "fit_moderate", "constant_symbol_seq",
     "make_poly_symbol_seq", "make_fractional_symbol_seq",
     "heat_symbol_seq", "perturbed_heat_seq",
     "MultiplierOp", "GrowthCertificate", "phi", "apply_S",
@@ -44,5 +44,5 @@ __all__ = [
     "AssociationReport",
     "check_association", "check_resolvent_norm_bounds",
     "crosscheck_comparison_theorems", "bundled_test_sequences", "bundled_family_pairs",
-    "BoundedMultiplierSeq", "perturbation_claims_suite",
+    "perturbation_claims_suite",
 ]

@@ -39,8 +39,9 @@ import numpy as np
 from .semigroup import (Level, generator_level, multiplier_norms, operator_sups,
                         resolvent_level, semigroup_level)
 from .spectral import TWO_PI, Grid, GridFunction, lp_norm
-from .symbols import (MIN_FIT_INDICES, NORM_FLOOR, SymbolSeq, fit_moderate, heat_symbol_seq,
-                      is_moderate_fit, perturbed_heat_seq, shifted_symbol_seq)
+from .symbols import (MIN_FIT_INDICES, NORM_FLOOR, SymbolSeq, constant_symbol_seq, fit_moderate,
+                      heat_symbol_seq, is_moderate_fit, perturbed_heat_seq, shifted_symbol_seq,
+                      summed_symbol_seq)
 
 # verdict thresholds (documented in the module docstring)
 TOL_ASSOC_REL = 1e-3
@@ -274,12 +275,10 @@ def bundled_family_pairs() -> List[FamilyPair]:
                                       name="heat+b/n^2", re_bound_shift=1.0),
                    std, full, "associated"),
         FamilyPair("real-shift", heat,
-                   shifted_symbol_seq(heat, lambda n, v: np.ones(v.shape[:-1]),
-                                      name="heat+1", re_bound_shift=1.0),
+                   summed_symbol_seq(heat, constant_symbol_seq(lambda n: 1.0, "1")),
                    std, full, "not-associated"),
         FamilyPair("imaginary-shift", heat,
-                   shifted_symbol_seq(heat, lambda n, v: 1j * np.ones(v.shape[:-1]),
-                                      name="heat+i"),
+                   summed_symbol_seq(heat, constant_symbol_seq(lambda n: 1j, "i")),
                    std, full, "not-associated"),
         FamilyPair("rescaled", heat,
                    shifted_symbol_seq(heat, lambda n, v: -0.5 * np.sum(v * v, axis=-1),

@@ -24,15 +24,15 @@ from .cauchy import (ForcingSeq, bump_test_function, integral_equation_residual,
 from .config import (PERTURB_ORACLE_T_MAX, ExperimentConfig, comparison_operand,
                      default_config, load_config, scaled_sup_re, serialize_config, time_grid)
 from .errors import ConfigError, ResolutionError, SemigroupLabError
-from .perturbation import (BoundedMultiplierSeq, perturbation_quadrature, perturbed_factor,
-                           perturbation_claims_suite, summed_symbol_seq)
+from .perturbation import perturbation_claims_suite, perturbation_quadrature, perturbed_factor
 from .quadrature import composite_gauss_points
 from .semigroup import (apply_S, block_rows, bromwich_S, certify_growth, generator_level,
                         laplace_identity_residual, phi, pseudoresolvent_residual,
                         resolvent_level, sample_axis, semigroup_level)
 from .spectral import DistributionRep, Grid, GridFunction, lp_norm, mollify
-from .symbols import (MIN_FIT_INDICES, SymbolSeq, make_fractional_symbol_seq,
-                      make_poly_symbol_seq, perturbed_heat_seq, shifted_symbol_seq)
+from .symbols import (MIN_FIT_INDICES, SymbolSeq, constant_symbol_seq,
+                      make_fractional_symbol_seq, make_poly_symbol_seq, perturbed_heat_seq,
+                      shifted_symbol_seq, summed_symbol_seq)
 
 #: subcommands that judge a decay rate or a weak limit over the indices of n_list
 FIT_COMMANDS = ("solve", "associate", "perturb")
@@ -52,6 +52,13 @@ def build_family(cfg: ExperimentConfig) -> SymbolSeq:
     return make_fractional_symbol_seq(rate, cfg.fractional_m, bound=2.0)
 
 
+def build_perturbations(cfg: ExperimentConfig) -> tuple[SymbolSeq, SymbolSeq]:
+    """The perturbation B = perturb_b and the vanishing family C at perturb_c_rate."""
+    rate = {"inverse": lambda n: 1.0 / n, "inverse-sqrt": lambda n: 1.0 / math.sqrt(n),
+            "zero": lambda n: 0.0}[cfg.perturb_c_rate]
+    return constant_symbol_seq(lambda n: cfg.perturb_b, "B"), constant_symbol_seq(rate, "C")
+
+
 def build_comparison_family(cfg: ExperimentConfig, base: SymbolSeq) -> Optional[SymbolSeq]:
     mode = cfg.comparison
     if mode == "none":
@@ -62,9 +69,7 @@ def build_comparison_family(cfg: ExperimentConfig, base: SymbolSeq) -> Optional[
         return perturbed_heat_seq(cfg.coeffs, name=cfg.name + "+1/n")
     if mode.startswith("shift:"):
         value = comparison_operand(mode)
-        return shifted_symbol_seq(base, lambda n, v: np.full(v.shape[:-1], value),
-                                  name=base.name + "+shift",
-                                  re_bound_shift=max(0.0, value.real))
+        return summed_symbol_seq(base, constant_symbol_seq(lambda n: value, "shift"))
     if mode.startswith("scale:"):
         factor = comparison_operand(mode)
         scaled = shifted_symbol_seq(base, lambda n, v: (factor - 1.0) * base.eval(n, v),
@@ -347,11 +352,7 @@ def run_perturb(cfg: ExperimentConfig, out_dir: Path) -> int:
     s = build_family(cfg)
     s_tilde = build_comparison_family(cfg, s) or s
     _require_omega_bound(cfg, s, s_tilde)
-    B = BoundedMultiplierSeq.constant(cfg.perturb_b, name="B")
-    rate = {"inverse": lambda n: 1.0 / n,
-            "inverse-sqrt": lambda n: 1.0 / math.sqrt(n),
-            "zero": lambda n: 0.0}[cfg.perturb_c_rate]
-    C = BoundedMultiplierSeq.vanishing(rate, name="C")
+    B, C = build_perturbations(cfg)
     report = perturbation_claims_suite(s, s_tilde, B, C, grid, cfg.n_list,
                                    omega=cfg.omega + abs(cfg.perturb_b), b=cfg.b)
 

@@ -7,20 +7,20 @@ integrated semigroup is
 
 Per mode the s-integral has the closed form (e^(t b) phi(t,a) - phi(t,a+b));
 integrating by parts shows the whole expression collapses to phi(t, a+b),
-i.e. the perturbed family is the integrated semigroup of the summed symbol.
-The claims suite works with that closed form, through ``summed_symbol_seq``.
+i.e. the perturbed family is the integrated semigroup of ``summed_symbol_seq(s, B)``,
+the closed form the claims suite works with; B and C are ordinary ``SymbolSeq``s.
 
 The quadrature form is kept as the oracle the closed form is tested against:
 ``perturbation_quadrature`` takes its s-integral from ``semigroup.time_integral``
 on ``PERTURBATION_PANELS`` panels.  ``perturbed_factor`` (one row per time) and
-the ``verify`` perturbation suite both call it.  b goes in the shape its family
-gives: every family the lab builds is constant in xi, so b stays a scalar and
-the rule takes one e^(s b) per node, not one per node and mode.
+the ``verify`` perturbation suite both call it.  b goes in the shape
+``SymbolSeq.on_grid`` gives: every family the lab builds is constant in xi, so b
+stays 0-d and the rule takes one e^(s b) per node, not one per node and mode.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,54 +30,10 @@ from .errors import OverflowGuardError
 from .semigroup import (EXP_GUARD, GrowthCertificate, certify_growth, phi, resolvent_level,
                         semigroup_level, time_integral)
 from .spectral import Grid
-from .symbols import SymbolSeq, shifted_symbol_seq
+from .symbols import SymbolSeq, summed_symbol_seq
 
 #: panel count of the s-integral in the quadrature oracle
 PERTURBATION_PANELS = 64
-
-
-@dataclass(frozen=True)
-class BoundedMultiplierSeq:
-    """A perturbation family b_n(xi) with a declared uniform bound.
-
-    Commutation with the resolvents is automatic for multipliers and is
-    recorded as a structural fact.
-    """
-
-    eval: Callable[[int, np.ndarray], np.ndarray]
-    c_bound: float
-    name: str = "B"
-
-    def on_grid(self, n: int, grid: Grid) -> np.ndarray:
-        """b_n at the grid frequencies, FFT layout, in the shape ``eval`` gives.
-
-        That shape must broadcast against ``grid.shape``, and it is not
-        expanded: a xi-constant family stays 0-d, so the kernels take one
-        e^(s b) per level instead of one per mode.
-        """
-        vals = np.asarray(self.eval(n, grid.frequency_vectors()), dtype=complex)
-        if vals.ndim > grid.dimension or any(
-                v not in (1, g) for v, g in zip(vals.shape[::-1], grid.shape[::-1])):
-            raise ValueError(f"{self.name} values of shape {vals.shape} do not broadcast "
-                             f"against grid shape {grid.shape}")
-        return vals
-
-    @staticmethod
-    def constant(value: complex, name: str = "const") -> "BoundedMultiplierSeq":
-        return BoundedMultiplierSeq(eval=lambda n, v: np.asarray(value),
-                                    c_bound=abs(value), name=name)
-
-    @staticmethod
-    def vanishing(rate: Callable[[int], float], name: str = "C") -> "BoundedMultiplierSeq":
-        """A constant family with sup-norms rate(n) <= 1, e.g. rate = 1/n for the ideal."""
-        return BoundedMultiplierSeq(eval=lambda n, v: np.asarray(rate(n), dtype=float),
-                                    c_bound=1.0, name=name)
-
-    def plus(self, other: "BoundedMultiplierSeq", name: str = "") -> "BoundedMultiplierSeq":
-        return BoundedMultiplierSeq(
-            eval=lambda n, v: np.asarray(self.eval(n, v)) + np.asarray(other.eval(n, v)),
-            c_bound=self.c_bound + other.c_bound,
-            name=name or f"{self.name}+{other.name}")
 
 
 def perturbation_quadrature(t, a, b) -> np.ndarray:
@@ -93,7 +49,7 @@ def perturbation_quadrature(t, a, b) -> np.ndarray:
             raise OverflowGuardError("perturbation quadrature overflows") from exc
 
 
-def perturbed_factor(s: SymbolSeq, B: BoundedMultiplierSeq, n: int, times: Sequence[float],
+def perturbed_factor(s: SymbolSeq, B: SymbolSeq, n: int, times: Sequence[float],
                      grid: Grid) -> np.ndarray:
     """Quadrature oracle per time and mode: e^(tb) phi(t,a) - b int_0^t e^(sb) phi(s,a) ds.
 
@@ -113,12 +69,6 @@ def perturbed_factor(s: SymbolSeq, B: BoundedMultiplierSeq, n: int, times: Seque
     return np.stack([perturbation_quadrature(t, a, b) for t in times])
 
 
-def summed_symbol_seq(s: SymbolSeq, B: BoundedMultiplierSeq) -> SymbolSeq:
-    """The family a_n + b_n (the generator of the perturbed semigroups)."""
-    return shifted_symbol_seq(s, lambda n, v: np.asarray(B.eval(n, v), dtype=complex),
-                              name=f"{s.name}+{B.name}", re_bound_shift=B.c_bound)
-
-
 @dataclass
 class PerturbationReport:
     """Outcome of the three perturbation claims on a family pair."""
@@ -129,10 +79,9 @@ class PerturbationReport:
     verdicts: dict = field(default_factory=dict)
 
 
-def perturbation_claims_suite(s: SymbolSeq, s_tilde: SymbolSeq, B: BoundedMultiplierSeq,
-                          C_seq: BoundedMultiplierSeq, grid: Grid,
-                          n_list: Sequence[int], omega: float,
-                          b: float = 1.0) -> PerturbationReport:
+def perturbation_claims_suite(s: SymbolSeq, s_tilde: SymbolSeq, B: SymbolSeq, C_seq: SymbolSeq,
+                              grid: Grid, n_list: Sequence[int], omega: float,
+                              b: float = 1.0) -> PerturbationReport:
     """Check the three perturbation claims on multiplier families.
 
     1. the summed family a_n + b_n admits a growth certificate;
@@ -164,8 +113,8 @@ def perturbation_claims_suite(s: SymbolSeq, s_tilde: SymbolSeq, B: BoundedMultip
 
     semigroup = semigroup_level(omega, SUITE_T_SAMPLES, grid)
     report.pair_association = check_association(
-        summed, summed_symbol_seq(s, B.plus(C_seq)), {"B vs B+C": semigroup}, test_seqs,
-        grid, n_list)["B vs B+C"]
+        summed, summed_symbol_seq(s, summed_symbol_seq(B, C_seq)), {"B vs B+C": semigroup},
+        test_seqs, grid, n_list)["B vs B+C"]
     report.verdicts["perturbed-pair"] = report.pair_association.verdict
 
     weighted = resolvent_level([omega + 1.0, omega + 1.0 + 5j, omega + 10.0], grid, b, omega)

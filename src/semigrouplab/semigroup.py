@@ -20,9 +20,11 @@ sequences, and :func:`operator_sups` the operator norms |w| max_xi |F(a_n)|, one
 """
 from __future__ import annotations
 
+import cmath
+import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Sequence
+from typing import Callable, Dict, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,6 +55,21 @@ def block_rows(width: int) -> int:
 def sample_axis(values, grid: Grid) -> np.ndarray:
     """``values`` as a leading sample axis that broadcasts against ``grid.shape``."""
     return np.reshape(values, np.shape(values) + (1,) * grid.dimension)
+
+
+def weight_axis(weights: Iterable, samples: Sequence, b: float, label: str,
+                grid: Grid) -> np.ndarray:
+    """The b-dependent weights, one per sample and read lazily, as a sample axis; one that
+    overflows from a finite b and sample raises a ``ValueError`` naming both (NaN in, NaN out)."""
+    checked = []
+    with contextlib.suppress(OverflowError, ZeroDivisionError):  # Python's ** raises for an inf
+        for w, x in zip(weights, samples):
+            if not cmath.isfinite(w) and math.isfinite(b) and cmath.isfinite(x):
+                break
+            checked.append(w)
+    if len(checked) < len(samples):
+        raise ValueError(f"non-finite weight at b = {b}, {label} = {samples[len(checked)]}")
+    return sample_axis(checked, grid)
 
 
 def phi(t, a, out=None) -> np.ndarray:
@@ -235,11 +252,13 @@ def resolvent_level(lambda_samples: Sequence[complex], grid: Grid, b: float = 0.
     """lambda^b R(lambda, a_n) per lambda sample, each with Re > omega.
 
     The defaults give the plain resolvent level; b and omega give the weighted one.
+    A weight lambda^b that overflows raises ``ValueError`` (:func:`weight_axis`).
     """
     for lam in lambda_samples:
         if not complex(lam).real > omega:
             raise ValueError(f"lambda sample {lam} has Re <= omega {omega}")
-    return Level(sample_axis([complex(lam)**b for lam in lambda_samples], grid),
+    return Level(weight_axis((complex(lam)**b for lam in lambda_samples), lambda_samples, b,
+                             "lambda", grid),
                  lambda n, a: resolvent_factor(a, lambda_samples, grid, n))
 
 
@@ -430,8 +449,9 @@ def certify_growth(s: SymbolSeq, n_list: Sequence[int], omega: float, b: float,
     Both bounds are maxima of :func:`operator_sups` over the sample sets, so exact
     maxima over (sample set) x (grid modes).  A lambda sample on the numerical
     spectrum raises ``ResolventSingularityError`` from :func:`resolvent_factor`,
-    naming lambda, xi and n.  The moderateness exponent of M_n is fitted when at
-    least ``MIN_FIT_INDICES`` indices are given.
+    naming lambda, xi and n; a weight |lambda|^b or e^(-omega t) t^(-b) that overflows
+    raises ``ValueError`` (:func:`weight_axis`).  The moderateness exponent of M_n is
+    fitted when at least ``MIN_FIT_INDICES`` indices are given.
     """
     cert = GrowthCertificate(omega=omega, b=b, n_list=list(n_list))
     lams = [complex(lam) for lam in lambda_samples]
@@ -439,10 +459,11 @@ def certify_growth(s: SymbolSeq, n_list: Sequence[int], omega: float, b: float,
     if np.any(times <= 0):
         raise ValueError("t samples must be positive")
     # the levels' factors with the certificate's weights |lambda|^b and e^(-omega t) t^(-b)
-    levels = {"resolvent": Level(sample_axis([abs(lam) ** b for lam in lams], grid),
-                                 resolvent_level(lams, grid, omega=omega).factor),
-              "semigroup": Level(sample_axis(np.exp(-omega * times) * times ** (-b), grid),
-                                 semigroup_level(omega, times, grid).factor)}
+    lam_weights = weight_axis((abs(lam) ** b for lam in lams), lams, b, "lambda", grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_weights = weight_axis(np.exp(-omega * times) * times ** (-b), times, b, "t", grid)
+    levels = {"resolvent": Level(lam_weights, resolvent_level(lams, grid, omega=omega).factor),
+              "semigroup": Level(t_weights, semigroup_level(omega, times, grid).factor)}
     sups = operator_sups(s, levels, grid, n_list)
     # np.max keeps a NaN bound, which the builtin max would read as 0
     cert.resolvent_bounds = {n: float(np.max(row)) for n, row in zip(n_list, sups["resolvent"])}

@@ -1,11 +1,11 @@
 """Symbol sequences a_n(xi) with their declared bound on Re a_n, and the moderateness fit.
 
-Symbols are frequency-side scalar fields; each one defines a multiplier
-operator through the `semigroup` module.  Built-in families cover constant-
-coefficient differential operators of degree <= 2 in one dimension and the
-purely imaginary fractional family i c_n |xi|^m.  On L^2 a multiplier
-generates exactly when sup Re a_n is finite, so that bound, ``re_bound``, is
-the one hypothesis a family declares; non-finite symbol values raise.
+Symbols are frequency-side scalar fields; each one defines a multiplier operator through
+the `semigroup` module.  Built-in families cover constant-coefficient differential
+operators of degree <= 2 in one dimension, the purely imaginary fractional family
+i c_n |xi|^m, and xi-constant families c(n), such as the bounded perturbations b_n.  On
+L^2 a multiplier generates exactly when sup Re a_n is finite, so that bound, ``re_bound``,
+is the one hypothesis a family declares; non-finite symbol values raise.
 
 Moderate sequences are the base notion of the theory, so their log-log fit
 over n (:func:`fit_moderate`, :func:`is_moderate_fit`) lives here, below
@@ -49,8 +49,8 @@ def fit_moderate(norms: Mapping[int, float]) -> ModerateSeq:
     """Fit ||x_n|| ~ C n^a by least squares in log-log coordinates.
 
     Requires at least ``MIN_FIT_INDICES`` indices; zero values are replaced
-    by ``NORM_FLOOR`` and flagged.  A constant sequence fits exactly: slope 0
-    and R^2 = 1, whatever the rounding of the mean of its logs.
+    by ``NORM_FLOOR`` and flagged.  A sequence whose logs spread by at most
+    8 eps is a constant up to round-off and fits exactly: slope 0 and R^2 = 1.
     """
     if len(norms) < MIN_FIT_INDICES:
         raise InsufficientDataError(
@@ -63,7 +63,10 @@ def fit_moderate(norms: Mapping[int, float]) -> ModerateSeq:
     vals = np.maximum(vals, NORM_FLOOR)
     x = np.log(np.asarray(ns, dtype=float))
     y = np.log(vals)
-    xm, ym = x.mean(), (y[0] if np.ptp(y) == 0 else y.mean())
+    constant = np.ptp(y) <= 8 * np.finfo(float).eps  # a constant up to round-off
+    if constant:
+        y = np.full_like(y, y[0])
+    xm, ym = x.mean(), (y[0] if constant else y.mean())
     var = float(np.sum((x - xm) ** 2))
     slope = float(np.sum((x - xm) * (y - ym)) / var)
     intercept = ym - slope * xm
@@ -78,18 +81,13 @@ def fit_moderate(norms: Mapping[int, float]) -> ModerateSeq:
 def is_moderate_fit(fit: ModerateSeq) -> bool:
     """Heuristic moderateness flag.
 
-    Non-moderate when the exponent is above 50, or when the sequence grows with
-    a poor, upward-curving power-law fit (the signature of faster-than-
-    polynomial growth on a finite index range).  Decreasing sequences are
-    always moderate.
+    Non-moderate when the exponent is above 50, or when the log-log profile bends up:
+    the last local slope exceeds 2 max(first local slope, 0) + 1, as for e^n on any four
+    doubling indices.  A power law has equal local slopes, a decreasing sequence negative ones.
     """
-    if fit.slope > 50.0:
-        return False
-    if fit.slope > 0 and fit.r_squared < 0.9:
-        y = np.log(np.asarray(fit.values))
-        if len(y) >= 3 and float(np.mean(np.diff(y, 2))) > 0:
-            return False
-    return True
+    first, last = [(math.log(fit.values[i + 1]) - math.log(fit.values[i]))
+                   / (math.log(fit.indices[i + 1]) - math.log(fit.indices[i])) for i in (0, -2)]
+    return fit.slope <= 50.0 and last <= 2.0 * max(first, 0.0) + 1.0
 
 
 @dataclass(frozen=True)
@@ -109,15 +107,20 @@ class SymbolSeq:
     def __call__(self, n: int, xi_vectors: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.eval(n, xi_vectors), dtype=complex)
         if not np.all(np.isfinite(vals)):
-            bad = np.argwhere(~np.isfinite(vals))
-            where = xi_vectors[tuple(bad[0])] if bad.size else "?"
-            raise SymbolEvaluationError(
-                f"symbol '{self.name}' is non-finite at n={n}, xi={where}")
+            where = (f", xi={xi_vectors[tuple(np.argwhere(~np.isfinite(vals))[0])]}"
+                     if vals.shape == xi_vectors.shape[:-1] else "")
+            raise SymbolEvaluationError(f"symbol '{self.name}' is non-finite at n={n}{where}")
         return vals
 
     def on_grid(self, n: int, grid: Grid) -> np.ndarray:
-        """Symbol values at the grid frequencies, FFT layout."""
-        return self(n, grid.frequency_vectors())
+        """Symbol values at the grid frequencies, FFT layout, in the shape ``eval`` gives; it must
+        broadcast against ``grid.shape`` and is not expanded, so a xi-constant family stays 0-d."""
+        vals = self(n, grid.frequency_vectors())
+        if vals.shape != grid.shape and (vals.ndim > grid.dimension or any(
+                v not in (1, g) for v, g in zip(vals.shape[::-1], grid.shape[::-1]))):
+            raise ValueError(f"{self.name} values of shape {vals.shape} do not broadcast "
+                             f"against grid shape {grid.shape}")
+        return vals
 
 
 def poly_coeffs(coeffs: Sequence[complex]) -> Tuple[complex, complex, complex]:
@@ -200,6 +203,18 @@ def shifted_symbol_seq(s: SymbolSeq, shift: Callable[[int, np.ndarray], np.ndarr
 
     return SymbolSeq(eval=_eval, re_bound=s.re_bound + re_bound_shift,
                      name=name or (s.name + "+shift"))
+
+
+def summed_symbol_seq(s: SymbolSeq, B: SymbolSeq) -> SymbolSeq:
+    """The family a_n + b_n, the one sum of two families (a perturbed generator, say)."""
+    return shifted_symbol_seq(s, B, name=f"{s.name}+{B.name}", re_bound_shift=B.re_bound)
+
+
+def constant_symbol_seq(c: Callable[[int], complex], name: str) -> SymbolSeq:
+    """The xi-constant family a_n = c(n), 0-d; ``re_bound`` is max Re c(n) on the probe indices."""
+    bound = max(complex(c(n)).real for n in _PROBE_INDICES)
+    return SymbolSeq(eval=lambda n, xi_vectors: np.asarray(c(n), dtype=complex),
+                     re_bound=bound, name=name)
 
 
 def heat_symbol_seq() -> SymbolSeq:

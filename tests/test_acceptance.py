@@ -17,7 +17,7 @@ from semigrouplab.cauchy import (ForcingSeq, bump_test_function,
                                  very_weak_pairing, weak_limit_extract)
 from semigrouplab.cli import main
 from semigrouplab.config import default_config, serialize_config
-from semigrouplab.perturbation import BoundedMultiplierSeq, perturbation_claims_suite
+from semigrouplab.perturbation import perturbation_claims_suite
 from semigrouplab.quadrature import composite_gauss_points, trapezoid_weights
 from semigrouplab.semigroup import (apply_S, bromwich_S,
                                     laplace_identity_residual, phi,
@@ -25,8 +25,9 @@ from semigrouplab.semigroup import (apply_S, bromwich_S,
                                     semigroup_level)
 from semigrouplab.spectral import (DistributionRep, Grid, GridFunction,
                                    lp_norm, mollify)
-from semigrouplab.symbols import (heat_symbol_seq, make_fractional_symbol_seq,
-                                  make_poly_symbol_seq, perturbed_heat_seq)
+from semigrouplab.symbols import (constant_symbol_seq, heat_symbol_seq,
+                                  make_fractional_symbol_seq, make_poly_symbol_seq,
+                                  perturbed_heat_seq)
 
 HEAT_C2 = 1.0 / (4.0 * np.pi**2)
 
@@ -204,8 +205,8 @@ def test_criterion_10_perturbation_oracle():
 
     grid = Grid(1, 4.0, 128)
     heat = heat_symbol_seq()
-    B = BoundedMultiplierSeq.constant(0.5j, name="B")
-    C = BoundedMultiplierSeq.vanishing(lambda n: 1.0 / n, name="C")
+    B = constant_symbol_seq(lambda n: 0.5j, "B")
+    C = constant_symbol_seq(lambda n: 1.0 / n, "C")
     suite = perturbation_claims_suite(heat, heat, B, C, grid, [4, 8, 16, 32, 64],
                                   omega=1.5)
     slope = suite.pair_association.slope

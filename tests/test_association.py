@@ -85,6 +85,27 @@ class TestFitModerate:
         fit = fit_moderate({1: 0.0, 2: 1.0, 3: 1.0, 4: 1.0})
         assert fit.floored
 
+    @pytest.mark.parametrize("n_list", [(1, 2, 4, 8), (4, 8, 16, 32), (3, 5, 9, 17)])
+    @pytest.mark.parametrize("rate", [1.0, 0.5])
+    def test_exponential_growth_refused_on_four_indices(self, n_list, rate):
+        # e^n on four doubling indices fits a power law with R^2 above 0.9; its
+        # log-log profile bends upward, and that refuses it
+        assert not is_moderate_fit(fit_moderate({n: math.exp(rate * n) for n in n_list}))
+
+    @pytest.mark.parametrize("n_list", [(4, 8, 16, 32, 64), tuple(2**k for k in range(2, 11)),
+                                        tuple(range(4, 65))])
+    @pytest.mark.parametrize("profile", [lambda n: n**0.5, lambda n: float(n) ** 10,
+                                         lambda n: n**3 * math.log(n), lambda n: 1.0 / n,
+                                         lambda n: 0.9],
+                             ids=["sqrt", "n^10", "n^3 log n", "1/n", "constant"])
+    def test_polynomial_profiles_accepted(self, n_list, profile):
+        assert is_moderate_fit(fit_moderate({n: profile(n) for n in n_list}))
+
+    @pytest.mark.parametrize("n_list", [(4, 8, 16, 32, 64), tuple(2**k for k in range(2, 11))])
+    def test_bundled_test_sequences_accepted(self, n_list):
+        for name, seq in bundled_test_sequences(Grid(1, 4.0, 128)).items():
+            assert is_moderate_fit(fit_moderate({n: lp_norm(seq(n), 2) for n in n_list})), name
+
     @pytest.mark.parametrize("value", [0.9, 5.7])
     def test_constant_sequence_fits_exactly(self, value):
         # the float mean of these equal logs is off by one rounding
@@ -117,6 +138,27 @@ class TestVerdictProperties:
         # a constant that does not decay is not associated, whatever its last bits
         for v in (value, value + ulps * math.ulp(value)):
             assert make_association_report(n_list, [v] * len(n_list)).verdict == "not-associated"
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_list=PROPERTY_N_LISTS)
+    def test_constant_verdict_invariant_under_independent_ulp_noise(self, data, n_list):
+        ulps = data.draw(st.lists(st.integers(-4, 4), min_size=len(n_list),
+                                  max_size=len(n_list)))
+        norms = [0.9 + k * math.ulp(0.9) for k in ulps]
+        assert make_association_report(n_list, norms).verdict == "not-associated"
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.floats(1e-200, 1e200),
+           exponent=st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
+           n_list=PROPERTY_N_LISTS)
+    def test_verdict_invariant_under_doubled_indices(self, value, exponent, n_list):
+        # relabelling n as 2n turns c n^a into (c 2^-a) n^a, the same exponent
+        norms = dict(zip(n_list, (value * n**exponent for n in n_list)))
+        doubled = {2 * n: v for n, v in norms.items()}
+        assert (make_association_report(list(doubled), list(doubled.values())).verdict
+                == make_association_report(list(norms), list(norms.values())).verdict)
+        assert is_moderate_fit(fit_moderate(doubled)) == is_moderate_fit(fit_moderate(norms))
 
 
 class TestVerdictRule:

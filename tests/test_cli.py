@@ -12,10 +12,9 @@ from semigrouplab.cli import main
 from semigrouplab.config import (HEAT_C2, ExperimentConfig, default_config, load_config,
                                  parse_config, serialize_config)
 from semigrouplab.errors import ConfigError
-from semigrouplab.perturbation import BoundedMultiplierSeq, summed_symbol_seq
 from semigrouplab.quadrature import composite_gauss_points
 from semigrouplab.spectral import Grid, GridFunction
-from semigrouplab.symbols import heat_symbol_seq
+from semigrouplab.symbols import heat_symbol_seq, summed_symbol_seq
 
 COMMANDS = ("verify", "solve", "associate", "perturb", "growth")
 FAST_VERIFY = dataclasses.replace(
@@ -47,7 +46,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="grid.points"):
             parse_config("[grid]\npoints = many\n")
 
-    def test_validation_rules(self):
+    def test_validation_rules(self, tmp_path, capsys):
         bad_inputs = [
             ("[grid]\npoints = 100\n", "points"),
             ("[grid]\ndimension = 2\npoints = 1048576\n", "points"),
@@ -107,6 +106,21 @@ class TestConfig:
                 parse_config(text)
         for b in ("256j", "-256", "-181-181j", "5", "3+250j"):
             assert parse_config(f"[perturbation]\nperturb_b = {b}\n").perturb_b == complex(b)
+        # a finite b whose weight |lambda|^b or e^(-omega t) t^(-b) overflows stops the run;
+        # at omega = -1 (growth) or -2 (associate) a lambda sample is 0, so b < 0 is infinite
+        at_zero = "[family]\ncoeffs = -3, 0, 0.025\n[growth]\nomega = {}\nb = -1\n"
+        for command, b, sample, text in [
+                ("growth", "200", "lambda", "[growth]\nb = 200\n"),
+                ("perturb", "200", "lambda", "[growth]\nb = 200\n"),
+                ("growth", "-400", "t", "[growth]\nb = -400\n"),
+                ("associate", "1e6", "lambda", "[growth]\nb = 1e6\n"),
+                ("growth", "-1", "lambda", at_zero.format(-1.0)),
+                ("associate", "-1", "lambda", at_zero.format(-2.0))]:
+            config = _write(tmp_path / f"{command}{b}.cfg", text)
+            out = str(tmp_path / f"{command}{b}")
+            assert main([command, "--config", config, "--out", out, "--no-plots"]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"parameter error: non-finite weight at b = {float(b)}, {sample} = ")
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -414,7 +428,12 @@ RE_BOUND_COMPARISONS = ("drift", "shift:0.5j", "shift:-1", "scale:1.5", "scale:2
 def _built_families() -> dict:
     """Every family the code builds, id -> (family, n_list), on the associate grid."""
     cfg = default_config("associate")
-    families = {}
+    perturbations = {f"B={b}": cli.build_perturbations(dataclasses.replace(cfg, perturb_b=b))[0]
+                     for b in (0.5j, 0.5, -0.5)}
+    families = {name: (B, cfg.n_list) for name, B in perturbations.items()}
+    for rate in ("inverse", "inverse-sqrt", "zero"):
+        _, C = cli.build_perturbations(dataclasses.replace(cfg, perturb_c_rate=rate))
+        families[f"C={rate}"] = (C, cfg.n_list)
     for c0 in (0.5, -0.2):
         poly = dataclasses.replace(cfg, coeffs=(c0, 0, HEAT_C2))
         s = cli.build_family(poly)
@@ -423,9 +442,8 @@ def _built_families() -> dict:
             families[f"c0={c0}-{mode}"] = (
                 cli.build_comparison_family(dataclasses.replace(poly, comparison=mode), s),
                 cfg.n_list)
-        for b in (0.5j, 0.5, -0.5):
-            families[f"c0={c0}+B={b}"] = (
-                summed_symbol_seq(s, BoundedMultiplierSeq.constant(b)), cfg.n_list)
+        for name, B in perturbations.items():
+            families[f"c0={c0}+{name}"] = (summed_symbol_seq(s, B), cfg.n_list)
     fractional = dataclasses.replace(cfg, family_kind="fractional",
                                      fractional_c_rate="one-plus-inverse")
     s = cli.build_family(fractional)

@@ -94,3 +94,11 @@ def test_one_association_kernel():
     # certificates and resolvent-norm bounds go through operator_sups
     on_grid = _callers("association.py", "on_grid") | _callers("semigroup.py", "on_grid")
     assert on_grid - IDENTITY_ORACLES == {"check_association", "operator_sups"}
+
+
+def test_one_symbol_family_type():
+    # every n-indexed frequency symbol, the perturbations B and C among them, is a SymbolSeq
+    owners = {f"{path.name}:{cls.name}" for path in sorted(PACKAGE_DIR.glob("*.py"))
+              for cls in ast.walk(ast.parse(path.read_text())) if isinstance(cls, ast.ClassDef)
+              for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "on_grid"}
+    assert owners == {"symbols.py:SymbolSeq"}

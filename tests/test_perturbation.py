@@ -11,14 +11,14 @@ from semigrouplab import semigroup
 from semigrouplab.association import SUITE_T_SAMPLES, check_association
 from semigrouplab.config import default_config, validate_config
 from semigrouplab.errors import ConfigError, OverflowGuardError
-from semigrouplab.perturbation import (PERTURBATION_PANELS, BoundedMultiplierSeq,
-                                       perturbation_quadrature, perturbed_factor,
-                                       perturbation_claims_suite, summed_symbol_seq)
+from semigrouplab.perturbation import (PERTURBATION_PANELS, perturbation_quadrature,
+                                       perturbed_factor, perturbation_claims_suite)
 from semigrouplab.quadrature import composite_gauss_points
 from semigrouplab.semigroup import (MultiplierOp, integrated_factor, panel_split, phi,
                                    resolvent_factor, semigroup_level)
 from semigrouplab.spectral import Grid, GridFunction, lp_norm
-from semigrouplab.symbols import heat_symbol_seq, make_poly_symbol_seq, perturbed_heat_seq
+from semigrouplab.symbols import (SymbolSeq, constant_symbol_seq, heat_symbol_seq,
+                                  make_poly_symbol_seq, perturbed_heat_seq, summed_symbol_seq)
 
 HEAT_C2 = 1.0 / (4.0 * np.pi**2)
 
@@ -40,12 +40,12 @@ def gaussian(grid):
 
 class TestPerturbedS:
     def test_zero_perturbation_reproduces_semigroup(self, heat, grid):
-        out = perturbed_factor(heat, BoundedMultiplierSeq.constant(0.0), 1, [0.7], grid)[0]
+        out = perturbed_factor(heat, constant_symbol_seq(lambda n: 0.0, "B"), 1, [0.7], grid)[0]
         assert np.max(np.abs(out - integrated_factor(heat, 1, 0.7, grid))) < 1e-12
 
     def test_factor_matches_summed_symbol(self, heat, grid):
         # the central oracle: quadrature form equals phi(t, a + b) per mode
-        B = BoundedMultiplierSeq.constant(0.4 - 0.9j)
+        B = constant_symbol_seq(lambda n: 0.4 - 0.9j, "B")
         summed = summed_symbol_seq(heat, B)
         for t in (0.2, 1.0, 3.0):
             quad = perturbed_factor(heat, B, 2, [t], grid)[0]
@@ -54,14 +54,14 @@ class TestPerturbedS:
 
     def test_imaginary_constant_magnitudes(self, heat, grid):
         kappa = 2.5
-        B = BoundedMultiplierSeq.constant(1j * kappa)
+        B = constant_symbol_seq(lambda n: 1j * kappa, "B")
         a = heat.on_grid(1, grid)
         fac = perturbed_factor(heat, B, 1, [0.8], grid)[0]
         direct = phi(0.8, a + 1j * kappa)
         assert np.max(np.abs(np.abs(fac) - np.abs(direct))) < 1e-10
 
     def test_linearity_in_input(self, heat, grid):
-        B = BoundedMultiplierSeq.constant(0.3j)
+        B = constant_symbol_seq(lambda n: 0.3j, "B")
         rng = np.random.default_rng(31)
         u = GridFunction(grid, rng.standard_normal(128))
         v = GridFunction(grid, rng.standard_normal(128))
@@ -70,7 +70,7 @@ class TestPerturbedS:
 
     def test_laplace_identity_for_perturbed_family(self, heat, grid):
         # lambda int e^(-lambda t) S^B(t) dt = R(lambda, a + b) per mode
-        B = BoundedMultiplierSeq.constant(-0.5 + 0.7j)
+        B = constant_symbol_seq(lambda n: -0.5 + 0.7j, "B")
         summed = summed_symbol_seq(heat, B)
         lam, n = 2.0, 3
         pts, wts = composite_gauss_points(0.0, 40.0 / lam, 64)
@@ -131,14 +131,14 @@ class TestPerturbationQuadrature:
     def test_overflow_raises_and_never_returns_inf(self, heat, grid):
         # the Re(a+b) t guard
         with pytest.raises(OverflowGuardError):
-            perturbed_factor(heat, BoundedMultiplierSeq.constant(800.0), 1, [1.0], grid)
+            perturbed_factor(heat, constant_symbol_seq(lambda n: 800.0, "B"), 1, [1.0], grid)
 
         def constant_family(c0):
             return make_poly_symbol_seq(lambda n: (c0, 0.0, 0.0))
 
         # past the guard: Re a t > 709 overflows phi(t, a)
         with pytest.raises(OverflowGuardError):
-            perturbed_factor(constant_family(720.0), BoundedMultiplierSeq.constant(-30.0),
+            perturbed_factor(constant_family(720.0), constant_symbol_seq(lambda n: -30.0, "B"),
                              1, [1.0], grid)
         # past the guard: e^(s b) phi(s, 0) = e^700 s overflows at s near t = 1e6
         cases = [(constant_family(0.0), 0.0007, 1e6)]
@@ -146,20 +146,20 @@ class TestPerturbationQuadrature:
                   for b in (-60.0, -30.0 + 2j, -5.0, 0.0)]
         for s, b, t in cases:
             try:
-                out = perturbed_factor(s, BoundedMultiplierSeq.constant(b), 1, [t], grid)
+                out = perturbed_factor(s, constant_symbol_seq(lambda n: b, "B"), 1, [t], grid)
             except OverflowGuardError:
                 continue
             assert np.all(np.isfinite(out))
 
     def test_times_rows_match_kernel(self, heat, grid):
-        B = BoundedMultiplierSeq.constant(-0.3 + 1.7j)
+        B = constant_symbol_seq(lambda n: -0.3 + 1.7j, "B")
         times = [0.3, 1.1, 2.0, 0.7]
         out = perturbed_factor(heat, B, 2, times, grid)
         a, b = heat.on_grid(2, grid), B.on_grid(2, grid)
         assert np.array_equal(out, np.stack([perturbation_quadrature(t, a, b) for t in times]))
 
     def test_zero_time_among_nonzero_times_is_a_zero_row(self, heat, grid):
-        out = perturbed_factor(heat, BoundedMultiplierSeq.constant(0.4 - 0.9j), 2,
+        out = perturbed_factor(heat, constant_symbol_seq(lambda n: 0.4 - 0.9j, "B"), 2,
                                [0.5, 0.0, 1.5], grid)
         assert out.shape == (3,) + grid.shape
         assert not np.any(out[1])
@@ -167,7 +167,7 @@ class TestPerturbationQuadrature:
 
     def test_guard_checks_the_largest_time(self, heat, grid):
         # sup Re(a + b) = 400: only t = 2 passes Re(a+b) t = 700
-        B = BoundedMultiplierSeq.constant(400.0)
+        B = constant_symbol_seq(lambda n: 400.0, "B")
         assert np.all(np.isfinite(perturbed_factor(heat, B, 1, [0.5, 1.0], grid)))
         with pytest.raises(OverflowGuardError):
             perturbed_factor(heat, B, 1, [0.5, 2.0, 1.0], grid)
@@ -175,22 +175,22 @@ class TestPerturbationQuadrature:
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_zeros_at_time_zero(self, heat, dimension):
         g = Grid(dimension, 4.0, 16)
-        out = perturbed_factor(heat, BoundedMultiplierSeq.constant(0.4 - 0.9j), 2, [0.0], g)[0]
+        out = perturbed_factor(heat, constant_symbol_seq(lambda n: 0.4 - 0.9j, "B"), 2, [0.0], g)[0]
         assert out.shape == g.shape and out.dtype == complex
         assert not np.any(out)
 
 
 class TestMultiplierShapes:
     def test_constant_families_stay_scalar(self, grid):
-        B = BoundedMultiplierSeq.constant(0.4 - 0.9j)
-        C = BoundedMultiplierSeq.vanishing(lambda n: 1.0 / n)
-        for seq in (B, C, B.plus(C)):
-            assert seq.on_grid(2, grid).shape == ()
-        assert B.plus(C).on_grid(2, grid) == 0.9 - 0.9j
+        B = constant_symbol_seq(lambda n: 0.4 - 0.9j, "B")
+        C = constant_symbol_seq(lambda n: 1.0 / n, "C")
+        for seq in (B, C, summed_symbol_seq(B, C)):
+            assert seq.on_grid(2, grid).shape == seq.on_grid(2, Grid(2, 4.0, 16)).shape == ()
+        assert summed_symbol_seq(B, C).on_grid(2, grid) == 0.9 - 0.9j
 
     @pytest.mark.parametrize("shape", [(5,), (2, 128), (128, 1)])
     def test_a_shape_that_does_not_broadcast_raises(self, grid, shape):
-        bad = BoundedMultiplierSeq(eval=lambda n, v: np.ones(shape), c_bound=1.0, name="bad")
+        bad = SymbolSeq(eval=lambda n, v: np.ones(shape), re_bound=1.0, name="bad")
         message = f"shape {shape} do not broadcast against grid shape (128,)"
         with pytest.raises(ValueError, match=re.escape(message)):
             bad.on_grid(1, grid)
@@ -198,9 +198,9 @@ class TestMultiplierShapes:
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_xi_dependent_perturbation_matches_plain_quadrature(self, heat, dimension):
         g = Grid(dimension, 3.0, 16)
-        B = BoundedMultiplierSeq(
+        B = SymbolSeq(
             eval=lambda n, v: 0.3j * np.cos(v[..., 0]) + 0.1 * np.sin(v[..., -1]) - 0.2,
-            c_bound=0.6, name="xi")
+            re_bound=-0.1, name="xi")
         times = [0.4, 1.3]
         out = perturbed_factor(heat, B, 2, times, g)
         a, b = heat.on_grid(2, g), B.on_grid(2, g)
@@ -227,15 +227,15 @@ class TestMultiplierShapes:
 
         monkeypatch.setattr(semigroup, "np", CountingNumpy())
         times = [0.3, 1.1, 2.0]
-        perturbed_factor(heat, BoundedMultiplierSeq.constant(0.4 - 0.9j), 2, times, grid)
+        perturbed_factor(heat, constant_symbol_seq(lambda n: 0.4 - 0.9j, "B"), 2, times, grid)
         assert grid.shape == (128,)
         assert entries == [panel_split(PERTURBATION_PANELS)[2]] * len(times)
 
 
 class TestProposition49Suite:
     def test_vanishing_inverse_rate(self, heat, grid):
-        B = BoundedMultiplierSeq.constant(0.5j, name="B")
-        C = BoundedMultiplierSeq.vanishing(lambda n: 1.0 / n, name="C")
+        B = constant_symbol_seq(lambda n: 0.5j, "B")
+        C = constant_symbol_seq(lambda n: 1.0 / n, "C")
         rep = perturbation_claims_suite(heat, perturbed_heat_seq(), B, C,
                                     grid, [4, 8, 16, 32, 64], omega=1.5)
         assert rep.verdicts["perturbed-pair"] == "associated"
@@ -245,15 +245,15 @@ class TestProposition49Suite:
         assert rep.verdicts["growth-moderate"]
 
     def test_zero_c_sequence_gives_identical_pairs(self, heat, grid):
-        B = BoundedMultiplierSeq.constant(0.5j, name="B")
-        C = BoundedMultiplierSeq.vanishing(lambda n: 0.0, name="0")
+        B = constant_symbol_seq(lambda n: 0.5j, "B")
+        C = constant_symbol_seq(lambda n: 0.0, "0")
         rep = perturbation_claims_suite(heat, heat, B, C, grid, [4, 8, 16, 32],
                                     omega=1.5)
         assert max(rep.pair_association.norms) == 0.0
 
     def test_identical_base_families_transport_trivially(self, heat, grid):
-        B = BoundedMultiplierSeq.constant(0.25j, name="B")
-        C = BoundedMultiplierSeq.vanishing(lambda n: 1.0 / n, name="C")
+        B = constant_symbol_seq(lambda n: 0.25j, "B")
+        C = constant_symbol_seq(lambda n: 1.0 / n, "C")
         rep = perturbation_claims_suite(heat, heat, B, C, grid, [4, 8, 16, 32],
                                     omega=1.5)
         assert max(rep.transported_association.norms) == 0.0
@@ -261,8 +261,8 @@ class TestProposition49Suite:
 
     def test_claim_norms_match_quadrature_factors(self, heat, grid, gaussian):
         # the suite works in closed form; the quadrature factors are the oracle
-        B = BoundedMultiplierSeq.constant(0.5j, name="B")
-        C = BoundedMultiplierSeq.vanishing(lambda n: 1.0 / n, name="C")
+        B = constant_symbol_seq(lambda n: 0.5j, "B")
+        C = constant_symbol_seq(lambda n: 1.0 / n, "C")
         drifted = perturbed_heat_seq()
         n_list, ts, omega = [4, 8, 16, 32], SUITE_T_SAMPLES, 1.5
         rep = perturbation_claims_suite(heat, drifted, B, C, grid, n_list, omega=omega)
@@ -278,13 +278,13 @@ class TestProposition49Suite:
             return norms
 
         assert rep.pair_association.norms == pytest.approx(
-            quadrature_norms(heat, B.plus(C)), rel=1e-10)
+            quadrature_norms(heat, summed_symbol_seq(B, C)), rel=1e-10)
         assert rep.transported_association.norms == pytest.approx(
             quadrature_norms(drifted, B), rel=1e-10)
 
     def test_non_vanishing_c_rejected(self, heat, grid):
-        B = BoundedMultiplierSeq.constant(0.5j, name="B")
-        C = BoundedMultiplierSeq.vanishing(lambda n: 1.0, name="const")
+        B = constant_symbol_seq(lambda n: 0.5j, "B")
+        C = constant_symbol_seq(lambda n: 1.0, "const")
         with pytest.raises(ValueError, match="vanish"):
             perturbation_claims_suite(heat, heat, B, C, grid, [4, 8, 16, 32], omega=1.5)
 

@@ -6,8 +6,8 @@ from hypothesis import given, seed, settings, strategies as st
 from semigrouplab.errors import (HypothesisViolationError,
                                  SymbolEvaluationError, UnsupportedFamilyError)
 from semigrouplab.spectral import Grid
-from semigrouplab.symbols import (SymbolSeq, perturbed_heat_seq, heat_symbol_seq,
-                                  make_fractional_symbol_seq,
+from semigrouplab.symbols import (SymbolSeq, constant_symbol_seq, perturbed_heat_seq,
+                                  heat_symbol_seq, make_fractional_symbol_seq,
                                   make_poly_symbol_seq, poly_sup_re)
 
 TWO_PI = 2.0 * np.pi
@@ -128,4 +128,14 @@ class TestSymbolClassCheck:
         s = SymbolSeq(eval=bad, re_bound=0, name="bad")
         with pytest.raises(SymbolEvaluationError, match="bad"):
             s.on_grid(1, Grid(1, 4.0, 64))
+
+    def test_non_finite_constant_names_n_and_no_frequency(self):
+        s = SymbolSeq(eval=lambda n, v: np.asarray(np.nan), re_bound=0, name="B")
+        with pytest.raises(SymbolEvaluationError, match=r"^symbol 'B' is non-finite at n=3$"):
+            s.on_grid(3, Grid(1, 4.0, 64))
+
+
+def test_constant_family_re_bound_is_the_probed_max():
+    # Re c(n) = 1/n - 2 peaks at the first probe index, n = 1
+    assert constant_symbol_seq(lambda n: 1.0 / n - 2.0 + 5j, "C").re_bound == -1.0
 
