@@ -25,10 +25,9 @@ from .config import (PERTURB_ORACLE_T_MAX, ExperimentConfig, comparison_operand,
                      default_config, load_config, scaled_sup_re, serialize_config, time_grid)
 from .errors import ConfigError, ResolutionError, SemigroupLabError
 from .perturbation import perturbation_claims_suite, perturbation_quadrature, perturbed_factor
-from .quadrature import composite_gauss_points
 from .semigroup import (apply_S, block_rows, bromwich_S, certify_growth, generator_level,
-                        laplace_identity_residual, phi, pseudoresolvent_residual,
-                        resolvent_level, sample_axis, semigroup_level)
+                        laplace_identity_residual, panel_split, phi, pseudoresolvent_residual,
+                        resolvent_level, sample_axis, semigroup_level, time_integral)
 from .spectral import DistributionRep, Grid, GridFunction, lp_norm, mollify
 from .symbols import (MIN_FIT_INDICES, SymbolSeq, constant_symbol_seq,
                       make_fractional_symbol_seq, make_poly_symbol_seq, perturbed_heat_seq,
@@ -155,25 +154,21 @@ def _suite_pseudoresolvent(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq,
 
 
 def _suite_functional_equation(cfg: ExperimentConfig) -> SuiteResult:
+    """phi(t, a) phi(s, a) = integral_0^s (phi(t + r, a) - phi(r, a)) dr on 1,000 draws, the
+    right side as I(t + s) - I(t) - I(s), I(T) = ``time_integral(T, a, 0, 64)``, in chunks of
+    ``block_rows`` draws, so each (level x entry) block stays within ``BLOCK_ENTRIES``."""
     rng = np.random.default_rng(20240802)
     t, sdur, r, ang = rng.uniform([0.05, 0.05, 0.0, 0.5 * np.pi],
                                   [2.0, 2.0, 100.0, 1.5 * np.pi], (1000, 4)).T
     a = r * np.exp(1j * ang)
     lhs = phi(t, a) * phi(sdur, a)
-    unit_pts, unit_wts = composite_gauss_points(0.0, 1.0, panels=64)
-    # draws per block of BLOCK_ENTRIES (draw, node) entries; the buffers serve every block
-    rows = block_rows(unit_pts.size)
-    pts, shifted = np.empty((2, min(rows, len(t)), unit_pts.size))
-    vals, tail = np.empty((2,) + pts.shape, dtype=complex)
+    rows = block_rows(3 * panel_split(64)[2])
     rhs = np.empty_like(lhs)
     for i0 in range(0, len(t), rows):
         blk = slice(i0, i0 + rows)
-        m, a_blk = len(t[blk]), a[blk, None]
-        np.multiply(sdur[blk, None], unit_pts, out=pts[:m])
-        np.add(t[blk, None], pts[:m], out=shifted[:m])
-        phi(shifted[:m], a_blk, out=vals[:m])
-        vals[:m] -= phi(pts[:m], a_blk, out=tail[:m])
-        rhs[blk] = sdur[blk] * (vals[:m] @ unit_wts)
+        i_ts, i_t, i_s = time_integral(np.stack([t[blk] + sdur[blk], t[blk], sdur[blk]]),
+                                       a[blk], 0.0, panels=64)
+        rhs[blk] = i_ts - i_t - i_s
     return SuiteResult("functional-equation", float(np.max(np.abs(lhs - rhs))),
                        cfg.tol_functional_equation)
 

@@ -1,10 +1,10 @@
 """Composite Gauss-Legendre quadrature helpers.
 
 The time-integral oracles use one composite rule: ``GAUSS_NODES_PER_PANEL``
-Gauss-Legendre nodes per panel on a uniform panel split.  The functional-equation
-check takes its nodes from ``composite_gauss_points``; ``semigroup.time_integral``
-(the Laplace check and the perturbation oracle) folds the same rule from
-``_gauss_rule`` over panel starts and offsets.  Twelve nodes per panel keep
+Gauss-Legendre nodes per panel on a uniform panel split.  ``semigroup.time_integral``
+(the Laplace, functional-equation and perturbation oracles) folds it from
+``_gauss_rule`` over panel starts and offsets; ``composite_gauss_points`` lists its
+nodes unfolded, the tests' reference for that fold.  Twelve nodes per panel keep
 entire integrands with derivative scales up to ~200 per unit length below 1e-12
 absolute error at the panel widths used in the bundled scenarios.
 """

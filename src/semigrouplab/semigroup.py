@@ -6,10 +6,10 @@ a symbol a has per-mode factor
 
     phi(t, a) = integral_0^t exp(s a) ds = (exp(t a) - 1) / a,
 
-an entire function of a evaluated through a Taylor branch near t a = 0.  The
-resolvent factor is 1/(lambda - a).  The Laplace identity R(lambda) = lambda
-integral_0^inf exp(-lambda t) S(t) dt, by ``time_integral`` at b = -lambda (the
-perturbation oracle's kernel too), and the Bromwich inversion are mutual oracles.
+an entire function of a evaluated through a Taylor branch near t a = 0.  The resolvent
+factor is 1/(lambda - a).  The Laplace identity R(lambda) = lambda integral_0^inf
+exp(-lambda t) S(t) dt, by ``time_integral`` at b = -lambda (the functional-equation
+and perturbation oracles' kernel too), and the Bromwich inversion are mutual oracles.
 
 A :class:`Level` is a sampled family of such operators, row j being w_j F_j(a_n):
 :data:`generator_level`, :func:`resolvent_level`, :func:`semigroup_level` and
@@ -57,19 +57,19 @@ def sample_axis(values, grid: Grid) -> np.ndarray:
     return np.reshape(values, np.shape(values) + (1,) * grid.dimension)
 
 
-def weight_axis(weights: Iterable, samples: Sequence, b: float, label: str,
-                grid: Grid) -> np.ndarray:
-    """The b-dependent weights, one per sample and read lazily, as a sample axis; one that
-    overflows from a finite b and sample raises a ``ValueError`` naming both (NaN in, NaN out)."""
-    checked = []
-    with contextlib.suppress(OverflowError, ZeroDivisionError):  # Python's ** raises for an inf
+def weight_axis(weights: Iterable, samples: Sequence, value: float, label: str,
+                grid: Grid, param: str = "b") -> np.ndarray:
+    """The weights, one per sample and read lazily, as a sample axis; one that overflows from
+    a finite ``param`` = value and sample raises a ``ValueError`` naming both (NaN in, NaN out)."""
+    kept = []
+    with contextlib.suppress(OverflowError, ZeroDivisionError):  # ** and math.exp raise
         for w, x in zip(weights, samples):
-            if not cmath.isfinite(w) and math.isfinite(b) and cmath.isfinite(x):
+            if not cmath.isfinite(w) and math.isfinite(value) and cmath.isfinite(x):
                 break
-            checked.append(w)
-    if len(checked) < len(samples):
-        raise ValueError(f"non-finite weight at b = {b}, {label} = {samples[len(checked)]}")
-    return sample_axis(checked, grid)
+            kept.append(w)
+    if len(kept) < len(samples):
+        raise ValueError(f"non-finite weight at {param} = {value}, {label} = {samples[len(kept)]}")
+    return sample_axis(kept, grid)
 
 
 def phi(t, a, out=None) -> np.ndarray:
@@ -134,11 +134,11 @@ def time_integral(t, a, b, panels: int) -> np.ndarray:
     with w = 1 on the starts and the Gauss weights on the offsets, combine as
     (E, P, X).(e, p, x) = (E e, P e + X p, X x), since phi(u + v, a) = phi(u, a)
     + e^(u a) phi(v, a).  So phi runs on 8 + 8 + 12 points per entry of a for
-    64 panels, not 768, and e^(s b) on 28 per entry of b: a scalar b, as in the
-    Laplace check and for a xi-constant perturbation, takes 28 in all.  The
-    start levels' e^(s a) come from that phi block as 1 + a phi(s, a), within
-    a few ulp x (1 + |e^(s a)|) of exp.  Overflow raises ``FloatingPointError``
-    (phi's: ``OverflowGuardError``).
+    64 panels, not 768, and e^(s b) on 28 per entry of t and b broadcast together:
+    a scalar b (the Laplace check, a xi-constant perturbation, the functional-equation
+    suite at b = 0) costs 28 per time.  The start levels' e^(s a) come from that phi
+    block as 1 + a phi(s, a), within a few ulp x (1 + |e^(s a)|) of exp.  Overflow
+    raises ``FloatingPointError`` (phi's: ``OverflowGuardError``).
     """
     coarse, fine, _ = panel_split(panels)
     gx, gw = _gauss_rule(GAUSS_NODES_PER_PANEL)
@@ -263,9 +263,10 @@ def resolvent_level(lambda_samples: Sequence[complex], grid: Grid, b: float = 0.
 
 
 def semigroup_level(omega: float, t_samples: Sequence[float], grid: Grid) -> Level:
-    """e^(-omega t) phi(t, a_n) per time sample."""
+    """e^(-omega t) phi(t, a_n) per time sample; an overflowing weight raises ``ValueError``."""
     times = sample_axis(np.asarray(t_samples, dtype=float), grid)
-    return Level(sample_axis([math.exp(-omega * t) for t in map(float, t_samples)], grid),
+    return Level(weight_axis((math.exp(-omega * t) for t in map(float, t_samples)), t_samples,
+                             omega, "t", grid, param="omega"),
                  lambda n, a: phi(times, a))
 
 

@@ -196,6 +196,17 @@ class TestVerifyBlocks:
                 tracemalloc.stop()
         assert max(peaks) <= 8 * 2**20, [f"{p / 2**20:.1f} MiB" for p in peaks]
 
+    def test_functional_equation_suite_peak_memory_is_under_2_mib(self, setting):
+        # chunked draws peak near 1.5 MiB; one call on all 1,000 draws peaked at 6.9 MiB
+        cfg = setting[0]
+        tracemalloc.start()
+        try:
+            assert cli._suite_functional_equation(cfg).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, f"{peak / 2**20:.2f} MiB"
+
     def test_two_dimensional_laplace_is_small_and_matches_the_plain_rule(self, monkeypatch):
         g2, s, n, lam, T = Grid(2, 8.0, 128), heat_symbol_seq(), 2, 2.0 + 1j, 20.0
         u = GridFunction.gaussian(g2)
@@ -270,6 +281,52 @@ def test_functional_equation_draws_match_the_scalar_loop(monkeypatch):
     t, _, r, ang = (np.array(col) for col in zip(*draws))
     assert np.asarray(t_in).tobytes() == t.tobytes()
     assert np.asarray(a_in).tobytes() == (r * np.exp(1j * ang)).tobytes()
+
+
+def _unfolded_functional_equation_rhs(t, sdur, a):
+    """integral_0^s (phi(t + r, a) - phi(r, a)) dr on all 768 nodes of the 64-panel rule,
+    in blocks of ``BLOCK_ENTRIES`` (draw, node) entries."""
+    unit_pts, unit_wts = composite_gauss_points(0.0, 1.0, panels=64)
+    rows = semigroup.block_rows(unit_pts.size)
+    rhs = np.empty(len(t), dtype=complex)
+    for i0 in range(0, len(t), rows):
+        blk = slice(i0, i0 + rows)
+        pts, a_blk = sdur[blk, None] * unit_pts, a[blk, None]
+        vals = semigroup.phi(t[blk, None] + pts, a_blk) - semigroup.phi(pts, a_blk)
+        rhs[blk] = sdur[blk] * (vals @ unit_wts)
+    return rhs
+
+
+def test_functional_equation_suite_matches_the_unfolded_rule(monkeypatch):
+    # the suite's I(t + s) - I(t) - I(s), from its time_integral calls, per draw
+    calls, kernel = [], cli.time_integral
+
+    def spy(T, a, b, panels):
+        calls.append((T, a, kernel(T, a, b, panels)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(cli, "time_integral", spy)
+    worst = cli._suite_functional_equation(FAST_VERIFY).worst
+    t, sdur = (np.concatenate([T[i] for T, _, _ in calls]) for i in (1, 2))
+    a = np.concatenate([a for _, a, _ in calls])
+    assert len(calls) > 1 and len(t) == 1000
+    assert np.array_equal(np.concatenate([T[0] for T, _, _ in calls]), t + sdur)
+    folded = np.concatenate([I[0] - I[1] - I[2] for _, _, I in calls])
+    assert np.max(np.abs(folded - _unfolded_functional_equation_rhs(t, sdur, a))) <= 1e-14
+    assert worst == np.max(np.abs(semigroup.phi(t, a) * semigroup.phi(sdur, a) - folded))
+    # phi runs on 2 + 3 x (8 + 8 + 12) points per draw, never on 768
+    entries = []
+
+    def counted(phi):
+        def run(t, a, out=None):
+            entries.append(np.broadcast(t, a).size)
+            return phi(t, a, out=out)
+        return run
+
+    monkeypatch.setattr(cli, "phi", counted(cli.phi))
+    monkeypatch.setattr(semigroup, "phi", counted(semigroup.phi))
+    assert cli._suite_functional_equation(FAST_VERIFY).worst == worst
+    assert 0 < sum(entries) <= (2 + 3 * 28) * 1000
 
 
 def test_perturbation_oracle_draws_match_the_scalar_loop(monkeypatch):
@@ -587,6 +644,17 @@ class TestAssociateCommand:
         assert code == 2
         assert "lambda_samples" in capsys.readouterr().err
         assert not (tmp_path / "c" / "association_resolvent.csv").exists()
+
+    def test_semigroup_weight_overflow_exits_2_naming_omega_and_t(self, tmp_path, capsys):
+        # e^(-omega t) = e^(200 t) overflows from t = 3.75 on
+        cfg = dataclasses.replace(default_config("associate"), coeffs=(-300, 0, 0.0253),
+                                  comparison="shift:1j", omega=-200.0)
+        code = main(["associate", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "o"), "--no-plots"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("parameter error: non-finite weight at omega = -200.0, t = ")
+        assert "Traceback" not in err
 
     def test_shifted_families_not_associated(self, tmp_path):
         cfg = dataclasses.replace(default_config("associate"), comparison="shift:1.0")

@@ -347,6 +347,22 @@ class TestTimeIntegral:
         # the floor covers subnormal terms, whose rounding is absolute
         assert np.all(np.abs(out - ref) <= 1e-13 * magnitude + 1e-300)
 
+    @settings(max_examples=200, deadline=None)
+    @given(T=st.floats(0.0, 4.0), mag=st.floats(0.0, 100.0),
+           angle=st.floats(0.5 * np.pi, 1.5 * np.pi))
+    def test_b_zero_matches_the_closed_form(self, T, mag, angle):
+        # integral_0^T phi(s, a) ds = (phi(T, a) - T)/a, with Re a <= 0 as in the
+        # functional-equation suite; where |T a| < 1 that form cancels, so the series
+        # sum_k a^k T^(k+2)/(k+2)! = T^2/2 + a T^3/6 + ... stands in for it
+        a = complex(min(0.0, mag * np.cos(angle)), mag * np.sin(angle))
+        if abs(a) >= 1.0 and abs(T * a) >= 1.0:
+            ref = (complex(phi(T, a)) - T) / a
+        else:
+            ref, term = 0.0, T**2 / 2.0
+            for k in range(30):
+                ref, term = ref + term, term * a * T / (k + 3)
+        assert abs(complex(time_integral(T, a, 0.0, 64)) - ref) <= 1e-13 * abs(ref)
+
     def test_rejects_a_non_positive_panel_count(self):
         with pytest.raises(ValueError, match="panels"):
             time_integral(1.0, -1.0, -2.0, 0)
