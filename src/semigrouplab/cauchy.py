@@ -4,9 +4,11 @@ The Duhamel solution of d/dt w = a(D) w + f, w(0) = u_0 is computed per
 frequency mode with an exponential integrator that interpolates the forcing
 piecewise-linearly in time and integrates each panel in closed form, so the
 only discretization error in the solve is the forcing interpolation; with
-zero forcing w is exact per mode.  The integrator's functions phi_1 and
-phi_2 are both built on ``semigroup.phi``: phi_1(z) = phi(1, z), and phi_2
-follows from it by recurrence or, near zero, by series.
+zero forcing w is exact per mode.  Forcings are separable, f_n(t, x) =
+profile(t) shape_n(x), so each index n transforms its forcing once.  The
+integrator's functions phi_1 and phi_2 are both built on ``semigroup.phi``:
+phi_1(z) = phi(1, z), and phi_2 follows from it by recurrence or, near zero,
+by series.
 
 Residuals of the integrated-equation form w = u_0 + a(D) int w + int f use
 plain trapezoid time integrals of the computed samples, which makes the
@@ -60,22 +62,19 @@ def _phi_k(z: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ForcingSeq:
-    """A forcing family (n, t) -> GridFunction sampled on a time grid."""
+    """A separable forcing family f_n(t, x) = profile(t) * shape(n)(x).
 
-    grid: Grid
-    eval: Callable[[int, float], GridFunction]
+    ``profile`` maps an array of times to values; ``shape(n)`` is the
+    spatial factor of index n.
+    """
+
+    profile: Callable[[np.ndarray], np.ndarray]
+    shape: Callable[[int], GridFunction]
 
     @staticmethod
     def zero(grid: Grid) -> "ForcingSeq":
         z = GridFunction.zero(grid)
-        return ForcingSeq(grid=grid, eval=lambda n, t: z)
-
-    @staticmethod
-    def separable(profile: Callable[[float], float],
-                  shape_for: Callable[[int], GridFunction]) -> "ForcingSeq":
-        """f_n(t, x) = profile(t) * shape_n(x)."""
-        return ForcingSeq(grid=shape_for(1).grid,
-                          eval=lambda n, t: profile(t) * shape_for(n))
+        return ForcingSeq(profile=np.zeros_like, shape=lambda n: z)
 
 
 @dataclass
@@ -109,23 +108,18 @@ class MildSolutionSeq:
     def initial_datum(self, n: int) -> GridFunction:
         return self._u0[n]
 
-    def merge(self, other: "MildSolutionSeq") -> None:
-        if other.grid != self.grid or len(other.t_grid) != len(self.t_grid):
-            raise ValueError("solution sequences live on different grids")
-        self._w.update(other._w)
-        self._u0.update(other._u0)
-
 
 def duhamel_solve(s: SymbolSeq, n: int, u0n: GridFunction, f: ForcingSeq,
                   t_grid: Sequence[float]) -> MildSolutionSeq:
     """Solve one regularized problem by per-mode exponential integration.
 
-    The forcing transform is interpolated piecewise-linearly between the
+    The forcing profile is interpolated piecewise-linearly between the
     uniform time-grid nodes; each panel is integrated exactly:
 
-        w_(m+1) = e^z w_m + dt [f_m phi_1(z) + (f_(m+1) - f_m) phi_2(z)]
+        w_(m+1) = e^z w_m + p_m q_1 + (p_(m+1) - p_m) q_2,  q_k = dt fhat phi_k(z)
 
-    with z = dt a per mode.
+    with z = dt a per mode, p the profile at the nodes and fhat the one
+    transform of the forcing shape of index n.
     Exact for zero forcing; unconditionally stable for Re a <= 0.
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -141,27 +135,23 @@ def duhamel_solve(s: SymbolSeq, n: int, u0n: GridFunction, f: ForcingSeq,
         raise OverflowGuardError(
             f"Re a_n * T = {float(np.max(a.real)) * t_grid[-1]:.3g} would overflow; "
             f"the growth bound re_bound={s.re_bound} is violated or the horizon too long")
+    shape = f.shape(n)
+    if shape.grid != grid:
+        raise ValueError("forcing grid does not match the datum grid")
 
     z = dt * a
     ez = np.exp(z)
-    p1, p2 = _phi_k(z, 1), _phi_k(z, 2)
+    dt_fhat = dt * transform(shape).values
+    q1, q2 = dt_fhat * _phi_k(z, 1), dt_fhat * _phi_k(z, 2)
+    prof = f.profile(t_grid)
 
-    M = len(t_grid) - 1
-    fhat = np.empty((M + 1,) + grid.shape, dtype=complex)
-    for j, t in enumerate(t_grid):
-        fj = f.eval(n, float(t))
-        if fj.grid != grid:
-            raise ValueError("forcing grid does not match the datum grid")
-        fhat[j] = transform(fj).values if fj.values.any() else 0.0
-
-    w = np.empty_like(fhat)
+    w = np.empty((len(t_grid),) + grid.shape, dtype=complex)
     w[0] = transform(u0n).values
-    for m in range(M):
-        df = fhat[m + 1] - fhat[m]
-        w[m + 1] = ez * w[m] + dt * (fhat[m] * p1 + df * p2)
+    for m in range(len(t_grid) - 1):
+        w[m + 1] = ez * w[m] + prof[m] * q1 + (prof[m + 1] - prof[m]) * q2
 
     ph = grid.phase()
-    for j in range(M + 1):  # inverse transform of every time slice, in place
+    for j in range(len(t_grid)):  # inverse transform of every time slice, in place
         w[j] = np.fft.ifftn(w[j] * ph) / grid.cell_volume
     w[0] = u0n.values  # the initial condition holds exactly
     sol = MildSolutionSeq(grid=grid, t_grid=t_grid)
@@ -173,14 +163,12 @@ def duhamel_solve(s: SymbolSeq, n: int, u0n: GridFunction, f: ForcingSeq,
 def solve_sequence(s: SymbolSeq, n_list: Sequence[int],
                    u0_for: Callable[[int], GridFunction], f: ForcingSeq,
                    t_grid: Sequence[float]) -> MildSolutionSeq:
-    """Run :func:`duhamel_solve` over an index list and merge the results."""
-    out = None
-    for n in n_list:
-        one = duhamel_solve(s, n, u0_for(n), f, t_grid)
-        if out is None:
-            out = one
-        else:
-            out.merge(one)
+    """Run :func:`duhamel_solve` over an index list into one sequence."""
+    sols = [duhamel_solve(s, n, u0_for(n), f, t_grid) for n in n_list]
+    out = sols[0]
+    for one in sols[1:]:
+        out._w.update(one._w)
+        out._u0.update(one._u0)
     return out
 
 
@@ -203,8 +191,7 @@ def integral_equation_residual(sol: MildSolutionSeq, s: SymbolSeq, n: int,
     else:
         tw = trapezoid_weights(idx + 1, float(t_grid[1] - t_grid[0]))
         int_w = GridFunction(grid, np.tensordot(tw, w, axes=(0, 0)))
-        fs = np.stack([f.eval(n, float(tj)).values for tj in t_grid])
-        int_f = GridFunction(grid, np.tensordot(tw, fs, axes=(0, 0)))
+        int_f = f.shape(n) * np.dot(tw, f.profile(t_grid))
     a_op = MultiplierOp(grid, s.on_grid(n, grid))
     defect = wt - sol.initial_datum(n) - a_op.apply(int_w) - int_f
     return lp_norm(defect, 2) / max(1.0, lp_norm(wt, 2))

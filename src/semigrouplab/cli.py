@@ -101,13 +101,8 @@ def build_data(cfg: ExperimentConfig, grid: Grid) -> DistributionRep:
 def build_forcing(cfg: ExperimentConfig, grid: Grid) -> ForcingSeq:
     if cfg.forcing_kind == "none":
         return ForcingSeq.zero(grid)
-    shape = GridFunction.gaussian(grid)
-    amp = cfg.forcing_amplitude
-
-    def shape_for(n: int) -> GridFunction:
-        return amp * shape
-
-    return ForcingSeq.separable(profile=lambda t: math.cos(t), shape_for=shape_for)
+    shape = cfg.forcing_amplitude * GridFunction.gaussian(grid)
+    return ForcingSeq(profile=np.cos, shape=lambda n: shape)
 
 
 def _require_omega_bound(cfg: ExperimentConfig, *families: SymbolSeq) -> None:
@@ -250,23 +245,35 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True) -> 
         raise ConfigError(
             f"n_list {list(cfg.n_list)} needs n * 2 half_width / points <= 1/4 for every n "
             f"(points = {cfg.points}, half_width = {cfg.half_width}): {exc}") from exc
-    csvio.write_solution(out_dir / "solution.csv", sol,
-                         stride=max(1, len(tg) // 16))
-
     residuals = [(n, integral_equation_residual(sol, s, n, forcing, float(tg[-1])))
                  for n in cfg.n_list]
-    csvio.write_rows(out_dir / "residuals.csv", ["n", "residual"], residuals)
-
     tests = [
         bump_test_function(grid, 0.5 * cfg.t_end, 0.4 * cfg.t_end, 0.0, 1.0, "psi0"),
         bump_test_function(grid, 0.45 * cfg.t_end, 0.35 * cfg.t_end, 0.5, 1.2, "psi1"),
         bump_test_function(grid, 0.55 * cfg.t_end, 0.4 * cfg.t_end, -0.4, 1.5, "psi2"),
     ]
-    pairings = {}
-    for n in cfg.n_list:
-        for psi in tests:
-            pairings[(n, psi.label)] = very_weak_pairing(sol, psi, n)
+    pairings = {(n, psi.label): very_weak_pairing(sol, psi, n)
+                for n in cfg.n_list for psi in tests}
+    # per-slice L^2 norms weighted by e^(-omega t); np.max keeps a NaN
+    moderate_rows = [(n, lp_norm(sol.initial_datum(n), 2),
+                      float(np.max(np.sqrt(np.sum(np.abs(sol.w_values(n)) ** 2, axis=-1)
+                                           * grid.cell_volume) * np.exp(-cfg.omega * tg))))
+                     for n in cfg.n_list]
+    # a non-finite sample makes these non-finite, so no CSV is written from an overflow
+    for quantity, n, value in ([("residual", n, r) for n, r in residuals]
+                               + [(f"pairing {label}", n, v) for (n, label), v in pairings.items()]
+                               + [("sup_weighted_l2", n, v) for n, _, v in moderate_rows]):
+        if not np.isfinite(value):
+            raise ConfigError(f"{quantity} at n = {n} is {value}, not finite: forcing_amplitude "
+                              f"= {cfg.forcing_amplitude} and omega = {cfg.omega} must keep "
+                              f"the solution and its weight e^(-omega t) finite")
+
+    csvio.write_solution(out_dir / "solution.csv", sol,
+                         stride=max(1, len(tg) // 16))
+    csvio.write_rows(out_dir / "residuals.csv", ["n", "residual"], residuals)
     csvio.write_pairings(out_dir / "pairings.csv", pairings)
+    csvio.write_rows(out_dir / "moderateness.csv",
+                     ["n", "initial_l2", "sup_weighted_l2"], moderate_rows)
 
     report = weak_limit_extract(pairings, tol=cfg.tol_pairing)
     rows = [(label, report.convergent[label], report.limits[label].real,
@@ -274,14 +281,6 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True) -> 
             for label in sorted(report.limits)]
     csvio.write_rows(out_dir / "weak_limits.csv",
                      ["psi_id", "convergent", "re_limit", "im_limit", "subsequence"], rows)
-
-    # per-slice L^2 norms weighted by e^(-omega t); np.max keeps a NaN
-    moderate_rows = [(n, lp_norm(sol.initial_datum(n), 2),
-                      float(np.max(np.sqrt(np.sum(np.abs(sol.w_values(n)) ** 2, axis=-1)
-                                           * grid.cell_volume) * np.exp(-cfg.omega * tg))))
-                     for n in cfg.n_list]
-    csvio.write_rows(out_dir / "moderateness.csv",
-                     ["n", "initial_l2", "sup_weighted_l2"], moderate_rows)
 
     if make_plots:
         _plot_solution(sol, out_dir)

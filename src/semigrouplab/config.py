@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .perturbation import PERTURBATION_PANELS
+from .spectral import Grid
 from .symbols import poly_sup_re
 
 HEAT_C2 = 1.0 / (4.0 * math.pi**2)
@@ -235,7 +236,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.comparison.startswith("scale:") and not math.isfinite(scaled_sup_re(cfg)):
         raise ConfigError(f"comparison {cfg.comparison} makes Re a(xi) unbounded above "
                           f"for coeffs {cfg.coeffs}")
+    try:
+        Grid(cfg.dimension, cfg.half_width, cfg.points)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     steps = cfg.t_end / cfg.dt
+    if not math.isfinite(steps):
+        raise ConfigError(f"t_end / dt must be a finite step count, got t_end = {cfg.t_end}, "
+                          f"dt = {cfg.dt}")
     if abs(steps - round(steps)) > 1e-9:
         raise ConfigError("t_end must be an integer multiple of dt")
     nodes = round(steps) + 1

@@ -61,10 +61,13 @@ class Grid:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
-        if not 0 < self.half_width < np.inf:
-            raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
         if not _is_power_of_two(self.points):
             raise ValueError(f"points must be a power of two, got {self.points}")
+        if not (0 < self.half_width < np.inf and 0 < self.cell_volume < np.inf
+                and 0 < self.freq_spacing ** self.dimension < np.inf):
+            raise ValueError(f"half_width must be finite and positive, with a finite "
+                             f"positive spacing and frequency spacing in dimension "
+                             f"{self.dimension} on {self.points} points, got {self.half_width}")
 
     @property
     def spacing(self) -> float:

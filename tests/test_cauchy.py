@@ -87,14 +87,14 @@ class TestDuhamelSolve:
         # zero symbol: w_hat = f t per mode
         zero_sym = make_poly_symbol_seq(lambda n: (0.0,))
         shape = GridFunction.gaussian(grid)
-        forcing = ForcingSeq.separable(lambda t: 1.0, lambda n: shape)
+        forcing = ForcingSeq(np.ones_like, lambda n: shape)
         sol = duhamel_solve(zero_sym, 1, GridFunction.zero(grid), forcing,
                             tgrid(1.0, 1 / 32))
         assert lp_norm(sol.w(1, 1.0) - shape, 2) < 1e-12
 
     def test_forced_solution_against_quadrature_oracle(self, heat, grid):
         # piecewise-linear forcing interpolation converges at second order
-        forcing = ForcingSeq.separable(math.cos, lambda n: GridFunction.gaussian(grid))
+        forcing = ForcingSeq(np.cos, lambda n: GridFunction.gaussian(grid))
         u0 = GridFunction.gaussian(grid)
         t_star = 1.0
         a = heat.on_grid(1, grid)
@@ -114,6 +114,26 @@ class TestDuhamelSolve:
             errs.append(float(np.max(np.abs(what - oracle))))
         assert errs[0] < 1e-4
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
+
+    def test_forcing_is_transformed_once_per_index(self, heat, grid, monkeypatch):
+        # a separable forcing costs one shape and one FFT per n, not one per time node
+        shapes, ffts = [], []
+
+        def shape(n):
+            shapes.append(n)
+            return GridFunction.gaussian(grid)
+
+        fftn = np.fft.fftn
+
+        def counted_fftn(*args, **kwargs):
+            ffts.append(1)
+            return fftn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fftn", counted_fftn)
+        duhamel_solve(heat, 3, GridFunction.gaussian(grid), ForcingSeq(np.cos, shape),
+                      tgrid(1.0, 1 / 64))
+        assert len(ffts) == 2  # u_0 and the forcing shape
+        assert shapes == [3]
 
     def test_superposition(self, heat, grid):
         rng = np.random.default_rng(11)
@@ -298,15 +318,15 @@ class TestModeratenessPropagation:
         # theta_n data has L^2 exponent ~ 1/2; the damped solution stays below
         g = Grid(1, 8.0, 2048)
         delta = DistributionRep.delta(g)
-        f = ForcingSeq.separable(lambda t: math.exp(-t),
-                                 lambda n: mollify(delta, n))
+        f = ForcingSeq(lambda t: np.exp(-t), lambda n: mollify(delta, n))
         tg_ = tgrid(1.0, 1 / 64)
         ns = [4, 8, 16, 32]
         sol = solve_sequence(heat, ns, lambda n: mollify(delta, n), f, tg_)
         a1 = np.polyfit(np.log(ns),
                         np.log([lp_norm(sol.initial_datum(n), 2) for n in ns]), 1)[0]
         a2 = np.polyfit(np.log(ns),
-                        np.log([max(lp_norm(f.eval(n, t), 2) for t in tg_) for n in ns]), 1)[0]
+                        np.log([np.max(np.abs(f.profile(tg_))) * lp_norm(f.shape(n), 2)
+                                for n in ns]), 1)[0]
         omega = 1.0
         sup_w = [max(math.exp(-omega * t) * lp_norm(sol.w(n, float(t)), 2) for t in tg_)
                  for n in ns]

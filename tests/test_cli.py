@@ -461,12 +461,19 @@ def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
                   "[growth]\nomega = 0.6\n", ("omega", "1.0")),
     # scale:-1 turns the heat family into anti-diffusion, Re a unbounded above
     ("associate", "[comparison]\ncomparison = scale:-1\n", ("comparison", "scale:-1")),
+    # t_end / dt overflows to inf: no step count
+    ("verify", "[time]\nt_end = 1.0\ndt = 5e-324\n", ("t_end", "dt")),
+    ("verify", "[time]\nt_end = 1e300\ndt = 1e-10\n", ("t_end", "dt")),
+    # the spacing 2 half_width / points overflows, or the frequency spacing 1/(2 half_width)
+    ("verify", "[grid]\nhalf_width = 1e308\n", ("half_width",)),
+    ("growth", "[grid]\nhalf_width = 1e-320\n", ("half_width",)),
 ], ids=["solve-three", "associate-three", "perturb-three", "solve-unresolved", "mollifier",
         "solve-2d"] + [f"{command}-unbounded-poly" for command in COMMANDS]
    + ["verify-lambda-zero", "verify-lambda-imaginary", "verify-lambda-negative",
       "verify-lambda-second", "associate-omega-below-bound", "perturb-omega-below-bound",
       "associate-drift-2d", "associate-scale-omega-below-bound",
-      "associate-scale-unbounded"])
+      "associate-scale-unbounded", "verify-dt-subnormal", "verify-t-end-huge",
+      "verify-half-width-huge", "growth-half-width-tiny"])
 def test_bad_config_exits_2_naming_fields(tmp_path, capsys, command, text, names):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -602,6 +609,25 @@ class TestSolveCommand:
         assert all(float(line.split(",")[1]) == 0.0 for line in body)
         sol = (tmp_path / "z" / "solution.csv").read_text().splitlines()[1:]
         assert all(float(line.split(",")[3]) == 0.0 for line in sol)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("changes, message", [
+        ({"forcing_kind": "gaussian_pulse", "forcing_amplitude": amplitude},
+         "residual at n = 4 is nan") for amplitude in (1e200, 1e308)
+    ] + [
+        # the weight e^(-omega t) of the moderateness sup overflows
+        ({"omega": -1000.0}, "sup_weighted_l2 at n = 4 is inf"),
+    ], ids=["amplitude-1e200", "amplitude-1e308", "omega"])
+    def test_non_finite_output_exits_2_before_any_csv(self, tmp_path, capsys, changes, message):
+        cfg = dataclasses.replace(default_config("solve"), **changes)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out), "--no-plots"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}, not finite")
+        assert f"forcing_amplitude = {cfg.forcing_amplitude}" in err
+        assert f"omega = {cfg.omega}" in err
+        assert list(out.glob("*.csv")) == []
 
     def test_schrodinger_type_family_runs(self, tmp_path):
         cfg = dataclasses.replace(

@@ -23,10 +23,7 @@ UNREACHED_ALLOWLIST = {
     "derivative_level",
 }
 #: (function, parameter) pairs whose value a protocol fixes but the body need not read
-UNREAD_PARAMETER_ALLOWLIST = {
-    # ForcingSeq.separable calls shape_for(n); the bundled forcing shape is one for all n
-    ("shape_for", "n"),
-}
+UNREAD_PARAMETER_ALLOWLIST = set()
 
 
 def _identifiers_read() -> set:
