@@ -56,8 +56,9 @@ def perturbed_factor(s: SymbolSeq, B: SymbolSeq, n: int, times: Sequence[float],
     Returns shape ``(len(times),) + grid.shape``.  a_n and b_n are evaluated
     once, b_n in the shape ``B.on_grid`` gives, and the Re(a+b) t and Re(b) t
     overflow guards are checked once, at the largest time.  Each time is one
-    ``perturbation_quadrature`` call, so the kernel's temporaries stay one time deep.
-    A zero time gives a zero row: every node and phi(0, a) are zero.
+    ``perturbation_quadrature`` call, so the kernel's temporaries stay one time deep;
+    batching the times into one call was measured and saved nothing.  A zero time
+    gives a zero row: every node and phi(0, a) are zero.
     """
     times = np.asarray(times, dtype=float)
     a = s.on_grid(n, grid)

@@ -6,10 +6,11 @@ a symbol a has per-mode factor
 
     phi(t, a) = integral_0^t exp(s a) ds = (exp(t a) - 1) / a,
 
-an entire function of a evaluated through a Taylor branch near t a = 0.  The resolvent
-factor is 1/(lambda - a).  The Laplace identity R(lambda) = lambda integral_0^inf
-exp(-lambda t) S(t) dt, by ``time_integral`` at b = -lambda (the functional-equation
-and perturbation oracles' kernel too), and the Bromwich inversion are mutual oracles.
+an entire function of a evaluated from real expm1, exp, sin and cos, with a
+Taylor expansion near t a = 0.  The resolvent factor is 1/(lambda - a).  The
+Laplace identity R(lambda) = lambda integral_0^inf exp(-lambda t) S(t) dt, by
+``time_integral`` at b = -lambda (the functional-equation and perturbation
+oracles' kernel too), and the Bromwich inversion are mutual oracles.
 
 A :class:`Level` is a sampled family of such operators, row j being w_j F_j(a_n):
 :data:`generator_level`, :func:`resolvent_level`, :func:`semigroup_level` and
@@ -36,7 +37,7 @@ from .symbols import MIN_FIT_INDICES, SymbolSeq, fit_moderate
 #: admissibility margin for 1/(lambda - a) conditioning
 RESOLVENT_MARGIN = 1e-8
 
-#: crossover to the Taylor branch of phi
+#: |t a| below which phi takes its Taylor expansion instead of dividing by a
 PHI_TAYLOR_THRESHOLD = 1e-6
 
 #: exp overflow guard on Re(a) * t
@@ -77,14 +78,13 @@ def phi(t, a, out=None) -> np.ndarray:
 
     ``t`` may be an array of times broadcasting against ``a``, such as
     ``sample_axis(times, grid)``; each entry equals the scalar-t call bitwise.
-    For |t a| below 1e-6 the Taylor expansion t (1 + ta/2 + (ta)^2/6 + (ta)^3/24)
-    avoids the removable singularity.  Below |t a| = 1 the exact value is
-    2 exp(ta/2) sinh(ta/2) / a, free of the e^(ta) - 1 cancellation, so the
-    branches agree to well below 1e-12 at the crossover.  Each branch is
-    evaluated only on its own entries.  The |t a| >= 1 branch, which holds
-    most entries of a grid, is computed in place in ``out`` through ``where=``
-    masks; the two near branches are gathered.  ``out`` is a complex array of
-    the broadcast shape, allocated when omitted, and is returned.
+    With ta = x + iy, s = sin(y/2) and c = cos(y/2), e^(ta) - 1 is
+    expm1(x) - 2 e^x s^2 + 2i e^x s c: real ufuncs on every entry, free of the
+    e^(ta) - 1 cancellation, and no intermediate exceeds e^x, so
+    ``OverflowGuardError`` names t exactly where |e^(ta)| overflows.  Entries with
+    |t a| below 1e-6 (a = 0, subnormal a) skip the division by a and take the
+    Taylor expansion t (1 + ta/2 + (ta)^2/6 + (ta)^3/24) instead.  ``out`` is a
+    complex array of the broadcast shape, allocated when omitted, and is returned.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
@@ -92,21 +92,24 @@ def phi(t, a, out=None) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     ta = t * a
     t, a = np.broadcast_to(t, ta.shape), np.broadcast_to(a, ta.shape)
-    mag = np.abs(ta)
-    small = mag < PHI_TAYLOR_THRESHOLD
-    near = mag < 1.0
-    mid = near & ~small
-    # not near, so non-finite entries land here
-    plain = ~near
+    small = np.abs(ta) < PHI_TAYLOR_THRESHOLD
     if out is None:
         out = np.empty_like(ta)
+    x, half = ta.real, 0.5 * ta.imag
     with np.errstate(over="raise"):
         try:
-            np.exp(ta, out=out, where=plain)
-            np.subtract(out, 1.0, out=out, where=plain)
-            np.divide(out, a, out=out, where=plain)
-            half = 0.5 * ta[mid]
-            out[mid] = 2.0 * np.exp(half) * np.sinh(half) / a[mid]
+            s = np.sin(half)
+            es = np.exp(x)
+            es *= s
+            c = np.cos(half)
+            c *= 2.0
+            np.multiply(es, c, out=out.imag)
+            es *= s
+            # subtracted twice: 2 e^x s^2 itself could exceed e^x
+            np.expm1(x, out=out.real)
+            out.real -= es
+            out.real -= es
+            np.divide(out, a, out=out, where=~small)
         except FloatingPointError as exc:
             hit = np.unravel_index(np.nanargmax(ta.real), ta.shape)  # the largest Re(t a)
             raise OverflowGuardError(f"exp(t a) overflow at t={t[hit]}") from exc

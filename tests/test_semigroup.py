@@ -1,7 +1,7 @@
 """Integrated semigroup, resolvent, Laplace/Bromwich, and growth tests."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from semigrouplab.errors import OverflowGuardError, ResolventSingularityError
@@ -50,8 +50,8 @@ class TestPhi:
             assert phi(0.0, a) == 0.0
 
     def test_branch_agreement_at_threshold(self):
-        # both evaluation branches match a long series reference near |ta| = 1e-6,
-        # so the crossover introduces no jump above 1e-12
+        # the Taylor expansion and the expm1/sin/cos form both match a long series
+        # reference near |ta| = 1e-6, so the crossover introduces no jump above 1e-13
         def reference(t, a):
             acc, term = 0.0 + 0j, t
             for k in range(12):
@@ -68,9 +68,10 @@ class TestPhi:
             phi(-1.0, 0.0)
 
     def test_mixed_branches_match_scalar_calls(self):
-        # Taylor (|ta| < 1e-6), sinh (|ta| < 1) and plain branches in one array;
-        # at -0.6+0.2j and -0.05-0.0015j numpy's 0-d scalar arithmetic rounds
-        # differently from its array loops, so a 0-d fast path would show here
+        # Taylor entries (|ta| < 1e-6) among expm1/sin/cos ones, below and above
+        # |ta| = 1 (the crossover of an earlier sinh branch); at -0.6+0.2j and
+        # -0.05-0.0015j numpy's 0-d scalar arithmetic rounds differently from its
+        # array loops, so a 0-d fast path would show here
         a = np.array([0.0, 3e-7j, -2e-7 + 1e-7j, 0.4 - 0.3j, -0.6 + 0.2j,
                       -0.05 - 0.0015j, 0.6j, -40.0 + 3.0j, 7.0, 25j])
         t = 1.3
@@ -80,7 +81,8 @@ class TestPhi:
 
     def test_time_axis_matches_scalar_calls(self):
         # each row of a batched call is bitwise the scalar-t call, with entries
-        # one ulp either side of both branch crossovers |ta| = 1e-6 and 1 for every
+        # one ulp either side of the Taylor crossover |ta| = 1e-6 and of |ta| = 1
+        # (an earlier sinh branch's crossover, kept as a regression point) for every
         # nonzero time, and non-finite entries; a positive real part only where
         # e^(2a) stays finite
         times = np.array([0.0, 1e-7, 0.37, 1.0, 2.0])
@@ -122,7 +124,8 @@ class TestPhi:
                 phi(1.0, np.array([-1.0, 0.5j, 800.0, 1e-8]), out=out)
 
     def test_output_buffer_is_filled_and_returned(self):
-        # non-finite entries, and at t = 1 |ta| just either side of both branch crossovers
+        # non-finite entries, and at t = 1 |ta| just either side of the Taylor
+        # crossover 1e-6 and of 1 (an earlier sinh branch's crossover)
         a = np.array([0.0, np.nan, -np.inf, complex(np.nan, 1.0), -2.0, 30j]
                      + [s * np.nextafter(edge, side) for edge in (1e-6, 1.0)
                         for side in (0.0, 2.0) for s in (1.0, -1.0, 1j)], dtype=complex)
@@ -132,6 +135,32 @@ class TestPhi:
             with np.errstate(invalid="ignore"):
                 assert phi(t, a, out=buf) is buf
                 assert buf.tobytes() == phi(t, a).tobytes()
+
+    def test_overflow_threshold_is_where_e_to_the_ta_overflows(self):
+        # no intermediate exceeds e^(Re ta): 2 e^x sin(y/2) would overflow at 709.5+3j
+        for a, value in ((709.5 + 3j, -1.889490906250118e+305 + 2.77497044427683e+304j),
+                         (709.78, 2.525885195968491e+305)):
+            assert complex(phi(1.0, a)) == pytest.approx(value, rel=1e-15, abs=0.0)
+        with pytest.raises(OverflowGuardError, match=r"t=1\.0"):
+            phi(1.0, 709.8)
+
+    def test_accuracy_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(25)
+        a = 10.0 ** rng.uniform(-12.0, 3.0, 4000) * np.exp(1j * rng.uniform(-np.pi, np.pi, 4000))
+        t = rng.uniform(0.0, 4.0, 4000)
+        ta = t * a
+        # e^z - 1 vanishes at 2 pi i k, where the rounding of ta itself decides the
+        # relative error, so draws within 0.1 of such a zero (k != 0) are skipped
+        k = np.round(ta.imag / (2.0 * np.pi))
+        keep = (ta.real < 700.0) & ((k == 0) | (np.abs(ta - 2j * np.pi * k) >= 0.1))
+        a, t, ta = a[keep], t[keep], ta[keep]
+        with mpmath.workprec(120):
+            ref = np.array([complex(mpmath.expm1(mpmath.mpc(z.real, z.imag))
+                                    / mpmath.mpc(x.real, x.imag)) for z, x in zip(ta, a)])
+        err = np.abs(phi(t, a) - ref) / np.abs(ref)
+        assert keep.sum() > 3500
+        assert err.max() <= 2e-15, (err.max(), t[np.argmax(err)], a[np.argmax(err)])
 
     @settings(max_examples=200, deadline=None)
     @given(log_mag=st.floats(-9.0, 1.5), angle=st.floats(-np.pi, np.pi),
@@ -350,10 +379,13 @@ class TestTimeIntegral:
     @settings(max_examples=200, deadline=None)
     @given(T=st.floats(0.0, 4.0), mag=st.floats(0.0, 100.0),
            angle=st.floats(0.5 * np.pi, 1.5 * np.pi))
+    @example(T=1.2939525975499724e-160, mag=0.0, angle=2.0)
     def test_b_zero_matches_the_closed_form(self, T, mag, angle):
         # integral_0^T phi(s, a) ds = (phi(T, a) - T)/a, with Re a <= 0 as in the
         # functional-equation suite; where |T a| < 1 that form cancels, so the series
-        # sum_k a^k T^(k+2)/(k+2)! = T^2/2 + a T^3/6 + ... stands in for it
+        # sum_k a^k T^(k+2)/(k+2)! = T^2/2 + a T^3/6 + ... stands in for it.  The
+        # 1e-320 floor covers a subnormal T^2/2 (the pinned example), whose rounding
+        # is absolute; it changes nothing where ref >= 1e-307
         a = complex(min(0.0, mag * np.cos(angle)), mag * np.sin(angle))
         if abs(a) >= 1.0 and abs(T * a) >= 1.0:
             ref = (complex(phi(T, a)) - T) / a
@@ -361,7 +393,7 @@ class TestTimeIntegral:
             ref, term = 0.0, T**2 / 2.0
             for k in range(30):
                 ref, term = ref + term, term * a * T / (k + 3)
-        assert abs(complex(time_integral(T, a, 0.0, 64)) - ref) <= 1e-13 * abs(ref)
+        assert abs(complex(time_integral(T, a, 0.0, 64)) - ref) <= 1e-13 * abs(ref) + 1e-320
 
     def test_rejects_a_non_positive_panel_count(self):
         with pytest.raises(ValueError, match="panels"):
