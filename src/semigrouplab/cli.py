@@ -87,13 +87,14 @@ def build_data(cfg: ExperimentConfig, grid: Grid) -> DistributionRep:
     if cfg.data_kind == "gaussian":
         return DistributionRep.from_function(GridFunction.gaussian(grid, cfg.data_width))
     if cfg.data_kind == "file":
-        try:
+        try:  # a solution.csv row without n and t; too few columns raise IndexError
             raw = np.loadtxt(cfg.data_path, delimiter=",", skiprows=1)
-            vals = (raw[:, 1] + 1j * raw[:, 2]).reshape(grid.shape)
+            vals = (raw[:, grid.dimension] + 1j * raw[:, grid.dimension + 1]).reshape(grid.shape)
         except (OSError, ValueError, IndexError) as exc:
+            columns = ", ".join(csvio.coordinate_names(grid.dimension) + ["re", "im"])
             raise ConfigError(
                 f"data_path {cfg.data_path!r} must hold a header line and one row "
-                f"x, re, im per grid point ({grid.points ** grid.dimension}): {exc}") from exc
+                f"{columns} per grid point ({grid.points ** grid.dimension}): {exc}") from exc
         return DistributionRep.from_function(GridFunction(grid, vals))
     raise ConfigError(f"unknown data kind '{cfg.data_kind}'")
 
@@ -254,11 +255,11 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True) -> 
     ]
     pairings = {(n, psi.label): very_weak_pairing(sol, psi, n)
                 for n in cfg.n_list for psi in tests}
-    # per-slice L^2 norms weighted by e^(-omega t); np.max keeps a NaN
+    # per-slice L^2 norms over all modes weighted by e^(-omega t); np.max keeps a NaN
     moderate_rows = [(n, lp_norm(sol.initial_datum(n), 2),
-                      float(np.max(np.sqrt(np.sum(np.abs(sol.w_values(n)) ** 2, axis=-1)
-                                           * grid.cell_volume) * np.exp(-cfg.omega * tg))))
-                     for n in cfg.n_list]
+                      float(np.max(np.sqrt(np.sum(np.abs(w) ** 2, axis=-1) * grid.cell_volume)
+                                   * np.exp(-cfg.omega * tg))))
+                     for n in cfg.n_list for w in [sol.w_values(n).reshape(len(tg), -1)]]
     # a non-finite sample makes these non-finite, so no CSV is written from an overflow
     for quantity, n, value in ([("residual", n, r) for n, r in residuals]
                                + [(f"pairing {label}", n, v) for (n, label), v in pairings.items()]
@@ -295,13 +296,16 @@ def run_associate(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True)
     s_tilde = build_comparison_family(cfg, s)
     if s_tilde is None:
         raise ConfigError("associate needs a comparison family (section [comparison])")
-    if cfg.comparison == "drift" and cfg.dimension != 1:
-        raise ConfigError(f"comparison = drift runs the one-dimensional constant-coefficient "
-                          f"example; got dimension = {cfg.dimension}")
     _require_omega_bound(cfg, s, s_tilde)
     lam_list = [complex(l) for l in cfg.lambda_samples if complex(l).imag == 0][:2]
     if not lam_list:
         raise ConfigError("associate needs a real lambda in lambda_samples")
+    pairs = bundled_family_pairs()
+    bound = max(fam.re_bound for p in pairs for fam in (s, s_tilde, p.s, p.s_tilde))
+    if min(lam.real for lam in lam_list) <= bound:
+        raise ConfigError(f"lambda_samples: the real samples {[lam.real for lam in lam_list]} "
+                          f"that associate uses must lie above sup Re a_n = {bound} of the "
+                          f"scenario and bundled families")
     f = GridFunction.gaussian(grid, cfg.data_width)
     n_list = cfg.n_list
 
@@ -326,7 +330,7 @@ def run_associate(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True)
                      [(r.lambda_value, r.lower, r.upper, r.spread, r.bounded)
                       for r in bounds])
 
-    checks = crosscheck_comparison_theorems(bundled_family_pairs(), lam_list, grid)
+    checks = crosscheck_comparison_theorems(pairs, lam_list, grid)
     csvio.write_rows(out_dir / "theorem_agreement.csv",
                      ["pair", "character", "generator", "resolvent", "weighted",
                       "semigroup", "disagreements"],
@@ -445,9 +449,6 @@ def main(argv=None) -> int:
             raise ConfigError(f"n_list needs at least {MIN_FIT_INDICES} indices for "
                               f"{args.command}, which judges a rate or a limit over n; "
                               f"got {list(cfg.n_list)}")
-        if args.command == "solve" and cfg.dimension != 1:
-            raise ConfigError(f"solve writes solution.csv on 1-D grids only; "
-                              f"got dimension = {cfg.dimension}")
     except FileNotFoundError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -180,10 +180,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.dimension not in (1, 2):
-        raise ConfigError(f"grid dimension must be 1 or 2, got {cfg.dimension}")
-    if cfg.points < 2 or (cfg.points & (cfg.points - 1)):
-        raise ConfigError(f"grid points must be a power of two, got {cfg.points}")
+    try:
+        Grid(cfg.dimension, cfg.half_width, cfg.points)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.points ** cfg.dimension > MAX_GRID_MODES:
         raise ConfigError(f"grid points ** dimension must be at most {MAX_GRID_MODES} modes, "
                           f"got points = {cfg.points} in dimension {cfg.dimension}")
@@ -210,7 +210,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"n_list must be strictly increasing positive indices, got {n}")
     if not cfg.lambda_samples:
         raise ConfigError("lambda_samples must be nonempty")
-    for key in (("half_width", "data_width", "fractional_m", "dt", "t_end", "t_max")
+    for key in (("data_width", "fractional_m", "dt", "t_end", "t_max")
                 + _LAYOUT["tolerances"]):
         value = getattr(cfg, key)
         if not 0 < value < math.inf:
@@ -236,16 +236,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.comparison.startswith("scale:") and not math.isfinite(scaled_sup_re(cfg)):
         raise ConfigError(f"comparison {cfg.comparison} makes Re a(xi) unbounded above "
                           f"for coeffs {cfg.coeffs}")
-    try:
-        Grid(cfg.dimension, cfg.half_width, cfg.points)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     steps = cfg.t_end / cfg.dt
     if not math.isfinite(steps):
         raise ConfigError(f"t_end / dt must be a finite step count, got t_end = {cfg.t_end}, "
                           f"dt = {cfg.dt}")
     if abs(steps - round(steps)) > 1e-9:
         raise ConfigError("t_end must be an integer multiple of dt")
+    if round(steps) < 1:
+        raise ConfigError(f"t_end / dt must round to at least one step, got t_end = "
+                          f"{cfg.t_end}, dt = {cfg.dt}")
     nodes = round(steps) + 1
     samples = len(n) * nodes * cfg.points ** cfg.dimension
     if samples > MAX_SOLUTION_SAMPLES:

@@ -61,8 +61,12 @@ def write_association(path: Path, report: AssociationReport) -> None:
     sidecar.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
+def coordinate_names(dimension: int) -> list:
+    return ["x"] if dimension == 1 else [f"x_{j}" for j in range(1, dimension + 1)]
+
+
 def write_solution(path: Path, sol: MildSolutionSeq, stride: int = 1) -> None:
-    """Solution samples: columns n, t, x, re_w, im_w (1D grids).
+    """Solution samples: columns n, t, x (x_1 ... x_d off a line), re_w, im_w; points in C order.
 
     Written one kept time slice at a time: the slice's rows are built from
     ``tolist()`` values with ``repr`` and written as one block, which gives
@@ -70,14 +74,13 @@ def write_solution(path: Path, sol: MildSolutionSeq, stride: int = 1) -> None:
     Only floats and integers enter the file, so no field needs quoting.
     """
     g = sol.grid
-    if g.dimension != 1:
-        raise ValueError("solution CSV export is defined for 1D grids")
-    xs = [repr(v) for v in g.axis_points().tolist()]
+    points = g.coordinate_vectors().reshape(-1, g.dimension).tolist()
+    xs = [",".join(map(repr, x)) for x in points]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write("n,t,x,re_w,im_w\n")
+        fh.write(",".join(["n", "t", *coordinate_names(g.dimension), "re_w", "im_w"]) + "\n")
         for n in sol.indices():
-            w = sol.w_values(n)
+            w = sol.w_values(n).reshape(len(sol.t_grid), -1)
             for j in range(0, len(sol.t_grid), stride):
                 head = f"{n},{float(sol.t_grid[j])!r},"
                 fh.write("".join([f"{head}{x},{r!r},{i!r}\n" for x, r, i

@@ -453,9 +453,9 @@ def certify_growth(s: SymbolSeq, n_list: Sequence[int], omega: float, b: float,
     Both bounds are maxima of :func:`operator_sups` over the sample sets, so exact
     maxima over (sample set) x (grid modes).  A lambda sample on the numerical
     spectrum raises ``ResolventSingularityError`` from :func:`resolvent_factor`,
-    naming lambda, xi and n; a weight |lambda|^b or e^(-omega t) t^(-b) that overflows
-    raises ``ValueError`` (:func:`weight_axis`).  The moderateness exponent of M_n is
-    fitted when at least ``MIN_FIT_INDICES`` indices are given.
+    naming lambda, xi and n; an overflowing weight (:func:`weight_axis`) or a non-finite
+    bound, named M_n or M'_n with n, raises ``ValueError``.  The moderateness exponent of
+    M_n is fitted when at least ``MIN_FIT_INDICES`` indices are given.
     """
     cert = GrowthCertificate(omega=omega, b=b, n_list=list(n_list))
     lams = [complex(lam) for lam in lambda_samples]
@@ -472,6 +472,10 @@ def certify_growth(s: SymbolSeq, n_list: Sequence[int], omega: float, b: float,
     # np.max keeps a NaN bound, which the builtin max would read as 0
     cert.resolvent_bounds = {n: float(np.max(row)) for n, row in zip(n_list, sups["resolvent"])}
     cert.semigroup_bounds = {n: float(np.max(row)) for n, row in zip(n_list, sups["semigroup"])}
+    for name, bounds in (("M_n", cert.resolvent_bounds), ("M'_n", cert.semigroup_bounds)):
+        for n, v in bounds.items():
+            if not math.isfinite(v):
+                raise ValueError(f"growth bound {name} at n={n} is {v}")
     if len(n_list) >= MIN_FIT_INDICES:
         cert.resolvent_fit = fit_moderate(cert.resolvent_bounds)
     return cert

@@ -1,8 +1,8 @@
 """Symbol sequences a_n(xi) with their declared bound on Re a_n, and the moderateness fit.
 
 Symbols are frequency-side scalar fields; each one defines a multiplier operator through
-the `semigroup` module.  Built-in families cover constant-coefficient differential
-operators of degree <= 2 in one dimension, the purely imaginary fractional family
+the `semigroup` module.  Built-in families cover the constant-coefficient operators
+c_0 + c_1 d/dx_1 + c_2 Laplacian on R^d, the purely imaginary fractional family
 i c_n |xi|^m, and xi-constant families c(n), such as the bounded perturbations b_n.  On
 L^2 a multiplier generates exactly when sup Re a_n is finite, so that bound, ``re_bound``,
 is the one hypothesis a family declares; non-finite symbol values raise.
@@ -126,9 +126,9 @@ class SymbolSeq:
 def poly_coeffs(coeffs: Sequence[complex]) -> Tuple[complex, complex, complex]:
     """Coefficients c_0, c_1, c_2 of a degree <= 2 operator, zero-padded to three.
 
-    The operator is c_0 + c_1 d/dx + c_2 (d/dx)^2 and its symbol is
-    sum_j c_j (2 pi i xi)^j; more than three coefficients raise
-    ``UnsupportedFamilyError``.
+    The operator is c_0 + c_1 d/dx_1 + c_2 Laplacian, with symbol
+    c_0 + c_1 (2 pi i xi_1) + c_2 sum_j (2 pi i xi_j)^2; more than three
+    coefficients raise ``UnsupportedFamilyError``.
     """
     c = tuple(complex(v) for v in coeffs)
     if len(c) > 3:
@@ -138,12 +138,12 @@ def poly_coeffs(coeffs: Sequence[complex]) -> Tuple[complex, complex, complex]:
 
 
 def poly_sup_re(coeffs: Sequence[complex]) -> float:
-    """Closed-form sup over xi of Re(sum_j c_j (2 pi i xi)^j).
+    """Closed-form sup over xi of the real part of the :func:`poly_coeffs` symbol.
 
     With c_j = alpha_j + i beta_j and eta = 2 pi xi the real part is
-    alpha_0 - beta_1 eta - alpha_2 eta^2, maximized at eta = -beta_1 /
-    (2 alpha_2) when alpha_2 > 0; unbounded when alpha_2 < 0, or when
-    alpha_2 = 0 with beta_1 != 0.
+    alpha_0 - beta_1 eta_1 - alpha_2 |eta|^2, maximized at eta_1 = -beta_1 /
+    (2 alpha_2) and eta_j = 0 for j >= 2 when alpha_2 > 0; unbounded when
+    alpha_2 < 0, or when alpha_2 = 0 with beta_1 != 0.
     """
     c0, c1, c2 = poly_coeffs(coeffs)
     a0, b1, a2 = c0.real, c1.imag, c2.real
@@ -156,12 +156,12 @@ def poly_sup_re(coeffs: Sequence[complex]) -> float:
 
 def make_poly_symbol_seq(rule: Callable[[int], Sequence[complex]],
                          name: str = "poly") -> SymbolSeq:
-    """Symbol family of a degree <= 2 differential operator sequence (d=1).
+    """Symbol family of the operator sequence c_0(n) + c_1(n) d/dx_1 + c_2(n) Laplacian.
 
-    ``rule(n)`` returns up to three coefficients c_0, c_1, c_2 (see
-    :func:`poly_coeffs`), and eval(n, xi) = sum_j c_j(n) (2 pi i xi)^j with the
-    fixed transform convention, so the heat generator (4 pi^2)^-1 (d/dx)^2 has
-    symbol -xi^2.
+    ``rule(n)`` returns up to three coefficients (see :func:`poly_coeffs`); with
+    z = 2 pi i xi, eval(n, xi) = c_0 + c_1 z_1 + sum_j c_2 z_j z_j, the heat generator
+    (4 pi^2)^-1 Laplacian has symbol -|xi|^2, and the sum starts at its j = 1 term, so on
+    a line the symbol is c_0 + c_1 z + c_2 z z bit for bit.
     """
     def coeffs(n: int) -> Tuple[complex, complex, complex]:
         return poly_coeffs(rule(n))
@@ -170,8 +170,9 @@ def make_poly_symbol_seq(rule: Callable[[int], Sequence[complex]],
 
     def _eval(n: int, xi_vectors: np.ndarray) -> np.ndarray:
         c0, c1, c2 = coeffs(n)
-        z = TWO_PI * 1j * xi_vectors[..., 0]
-        return c0 + c1 * z + c2 * z * z
+        z = TWO_PI * 1j * xi_vectors
+        squares = [c2 * z[..., j] * z[..., j] for j in range(z.shape[-1])]
+        return c0 + c1 * z[..., 0] + sum(squares[1:], squares[0])
 
     return SymbolSeq(eval=_eval, re_bound=bound, name=name)
 
@@ -218,7 +219,7 @@ def constant_symbol_seq(c: Callable[[int], complex], name: str) -> SymbolSeq:
 
 
 def heat_symbol_seq() -> SymbolSeq:
-    """The stationary heat family a_n(xi) = -xi^2 (generator (4pi^2)^-1 d^2/dx^2)."""
+    """The stationary heat family a_n(xi) = -|xi|^2 (generator (4pi^2)^-1 Laplacian)."""
     return make_poly_symbol_seq(lambda n: (0.0, 0.0, 1.0 / (4 * np.pi**2)), name="heat")
 
 

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from semigrouplab import association, cli, perturbation, semigroup, symbols
+from semigrouplab.cauchy import solve_sequence
 from semigrouplab.cli import main
 from semigrouplab.config import (HEAT_C2, ExperimentConfig, default_config, load_config,
-                                 parse_config, serialize_config)
+                                 parse_config, serialize_config, time_grid)
 from semigrouplab.errors import ConfigError
 from semigrouplab.quadrature import composite_gauss_points
-from semigrouplab.spectral import Grid, GridFunction
+from semigrouplab.spectral import Grid, GridFunction, lp_norm, mollify
 from semigrouplab.symbols import heat_symbol_seq, summed_symbol_seq
 
 COMMANDS = ("verify", "solve", "associate", "perturb", "growth")
@@ -100,6 +101,10 @@ class TestConfig:
             # 4 * 129 * 2**22 solution samples, about 8.7 GB per complex array
             ("[grid]\npoints = 4194304\n", r"n_list.*t_end/dt.*points.*t_end = .*dt = "),
             ("[time]\nt_end = 100000.0\n", r"n_list.*t_end/dt.*points.*t_end = .*dt = "),
+            # t_end / dt rounds to 0 steps: a time grid of one node
+            ("[time]\nt_end = 1e-300\n", r"^t_end / dt must round to at least one step, "
+                                           r"got t_end = 1e-300, dt = 0.0078125$"),
+            ("[time]\ndt = 1e308\n", r"^t_end / dt must round .* dt = 1e\+308$"),
         ]
         for text, field in bad_inputs:
             with pytest.raises(ConfigError, match=field):
@@ -439,9 +444,6 @@ def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
     # the 256-point default grid resolves n <= 4 only
     ("solve", "[sequence]\nn_list = 4, 8, 16, 32\n", ("n_list", "points", "half_width")),
     ("growth", "[mollifier]\nmollifier = bump\n", ("unknown section [mollifier]",)),
-    # resolvable and small; rejected before the solve, not after it at the CSV export
-    ("solve", "[grid]\ndimension = 2\nhalf_width = 1.0\npoints = 32\n"
-              "[sequence]\nn_list = 1, 2, 3, 4\n", ("dimension",)),
 ] + [
     # Re a(xi) = 0.025 (2 pi xi)^2 is unbounded above
     (command, "[family]\ncoeffs = 0, 0, -0.025\n", ("coeffs",)) for command in COMMANDS
@@ -453,9 +455,11 @@ def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
     # the drift comparison has sup Re a_n = 1, so omega + 2 would sample left of it
     (command, "[growth]\nomega = -5\n", ("omega",)) for command in ("associate", "perturb")
 ] + [
-    # the drift scenario is the one-dimensional constant-coefficient example
-    ("associate", "[grid]\ndimension = 2\npoints = 32\n[comparison]\ncomparison = drift\n",
-     ("comparison", "drift", "dimension = 2")),
+    # a real lambda left of sup Re a_n = 1 of the drift and bundled families
+    ("associate", "[lambda]\nlambda_samples = -5.0, 10.0\n",
+     ("lambda_samples", "[-5.0, 10.0]", "1.0")),
+    ("associate", "[lambda]\nlambda_samples = 2.0, 1.0, 1000.0\n",
+     ("lambda_samples", "[2.0, 1.0]", "1.0")),
     # scale:2 doubles sup Re a = 0.5, so omega = 0.6 is below the scaled family's bound 1
     ("associate", "[family]\ncoeffs = 0.5, 0, 0.025\n[comparison]\ncomparison = scale:2\n"
                   "[growth]\nomega = 0.6\n", ("omega", "1.0")),
@@ -467,11 +471,12 @@ def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
     # the spacing 2 half_width / points overflows, or the frequency spacing 1/(2 half_width)
     ("verify", "[grid]\nhalf_width = 1e308\n", ("half_width",)),
     ("growth", "[grid]\nhalf_width = 1e-320\n", ("half_width",)),
-], ids=["solve-three", "associate-three", "perturb-three", "solve-unresolved", "mollifier",
-        "solve-2d"] + [f"{command}-unbounded-poly" for command in COMMANDS]
+], ids=["solve-three", "associate-three", "perturb-three", "solve-unresolved", "mollifier"]
+   + [f"{command}-unbounded-poly" for command in COMMANDS]
    + ["verify-lambda-zero", "verify-lambda-imaginary", "verify-lambda-negative",
       "verify-lambda-second", "associate-omega-below-bound", "perturb-omega-below-bound",
-      "associate-drift-2d", "associate-scale-omega-below-bound",
+      "associate-lambda-left", "associate-lambda-second-left",
+      "associate-scale-omega-below-bound",
       "associate-scale-unbounded", "verify-dt-subnormal", "verify-t-end-huge",
       "verify-half-width-huge", "growth-half-width-tiny"])
 def test_bad_config_exits_2_naming_fields(tmp_path, capsys, command, text, names):
@@ -642,7 +647,39 @@ class TestSolveCommand:
         assert all(np.isfinite(sup_norms))
 
 
+    def test_two_dimensional_sup_weighted_l2_is_the_sup_of_slice_norms(self, tmp_path):
+        # 64 x 64 points on [-2, 2)^2 resolve n <= 4; each moderateness row is
+        # max_t e^(-omega t) ||w_n(t)||_2 over the whole plane
+        cfg = dataclasses.replace(default_config("solve"), dimension=2, half_width=2.0,
+                                  points=64, n_list=(1, 2, 3, 4), dt=1.0 / 8.0, omega=0.5)
+        out = tmp_path / "s2"
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out), "--no-plots"]) == 0
+        assert (out / "solution.csv").read_text().splitlines()[0] == "n,t,x_1,x_2,re_w,im_w"
+        grid, tg = cli.build_grid(cfg), time_grid(cfg)
+        data = cli.build_data(cfg, grid)
+        sol = solve_sequence(cli.build_family(cfg), cfg.n_list, lambda n: mollify(data, n),
+                             cli.build_forcing(cfg, grid), tg)
+        rows = (out / "moderateness.csv").read_text().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == list(cfg.n_list)
+        for row in rows:
+            n, sup = int(row.split(",")[0]), float(row.split(",")[2])
+            expected = max(np.exp(-cfg.omega * t) * lp_norm(sol.w(n, t), 2) for t in tg)
+            assert sup == pytest.approx(expected, rel=1e-12)
+
+
 class TestAssociateCommand:
+    def test_drift_scenario_on_a_two_dimensional_grid(self, tmp_path):
+        # the drift family is c_2 times the Laplacian plus the x_1 drift, perturbed by 1/n
+        cfg = dataclasses.replace(default_config("associate"), dimension=2, points=32)
+        out = tmp_path / "a2"
+        assert main(["associate", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out), "--no-plots"]) == 0
+        summary = (out / "association_summary.txt").read_text()
+        assert '"label": "coefficient-perturbation"' in summary
+        for line in (out / "theorem_agreement.csv").read_text().splitlines()[1:]:
+            assert line.endswith(",")  # empty disagreement column
+
     def test_drift_scenario(self, tmp_path):
         code = main(["associate", "--out", str(tmp_path / "a"), "--no-plots"])
         assert code == 0
@@ -761,6 +798,15 @@ class TestPerturbGrowthCommands:
         assert code == 0
         header = (tmp_path / "g" / "growth.csv").read_text().splitlines()[0]
         assert header == "n,M_n,M_prime_n,omega,b,fitted_C,fitted_a"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_certificate_exits_2_naming_the_bound(self, tmp_path, capsys):
+        # Im(t a) overflows at the large t samples, and cos(inf) is NaN
+        cfg = dataclasses.replace(default_config("growth"), coeffs=(1e308j,))
+        out = tmp_path / "g"
+        assert main(["growth", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "parameter error: growth bound M'_n at n=4 is nan\n"
+        assert not (out / "growth.csv").exists()
 
     def test_growth_omega_is_a_plain_float(self, tmp_path):
         # omega = re_bound + 0.5 = 2.5 here, the family's closed-form sup Re

@@ -1,11 +1,16 @@
 """CSV schema and determinism of the writers."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from semigrouplab.association import make_association_report
-from semigrouplab.cauchy import ForcingSeq, MildSolutionSeq, solve_sequence
+from semigrouplab.cauchy import ForcingSeq, solve_sequence
+from semigrouplab.cli import build_data
+from semigrouplab.config import default_config
 from semigrouplab.csvio import (write_association, write_pairings, write_rows,
                                 write_solution)
+from semigrouplab.errors import ConfigError
 from semigrouplab.spectral import Grid, GridFunction
 from semigrouplab.symbols import heat_symbol_seq
 
@@ -76,7 +81,27 @@ def test_solution_blocks_match_per_cell_rows(tmp_path):
     assert data.count(b"\n") == 1 + 2 * 3 * 64
 
 
-def test_solution_rejects_2d_grid(tmp_path):
-    sol = MildSolutionSeq(grid=Grid(2, 1.0, 4), t_grid=np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        write_solution(tmp_path / "sol.csv", sol)
+def test_two_dimensional_solution_reads_back_as_a_data_file(tmp_path):
+    g = Grid(2, 2.0, 8)
+    sol = solve_sequence(heat_symbol_seq(), [1, 2], lambda n: GridFunction.gaussian(g, 1.0 / n),
+                         ForcingSeq.zero(g), np.linspace(0.0, 0.5, 3))
+    path = tmp_path / "sol.csv"
+    write_solution(path, sol, stride=2)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "n,t,x_1,x_2,re_w,im_w"
+    assert len(lines) == 1 + 2 * 2 * 64
+    points = g.coordinate_vectors().reshape(-1, 2)
+    assert [[float(v) for v in line.split(",")[2:4]] for line in lines[-64:]] == points.tolist()
+    # the last slice of n = 2 without its n and t columns is a data_kind = file datum
+    data = tmp_path / "datum.csv"
+    data.write_text("\n".join(["x_1,x_2,re,im"] + [line.split(",", 2)[2] for line in lines[-64:]]))
+    cfg = replace(default_config("solve"), dimension=2, half_width=2.0, points=8,
+                  data_kind="file", data_path=str(data))
+    (alpha, datum), = build_data(cfg, g).terms
+    assert alpha == (0, 0)
+    assert np.array_equal(datum.values, sol.w_values(2)[-1])
+    # x_1, x_2, re without im: the column after the coordinates that holds im is missing
+    data.write_text("\n".join(["x_1,x_2,re"] + [line.rsplit(",", 1)[0] for line in
+                                                 data.read_text().splitlines()[1:]]))
+    with pytest.raises(ConfigError, match="one row x_1, x_2, re, im per grid point"):
+        build_data(cfg, g)

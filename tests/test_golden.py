@@ -4,10 +4,13 @@
 ``associate-shift`` runs ``associate`` with ``comparison = shift:0.5j``, the
 non-drift branch of the scenario, and ``associate-2d`` runs it on a 64 x 64
 grid in two dimensions with the fractional family and ``comparison =
-scale:1.5``, the only case on a two-dimensional grid.  ``solve-forced``
-runs ``solve`` with ``forcing_kind = gaussian_pulse`` and ``data_kind =
-delta_prime``, the only case that reaches the forcing terms of the Duhamel
-integrator.
+scale:1.5``.  ``verify-2d``, ``solve-2d``, ``perturb-2d`` and ``growth-2d``
+run the heat family, -|xi|^2, on a two-dimensional grid: 64 x 64, except 32 x 32
+for ``perturb-2d``, and on [-2, 2)^2 with n = 1 ... 4 and dt = 1/8 for
+``solve-2d``, whose ``solution.csv`` has the columns x_1 and x_2.
+``solve-forced`` runs ``solve`` with ``forcing_kind = gaussian_pulse`` and
+``data_kind = delta_prime``, the only case that reaches the forcing terms of
+the Duhamel integrator.
 Each case runs twice; the two output
 trees and stdouts must be byte-identical.  Every CSV is then compared with
 ``tests/golden/<case>.json``:
@@ -17,7 +20,8 @@ exactly.  ``solution.csv`` is stored as its row count, column sums and every
 oracle error, so it is checked against its tolerance instead of the golden.
 
 Regenerate the goldens with ``PYTHONPATH=src python tests/test_golden.py``,
-only for an intended output change.
+only for an intended output change; name cases after it to write only theirs,
+as for a new variant.
 """
 import csv
 import io
@@ -40,6 +44,11 @@ VARIANTS = {
     "associate-2d": ("associate", {"dimension": 2, "points": 64,
                                    "family_kind": "fractional", "comparison": "scale:1.5"}),
     "solve-forced": ("solve", {"forcing_kind": "gaussian_pulse", "data_kind": "delta_prime"}),
+    "verify-2d": ("verify", {"dimension": 2, "points": 64}),
+    "solve-2d": ("solve", {"dimension": 2, "half_width": 2.0, "points": 64,
+                           "n_list": (1, 2, 3, 4), "dt": 1.0 / 8.0}),
+    "perturb-2d": ("perturb", {"dimension": 2, "points": 32}),
+    "growth-2d": ("growth", {"dimension": 2, "points": 64}),
 }
 CASES = {**{command: (command, {}) for command in COMMANDS}, **VARIANTS}
 SOLUTION_STRIDE = 4096
@@ -160,7 +169,7 @@ def test_matches_golden(runs, case):
             _compare_rows(name, got[name]["sampled_rows"], record["sampled_rows"])
         else:
             _compare_rows(name, got[name]["rows"], record["rows"])
-    if case == "verify":
+    if CASES[case][0] == "verify":
         header, rows = _read_csv(out_dir / "verify.csv")
         worst, tol = header.index("worst"), header.index("tolerance")
         for row in rows:
@@ -168,11 +177,12 @@ def test_matches_golden(runs, case):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in CASES:
+        for case in sys.argv[1:] or CASES:
             run_case(case, Path(tmp) / case)
             record = summarize(Path(tmp) / case)
             (GOLDEN_DIR / f"{case}.json").write_text(

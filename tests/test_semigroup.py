@@ -525,16 +525,14 @@ class TestCertifyGrowth:
         assert cert.resolvent_fit.slope == pytest.approx(1.0, abs=0.1)
 
     def test_nan_bound_stays_nan(self, heat, grid):
-        # t = 0.5, since 1.0 ** nan is 1.0
-        cert = certify_growth(heat, [1], omega=1.0, b=float("nan"),
-                              lambda_samples=[2.0], t_samples=[0.5], grid=grid)
-        assert np.isnan(cert.resolvent_bounds[1])
-        assert np.isnan(cert.semigroup_bounds[1])
-        # a NaN after a finite sample is kept too
-        cert = certify_growth(heat, [1], omega=1.0, b=1.0, lambda_samples=[2.0],
-                              t_samples=[1.0, float("nan")], grid=grid)
-        assert np.isfinite(cert.resolvent_bounds[1])
-        assert np.isnan(cert.semigroup_bounds[1])
+        # the sup keeps a NaN (the builtin max would drop one after a finite sample),
+        # and the certificate refuses it, naming the bound and n; t = 0.5, since 1.0 ** nan is 1.0
+        with pytest.raises(ValueError, match=r"^growth bound M_n at n=1 is nan$"):
+            certify_growth(heat, [1], omega=1.0, b=float("nan"),
+                           lambda_samples=[2.0], t_samples=[0.5], grid=grid)
+        with pytest.raises(ValueError, match=r"^growth bound M'_n at n=1 is nan$"):
+            certify_growth(heat, [1], omega=1.0, b=1.0, lambda_samples=[2.0],
+                           t_samples=[1.0, float("nan")], grid=grid)
 
     def test_sample_on_spectrum_names_the_mode(self, heat, grid):
         # a_1(0) = 0, so lambda = 0 (right of omega = -1) hits the spectrum at xi = 0

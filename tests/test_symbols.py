@@ -41,6 +41,24 @@ class TestPolyFamilies:
             expected = -xi[:, 0] ** 2 + (1.0 + z * z) / n
             assert np.allclose(s(n, xi), expected, atol=1e-13)
 
+    def test_two_dimensional_heat_symbol_is_minus_norm_squared(self):
+        grid = Grid(2, 4.0, 8)
+        xi = grid.frequency_vectors()
+        values = heat_symbol_seq().on_grid(4, grid)
+        assert np.allclose(values, -np.sum(xi * xi, axis=-1), rtol=1e-14, atol=0)
+        # an elliptic symbol: it varies along xi_2 as along xi_1
+        assert np.ptp(values.real, axis=1).max() == np.ptp(values.real, axis=0).max() > 0
+
+    def test_two_dimensional_drift_runs_along_x1(self):
+        coeffs = (0.5, 1.0 + 0.3j, 0.25)
+        s = make_poly_symbol_seq(lambda n: coeffs)
+        xi = Grid(2, 4.0, 16).frequency_vectors()
+        z1, z2 = np.moveaxis(TWO_PI * 1j * xi, -1, 0)
+        expected = 0.5 + (1.0 + 0.3j) * z1 + 0.25 * (z1 * z1 + z2 * z2)
+        assert np.allclose(s(1, xi), expected, rtol=1e-14, atol=0)
+        # the closed-form sup Re holds on the plane too: its maximum sits at xi_2 = 0
+        assert np.max(s(1, xi).real) <= poly_sup_re(coeffs) + 1e-12
+
     def test_constant_term_at_zero_frequency(self):
         s = make_poly_symbol_seq(lambda n: (2.0 + 3.0j, 1.0, 0.5))
         assert s(7, xi_col(0.0))[0] == pytest.approx(2.0 + 3.0j)
@@ -74,6 +92,16 @@ class TestPolyCoefficientTable:
         expected = sum(c * z**j for j, c in enumerate(coeffs))
         scale = sum(abs(c) * np.abs(z) ** j for j, c in enumerate(coeffs))
         assert np.all(np.abs(s(3, XI) - expected) <= 1e-14 * (1.0 + scale))
+
+    @seed(20261026)
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs=coefficient_lists(min_size=3))
+    def test_one_dimensional_symbol_is_bitwise_the_written_out_sum(self, coeffs):
+        # every 1-D output rests on this order of operations, bit for bit
+        c0, c1, c2 = coeffs
+        z = TWO_PI * 1j * XI[:, 0]
+        got = make_poly_symbol_seq(lambda n: coeffs)(3, XI)
+        assert got.tobytes() == (c0 + c1 * z + c2 * z * z).tobytes()
 
     @seed(20261019)
     @settings(max_examples=50, deadline=None)
