@@ -23,7 +23,7 @@ from .cauchy import (ForcingSeq, bump_test_function, integral_equation_residual,
                      solve_sequence, very_weak_pairing, weak_limit_extract)
 from .config import (PERTURB_ORACLE_T_MAX, ExperimentConfig, comparison_operand,
                      default_config, load_config, scaled_sup_re, serialize_config, time_grid)
-from .errors import ConfigError, ResolutionError, SemigroupLabError
+from .errors import ConfigError, ResolutionError, SemigroupLabError, SpaceTimeSupportError
 from .perturbation import perturbation_claims_suite, perturbation_quadrature, perturbed_factor
 from .semigroup import (apply_S, block_rows, bromwich_S, certify_growth, generator_level,
                         laplace_identity_residual, panel_split, phi, pseudoresolvent_residual,
@@ -37,6 +37,12 @@ from .symbols import (MIN_FIT_INDICES, SymbolSeq, constant_symbol_seq,
 FIT_COMMANDS = ("solve", "associate", "perturb")
 #: time samples of the growth certificate: log-spaced, reaching t -> 0 and large t
 GROWTH_T_SAMPLES = list(np.logspace(-3, np.log10(50.0), 40))
+#: the very-weak pairing test functions of ``solve``: label, time center and half-width in
+#: units of t_end, center on x_1 and radius in space; the supports reach |x| = 1.9
+PAIRING_BUMPS = (("psi0", 0.5, 0.4, 0.0, 1.0), ("psi1", 0.45, 0.35, 0.5, 1.2),
+                 ("psi2", 0.55, 0.4, -0.4, 1.5))
+#: largest gap, in grid spacings, between a data file's coordinates and its grid point
+DATA_COORD_TOL = 1e-3
 
 
 def build_grid(cfg: ExperimentConfig) -> Grid:
@@ -95,6 +101,16 @@ def build_data(cfg: ExperimentConfig, grid: Grid) -> DistributionRep:
             raise ConfigError(
                 f"data_path {cfg.data_path!r} must hold a header line and one row "
                 f"{columns} per grid point ({grid.points ** grid.dimension}): {exc}") from exc
+        coords = grid.coordinate_vectors().reshape(-1, grid.dimension)
+        # a NaN coordinate fails the <= as well
+        bad = np.flatnonzero(~np.all(np.abs(raw[:, :grid.dimension] - coords)
+                                     <= DATA_COORD_TOL * grid.spacing, axis=1))
+        if bad.size:
+            i = int(bad[0])
+            raise ConfigError(
+                f"data_path {cfg.data_path!r} row {i + 1} after the header has coordinates "
+                f"{raw[i, :grid.dimension].tolist()}, but grid point {i + 1} in C order is "
+                f"{coords[i].tolist()} (tolerance {DATA_COORD_TOL} x spacing {grid.spacing})")
         return DistributionRep.from_function(GridFunction(grid, vals))
     raise ConfigError(f"unknown data kind '{cfg.data_kind}'")
 
@@ -177,6 +193,11 @@ def _suite_bromwich(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) -> SuiteRes
     a strip of about 0.25 to the spectrum for round-off-level discretization error.
     So coeffs = (1, 0, c2) and (1.5, 0, c2) pass (4.3e-5), but from sup Re a of about
     2.3 on the error nears the 1e-4 gate again (9.6e-5 at 2.3, 1.17e-4 at 2.5).
+
+    ``bromwich_S`` sums in real arithmetic: per block of nodes it builds 1/d and q/d
+    of the kernel (p - i q) / d in place and the block's time weights, so the suite
+    stays under 1 MiB; its proximity scan compares the squared gap d with
+    RESOLVENT_MARGIN^2, and is skipped here, where alpha - sup Re a >= 0.5.
     """
     u = GridFunction.gaussian(grid)
     alpha = max(2.0, s.re_bound + 0.5)
@@ -240,6 +261,16 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True) -> 
     data = build_data(cfg, grid)
     forcing = build_forcing(cfg, grid)
     tg = time_grid(cfg)
+    tests = [bump_test_function(grid, tc * cfg.t_end, tw * cfg.t_end, xc, radius, label)
+             for label, tc, tw, xc, radius in PAIRING_BUMPS]
+    try:
+        for psi in tests:
+            psi.check_support(float(tg[-1]))
+    except SpaceTimeSupportError as exc:
+        reach = max(abs(xc) + radius for *_, xc, radius in PAIRING_BUMPS)
+        raise ConfigError(
+            f"half_width = {cfg.half_width} is too narrow for the pairing test functions "
+            f"psi0-psi2, whose supports reach |x| = {reach}: {exc}") from exc
     try:
         sol = solve_sequence(s, cfg.n_list, lambda n: mollify(data, n), forcing, tg)
     except ResolutionError as exc:
@@ -248,11 +279,6 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True) -> 
             f"(points = {cfg.points}, half_width = {cfg.half_width}): {exc}") from exc
     residuals = [(n, integral_equation_residual(sol, s, n, forcing, float(tg[-1])))
                  for n in cfg.n_list]
-    tests = [
-        bump_test_function(grid, 0.5 * cfg.t_end, 0.4 * cfg.t_end, 0.0, 1.0, "psi0"),
-        bump_test_function(grid, 0.45 * cfg.t_end, 0.35 * cfg.t_end, 0.5, 1.2, "psi1"),
-        bump_test_function(grid, 0.55 * cfg.t_end, 0.4 * cfg.t_end, -0.4, 1.5, "psi2"),
-    ]
     pairings = {(n, psi.label): very_weak_pairing(sol, psi, n)
                 for n in cfg.n_list for psi in tests}
     # per-slice L^2 norms over all modes weighted by e^(-omega t); np.max keeps a NaN

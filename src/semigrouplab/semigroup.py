@@ -397,12 +397,17 @@ def bromwich_S(s: SymbolSeq, n: int, times: Sequence[float], u: GridFunction,
     1/r_max at fixed t > 0, so this is an independent, slowly converging
     check on :func:`apply_S`.
 
-    One pass over the nodes serves all times: per block of ``BLOCK_ENTRIES``
-    (node, mode) entries, in one buffer reused by every block, the Cauchy
-    kernel 1/(lambda_j - a_k) is built once and multiplied by the
-    (times x nodes) weights w_j e^(lambda_j t_i) / lambda_j.
-    On the line |lambda - a_k| >= alpha - omega, also in floating point, so the
-    spectral-proximity scan runs only when alpha - omega <= RESOLVENT_MARGIN.
+    One pass over the nodes serves all times, in real arithmetic: with
+    p_k = alpha - Re a_k > 0 and q_jk = r_j - Im a_k, the Cauchy kernel is
+    1/(lambda_j - a_k) = (p_k - i q_jk) / d_jk, d_jk = p_k^2 + q_jk^2.  Per block
+    of (node, mode) entries, in one real buffer of the bytes of ``BLOCK_ENTRIES``
+    complex entries reused by every block, 1/d and q/d are built in place, and
+    the block's (Re, Im) time weights w_j e^(lambda_j t_i) / lambda_j, stacked
+    as 2 x times rows, take one real matrix product with both; the weights are
+    built per block, never for all nodes.  The sums W D and W Q give
+    p (W D) - i (W Q) at the end.  On the line d >= (alpha - omega)^2, so the
+    spectral-proximity scan min d <= RESOLVENT_MARGIN^2 runs only when
+    alpha - omega <= RESOLVENT_MARGIN.
     """
     grid = u.grid
     a = s.on_grid(n, grid)
@@ -413,18 +418,30 @@ def bromwich_S(s: SymbolSeq, n: int, times: Sequence[float], u: GridFunction,
     r = np.linspace(-r_max, r_max, steps + 1)
     w = trapezoid_weights(steps + 1, r[1] - r[0])
     flat = a.reshape(-1)
-    acc = np.zeros((len(times), flat.size), dtype=complex)
+    # lambda_j - a_k = p_k + i q_jk, so 1/(lambda_j - a_k) = (p_k - i q_jk) / d_jk
+    p, im = alpha - flat.real, flat.imag.copy()
+    p2 = p * p
+    nt = len(times)
+    # W D and W Q, W the (Re, Im) weights stacked: axes (D or Q, Re/Im x time, mode)
+    acc = np.zeros((2, 2 * nt, flat.size))
     rows = block_rows(flat.size)
-    block = np.empty((min(rows, len(r)), flat.size), dtype=complex)
+    kernel = np.empty((2, min(rows, len(r)), flat.size))
     for i0 in range(0, len(r), rows):
-        lam = alpha + 1j * r[i0:i0 + rows]
-        kernel = np.subtract(lam[:, None], flat[None, :], out=block[:len(lam)])
-        if alpha - omega <= RESOLVENT_MARGIN and np.min(np.abs(kernel)) <= RESOLVENT_MARGIN:
+        r_blk = r[i0:i0 + rows]
+        inv_d, q_d = kernel[:, :len(r_blk)]
+        np.subtract(r_blk[:, None], im, out=q_d)
+        np.square(q_d, out=inv_d)
+        inv_d += p2
+        if alpha - omega <= RESOLVENT_MARGIN and np.min(inv_d) <= RESOLVENT_MARGIN ** 2:
             raise ResolventSingularityError("contour passes through the numerical spectrum")
-        np.reciprocal(kernel, out=kernel)
-        acc += (w[i0:i0 + rows] * np.exp(times[:, None] * lam) / lam) @ kernel
-    factors = (acc / (2.0 * np.pi)).reshape((len(times),) + grid.shape)
-    return [MultiplierOp(grid, factor).apply(u) for factor in factors]
+        np.reciprocal(inv_d, out=inv_d)
+        q_d *= inv_d
+        lam = alpha + 1j * r_blk
+        weights = w[i0:i0 + rows] * np.exp(times[:, None] * lam) / lam
+        acc += np.concatenate([weights.real, weights.imag]) @ kernel[:, :len(r_blk)]
+    d_re, d_im, q_re, q_im = acc.reshape(4, nt, flat.size)
+    factors = ((p * d_re + q_im) + 1j * (p * d_im - q_re)) / (2.0 * np.pi)
+    return [MultiplierOp(grid, factor).apply(u) for factor in factors.reshape((nt,) + grid.shape)]
 
 
 @dataclass

@@ -212,6 +212,18 @@ class TestVerifyBlocks:
             tracemalloc.stop()
         assert peak <= 2 * 2**20, f"{peak / 2**20:.2f} MiB"
 
+    def test_bromwich_suite_peak_memory_is_under_1_mib(self, setting):
+        # the real kernel and the time weights are built per block: about 0.84 MiB on a
+        # first call; weights built for all 20,001 nodes up front peaked at 2.97 MiB
+        cfg, grid, s, _ = setting
+        tracemalloc.start()
+        try:
+            assert cli._suite_bromwich(cfg, grid, s).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, f"{peak / 2**20:.2f} MiB"
+
     def test_two_dimensional_laplace_is_small_and_matches_the_plain_rule(self, monkeypatch):
         g2, s, n, lam, T = Grid(2, 8.0, 128), heat_symbol_seq(), 2, 2.0 + 1j, 20.0
         u = GridFunction.gaussian(g2)
@@ -574,13 +586,20 @@ def test_bad_path_exits_2_naming_it(tmp_path, capsys, case):
         assert name in err
 
 
+#: the C-order x of the 512-point grid of the data-file cases
+DATA_FILE_X = Grid(1, default_config("solve").half_width, 512).coordinate_vectors()
+DATA_FILE_X = DATA_FILE_X.ravel().tolist()
+
+
 class TestSolveCommand:
     @pytest.mark.parametrize("header, rows, code", [
-        ("x,re,im", ["0.5,1.0,0.0"] * 512, 0),
+        ("x,re,im", [f"{x!r},1.0,0.0" for x in DATA_FILE_X], 0),
         (None, [], 2),
-        ("x,re", ["0.5,1.0"] * 512, 2),
-        ("x,re,im", ["0.5,1.0,0.0"] * 10, 2),
-    ], ids=["valid", "missing", "two-columns", "short"])
+        ("x,re", [f"{x!r},1.0" for x in DATA_FILE_X], 2),
+        ("x,re,im", [f"{x!r},1.0,0.0" for x in DATA_FILE_X[:10]], 2),
+        ("x,re,im", [f"{99.0 + k!r},1.0,0.0" for k in range(512)], 2),
+        ("x,re,im", [f"{x!r},1.0,0.0" for x in DATA_FILE_X[::-1]], 2),
+    ], ids=["valid", "missing", "two-columns", "short", "wrong-coordinates", "reversed"])
     def test_data_file(self, tmp_path, capsys, header, rows, code):
         data = tmp_path / "datum.csv"
         if header is not None:
@@ -590,6 +609,29 @@ class TestSolveCommand:
         assert main(["solve", "--config", write_cfg(tmp_path, cfg),
                      "--out", str(tmp_path / "f"), "--no-plots"]) == code
         assert ("data_path" in capsys.readouterr().err) == (code == 2)
+
+    def test_data_file_names_the_first_bad_row(self, tmp_path, capsys):
+        # every row is off by half the stated tolerance, as a file printed at fewer digits
+        # would be, and passes; row 3 is moved by half a spacing more
+        cfg = dataclasses.replace(default_config("solve"), points=512, n_list=(2, 3, 4, 5),
+                                  data_kind="file", data_path=str(tmp_path / "datum.csv"))
+        h = cli.build_grid(cfg).spacing
+        xs = [x + 0.5 * cli.DATA_COORD_TOL * h for x in DATA_FILE_X]
+        xs[2] += 0.5 * h
+        Path(cfg.data_path).write_text("x,re,im\n" + "".join(f"{x!r},1.0,0.0\n" for x in xs))
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "f"), "--no-plots"]) == 2
+        err = capsys.readouterr().err
+        assert "data_path" in err and "row 3 after the header" in err, err
+
+    def test_narrow_half_width_is_a_config_error(self, tmp_path, capsys):
+        # the resolution guard accepts half_width = 1, but psi1 and psi2 reach |x| = 1.7, 1.9
+        cfg = dataclasses.replace(default_config("solve"), points=512, half_width=1.0,
+                                  n_list=(1, 2, 3, 4))
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "f"), "--no-plots"]) == 2
+        err = capsys.readouterr().err
+        assert "half_width = 1.0" in err and "|x| = 1.9" in err, err
 
 
     def test_heat_delta_scenario(self, tmp_path):

@@ -461,11 +461,13 @@ class TestBromwich:
         with pytest.raises(ValueError):
             bromwich_S(heat, 1, [0.5], gaussian, alpha=-1.0, r_max=50.0, steps=1000)
 
-    def test_all_times_match_per_time_sum(self, heat, grid, gaussian):
+    @staticmethod
+    def assert_matches_per_time_sum(s, u):
+        """Each time's contour against the direct complex sum over all nodes at once."""
         # 8,001 nodes x 256 modes spans many blocks of the kernel, the last one partial
         times, alpha, r_max, steps = (0.0, 0.25, 1.0), 2.0, 50.0, 8000
-        outs = bromwich_S(heat, 1, times, gaussian, alpha, r_max, steps)
-        a = heat.on_grid(1, grid)
+        outs = bromwich_S(s, 1, times, u, alpha, r_max, steps)
+        a = s.on_grid(1, u.grid).ravel()
         r = np.linspace(-r_max, r_max, steps + 1)
         w = trapezoid_weights(steps + 1, r[1] - r[0])
         lam = alpha + 1j * r[:, None]
@@ -473,13 +475,38 @@ class TestBromwich:
         for t, out in zip(times, outs):
             factor = np.sum(w[:, None] * np.exp(lam * t) / ((lam - a[None, :]) * lam),
                             axis=0) / (2.0 * np.pi)
-            ref = GridFunction(grid, np.fft.ifft(factor * np.fft.fft(gaussian.values)))
+            ref = GridFunction(u.grid, np.fft.ifftn(factor.reshape(u.grid.shape)
+                                                    * np.fft.fftn(u.values)))
             assert lp_norm(out - ref, 2) <= 1e-12 * lp_norm(ref, 2)
+
+    def test_all_times_match_per_time_sum(self, heat, gaussian):
+        self.assert_matches_per_time_sum(heat, gaussian)
+
+    @pytest.mark.parametrize("case", ["drift", "fractional", "drift-2d"])
+    def test_complex_symbols_match_per_time_sum(self, case, grid, gaussian):
+        # Im a != 0, so the kernel's q = r - Im a is tested off the real axis too; the 2-D
+        # grid has 256 modes as well
+        if case == "fractional":
+            s = make_fractional_symbol_seq(lambda n: 1.5, 1.5, bound=2.0)
+        else:
+            s = make_poly_symbol_seq(lambda n: (0.3, 0.4 - 0.2j, 1.0 / (4 * np.pi**2)))
+        u = GridFunction.gaussian(Grid(2, 3.0, 16)) if case == "drift-2d" else gaussian
+        assert np.ptp(s.on_grid(1, u.grid).imag) > 5.0
+        self.assert_matches_per_time_sum(s, u)
 
     def test_contour_through_spectrum_raises(self, heat, gaussian):
         # a(0) = 0 for heat and r = 0 is a node, so the gap is alpha < margin
         with pytest.raises(ResolventSingularityError):
             bromwich_S(heat, 1, [0.5], gaussian, alpha=5e-9, r_max=50.0, steps=1000)
+
+    def test_contour_through_spectrum_off_the_real_axis_raises(self, gaussian):
+        # a(0) = 1.3i is the only value with Re a = 0 (the others have Re a <= -|xi|^2), and
+        # r = 1.3 is a node; alpha = 2e-9 clears sup Re a but not the margin
+        s = make_poly_symbol_seq(lambda n: (1.3j, 0.0, 1.0 / (4 * np.pi**2)))
+        with pytest.raises(ResolventSingularityError, match="numerical spectrum"):
+            bromwich_S(s, 1, [0.5], gaussian, alpha=2e-9, r_max=50.0, steps=1000)
+        # at alpha = 2e-8, past the margin, the scan is skipped and the contour passes
+        bromwich_S(s, 1, [0.5], gaussian, alpha=2e-8, r_max=50.0, steps=1000)
 
 
 class TestCommutation:
