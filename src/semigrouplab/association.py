@@ -40,8 +40,7 @@ from .semigroup import (Level, generator_level, multiplier_norms, operator_sups,
                         resolvent_level, semigroup_level)
 from .spectral import TWO_PI, Grid, GridFunction, lp_norm
 from .symbols import (MIN_FIT_INDICES, NORM_FLOOR, SymbolSeq, constant_symbol_seq, fit_moderate,
-                      heat_symbol_seq, is_moderate_fit, perturbed_heat_seq, shifted_symbol_seq,
-                      summed_symbol_seq)
+                      heat_symbol_seq, is_moderate_fit, perturbed_heat_seq, summed_symbol_seq)
 
 # verdict thresholds (documented in the module docstring)
 TOL_ASSOC_REL = 1e-3
@@ -252,28 +251,23 @@ def bundled_family_pairs() -> List[FamilyPair]:
     full = ("gaussian", "spike", "oscillatory", "growing")
     fixed = ("gaussian",)
 
-    def bounded_shape(xi_vectors):
-        mag2 = np.sum(xi_vectors * xi_vectors, axis=-1)
-        return np.exp(-mag2)
+    def bounded_shift(scale, name):
+        """heat + e^(-|xi|^2) / scale(n), a shift with Re <= 1."""
+        return summed_symbol_seq(heat, SymbolSeq(
+            lambda n, v: np.exp(-np.sum(v * v, axis=-1)) / scale(n), re_bound=1.0, name=name))
 
     pairs = [
         FamilyPair("identical", heat, heat_symbol_seq(), std, full, "associated"),
         FamilyPair("perturbed-coefficients", heat, drifted, std, fixed, "associated"),
-        FamilyPair("bounded-1/n", heat,
-                   shifted_symbol_seq(heat, lambda n, v: bounded_shape(v) / n,
-                                      name="heat+b/n", re_bound_shift=1.0),
-                   std, full, "associated"),
+        FamilyPair("bounded-1/n", heat, bounded_shift(lambda n: n, "b/n"), std, full,
+                   "associated"),
         # a 1/sqrt(n) difference is defeated by the sqrt(n)-growing witnesses
         # (their product does not decay), so this pair is compared on data of
         # bounded norm only
-        FamilyPair("bounded-1/sqrt", heat,
-                   shifted_symbol_seq(heat, lambda n, v: bounded_shape(v) / math.sqrt(n),
-                                      name="heat+b/sqrt(n)", re_bound_shift=1.0),
-                   std, ("gaussian", "oscillatory"), "associated"),
-        FamilyPair("quadratic-decay", heat,
-                   shifted_symbol_seq(heat, lambda n, v: bounded_shape(v) / n**2,
-                                      name="heat+b/n^2", re_bound_shift=1.0),
-                   std, full, "associated"),
+        FamilyPair("bounded-1/sqrt", heat, bounded_shift(math.sqrt, "b/sqrt(n)"), std,
+                   ("gaussian", "oscillatory"), "associated"),
+        FamilyPair("quadratic-decay", heat, bounded_shift(lambda n: n**2, "b/n^2"), std, full,
+                   "associated"),
         FamilyPair("real-shift", heat,
                    summed_symbol_seq(heat, constant_symbol_seq(lambda n: 1.0, "1")),
                    std, full, "not-associated"),
@@ -281,13 +275,10 @@ def bundled_family_pairs() -> List[FamilyPair]:
                    summed_symbol_seq(heat, constant_symbol_seq(lambda n: 1j, "i")),
                    std, full, "not-associated"),
         FamilyPair("rescaled", heat,
-                   shifted_symbol_seq(heat, lambda n, v: -0.5 * np.sum(v * v, axis=-1),
-                                      name="1.5*heat"),
+                   summed_symbol_seq(heat, SymbolSeq(lambda n, v: -0.5 * np.sum(v * v, axis=-1),
+                                                     re_bound=0.0, name="heat/2")),
                    std, fixed, "not-associated"),
-        FamilyPair("log-decay", heat,
-                   shifted_symbol_seq(heat, lambda n, v: bounded_shape(v) / math.log(n),
-                                      name="heat+b/log", re_bound_shift=1.0),
-                   wide, fixed, "borderline"),
+        FamilyPair("log-decay", heat, bounded_shift(math.log, "b/log"), wide, fixed, "borderline"),
     ]
     return pairs
 

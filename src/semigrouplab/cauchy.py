@@ -25,7 +25,7 @@ import numpy as np
 from .errors import OverflowGuardError, SpaceTimeSupportError
 from .quadrature import trapezoid_weights
 from .semigroup import EXP_GUARD, MultiplierOp, phi
-from .spectral import (Grid, GridFunction, lp_norm, standard_bump, transform)
+from .spectral import Grid, GridFunction, lp_norm, standard_bump
 from .symbols import MIN_FIT_INDICES, SymbolSeq
 
 #: |z| below which phi_2 and phi_3 are summed as Taylor series
@@ -118,8 +118,9 @@ def duhamel_solve(s: SymbolSeq, n: int, u0n: GridFunction, f: ForcingSeq,
 
         w_(m+1) = e^z w_m + p_m q_1 + (p_(m+1) - p_m) q_2,  q_k = dt fhat phi_k(z)
 
-    with z = dt a per mode, p the profile at the nodes and fhat the one
-    transform of the forcing shape of index n.
+    with z = dt a per mode, p the profile at the nodes and fhat the one FFT of
+    the forcing shape of index n: linear and diagonal per mode, the solve runs on
+    plain FFT coefficients, as ``MultiplierOp.apply`` does.
     Exact for zero forcing; unconditionally stable for Re a <= 0.
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -141,18 +142,17 @@ def duhamel_solve(s: SymbolSeq, n: int, u0n: GridFunction, f: ForcingSeq,
 
     z = dt * a
     ez = np.exp(z)
-    dt_fhat = dt * transform(shape).values
+    dt_fhat = dt * np.fft.fftn(shape.values)
     q1, q2 = dt_fhat * _phi_k(z, 1), dt_fhat * _phi_k(z, 2)
     prof = f.profile(t_grid)
 
     w = np.empty((len(t_grid),) + grid.shape, dtype=complex)
-    w[0] = transform(u0n).values
+    w[0] = np.fft.fftn(u0n.values)
     for m in range(len(t_grid) - 1):
         w[m + 1] = ez * w[m] + prof[m] * q1 + (prof[m + 1] - prof[m]) * q2
 
-    ph = grid.phase()
     for j in range(len(t_grid)):  # inverse transform of every time slice, in place
-        w[j] = np.fft.ifftn(w[j] * ph) / grid.cell_volume
+        w[j] = np.fft.ifftn(w[j])
     w[0] = u0n.values  # the initial condition holds exactly
     sol = MildSolutionSeq(grid=grid, t_grid=t_grid)
     sol._w[n] = w

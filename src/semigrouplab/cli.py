@@ -8,7 +8,6 @@ convenience and can be disabled with --no-plots.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -23,15 +22,17 @@ from .cauchy import (ForcingSeq, bump_test_function, integral_equation_residual,
                      solve_sequence, very_weak_pairing, weak_limit_extract)
 from .config import (PERTURB_ORACLE_T_MAX, ExperimentConfig, comparison_operand,
                      default_config, load_config, scaled_sup_re, serialize_config, time_grid)
-from .errors import ConfigError, ResolutionError, SemigroupLabError, SpaceTimeSupportError
+from .errors import (ConfigError, OverflowGuardError, ResolutionError, SemigroupLabError,
+                     SpaceTimeSupportError)
 from .perturbation import perturbation_claims_suite, perturbation_quadrature, perturbed_factor
-from .semigroup import (apply_S, block_rows, bromwich_S, certify_growth, generator_level,
-                        laplace_identity_residual, panel_split, phi, pseudoresolvent_residual,
+from .semigroup import (LAPLACE_STEP_MAX, TIME_INTEGRAL_LEVELS, TIME_INTEGRAL_PANELS, apply_S,
+                        block_rows, bromwich_S, certify_growth, generator_level,
+                        laplace_identity_residual, phi, pseudoresolvent_residual,
                         resolvent_level, sample_axis, semigroup_level, time_integral)
 from .spectral import DistributionRep, Grid, GridFunction, lp_norm, mollify
 from .symbols import (MIN_FIT_INDICES, SymbolSeq, constant_symbol_seq,
                       make_fractional_symbol_seq, make_poly_symbol_seq, perturbed_heat_seq,
-                      shifted_symbol_seq, summed_symbol_seq)
+                      summed_symbol_seq)
 
 #: subcommands that judge a decay rate or a weak limit over the indices of n_list
 FIT_COMMANDS = ("solve", "associate", "perturb")
@@ -77,9 +78,8 @@ def build_comparison_family(cfg: ExperimentConfig, base: SymbolSeq) -> Optional[
         return summed_symbol_seq(base, constant_symbol_seq(lambda n: value, "shift"))
     if mode.startswith("scale:"):
         factor = comparison_operand(mode)
-        scaled = shifted_symbol_seq(base, lambda n, v: (factor - 1.0) * base.eval(n, v),
-                                    name=f"{factor}*{base.name}")
-        return dataclasses.replace(scaled, re_bound=scaled_sup_re(cfg))
+        return SymbolSeq(lambda n, v: base.eval(n, v) + (factor - 1.0) * base.eval(n, v),
+                         re_bound=scaled_sup_re(cfg), name=f"{factor}*{base.name}")
     raise ConfigError(f"unknown comparison '{mode}'")
 
 
@@ -144,7 +144,7 @@ class SuiteResult:
 def _suite_laplace(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) -> SuiteResult:
     u = GridFunction.gaussian(grid)
     omega = max(0.0, s.re_bound)
-    residuals = [laplace_identity_residual(s, n, lam, u, 40.0 / (lam.real - omega), panels=64)
+    residuals = [laplace_identity_residual(s, n, lam, u, 40.0 / (lam.real - omega))
                  for lam in map(complex, cfg.lambda_samples)
                  for n in cfg.n_list[:2]]
     # np.max keeps a NaN, which the builtin max would drop
@@ -167,19 +167,19 @@ def _suite_pseudoresolvent(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq,
 
 def _suite_functional_equation(cfg: ExperimentConfig) -> SuiteResult:
     """phi(t, a) phi(s, a) = integral_0^s (phi(t + r, a) - phi(r, a)) dr on 1,000 draws, the
-    right side as I(t + s) - I(t) - I(s), I(T) = ``time_integral(T, a, 0, 64)``, in chunks of
+    right side as I(t + s) - I(t) - I(s), I(T) = ``time_integral(T, a, 0)``, in chunks of
     ``block_rows`` draws, so each (level x entry) block stays within ``BLOCK_ENTRIES``."""
     rng = np.random.default_rng(20240802)
     t, sdur, r, ang = rng.uniform([0.05, 0.05, 0.0, 0.5 * np.pi],
                                   [2.0, 2.0, 100.0, 1.5 * np.pi], (1000, 4)).T
     a = r * np.exp(1j * ang)
     lhs = phi(t, a) * phi(sdur, a)
-    rows = block_rows(3 * panel_split(64)[2])
+    rows = block_rows(3 * TIME_INTEGRAL_LEVELS)
     rhs = np.empty_like(lhs)
     for i0 in range(0, len(t), rows):
         blk = slice(i0, i0 + rows)
         i_ts, i_t, i_s = time_integral(np.stack([t[blk] + sdur[blk], t[blk], sdur[blk]]),
-                                       a[blk], 0.0, panels=64)
+                                       a[blk], 0.0)
         rhs[blk] = i_ts - i_t - i_s
     return SuiteResult("functional-equation", float(np.max(np.abs(lhs - rhs))),
                        cfg.tol_functional_equation)
@@ -222,12 +222,18 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     grid = build_grid(cfg)
     s = build_family(cfg)
     s_tilde = build_comparison_family(cfg, s)
-    # the Laplace suite integrates up to T = 40 / (Re lambda - omega)
+    # the Laplace suite integrates up to T = 40 / (Re lambda - omega) on 64 panels
     omega = max(0.0, s.re_bound)
     left = [l for l in cfg.lambda_samples if not complex(l).real > omega]
     if left:
         raise ConfigError(f"lambda_samples {left} need a real part above omega = {omega} "
                           f"for the Laplace suite")
+    for lam in map(complex, cfg.lambda_samples):
+        step = abs(lam.imag) * 40.0 / (lam.real - omega) / TIME_INTEGRAL_PANELS
+        if step > LAPLACE_STEP_MAX:
+            raise ConfigError(f"lambda_samples: the sample {lam} has the Laplace step |Im "
+                              f"lambda| T / {TIME_INTEGRAL_PANELS} = {step:.4g}, above the "
+                              f"{LAPLACE_STEP_MAX:g} its rule resolves")
     tasks: List[Callable[[], SuiteResult]] = [
         lambda: _suite_laplace(cfg, grid, s),
         lambda: _suite_pseudoresolvent(cfg, grid, s, s_tilde),
@@ -339,7 +345,11 @@ def run_associate(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True)
     label, omega, times = (("coefficient-perturbation", 0.0, 50) if cfg.comparison == "drift"
                            else ("semigroup-difference", cfg.omega, 20))
     level = semigroup_level(omega, np.linspace(0, cfg.t_max, times + 1)[1:], grid)
-    rep = check_association(s, s_tilde, {label: level}, [lambda n: f], grid, n_list)[label]
+    try:
+        rep = check_association(s, s_tilde, {label: level}, [lambda n: f], grid, n_list)[label]
+    except OverflowGuardError as exc:
+        raise ConfigError(f"t_max = {cfg.t_max} takes the {label} samples S_n(t), t <= t_max, "
+                          f"past the overflow guard: {exc}") from exc
     csvio.write_association(out_dir / "association.csv", rep)
 
     levels = {"generator": generator_level, "resolvent": resolvent_level(lam_list, grid),

@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .perturbation import PERTURBATION_PANELS
+from .semigroup import TIME_INTEGRAL_PANELS
 from .spectral import Grid
 from .symbols import poly_sup_re
 
@@ -219,10 +219,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 "omega", "b", "perturb_b"):
         if not np.all(np.isfinite(getattr(cfg, key))):
             raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)}")
-    b_max = PERTURB_STEP_MAX * PERTURBATION_PANELS / PERTURB_ORACLE_T_MAX
+    b_max = PERTURB_STEP_MAX * TIME_INTEGRAL_PANELS / PERTURB_ORACLE_T_MAX
     if abs(cfg.perturb_b) > b_max:
         raise ConfigError(f"perturb_b must have |perturb_b| <= {b_max:g}, so that the "
-                          f"oracle's {PERTURBATION_PANELS} panels resolve e^(s perturb_b) "
+                          f"oracle's {TIME_INTEGRAL_PANELS} panels resolve e^(s perturb_b) "
                           f"up to t = {PERTURB_ORACLE_T_MAX:g}; got {cfg.perturb_b}")
     term = abs(cfg.perturb_b) * math.exp(PERTURB_ORACLE_T_MAX * max(0.0, cfg.perturb_b.real))
     if term > PERTURB_TERM_MAX:

@@ -11,11 +11,11 @@ i.e. the perturbed family is the integrated semigroup of ``summed_symbol_seq(s, 
 the closed form the claims suite works with; B and C are ordinary ``SymbolSeq``s.
 
 The quadrature form is kept as the oracle the closed form is tested against:
-``perturbation_quadrature`` takes its s-integral from ``semigroup.time_integral``
-on ``PERTURBATION_PANELS`` panels.  ``perturbed_factor`` (one row per time) and
-the ``verify`` perturbation suite both call it.  b goes in the shape
-``SymbolSeq.on_grid`` gives: every family the lab builds is constant in xi, so b
-stays 0-d and the rule takes one e^(s b) per node, not one per node and mode.
+``perturbation_quadrature`` takes its s-integral from ``semigroup.time_integral``,
+the one 64-panel rule of every time-integral oracle.  ``perturbed_factor`` (one
+row per time) and the ``verify`` perturbation suite both call it.  b goes in the
+shape ``SymbolSeq.on_grid`` gives: every family the lab builds is constant in xi,
+so b stays 0-d and the rule takes one e^(s b) per node, not one per node and mode.
 """
 from __future__ import annotations
 
@@ -32,10 +32,6 @@ from .semigroup import (EXP_GUARD, GrowthCertificate, certify_growth, phi, resol
 from .spectral import Grid
 from .symbols import SymbolSeq, summed_symbol_seq
 
-#: panel count of the s-integral in the quadrature oracle
-PERTURBATION_PANELS = 64
-
-
 def perturbation_quadrature(t, a, b) -> np.ndarray:
     """e^(tb) phi(t,a) - b int_0^t e^(sb) phi(s,a) ds by the composite Gauss rule.
 
@@ -44,7 +40,7 @@ def perturbation_quadrature(t, a, b) -> np.ndarray:
     """
     with np.errstate(over="raise"):
         try:
-            return np.exp(t * b) * phi(t, a) - b * time_integral(t, a, b, PERTURBATION_PANELS)
+            return np.exp(t * b) * phi(t, a) - b * time_integral(t, a, b)
         except FloatingPointError as exc:
             raise OverflowGuardError("perturbation quadrature overflows") from exc
 

@@ -1,10 +1,11 @@
 """Composite Gauss-Legendre quadrature helpers.
 
 The time-integral oracles use one composite rule: ``GAUSS_NODES_PER_PANEL``
-Gauss-Legendre nodes per panel on a uniform panel split.  ``semigroup.time_integral``
+Gauss-Legendre nodes per panel on 64 uniform panels.  ``semigroup.time_integral``
 (the Laplace, functional-equation and perturbation oracles) folds it from
-``_gauss_rule`` over panel starts and offsets; ``composite_gauss_points`` lists its
-nodes unfolded, the tests' reference for that fold.  Twelve nodes per panel keep
+``_gauss_rule`` over panel starts and offsets, with the panel count a constant
+there; ``composite_gauss_points`` lists the nodes of the rule on any panel count
+unfolded, the tests' reference for that fold and for the rule's order.  Twelve nodes per panel keep
 entire integrands with derivative scales up to ~200 per unit length below 1e-12
 absolute error at the panel widths used in the bundled scenarios.
 """

@@ -43,6 +43,17 @@ PHI_TAYLOR_THRESHOLD = 1e-6
 #: exp overflow guard on Re(a) * t
 EXP_GUARD = 700.0
 
+#: panels of the composite Gauss rule behind every time integral, folded 8 x 8
+TIME_INTEGRAL_PANELS = 64
+_FOLD = 8
+#: points per entry at which ``time_integral`` evaluates phi: 8 + 8 starts, 12 offsets
+TIME_INTEGRAL_LEVELS = 2 * _FOLD + GAUSS_NODES_PER_PANEL
+#: largest step |Im lambda| T / 64, T = 40/(Re lambda - omega), at which the Laplace suite
+#: keeps its 1e-8 gate: on perfbench verify seeds 0-31, a 2-D grid and the fractional family
+#: at Re lambda - omega in [1.05, 1100], step 16 reads at most 2.8e-9 and 17 fails at 1.05;
+#: the defect grows like 1/(Re lambda - omega) nearer omega (2.6e-8 at step 16 and 0.1)
+LAPLACE_STEP_MAX = 16.0
+
 #: complex entries per block of the (node x mode) quadrature oracles: 256 KiB,
 #: so a block and its phi temporaries stay in cache and the peak stays small
 BLOCK_ENTRIES = 2**14
@@ -119,39 +130,29 @@ def phi(t, a, out=None) -> np.ndarray:
     return out
 
 
-def panel_split(panels: int):
-    """(coarse, fine, levels): panels = coarse x fine, as square as it allows, and the
-    levels = coarse + fine + GAUSS_NODES_PER_PANEL points ``time_integral`` takes per entry."""
-    if panels < 1:
-        raise ValueError(f"panels must be positive, got {panels}")
-    fine = next(d for d in range(math.isqrt(panels), 0, -1) if panels % d == 0)
-    return panels // fine, fine, panels // fine + fine + GAUSS_NODES_PER_PANEL
+def time_integral(t, a, b) -> np.ndarray:
+    """integral_0^t e^(s b) phi(s, a) ds by the composite Gauss rule on 64 panels.
 
-
-def time_integral(t, a, b, panels: int) -> np.ndarray:
-    """integral_0^t e^(s b) phi(s, a) ds by the composite Gauss rule on ``panels`` panels.
-
-    ``t``, ``a`` and ``b`` broadcast (t >= 0).  With panels = coarse x fine, a
+    ``t``, ``a`` and ``b`` broadcast (t >= 0).  With the 64 panels folded 8 x 8, a
     node is s = c + f + r: coarse start, fine start, in-panel offset.  Per level,
     E = sum w e^(s b), P = sum w e^(s b) phi(s, a) and X = sum w e^(s a) e^(s b),
     with w = 1 on the starts and the Gauss weights on the offsets, combine as
     (E, P, X).(e, p, x) = (E e, P e + X p, X x), since phi(u + v, a) = phi(u, a)
-    + e^(u a) phi(v, a).  So phi runs on 8 + 8 + 12 points per entry of a for
-    64 panels, not 768, and e^(s b) on 28 per entry of t and b broadcast together:
+    + e^(u a) phi(v, a).  So phi runs on the 8 + 8 + 12 = ``TIME_INTEGRAL_LEVELS``
+    points per entry of a, not on 768 nodes, and e^(s b) on 28 per entry of t and b:
     a scalar b (the Laplace check, a xi-constant perturbation, the functional-equation
     suite at b = 0) costs 28 per time.  The start levels' e^(s a) come from that phi
     block as 1 + a phi(s, a), within a few ulp x (1 + |e^(s a)|) of exp.  Overflow
     raises ``FloatingPointError`` (phi's: ``OverflowGuardError``).
     """
-    coarse, fine, _ = panel_split(panels)
     gx, gw = _gauss_rule(GAUSS_NODES_PER_PANEL)
-    starts = np.concatenate([fine * np.arange(coarse), np.arange(fine)])
-    h = np.asarray(t, dtype=float) / panels
+    starts = np.concatenate([_FOLD * np.arange(_FOLD), np.arange(_FOLD)])
+    h = np.asarray(t, dtype=float) / TIME_INTEGRAL_PANELS
     # a level axis in front of the broadcast dimensions, so a scalar t or b stays unexpanded
     lead = (-1,) + (1,) * max(np.ndim(t), np.ndim(a), np.ndim(b))
     pts = np.reshape(np.concatenate([starts, 0.5 * (1.0 + gx)]), lead) * h
     weights = np.reshape(0.5 * gw, lead) * h
-    c, f, q = slice(0, coarse), slice(coarse, starts.size), slice(starts.size, None)
+    c, f, q = slice(0, _FOLD), slice(_FOLD, starts.size), slice(starts.size, None)
     with np.errstate(over="raise"):
         e_b = np.exp(pts * b)
         phi_a = phi(pts, a)
@@ -338,12 +339,13 @@ def operator_sups(s: SymbolSeq, levels: Mapping[str, Level], grid: Grid,
 
 
 def laplace_identity_residual(s: SymbolSeq, n: int, lam: complex, u: GridFunction,
-                              T: float, panels: int) -> float:
+                              T: float) -> float:
     """Relative defect of R(lambda) u = lambda integral_0^T e^(-lambda t) S(t) u dt.
 
-    The transform is ``time_integral(T, a_n, -lambda, panels)`` on chunks of
-    ``block_rows(levels)`` modes (levels = points per mode: 256 modes are one
-    chunk); the scenarios use T = 40/(Re lambda - omega).  An overflow, or
+    The transform is ``time_integral(T, a_n, -lambda)`` on chunks of
+    ``block_rows(TIME_INTEGRAL_LEVELS)`` modes (256 modes are one chunk); the
+    scenarios use T = 40/(Re lambda - omega), and ``LAPLACE_STEP_MAX`` bounds the
+    step |Im lambda| T / 64 at which the rule resolves e^(-lambda t).  An overflow, or
     T sup Re a_n > ``EXP_GUARD``, raises naming lambda, n and T.
     """
     grid = u.grid
@@ -357,9 +359,9 @@ def laplace_identity_residual(s: SymbolSeq, n: int, lam: complex, u: GridFunctio
     stage = f"Laplace identity at lambda={lam}, n={n}, T={T:.6g}"
     if omega * T > EXP_GUARD:  # S(T) itself overflows
         raise OverflowGuardError(f"{stage}: T sup Re a_n = {omega * T:.4g} overflows S(T)")
-    rows = block_rows(panel_split(panels)[2])
+    rows = block_rows(TIME_INTEGRAL_LEVELS)
     try:
-        quad = np.concatenate([time_integral(T, a.flat[i0:i0 + rows], -lam, panels)
+        quad = np.concatenate([time_integral(T, a.flat[i0:i0 + rows], -lam)
                                for i0 in range(0, a.size, rows)])
     except (FloatingPointError, OverflowGuardError) as exc:
         raise OverflowGuardError(f"{stage}: {exc}") from exc

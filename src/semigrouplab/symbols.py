@@ -196,19 +196,12 @@ def make_fractional_symbol_seq(c: Callable[[int], float], m: float,
     return SymbolSeq(eval=_eval, re_bound=0.0, name="fractional")
 
 
-def shifted_symbol_seq(s: SymbolSeq, shift: Callable[[int, np.ndarray], np.ndarray],
-                       name: str = "", re_bound_shift: float = 0.0) -> SymbolSeq:
-    """A family a_n + delta_n built from ``s`` and a shift field."""
-    def _eval(n: int, xi_vectors: np.ndarray) -> np.ndarray:
-        return s.eval(n, xi_vectors) + shift(n, xi_vectors)
-
-    return SymbolSeq(eval=_eval, re_bound=s.re_bound + re_bound_shift,
-                     name=name or (s.name + "+shift"))
-
-
 def summed_symbol_seq(s: SymbolSeq, B: SymbolSeq) -> SymbolSeq:
     """The family a_n + b_n, the one sum of two families (a perturbed generator, say)."""
-    return shifted_symbol_seq(s, B, name=f"{s.name}+{B.name}", re_bound_shift=B.re_bound)
+    def _eval(n: int, xi_vectors: np.ndarray) -> np.ndarray:
+        return s.eval(n, xi_vectors) + B(n, xi_vectors)
+
+    return SymbolSeq(eval=_eval, re_bound=s.re_bound + B.re_bound, name=f"{s.name}+{B.name}")
 
 
 def constant_symbol_seq(c: Callable[[int], complex], name: str) -> SymbolSeq:

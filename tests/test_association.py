@@ -18,10 +18,9 @@ from semigrouplab.semigroup import (certify_growth, derivative_level, generator_
                                     resolvent_level, resolvent_over_lambda_derivative,
                                     semigroup_level)
 from semigrouplab.spectral import Grid, GridFunction, mollifier, lp_norm
-from semigrouplab.symbols import (NORM_FLOOR, perturbed_heat_seq,
+from semigrouplab.symbols import (NORM_FLOOR, SymbolSeq, perturbed_heat_seq,
                                   heat_symbol_seq, make_fractional_symbol_seq,
-                                  make_poly_symbol_seq,
-                                  shifted_symbol_seq)
+                                  make_poly_symbol_seq, summed_symbol_seq)
 
 
 @pytest.fixture(scope="module")
@@ -220,8 +219,8 @@ class TestGeneratorAssociation:
         assert rep.slope == pytest.approx(-1.0, abs=0.1)
 
     def test_constant_shift_not_associated(self, heat, grid, gaussian_seq):
-        shifted = shifted_symbol_seq(heat, lambda n, v: np.ones(v.shape[:-1]),
-                                     re_bound_shift=1.0)
+        shifted = summed_symbol_seq(heat, SymbolSeq(lambda n, v: np.ones(v.shape[:-1]),
+                                                    re_bound=1.0))
         rep = single(heat, shifted, generator_level, [gaussian_seq], grid,
                      [4, 8, 16, 32])
         assert rep.verdict == "not-associated"
@@ -246,7 +245,8 @@ class TestResolventAssociation:
         assert -1.2 < rep.slope < -0.7
 
     def test_divergent_pair(self, heat, grid, gaussian_seq):
-        scaled = shifted_symbol_seq(heat, lambda n, v: -np.sum(v * v, axis=-1))
+        scaled = summed_symbol_seq(heat, SymbolSeq(lambda n, v: -np.sum(v * v, axis=-1),
+                                                   re_bound=0.0))
         rep = single(heat, scaled, resolvent_level([2.0], grid), [gaussian_seq],
                      grid, [4, 8, 16, 32])
         assert rep.verdict == "not-associated"
@@ -273,8 +273,8 @@ class TestGeisAndGE4:
                    [gaussian_seq], grid, [4, 8, 16, 32, 64])
 
     def test_shifted_pair_not_associated(self, heat, grid, gaussian_seq):
-        shifted = shifted_symbol_seq(heat, lambda n, v: np.ones(v.shape[:-1]),
-                                     re_bound_shift=1.0)
+        shifted = summed_symbol_seq(heat, SymbolSeq(lambda n, v: np.ones(v.shape[:-1]),
+                                                    re_bound=1.0))
         rep = single(heat, shifted, semigroup_level(2.0, self.t_samples, grid),
                      [gaussian_seq], grid, [4, 8, 16, 32])
         assert rep.verdict == "not-associated"
@@ -285,9 +285,8 @@ class TestGeisAndGE4:
         assert rep.verdict == "associated"
 
     def test_weighted_sqrt_decay(self, heat, grid, gaussian_seq):
-        slow = shifted_symbol_seq(
-            heat, lambda n, v: np.exp(-np.sum(v * v, axis=-1)) / math.sqrt(n),
-            re_bound_shift=1.0)
+        slow = summed_symbol_seq(heat, SymbolSeq(
+            lambda n, v: np.exp(-np.sum(v * v, axis=-1)) / math.sqrt(n), re_bound=1.0))
         rep = single(heat, slow, resolvent_level([2.0, 11.0], grid, 1.0, 1.0), [gaussian_seq],
                      grid, [4, 8, 16, 32, 64])
         assert rep.verdict == "associated"
@@ -382,8 +381,8 @@ class TestBlockKernel:
     def test_two_dimensional_blocks_match_per_sample_norms(self):
         g2 = Grid(2, 3.0, 64)
         s = make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, bound=2.0)
-        s_tilde = shifted_symbol_seq(s, lambda n, v: np.exp(-np.sum(v * v, axis=-1)) / n,
-                                     re_bound_shift=1.0)
+        s_tilde = summed_symbol_seq(s, SymbolSeq(
+            lambda n, v: np.exp(-np.sum(v * v, axis=-1)) / n, re_bound=1.0))
         x = GridFunction.gaussian(g2)
         n_list, omega, b = [2, 4, 8, 16], 3.0, 1.0
         times, lams = [0.25, 1.0, 3.0], [4.0, 4.0 + 5j, 13.0]

@@ -12,7 +12,7 @@ from semigrouplab.cauchy import (ForcingSeq, SpaceTimeTestFunction, _phi_k,
                                  very_weak_pairing, weak_limit_extract)
 from semigrouplab.errors import OverflowGuardError, SpaceTimeSupportError
 from semigrouplab.quadrature import trapezoid_weights
-from semigrouplab.semigroup import phi
+from semigrouplab.semigroup import MultiplierOp, phi
 from semigrouplab.spectral import (DistributionRep, Grid, GridFunction,
                                    lp_norm, mollify, standard_bump, transform)
 from semigrouplab.symbols import heat_symbol_seq, make_poly_symbol_seq
@@ -134,6 +134,20 @@ class TestDuhamelSolve:
                       tgrid(1.0, 1 / 64))
         assert len(ffts) == 2  # u_0 and the forcing shape
         assert shapes == [3]
+
+    def test_free_evolution_is_the_multiplier_on_any_spacing(self):
+        # h = 6/64 is no power of two, so the transform's h and (-1)^k would not cancel
+        # exactly: the solve uses plain FFT coefficients, as MultiplierOp.apply does
+        g = Grid(1, 3.0, 64)
+        s = make_poly_symbol_seq(lambda n: (-0.1, 0.3 + 0.2j, 1.0 / (4 * np.pi**2)))
+        rng = np.random.default_rng(64)
+        u0 = GridFunction(g, rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        tg = tgrid(1.0, 1 / 16)
+        sol = duhamel_solve(s, 2, u0, ForcingSeq.zero(g), tg)
+        a = s.on_grid(2, g)
+        for t in tg[1:]:
+            ref = MultiplierOp(g, np.exp(t * a)).apply(u0)
+            assert lp_norm(sol.w(2, t) - ref, 2) <= 1e-13 * lp_norm(ref, 2)
 
     def test_superposition(self, heat, grid):
         rng = np.random.default_rng(11)

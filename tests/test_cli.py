@@ -174,7 +174,7 @@ class TestVerifyBlocks:
             monkeypatch.setattr(semigroup, "BLOCK_ENTRIES", entries)
             contours = semigroup.bromwich_S(s, 1, (0.25, 1.0), u, alpha=2.0, r_max=200.0,
                                             steps=20000)
-            results.append((semigroup.laplace_identity_residual(s, 2, 10.0, u, 4.0, panels=64),
+            results.append((semigroup.laplace_identity_residual(s, 2, 10.0, u, 4.0),
                             cli._suite_functional_equation(cfg).worst,
                             np.stack([c.values for c in contours])))
         (laplace, fe, contour), others = results[0], results[1:]
@@ -229,7 +229,7 @@ class TestVerifyBlocks:
         u = GridFunction.gaussian(g2)
         tracemalloc.start()
         try:
-            res = semigroup.laplace_identity_residual(s, n, lam, u, T, panels=64)
+            res = semigroup.laplace_identity_residual(s, n, lam, u, T)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -252,7 +252,7 @@ class TestVerifyBlocks:
             return phi(t, a, out=out)
 
         monkeypatch.setattr(semigroup, "phi", counted)
-        assert semigroup.laplace_identity_residual(s, n, lam, u, T, panels=64) == res
+        assert semigroup.laplace_identity_residual(s, n, lam, u, T) == res
         assert 0 < sum(entries) <= 29 * g2.shape[0] * g2.shape[1]
 
 
@@ -318,8 +318,8 @@ def test_functional_equation_suite_matches_the_unfolded_rule(monkeypatch):
     # the suite's I(t + s) - I(t) - I(s), from its time_integral calls, per draw
     calls, kernel = [], cli.time_integral
 
-    def spy(T, a, b, panels):
-        calls.append((T, a, kernel(T, a, b, panels)))
+    def spy(T, a, b):
+        calls.append((T, a, kernel(T, a, b)))
         return calls[-1][2]
 
     monkeypatch.setattr(cli, "time_integral", spy)
@@ -385,6 +385,15 @@ def test_bromwich_suite_passes_right_of_the_imaginary_axis(tmp_path, c0):
     assert float(rows["bromwich-oracle"][1]) <= 5e-5
 
 
+def test_laplace_suite_resolves_a_step_below_the_bound(tmp_path):
+    # T = 40 / 2 = 20, so 2+50j takes the step 50 x 20 / 64 = 15.6 <= LAPLACE_STEP_MAX
+    cfg = dataclasses.replace(FAST_VERIFY, lambda_samples=(2.0 + 50j,))
+    assert main(["verify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+    rows = {r.split(",")[0]: r.split(",") for r in
+            (tmp_path / "verify.csv").read_text().splitlines()[1:]}
+    assert float(rows["laplace-identity"][1]) <= 1e-9
+
+
 def test_laplace_suite_samples_complex_lambda_as_given():
     cfg = dataclasses.replace(FAST_VERIFY, lambda_samples=(2.0 + 5j,))
     grid, s = cli.build_grid(cfg), cli.build_family(cfg)
@@ -392,8 +401,7 @@ def test_laplace_suite_samples_complex_lambda_as_given():
     omega = max(0.0, s.re_bound)
 
     def direct(lam):
-        return max(semigroup.laplace_identity_residual(s, n, lam, u, 40.0 / (lam.real - omega),
-                                                       panels=64)
+        return max(semigroup.laplace_identity_residual(s, n, lam, u, 40.0 / (lam.real - omega))
                    for n in cfg.n_list[:2])
 
     worst = cli._suite_laplace(cfg, grid, s).worst
@@ -477,6 +485,10 @@ def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
                   "[growth]\nomega = 0.6\n", ("omega", "1.0")),
     # scale:-1 turns the heat family into anti-diffusion, Re a unbounded above
     ("associate", "[comparison]\ncomparison = scale:-1\n", ("comparison", "scale:-1")),
+    # 2+100j takes the Laplace step 100 x 20 / 64 = 31.25, past LAPLACE_STEP_MAX = 16
+    ("verify", "[lambda]\nlambda_samples = 2.0, 2+100j\n",
+     ("lambda_samples", "(2+100j)", "31.25", "16")),
+    ("verify", "[lambda]\nlambda_samples = 1+1000000j\n", ("lambda_samples", "(1+1000000j)")),
     # t_end / dt overflows to inf: no step count
     ("verify", "[time]\nt_end = 1.0\ndt = 5e-324\n", ("t_end", "dt")),
     ("verify", "[time]\nt_end = 1e300\ndt = 1e-10\n", ("t_end", "dt")),
@@ -489,7 +501,8 @@ def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
       "verify-lambda-second", "associate-omega-below-bound", "perturb-omega-below-bound",
       "associate-lambda-left", "associate-lambda-second-left",
       "associate-scale-omega-below-bound",
-      "associate-scale-unbounded", "verify-dt-subnormal", "verify-t-end-huge",
+      "associate-scale-unbounded", "verify-lambda-step", "verify-lambda-step-huge",
+      "verify-dt-subnormal", "verify-t-end-huge",
       "verify-half-width-huge", "growth-half-width-tiny"])
 def test_bad_config_exits_2_naming_fields(tmp_path, capsys, command, text, names):
     cfg = tmp_path / "bad.cfg"
@@ -749,6 +762,18 @@ class TestAssociateCommand:
         assert code == 2
         assert "lambda_samples" in capsys.readouterr().err
         assert not (tmp_path / "c" / "association_resolvent.csv").exists()
+
+    @pytest.mark.parametrize("t_max", [3000.0, 1e308])
+    def test_overflowing_t_max_exits_2_naming_it(self, tmp_path, capsys, t_max):
+        # Re a_4 = 1/4 for the drift family, so e^(t a_4) overflows from t = 2,840 on
+        cfg = dataclasses.replace(default_config("associate"), t_max=t_max)
+        code = main(["associate", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "o"), "--no-plots"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: t_max = {t_max} takes ")
+        assert "overflow" in err
+        assert not (tmp_path / "o" / "association.csv").exists()
 
     def test_semigroup_weight_overflow_exits_2_naming_omega_and_t(self, tmp_path, capsys):
         # e^(-omega t) = e^(200 t) overflows from t = 3.75 on

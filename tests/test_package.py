@@ -99,3 +99,21 @@ def test_one_symbol_family_type():
               for cls in ast.walk(ast.parse(path.read_text())) if isinstance(cls, ast.ClassDef)
               for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "on_grid"}
     assert owners == {"symbols.py:SymbolSeq"}
+
+
+def test_phase_is_applied_inside_spectral_only():
+    # every other module works on plain FFT coefficients, as MultiplierOp.apply does
+    users = {path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if _callers(path.name, "phase")}
+    assert users == {"spectral.py"}
+
+
+def test_one_panel_count():
+    # time_integral's 64 panels are a constant; only the tests' unfolded reference rule,
+    # composite_gauss_points, takes a panel count
+    owners = {f"{path.stem}.{fn.name}" for path in sorted(PACKAGE_DIR.glob("*.py"))
+              for fn in ast.walk(ast.parse(path.read_text()))
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and "panels" in [a.arg for a in fn.args.posonlyargs + fn.args.args
+                               + fn.args.kwonlyargs]}
+    assert owners == {"quadrature.composite_gauss_points"}

@@ -11,11 +11,11 @@ from semigrouplab import semigroup
 from semigrouplab.association import SUITE_T_SAMPLES, check_association
 from semigrouplab.config import default_config, validate_config
 from semigrouplab.errors import ConfigError, OverflowGuardError
-from semigrouplab.perturbation import (PERTURBATION_PANELS, perturbation_quadrature,
-                                       perturbed_factor, perturbation_claims_suite)
+from semigrouplab.perturbation import (perturbation_quadrature, perturbed_factor,
+                                       perturbation_claims_suite)
 from semigrouplab.quadrature import composite_gauss_points
-from semigrouplab.semigroup import (MultiplierOp, integrated_factor, panel_split, phi,
-                                   resolvent_factor, semigroup_level)
+from semigrouplab.semigroup import (TIME_INTEGRAL_LEVELS, TIME_INTEGRAL_PANELS, MultiplierOp,
+                                   integrated_factor, phi, resolvent_factor, semigroup_level)
 from semigrouplab.spectral import Grid, GridFunction, lp_norm
 from semigrouplab.symbols import (SymbolSeq, constant_symbol_seq, heat_symbol_seq,
                                   make_poly_symbol_seq, perturbed_heat_seq, summed_symbol_seq)
@@ -87,7 +87,7 @@ def plain_quadrature(t, a, b):
     Returns the value and the sum of the magnitudes of its terms; the terms
     cancel down to phi(t, a + b), so rounding is relative to that sum.
     """
-    pts, wts = composite_gauss_points(0.0, t, PERTURBATION_PANELS)
+    pts, wts = composite_gauss_points(0.0, t, TIME_INTEGRAL_PANELS)
     terms = wts * np.exp(pts * b) * phi(pts, a)
     first = np.exp(t * b) * phi(t, a)
     return first - b * np.sum(terms), abs(first) + abs(b) * np.sum(np.abs(terms))
@@ -229,7 +229,7 @@ class TestMultiplierShapes:
         times = [0.3, 1.1, 2.0]
         perturbed_factor(heat, constant_symbol_seq(lambda n: 0.4 - 0.9j, "B"), 2, times, grid)
         assert grid.shape == (128,)
-        assert entries == [panel_split(PERTURBATION_PANELS)[2]] * len(times)
+        assert entries == [TIME_INTEGRAL_LEVELS] * len(times)
 
 
 class TestProposition49Suite:
