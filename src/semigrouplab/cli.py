@@ -194,10 +194,12 @@ def _suite_bromwich(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) -> SuiteRes
     So coeffs = (1, 0, c2) and (1.5, 0, c2) pass (4.3e-5), but from sup Re a of about
     2.3 on the error nears the 1e-4 gate again (9.6e-5 at 2.3, 1.17e-4 at 2.5).
 
-    ``bromwich_S`` sums in real arithmetic: per block of nodes it builds 1/d and q/d
-    of the kernel (p - i q) / d in place and the block's time weights, so the suite
-    stays under 1 MiB; its proximity scan compares the squared gap d with
-    RESOLVENT_MARGIN^2, and is skipped here, where alpha - sup Re a >= 0.5.
+    ``bromwich_S`` sums in real arithmetic, once per distinct mode value up to
+    conjugation (129 columns for the 256 modes of a real-coefficient symbol): per
+    block of nodes it builds 1/d and q/d of the kernel (p - i q) / d in place and the
+    block's time weights, so the suite stays under 1 MiB; its proximity scan compares
+    the squared gap d with RESOLVENT_MARGIN^2, and is skipped here, where
+    alpha - sup Re a >= 0.5.
     """
     u = GridFunction.gaussian(grid)
     alpha = max(2.0, s.re_bound + 0.5)
@@ -345,18 +347,23 @@ def run_associate(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True)
     label, omega, times = (("coefficient-perturbation", 0.0, 50) if cfg.comparison == "drift"
                            else ("semigroup-difference", cfg.omega, 20))
     level = semigroup_level(omega, np.linspace(0, cfg.t_max, times + 1)[1:], grid)
+    # the scenario's symbols a_n and a~_n are set by these two fields
+    symbols = f"coeffs = {cfg.coeffs} and comparison = {cfg.comparison}"
     try:
         rep = check_association(s, s_tilde, {label: level}, [lambda n: f], grid, n_list)[label]
     except OverflowGuardError as exc:
         raise ConfigError(f"t_max = {cfg.t_max} takes the {label} samples S_n(t), t <= t_max, "
-                          f"past the overflow guard: {exc}") from exc
-    csvio.write_association(out_dir / "association.csv", rep)
+                          f"of {symbols} past the overflow guard: {exc}") from exc
 
     levels = {"generator": generator_level, "resolvent": resolvent_level(lam_list, grid),
               "weighted": resolvent_level([cfg.omega + 2.0, cfg.omega + 2.0 + 5j], grid,
                                           cfg.b, cfg.omega + 1.0)}
-    reports = check_association(s, s_tilde, levels, [bundled_test_sequences(grid)["gaussian"]],
-                                grid, n_list)
+    try:
+        reports = check_association(s, s_tilde, levels,
+                                    [bundled_test_sequences(grid)["gaussian"]], grid, n_list)
+    except ValueError as exc:  # a non-finite norm
+        raise ConfigError(f"{symbols} give a non-finite norm: {exc}") from exc
+    csvio.write_association(out_dir / "association.csv", rep)
     for name, r in reports.items():
         csvio.write_association(out_dir / f"association_{name}.csv", r)
 

@@ -51,7 +51,12 @@ MUTANTS = [
      "spectra *= grid.cell_volume / spectra.shape[1]", "spectra *= grid.cell_volume",
      {"tier-1"}),
     ("Bromwich factors x (1 + 1e-6)", "semigroup.py",
-     "(p * d_im - q_re)) / (2.0 * np.pi)", "(p * d_im - q_re)) / (2.0 * np.pi) * (1 + 1e-6)",
+     "(p * d_im - q_re)) / (2.0 * np.pi))[:, inverse]",
+     "(p * d_im - q_re)) / (2.0 * np.pi) * (1 + 1e-6))[:, inverse]",
+     {"tier-1"}),
+    # the default verify family, heat, has no mode with Im a < 0 to conjugate
+    ("Bromwich fold without the conjugation", "semigroup.py",
+     "    np.conjugate(factors, out=factors, where=flat.imag < 0)\n", "",
      {"tier-1"}),
     ("duhamel_solve drops the q_2 term", "cauchy.py",
      "w[m + 1] = ez * w[m] + prof[m] * q1 + (prof[m + 1] - prof[m]) * q2",

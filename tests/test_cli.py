@@ -763,9 +763,11 @@ class TestAssociateCommand:
         assert "lambda_samples" in capsys.readouterr().err
         assert not (tmp_path / "c" / "association_resolvent.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("t_max", [3000.0, 1e308])
     def test_overflowing_t_max_exits_2_naming_it(self, tmp_path, capsys, t_max):
-        # Re a_4 = 1/4 for the drift family, so e^(t a_4) overflows from t = 2,840 on
+        # Re a_4 = 1/4 for the drift family, so e^(t a_4) overflows from t = 2,840 on;
+        # at 1e308 the product t a_4 itself overflows, inside phi's guard, with no warning
         cfg = dataclasses.replace(default_config("associate"), t_max=t_max)
         code = main(["associate", "--config", write_cfg(tmp_path, cfg),
                      "--out", str(tmp_path / "o"), "--no-plots"])
@@ -773,6 +775,25 @@ class TestAssociateCommand:
         assert code == 2
         assert err.startswith(f"config error: t_max = {t_max} takes ")
         assert "overflow" in err
+        assert not (tmp_path / "o" / "association.csv").exists()
+
+    @pytest.mark.parametrize("change, named", [
+        # t a~_n, a~_n = a_n - 1e308, overflows in the semigroup-difference samples
+        ({"comparison": "shift:-1e308"}, "comparison = shift:-1e308"),
+        # the generator-level norm |1e300j| ||f|| overflows in its sum of squares
+        ({"comparison": "shift:1e300j"}, "comparison = shift:1e300j"),
+        # t a_n = 1e308j t overflows from t = 1.8 on
+        ({"coeffs": (1e308j,)}, "coeffs = (1e+308j,)"),
+    ], ids=["shift-real", "shift-imaginary", "coeffs-imaginary"])
+    def test_overflowing_symbol_exits_2_naming_its_field(self, tmp_path, capsys, change,
+                                                         named):
+        cfg = dataclasses.replace(default_config("associate"), **change)
+        code = main(["associate", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "o"), "--no-plots"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ")
+        assert named in err
         assert not (tmp_path / "o" / "association.csv").exists()
 
     def test_semigroup_weight_overflow_exits_2_naming_omega_and_t(self, tmp_path, capsys):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from semigrouplab import semigroup
 from semigrouplab.errors import OverflowGuardError, ResolventSingularityError
-from semigrouplab.semigroup import (MultiplierOp, apply_S,
+from semigrouplab.semigroup import (MultiplierOp, apply_S, block_rows,
                                     bromwich_S, certify_growth,
                                     integrated_factor,
                                     laplace_identity_residual, multiplier_norms,
@@ -113,6 +114,17 @@ class TestPhi:
         phi(1.0, a)  # e^400 is finite; only the t = 2.5 row overflows
         with pytest.raises(OverflowGuardError, match=r"t=2\.5"):
             phi(np.array([[0.5], [1.0], [2.5], [0.1]]), a)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_product_raises_naming_the_largest_time(self):
+        # t a itself overflows at t = 2 and 5, in Im and in Re: the guard raises,
+        # with no RuntimeWarning and no NaN from cos(inf)
+        a = np.array([1e308j, -1e308, 1.0])
+        assert np.isfinite(phi(1.0, a)).all()
+        with pytest.raises(OverflowGuardError, match=r"t=5\.0$"):
+            phi(np.array([[1.0], [5.0], [2.0]]), a)
+        with pytest.raises(OverflowGuardError, match=r"t=1e\+308$"):
+            phi(1e308, -2.0)
 
     def test_negative_time_in_a_batch_rejected(self):
         with pytest.raises(ValueError, match="-0.5"):
@@ -480,17 +492,40 @@ class TestBromwich:
     def test_all_times_match_per_time_sum(self, heat, gaussian):
         self.assert_matches_per_time_sum(heat, gaussian)
 
-    @pytest.mark.parametrize("case", ["drift", "fractional", "drift-2d"])
+    @pytest.mark.parametrize("case", ["drift", "fractional", "drift-2d",
+                                      "real-drift", "real-drift-2d"])
     def test_complex_symbols_match_per_time_sum(self, case, grid, gaussian):
         # Im a != 0, so the kernel's q = r - Im a is tested off the real axis too; the 2-D
-        # grid has 256 modes as well
+        # grid has 256 modes as well.  A real drift c_1 makes a(-xi) = conj a(xi), so half
+        # the factors are conjugates of folded columns; the complex c_1 of "drift" leaves
+        # no conjugate pair in 1-D
         if case == "fractional":
             s = make_fractional_symbol_seq(lambda n: 1.5, 1.5, bound=2.0)
+        elif case.startswith("real-drift"):
+            s = make_poly_symbol_seq(lambda n: (-0.1, 0.4, 1.0 / (4 * np.pi**2)))
         else:
             s = make_poly_symbol_seq(lambda n: (0.3, 0.4 - 0.2j, 1.0 / (4 * np.pi**2)))
-        u = GridFunction.gaussian(Grid(2, 3.0, 16)) if case == "drift-2d" else gaussian
-        assert np.ptp(s.on_grid(1, u.grid).imag) > 5.0
+        u = GridFunction.gaussian(Grid(2, 3.0, 16)) if case.endswith("-2d") else gaussian
+        a = s.on_grid(1, u.grid)
+        assert np.ptp(a.imag) > 5.0
+        assert np.any(a.imag < 0) == (case != "fractional")
         self.assert_matches_per_time_sum(s, u)
+
+    @pytest.mark.parametrize("coeffs, dimension, points, columns", [
+        ((-0.1, 0.4), 1, 256, 129),  # a real drift: a(-xi) = conj a(xi)
+        ((0.0, 0.0), 2, 32, 147),  # heat: a depends on |xi|^2 only
+        ((0.3, 0.4 - 0.2j), 1, 256, 256),  # a complex drift: nothing folds
+    ], ids=["real-drift", "heat-2d", "complex-drift"])
+    def test_kernel_runs_once_per_mode_value_up_to_conjugation(
+            self, monkeypatch, coeffs, dimension, points, columns):
+        # the kernel's blocks are block_rows(width) rows of width columns
+        widths = []
+        monkeypatch.setattr(semigroup, "block_rows",
+                            lambda width: widths.append(width) or block_rows(width))
+        s = make_poly_symbol_seq(lambda n: coeffs + (1.0 / (4 * np.pi**2),))
+        u = GridFunction.gaussian(Grid(dimension, 3.0, points))
+        bromwich_S(s, 1, [0.5], u, alpha=2.0, r_max=50.0, steps=1000)
+        assert widths == [columns]
 
     def test_contour_through_spectrum_raises(self, heat, gaussian):
         # a(0) = 0 for heat and r = 0 is a node, so the gap is alpha < margin
