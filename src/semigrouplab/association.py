@@ -22,25 +22,30 @@ for the difference factors d = w (F(a_n) - F(a~_n)) of a :class:`semigroup.Level
 resolvent level, ``semigroup_level`` and ``derivative_level``).
 :func:`check_association` is the one entry point: it takes a pair, a mapping of labels
 to levels and the moderate test sequences, and makes one pass per n for all levels:
-a_n and a~_n once, one FFT per test sequence, one Parseval product
-(:func:`semigroup.multiplier_norms`).  The operator-norm sups of one family, such as
+a_n and a~_n once, the power spectra of the test sequences (:func:`semigroup.power_spectra`)
+and one Parseval product (:func:`semigroup.multiplier_norms`).  A :class:`SharedPass`
+carries what does not depend on the pair across the calls of one cross-check: each test
+sequence's spectrum per n and moderateness fit per n_list, and the base family's
+blocks F(a_n) per level and n.  The operator-norm sups of one family, such as
 :func:`check_resolvent_norm_bounds`, are :func:`semigroup.operator_sups` of a level.
 The log-log fits over n are :func:`symbols.fit_moderate` and
 :func:`symbols.is_moderate_fit`.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .semigroup import (Level, generator_level, multiplier_norms, operator_sups,
-                        resolvent_level, semigroup_level)
+                        power_spectra, resolvent_level, semigroup_level)
 from .spectral import TWO_PI, Grid, GridFunction, lp_norm
-from .symbols import (MIN_FIT_INDICES, NORM_FLOOR, SymbolSeq, constant_symbol_seq, fit_moderate,
-                      heat_symbol_seq, is_moderate_fit, perturbed_heat_seq, summed_symbol_seq)
+from .symbols import (MIN_FIT_INDICES, NORM_FLOOR, ModerateSeq, SymbolSeq, constant_symbol_seq,
+                      fit_moderate, heat_symbol_seq, is_moderate_fit, perturbed_heat_seq,
+                      summed_symbol_seq)
 
 # verdict thresholds (documented in the module docstring)
 TOL_ASSOC_REL = 1e-3
@@ -112,44 +117,99 @@ def make_association_report(indices: Sequence[int], norms: Sequence[float],
 TestSequence = Callable[[int], GridFunction]
 
 
-def verify_moderate_sequences(test_seqs: Sequence[TestSequence],
-                              n_list: Sequence[int]) -> None:
-    """Precondition of the association checks: test sequences are moderate.
+class SharedPass:
+    """What the association checks of one cross-check share, kept for that call only.
 
-    Domain and range identities hold structurally for multiplier families on
-    a shared grid, so moderateness of the data is the only quantitative
-    membership condition left to verify.
+    Per test sequence and n its power spectrum (one per distinct value), per test
+    sequence and n_list its moderateness fit, and, with ``keep_blocks``, per n and
+    symbol values a_n the base family's level blocks F(a_n).  Sequences and levels
+    are keys by identity, held by the pass, so it serves the objects of one call.  A
+    comparison family's values are looked up but never stored: equal to a stored
+    base, they get its blocks.
     """
-    if len(n_list) < MIN_FIT_INDICES:
-        return
-    for i, seq in enumerate(test_seqs):
-        fit = fit_moderate({n: lp_norm(seq(n), 2) for n in n_list})
-        if not is_moderate_fit(fit):
-            raise ValueError(f"test sequence {i} is not moderate "
-                             f"(fitted exponent {fit.slope:.2f})")
+
+    def __init__(self, keep_blocks: bool = True):
+        self.keep_blocks = keep_blocks
+        self._spectra: Dict[tuple, np.ndarray] = {}
+        self._by_value: Dict[tuple, np.ndarray] = {}
+        self._fits: Dict[tuple, ModerateSeq] = {}
+        self._blocks: Dict[tuple, dict] = {}
+
+    def verify_moderate(self, test_seqs: Sequence[TestSequence], n_list: Sequence[int]) -> None:
+        """Precondition of the association checks: test sequences are moderate.
+
+        Domain and range identities hold structurally for multiplier families on
+        a shared grid, so moderateness of the data is the only quantitative
+        membership condition left to verify.
+        """
+        if len(n_list) < MIN_FIT_INDICES:
+            return
+        for i, seq in enumerate(test_seqs):
+            key = (seq, tuple(n_list))
+            if key not in self._fits:
+                self._fits[key] = fit_moderate({n: lp_norm(seq(n), 2) for n in n_list})
+            if not is_moderate_fit(self._fits[key]):
+                raise ValueError(f"test sequence {i} is not moderate "
+                                 f"(fitted exponent {self._fits[key].slope:.2f})")
+
+    def spectra(self, test_seqs: Sequence[TestSequence], n: int, grid: Grid) -> np.ndarray:
+        """:func:`semigroup.power_spectra` of the sequences' values at n on ``grid``.
+
+        Each sequence is evaluated once per n, and each distinct value transformed once:
+        a sequence that returns one fixed function costs one FFT for every n.
+        """
+        for i, seq in enumerate(test_seqs):
+            if (seq, n) in self._spectra:
+                continue
+            u = seq(n)
+            if u.grid != grid:
+                raise ValueError(f"test sequence {i} at n={n} lives on {u.grid}, not on {grid}")
+            key = (grid, u.values.dtype.str, u.values.tobytes())
+            if key not in self._by_value:
+                self._by_value[key] = power_spectra([u])[0]
+            self._spectra[seq, n] = self._by_value[key]
+        return np.stack([self._spectra[seq, n] for seq in test_seqs])
+
+    def blocks(self, n: int, a: np.ndarray, base: bool) -> Callable[[Level], np.ndarray]:
+        """level -> level.factor(n, a), computed once per level; a base family's are kept."""
+        key = (n, a.shape, a.tobytes())
+        found = self._blocks.get(key, {})
+        if base and self.keep_blocks:
+            self._blocks[key] = found
+
+        def block(level: Level) -> np.ndarray:
+            if id(level) not in found:
+                found[id(level)] = (level, level.factor(n, a))
+            return found[id(level)][1]
+        return block
 
 
 def check_association(s: SymbolSeq, s_tilde: SymbolSeq, levels: Mapping[str, Level],
                       test_seqs: Sequence[TestSequence], grid: Grid,
-                      n_list: Sequence[int]) -> Dict[str, AssociationReport]:
+                      n_list: Sequence[int], *,
+                      shared: Optional[SharedPass] = None) -> Dict[str, AssociationReport]:
     """One report per level label: sup over its rows d of ||F^-1(d F x_n)||_2.
 
     ``levels`` maps each label to a :class:`semigroup.Level`; its rows are
     d = w (F(a_n) - F(a~_n)).
-    The test sequences must be moderate (:func:`verify_moderate_sequences`).  A
+    The test sequences must be moderate (:meth:`SharedPass.verify_moderate`).  A
     report's norms are the envelope over the test sequences, and its verdict is
     the most severe per-sequence verdict.  A NaN norm is kept, so
-    :func:`make_association_report` rejects it.
+    :func:`make_association_report` rejects it.  ``shared`` is the pass of a
+    cross-check, with ``s`` its base family; without one the call computes
+    everything for itself and keeps no block past its n.
     """
     if not test_seqs:
         raise ValueError(f"{', '.join(levels)}: no test sequences")
-    verify_moderate_sequences(test_seqs, n_list)
+    shared = SharedPass(keep_blocks=False) if shared is None else shared
+    shared.verify_moderate(test_seqs, n_list)
     sups: Dict[str, list] = {label: [] for label in levels}
     for n in n_list:
-        a, a_tilde = s.on_grid(n, grid), s_tilde.on_grid(n, grid)
-        blocks = [level.weights * (level.factor(n, a) - level.factor(n, a_tilde))
+        factor = shared.blocks(n, s.on_grid(n, grid), base=True)
+        factor_tilde = shared.blocks(n, s_tilde.on_grid(n, grid), base=False)
+        blocks = [level.weights * (factor(level) - factor_tilde(level))
                   for level in levels.values()]
-        norms = multiplier_norms(np.concatenate(blocks), [seq(n) for seq in test_seqs])
+        norms = multiplier_norms(np.concatenate(blocks), shared.spectra(test_seqs, n, grid))
         ends = np.cumsum([len(block) for block in blocks])[:-1]
         for (label, sup), rows in zip(sups.items(), np.split(norms, ends)):
             if not len(rows):
@@ -157,10 +217,13 @@ def check_association(s: SymbolSeq, s_tilde: SymbolSeq, levels: Mapping[str, Lev
             sup.append(np.max(rows, axis=0))  # np.max keeps a NaN
     reports = {}
     for label, sup in sups.items():
-        verdicts = [make_association_report(n_list, norms, label=f"{label}/seq{i}").verdict
-                    for i, norms in enumerate(np.transpose(sup))]
+        per_seq = [make_association_report(n_list, norms, label=f"{label}/seq{i}")
+                   for i, norms in enumerate(np.transpose(sup))]
+        if len(per_seq) == 1:  # the envelope is the one sequence's norms
+            reports[label] = dataclasses.replace(per_seq[0], label=label)
+            continue
         reports[label] = make_association_report(n_list, np.max(sup, axis=1), label)
-        reports[label].verdict = max(verdicts, key=_SEVERITY.get)
+        reports[label].verdict = max((r.verdict for r in per_seq), key=_SEVERITY.get)
     return reports
 
 
@@ -283,6 +346,10 @@ def bundled_family_pairs() -> List[FamilyPair]:
     return pairs
 
 
+#: the association levels of the theorem cross-check, in the order of its CSV columns
+CROSSCHECK_LEVELS = ("generator", "resolvent", "weighted", "semigroup")
+
+
 @dataclass
 class PairCrossCheck:
     """Verdicts of all four association checks for one family pair."""
@@ -312,18 +379,34 @@ class PairCrossCheck:
     def disagreements(self) -> List[str]:
         return [k for k, ok in self.theorem_agreements().items() if not ok]
 
+    def contradictions(self) -> List[str]:
+        """The levels whose verdict is the opposite of the designed ``character``.
+
+        ``associated`` and ``not-associated`` are opposites; ``inconclusive`` and a
+        ``borderline`` character contradict nothing.
+        """
+        opposite = {VERDICT_ASSOCIATED: VERDICT_NOT,
+                    VERDICT_NOT: VERDICT_ASSOCIATED}.get(self.character)
+        return [level for level in CROSSCHECK_LEVELS if getattr(self, level) == opposite]
+
 
 def crosscheck_comparison_theorems(pairs: Sequence[FamilyPair],
                                    lambda_list: Sequence[complex],
                                    grid: Grid) -> List[PairCrossCheck]:
-    """Run all four association levels per pair in one pass and list verdict conflicts.
+    """Run all four association levels per pair and list verdict conflicts.
 
     The resolvent level samples ``lambda_list``; the weighted level uses
     omega = 2, b = 1 and lambda in {3, 3 + 5i, 12}; the semigroup level
-    uses omega = 2 and the times ``SUITE_T_SAMPLES``.  A lambda on the
+    uses omega = 2 and the times ``SUITE_T_SAMPLES``.  One
+    :func:`check_association` call per pair, all on one :class:`SharedPass`:
+    each test sequence's power spectrum per n and moderateness fit per
+    n_list, and each base family's blocks per level and n, are computed once
+    for the whole suite; per pair and n only the comparison family's blocks,
+    the differences and one Parseval product remain.  A lambda on the
     numerical spectrum of a pair raises ``ResolventSingularityError`` from
     the resolvent level.  Disagreements indicate tolerance artifacts; on
-    the bundled suite there are none.
+    the bundled suite there are none, and no pair reads the opposite of its
+    character (:meth:`PairCrossCheck.contradictions`).
     """
     omega, b = 2.0, 1.0
     seqs_all = bundled_test_sequences(grid)
@@ -331,11 +414,13 @@ def crosscheck_comparison_theorems(pairs: Sequence[FamilyPair],
               "weighted": resolvent_level([omega + 1.0, omega + 1.0 + 5j, omega + 10.0],
                                           grid, b, omega),
               "semigroup": semigroup_level(omega, SUITE_T_SAMPLES, grid)}
+    shared = SharedPass()
     out = []
     for pr in pairs:
         seqs = [seqs_all[name] for name in pr.seq_names]
         labelled = {f"{pr.name}/{name}": level for name, level in levels.items()}
-        reports = check_association(pr.s, pr.s_tilde, labelled, seqs, grid, pr.n_list)
+        reports = check_association(pr.s, pr.s_tilde, labelled, seqs, grid, pr.n_list,
+                                    shared=shared)
         verdicts = dict(zip(levels, (report.verdict for report in reports.values())))
         out.append(PairCrossCheck(pr.name, pr.character, **verdicts))
     return out

@@ -380,12 +380,19 @@ def run_associate(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True)
                      [(c.name, c.character, c.generator, c.resolvent, c.weighted,
                        c.semigroup, ";".join(c.disagreements())) for c in checks])
     disagreements = sum(len(c.disagreements()) for c in checks)
+    # a bundled pair that reads the opposite of its designed character fails the suite,
+    # whether or not the theorem agreements between its levels hold
+    contradictions = [f"{c.name} reads {getattr(c, level)} at the {level} level, "
+                      f"against its character {c.character}"
+                      for c in checks for level in c.contradictions()]
 
     if make_plots:
         _plot_decay(rep, out_dir / "association_decay.png")
     print(f"scenario verdict: {rep.verdict} (slope {rep.slope:.3f}); "
           f"suite disagreements: {disagreements}")
-    return 0 if disagreements == 0 else 1
+    for line in contradictions:
+        print(f"character contradiction: {line}", file=sys.stderr)
+    return 0 if disagreements == 0 and not contradictions else 1
 
 
 def run_perturb(cfg: ExperimentConfig, out_dir: Path) -> int:

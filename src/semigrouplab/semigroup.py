@@ -192,22 +192,34 @@ class MultiplierOp:
         return GridFunction(self.grid, out)
 
 
-def multiplier_norms(factors: np.ndarray, us: Sequence[GridFunction]) -> np.ndarray:
-    """||F^-1(d . F u)||_2 for each factor d in the block (rows) and grid function u (columns).
+def power_spectra(us: Sequence[GridFunction]) -> np.ndarray:
+    """The Parseval weights |(F u)_k|^2 h^dim / N^dim of each grid function u.
 
-    ``factors`` has shape (K,) + grid.shape.  Parseval gives
-    sqrt(h^dim / N^dim * sum_k |d_k|^2 |(F u)_k|^2): one forward FFT per u,
-    no inverse FFT, and one (K x modes) @ (modes x len(us)) product.
+    Shape (len(us),) + grid.shape; one forward FFT per u.
     """
     grid = us[0].grid
     if any(u.grid != grid for u in us):
         raise ValueError("operands live on different grids")
-    if np.shape(factors)[1:] != grid.shape:
-        raise ValueError(f"factor shape {np.shape(factors)[1:]} != grid shape {grid.shape}")
-    spectra = np.stack([np.abs(np.fft.fftn(u.values)).ravel() ** 2 for u in us])
-    spectra *= grid.cell_volume / spectra.shape[1]
-    power = np.abs(factors).reshape(len(factors), spectra.shape[1]) ** 2
-    return np.sqrt(power @ spectra.T)
+    spectra = np.stack([np.abs(np.fft.fftn(u.values)) ** 2 for u in us])
+    spectra *= grid.cell_volume / spectra[0].size
+    return spectra
+
+
+def multiplier_norms(factors: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """||F^-1(d . F u)||_2 for each factor d in the block (rows) and grid function u (columns).
+
+    ``factors`` has shape (K,) + grid.shape and ``spectra`` is :func:`power_spectra` of
+    the u.  Parseval gives sqrt(sum_k |d_k|^2 w_k) for the weights w of u: no inverse
+    FFT, and one (K x modes) @ (modes x len(us)) product.  A factor too large to square
+    gives an inf or NaN norm, without a warning, for the caller to refuse.
+    """
+    if np.shape(factors)[1:] != spectra.shape[1:]:
+        raise ValueError(f"factor shape {np.shape(factors)[1:]} != grid shape "
+                         f"{spectra.shape[1:]}")
+    spectra = spectra.reshape(len(spectra), -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.abs(factors).reshape(len(factors), spectra.shape[1]) ** 2
+        return np.sqrt(power @ spectra.T)
 
 
 def integrated_factor(s: SymbolSeq, n: int, t: float, grid: Grid) -> np.ndarray:
@@ -376,7 +388,8 @@ def laplace_identity_residual(s: SymbolSeq, n: int, lam: complex, u: GridFunctio
         raise OverflowGuardError(f"{stage}: {exc}") from exc
     defect = target - lam * quad.reshape(grid.shape)
     # the unit factor gives ||u||_2
-    defect_norm, unorm = multiplier_norms(np.stack([defect, np.ones(grid.shape)]), [u])[:, 0]
+    defect_norm, unorm = multiplier_norms(np.stack([defect, np.ones(grid.shape)]),
+                                        power_spectra([u]))[:, 0]
     return float(defect_norm / unorm) if unorm else 0.0
 
 
@@ -393,7 +406,8 @@ def pseudoresolvent_residual(s: SymbolSeq, n: int, lam, mu, u: GridFunction):
         raise ValueError(f"lambda and mu need equal lengths, got {lams.shape} and {mus.shape}")
     rl, rm = np.split(resolvent_factor(s.on_grid(n, grid), np.append(lams, mus), grid, n), 2)
     defect = rl - rm - sample_axis(mus - lams, grid) * rl * rm
-    norms = multiplier_norms(np.concatenate([defect, np.ones((1,) + grid.shape)]), [u])[:, 0]
+    norms = multiplier_norms(np.concatenate([defect, np.ones((1,) + grid.shape)]),
+                             power_spectra([u]))[:, 0]
     residuals = norms[:-1] / norms[-1] if norms[-1] else np.zeros_like(norms[:-1])
     return float(residuals[0]) if np.ndim(lam) == 0 else residuals
 

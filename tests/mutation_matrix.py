@@ -47,9 +47,12 @@ MUTANTS = [
      "weights = np.reshape(0.5 * gw, lead) * h",
      "weights = np.reshape(0.5 * gw, lead) * h * (1 + 1e-9)",
      {"verify", "perturb", "tier-1"}),
-    ("multiplier_norms drops the 1/N", "semigroup.py",
-     "spectra *= grid.cell_volume / spectra.shape[1]", "spectra *= grid.cell_volume",
+    ("power_spectra drops the 1/N", "semigroup.py",
+     "spectra *= grid.cell_volume / spectra[0].size", "spectra *= grid.cell_volume",
      {"tier-1"}),
+    # every comparison family then reads the base family's blocks: a zero difference
+    ("SharedPass serves the base blocks to the comparison side", "association.py",
+     "key = (n, a.shape, a.tobytes())", "key = (n,)", {"associate", "tier-1"}),
     ("Bromwich factors x (1 + 1e-6)", "semigroup.py",
      "(p * d_im - q_re)) / (2.0 * np.pi))[:, inverse]",
      "(p * d_im - q_re)) / (2.0 * np.pi) * (1 + 1e-6))[:, inverse]",

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semigrouplab import association, semigroup
-from semigrouplab.association import (SUITE_T_SAMPLES, AssociationReport, bundled_family_pairs,
+from semigrouplab.association import (CROSSCHECK_LEVELS, SUITE_T_SAMPLES, AssociationReport,
+                                      PairCrossCheck, bundled_family_pairs,
                                       bundled_test_sequences, check_association,
                                       check_resolvent_norm_bounds,
                                       crosscheck_comparison_theorems, fit_moderate,
                                       is_moderate_fit, make_association_report)
 from semigrouplab.errors import InsufficientDataError, ResolventSingularityError
 from semigrouplab.semigroup import (certify_growth, derivative_level, generator_level,
-                                    multiplier_norms, operator_sups, phi, resolvent_factor,
-                                    resolvent_level, resolvent_over_lambda_derivative,
-                                    semigroup_level)
+                                    multiplier_norms, operator_sups, phi, power_spectra,
+                                    resolvent_factor, resolvent_level,
+                                    resolvent_over_lambda_derivative, semigroup_level)
 from semigrouplab.spectral import Grid, GridFunction, mollifier, lp_norm
 from semigrouplab.symbols import (NORM_FLOOR, SymbolSeq, perturbed_heat_seq,
                                   heat_symbol_seq, make_fractional_symbol_seq,
@@ -348,6 +349,14 @@ def test_every_level_refuses_a_sequence_that_is_not_moderate(label, heat, drifte
                           [lambda n: math.exp(n) * gauss], grid, EXPLODING_N_LIST)
 
 
+def test_test_sequence_on_another_grid_is_named(heat, drifted, grid):
+    other = GridFunction.gaussian(Grid(1, 8.0, grid.points))
+    with pytest.raises(ValueError, match=r"^test sequence 1 at n=4 lives on Grid"):
+        check_association(heat, drifted, {"generator": generator_level},
+                          [lambda n: GridFunction.gaussian(grid), lambda n: other], grid,
+                          N_LIST)
+
+
 def test_crosscheck_refuses_a_sequence_that_is_not_moderate(monkeypatch, grid):
     gauss = GridFunction.gaussian(grid)
     exploding = {name: (lambda n: math.exp(n) * gauss) for name in bundled_test_sequences(grid)}
@@ -388,7 +397,7 @@ class TestBlockKernel:
         times, lams = [0.25, 1.0, 3.0], [4.0, 4.0 + 5j, 13.0]
 
         def per_sample(factor, samples):
-            return [max(multiplier_norms(factor(n, sample)[None], [x])[0, 0]
+            return [max(multiplier_norms(factor(n, sample)[None], power_spectra([x]))[0, 0]
                         for sample in samples) for n in n_list]
 
         def diff(n, lam):
@@ -437,6 +446,17 @@ class TestCrosscheck:
         assert checks[0].resolvent == "inconclusive"
         assert checks[0].disagreements() == []
 
+    def test_contradictions_are_opposite_verdicts_only(self):
+        # inconclusive reads and a borderline character contradict nothing
+        check = PairCrossCheck("p", "associated", "not-associated", "inconclusive",
+                               "associated", "not-associated")
+        assert check.contradictions() == ["generator", "semigroup"]
+        check = PairCrossCheck("p", "not-associated", "associated", "inconclusive",
+                               "not-associated", "inconclusive")
+        assert check.contradictions() == ["generator"]
+        for verdict in ("associated", "not-associated", "inconclusive"):
+            assert PairCrossCheck("p", "borderline", *[verdict] * 4).contradictions() == []
+
     def test_empty_pair_list(self, grid):
         assert crosscheck_comparison_theorems([], [2.0], grid) == []
 
@@ -446,8 +466,8 @@ class TestCrosscheck:
         kernel_reports = []
         kernel = association.check_association
 
-        def recording(*args):
-            kernel_reports.append(kernel(*args))
+        def recording(*args, **kwargs):
+            kernel_reports.append(kernel(*args, **kwargs))
             return kernel_reports[-1]
 
         monkeypatch.setattr(association, "check_association", recording)
@@ -471,6 +491,35 @@ class TestCrosscheck:
             for (level, expected), report in zip(alone.items(), reports.values()):
                 assert getattr(check, level) == report.verdict == expected.verdict, level
                 assert report.norms == pytest.approx(expected.norms, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("grid", [Grid(1, 4.0, 128), Grid(2, 4.0, 16)], ids=["1d", "2d"])
+    def test_shared_pass_equals_standalone_checks_bitwise(self, grid, monkeypatch):
+        # the cross-check shares spectra, moderateness fits and the base family's
+        # blocks between pairs; each pair must read exactly as its own call does
+        calls = []
+        kernel = association.check_association
+
+        def recording(*args, **kwargs):
+            calls.append((args, kernel(*args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(association, "check_association", recording)
+        pairs = bundled_family_pairs()
+        checks = crosscheck_comparison_theorems(pairs, [2.0, 10.0], grid)
+        monkeypatch.undo()
+        assert len(calls) == len(pairs)
+        for pr, check, (args, reports) in zip(pairs, checks, calls):
+            assert args[:2] == (pr.s, pr.s_tilde)
+            alone = check_association(*args)
+            assert list(reports) == list(alone)
+            for (label, report), expected in zip(reports.items(), alone.values()):
+                assert np.array(report.norms).tobytes() == np.array(expected.norms).tobytes()
+                assert (report.verdict, report.slope, report.r_squared, report.tol_assoc,
+                        report.label) == (expected.verdict, expected.slope, expected.r_squared,
+                                          expected.tol_assoc, expected.label), label
+            assert [getattr(check, level) for level in CROSSCHECK_LEVELS] == [
+                report.verdict for report in alone.values()]
+            assert check.contradictions() == []
 
     def test_lambda_on_spectrum_names_the_mode(self, grid):
         # a_n(0) = 0 for the heat family, so lambda = 0 hits the spectrum at xi = 0

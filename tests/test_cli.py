@@ -241,7 +241,8 @@ class TestVerifyBlocks:
                    @ semigroup.phi(pts[i:i + 64, None], a) for i in range(0, len(pts), 64))
         defect = (semigroup.resolvent_factor(s.on_grid(n, g2), lam, g2, n)
                   - lam * quad.reshape(g2.shape))
-        norms = semigroup.multiplier_norms(np.stack([defect, np.ones(g2.shape)]), [u])[:, 0]
+        norms = semigroup.multiplier_norms(np.stack([defect, np.ones(g2.shape)]),
+                                           semigroup.power_spectra([u]))[:, 0]
         assert abs(res - norms[0] / norms[1]) <= 1e-14
         # phi runs on coarse + fine + Gauss points per mode, 8 + 8 + 12, never on 768
         entries = []
@@ -785,6 +786,8 @@ class TestAssociateCommand:
         # t a_n = 1e308j t overflows from t = 1.8 on
         ({"coeffs": (1e308j,)}, "coeffs = (1e+308j,)"),
     ], ids=["shift-real", "shift-imaginary", "coeffs-imaginary"])
+    # each stops through a guard or a refused norm, without numpy's RuntimeWarning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_symbol_exits_2_naming_its_field(self, tmp_path, capsys, change,
                                                          named):
         cfg = dataclasses.replace(default_config("associate"), **change)
@@ -835,6 +838,10 @@ def test_associate_evaluates_each_symbol_and_spectrum_once_per_pair_and_index(
     counting(symbols.SymbolSeq, "on_grid")
     counting(np.fft, "fftn")
     counting(association, "multiplier_norms")
+    counting(association, "fit_moderate")
+    # the levels' factors call these in their own module
+    counting(semigroup, "phi")
+    counting(semigroup, "resolvent_factor")
     # each module that calls the kernel holds its own reference to it
     for caller in (association, cli, perturbation):
         counting(caller, "check_association", kernel_indices)
@@ -844,7 +851,28 @@ def test_associate_evaluates_each_symbol_and_spectrum_once_per_pair_and_index(
     assert 0 < counts["multiplier_norms"] <= sum(kernel_indices)
     assert 0 < counts["multiplier_norms"] <= 55
     assert 0 < counts["on_grid"] <= 115
-    assert 0 < counts["fftn"] <= 135
+    # one FFT per distinct test function; the cross-check's shared pass takes the base
+    # family's blocks once per index and each moderateness fit once for all nine pairs,
+    # and a one-sequence report reuses that sequence's fit for its envelope
+    assert 0 < counts["fftn"] <= 14
+    assert 0 < counts["phi"] <= 57
+    assert 0 < counts["resolvent_factor"] <= 119
+    assert 0 < counts["fit_moderate"] <= 117
+
+
+def test_character_contradiction_exits_1_naming_pair_and_level(tmp_path, monkeypatch, capsys):
+    # real-shift, designed not-associated, is relabelled associated: its levels still
+    # agree with each other, so only the character gate can fail the run
+    pairs = [dataclasses.replace(pr, character="associated") if pr.name == "real-shift" else pr
+             for pr in association.bundled_family_pairs()]
+    monkeypatch.setattr(cli, "bundled_family_pairs", lambda: pairs)
+    assert main(["associate", "--out", str(tmp_path), "--no-plots"]) == 1
+    captured = capsys.readouterr()
+    assert "suite disagreements: 0" in captured.out
+    assert captured.err.splitlines() == [
+        f"character contradiction: real-shift reads not-associated at the {level} level, "
+        f"against its character associated"
+        for level in ("generator", "resolvent", "weighted", "semigroup")]
 
 
 def test_growth_evaluates_the_symbol_once_per_index(tmp_path, monkeypatch):

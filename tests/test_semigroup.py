@@ -10,7 +10,8 @@ from semigrouplab.semigroup import (MultiplierOp, apply_S, block_rows,
                                     bromwich_S, certify_growth,
                                     integrated_factor,
                                     laplace_identity_residual, multiplier_norms,
-                                    phi, pseudoresolvent_residual, resolvent_factor,
+                                    phi, power_spectra, pseudoresolvent_residual,
+                                    resolvent_factor,
                                     sample_axis, time_integral)
 from semigrouplab.spectral import (Grid, GridFunction, inverse_transform,
                                    lp_norm)
@@ -236,7 +237,7 @@ class TestMultiplierNorms:
         zero_at = min(zero_at, n_factors)
         factors.insert(zero_at, np.zeros(grid.shape, dtype=complex))
         us = [GridFunction(grid, v) for v in data.draw(grid_fields(grid, 2))]
-        out = multiplier_norms(np.stack(factors), us)
+        out = multiplier_norms(np.stack(factors), power_spectra(us))
         assert out.shape == (len(factors), len(us))
         assert np.all(out[zero_at] == 0.0)
         for i, d in enumerate(factors):
@@ -246,13 +247,12 @@ class TestMultiplierNorms:
 
     def test_rejects_mismatched_shapes(self, grid, gaussian):
         with pytest.raises(ValueError, match="factor shape"):
-            multiplier_norms(np.ones((1, 7)), [gaussian])
+            multiplier_norms(np.ones((1, 7)), power_spectra([gaussian]))
         with pytest.raises(ValueError, match="factor shape"):
             # one factor without the leading sample axis
-            multiplier_norms(np.ones(grid.shape), [gaussian])
+            multiplier_norms(np.ones(grid.shape), power_spectra([gaussian]))
         with pytest.raises(ValueError, match="different grids"):
-            multiplier_norms(np.ones((1,) + grid.shape),
-                             [gaussian, GridFunction.gaussian(Grid(1, 4.0, 256))])
+            power_spectra([gaussian, GridFunction.gaussian(Grid(1, 4.0, 256))])
 
 
 class TestResolvent:
@@ -344,7 +344,8 @@ class TestLaplaceIdentity:
         errs = []
         for panels in (1, 2, 4):
             defect = target - 0.6 * plain_time_integral(80.0, a, 0.6, panels)[0]
-            norms = multiplier_norms(np.stack([defect, np.ones(grid.shape)]), [gaussian])
+            norms = multiplier_norms(np.stack([defect, np.ones(grid.shape)]),
+                                     power_spectra([gaussian]))
             errs.append(norms[0, 0] / norms[1, 0])
         order1 = np.log2(errs[0] / errs[1])
         order2 = np.log2(errs[1] / errs[2])
