@@ -2,8 +2,7 @@
 
 Subcommands: verify | solve | associate | perturb | growth.  Exit codes:
 0 on success, 1 when an enabled suite misses its tolerance, 2 on usage or
-configuration errors.  Data CSVs are the deliverable; plots are a
-convenience and can be disabled with --no-plots.
+configuration errors.  The outputs are deterministic CSVs and text summaries.
 """
 from __future__ import annotations
 
@@ -130,15 +129,15 @@ def _require_omega_bound(cfg: ExperimentConfig, *families: SymbolSeq) -> None:
 
 
 class SuiteResult:
-    def __init__(self, name: str, worst: float, tol: float, note: str = ""):
+    def __init__(self, name: str, worst: float, tol: float):
         self.name = name
         self.worst = worst
         self.tol = tol
         self.passed = worst <= tol
-        self.note = note
 
     def row(self):
-        return (self.name, self.worst, self.tol, "pass" if self.passed else "FAIL", self.note)
+        # the note column of verify.csv is kept, empty
+        return (self.name, self.worst, self.tol, "pass" if self.passed else "FAIL", "")
 
 
 def _suite_laplace(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) -> SuiteResult:
@@ -193,13 +192,6 @@ def _suite_bromwich(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) -> SuiteRes
     a strip of about 0.25 to the spectrum for round-off-level discretization error.
     So coeffs = (1, 0, c2) and (1.5, 0, c2) pass (4.3e-5), but from sup Re a of about
     2.3 on the error nears the 1e-4 gate again (9.6e-5 at 2.3, 1.17e-4 at 2.5).
-
-    ``bromwich_S`` sums in real arithmetic, once per distinct mode value up to
-    conjugation (129 columns for the 256 modes of a real-coefficient symbol): per
-    block of nodes it builds 1/d and q/d of the kernel (p - i q) / d in place and the
-    block's time weights, so the suite stays under 1 MiB; its proximity scan compares
-    the squared gap d with RESOLVENT_MARGIN^2, and is skipped here, where
-    alpha - sup Re a >= 0.5.
     """
     u = GridFunction.gaussian(grid)
     alpha = max(2.0, s.re_bound + 0.5)
@@ -263,7 +255,7 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0 if ok else 1
 
 
-def run_solve(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True) -> int:
+def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     grid = build_grid(cfg)
     s = build_family(cfg)
     data = build_data(cfg, grid)
@@ -285,6 +277,10 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True) -> 
         raise ConfigError(
             f"n_list {list(cfg.n_list)} needs n * 2 half_width / points <= 1/4 for every n "
             f"(points = {cfg.points}, half_width = {cfg.half_width}): {exc}") from exc
+    except OverflowGuardError as exc:
+        raise ConfigError(
+            f"coeffs = {cfg.coeffs} and t_end = {cfg.t_end} take S_n(t), t <= t_end, past "
+            f"the overflow guard: {exc}") from exc
     residuals = [(n, integral_equation_residual(sol, s, n, forcing, float(tg[-1])))
                  for n in cfg.n_list]
     pairings = {(n, psi.label): very_weak_pairing(sol, psi, n)
@@ -317,14 +313,12 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True) -> 
     csvio.write_rows(out_dir / "weak_limits.csv",
                      ["psi_id", "convergent", "re_limit", "im_limit", "subsequence"], rows)
 
-    if make_plots:
-        _plot_solution(sol, out_dir)
     print(f"solved {len(cfg.n_list)} regularized problems; "
           f"all pairings convergent: {report.all_convergent()}")
     return 0
 
 
-def run_associate(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True) -> int:
+def run_associate(cfg: ExperimentConfig, out_dir: Path) -> int:
     grid = build_grid(cfg)
     s = build_family(cfg)
     s_tilde = build_comparison_family(cfg, s)
@@ -386,8 +380,6 @@ def run_associate(cfg: ExperimentConfig, out_dir: Path, make_plots: bool = True)
                       f"against its character {c.character}"
                       for c in checks for level in c.contradictions()]
 
-    if make_plots:
-        _plot_decay(rep, out_dir / "association_decay.png")
     print(f"scenario verdict: {rep.verdict} (slope {rep.slope:.3f}); "
           f"suite disagreements: {disagreements}")
     for line in contradictions:
@@ -442,52 +434,22 @@ def run_growth(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def _plot_solution(sol, out_dir: Path) -> None:
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        return
-    if sol.grid.dimension != 1:
-        return
-    fig, ax = plt.subplots()
-    x = sol.grid.axis_points()
-    for n in sol.indices():
-        ax.plot(x, sol.w(n, float(sol.t_grid[-1])).values.real, label=f"n={n}")
-    ax.legend()
-    ax.set_xlabel("x")
-    ax.set_ylabel("Re w_n(T)")
-    fig.savefig(out_dir / "solution.png", dpi=110)
-    plt.close(fig)
-
-
-def _plot_decay(report, path: Path) -> None:
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        return
-    fig, ax = plt.subplots()
-    ax.loglog(report.indices, report.norms, "o-")
-    ax.set_xlabel("n")
-    ax.set_ylabel("difference norm")
-    ax.set_title(f"{report.label}: {report.verdict} (slope {report.slope:.2f})")
-    fig.savefig(path, dpi=110)
-    plt.close(fig)
+#: subcommand -> its runner; each writes its outputs to out_dir and returns the exit code
+RUNNERS: dict[str, Callable[[ExperimentConfig, Path], int]] = {
+    "verify": run_verify, "solve": run_solve, "associate": run_associate,
+    "perturb": run_perturb, "growth": run_growth}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="semigrouplab",
         description="numerical laboratory for multiplier generator families")
-    parser.add_argument("command",
-                        choices=["verify", "solve", "associate", "perturb", "growth"])
+    parser.add_argument("command", choices=RUNNERS)
     parser.add_argument("--config", type=str, default=None,
                         help="scenario file; a built-in default is used when omitted")
     parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--no-plots", action="store_true", help="skip image output")
+    # accepted and ignored: perfbench/run.py and perfbench/make_reference.py still pass it
+    parser.add_argument("--no-plots", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     try:
@@ -520,15 +482,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if args.command == "verify":
-            return run_verify(cfg, out_dir)
-        if args.command == "solve":
-            return run_solve(cfg, out_dir, make_plots=not args.no_plots)
-        if args.command == "associate":
-            return run_associate(cfg, out_dir, make_plots=not args.no_plots)
-        if args.command == "perturb":
-            return run_perturb(cfg, out_dir)
-        return run_growth(cfg, out_dir)
+        return RUNNERS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

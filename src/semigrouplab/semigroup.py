@@ -84,7 +84,7 @@ def weight_axis(weights: Iterable, samples: Sequence, value: float, label: str,
     return sample_axis(kept, grid)
 
 
-def phi(t, a, out=None) -> np.ndarray:
+def phi(t, a) -> np.ndarray:
     """(exp(t a) - 1)/a, the integrated-semigroup factor; entire in a.
 
     ``t`` may be an array of times broadcasting against ``a``, such as
@@ -95,8 +95,7 @@ def phi(t, a, out=None) -> np.ndarray:
     ``OverflowGuardError`` names t exactly where |e^(ta)| overflows, and the largest
     t where the product t a itself does.  Entries with
     |t a| below 1e-6 (a = 0, subnormal a) skip the division by a and take the
-    Taylor expansion t (1 + ta/2 + (ta)^2/6 + (ta)^3/24) instead.  ``out`` is a
-    complex array of the broadcast shape, allocated when omitted, and is returned.
+    Taylor expansion t (1 + ta/2 + (ta)^2/6 + (ta)^3/24) instead.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
@@ -108,8 +107,7 @@ def phi(t, a, out=None) -> np.ndarray:
             ta = t * a
             t, a = np.broadcast_to(t, ta.shape), np.broadcast_to(a, ta.shape)
             small = np.abs(ta) < PHI_TAYLOR_THRESHOLD
-            if out is None:
-                out = np.empty_like(ta)
+            out = np.empty_like(ta)
             x, half = ta.real, 0.5 * ta.imag
             s = np.sin(half)
             es = np.exp(x)

@@ -95,7 +95,7 @@ def run_checks(copy: Path) -> dict:
     out = {}
     for command in COMMANDS:
         proc = subprocess.run([sys.executable, "-m", "semigrouplab.cli", command, "--out",
-                               str(copy / f"out-{command}"), "--no-plots"],
+                               str(copy / f"out-{command}")],
                               cwd=copy, env=env, capture_output=True, text=True)
         out[command] = None if proc.returncode == 0 else f"exit {proc.returncode}"
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",

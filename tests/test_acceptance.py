@@ -250,8 +250,7 @@ def test_criterion_12_determinism(tmp_path: Path):
     outs = []
     for run in ("run1", "run2"):
         out = tmp_path / run
-        code = main(["verify", "--config", str(cfg_path), "--out", str(out),
-                     "--no-plots"])
+        code = main(["verify", "--config", str(cfg_path), "--out", str(out)])
         assert code == 0
         outs.append(out)
     csvs = sorted(p.name for p in outs[0].glob("*.csv"))

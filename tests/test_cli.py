@@ -123,7 +123,7 @@ class TestConfig:
                 ("associate", "-1", "lambda", at_zero.format(-2.0))]:
             config = _write(tmp_path / f"{command}{b}.cfg", text)
             out = str(tmp_path / f"{command}{b}")
-            assert main([command, "--config", config, "--out", out, "--no-plots"]) == 2
+            assert main([command, "--config", config, "--out", out]) == 2
             assert capsys.readouterr().err.startswith(
                 f"parameter error: non-finite weight at b = {float(b)}, {sample} = ")
 
@@ -248,9 +248,9 @@ class TestVerifyBlocks:
         entries = []
         phi = semigroup.phi
 
-        def counted(t, a, out=None):
+        def counted(t, a):
             entries.append(np.broadcast(t, a).size)
-            return phi(t, a, out=out)
+            return phi(t, a)
 
         monkeypatch.setattr(semigroup, "phi", counted)
         assert semigroup.laplace_identity_residual(s, n, lam, u, T) == res
@@ -336,9 +336,9 @@ def test_functional_equation_suite_matches_the_unfolded_rule(monkeypatch):
     entries = []
 
     def counted(phi):
-        def run(t, a, out=None):
+        def run(t, a):
             entries.append(np.broadcast(t, a).size)
-            return phi(t, a, out=out)
+            return phi(t, a)
         return run
 
     monkeypatch.setattr(cli, "phi", counted(cli.phi))
@@ -496,6 +496,9 @@ def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
     # the spacing 2 half_width / points overflows, or the frequency spacing 1/(2 half_width)
     ("verify", "[grid]\nhalf_width = 1e308\n", ("half_width",)),
     ("growth", "[grid]\nhalf_width = 1e-320\n", ("half_width",)),
+    # a finite sup Re a_n whose e^(T sup Re a_n) overflows the Duhamel solve at t_end
+    ("solve", "[family]\ncoeffs = 800, 0, 0.025\n", ("coeffs", "t_end")),
+    ("solve", "[family]\ncoeffs = 1e308\n", ("coeffs", "t_end")),
 ], ids=["solve-three", "associate-three", "perturb-three", "solve-unresolved", "mollifier"]
    + [f"{command}-unbounded-poly" for command in COMMANDS]
    + ["verify-lambda-zero", "verify-lambda-imaginary", "verify-lambda-negative",
@@ -504,12 +507,12 @@ def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
       "associate-scale-omega-below-bound",
       "associate-scale-unbounded", "verify-lambda-step", "verify-lambda-step-huge",
       "verify-dt-subnormal", "verify-t-end-huge",
-      "verify-half-width-huge", "growth-half-width-tiny"])
+      "verify-half-width-huge", "growth-half-width-tiny", "solve-overflow",
+      "solve-overflow-huge"])
 def test_bad_config_exits_2_naming_fields(tmp_path, capsys, command, text, names):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
-                 "--no-plots"]) == 2
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     for name in names:
@@ -600,6 +603,23 @@ def test_bad_path_exits_2_naming_it(tmp_path, capsys, case):
         assert name in err
 
 
+def test_no_plots_is_accepted_and_changes_no_output(tmp_path, capsys):
+    # a retired flag that perfbench still passes: hidden from --help, and it changes no byte
+    for command, changes in (("growth", {}), ("solve", {"points": 512, "n_list": (2, 3, 4, 5)})):
+        cfg = write_cfg(tmp_path, dataclasses.replace(default_config(command), **changes))
+        outputs = []
+        for flag in ([], ["--no-plots"]):
+            out = tmp_path / f"{command}{len(outputs)}"
+            assert main([command, "--config", cfg, "--out", str(out)] + flag) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert any(name.endswith(".csv") for name in outputs[0])
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "--no-plots" not in capsys.readouterr().out
+
+
 #: the C-order x of the 512-point grid of the data-file cases
 DATA_FILE_X = Grid(1, default_config("solve").half_width, 512).coordinate_vectors()
 DATA_FILE_X = DATA_FILE_X.ravel().tolist()
@@ -621,7 +641,7 @@ class TestSolveCommand:
         cfg = dataclasses.replace(default_config("solve"), points=512, n_list=(2, 3, 4, 5),
                                   data_kind="file", data_path=str(data))
         assert main(["solve", "--config", write_cfg(tmp_path, cfg),
-                     "--out", str(tmp_path / "f"), "--no-plots"]) == code
+                     "--out", str(tmp_path / "f")]) == code
         assert ("data_path" in capsys.readouterr().err) == (code == 2)
 
     def test_data_file_names_the_first_bad_row(self, tmp_path, capsys):
@@ -634,7 +654,7 @@ class TestSolveCommand:
         xs[2] += 0.5 * h
         Path(cfg.data_path).write_text("x,re,im\n" + "".join(f"{x!r},1.0,0.0\n" for x in xs))
         assert main(["solve", "--config", write_cfg(tmp_path, cfg),
-                     "--out", str(tmp_path / "f"), "--no-plots"]) == 2
+                     "--out", str(tmp_path / "f")]) == 2
         err = capsys.readouterr().err
         assert "data_path" in err and "row 3 after the header" in err, err
 
@@ -643,7 +663,7 @@ class TestSolveCommand:
         cfg = dataclasses.replace(default_config("solve"), points=512, half_width=1.0,
                                   n_list=(1, 2, 3, 4))
         assert main(["solve", "--config", write_cfg(tmp_path, cfg),
-                     "--out", str(tmp_path / "f"), "--no-plots"]) == 2
+                     "--out", str(tmp_path / "f")]) == 2
         err = capsys.readouterr().err
         assert "half_width = 1.0" in err and "|x| = 1.9" in err, err
 
@@ -651,7 +671,7 @@ class TestSolveCommand:
     def test_heat_delta_scenario(self, tmp_path):
         cfg = dataclasses.replace(default_config("solve"), points=1024,
                                   n_list=(2, 4, 8, 16), output_dir=str(tmp_path / "o"))
-        code = main(["solve", "--config", write_cfg(tmp_path, cfg), "--no-plots"])
+        code = main(["solve", "--config", write_cfg(tmp_path, cfg)])
         assert code == 0
         out = tmp_path / "o"
         for name in ("solution.csv", "pairings.csv", "weak_limits.csv",
@@ -664,7 +684,7 @@ class TestSolveCommand:
         cfg = dataclasses.replace(default_config("solve"), points=512,
                                   data_kind="zero", n_list=(2, 3, 4, 5))
         code = main(["solve", "--config", write_cfg(tmp_path, cfg),
-                     "--out", str(tmp_path / "z"), "--no-plots"])
+                     "--out", str(tmp_path / "z")])
         assert code == 0
         body = (tmp_path / "z" / "residuals.csv").read_text().splitlines()[1:]
         assert all(float(line.split(",")[1]) == 0.0 for line in body)
@@ -683,7 +703,7 @@ class TestSolveCommand:
         cfg = dataclasses.replace(default_config("solve"), **changes)
         out = tmp_path / "o"
         assert main(["solve", "--config", write_cfg(tmp_path, cfg),
-                     "--out", str(out), "--no-plots"]) == 2
+                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}, not finite")
         assert f"forcing_amplitude = {cfg.forcing_amplitude}" in err
@@ -696,7 +716,7 @@ class TestSolveCommand:
             fractional_c_rate="one-plus-inverse", comparison="none", points=1024,
             n_list=(2, 4, 8, 16))
         code = main(["solve", "--config", write_cfg(tmp_path, cfg),
-                     "--out", str(tmp_path / "s"), "--no-plots"])
+                     "--out", str(tmp_path / "s")])
         assert code == 0
         rows = (tmp_path / "s" / "moderateness.csv").read_text().splitlines()[1:]
         sup_norms = [float(r.split(",")[2]) for r in rows]
@@ -710,7 +730,7 @@ class TestSolveCommand:
                                   points=64, n_list=(1, 2, 3, 4), dt=1.0 / 8.0, omega=0.5)
         out = tmp_path / "s2"
         assert main(["solve", "--config", write_cfg(tmp_path, cfg),
-                     "--out", str(out), "--no-plots"]) == 0
+                     "--out", str(out)]) == 0
         assert (out / "solution.csv").read_text().splitlines()[0] == "n,t,x_1,x_2,re_w,im_w"
         grid, tg = cli.build_grid(cfg), time_grid(cfg)
         data = cli.build_data(cfg, grid)
@@ -730,14 +750,14 @@ class TestAssociateCommand:
         cfg = dataclasses.replace(default_config("associate"), dimension=2, points=32)
         out = tmp_path / "a2"
         assert main(["associate", "--config", write_cfg(tmp_path, cfg),
-                     "--out", str(out), "--no-plots"]) == 0
+                     "--out", str(out)]) == 0
         summary = (out / "association_summary.txt").read_text()
         assert '"label": "coefficient-perturbation"' in summary
         for line in (out / "theorem_agreement.csv").read_text().splitlines()[1:]:
             assert line.endswith(",")  # empty disagreement column
 
     def test_drift_scenario(self, tmp_path):
-        code = main(["associate", "--out", str(tmp_path / "a"), "--no-plots"])
+        code = main(["associate", "--out", str(tmp_path / "a")])
         assert code == 0
         summary = (tmp_path / "a" / "association_summary.txt").read_text()
         assert '"verdict": "associated"' in summary
@@ -749,7 +769,7 @@ class TestAssociateCommand:
     def test_identical_families_zero(self, tmp_path):
         cfg = dataclasses.replace(default_config("associate"), comparison="scale:1.0")
         code = main(["associate", "--config", write_cfg(tmp_path, cfg),
-                     "--out", str(tmp_path / "i"), "--no-plots"])
+                     "--out", str(tmp_path / "i")])
         assert code == 0
         rows = (tmp_path / "i" / "association_generator.csv").read_text().splitlines()[1:]
         assert all(float(r.split(",")[1]) == 0.0 for r in rows)
@@ -759,7 +779,7 @@ class TestAssociateCommand:
         cfg = dataclasses.replace(default_config("associate"),
                                   lambda_samples=(2.0 + 1j, 10.0 + 0.5j))
         code = main(["associate", "--config", write_cfg(tmp_path, cfg),
-                     "--out", str(tmp_path / "c"), "--no-plots"])
+                     "--out", str(tmp_path / "c")])
         assert code == 2
         assert "lambda_samples" in capsys.readouterr().err
         assert not (tmp_path / "c" / "association_resolvent.csv").exists()
@@ -771,7 +791,7 @@ class TestAssociateCommand:
         # at 1e308 the product t a_4 itself overflows, inside phi's guard, with no warning
         cfg = dataclasses.replace(default_config("associate"), t_max=t_max)
         code = main(["associate", "--config", write_cfg(tmp_path, cfg),
-                     "--out", str(tmp_path / "o"), "--no-plots"])
+                     "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"config error: t_max = {t_max} takes ")
@@ -792,7 +812,7 @@ class TestAssociateCommand:
                                                          named):
         cfg = dataclasses.replace(default_config("associate"), **change)
         code = main(["associate", "--config", write_cfg(tmp_path, cfg),
-                     "--out", str(tmp_path / "o"), "--no-plots"])
+                     "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: ")
@@ -804,7 +824,7 @@ class TestAssociateCommand:
         cfg = dataclasses.replace(default_config("associate"), coeffs=(-300, 0, 0.0253),
                                   comparison="shift:1j", omega=-200.0)
         code = main(["associate", "--config", write_cfg(tmp_path, cfg),
-                     "--out", str(tmp_path / "o"), "--no-plots"])
+                     "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("parameter error: non-finite weight at omega = -200.0, t = ")
@@ -813,7 +833,7 @@ class TestAssociateCommand:
     def test_shifted_families_not_associated(self, tmp_path):
         cfg = dataclasses.replace(default_config("associate"), comparison="shift:1.0")
         code = main(["associate", "--config", write_cfg(tmp_path, cfg),
-                     "--out", str(tmp_path / "n"), "--no-plots"])
+                     "--out", str(tmp_path / "n")])
         assert code == 0
         summary = (tmp_path / "n" / "association_summary.txt").read_text()
         assert '"verdict": "not-associated"' in summary
@@ -845,7 +865,7 @@ def test_associate_evaluates_each_symbol_and_spectrum_once_per_pair_and_index(
     # each module that calls the kernel holds its own reference to it
     for caller in (association, cli, perturbation):
         counting(caller, "check_association", kernel_indices)
-    assert cli.run_associate(default_config("associate"), tmp_path, make_plots=False) == 0
+    assert cli.run_associate(default_config("associate"), tmp_path) == 0
     # the scenario check, the merged generator/resolvent/weighted call, one per pair
     assert len(kernel_indices) == 2 + len(association.bundled_family_pairs())
     assert 0 < counts["multiplier_norms"] <= sum(kernel_indices)
@@ -866,7 +886,7 @@ def test_character_contradiction_exits_1_naming_pair_and_level(tmp_path, monkeyp
     pairs = [dataclasses.replace(pr, character="associated") if pr.name == "real-shift" else pr
              for pr in association.bundled_family_pairs()]
     monkeypatch.setattr(cli, "bundled_family_pairs", lambda: pairs)
-    assert main(["associate", "--out", str(tmp_path), "--no-plots"]) == 1
+    assert main(["associate", "--out", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert "suite disagreements: 0" in captured.out
     assert captured.err.splitlines() == [

@@ -62,7 +62,7 @@ def run_case(case: str, out_dir: Path) -> str:
     A variant's config is written beside ``out_dir`` and passed with --config.
     """
     command, changes = CASES[case]
-    argv = [command, "--out", str(out_dir), "--no-plots"]
+    argv = [command, "--out", str(out_dir)]
     if changes:
         config = out_dir.with_name(out_dir.name + ".cfg")
         config.parent.mkdir(parents=True, exist_ok=True)

@@ -24,6 +24,10 @@ UNREACHED_ALLOWLIST = {
 }
 #: (function, parameter) pairs whose value a protocol fixes but the body need not read
 UNREAD_PARAMETER_ALLOWLIST = set()
+#: (function, parameter) defaults that no call in the package passes: the entry point,
+#: which tests and perfbench call with argv, and the tests' reference Gauss rule
+UNPASSED_DEFAULT_ALLOWLIST = {("cli.main", "argv"),
+                              ("quadrature.composite_gauss_points", "nodes")}
 
 
 def _identifiers_read() -> set:
@@ -67,6 +71,52 @@ def test_every_parameter_is_read():
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
             unread |= {(fn.name, p) for p in params if p not in read}
     assert unread == UNREAD_PARAMETER_ALLOWLIST
+
+
+def _defaulted_parameters():
+    """(owner, callee, parameter, position in a call or None) of every parameter with a
+    default; a method's position skips self, and a constructor is called by its class."""
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        classes = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = classes.get(id(fn))
+            owner = f"{path.stem}.{cls.name + '.' if cls else ''}{fn.name}"
+            callee = cls.name if cls and fn.name == "__init__" else fn.name
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            skip = 1 if cls and not static else 0
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, a in enumerate(positional[first:], first):
+                yield owner, callee, a.arg, i - skip
+            for a, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield owner, callee, a.arg, None
+
+
+def _passes(call: ast.Call, param: str, index) -> bool:
+    """Whether ``call`` passes ``param`` by keyword or **, or by position or *."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index
+                                  or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_default_is_passed_somewhere():
+    # a default that no call overrides is a constant dressed as a parameter
+    calls = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = {(owner, param) for owner, callee, param, index in _defaulted_parameters()
+                if not any(_passes(c, param, index) for c in calls.get(callee, []))}
+    assert unpassed == UNPASSED_DEFAULT_ALLOWLIST
 
 
 def _callers(module: str, name: str) -> set:
