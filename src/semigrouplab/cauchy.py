@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -83,6 +83,7 @@ class MildSolutionSeq:
 
     Per index n the arrays hold sample values of shape
     (len(t_grid),) + grid.shape; w(n, 0) = u_{0,n} holds by construction.
+    :func:`duhamel_solve` fills one index.
     """
 
     grid: Grid
@@ -151,8 +152,7 @@ def duhamel_solve(s: SymbolSeq, n: int, u0n: GridFunction, f: ForcingSeq,
     for m in range(len(t_grid) - 1):
         w[m + 1] = ez * w[m] + prof[m] * q1 + (prof[m + 1] - prof[m]) * q2
 
-    for j in range(len(t_grid)):  # inverse transform of every time slice, in place
-        w[j] = np.fft.ifftn(w[j])
+    np.fft.ifftn(w, axes=tuple(range(1, w.ndim)), out=w)  # every time slice, in place
     w[0] = u0n.values  # the initial condition holds exactly
     sol = MildSolutionSeq(grid=grid, t_grid=t_grid)
     sol._w[n] = w
@@ -162,14 +162,15 @@ def duhamel_solve(s: SymbolSeq, n: int, u0n: GridFunction, f: ForcingSeq,
 
 def solve_sequence(s: SymbolSeq, n_list: Sequence[int],
                    u0_for: Callable[[int], GridFunction], f: ForcingSeq,
-                   t_grid: Sequence[float]) -> MildSolutionSeq:
-    """Run :func:`duhamel_solve` over an index list into one sequence."""
-    sols = [duhamel_solve(s, n, u0_for(n), f, t_grid) for n in n_list]
-    out = sols[0]
-    for one in sols[1:]:
-        out._w.update(one._w)
-        out._u0.update(one._u0)
-    return out
+                   t_grid: Sequence[float]) -> Iterator[MildSolutionSeq]:
+    """Yield the single-index :func:`duhamel_solve` of each n, in ``n_list`` order.
+
+    Each index is solved only when it is asked for, so a caller that drops one
+    solution before asking for the next holds one index's
+    (len(t_grid),) + grid.shape samples at a time.
+    """
+    for n in n_list:
+        yield duhamel_solve(s, n, u0_for(n), f, t_grid)
 
 
 def integral_equation_residual(sol: MildSolutionSeq, s: SymbolSeq, n: int,

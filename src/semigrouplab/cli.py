@@ -271,8 +271,37 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError(
             f"half_width = {cfg.half_width} is too narrow for the pairing test functions "
             f"psi0-psi2, whose supports reach |x| = {reach}: {exc}") from exc
+    residuals, pairings, moderate_rows = [], {}, []
+
+    def reduce_index(sol):
+        """Record one index's residual, pairings and moderateness row, and check them."""
+        (n,) = sol.indices()
+        residual = integral_equation_residual(sol, s, n, forcing, float(tg[-1]))
+        pairs = {(n, psi.label): very_weak_pairing(sol, psi, n) for psi in tests}
+        # per-slice L^2 norms over all modes weighted by e^(-omega t), |w|^2 summed one
+        # slice at a time; np.max keeps a NaN
+        w = sol.w_values(n).reshape(len(tg), -1)
+        sq = np.array([np.sum(np.abs(wj) ** 2) for wj in w])
+        sup = float(np.max(np.sqrt(sq * grid.cell_volume) * np.exp(-cfg.omega * tg)))
+        # a non-finite sample makes these non-finite, so no CSV is written from an overflow
+        for quantity, value in ([("residual", residual)]
+                                + [(f"pairing {label}", v) for (_, label), v in pairs.items()]
+                                + [("sup_weighted_l2", sup)]):
+            if not np.isfinite(value):
+                raise ConfigError(f"{quantity} at n = {n} is {value}, not finite: "
+                                  f"forcing_amplitude = {cfg.forcing_amplitude} and omega = "
+                                  f"{cfg.omega} must keep the solution and its weight "
+                                  f"e^(-omega t) finite")
+        residuals.append((n, residual))
+        pairings.update(pairs)
+        moderate_rows.append((n, lp_norm(sol.initial_datum(n), 2), sup))
+        return sol
+
+    # each index is solved, reduced and written before the next is solved
+    sols = solve_sequence(s, cfg.n_list, lambda n: mollify(data, n), forcing, tg)
     try:
-        sol = solve_sequence(s, cfg.n_list, lambda n: mollify(data, n), forcing, tg)
+        csvio.write_solution(out_dir / "solution.csv", map(reduce_index, sols),
+                             stride=max(1, len(tg) // 16))
     except ResolutionError as exc:
         raise ConfigError(
             f"n_list {list(cfg.n_list)} needs n * 2 half_width / points <= 1/4 for every n "
@@ -281,26 +310,6 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError(
             f"coeffs = {cfg.coeffs} and t_end = {cfg.t_end} take S_n(t), t <= t_end, past "
             f"the overflow guard: {exc}") from exc
-    residuals = [(n, integral_equation_residual(sol, s, n, forcing, float(tg[-1])))
-                 for n in cfg.n_list]
-    pairings = {(n, psi.label): very_weak_pairing(sol, psi, n)
-                for n in cfg.n_list for psi in tests}
-    # per-slice L^2 norms over all modes weighted by e^(-omega t); np.max keeps a NaN
-    moderate_rows = [(n, lp_norm(sol.initial_datum(n), 2),
-                      float(np.max(np.sqrt(np.sum(np.abs(w) ** 2, axis=-1) * grid.cell_volume)
-                                   * np.exp(-cfg.omega * tg))))
-                     for n in cfg.n_list for w in [sol.w_values(n).reshape(len(tg), -1)]]
-    # a non-finite sample makes these non-finite, so no CSV is written from an overflow
-    for quantity, n, value in ([("residual", n, r) for n, r in residuals]
-                               + [(f"pairing {label}", n, v) for (n, label), v in pairings.items()]
-                               + [("sup_weighted_l2", n, v) for n, _, v in moderate_rows]):
-        if not np.isfinite(value):
-            raise ConfigError(f"{quantity} at n = {n} is {value}, not finite: forcing_amplitude "
-                              f"= {cfg.forcing_amplitude} and omega = {cfg.omega} must keep "
-                              f"the solution and its weight e^(-omega t) finite")
-
-    csvio.write_solution(out_dir / "solution.csv", sol,
-                         stride=max(1, len(tg) // 16))
     csvio.write_rows(out_dir / "residuals.csv", ["n", "residual"], residuals)
     csvio.write_pairings(out_dir / "pairings.csv", pairings)
     csvio.write_rows(out_dir / "moderateness.csv",

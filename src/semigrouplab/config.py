@@ -24,8 +24,9 @@ HEAT_C2 = 1.0 / (4.0 * math.pi**2)
 
 #: largest grid accepted, points ** dimension (the bundled scenarios use at most 8,192)
 MAX_GRID_MODES = 2**22
-#: largest solution accepted, len(n_list) * time nodes * grid modes; its complex
-#: samples take at most 256 MB (the bundled solve uses 1,056,768)
+#: largest solution accepted, len(n_list) * time nodes * grid modes: it bounds the
+#: total work of ``solve`` and the size of solution.csv, not the memory held at once,
+#: since ``solve`` holds one index at a time (the bundled solve uses 1,056,768)
 MAX_SOLUTION_SAMPLES = 2**24
 #: largest time at which ``perturb`` samples its quadrature oracle
 PERTURB_ORACLE_T_MAX = 2.0

@@ -4,14 +4,18 @@ All floats are rendered with repr (shortest round-trip form), rows follow
 the iteration order of the inputs, and nothing time- or platform-dependent
 enters the files, so identical runs produce byte-identical outputs.
 ``solution.csv``, the one large file, is written in per-time-slice blocks
-with the same ``repr`` format instead of row by row through ``csv``.
+with the same ``repr`` format instead of row by row through ``csv``.  It is
+streamed from an iterable of solutions, one index at a time, into
+``solution.csv.partial``, which is renamed to ``solution.csv`` after the last
+index and deleted if an exception is raised before then: a failed run leaves
+no solution file.
 """
 from __future__ import annotations
 
 import csv
 import json
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .association import SLOPE_MIN, AssociationReport
 from .cauchy import MildSolutionSeq
@@ -65,26 +69,43 @@ def coordinate_names(dimension: int) -> list:
     return ["x"] if dimension == 1 else [f"x_{j}" for j in range(1, dimension + 1)]
 
 
-def write_solution(path: Path, sol: MildSolutionSeq, stride: int = 1) -> None:
+def write_solution(path: Path, solutions: Iterable[MildSolutionSeq], stride: int = 1) -> None:
     """Solution samples: columns n, t, x (x_1 ... x_d off a line), re_w, im_w; points in C order.
 
-    Written one kept time slice at a time: the slice's rows are built from
-    ``tolist()`` values with ``repr`` and written as one block, which gives
-    the bytes :func:`write_rows` would, without a per-cell ``csv`` call.
-    Only floats and integers enter the file, so no field needs quoting.
+    ``solutions`` share one grid and time grid, and each is written before the
+    next is asked for.  Written one kept time slice at a time: the slice's
+    rows are built from ``tolist()`` values with ``repr`` and written as one
+    block, which gives the bytes :func:`write_rows` would, without a per-cell
+    ``csv`` call.  Only floats and integers enter the file, so no field needs
+    quoting.
     """
-    g = sol.grid
-    points = g.coordinate_vectors().reshape(-1, g.dimension).tolist()
-    xs = [",".join(map(repr, x)) for x in points]
+    partial = path.with_name(path.name + ".partial")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["n", "t", *coordinate_names(g.dimension), "re_w", "im_w"]) + "\n")
-        for n in sol.indices():
-            w = sol.w_values(n).reshape(len(sol.t_grid), -1)
-            for j in range(0, len(sol.t_grid), stride):
-                head = f"{n},{float(sol.t_grid[j])!r},"
-                fh.write("".join([f"{head}{x},{r!r},{i!r}\n" for x, r, i
-                                  in zip(xs, w[j].real.tolist(), w[j].imag.tolist())]))
+    xs = None
+    try:
+        with open(partial, "w", newline="") as fh:
+            for sol in solutions:
+                if xs is None:
+                    g = sol.grid
+                    points = g.coordinate_vectors().reshape(-1, g.dimension).tolist()
+                    xs = [",".join(map(repr, x)) for x in points]
+                    fh.write(",".join(["n", "t", *coordinate_names(g.dimension),
+                                       "re_w", "im_w"]) + "\n")
+                _write_slices(fh, sol, xs, stride)
+                del sol  # drop this index's samples before the next one is solved
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def _write_slices(fh, sol: MildSolutionSeq, xs: list, stride: int) -> None:
+    for n in sol.indices():
+        w = sol.w_values(n).reshape(len(sol.t_grid), -1)
+        for j in range(0, len(sol.t_grid), stride):
+            head = f"{n},{float(sol.t_grid[j])!r},"
+            fh.write("".join([f"{head}{x},{r!r},{i!r}\n" for x, r, i
+                              in zip(xs, w[j].real.tolist(), w[j].imag.tolist())]))
 
 
 def write_pairings(path: Path, pairings: Mapping) -> None:

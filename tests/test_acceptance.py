@@ -105,7 +105,7 @@ def test_criterion_05_mild_solution_residual():
     res = []
     for dt in (1 / 128, 1 / 256):
         tg = np.arange(0.0, 0.5 + 0.5 * dt, dt)
-        sol = solve_sequence(heat, [1], lambda n: u0, f, tg)
+        (sol,) = solve_sequence(heat, [1], lambda n: u0, f, tg)
         res.append(integral_equation_residual(sol, heat, 1, f, 0.5))
     order = math.log2(res[0] / res[1])
     ok = res[0] < 1e-5 and 1.8 <= order <= 2.2
@@ -119,8 +119,8 @@ def test_criterion_06_very_weak_to_weak():
     delta = DistributionRep.delta(grid)
     n_list = [4, 8, 16, 32]
     tg = np.arange(0.0, 1.0 + 1e-9, 1 / 128)
-    sol = solve_sequence(heat, n_list, lambda n: mollify(delta, n),
-                         ForcingSeq.zero(grid), tg)
+    sols = dict(zip(n_list, solve_sequence(heat, n_list, lambda n: mollify(delta, n),
+                                           ForcingSeq.zero(grid), tg)))
     tests = [bump_test_function(grid, 0.5, 0.4, 0.0, 1.0, "psi0"),
              bump_test_function(grid, 0.45, 0.35, 0.5, 1.2, "psi1"),
              bump_test_function(grid, 0.55, 0.4, -0.4, 1.5, "psi2")]
@@ -138,7 +138,7 @@ def test_criterion_06_very_weak_to_weak():
                 inner[j] = np.trapezoid(kern * rho_f, xf)
         oracles[psi.label] = float(np.sum(tw * psi.chi(tg) * inner))
 
-    pairings = {(n, psi.label): very_weak_pairing(sol, psi, n)
+    pairings = {(n, psi.label): very_weak_pairing(sols[n], psi, n)
                 for n in n_list for psi in tests}
     report = weak_limit_extract(pairings, tol=1e-3)
     worst = max(abs(report.limits[psi.label] - oracles[psi.label]) for psi in tests)

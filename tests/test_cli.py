@@ -692,14 +692,20 @@ class TestSolveCommand:
         assert all(float(line.split(",")[3]) == 0.0 for line in sol)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("changes, message", [
-        ({"forcing_kind": "gaussian_pulse", "forcing_amplitude": amplitude},
+    @pytest.mark.parametrize("changes, nan_pairing_at, message", [
+        ({"forcing_kind": "gaussian_pulse", "forcing_amplitude": amplitude}, None,
          "residual at n = 4 is nan") for amplitude in (1e200, 1e308)
     ] + [
         # the weight e^(-omega t) of the moderateness sup overflows
-        ({"omega": -1000.0}, "sup_weighted_l2 at n = 4 is inf"),
-    ], ids=["amplitude-1e200", "amplitude-1e308", "omega"])
-    def test_non_finite_output_exits_2_before_any_csv(self, tmp_path, capsys, changes, message):
+        ({"omega": -1000.0}, None, "sup_weighted_l2 at n = 4 is inf"),
+        # the last index fails after the first three are written to solution.csv.partial
+        ({}, 32, "pairing psi0 at n = 32 is (nan+nanj)"),
+    ], ids=["amplitude-1e200", "amplitude-1e308", "omega", "pairing-at-last-index"])
+    def test_non_finite_output_exits_2_before_any_csv(self, tmp_path, capsys, monkeypatch,
+                                                      changes, nan_pairing_at, message):
+        pairing = cli.very_weak_pairing
+        monkeypatch.setattr(cli, "very_weak_pairing", lambda sol, psi, n: (
+            complex(np.nan, np.nan) if n == nan_pairing_at else pairing(sol, psi, n)))
         cfg = dataclasses.replace(default_config("solve"), **changes)
         out = tmp_path / "o"
         assert main(["solve", "--config", write_cfg(tmp_path, cfg),
@@ -708,7 +714,20 @@ class TestSolveCommand:
         assert err.startswith(f"config error: {message}, not finite")
         assert f"forcing_amplitude = {cfg.forcing_amplitude}" in err
         assert f"omega = {cfg.omega}" in err
-        assert list(out.glob("*.csv")) == []
+        assert [p.name for p in out.iterdir()] == ["config_used.txt"]
+
+    def test_default_solve_holds_one_index_at_a_time(self, tmp_path):
+        # one index's samples are 129 x 2,048 complex, 4.03 MiB; holding all four
+        # indices of n_list until the first CSV was written peaked at 18.7 MiB
+        cfg = default_config("solve")
+        one_index = len(time_grid(cfg)) * cfg.points ** cfg.dimension * 16
+        tracemalloc.start()
+        try:
+            assert cli.run_solve(cfg, tmp_path) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * one_index, f"{peak / 2**20:.2f} MiB"
 
     def test_schrodinger_type_family_runs(self, tmp_path):
         cfg = dataclasses.replace(
@@ -734,11 +753,11 @@ class TestSolveCommand:
         assert (out / "solution.csv").read_text().splitlines()[0] == "n,t,x_1,x_2,re_w,im_w"
         grid, tg = cli.build_grid(cfg), time_grid(cfg)
         data = cli.build_data(cfg, grid)
-        sol = solve_sequence(cli.build_family(cfg), cfg.n_list, lambda n: mollify(data, n),
-                             cli.build_forcing(cfg, grid), tg)
+        sols = solve_sequence(cli.build_family(cfg), cfg.n_list, lambda n: mollify(data, n),
+                              cli.build_forcing(cfg, grid), tg)
         rows = (out / "moderateness.csv").read_text().splitlines()[1:]
         assert [int(r.split(",")[0]) for r in rows] == list(cfg.n_list)
-        for row in rows:
+        for row, sol in zip(rows, sols):
             n, sup = int(row.split(",")[0]), float(row.split(",")[2])
             expected = max(np.exp(-cfg.omega * t) * lp_norm(sol.w(n, t), 2) for t in tg)
             assert sup == pytest.approx(expected, rel=1e-12)

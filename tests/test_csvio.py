@@ -67,14 +67,15 @@ def _per_cell_solution_rows(sol, stride):
 def test_solution_blocks_match_per_cell_rows(tmp_path):
     g = Grid(1, 4.0, 64)
     t_grid = np.linspace(0.0, 1.0, 9)  # 8 steps: not a multiple of the stride
-    sol = solve_sequence(heat_symbol_seq(), [4, 8],
-                         lambda n: GridFunction.gaussian(g, 1.0 / n),
-                         ForcingSeq.zero(g), t_grid)
-    sol.w_values(4).real[3, 5] = -0.0
-    sol.w_values(8).imag[6, 7] = np.nan
+    sols = list(solve_sequence(heat_symbol_seq(), [4, 8],
+                               lambda n: GridFunction.gaussian(g, 1.0 / n),
+                               ForcingSeq.zero(g), t_grid))
+    sols[0].w_values(4).real[3, 5] = -0.0
+    sols[1].w_values(8).imag[6, 7] = np.nan
     fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
-    write_solution(fast, sol, stride=3)
-    write_rows(ref, ["n", "t", "x", "re_w", "im_w"], _per_cell_solution_rows(sol, 3))
+    write_solution(fast, sols, stride=3)
+    write_rows(ref, ["n", "t", "x", "re_w", "im_w"],
+               (row for sol in sols for row in _per_cell_solution_rows(sol, 3)))
     data = fast.read_bytes()
     assert data == ref.read_bytes()
     assert b",-0.0," in data and b",nan\n" in data
@@ -83,10 +84,11 @@ def test_solution_blocks_match_per_cell_rows(tmp_path):
 
 def test_two_dimensional_solution_reads_back_as_a_data_file(tmp_path):
     g = Grid(2, 2.0, 8)
-    sol = solve_sequence(heat_symbol_seq(), [1, 2], lambda n: GridFunction.gaussian(g, 1.0 / n),
-                         ForcingSeq.zero(g), np.linspace(0.0, 0.5, 3))
+    sols = list(solve_sequence(heat_symbol_seq(), [1, 2],
+                               lambda n: GridFunction.gaussian(g, 1.0 / n),
+                               ForcingSeq.zero(g), np.linspace(0.0, 0.5, 3)))
     path = tmp_path / "sol.csv"
-    write_solution(path, sol, stride=2)
+    write_solution(path, sols, stride=2)
     lines = path.read_text().splitlines()
     assert lines[0] == "n,t,x_1,x_2,re_w,im_w"
     assert len(lines) == 1 + 2 * 2 * 64
@@ -99,7 +101,7 @@ def test_two_dimensional_solution_reads_back_as_a_data_file(tmp_path):
                   data_kind="file", data_path=str(data))
     (alpha, datum), = build_data(cfg, g).terms
     assert alpha == (0, 0)
-    assert np.array_equal(datum.values, sol.w_values(2)[-1])
+    assert np.array_equal(datum.values, sols[1].w_values(2)[-1])
     # x_1, x_2, re without im: the column after the coordinates that holds im is missing
     data.write_text("\n".join(["x_1,x_2,re"] + [line.rsplit(",", 1)[0] for line in
                                                  data.read_text().splitlines()[1:]]))
