@@ -10,7 +10,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -128,6 +128,23 @@ def _require_omega_bound(cfg: ExperimentConfig, *families: SymbolSeq) -> None:
         raise ConfigError(f"omega = {cfg.omega} is below sup Re a_n = {bound} of the families")
 
 
+def box_points(lo: Sequence[float], hi: Sequence[float], count: int) -> np.ndarray:
+    """``count`` points of the R_d low-discrepancy sequence in the box [lo, hi), one row each.
+
+    The Kronecker sequence u_k = frac(1/2 + k alpha), k = 1 ... count, with alpha_j = g^-j
+    and g the positive root of g^(d+1) = g + 1, mapped to lo + (hi - lo) u_k.  It is the
+    fixed sample set of the oracle suites: deterministic without a random generator, and
+    more even than uniform draws of the same count.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    g = 1.0
+    for _ in range(64):  # g = (1 + g)^(1/(d+1)) contracts to the root
+        g = (1.0 + g) ** (1.0 / (lo.size + 1))
+    alpha = g ** -np.arange(1.0, lo.size + 1)
+    u = (0.5 + np.arange(1.0, count + 1)[:, None] * alpha) % 1.0
+    return lo + (hi - lo) * u
+
+
 class SuiteResult:
     def __init__(self, name: str, worst: float, tol: float):
         self.name = name
@@ -152,12 +169,12 @@ def _suite_laplace(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) -> SuiteResu
 
 def _suite_pseudoresolvent(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq,
                            s_tilde: Optional[SymbolSeq]) -> SuiteResult:
-    rng = np.random.default_rng(20240801)
+    """R(lambda) - R(mu) = (mu - lambda) R(lambda) R(mu) on 50 ``box_points`` pairs: Re
+    lambda, Re mu in floor + [0.5, 50), Im lambda, Im mu in [-20, 20)."""
     u = GridFunction.gaussian(grid)
     families = [s] + ([s_tilde] if s_tilde is not None else [])
     floor = max(1.0, s.re_bound) + 0.5
-    # per pair Re lambda, Im lambda, Re mu, Im mu: the order of 200 scalar draws
-    lr, li, mr, mi = rng.uniform([0.5, -20.0, 0.5, -20.0], [50.0, 20.0, 50.0, 20.0], (50, 4)).T
+    lr, li, mr, mi = box_points([0.5, -20.0, 0.5, -20.0], [50.0, 20.0, 50.0, 20.0], 50).T
     lams, mus = floor + lr + 1j * li, floor + mr + 1j * mi
     residuals = [pseudoresolvent_residual(fam, n, lams, mus, u)
                  for fam in families for n in cfg.n_list[:2]]
@@ -165,12 +182,13 @@ def _suite_pseudoresolvent(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq,
 
 
 def _suite_functional_equation(cfg: ExperimentConfig) -> SuiteResult:
-    """phi(t, a) phi(s, a) = integral_0^s (phi(t + r, a) - phi(r, a)) dr on 1,000 draws, the
-    right side as I(t + s) - I(t) - I(s), I(T) = ``time_integral(T, a, 0)``, in chunks of
-    ``block_rows`` draws, so each (level x entry) block stays within ``BLOCK_ENTRIES``."""
-    rng = np.random.default_rng(20240802)
-    t, sdur, r, ang = rng.uniform([0.05, 0.05, 0.0, 0.5 * np.pi],
-                                  [2.0, 2.0, 100.0, 1.5 * np.pi], (1000, 4)).T
+    """phi(t, a) phi(s, a) = integral_0^s (phi(t + r, a) - phi(r, a)) dr on 1,000
+    ``box_points`` samples: t, s in [0.05, 2), a = r e^(i theta) with r in [0, 100) and
+    theta in [pi/2, 3 pi/2), so Re a <= 0.  The right side is I(t + s) - I(t) - I(s),
+    I(T) = ``time_integral(T, a, 0)``, in chunks of ``block_rows`` samples, so each
+    (level x entry) block stays within ``BLOCK_ENTRIES``."""
+    t, sdur, r, ang = box_points([0.05, 0.05, 0.0, 0.5 * np.pi],
+                                 [2.0, 2.0, 100.0, 1.5 * np.pi], 1000).T
     a = r * np.exp(1j * ang)
     lhs = phi(t, a) * phi(sdur, a)
     rows = block_rows(3 * TIME_INTEGRAL_LEVELS)
@@ -203,9 +221,11 @@ def _suite_bromwich(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) -> SuiteRes
 
 
 def _suite_perturbation_oracle(cfg: ExperimentConfig) -> SuiteResult:
-    rng = np.random.default_rng(20240803)
-    ra, rb, ta, tb, t = rng.uniform([0.0, 0.0, 0.5 * np.pi, 0.5 * np.pi, 0.01],
-                                    [100.0, 100.0, 1.5 * np.pi, 1.5 * np.pi, 5.0], (1000, 5)).T
+    """The perturbation quadrature against phi(t, a + b) on 1,000 ``box_points`` samples:
+    a = r_a e^(i theta_a), b = r_b e^(i theta_b) with r in [0, 100) and theta in
+    [pi/2, 3 pi/2), and t in [0.01, 5)."""
+    ra, rb, ta, tb, t = box_points([0.0, 0.0, 0.5 * np.pi, 0.5 * np.pi, 0.01],
+                                   [100.0, 100.0, 1.5 * np.pi, 1.5 * np.pi, 5.0], 1000).T
     a, b = ra * np.exp(1j * ta), rb * np.exp(1j * tb)
     deviation = np.abs(perturbation_quadrature(t, a, b) - phi(t, a + b))
     return SuiteResult("perturbation-oracle", float(np.max(deviation)),
@@ -406,9 +426,9 @@ def run_perturb(cfg: ExperimentConfig, out_dir: Path) -> int:
                                    omega=cfg.omega + abs(cfg.perturb_b), b=cfg.b)
 
     summed = summed_symbol_seq(s, B)
-    rng = np.random.default_rng(20240804)
-    samples = [(int(rng.choice(cfg.n_list)), float(rng.uniform(0.1, PERTURB_ORACLE_T_MAX)))
-               for _ in range(200)]
+    # 200 box_points (i, t): i in [0, len(n_list)) picks the index n_list[floor(i)]
+    samples = [(cfg.n_list[int(i)], float(t)) for i, t in
+               box_points([0.0, 0.1], [len(cfg.n_list), PERTURB_ORACLE_T_MAX], 200)]
     deviations = []
     for n in sorted({n for n, _ in samples}):
         ts = np.array([t for m, t in samples if m == n])

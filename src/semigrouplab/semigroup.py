@@ -451,27 +451,33 @@ def bromwich_S(s: SymbolSeq, n: int, times: Sequence[float], u: GridFunction,
     values, inverse = np.unique(flat.real + 1j * np.abs(flat.imag), return_inverse=True)
     # lambda_j - a_k = p_k + i q_jk, so 1/(lambda_j - a_k) = (p_k - i q_jk) / d_jk
     p, im = alpha - values.real, values.imag.copy()
-    p2 = p * p
     nt = len(times)
     # W D and W Q, W the (Re, Im) weights stacked: axes (D or Q, Re/Im x time, mode)
     acc = np.zeros((2, 2 * nt, values.size))
     rows = block_rows(values.size)
     kernel = np.empty((2, min(rows, len(r)), values.size))
-    for i0 in range(0, len(r), rows):
-        r_blk = r[i0:i0 + rows]
-        inv_d, q_d = kernel[:, :len(r_blk)]
-        np.subtract(r_blk[:, None], im, out=q_d)
-        np.square(q_d, out=inv_d)
-        inv_d += p2
-        if alpha - omega <= RESOLVENT_MARGIN and np.min(inv_d) <= RESOLVENT_MARGIN ** 2:
-            raise ResolventSingularityError("contour passes through the numerical spectrum")
-        np.reciprocal(inv_d, out=inv_d)
-        q_d *= inv_d
-        lam = alpha + 1j * r_blk
-        weights = w[i0:i0 + rows] * np.exp(times[:, None] * lam) / lam
-        acc += np.concatenate([weights.real, weights.imag]) @ kernel[:, :len(r_blk)]
-    d_re, d_im, q_re, q_im = acc.reshape(4, nt, values.size)
-    factors = (((p * d_re + q_im) + 1j * (p * d_im - q_re)) / (2.0 * np.pi))[:, inverse]
+    try:  # an overflow, say of p^2 or q^2 for |a| near 1e308, would leave a vacuous sum
+        with np.errstate(over="raise"):
+            p2 = p * p
+            for i0 in range(0, len(r), rows):
+                r_blk = r[i0:i0 + rows]
+                inv_d, q_d = kernel[:, :len(r_blk)]
+                np.subtract(r_blk[:, None], im, out=q_d)
+                np.square(q_d, out=inv_d)
+                inv_d += p2
+                if alpha - omega <= RESOLVENT_MARGIN and np.min(inv_d) <= RESOLVENT_MARGIN ** 2:
+                    raise ResolventSingularityError(
+                        "contour passes through the numerical spectrum")
+                np.reciprocal(inv_d, out=inv_d)
+                q_d *= inv_d
+                lam = alpha + 1j * r_blk
+                weights = w[i0:i0 + rows] * np.exp(times[:, None] * lam) / lam
+                acc += np.concatenate([weights.real, weights.imag]) @ kernel[:, :len(r_blk)]
+            d_re, d_im, q_re, q_im = acc.reshape(4, nt, values.size)
+            factors = (((p * d_re + q_im) + 1j * (p * d_im - q_re)) / (2.0 * np.pi))[:, inverse]
+    except FloatingPointError as exc:
+        raise OverflowGuardError(f"Bromwich oracle at alpha={alpha}, n={n}, r_max={r_max}: "
+                                 f"the contour sum overflows ({exc})") from exc
     np.conjugate(factors, out=factors, where=flat.imag < 0)
     return [MultiplierOp(grid, factor).apply(u) for factor in factors.reshape((nt,) + grid.shape)]
 

@@ -1,5 +1,8 @@
 """Harness tests: config round-trip, subcommands, exit codes, determinism."""
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -10,8 +13,8 @@ import pytest
 from semigrouplab import association, cli, perturbation, semigroup, symbols
 from semigrouplab.cauchy import solve_sequence
 from semigrouplab.cli import main
-from semigrouplab.config import (HEAT_C2, ExperimentConfig, default_config, load_config,
-                                 parse_config, serialize_config, time_grid)
+from semigrouplab.config import (HEAT_C2, PERTURB_ORACLE_T_MAX, ExperimentConfig, default_config,
+                                 load_config, parse_config, serialize_config, time_grid)
 from semigrouplab.errors import ConfigError
 from semigrouplab.quadrature import composite_gauss_points
 from semigrouplab.spectral import Grid, GridFunction, lp_norm, mollify
@@ -21,6 +24,7 @@ COMMANDS = ("verify", "solve", "associate", "perturb", "growth")
 FAST_VERIFY = dataclasses.replace(
     default_config("verify"), points=128, lambda_samples=(2.0 + 0j, 10.0 + 0j),
     n_list=(2, 3))
+FAST_PERTURB = dataclasses.replace(default_config("perturb"), points=64, n_list=(4, 8, 16, 32))
 
 
 def write_cfg(tmp_path: Path, cfg: ExperimentConfig, name: str = "scenario.cfg") -> str:
@@ -291,12 +295,9 @@ def _first_call_args(monkeypatch, name, suite):
     return calls[0]
 
 
-def test_functional_equation_draws_match_the_scalar_loop(monkeypatch):
+def test_functional_equation_samples_are_the_box_points(monkeypatch):
     t_in, a_in = _first_call_args(monkeypatch, "phi", cli._suite_functional_equation)
-    rng = np.random.default_rng(20240802)
-    draws = [(rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0), rng.uniform(0.0, 100.0),
-              rng.uniform(0.5 * np.pi, 1.5 * np.pi)) for _ in range(1000)]
-    t, _, r, ang = (np.array(col) for col in zip(*draws))
+    t, _, r, ang = cli.box_points(*BOX_POINT_SETS["functional-equation"]).T
     assert np.asarray(t_in).tobytes() == t.tobytes()
     assert np.asarray(a_in).tobytes() == (r * np.exp(1j * ang)).tobytes()
 
@@ -347,18 +348,64 @@ def test_functional_equation_suite_matches_the_unfolded_rule(monkeypatch):
     assert 0 < sum(entries) <= (2 + 3 * 28) * 1000
 
 
-def test_perturbation_oracle_draws_match_the_scalar_loop(monkeypatch):
-    args = _first_call_args(monkeypatch, "perturbation_quadrature",
-                            cli._suite_perturbation_oracle)
-    rng = np.random.default_rng(20240803)
-    draws = []
-    for _ in range(1000):
-        ra, rb = rng.uniform(0, 100.0, size=2)
-        ta_, tb_ = rng.uniform(0.5 * np.pi, 1.5 * np.pi, size=2)
-        draws.append((ra * np.exp(1j * ta_), rb * np.exp(1j * tb_), rng.uniform(0.01, 5.0)))
-    t, a, b = args
-    for got, want in zip((a, b, t), zip(*draws)):
-        assert np.asarray(got).tobytes() == np.array(want).tobytes()
+def test_perturbation_oracle_samples_are_the_box_points(monkeypatch):
+    t_in, a_in, b_in = _first_call_args(monkeypatch, "perturbation_quadrature",
+                                        cli._suite_perturbation_oracle)
+    ra, rb, ta, tb, t = cli.box_points(*BOX_POINT_SETS["perturbation-oracle"]).T
+    for got, want in ((t_in, t), (a_in, ra * np.exp(1j * ta)), (b_in, rb * np.exp(1j * tb))):
+        assert np.asarray(got).tobytes() == want.tobytes()
+
+
+def _kolmogorov_distance(x):
+    """sup_u |F_k(u) - u| of the empirical distribution of a sample x in [0, 1)."""
+    x, k = np.sort(x), len(x)
+    return max(np.max(np.arange(1, k + 1) / k - x), np.max(x - np.arange(k) / k))
+
+
+#: (lo, hi, count) of each box_points call in cli
+BOX_POINT_SETS = {
+    "pseudoresolvent": ([0.5, -20.0, 0.5, -20.0], [50.0, 20.0, 50.0, 20.0], 50),
+    "functional-equation": ([0.05, 0.05, 0.0, 0.5 * np.pi], [2.0, 2.0, 100.0, 1.5 * np.pi],
+                            1000),
+    "perturbation-oracle": ([0.0, 0.0, 0.5 * np.pi, 0.5 * np.pi, 0.01],
+                            [100.0, 100.0, 1.5 * np.pi, 1.5 * np.pi, 5.0], 1000),
+    **{f"perturb-run-{m}": ([0.0, 0.1], [float(m), PERTURB_ORACLE_T_MAX], 200)
+       for m in range(1, 9)},
+}
+
+
+@pytest.mark.parametrize("name", list(BOX_POINT_SETS))
+def test_box_points_fill_their_box_evenly(name):
+    lo, hi, count = BOX_POINT_SETS[name]
+    pts = cli.box_points(lo, hi, count)
+    assert pts.shape == (count, len(lo))
+    assert np.all((pts >= lo) & (pts < hi))
+    # per axis, a Kronecker sequence keeps the Kolmogorov distance O(log(count) / count):
+    # at most 9.4 / count here, against 1.36 / sqrt(count) (43 / count at 1,000) for
+    # uniform draws at the 95 % level
+    u = (pts - lo) / (np.asarray(hi) - lo)
+    assert max(_kolmogorov_distance(col) for col in u.T) <= 2.0 * np.log(count) / count
+    if name.startswith("perturb-run-"):
+        # run_perturb's index n_list[int(i)] stays in range and reaches every index
+        m = int(hi[0])
+        assert sorted(set(pts[:, 0].astype(int))) == list(range(m))
+
+
+def test_box_point_sets_are_the_suites_calls(monkeypatch, tmp_path):
+    calls, box_points = [], cli.box_points
+
+    def spy(lo, hi, count):
+        calls.append((list(lo), list(hi), count))
+        return box_points(lo, hi, count)
+
+    monkeypatch.setattr(cli, "box_points", spy)
+    grid, s = cli.build_grid(FAST_VERIFY), cli.build_family(FAST_VERIFY)
+    assert cli._suite_pseudoresolvent(FAST_VERIFY, grid, s, None).passed
+    assert cli._suite_functional_equation(FAST_VERIFY).passed
+    assert cli._suite_perturbation_oracle(FAST_VERIFY).passed
+    assert cli.run_perturb(FAST_PERTURB, tmp_path) == 0
+    assert calls == [BOX_POINT_SETS[name] for name in ("pseudoresolvent", "functional-equation",
+                                                       "perturbation-oracle", "perturb-run-4")]
 
 
 def test_laplace_overflow_names_the_stage(tmp_path, capsys):
@@ -374,6 +421,40 @@ def test_laplace_overflow_names_the_stage(tmp_path, capsys):
     assert "Traceback" not in out + err
     assert "laplace-identity" not in out
     assert "laplace-identity" not in (tmp_path / "verify.csv").read_text()
+
+
+#: runs ``cli.main`` on its arguments, then reports whether numpy.random was loaded
+FRESH_MAIN = ("import sys\nfrom semigrouplab.cli import main\ncode = main(sys.argv[1:])\n"
+              "print('numpy.random loaded:', 'numpy.random' in sys.modules)\nsys.exit(code)\n")
+
+
+def run_fresh(tmp_path: Path, command: str, cfg: ExperimentConfig):
+    """``command`` on ``cfg`` in a new interpreter: its exit code, stdout and stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", FRESH_MAIN, command, "--config",
+                           write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("command, cfg", [("verify", FAST_VERIFY), ("perturb", FAST_PERTURB)])
+def test_oracle_runs_do_not_load_numpy_random(tmp_path, command, cfg):
+    code, out, err = run_fresh(tmp_path, command, cfg)
+    assert code == 0, err
+    assert out.splitlines()[-1] == "numpy.random loaded: False"
+
+
+@pytest.mark.parametrize("coeffs", [(1e308j,), (-1e308 + 0j,)], ids=["imaginary", "negative"])
+def test_bromwich_overflow_is_an_error_not_a_pass(tmp_path, coeffs):
+    # |a| near 1e308 overflows q^2 (imaginary) or p^2 (negative) in the contour kernel,
+    # which used to warn and then sum nothing: worst 0, a vacuous pass
+    code, out, err = run_fresh(tmp_path, "verify", dataclasses.replace(FAST_VERIFY,
+                                                                       coeffs=coeffs))
+    assert code == 1
+    assert "RuntimeWarning" not in out + err and "Traceback" not in out + err
+    assert "error: OverflowGuardError: Bromwich oracle at alpha=2.0, n=2" in out
+    assert not [line for line in out.splitlines() if line.startswith("bromwich-oracle")]
+    assert "bromwich-oracle" not in (tmp_path / "out" / "verify.csv").read_text()
 
 
 @pytest.mark.parametrize("c0", [1.0, 1.5])
@@ -428,9 +509,6 @@ def nan_on_second_call(monkeypatch, name):
         return value * np.nan if len(calls) == 2 else value
 
     monkeypatch.setattr(cli, name, patched)
-
-
-FAST_PERTURB = dataclasses.replace(default_config("perturb"), points=64, n_list=(4, 8, 16, 32))
 
 
 def _verify_status(suite, *extra):
