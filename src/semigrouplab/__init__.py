@@ -16,8 +16,8 @@ from .semigroup import (MultiplierOp, GrowthCertificate, phi, apply_S,
                         pseudoresolvent_residual, bromwich_S, certify_growth,
                         Level, generator_level, resolvent_level, semigroup_level,
                         derivative_level, operator_sups)
-from .cauchy import (ForcingSeq, MildSolutionSeq, SpaceTimeTestFunction,
-                     duhamel_solve, solve_sequence, integral_equation_residual,
+from .cauchy import (ForcingSeq, SliceSums, SpaceTimeTestFunction,
+                     duhamel_solve, integral_equation_residual,
                      very_weak_pairing, weak_limit_extract,
                      bump_test_function)
 from .association import (AssociationReport, check_association,
@@ -37,8 +37,8 @@ __all__ = [
     "laplace_identity_residual", "pseudoresolvent_residual", "bromwich_S",
     "certify_growth", "Level", "generator_level", "resolvent_level", "semigroup_level",
     "derivative_level", "operator_sups",
-    "ForcingSeq", "MildSolutionSeq", "SpaceTimeTestFunction",
-    "duhamel_solve", "solve_sequence", "integral_equation_residual",
+    "ForcingSeq", "SliceSums", "SpaceTimeTestFunction",
+    "duhamel_solve", "integral_equation_residual",
     "very_weak_pairing", "weak_limit_extract",
     "bump_test_function",
     "AssociationReport",

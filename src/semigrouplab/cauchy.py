@@ -10,6 +10,10 @@ integrator's functions phi_1 and phi_2 are both built on ``semigroup.phi``:
 phi_1(z) = phi(1, z), and phi_2 follows from it by recurrence or, near zero,
 by series.
 
+A solve is a stream: :func:`duhamel_solve` yields one time slice at a time and
+holds no (time x grid) array.  One :class:`SliceSums` takes each slice once and
+keeps what the reports need: a running sum for the time integral, and per
+slice the grid sums against the test functions and the squared L^2 norm.
 Residuals of the integrated-equation form w = u_0 + a(D) int w + int f use
 plain trapezoid time integrals of the computed samples, which makes the
 defect an O(dt^2) measurement of consistency rather than an identity.
@@ -26,7 +30,7 @@ from .errors import OverflowGuardError, SpaceTimeSupportError
 from .quadrature import trapezoid_weights
 from .semigroup import EXP_GUARD, MultiplierOp, phi
 from .spectral import Grid, GridFunction, lp_norm, standard_bump
-from .symbols import MIN_FIT_INDICES, SymbolSeq
+from .symbols import MIN_FIT_INDICES
 
 #: |z| below which phi_2 and phi_3 are summed as Taylor series
 _PHI_SERIES_RADIUS = 2.0
@@ -77,52 +81,35 @@ class ForcingSeq:
         return ForcingSeq(profile=np.zeros_like, shape=lambda n: z)
 
 
-@dataclass
-class MildSolutionSeq:
-    """Mild solutions w_n on a shared time grid.
-
-    Per index n the arrays hold sample values of shape
-    (len(t_grid),) + grid.shape; w(n, 0) = u_{0,n} holds by construction.
-    :func:`duhamel_solve` fills one index.
-    """
-
-    grid: Grid
-    t_grid: np.ndarray
-    _w: Dict[int, np.ndarray] = field(default_factory=dict)
-    _u0: Dict[int, GridFunction] = field(default_factory=dict)
-
-    def indices(self) -> list:
-        return sorted(self._w)
-
-    def time_index(self, t: float) -> int:
-        idx = int(np.argmin(np.abs(self.t_grid - t)))
-        if abs(self.t_grid[idx] - t) > 1e-10 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} is not a time-grid node")
-        return idx
-
-    def w(self, n: int, t: float) -> GridFunction:
-        return GridFunction(self.grid, self._w[n][self.time_index(t)])
-
-    def w_values(self, n: int) -> np.ndarray:
-        return self._w[n]
-
-    def initial_datum(self, n: int) -> GridFunction:
-        return self._u0[n]
+def _node(t_grid: np.ndarray, t: float) -> int:
+    """The index of the time-grid node t; ``ValueError`` when t is not a node."""
+    idx = int(np.argmin(np.abs(t_grid - t)))
+    if abs(t_grid[idx] - t) > 1e-10 * max(1.0, abs(t)):
+        raise ValueError(f"t={t} is not a time-grid node")
+    return idx
 
 
-def duhamel_solve(s: SymbolSeq, n: int, u0n: GridFunction, f: ForcingSeq,
-                  t_grid: Sequence[float]) -> MildSolutionSeq:
-    """Solve one regularized problem by per-mode exponential integration.
+def duhamel_solve(a: np.ndarray, n: int, u0n: GridFunction, f: ForcingSeq,
+                  t_grid: Sequence[float]) -> Iterator[np.ndarray]:
+    """Solve one regularized problem by per-mode exponential integration, slice by slice.
 
-    The forcing profile is interpolated piecewise-linearly between the
-    uniform time-grid nodes; each panel is integrated exactly:
+    ``a`` is the symbol a_n on the datum's grid.  The forcing profile is interpolated
+    piecewise-linearly between the uniform time-grid nodes; each panel is integrated
+    exactly:
 
         w_(m+1) = e^z w_m + p_m q_1 + (p_(m+1) - p_m) q_2,  q_k = dt fhat phi_k(z)
 
     with z = dt a per mode, p the profile at the nodes and fhat the one FFT of
     the forcing shape of index n: linear and diagonal per mode, the solve runs on
-    plain FFT coefficients, as ``MultiplierOp.apply`` does.
+    plain FFT coefficients, as ``MultiplierOp.apply`` does.  A profile that is zero at
+    every node leaves w_(m+1) = e^z w_m, and the shape is not transformed.
     Exact for zero forcing; unconditionally stable for Re a <= 0.
+
+    The arguments are checked and the step factors formed at the call; the returned
+    iterator then yields the physical-space slices w(t_0), w(t_1), ..., each an array of
+    ``grid.shape``.  w(t_0) is ``u0n.values`` itself, so the initial condition holds
+    exactly; each later slice is the inverse FFT of the recurrence's current frequency
+    slice, the only one held.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 2:
@@ -132,69 +119,98 @@ def duhamel_solve(s: SymbolSeq, n: int, u0n: GridFunction, f: ForcingSeq,
     if np.max(np.abs(steps - dt)) > 1e-10 * dt:
         raise ValueError("time grid must be uniform")
     grid = u0n.grid
-    a = s.on_grid(n, grid)
     if float(np.max(a.real)) * t_grid[-1] > EXP_GUARD:
         raise OverflowGuardError(
-            f"Re a_n * T = {float(np.max(a.real)) * t_grid[-1]:.3g} would overflow; "
-            f"the growth bound re_bound={s.re_bound} is violated or the horizon too long")
+            f"Re a_n * T = {float(np.max(a.real)) * t_grid[-1]:.3g} would overflow; the "
+            f"family's growth bound re_bound is violated or the horizon too long")
     shape = f.shape(n)
     if shape.grid != grid:
         raise ValueError("forcing grid does not match the datum grid")
 
     z = dt * a
     ez = np.exp(z)
-    dt_fhat = dt * np.fft.fftn(shape.values)
-    q1, q2 = dt_fhat * _phi_k(z, 1), dt_fhat * _phi_k(z, 2)
     prof = f.profile(t_grid)
+    forced = bool(np.any(prof))
+    if forced:
+        dt_fhat = dt * np.fft.fftn(shape.values)
+        q1, q2 = dt_fhat * _phi_k(z, 1), dt_fhat * _phi_k(z, 2)
 
-    w = np.empty((len(t_grid),) + grid.shape, dtype=complex)
-    w[0] = np.fft.fftn(u0n.values)
-    for m in range(len(t_grid) - 1):
-        w[m + 1] = ez * w[m] + prof[m] * q1 + (prof[m + 1] - prof[m]) * q2
+    def slices() -> Iterator[np.ndarray]:
+        yield u0n.values
+        what = np.fft.fftn(u0n.values)
+        for m in range(len(t_grid) - 1):
+            if forced:
+                what = ez * what + prof[m] * q1 + (prof[m + 1] - prof[m]) * q2
+            else:
+                what = ez * what
+            yield np.fft.ifftn(what)
 
-    np.fft.ifftn(w, axes=tuple(range(1, w.ndim)), out=w)  # every time slice, in place
-    w[0] = u0n.values  # the initial condition holds exactly
-    sol = MildSolutionSeq(grid=grid, t_grid=t_grid)
-    sol._w[n] = w
-    sol._u0[n] = u0n
-    return sol
+    return slices()
 
 
-def solve_sequence(s: SymbolSeq, n_list: Sequence[int],
-                   u0_for: Callable[[int], GridFunction], f: ForcingSeq,
-                   t_grid: Sequence[float]) -> Iterator[MildSolutionSeq]:
-    """Yield the single-index :func:`duhamel_solve` of each n, in ``n_list`` order.
+class SliceSums:
+    """Running sums of one index's slice stream, fed one slice at a time.
 
-    Each index is solved only when it is asked for, so a caller that drops one
-    solution before asking for the next holds one index's
-    (len(t_grid),) + grid.shape samples at a time.
+    ``add`` takes w(t_0), w(t_1), ... in order, as :func:`duhamel_solve` yields them.
+    After the slice of node t_j it holds ``first`` = w(t_0), ``last`` = w(t_j) and
+    ``total``, their sum over nodes 0 ... j, from which
+    :func:`integral_equation_residual` forms the trapezoid int_0^(t_j) w; and in rows
+    0 ... j of ``space`` and ``sq`` each slice's grid sums sum_x w rho against the
+    spatial factor rho of each of ``tests`` and sum_x |w|^2.  No other slice is kept.
     """
-    for n in n_list:
-        yield duhamel_solve(s, n, u0_for(n), f, t_grid)
+
+    def __init__(self, grid: Grid, t_grid: Sequence[float],
+                 tests: Sequence[SpaceTimeTestFunction] = ()):
+        self.grid = grid
+        self.t_grid = np.asarray(t_grid, dtype=float)
+        self.tests = tuple(tests)
+        # one (tests x points) product per slice pairs it with every rho
+        points = grid.points ** grid.dimension
+        self._rho = np.array([psi.rho.values.reshape(points) for psi in self.tests],
+                             dtype=complex).reshape(len(self.tests), points)
+        self.space = np.empty((len(self.t_grid), len(self.tests)), dtype=complex)
+        self.sq = np.empty(len(self.t_grid))
+        self.count = 0
+        self.first = self.last = self.total = None
+
+    def add(self, w: np.ndarray) -> None:
+        j = self.count
+        if j == 0:
+            self.first, self.total = w, np.array(w, dtype=complex)
+        else:
+            self.total += w
+        self.last = w
+        flat = w.reshape(-1)
+        self.space[j] = self._rho @ flat
+        self.sq[j] = np.sum(np.abs(flat) ** 2)
+        self.count = j + 1
 
 
-def integral_equation_residual(sol: MildSolutionSeq, s: SymbolSeq, n: int,
-                               f: ForcingSeq, t: float) -> float:
-    """Defect of w(t) = u_0 + a(D) int_0^t w dr + int_0^t f ds at a grid time.
+def integral_equation_residual(sums: SliceSums, a: np.ndarray, n: int, f: ForcingSeq,
+                               t: float) -> float:
+    """Defect of w(t) = u_0 + a(D) int_0^t w dr + int_0^t f ds at a grid time t.
 
-    Time integrals are per-mode trapezoid sums of the stored samples
-    (piecewise-linear integrands, the same interpolation order as the
-    solver's forcing rule), so the defect scales like dt^2.
+    ``sums`` must have taken the slices up to the node t and no further; u_0 is its
+    first slice.  Time integrals are trapezoid sums over the nodes up to t
+    (piecewise-linear integrands, the same interpolation order as the solver's forcing
+    rule), int_0^t w = dt (sum_j w_j - (w_0 + w(t))/2) from the running sum, so the
+    defect scales like dt^2.
     """
-    idx = sol.time_index(t)
-    grid = sol.grid
-    t_grid = sol.t_grid[: idx + 1]
-    w = sol.w_values(n)[: idx + 1]
-    wt = GridFunction(grid, w[idx])
+    idx = _node(sums.t_grid, t)
+    if idx != sums.count - 1:
+        raise ValueError(f"t={t} is node {idx}, but the slices reach node {sums.count - 1}")
+    grid = sums.grid
+    wt = GridFunction(grid, sums.last)
     if idx == 0:
         int_w = GridFunction.zero(grid)
         int_f = GridFunction.zero(grid)
     else:
-        tw = trapezoid_weights(idx + 1, float(t_grid[1] - t_grid[0]))
-        int_w = GridFunction(grid, np.tensordot(tw, w, axes=(0, 0)))
-        int_f = f.shape(n) * np.dot(tw, f.profile(t_grid))
-    a_op = MultiplierOp(grid, s.on_grid(n, grid))
-    defect = wt - sol.initial_datum(n) - a_op.apply(int_w) - int_f
+        dt = float(sums.t_grid[1] - sums.t_grid[0])
+        tw = trapezoid_weights(idx + 1, dt)
+        int_w = GridFunction(grid, dt * (sums.total - 0.5 * (sums.first + sums.last)))
+        int_f = f.shape(n) * np.dot(tw, f.profile(sums.t_grid[: idx + 1]))
+    a_op = MultiplierOp(grid, a)
+    defect = wt - GridFunction(grid, sums.first) - a_op.apply(int_w) - int_f
     return lp_norm(defect, 2) / max(1.0, lp_norm(wt, 2))
 
 
@@ -204,8 +220,8 @@ class SpaceTimeTestFunction:
 
     ``chi`` is a callable vectorized over time arrays; ``rho`` is sampled
     on the grid.  Support must sit inside the open slab
-    (0, t_end) x interior, declared through ``t_support`` and checked
-    against each pairing's time horizon.
+    (0, t_end) x interior, declared through ``t_support`` and checked by
+    :meth:`check_support` against the time horizon, once before a solve.
     """
 
     chi: Callable[[np.ndarray], np.ndarray]
@@ -241,16 +257,20 @@ def bump_test_function(grid: Grid, t_center: float, t_width: float,
                                  label=label)
 
 
-def very_weak_pairing(sol: MildSolutionSeq, psi: SpaceTimeTestFunction, n: int) -> complex:
-    """Space-time pairing <w_n, psi>: trapezoid in t, grid sum in x."""
-    t_grid = sol.t_grid
-    psi.check_support(float(t_grid[-1]))
-    w = sol.w_values(n)
+def very_weak_pairing(sums: SliceSums, psi: SpaceTimeTestFunction) -> complex:
+    """Space-time pairing <w_n, psi> of one of ``sums.tests``: trapezoid in t over the
+    per-slice grid sums of ``sums.space``, times the cell volume.
+
+    The support of psi is not checked here; :meth:`SpaceTimeTestFunction.check_support`
+    checks it once, before the solve.
+    """
+    column = [k for k, test in enumerate(sums.tests) if test is psi]
+    if not column:
+        raise ValueError(f"{psi.label} is not one of the test functions of the slice sums")
+    t_grid = sums.t_grid
     tw = trapezoid_weights(len(t_grid), float(t_grid[1] - t_grid[0]))
-    chi = psi.chi(t_grid)
-    rho = psi.rho.values
-    space = np.tensordot(w, rho, axes=(tuple(range(1, w.ndim)), tuple(range(rho.ndim))))
-    return complex(np.sum(tw * chi * space) * sol.grid.cell_volume)
+    space = sums.space[:, column[0]]
+    return complex(np.sum(tw * psi.chi(t_grid) * space) * sums.grid.cell_volume)
 
 
 @dataclass

@@ -17,8 +17,8 @@ import numpy as np
 from . import csvio
 from .association import (bundled_family_pairs, bundled_test_sequences, check_association,
                           check_resolvent_norm_bounds, crosscheck_comparison_theorems)
-from .cauchy import (ForcingSeq, bump_test_function, integral_equation_residual,
-                     solve_sequence, very_weak_pairing, weak_limit_extract)
+from .cauchy import (ForcingSeq, SliceSums, bump_test_function, duhamel_solve,
+                     integral_equation_residual, very_weak_pairing, weak_limit_extract)
 from .config import (PERTURB_ORACLE_T_MAX, ExperimentConfig, comparison_operand,
                      default_config, load_config, scaled_sup_re, serialize_config, time_grid)
 from .errors import (ConfigError, OverflowGuardError, ResolutionError, SemigroupLabError,
@@ -223,11 +223,17 @@ def _suite_bromwich(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq) -> SuiteRes
 def _suite_perturbation_oracle(cfg: ExperimentConfig) -> SuiteResult:
     """The perturbation quadrature against phi(t, a + b) on 1,000 ``box_points`` samples:
     a = r_a e^(i theta_a), b = r_b e^(i theta_b) with r in [0, 100) and theta in
-    [pi/2, 3 pi/2), and t in [0.01, 5)."""
+    [pi/2, 3 pi/2), and t in [0.01, 5).  In chunks of ``block_rows`` samples, so each
+    (level x entry) block of the quadrature stays within ``BLOCK_ENTRIES``."""
     ra, rb, ta, tb, t = box_points([0.0, 0.0, 0.5 * np.pi, 0.5 * np.pi, 0.01],
                                    [100.0, 100.0, 1.5 * np.pi, 1.5 * np.pi, 5.0], 1000).T
     a, b = ra * np.exp(1j * ta), rb * np.exp(1j * tb)
-    deviation = np.abs(perturbation_quadrature(t, a, b) - phi(t, a + b))
+    rows = block_rows(TIME_INTEGRAL_LEVELS)
+    deviation = np.empty_like(t)
+    for i0 in range(0, len(t), rows):
+        blk = slice(i0, i0 + rows)
+        deviation[blk] = np.abs(perturbation_quadrature(t[blk], a[blk], b[blk])
+                                - phi(t[blk], a[blk] + b[blk]))
     return SuiteResult("perturbation-oracle", float(np.max(deviation)),
                        cfg.tol_perturbation_oracle)
 
@@ -292,36 +298,39 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
             f"half_width = {cfg.half_width} is too narrow for the pairing test functions "
             f"psi0-psi2, whose supports reach |x| = {reach}: {exc}") from exc
     residuals, pairings, moderate_rows = [], {}, []
+    stride = max(1, len(tg) // 16)
 
-    def reduce_index(sol):
-        """Record one index's residual, pairings and moderateness row, and check them."""
-        (n,) = sol.indices()
-        residual = integral_equation_residual(sol, s, n, forcing, float(tg[-1]))
-        pairs = {(n, psi.label): very_weak_pairing(sol, psi, n) for psi in tests}
-        # per-slice L^2 norms over all modes weighted by e^(-omega t), |w|^2 summed one
-        # slice at a time; np.max keeps a NaN
-        w = sol.w_values(n).reshape(len(tg), -1)
-        sq = np.array([np.sum(np.abs(wj) ** 2) for wj in w])
-        sup = float(np.max(np.sqrt(sq * grid.cell_volume) * np.exp(-cfg.omega * tg)))
-        # a non-finite sample makes these non-finite, so no CSV is written from an overflow
-        for quantity, value in ([("residual", residual)]
-                                + [(f"pairing {label}", v) for (_, label), v in pairs.items()]
-                                + [("sup_weighted_l2", sup)]):
-            if not np.isfinite(value):
-                raise ConfigError(f"{quantity} at n = {n} is {value}, not finite: "
-                                  f"forcing_amplitude = {cfg.forcing_amplitude} and omega = "
-                                  f"{cfg.omega} must keep the solution and its weight "
-                                  f"e^(-omega t) finite")
-        residuals.append((n, residual))
-        pairings.update(pairs)
-        moderate_rows.append((n, lp_norm(sol.initial_datum(n), 2), sup))
-        return sol
+    def kept_slices():
+        """Solve each index in one pass over its time slices: every slice feeds the
+        index's sums, every ``stride``-th goes on to the writer; then record the index's
+        residual, pairings and moderateness row, and check them."""
+        for n in cfg.n_list:
+            u0n = mollify(data, n)
+            a = s.on_grid(n, grid)
+            sums = SliceSums(grid, tg, tests)
+            for j, w in enumerate(duhamel_solve(a, n, u0n, forcing, tg)):
+                sums.add(w)
+                if j % stride == 0:
+                    yield n, tg[j], w
+            residual = integral_equation_residual(sums, a, n, forcing, float(tg[-1]))
+            pairs = {(n, psi.label): very_weak_pairing(sums, psi) for psi in tests}
+            # per-slice L^2 norms over all modes weighted by e^(-omega t); np.max keeps a NaN
+            sup = float(np.max(np.sqrt(sums.sq * grid.cell_volume) * np.exp(-cfg.omega * tg)))
+            # a non-finite sample makes these non-finite, so no CSV is written from an overflow
+            for quantity, value in ([("residual", residual)]
+                                    + [(f"pairing {label}", v) for (_, label), v in pairs.items()]
+                                    + [("sup_weighted_l2", sup)]):
+                if not np.isfinite(value):
+                    raise ConfigError(f"{quantity} at n = {n} is {value}, not finite: "
+                                      f"forcing_amplitude = {cfg.forcing_amplitude} and omega = "
+                                      f"{cfg.omega} must keep the solution and its weight "
+                                      f"e^(-omega t) finite")
+            residuals.append((n, residual))
+            pairings.update(pairs)
+            moderate_rows.append((n, lp_norm(u0n, 2), sup))
 
-    # each index is solved, reduced and written before the next is solved
-    sols = solve_sequence(s, cfg.n_list, lambda n: mollify(data, n), forcing, tg)
     try:
-        csvio.write_solution(out_dir / "solution.csv", map(reduce_index, sols),
-                             stride=max(1, len(tg) // 16))
+        csvio.write_solution(out_dir / "solution.csv", grid, kept_slices())
     except ResolutionError as exc:
         raise ConfigError(
             f"n_list {list(cfg.n_list)} needs n * 2 half_width / points <= 1/4 for every n "

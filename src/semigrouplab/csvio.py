@@ -5,9 +5,9 @@ the iteration order of the inputs, and nothing time- or platform-dependent
 enters the files, so identical runs produce byte-identical outputs.
 ``solution.csv``, the one large file, is written in per-time-slice blocks
 with the same ``repr`` format instead of row by row through ``csv``.  It is
-streamed from an iterable of solutions, one index at a time, into
+streamed from an iterable of time slices, one slice at a time, into
 ``solution.csv.partial``, which is renamed to ``solution.csv`` after the last
-index and deleted if an exception is raised before then: a failed run leaves
+slice and deleted if an exception is raised before then: a failed run leaves
 no solution file.
 """
 from __future__ import annotations
@@ -15,11 +15,13 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from .association import SLOPE_MIN, AssociationReport
-from .cauchy import MildSolutionSeq
 from .semigroup import GrowthCertificate
+from .spectral import Grid
 
 
 def _fmt(value) -> str:
@@ -69,43 +71,33 @@ def coordinate_names(dimension: int) -> list:
     return ["x"] if dimension == 1 else [f"x_{j}" for j in range(1, dimension + 1)]
 
 
-def write_solution(path: Path, solutions: Iterable[MildSolutionSeq], stride: int = 1) -> None:
+def write_solution(path: Path, grid: Grid,
+                   slices: Iterable[Tuple[int, float, np.ndarray]]) -> None:
     """Solution samples: columns n, t, x (x_1 ... x_d off a line), re_w, im_w; points in C order.
 
-    ``solutions`` share one grid and time grid, and each is written before the
-    next is asked for.  Written one kept time slice at a time: the slice's
-    rows are built from ``tolist()`` values with ``repr`` and written as one
-    block, which gives the bytes :func:`write_rows` would, without a per-cell
-    ``csv`` call.  Only floats and integers enter the file, so no field needs
-    quoting.
+    ``slices`` yields (n, t, w) with w the samples of w_n(t), of ``grid.shape``, and
+    each is written before the next is asked for.  A slice's rows are built from
+    ``tolist()`` values with ``repr`` and written as one block, which gives the bytes
+    :func:`write_rows` would, without a per-cell ``csv`` call.  Only floats and integers
+    enter the file, so no field needs quoting.
     """
     partial = path.with_name(path.name + ".partial")
     path.parent.mkdir(parents=True, exist_ok=True)
-    xs = None
+    points = grid.coordinate_vectors().reshape(-1, grid.dimension).tolist()
+    xs = [",".join(map(repr, x)) for x in points]
     try:
         with open(partial, "w", newline="") as fh:
-            for sol in solutions:
-                if xs is None:
-                    g = sol.grid
-                    points = g.coordinate_vectors().reshape(-1, g.dimension).tolist()
-                    xs = [",".join(map(repr, x)) for x in points]
-                    fh.write(",".join(["n", "t", *coordinate_names(g.dimension),
-                                       "re_w", "im_w"]) + "\n")
-                _write_slices(fh, sol, xs, stride)
-                del sol  # drop this index's samples before the next one is solved
+            fh.write(",".join(["n", "t", *coordinate_names(grid.dimension),
+                               "re_w", "im_w"]) + "\n")
+            for n, t, w in slices:
+                flat = w.reshape(-1)
+                head = f"{n},{float(t)!r},"
+                fh.write("".join([f"{head}{x},{r!r},{i!r}\n" for x, r, i
+                                  in zip(xs, flat.real.tolist(), flat.imag.tolist())]))
         partial.replace(path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
-
-
-def _write_slices(fh, sol: MildSolutionSeq, xs: list, stride: int) -> None:
-    for n in sol.indices():
-        w = sol.w_values(n).reshape(len(sol.t_grid), -1)
-        for j in range(0, len(sol.t_grid), stride):
-            head = f"{n},{float(sol.t_grid[j])!r},"
-            fh.write("".join([f"{head}{x},{r!r},{i!r}\n" for x, r, i
-                              in zip(xs, w[j].real.tolist(), w[j].imag.tolist())]))
 
 
 def write_pairings(path: Path, pairings: Mapping) -> None:

@@ -62,8 +62,8 @@ MUTANTS = [
      "    np.conjugate(factors, out=factors, where=flat.imag < 0)\n", "",
      {"tier-1"}),
     ("duhamel_solve drops the q_2 term", "cauchy.py",
-     "w[m + 1] = ez * w[m] + prof[m] * q1 + (prof[m + 1] - prof[m]) * q2",
-     "w[m + 1] = ez * w[m] + prof[m] * q1", {"tier-1"}),
+     "what = ez * what + prof[m] * q1 + (prof[m + 1] - prof[m]) * q2",
+     "what = ez * what + prof[m] * q1", {"tier-1"}),
     ("semigroup_level weight e^(-0.999 omega t)", "semigroup.py",
      "math.exp(-omega * t) for t in map(float, t_samples)",
      "math.exp(-0.999 * omega * t) for t in map(float, t_samples)", {"tier-1"}),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from semigrouplab import association, cli, perturbation, semigroup, symbols
-from semigrouplab.cauchy import solve_sequence
+from semigrouplab.cauchy import duhamel_solve
 from semigrouplab.cli import main
 from semigrouplab.config import (HEAT_C2, PERTURB_ORACLE_T_MAX, ExperimentConfig, default_config,
                                  load_config, parse_config, serialize_config, time_grid)
@@ -216,6 +216,18 @@ class TestVerifyBlocks:
             tracemalloc.stop()
         assert peak <= 2 * 2**20, f"{peak / 2**20:.2f} MiB"
 
+    def test_perturbation_oracle_suite_peak_memory_is_under_2_mib(self, setting):
+        # chunks of block_rows samples peak near 1.7 MiB; one call on all 1,000 samples
+        # peaked at 2.7 MiB
+        cfg = setting[0]
+        tracemalloc.start()
+        try:
+            assert cli._suite_perturbation_oracle(cfg).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, f"{peak / 2**20:.2f} MiB"
+
     def test_bromwich_suite_peak_memory_is_under_1_mib(self, setting):
         # the real kernel and the time weights are built per block: about 0.84 MiB on a
         # first call; weights built for all 20,001 nodes up front peaked at 2.97 MiB
@@ -282,8 +294,8 @@ def test_pseudoresolvent_suite_makes_one_block_per_index(monkeypatch):
     assert counts == {"resolvent_factor": 4, "multiplier_norms": 4}
 
 
-def _first_call_args(monkeypatch, name, suite):
-    """The arguments of the first ``cli.<name>`` call that ``suite`` makes."""
+def _call_args(monkeypatch, name, suite):
+    """The arguments of every ``cli.<name>`` call that ``suite`` makes, in order."""
     calls, fn = [], getattr(cli, name)
 
     def spy(*args, **kwargs):
@@ -292,7 +304,12 @@ def _first_call_args(monkeypatch, name, suite):
 
     monkeypatch.setattr(cli, name, spy)
     assert suite(FAST_VERIFY).passed
-    return calls[0]
+    return calls
+
+
+def _first_call_args(monkeypatch, name, suite):
+    """The arguments of the first ``cli.<name>`` call that ``suite`` makes."""
+    return _call_args(monkeypatch, name, suite)[0]
 
 
 def test_functional_equation_samples_are_the_box_points(monkeypatch):
@@ -349,8 +366,11 @@ def test_functional_equation_suite_matches_the_unfolded_rule(monkeypatch):
 
 
 def test_perturbation_oracle_samples_are_the_box_points(monkeypatch):
-    t_in, a_in, b_in = _first_call_args(monkeypatch, "perturbation_quadrature",
-                                        cli._suite_perturbation_oracle)
+    # in chunks of block_rows samples, 585 + 415, which together are the 1,000 points
+    calls = _call_args(monkeypatch, "perturbation_quadrature", cli._suite_perturbation_oracle)
+    rows = semigroup.block_rows(semigroup.TIME_INTEGRAL_LEVELS)
+    assert [len(t_in) for t_in, _, _ in calls] == [rows, 1000 - rows]
+    t_in, a_in, b_in = (np.concatenate(args) for args in zip(*calls))
     ra, rb, ta, tb, t = cli.box_points(*BOX_POINT_SETS["perturbation-oracle"]).T
     for got, want in ((t_in, t), (a_in, ra * np.exp(1j * ta)), (b_in, rb * np.exp(1j * tb))):
         assert np.asarray(got).tobytes() == want.tobytes()
@@ -781,10 +801,15 @@ class TestSolveCommand:
     ], ids=["amplitude-1e200", "amplitude-1e308", "omega", "pairing-at-last-index"])
     def test_non_finite_output_exits_2_before_any_csv(self, tmp_path, capsys, monkeypatch,
                                                       changes, nan_pairing_at, message):
-        pairing = cli.very_weak_pairing
-        monkeypatch.setattr(cli, "very_weak_pairing", lambda sol, psi, n: (
-            complex(np.nan, np.nan) if n == nan_pairing_at else pairing(sol, psi, n)))
         cfg = dataclasses.replace(default_config("solve"), **changes)
+        pairing, calls = cli.very_weak_pairing, []
+
+        def patched(sums, psi):
+            calls.append(psi.label)  # one call per test function, index by index
+            n = cfg.n_list[(len(calls) - 1) // len(cli.PAIRING_BUMPS)]
+            return complex(np.nan, np.nan) if n == nan_pairing_at else pairing(sums, psi)
+
+        monkeypatch.setattr(cli, "very_weak_pairing", patched)
         out = tmp_path / "o"
         assert main(["solve", "--config", write_cfg(tmp_path, cfg),
                      "--out", str(out)]) == 2
@@ -794,18 +819,19 @@ class TestSolveCommand:
         assert f"omega = {cfg.omega}" in err
         assert [p.name for p in out.iterdir()] == ["config_used.txt"]
 
-    def test_default_solve_holds_one_index_at_a_time(self, tmp_path):
-        # one index's samples are 129 x 2,048 complex, 4.03 MiB; holding all four
-        # indices of n_list until the first CSV was written peaked at 18.7 MiB
+    def test_default_solve_holds_one_time_slice_at_a_time(self, tmp_path):
+        # one index's samples are 129 x 2,048 complex, 4.03 MiB: holding them for the
+        # reductions peaked at 5.06 MiB, and holding all four indices of n_list until
+        # the first CSV was written at 18.7 MiB; a slice is 32 KiB
         cfg = default_config("solve")
-        one_index = len(time_grid(cfg)) * cfg.points ** cfg.dimension * 16
+        assert len(time_grid(cfg)) * cfg.points ** cfg.dimension * 16 == 129 * 2048 * 16
         tracemalloc.start()
         try:
             assert cli.run_solve(cfg, tmp_path) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * one_index, f"{peak / 2**20:.2f} MiB"
+        assert peak <= 2 * 2**20, f"{peak / 2**20:.2f} MiB"
 
     def test_schrodinger_type_family_runs(self, tmp_path):
         cfg = dataclasses.replace(
@@ -831,13 +857,14 @@ class TestSolveCommand:
         assert (out / "solution.csv").read_text().splitlines()[0] == "n,t,x_1,x_2,re_w,im_w"
         grid, tg = cli.build_grid(cfg), time_grid(cfg)
         data = cli.build_data(cfg, grid)
-        sols = solve_sequence(cli.build_family(cfg), cfg.n_list, lambda n: mollify(data, n),
-                              cli.build_forcing(cfg, grid), tg)
+        s, forcing = cli.build_family(cfg), cli.build_forcing(cfg, grid)
         rows = (out / "moderateness.csv").read_text().splitlines()[1:]
         assert [int(r.split(",")[0]) for r in rows] == list(cfg.n_list)
-        for row, sol in zip(rows, sols):
+        for row in rows:
             n, sup = int(row.split(",")[0]), float(row.split(",")[2])
-            expected = max(np.exp(-cfg.omega * t) * lp_norm(sol.w(n, t), 2) for t in tg)
+            slices = duhamel_solve(s.on_grid(n, grid), n, mollify(data, n), forcing, tg)
+            expected = max(np.exp(-cfg.omega * t) * lp_norm(GridFunction(grid, w), 2)
+                           for t, w in zip(tg, slices))
             assert sup == pytest.approx(expected, rel=1e-12)
 
 
