@@ -81,14 +81,6 @@ class ForcingSeq:
         return ForcingSeq(profile=np.zeros_like, shape=lambda n: z)
 
 
-def _node(t_grid: np.ndarray, t: float) -> int:
-    """The index of the time-grid node t; ``ValueError`` when t is not a node."""
-    idx = int(np.argmin(np.abs(t_grid - t)))
-    if abs(t_grid[idx] - t) > 1e-10 * max(1.0, abs(t)):
-        raise ValueError(f"t={t} is not a time-grid node")
-    return idx
-
-
 def duhamel_solve(a: np.ndarray, n: int, u0n: GridFunction, f: ForcingSeq,
                   t_grid: Sequence[float]) -> Iterator[np.ndarray]:
     """Solve one regularized problem by per-mode exponential integration, slice by slice.
@@ -186,19 +178,15 @@ class SliceSums:
         self.count = j + 1
 
 
-def integral_equation_residual(sums: SliceSums, a: np.ndarray, n: int, f: ForcingSeq,
-                               t: float) -> float:
-    """Defect of w(t) = u_0 + a(D) int_0^t w dr + int_0^t f ds at a grid time t.
+def integral_equation_residual(sums: SliceSums, a: np.ndarray, n: int, f: ForcingSeq) -> float:
+    """Defect of w(t) = u_0 + a(D) int_0^t w dr + int_0^t f ds at the last node t ``sums`` took.
 
-    ``sums`` must have taken the slices up to the node t and no further; u_0 is its
-    first slice.  Time integrals are trapezoid sums over the nodes up to t
-    (piecewise-linear integrands, the same interpolation order as the solver's forcing
-    rule), int_0^t w = dt (sum_j w_j - (w_0 + w(t))/2) from the running sum, so the
-    defect scales like dt^2.
+    u_0 is the first slice of ``sums``.  Time integrals are trapezoid sums over the
+    nodes up to t (piecewise-linear integrands, the same interpolation order as the
+    solver's forcing rule), int_0^t w = dt (sum_j w_j - (w_0 + w(t))/2) from the
+    running sum, so the defect scales like dt^2.
     """
-    idx = _node(sums.t_grid, t)
-    if idx != sums.count - 1:
-        raise ValueError(f"t={t} is node {idx}, but the slices reach node {sums.count - 1}")
+    idx = sums.count - 1
     grid = sums.grid
     wt = GridFunction(grid, sums.last)
     if idx == 0:

@@ -41,6 +41,14 @@ PERTURB_STEP_MAX = 8.0
 #: by 1.3e-10, 4+150j (4.5e5) by 2.1e-10, 6 (9.8e5) by 4.0e-10 and 10 (4.9e9) by 2.3e-6
 PERTURB_TERM_MAX = 1.2e5
 
+#: the values of each kind field; a rate field maps each value to its sequence n -> c(n)
+FAMILY_KINDS = ("poly", "fractional")
+FRACTIONAL_C_RATES = {"constant": lambda n: 1.0, "one-plus-inverse": lambda n: 1.0 + 1.0 / n}
+DATA_KINDS = ("delta", "delta_prime", "gaussian", "file", "zero")
+FORCING_KINDS = ("none", "gaussian_pulse")
+PERTURB_C_RATES = {"inverse": lambda n: 1.0 / n, "inverse-sqrt": lambda n: 1.0 / math.sqrt(n),
+                   "zero": lambda n: 0.0}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -188,24 +196,20 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.points ** cfg.dimension > MAX_GRID_MODES:
         raise ConfigError(f"grid points ** dimension must be at most {MAX_GRID_MODES} modes, "
                           f"got points = {cfg.points} in dimension {cfg.dimension}")
-    if cfg.family_kind not in ("poly", "fractional"):
-        raise ConfigError(f"unknown family kind '{cfg.family_kind}'")
+    for key, kinds in (("family_kind", FAMILY_KINDS), ("fractional_c_rate", FRACTIONAL_C_RATES),
+                       ("data_kind", DATA_KINDS), ("forcing_kind", FORCING_KINDS),
+                       ("perturb_c_rate", PERTURB_C_RATES)):
+        if getattr(cfg, key) not in kinds:
+            raise ConfigError(f"{key} must be one of {', '.join(kinds)}, "
+                              f"got {getattr(cfg, key)!r}")
     if cfg.family_kind == "poly" and len(cfg.coeffs) > 3:
         raise ConfigError("polynomial families support degree <= 2")
-    if cfg.fractional_c_rate not in ("constant", "one-plus-inverse"):
-        raise ConfigError(f"unknown fractional_c_rate '{cfg.fractional_c_rate}'")
     if cfg.comparison.startswith(("shift:", "scale:")):
         comparison_operand(cfg.comparison)
     elif cfg.comparison not in ("none", "drift"):
         raise ConfigError(f"unknown comparison '{cfg.comparison}'")
-    if cfg.data_kind not in ("delta", "delta_prime", "gaussian", "file", "zero"):
-        raise ConfigError(f"unknown data kind '{cfg.data_kind}'")
     if cfg.data_kind == "file" and not cfg.data_path:
         raise ConfigError("data_path must name a file when data_kind = file")
-    if cfg.forcing_kind not in ("none", "gaussian_pulse"):
-        raise ConfigError(f"unknown forcing kind '{cfg.forcing_kind}'")
-    if cfg.perturb_c_rate not in ("inverse", "inverse-sqrt", "zero"):
-        raise ConfigError(f"unknown C-sequence rate '{cfg.perturb_c_rate}'")
     n = cfg.n_list
     if not n or n[0] < 1 or any(lo >= hi for lo, hi in zip(n, n[1:])):
         raise ConfigError(f"n_list must be strictly increasing positive indices, got {n}")

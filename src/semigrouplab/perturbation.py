@@ -13,9 +13,10 @@ the closed form the claims suite works with; B and C are ordinary ``SymbolSeq``s
 The quadrature form is kept as the oracle the closed form is tested against:
 ``perturbation_quadrature`` takes its s-integral from ``semigroup.time_integral``,
 the one 64-panel rule of every time-integral oracle.  ``perturbed_factor`` (one
-row per time) and the ``verify`` perturbation suite both call it.  b goes in the
-shape ``SymbolSeq.on_grid`` gives: every family the lab builds is constant in xi,
-so b stays 0-d and the rule takes one e^(s b) per node, not one per node and mode.
+row per time) and the ``verify`` perturbation suite both call it on symbol values,
+as ``phi`` takes them.  b goes in the shape ``SymbolSeq.on_grid`` gives: every family
+the lab builds is constant in xi, so b stays 0-d and the rule takes one e^(s b) per
+node, not one per node and mode.
 """
 from __future__ import annotations
 
@@ -45,13 +46,12 @@ def perturbation_quadrature(t, a, b) -> np.ndarray:
             raise OverflowGuardError("perturbation quadrature overflows") from exc
 
 
-def perturbed_factor(s: SymbolSeq, B: SymbolSeq, n: int, times: Sequence[float],
-                     grid: Grid) -> np.ndarray:
+def perturbed_factor(a: np.ndarray, b: np.ndarray, times: Sequence[float]) -> np.ndarray:
     """Quadrature oracle per time and mode: e^(tb) phi(t,a) - b int_0^t e^(sb) phi(s,a) ds.
 
-    Returns shape ``(len(times),) + grid.shape``.  a_n and b_n are evaluated
-    once, b_n in the shape ``B.on_grid`` gives, and the Re(a+b) t and Re(b) t
-    overflow guards are checked once, at the largest time.  Each time is one
+    ``a`` and ``b`` are the symbol values a_n and b_n; the result has shape
+    ``(len(times),)`` + their broadcast shape.  The Re(a+b) t and Re(b) t overflow
+    guards are checked once, at the largest time.  Each time is one
     ``perturbation_quadrature`` call: blocks of four times per call gained nothing in
     ``perturb`` runs, since glibc returned their larger temporaries' heap pages to the
     system and faulted them back in (11.4k-13.4k minor page faults per run, against
@@ -59,8 +59,6 @@ def perturbed_factor(s: SymbolSeq, B: SymbolSeq, n: int, times: Sequence[float],
     are zero.
     """
     times = np.asarray(times, dtype=float)
-    a = s.on_grid(n, grid)
-    b = B.on_grid(n, grid)
     t_max = float(np.max(times))
     guard = float(np.max((a + b).real)) * t_max
     if guard > EXP_GUARD or float(np.max(b.real)) * t_max > EXP_GUARD:

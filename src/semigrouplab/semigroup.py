@@ -10,7 +10,9 @@ an entire function of a evaluated from real expm1, exp, sin and cos, with a
 Taylor expansion near t a = 0.  The resolvent factor is 1/(lambda - a).  The
 Laplace identity R(lambda) = lambda integral_0^inf exp(-lambda t) S(t) dt, by
 ``time_integral`` at b = -lambda (the functional-equation and perturbation
-oracles' kernel too), and the Bromwich inversion are mutual oracles.
+oracles' kernel too), the pseudoresolvent identity and the Bromwich inversion
+are mutual oracles.  They take the symbol values a = a_n, as ``phi`` does, and
+reduce their defects d to ||F^-1(d F u)||_2 / ||u||_2 by :func:`relative_defects`.
 
 A :class:`Level` is a sampled family of such operators, row j being w_j F_j(a_n):
 :data:`generator_level`, :func:`resolvent_level`, :func:`semigroup_level` and
@@ -29,7 +31,7 @@ from typing import Callable, Dict, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import OverflowGuardError, ResolventSingularityError, SymbolEvaluationError
+from .errors import OverflowGuardError, ResolventSingularityError
 from .quadrature import GAUSS_NODES_PER_PANEL, _gauss_rule, trapezoid_weights
 from .spectral import Grid, GridFunction
 from .symbols import MIN_FIT_INDICES, SymbolSeq, fit_moderate
@@ -220,17 +222,15 @@ def multiplier_norms(factors: np.ndarray, spectra: np.ndarray) -> np.ndarray:
         return np.sqrt(power @ spectra.T)
 
 
-def integrated_factor(s: SymbolSeq, n: int, t: float, grid: Grid) -> np.ndarray:
-    """Per-mode factor of S_n(t)."""
-    fac = phi(t, s.on_grid(n, grid))
-    if not np.all(np.isfinite(fac)):
-        raise SymbolEvaluationError(f"integrated factor non-finite at n={n}, t={t}")
-    return fac
+def relative_defects(defects: np.ndarray, u: GridFunction) -> np.ndarray:
+    """||F^-1(d . F u)||_2 / ||u||_2 for each defect factor d of the (K,) + grid.shape block.
 
-
-def apply_S(s: SymbolSeq, n: int, t: float, u: GridFunction) -> GridFunction:
-    """Apply the integrated semigroup: factor phi(t, a_n(xi_k))."""
-    return MultiplierOp(u.grid, integrated_factor(s, n, t, u.grid)).apply(u)
+    One :func:`multiplier_norms` call, whose appended unit factor gives ||u||_2; a zero u
+    gives zeros.  Every identity oracle reduces its defects here.
+    """
+    norms = multiplier_norms(np.concatenate([defects, np.ones((1,) + u.grid.shape)]),
+                             power_spectra([u]))[:, 0]
+    return norms[:-1] / norms[-1] if norms[-1] else np.zeros_like(norms[:-1])
 
 
 def resolvent_factor(a: np.ndarray, lam, grid: Grid, n: int) -> np.ndarray:
@@ -357,18 +357,18 @@ def operator_sups(s: SymbolSeq, levels: Mapping[str, Level], grid: Grid,
     return sups
 
 
-def laplace_identity_residual(s: SymbolSeq, n: int, lam: complex, u: GridFunction,
+def laplace_identity_residual(a: np.ndarray, n: int, lam: complex, u: GridFunction,
                               T: float) -> float:
     """Relative defect of R(lambda) u = lambda integral_0^T e^(-lambda t) S(t) u dt.
 
-    The transform is ``time_integral(T, a_n, -lambda)`` on chunks of
+    ``a`` is the symbol a_n on the grid of u; n names the index in errors.  The
+    transform is ``time_integral(T, a, -lambda)`` on chunks of
     ``block_rows(TIME_INTEGRAL_LEVELS)`` modes (256 modes are one chunk); the
     scenarios use T = 40/(Re lambda - omega), and ``LAPLACE_STEP_MAX`` bounds the
     step |Im lambda| T / 64 at which the rule resolves e^(-lambda t).  An overflow, or
     T sup Re a_n > ``EXP_GUARD``, raises naming lambda, n and T.
     """
     grid = u.grid
-    a = s.on_grid(n, grid)
     target = resolvent_factor(a, lam, grid, n)  # raises on spectral proximity
     omega = float(np.max(a.real))
     if not lam.real > omega:
@@ -385,40 +385,34 @@ def laplace_identity_residual(s: SymbolSeq, n: int, lam: complex, u: GridFunctio
     except (FloatingPointError, OverflowGuardError) as exc:
         raise OverflowGuardError(f"{stage}: {exc}") from exc
     defect = target - lam * quad.reshape(grid.shape)
-    # the unit factor gives ||u||_2
-    defect_norm, unorm = multiplier_norms(np.stack([defect, np.ones(grid.shape)]),
-                                        power_spectra([u]))[:, 0]
-    return float(defect_norm / unorm) if unorm else 0.0
+    return float(relative_defects(defect[None], u)[0])
 
 
-def pseudoresolvent_residual(s: SymbolSeq, n: int, lam, mu, u: GridFunction):
-    """Relative defect of R(lam) - R(mu) = (mu - lam) R(lam) R(mu) on u.
+def pseudoresolvent_residual(a: np.ndarray, n: int, lam, mu, u: GridFunction):
+    """Relative defect of R(lam) - R(mu) = (mu - lam) R(lam) R(mu) on u, for the symbol a = a_n.
 
     Two numbers give a float, equal-length sequences one residual per pair from
-    one ``resolvent_factor`` and one ``multiplier_norms`` call, whose unit factor
-    gives ||u||_2.  A zero u gives zeros; lam = mu gives exactly zero.
+    one ``resolvent_factor`` and one :func:`relative_defects` call.  A zero u gives
+    zeros; lam = mu gives exactly zero.
     """
     grid = u.grid
     lams, mus = np.atleast_1d(lam), np.atleast_1d(mu)
     if lams.ndim != 1 or lams.shape != mus.shape:
         raise ValueError(f"lambda and mu need equal lengths, got {lams.shape} and {mus.shape}")
-    rl, rm = np.split(resolvent_factor(s.on_grid(n, grid), np.append(lams, mus), grid, n), 2)
-    defect = rl - rm - sample_axis(mus - lams, grid) * rl * rm
-    norms = multiplier_norms(np.concatenate([defect, np.ones((1,) + grid.shape)]),
-                             power_spectra([u]))[:, 0]
-    residuals = norms[:-1] / norms[-1] if norms[-1] else np.zeros_like(norms[:-1])
+    rl, rm = np.split(resolvent_factor(a, np.append(lams, mus), grid, n), 2)
+    residuals = relative_defects(rl - rm - sample_axis(mus - lams, grid) * rl * rm, u)
     return float(residuals[0]) if np.ndim(lam) == 0 else residuals
 
 
-def bromwich_S(s: SymbolSeq, n: int, times: Sequence[float], u: GridFunction,
-               alpha: float, r_max: float, steps: int) -> list:
-    """Contour-inversion oracle for the integrated semigroup, one result per time.
+def bromwich_S(a: np.ndarray, n: int, times: Sequence[float], alpha: float, r_max: float,
+               steps: int) -> np.ndarray:
+    """Contour-inversion oracle for the integrated semigroup of the symbol a = a_n.
 
     Trapezoid discretization of
-    (1/2 pi) integral_-R^R e^((alpha+ir)t) R(alpha+ir) u / (alpha+ir) dr
-    on the vertical line Re lambda = alpha > omega.  Truncation decays like
-    1/r_max at fixed t > 0, so this is an independent, slowly converging
-    check on :func:`apply_S`.
+    (1/2 pi) integral_-R^R e^((alpha+ir)t) / ((alpha+ir) (alpha+ir - a)) dr
+    on the vertical line Re lambda = alpha > omega, per mode: the factor block of
+    shape (len(times),) + a.shape.  Truncation decays like 1/r_max at fixed t > 0,
+    so this is an independent, slowly converging check on ``phi(t, a)``.
 
     The nodes r_j and weights are symmetric in r, and alpha and t are real, so the
     sum at conj(a) is the conjugate of the sum at a: the kernel runs once per
@@ -438,8 +432,6 @@ def bromwich_S(s: SymbolSeq, n: int, times: Sequence[float], u: GridFunction,
     spectral-proximity scan min d <= RESOLVENT_MARGIN^2 runs only when
     alpha - omega <= RESOLVENT_MARGIN.
     """
-    grid = u.grid
-    a = s.on_grid(n, grid)
     omega = float(np.max(a.real))
     if not alpha > omega:
         raise ValueError(f"contour abscissa must exceed sup Re a_n = {omega}")
@@ -479,7 +471,7 @@ def bromwich_S(s: SymbolSeq, n: int, times: Sequence[float], u: GridFunction,
         raise OverflowGuardError(f"Bromwich oracle at alpha={alpha}, n={n}, r_max={r_max}: "
                                  f"the contour sum overflows ({exc})") from exc
     np.conjugate(factors, out=factors, where=flat.imag < 0)
-    return [MultiplierOp(grid, factor).apply(u) for factor in factors.reshape((nt,) + grid.shape)]
+    return factors.reshape((nt,) + np.shape(a))
 
 
 @dataclass

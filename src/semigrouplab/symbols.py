@@ -15,7 +15,7 @@ minimum index count of a fit is set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -218,6 +218,12 @@ def heat_symbol_seq() -> SymbolSeq:
 
 def perturbed_heat_seq(base_coeffs: Sequence[complex] = (0.0, 0.0, 1.0 / (4 * np.pi**2)),
                        name: str = "heat+1/n") -> SymbolSeq:
-    """The coefficient drift P_n(D): ``base_coeffs`` with c_0 + 1/n and c_2 + 1/n."""
+    """The coefficient drift P_n(D): ``base_coeffs`` with c_0 + 1/n and c_2 + 1/n.
+
+    In x = 1/n, sup_xi Re a_n = Re c_0 + x + (Im c_1)^2 / (4 (Re c_2 + x)) is convex, so
+    ``re_bound``, its sup over n, is the larger of its values at n = 1 and as n -> infinity.
+    """
     c0, c1, c2 = poly_coeffs(base_coeffs)
-    return make_poly_symbol_seq(lambda n: (c0 + 1.0 / n, c1, c2 + 1.0 / n), name=name)
+    drift = make_poly_symbol_seq(lambda n: (c0 + 1.0 / n, c1, c2 + 1.0 / n), name=name)
+    return replace(drift, re_bound=max(poly_sup_re((c0 + 1.0, c1, c2 + 1.0)),
+                                       poly_sup_re(base_coeffs)))

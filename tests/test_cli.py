@@ -13,8 +13,10 @@ import pytest
 from semigrouplab import association, cli, perturbation, semigroup, symbols
 from semigrouplab.cauchy import duhamel_solve
 from semigrouplab.cli import main
-from semigrouplab.config import (HEAT_C2, PERTURB_ORACLE_T_MAX, ExperimentConfig, default_config,
-                                 load_config, parse_config, serialize_config, time_grid)
+from semigrouplab.config import (DATA_KINDS, FAMILY_KINDS, FORCING_KINDS, FRACTIONAL_C_RATES,
+                                 HEAT_C2, PERTURB_C_RATES, PERTURB_ORACLE_T_MAX, ExperimentConfig,
+                                 default_config, load_config, parse_config, serialize_config,
+                                 time_grid)
 from semigrouplab.errors import ConfigError
 from semigrouplab.quadrature import composite_gauss_points
 from semigrouplab.spectral import Grid, GridFunction, lp_norm, mollify
@@ -174,13 +176,13 @@ class TestVerifyBlocks:
         results = []
         # one row per block, the default, and one block for everything; 20,001 contour
         # nodes over 256 modes leave a partial last block at the default
+        a1, a2 = s.on_grid(1, grid), s.on_grid(2, grid)
         for entries in (1, semigroup.BLOCK_ENTRIES, 10**9):
             monkeypatch.setattr(semigroup, "BLOCK_ENTRIES", entries)
-            contours = semigroup.bromwich_S(s, 1, (0.25, 1.0), u, alpha=2.0, r_max=200.0,
+            contours = semigroup.bromwich_S(a1, 1, (0.25, 1.0), alpha=2.0, r_max=200.0,
                                             steps=20000)
-            results.append((semigroup.laplace_identity_residual(s, 2, 10.0, u, 4.0),
-                            cli._suite_functional_equation(cfg).worst,
-                            np.stack([c.values for c in contours])))
+            results.append((semigroup.laplace_identity_residual(a2, 2, 10.0, u, 4.0),
+                            cli._suite_functional_equation(cfg).worst, contours))
         (laplace, fe, contour), others = results[0], results[1:]
         for other_laplace, other_fe, other_contour in others:
             # both are defects of quantities of order one
@@ -190,10 +192,10 @@ class TestVerifyBlocks:
 
     def test_each_suite_peak_memory_is_small(self, setting):
         cfg, grid, s, _ = setting
-        suites = [lambda: cli._suite_laplace(cfg, grid, s),
-                  lambda: cli._suite_pseudoresolvent(cfg, grid, s, None),
+        suites = [lambda: cli._suite_laplace(cfg, grid, s, cli.symbol_values(grid)),
+                  lambda: cli._suite_pseudoresolvent(cfg, grid, s, None, cli.symbol_values(grid)),
                   lambda: cli._suite_functional_equation(cfg),
-                  lambda: cli._suite_bromwich(cfg, grid, s),
+                  lambda: cli._suite_bromwich(cfg, grid, s, cli.symbol_values(grid)),
                   lambda: cli._suite_perturbation_oracle(cfg)]
         peaks = []
         for run in suites:
@@ -234,7 +236,7 @@ class TestVerifyBlocks:
         cfg, grid, s, _ = setting
         tracemalloc.start()
         try:
-            assert cli._suite_bromwich(cfg, grid, s).passed
+            assert cli._suite_bromwich(cfg, grid, s, cli.symbol_values(grid)).passed
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -245,7 +247,7 @@ class TestVerifyBlocks:
         u = GridFunction.gaussian(g2)
         tracemalloc.start()
         try:
-            res = semigroup.laplace_identity_residual(s, n, lam, u, T)
+            res = semigroup.laplace_identity_residual(s.on_grid(n, g2), n, lam, u, T)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -269,7 +271,7 @@ class TestVerifyBlocks:
             return phi(t, a)
 
         monkeypatch.setattr(semigroup, "phi", counted)
-        assert semigroup.laplace_identity_residual(s, n, lam, u, T) == res
+        assert semigroup.laplace_identity_residual(s.on_grid(n, g2), n, lam, u, T) == res
         assert 0 < sum(entries) <= 29 * g2.shape[0] * g2.shape[1]
 
 
@@ -289,7 +291,8 @@ def test_pseudoresolvent_suite_makes_one_block_per_index(monkeypatch):
     grid, s = cli.build_grid(FAST_VERIFY), cli.build_family(FAST_VERIFY)
     s_tilde = cli.build_comparison_family(FAST_VERIFY, s)
     assert s_tilde is not None
-    assert cli._suite_pseudoresolvent(FAST_VERIFY, grid, s, s_tilde).passed
+    assert cli._suite_pseudoresolvent(FAST_VERIFY, grid, s, s_tilde,
+                                      cli.symbol_values(grid)).passed
     # two families times two indices, for the 50 (lambda, mu) pairs
     assert counts == {"resolvent_factor": 4, "multiplier_norms": 4}
 
@@ -420,7 +423,7 @@ def test_box_point_sets_are_the_suites_calls(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "box_points", spy)
     grid, s = cli.build_grid(FAST_VERIFY), cli.build_family(FAST_VERIFY)
-    assert cli._suite_pseudoresolvent(FAST_VERIFY, grid, s, None).passed
+    assert cli._suite_pseudoresolvent(FAST_VERIFY, grid, s, None, cli.symbol_values(grid)).passed
     assert cli._suite_functional_equation(FAST_VERIFY).passed
     assert cli._suite_perturbation_oracle(FAST_VERIFY).passed
     assert cli.run_perturb(FAST_PERTURB, tmp_path) == 0
@@ -484,7 +487,34 @@ def test_bromwich_suite_passes_right_of_the_imaginary_axis(tmp_path, c0):
     assert main(["verify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
     rows = {r.split(",")[0]: r.split(",") for r in
             (tmp_path / "verify.csv").read_text().splitlines()[1:]}
-    assert float(rows["bromwich-oracle"][1]) <= 5e-5
+    # the worst error is relative to ||u||_2; times ||u||_2 it is the absolute error
+    unorm = lp_norm(GridFunction.gaussian(cli.build_grid(cfg)), 2)
+    assert float(rows["bromwich-oracle"][1]) * unorm <= 5e-5
+
+
+def test_verify_passes_on_four_points(tmp_path):
+    # the Gaussian sampled on 4 points has ||u||_2 = 2.0 against 0.84 on 256: the Bromwich
+    # error is relative, so it reads 5.1e-5 here as on the default grid
+    cfg = dataclasses.replace(default_config("verify"), points=4)
+    assert main(["verify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+    rows = {r.split(",")[0]: r.split(",") for r in
+            (tmp_path / "verify.csv").read_text().splitlines()[1:]}
+    assert float(rows["bromwich-oracle"][1]) <= 5.2e-5
+
+
+def test_verify_evaluates_each_family_once_per_index(monkeypatch, tmp_path):
+    # the Laplace, pseudoresolvent and Bromwich suites share one evaluation per (family, n):
+    # the scenario family and its drift comparison at the two indices of FAST_VERIFY
+    keys, on_grid = [], symbols.SymbolSeq.on_grid
+
+    def counted(seq, n, grid):
+        keys.append((seq.name, n))
+        return on_grid(seq, n, grid)
+
+    monkeypatch.setattr(symbols.SymbolSeq, "on_grid", counted)
+    assert cli.run_verify(FAST_VERIFY, tmp_path) == 0
+    assert sorted(keys) == sorted((name, n) for name in ("heat-default", "heat-default+1/n")
+                                  for n in FAST_VERIFY.n_list)
 
 
 def test_laplace_suite_resolves_a_step_below_the_bound(tmp_path):
@@ -503,10 +533,11 @@ def test_laplace_suite_samples_complex_lambda_as_given():
     omega = max(0.0, s.re_bound)
 
     def direct(lam):
-        return max(semigroup.laplace_identity_residual(s, n, lam, u, 40.0 / (lam.real - omega))
+        return max(semigroup.laplace_identity_residual(s.on_grid(n, grid), n, lam, u,
+                                                       40.0 / (lam.real - omega))
                    for n in cfg.n_list[:2])
 
-    worst = cli._suite_laplace(cfg, grid, s).worst
+    worst = cli._suite_laplace(cfg, grid, s, cli.symbol_values(grid)).worst
     assert worst == direct(2.0 + 5j)
     assert worst != direct(2.0 + 0j)
 
@@ -531,28 +562,47 @@ def nan_on_second_call(monkeypatch, name):
     monkeypatch.setattr(cli, name, patched)
 
 
+def nan_in_last_entry(monkeypatch, name):
+    """Patch ``cli.<name>`` so the last entry of each array it returns is NaN.
+
+    The Bromwich site reduces its three times in one call, so a NaN there is a
+    trailing entry, which the builtin ``max`` would drop.
+    """
+    original = getattr(cli, name)
+
+    def patched(*args, **kwargs):
+        value = original(*args, **kwargs).copy()
+        value[-1] = np.nan
+        return value
+
+    monkeypatch.setattr(cli, name, patched)
+
+
 def _verify_status(suite, *extra):
     """The status cell of one verify suite run on ``FAST_VERIFY``."""
     run = getattr(cli, f"_suite_{suite}")
     grid, s = cli.build_grid(FAST_VERIFY), cli.build_family(FAST_VERIFY)
-    return run(FAST_VERIFY, grid, s, *extra).row()[3]
+    return run(FAST_VERIFY, grid, s, *extra, cli.symbol_values(grid)).row()[3]
 
 
-#: sup site -> (the cli name whose result enters the sup, run, the failure it must report)
+#: sup site -> (the NaN patch, the cli name whose result enters the sup, run, the failure
+#: it must report)
 NAN_SITES = {
-    "laplace": ("laplace_identity_residual", lambda out: _verify_status("laplace"), "FAIL"),
-    "pseudoresolvent": ("pseudoresolvent_residual",
+    "laplace": (nan_on_second_call, "laplace_identity_residual",
+                lambda out: _verify_status("laplace"), "FAIL"),
+    "pseudoresolvent": (nan_on_second_call, "pseudoresolvent_residual",
                         lambda out: _verify_status("pseudoresolvent", None), "FAIL"),
-    "bromwich": ("lp_norm", lambda out: _verify_status("bromwich"), "FAIL"),
-    "perturbation-oracle": ("phi",
+    "bromwich": (nan_in_last_entry, "relative_defects",
+                 lambda out: _verify_status("bromwich"), "FAIL"),
+    "perturbation-oracle": (nan_on_second_call, "phi",
                             lambda out: cli.run_perturb(FAST_PERTURB, out), 1),
 }
 
 
 @pytest.mark.parametrize("site", list(NAN_SITES))
 def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
-    name, run, failure = NAN_SITES[site]
-    nan_on_second_call(monkeypatch, name)
+    patch, name, run, failure = NAN_SITES[site]
+    patch(monkeypatch, name)
     assert run(tmp_path) == failure
 
 
@@ -615,6 +665,34 @@ def test_bad_config_exits_2_naming_fields(tmp_path, capsys, command, text, names
     assert err.startswith("config error:")
     for name in names:
         assert name in err
+
+
+#: each kind field, its section and the table of the values it takes
+KIND_FIELDS = [("family_kind", "family", FAMILY_KINDS),
+               ("fractional_c_rate", "family", FRACTIONAL_C_RATES),
+               ("data_kind", "data", DATA_KINDS), ("forcing_kind", "forcing", FORCING_KINDS),
+               ("perturb_c_rate", "perturbation", PERTURB_C_RATES)]
+
+
+@pytest.mark.parametrize("field, section, kinds", KIND_FIELDS,
+                         ids=[field for field, *_ in KIND_FIELDS])
+def test_unknown_kind_exits_2_naming_its_field(tmp_path, capsys, field, section, kinds):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[{section}]\n{field} = bogus\n")
+    assert main(["growth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (f"config error: {field} must be one of "
+                                       f"{', '.join(kinds)}, got 'bogus'\n")
+
+
+def test_scale_comparison_evaluates_its_base_once():
+    cfg = dataclasses.replace(default_config("associate"), comparison="scale:1.5")
+    grid, base, calls = cli.build_grid(cfg), cli.build_family(cfg), []
+    counted = dataclasses.replace(base, eval=lambda n, v: calls.append(n) or base.eval(n, v))
+    values = cli.build_comparison_family(cfg, counted).on_grid(4, grid)
+    assert calls == [4]
+    # the arithmetic of a base evaluated twice, bit for bit
+    a = base.on_grid(4, grid)
+    assert values.tobytes() == (a + (1.5 - 1.0) * a).tobytes()
 
 
 #: comparisons whose declared sup Re a_n is checked, on poly bases with c0 = 0.5 and -0.2

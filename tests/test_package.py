@@ -128,19 +128,17 @@ def _callers(module: str, name: str) -> set:
             and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
 
 
-#: semigroup.py functions that evaluate a_n for one index and take no sup over samples
-IDENTITY_ORACLES = {"integrated_factor", "laplace_identity_residual",
-                    "pseudoresolvent_residual", "bromwich_S"}
-
-
 def test_one_association_kernel():
     # the one "sup over samples of a diagonal-operator norm": within association.py
     # only check_association calls multiplier_norms
     assert _callers("association.py", "multiplier_norms") == {"check_association"}
     # and its two reductions are the only sups that evaluate symbols: growth
-    # certificates and resolvent-norm bounds go through operator_sups
+    # certificates and resolvent-norm bounds go through operator_sups, and the
+    # identity oracles take symbol values
     on_grid = _callers("association.py", "on_grid") | _callers("semigroup.py", "on_grid")
-    assert on_grid - IDENTITY_ORACLES == {"check_association", "operator_sups"}
+    assert on_grid == {"check_association", "operator_sups"}
+    # every identity oracle forms its relative defects ||d u||_2 / ||u||_2 in one helper
+    assert _callers("semigroup.py", "multiplier_norms") == {"relative_defects"}
 
 
 def test_one_symbol_family_type():

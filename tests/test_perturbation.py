@@ -15,7 +15,7 @@ from semigrouplab.perturbation import (perturbation_quadrature, perturbed_factor
                                        perturbation_claims_suite)
 from semigrouplab.quadrature import composite_gauss_points
 from semigrouplab.semigroup import (TIME_INTEGRAL_LEVELS, TIME_INTEGRAL_PANELS, MultiplierOp,
-                                   integrated_factor, phi, resolvent_factor, semigroup_level)
+                                   phi, resolvent_factor, semigroup_level)
 from semigrouplab.spectral import Grid, GridFunction, lp_norm
 from semigrouplab.symbols import (SymbolSeq, constant_symbol_seq, heat_symbol_seq,
                                   make_poly_symbol_seq, perturbed_heat_seq, summed_symbol_seq)
@@ -38,25 +38,30 @@ def gaussian(grid):
     return GridFunction.gaussian(grid)
 
 
+def perturbed(s, B, n, times, grid):
+    """``perturbed_factor`` on the values a_n and b_n of the families s and B on ``grid``."""
+    return perturbed_factor(s.on_grid(n, grid), B.on_grid(n, grid), times)
+
+
 class TestPerturbedS:
     def test_zero_perturbation_reproduces_semigroup(self, heat, grid):
-        out = perturbed_factor(heat, constant_symbol_seq(lambda n: 0.0, "B"), 1, [0.7], grid)[0]
-        assert np.max(np.abs(out - integrated_factor(heat, 1, 0.7, grid))) < 1e-12
+        out = perturbed(heat, constant_symbol_seq(lambda n: 0.0, "B"), 1, [0.7], grid)[0]
+        assert np.max(np.abs(out - phi(0.7, heat.on_grid(1, grid)))) < 1e-12
 
     def test_factor_matches_summed_symbol(self, heat, grid):
         # the central oracle: quadrature form equals phi(t, a + b) per mode
         B = constant_symbol_seq(lambda n: 0.4 - 0.9j, "B")
         summed = summed_symbol_seq(heat, B)
         for t in (0.2, 1.0, 3.0):
-            quad = perturbed_factor(heat, B, 2, [t], grid)[0]
-            closed = integrated_factor(summed, 2, t, grid)
+            quad = perturbed(heat, B, 2, [t], grid)[0]
+            closed = phi(t, summed.on_grid(2, grid))
             assert np.max(np.abs(quad - closed)) < 1e-10
 
     def test_imaginary_constant_magnitudes(self, heat, grid):
         kappa = 2.5
         B = constant_symbol_seq(lambda n: 1j * kappa, "B")
         a = heat.on_grid(1, grid)
-        fac = perturbed_factor(heat, B, 1, [0.8], grid)[0]
+        fac = perturbed(heat, B, 1, [0.8], grid)[0]
         direct = phi(0.8, a + 1j * kappa)
         assert np.max(np.abs(np.abs(fac) - np.abs(direct))) < 1e-10
 
@@ -65,7 +70,7 @@ class TestPerturbedS:
         rng = np.random.default_rng(31)
         u = GridFunction(grid, rng.standard_normal(128))
         v = GridFunction(grid, rng.standard_normal(128))
-        op = MultiplierOp(grid, perturbed_factor(heat, B, 1, [0.5], grid)[0])
+        op = MultiplierOp(grid, perturbed(heat, B, 1, [0.5], grid)[0])
         assert lp_norm(op.apply(u + v) - (op.apply(u) + op.apply(v)), 2) < 1e-12
 
     def test_laplace_identity_for_perturbed_family(self, heat, grid):
@@ -75,9 +80,10 @@ class TestPerturbedS:
         lam, n = 2.0, 3
         pts, wts = composite_gauss_points(0.0, 40.0 / lam, 64)
         quad = np.zeros(grid.shape, dtype=complex)
+        a = summed.on_grid(n, grid)
         for p, w in zip(pts, wts):
-            quad += w * np.exp(-lam * p) * integrated_factor(summed, n, p, grid)
-        target = resolvent_factor(summed.on_grid(n, grid), lam, grid, n)
+            quad += w * np.exp(-lam * p) * phi(p, a)
+        target = resolvent_factor(a, lam, grid, n)
         assert np.max(np.abs(lam * quad - target)) < 1e-8
 
 
@@ -131,22 +137,22 @@ class TestPerturbationQuadrature:
     def test_overflow_raises_and_never_returns_inf(self, heat, grid):
         # the Re(a+b) t guard
         with pytest.raises(OverflowGuardError):
-            perturbed_factor(heat, constant_symbol_seq(lambda n: 800.0, "B"), 1, [1.0], grid)
+            perturbed(heat, constant_symbol_seq(lambda n: 800.0, "B"), 1, [1.0], grid)
 
         def constant_family(c0):
             return make_poly_symbol_seq(lambda n: (c0, 0.0, 0.0))
 
         # past the guard: Re a t > 709 overflows phi(t, a)
         with pytest.raises(OverflowGuardError):
-            perturbed_factor(constant_family(720.0), constant_symbol_seq(lambda n: -30.0, "B"),
-                             1, [1.0], grid)
+            perturbed(constant_family(720.0), constant_symbol_seq(lambda n: -30.0, "B"),
+                      1, [1.0], grid)
         # past the guard: e^(s b) phi(s, 0) = e^700 s overflows at s near t = 1e6
         cases = [(constant_family(0.0), 0.0007, 1e6)]
         cases += [(constant_family(c0), b, 1.0) for c0 in (690.0, 705.0, 709.0, 712.0)
                   for b in (-60.0, -30.0 + 2j, -5.0, 0.0)]
         for s, b, t in cases:
             try:
-                out = perturbed_factor(s, constant_symbol_seq(lambda n: b, "B"), 1, [t], grid)
+                out = perturbed(s, constant_symbol_seq(lambda n: b, "B"), 1, [t], grid)
             except OverflowGuardError:
                 continue
             assert np.all(np.isfinite(out))
@@ -154,13 +160,13 @@ class TestPerturbationQuadrature:
     def test_times_rows_match_kernel(self, heat, grid):
         B = constant_symbol_seq(lambda n: -0.3 + 1.7j, "B")
         times = [0.3, 1.1, 2.0, 0.7]
-        out = perturbed_factor(heat, B, 2, times, grid)
         a, b = heat.on_grid(2, grid), B.on_grid(2, grid)
+        out = perturbed_factor(a, b, times)
         assert np.array_equal(out, np.stack([perturbation_quadrature(t, a, b) for t in times]))
 
     def test_zero_time_among_nonzero_times_is_a_zero_row(self, heat, grid):
-        out = perturbed_factor(heat, constant_symbol_seq(lambda n: 0.4 - 0.9j, "B"), 2,
-                               [0.5, 0.0, 1.5], grid)
+        out = perturbed(heat, constant_symbol_seq(lambda n: 0.4 - 0.9j, "B"), 2,
+                        [0.5, 0.0, 1.5], grid)
         assert out.shape == (3,) + grid.shape
         assert not np.any(out[1])
         assert np.all(out[[0, 2]] != 0)
@@ -168,14 +174,14 @@ class TestPerturbationQuadrature:
     def test_guard_checks_the_largest_time(self, heat, grid):
         # sup Re(a + b) = 400: only t = 2 passes Re(a+b) t = 700
         B = constant_symbol_seq(lambda n: 400.0, "B")
-        assert np.all(np.isfinite(perturbed_factor(heat, B, 1, [0.5, 1.0], grid)))
+        assert np.all(np.isfinite(perturbed(heat, B, 1, [0.5, 1.0], grid)))
         with pytest.raises(OverflowGuardError):
-            perturbed_factor(heat, B, 1, [0.5, 2.0, 1.0], grid)
+            perturbed(heat, B, 1, [0.5, 2.0, 1.0], grid)
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_zeros_at_time_zero(self, heat, dimension):
         g = Grid(dimension, 4.0, 16)
-        out = perturbed_factor(heat, constant_symbol_seq(lambda n: 0.4 - 0.9j, "B"), 2, [0.0], g)[0]
+        out = perturbed(heat, constant_symbol_seq(lambda n: 0.4 - 0.9j, "B"), 2, [0.0], g)[0]
         assert out.shape == g.shape and out.dtype == complex
         assert not np.any(out)
 
@@ -202,8 +208,8 @@ class TestMultiplierShapes:
             eval=lambda n, v: 0.3j * np.cos(v[..., 0]) + 0.1 * np.sin(v[..., -1]) - 0.2,
             re_bound=-0.1, name="xi")
         times = [0.4, 1.3]
-        out = perturbed_factor(heat, B, 2, times, g)
         a, b = heat.on_grid(2, g), B.on_grid(2, g)
+        out = perturbed_factor(a, b, times)
         assert b.shape == g.shape and np.ptp(b.imag) > 0.1
         for row, t in zip(out, times):
             for idx in np.ndindex(g.shape):
@@ -227,7 +233,7 @@ class TestMultiplierShapes:
 
         monkeypatch.setattr(semigroup, "np", CountingNumpy())
         times = [0.3, 1.1, 2.0]
-        perturbed_factor(heat, constant_symbol_seq(lambda n: 0.4 - 0.9j, "B"), 2, times, grid)
+        perturbed(heat, constant_symbol_seq(lambda n: 0.4 - 0.9j, "B"), 2, times, grid)
         assert grid.shape == (128,)
         assert entries == [TIME_INTEGRAL_LEVELS] * len(times)
 
@@ -270,8 +276,8 @@ class TestProposition49Suite:
         def quadrature_norms(s_other, B_other):
             norms = []
             for n in n_list:
-                diffs = (perturbed_factor(heat, B, n, ts, grid)
-                         - perturbed_factor(s_other, B_other, n, ts, grid))
+                diffs = (perturbed(heat, B, n, ts, grid)
+                         - perturbed(s_other, B_other, n, ts, grid))
                 weighted = [np.exp(-omega * t) * lp_norm(MultiplierOp(grid, d).apply(gaussian), 2)
                             for t, d in zip(ts, diffs)]
                 norms.append(max(weighted))

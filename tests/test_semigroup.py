@@ -6,12 +6,11 @@ from hypothesis.extra.numpy import arrays
 
 from semigrouplab import semigroup
 from semigrouplab.errors import OverflowGuardError, ResolventSingularityError
-from semigrouplab.semigroup import (MultiplierOp, apply_S, block_rows,
+from semigrouplab.semigroup import (MultiplierOp, block_rows,
                                     bromwich_S, certify_growth,
-                                    integrated_factor,
                                     laplace_identity_residual, multiplier_norms,
                                     phi, power_spectra, pseudoresolvent_residual,
-                                    resolvent_factor,
+                                    relative_defects, resolvent_factor,
                                     sample_axis, time_integral)
 from semigrouplab.spectral import (Grid, GridFunction, inverse_transform,
                                    lp_norm)
@@ -182,6 +181,11 @@ class TestPhi:
         assert defect <= 4e-15 * (1.0 + abs((t + s) * a)) * scale
 
 
+def apply_S(s, n, t, u):
+    """S_n(t) u: the multiplier phi(t, a_n) applied to u."""
+    return MultiplierOp(u.grid, phi(t, s.on_grid(n, u.grid))).apply(u)
+
+
 class TestApplyS:
     def test_time_zero_is_zero_operator(self, heat, gaussian):
         out = apply_S(heat, 1, 0.0, gaussian)
@@ -202,7 +206,7 @@ class TestApplyS:
         u = GridFunction(g, np.exp(-np.pi * x**2) * (1 + 0.3 * np.sin(np.pi * x / 4)))
         n, t = 3, 0.4
         direct = apply_S(s, n, t, u)
-        kernel = inverse_transform(GridFunction(g, integrated_factor(s, n, t, g)))
+        kernel = inverse_transform(GridFunction(g, phi(t, s.on_grid(n, g))))
         conv = np.zeros(64, dtype=complex)
         half = 32
         for j in range(64):
@@ -247,6 +251,24 @@ class TestMultiplierNorms:
             multiplier_norms(np.ones(grid.shape), power_spectra([gaussian]))
         with pytest.raises(ValueError, match="different grids"):
             power_spectra([gaussian, GridFunction.gaussian(Grid(1, 4.0, 256))])
+
+
+class TestRelativeDefects:
+    def test_equals_inverse_fft_norms_over_the_norm_of_u(self, grid):
+        rng = np.random.default_rng(5)
+        u = GridFunction(grid, rng.standard_normal(grid.shape)
+                         + 1j * rng.standard_normal(grid.shape))
+        defects = rng.standard_normal((3,) + grid.shape) * np.exp(
+            1j * rng.uniform(-np.pi, np.pi, (3,) + grid.shape))
+        out = relative_defects(defects, u)
+        assert out.shape == (3,)
+        for d, value in zip(defects, out):
+            ref = lp_norm(MultiplierOp(grid, d).apply(u), 2) / lp_norm(u, 2)
+            assert value == pytest.approx(ref, rel=1e-12)
+
+    def test_zero_input_gives_zeros(self, grid):
+        zero = relative_defects(np.ones((2,) + grid.shape), GridFunction.zero(grid))
+        assert zero.tolist() == [0.0, 0.0]
 
 
 class TestResolvent:
@@ -294,41 +316,43 @@ class TestResolvent:
 
 
 class TestLaplaceIdentity:
-    def test_heat_reference_lambda(self, heat, gaussian):
-        res = laplace_identity_residual(heat, 1, 2.0, gaussian, T=20.0)
+    def test_heat_reference_lambda(self, heat, grid, gaussian):
+        res = laplace_identity_residual(heat.on_grid(1, grid), 1, 2.0, gaussian, T=20.0)
         assert res < 1e-8
 
     def test_zero_input(self, heat, grid):
-        res = laplace_identity_residual(heat, 1, 2.0, GridFunction.zero(grid), T=20.0)
+        res = laplace_identity_residual(heat.on_grid(1, grid), 1, 2.0, GridFunction.zero(grid),
+                                        T=20.0)
         assert res == 0.0
 
-    def test_large_lambda(self, heat, gaussian):
-        res = laplace_identity_residual(heat, 1, 1000.0, gaussian, T=0.04)
+    def test_large_lambda(self, heat, grid, gaussian):
+        res = laplace_identity_residual(heat.on_grid(1, grid), 1, 1000.0, gaussian, T=0.04)
         assert res < 1e-8
 
-    def test_complex_lambda(self, heat, gaussian):
-        res = laplace_identity_residual(heat, 1, 2.0 + 5j, gaussian, T=20.0)
+    def test_complex_lambda(self, heat, grid, gaussian):
+        a = heat.on_grid(1, grid)
+        res = laplace_identity_residual(a, 1, 2.0 + 5j, gaussian, T=20.0)
         assert res < 1e-8
-        assert res != laplace_identity_residual(heat, 1, 2.0, gaussian, T=20.0)
+        assert res != laplace_identity_residual(a, 1, 2.0, gaussian, T=20.0)
         # Re lambda = 0 = sup Re a_1, so the transform does not converge
         with pytest.raises(ValueError, match="Re lambda"):
-            laplace_identity_residual(heat, 1, 5j, gaussian, T=20.0)
+            laplace_identity_residual(a, 1, 5j, gaussian, T=20.0)
 
-    def test_truncation_guard(self, heat, gaussian):
+    def test_truncation_guard(self, heat, grid, gaussian):
         with pytest.raises(ValueError, match="truncation"):
-            laplace_identity_residual(heat, 1, 2.0, gaussian, T=1.0)
+            laplace_identity_residual(heat.on_grid(1, grid), 1, 2.0, gaussian, T=1.0)
 
-    def test_overflow_raises_naming_lambda_n_and_T(self, gaussian):
+    def test_overflow_raises_naming_lambda_n_and_T(self, grid, gaussian):
         # e^(-lambda s) overflows near s = T = 400 although e^((a - lambda) s) decays:
         # the kernel's FloatingPointError becomes the named guard error, never an inf
         s = make_poly_symbol_seq(lambda n: (-5.0, 0.0, 0.025), name="shifted")
         with pytest.raises(OverflowGuardError,
                            match=r"^Laplace identity at lambda=\(-4\.9\+0j\), n=1, T=400: "):
-            laplace_identity_residual(s, 1, -4.9 + 0j, gaussian, T=400.0)
+            laplace_identity_residual(s.on_grid(1, grid), 1, -4.9 + 0j, gaussian, T=400.0)
         # S(T) itself overflows: sup Re a_n T = 1.9 x 400 is past EXP_GUARD
         s = make_poly_symbol_seq(lambda n: (1.9, 0.0, 0.025), name="growing")
         with pytest.raises(OverflowGuardError, match=r"n=1, T=400: T sup Re a_n = 760 "):
-            laplace_identity_residual(s, 1, 2.0 + 0j, gaussian, T=400.0)
+            laplace_identity_residual(s.on_grid(1, grid), 1, 2.0 + 0j, gaussian, T=400.0)
 
     def test_quadrature_convergence_order(self, heat, grid, gaussian):
         # composite Gauss-Legendre error drops at order >= 4 in the panel count; the
@@ -406,8 +430,8 @@ class TestTimeIntegral:
 
 
 class TestPseudoresolvent:
-    def test_equal_arguments_exact_zero(self, heat, gaussian):
-        assert pseudoresolvent_residual(heat, 1, 2.0, 2.0, gaussian) == 0.0
+    def test_equal_arguments_exact_zero(self, heat, grid, gaussian):
+        assert pseudoresolvent_residual(heat.on_grid(1, grid), 1, 2.0, 2.0, gaussian) == 0.0
 
     @pytest.mark.parametrize("case", ["heat", "fractional", "heat-2d"])
     def test_pairs_match_scalar_calls(self, heat, grid, case):
@@ -420,69 +444,71 @@ class TestPseudoresolvent:
         u = GridFunction(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
         lams = [2.0, 3.0 + 4j, 40.0 - 7j, 2.5 + 1j]
         mus = [5.0, 0.5 - 2j, 3.0 + 4j, 2.5 + 1j]
-        out = pseudoresolvent_residual(s, 2, lams, mus, u)
+        a = s.on_grid(2, g)
+        out = pseudoresolvent_residual(a, 2, lams, mus, u)
         assert out.shape == (len(lams),)
         assert out[-1] == 0.0
         for lam, mu, value in zip(lams, mus, out):
-            assert value == pytest.approx(pseudoresolvent_residual(s, 2, lam, mu, u),
+            assert value == pytest.approx(pseudoresolvent_residual(a, 2, lam, mu, u),
                                           rel=1e-14, abs=0.0)
 
     def test_pairs_on_zero_input_and_equal_arguments_are_exact_zeros(self, heat, grid,
                                                                     gaussian):
-        lams = np.array([2.0, 3.0 + 4j, 40.0 - 7j])
-        assert pseudoresolvent_residual(heat, 1, 2.0, 5.0, GridFunction.zero(grid)) == 0.0
-        zero = pseudoresolvent_residual(heat, 1, lams, lams[::-1], GridFunction.zero(grid))
+        lams, a = np.array([2.0, 3.0 + 4j, 40.0 - 7j]), heat.on_grid(1, grid)
+        assert pseudoresolvent_residual(a, 1, 2.0, 5.0, GridFunction.zero(grid)) == 0.0
+        zero = pseudoresolvent_residual(a, 1, lams, lams[::-1], GridFunction.zero(grid))
         assert zero.tolist() == [0.0, 0.0, 0.0]
-        same = pseudoresolvent_residual(heat, 1, lams, lams.copy(), gaussian)
+        same = pseudoresolvent_residual(a, 1, lams, lams.copy(), gaussian)
         assert same.tolist() == [0.0, 0.0, 0.0]
 
-    def test_pairs_need_equal_lengths(self, heat, gaussian):
+    def test_pairs_need_equal_lengths(self, heat, grid, gaussian):
         with pytest.raises(ValueError, match="equal lengths"):
-            pseudoresolvent_residual(heat, 1, [2.0, 3.0], [5.0], gaussian)
+            pseudoresolvent_residual(heat.on_grid(1, grid), 1, [2.0, 3.0], [5.0], gaussian)
 
     def test_heat_random_input(self, heat, grid):
         rng = np.random.default_rng(7)
         u = GridFunction(grid, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-        assert pseudoresolvent_residual(heat, 1, 2.0, 5.0, u) < 1e-12
+        assert pseudoresolvent_residual(heat.on_grid(1, grid), 1, 2.0, 5.0, u) < 1e-12
 
     def test_fractional_family(self, grid, gaussian):
         s = make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, bound=2.0)
-        assert pseudoresolvent_residual(s, 2, 1.0 + 0.0j, 3.0, gaussian) < 1e-12
+        assert pseudoresolvent_residual(s.on_grid(2, grid), 2, 1.0 + 0.0j, 3.0, gaussian) < 1e-12
 
 
 class TestBromwich:
-    def test_matches_apply_S(self, heat, gaussian):
-        direct = apply_S(heat, 1, 0.5, gaussian)
-        [contour] = bromwich_S(heat, 1, [0.5], gaussian, alpha=2.0, r_max=200.0,
+    def test_matches_apply_S(self, heat, grid, gaussian):
+        [contour] = bromwich_S(heat.on_grid(1, grid), 1, [0.5], alpha=2.0, r_max=200.0,
                                steps=20000)
-        assert lp_norm(direct - contour, 2) < 1e-4
+        assert lp_norm(apply_S(heat, 1, 0.5, gaussian)
+                       - MultiplierOp(grid, contour).apply(gaussian), 2) < 1e-4
 
-    def test_time_zero_within_truncation(self, heat, gaussian):
-        [out] = bromwich_S(heat, 1, [0.0], gaussian, alpha=2.0, r_max=200.0, steps=20000)
+    def test_time_zero_within_truncation(self, heat, grid, gaussian):
+        [out] = bromwich_S(heat.on_grid(1, grid), 1, [0.0], alpha=2.0, r_max=200.0,
+                           steps=20000)
         # truncation tail of the contour integral is O(1/(pi r_max))
-        assert lp_norm(out, 2) < 5e-3
+        assert lp_norm(MultiplierOp(grid, out).apply(gaussian), 2) < 5e-3
 
-    def test_contour_must_clear_abscissa(self, heat, gaussian):
+    def test_contour_must_clear_abscissa(self, heat, grid):
         with pytest.raises(ValueError):
-            bromwich_S(heat, 1, [0.5], gaussian, alpha=-1.0, r_max=50.0, steps=1000)
+            bromwich_S(heat.on_grid(1, grid), 1, [0.5], alpha=-1.0, r_max=50.0, steps=1000)
 
     @staticmethod
     def assert_matches_per_time_sum(s, u):
-        """Each time's contour against the direct complex sum over all nodes at once."""
+        """Each time's contour against the direct complex sum over all nodes at once, as
+        operators on u: ||(out - ref) u||_2 <= 1e-12 ||ref u||_2."""
         # 8,001 nodes x 256 modes spans many blocks of the kernel, the last one partial
         times, alpha, r_max, steps = (0.0, 0.25, 1.0), 2.0, 50.0, 8000
-        outs = bromwich_S(s, 1, times, u, alpha, r_max, steps)
-        a = s.on_grid(1, u.grid).ravel()
+        a = s.on_grid(1, u.grid)
+        outs = bromwich_S(a, 1, times, alpha, r_max, steps)
         r = np.linspace(-r_max, r_max, steps + 1)
         w = trapezoid_weights(steps + 1, r[1] - r[0])
         lam = alpha + 1j * r[:, None]
-        assert len(outs) == len(times)
+        assert outs.shape == (len(times),) + u.grid.shape
         for t, out in zip(times, outs):
-            factor = np.sum(w[:, None] * np.exp(lam * t) / ((lam - a[None, :]) * lam),
-                            axis=0) / (2.0 * np.pi)
-            ref = GridFunction(u.grid, np.fft.ifftn(factor.reshape(u.grid.shape)
-                                                    * np.fft.fftn(u.values)))
-            assert lp_norm(out - ref, 2) <= 1e-12 * lp_norm(ref, 2)
+            ref = (np.sum(w[:, None] * np.exp(lam * t) / ((lam - a.ravel()[None, :]) * lam),
+                          axis=0) / (2.0 * np.pi)).reshape(u.grid.shape)
+            norms = multiplier_norms(np.stack([out - ref, ref]), power_spectra([u]))[:, 0]
+            assert norms[0] <= 1e-12 * norms[1]
 
     def test_all_times_match_per_time_sum(self, heat, gaussian):
         self.assert_matches_per_time_sum(heat, gaussian)
@@ -519,27 +545,27 @@ class TestBromwich:
                             lambda width: widths.append(width) or block_rows(width))
         s = make_poly_symbol_seq(lambda n: coeffs + (1.0 / (4 * np.pi**2),))
         u = GridFunction.gaussian(Grid(dimension, 3.0, points))
-        bromwich_S(s, 1, [0.5], u, alpha=2.0, r_max=50.0, steps=1000)
+        bromwich_S(s.on_grid(1, u.grid), 1, [0.5], alpha=2.0, r_max=50.0, steps=1000)
         assert widths == [columns]
 
-    def test_contour_through_spectrum_raises(self, heat, gaussian):
+    def test_contour_through_spectrum_raises(self, heat, grid):
         # a(0) = 0 for heat and r = 0 is a node, so the gap is alpha < margin
         with pytest.raises(ResolventSingularityError):
-            bromwich_S(heat, 1, [0.5], gaussian, alpha=5e-9, r_max=50.0, steps=1000)
+            bromwich_S(heat.on_grid(1, grid), 1, [0.5], alpha=5e-9, r_max=50.0, steps=1000)
 
-    def test_contour_through_spectrum_off_the_real_axis_raises(self, gaussian):
+    def test_contour_through_spectrum_off_the_real_axis_raises(self, grid):
         # a(0) = 1.3i is the only value with Re a = 0 (the others have Re a <= -|xi|^2), and
         # r = 1.3 is a node; alpha = 2e-9 clears sup Re a but not the margin
-        s = make_poly_symbol_seq(lambda n: (1.3j, 0.0, 1.0 / (4 * np.pi**2)))
+        a = make_poly_symbol_seq(lambda n: (1.3j, 0.0, 1.0 / (4 * np.pi**2))).on_grid(1, grid)
         with pytest.raises(ResolventSingularityError, match="numerical spectrum"):
-            bromwich_S(s, 1, [0.5], gaussian, alpha=2e-9, r_max=50.0, steps=1000)
+            bromwich_S(a, 1, [0.5], alpha=2e-9, r_max=50.0, steps=1000)
         # at alpha = 2e-8, past the margin, the scan is skipped and the contour passes
-        bromwich_S(s, 1, [0.5], gaussian, alpha=2e-8, r_max=50.0, steps=1000)
+        bromwich_S(a, 1, [0.5], alpha=2e-8, r_max=50.0, steps=1000)
 
 
 class TestCommutation:
     def test_semigroup_commutes_with_resolvent(self, heat, grid, gaussian):
-        s_op = MultiplierOp(grid, integrated_factor(heat, 1, 0.8, grid))
+        s_op = MultiplierOp(grid, phi(0.8, heat.on_grid(1, grid)))
         r_op = MultiplierOp(grid, resolvent_factor(heat.on_grid(1, grid), 3.0, grid, 1))
         ab = s_op.apply(r_op.apply(gaussian))
         ba = r_op.apply(s_op.apply(gaussian))

@@ -126,7 +126,25 @@ class TestPolyCoefficientTable:
         drifted = perturbed_heat_seq(coeffs)
         written = make_poly_symbol_seq(lambda m: (c0 + 1.0 / m, c1, c2 + 1.0 / m))
         assert np.array_equal(drifted(n, XI), written(n, XI))
-        assert drifted.re_bound == written.re_bound
+        # the closed-form sup over n bounds the maximum over the probe indices 1 ... 128,
+        # and equals it where that maximum is at n = 1: Im c_1 = 0 and Re c_2 >= 0
+        assert drifted.re_bound == max(poly_sup_re((c0 + 1.0, c1, c2 + 1.0)), poly_sup_re(coeffs))
+        assert written.re_bound <= drifted.re_bound + 1e-12 * max(1.0, abs(drifted.re_bound))
+        if c1.imag == 0 and c2.real >= 0:
+            assert drifted.re_bound == written.re_bound
+
+    def test_drift_re_bound_is_the_sup_over_every_index(self):
+        # Im c_1 != 0: sup Re a_n = 1/n + 0.25 / (4 (0.025 + 1/n)) grows to 2.5 as n -> infinity,
+        # past every probe index (1.913 at n = 128, 2.407 at n = 1024)
+        coeffs = (0.0, 0.5j, 0.025)
+        drifted = perturbed_heat_seq(coeffs)
+        sups = [poly_sup_re((1.0 / n, 0.5j, 0.025 + 1.0 / n)) for n in 2 ** np.arange(31)]
+        assert sups[7] == pytest.approx(1.913, abs=1e-3)
+        assert sups[10] == pytest.approx(2.407, abs=1e-3)
+        assert drifted.re_bound == poly_sup_re(coeffs) == pytest.approx(2.5)
+        assert max(sups) <= drifted.re_bound
+        # Im c_1 = 0: the sup sits at n = 1, c_0 + 1
+        assert perturbed_heat_seq((-0.1, 0.3, 0.025)).re_bound == -0.1 + 1.0
 
 
 class TestFractionalFamilies:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from semigrouplab.cauchy import ForcingSeq, duhamel_solve
-from semigrouplab.semigroup import MultiplierOp, apply_S, phi, resolvent_factor
+from semigrouplab.semigroup import MultiplierOp, phi, resolvent_factor
 from semigrouplab.spectral import (DistributionRep, Grid, GridFunction,
                                    mollifier, lp_norm, mollify, transform)
 from semigrouplab.symbols import make_fractional_symbol_seq
@@ -44,11 +44,11 @@ def test_mollify_delta_2d(grid2):
 def test_free_evolution_2d(schrodinger2, grid2):
     # diagonal application matches the per-mode factor on a pure mode
     u = GridFunction.gaussian(grid2)
-    out = apply_S(schrodinger2, 2, 0.3, u)
+    S = MultiplierOp(grid2, phi(0.3, schrodinger2.on_grid(2, grid2)))
     uhat = transform(u).values
     fx, fy = np.moveaxis(grid2.frequency_vectors(), -1, 0)
     a = 1j * 1.5 * (fx**2 + fy**2)
-    expected = transform(apply_S(schrodinger2, 2, 0.3, u)).values
+    expected = transform(S.apply(u)).values
     assert np.max(np.abs(expected - phi(0.3, a) * uhat)) < 1e-10
     resolvent = MultiplierOp(grid2, resolvent_factor(schrodinger2.on_grid(2, grid2), 2.0, grid2, 2))
     assert lp_norm(resolvent.apply(u), 2) > 0
