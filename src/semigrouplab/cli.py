@@ -19,9 +19,8 @@ from .association import (bundled_family_pairs, bundled_test_sequences, check_as
                           check_resolvent_norm_bounds, crosscheck_comparison_theorems)
 from .cauchy import (ForcingSeq, SliceSums, bump_test_function, duhamel_solve,
                      integral_equation_residual, very_weak_pairing, weak_limit_extract)
-from .config import (FRACTIONAL_C_RATES, PERTURB_C_RATES, PERTURB_ORACLE_T_MAX, ExperimentConfig,
-                     comparison_operand, default_config, load_config, scaled_sup_re,
-                     serialize_config, time_grid)
+from .config import (PERTURB_ORACLE_T_MAX, ExperimentConfig, comparison_operand, default_config,
+                     load_config, serialize_config, time_grid)
 from .errors import (ConfigError, OverflowGuardError, ResolutionError, SemigroupLabError,
                      SpaceTimeSupportError)
 from .perturbation import perturbation_claims_suite, perturbation_quadrature, perturbed_factor
@@ -52,15 +51,14 @@ def build_grid(cfg: ExperimentConfig) -> Grid:
 
 def build_family(cfg: ExperimentConfig) -> SymbolSeq:
     if cfg.family_kind == "poly":
-        return make_poly_symbol_seq(lambda n: cfg.coeffs, name=cfg.name)
-    return make_fractional_symbol_seq(FRACTIONAL_C_RATES[cfg.fractional_c_rate],
-                                      cfg.fractional_m, bound=2.0)
+        return make_poly_symbol_seq(cfg.coeffs, name=cfg.name)
+    return make_fractional_symbol_seq(cfg.fractional_c_rate, cfg.fractional_m)
 
 
 def build_perturbations(cfg: ExperimentConfig) -> tuple[SymbolSeq, SymbolSeq]:
     """The perturbation B = perturb_b and the vanishing family C at perturb_c_rate."""
-    return (constant_symbol_seq(lambda n: cfg.perturb_b, "B"),
-            constant_symbol_seq(PERTURB_C_RATES[cfg.perturb_c_rate], "C"))
+    return (constant_symbol_seq(cfg.perturb_b, "B"),
+            constant_symbol_seq(0.0, "C", cfg.perturb_c_rate))
 
 
 def build_comparison_family(cfg: ExperimentConfig, base: SymbolSeq) -> Optional[SymbolSeq]:
@@ -72,12 +70,11 @@ def build_comparison_family(cfg: ExperimentConfig, base: SymbolSeq) -> Optional[
             raise ConfigError("drift comparison needs a polynomial family")
         return perturbed_heat_seq(cfg.coeffs, name=cfg.name + "+1/n")
     if mode.startswith("shift:"):
-        value = comparison_operand(mode)
-        return summed_symbol_seq(base, constant_symbol_seq(lambda n: value, "shift"))
+        return summed_symbol_seq(base, constant_symbol_seq(comparison_operand(mode), "shift"))
     if mode.startswith("scale:"):
         factor = comparison_operand(mode)
-        return SymbolSeq(lambda n, v: (a := base.eval(n, v)) + (factor - 1.0) * a,
-                         re_bound=scaled_sup_re(cfg), name=f"{factor}*{base.name}")
+        return SymbolSeq("scaled", n_min=base.n_min, name=f"{factor}*{base.name}",
+                         parts=(base,), factor=factor)
     raise ConfigError(f"unknown comparison '{mode}'")
 
 

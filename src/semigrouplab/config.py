@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .semigroup import TIME_INTEGRAL_PANELS
-from .spectral import Grid
+from .spectral import TWO_PI, Grid
 from .symbols import poly_sup_re
 
 HEAT_C2 = 1.0 / (4.0 * math.pi**2)
@@ -41,13 +41,12 @@ PERTURB_STEP_MAX = 8.0
 #: by 1.3e-10, 4+150j (4.5e5) by 2.1e-10, 6 (9.8e5) by 4.0e-10 and 10 (4.9e9) by 2.3e-6
 PERTURB_TERM_MAX = 1.2e5
 
-#: the values of each kind field; a rate field maps each value to its sequence n -> c(n)
+#: the values of each kind field; the values of a rate field are names in ``symbols.RATES``
 FAMILY_KINDS = ("poly", "fractional")
-FRACTIONAL_C_RATES = {"constant": lambda n: 1.0, "one-plus-inverse": lambda n: 1.0 + 1.0 / n}
+FRACTIONAL_C_RATES = ("constant", "one-plus-inverse")
 DATA_KINDS = ("delta", "delta_prime", "gaussian", "file", "zero")
 FORCING_KINDS = ("none", "gaussian_pulse")
-PERTURB_C_RATES = {"inverse": lambda n: 1.0 / n, "inverse-sqrt": lambda n: 1.0 / math.sqrt(n),
-                   "zero": lambda n: 0.0}
+PERTURB_C_RATES = ("inverse", "inverse-sqrt", "zero")
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ def load_config(path) -> ExperimentConfig:
 
 def validate_config(cfg: ExperimentConfig) -> None:
     try:
-        Grid(cfg.dimension, cfg.half_width, cfg.points)
+        grid = Grid(cfg.dimension, cfg.half_width, cfg.points)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.points ** cfg.dimension > MAX_GRID_MODES:
@@ -238,9 +237,22 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.family_kind == "poly" and not math.isfinite(poly_sup_re(cfg.coeffs)):
         raise ConfigError(f"coeffs must keep Re a(xi) bounded above (Re c_2 > 0, or "
                           f"Re c_2 = 0 and Im c_1 = 0), got {cfg.coeffs}")
-    if cfg.comparison.startswith("scale:") and not math.isfinite(scaled_sup_re(cfg)):
-        raise ConfigError(f"comparison {cfg.comparison} makes Re a(xi) unbounded above "
-                          f"for coeffs {cfg.coeffs}")
+    if cfg.comparison.startswith("scale:"):
+        factor, poly = comparison_operand(cfg.comparison), cfg.family_kind == "poly"
+        if poly and not math.isfinite(poly_sup_re([factor * c for c in cfg.coeffs])):
+            raise ConfigError(f"comparison {cfg.comparison} makes Re a(xi) unbounded above "
+                              f"for coeffs {cfg.coeffs}")
+        # scale:f forms a + (f - 1) a; at the largest grid frequency xi, z = 2 pi xi, |a| is
+        # at most |c_0| + |c_1| z + d |c_2| z^2, or r(n) (sqrt(d) xi)^m with r(n) <= 2
+        xi = grid.max_frequency
+        z = TWO_PI * xi
+        with np.errstate(over="ignore"):
+            size = abs(factor - 1.0) * (
+                sum(abs(c) * w for c, w in zip(cfg.coeffs, (1.0, z, cfg.dimension * z * z)))
+                if poly else 2.0 * np.float64(math.sqrt(cfg.dimension) * xi) ** cfg.fractional_m)
+        if not size < math.inf:
+            raise ConfigError(f"comparison {cfg.comparison} takes (f - 1) a(xi) past the "
+                              f"largest float at the largest grid frequency xi = {xi:g}")
     steps = cfg.t_end / cfg.dt
     if not math.isfinite(steps):
         raise ConfigError(f"t_end / dt must be a finite step count, got t_end = {cfg.t_end}, "
@@ -270,18 +282,6 @@ def comparison_operand(comparison: str) -> complex | float:
     if not np.isfinite(value):
         raise ConfigError(f"comparison {kind}: needs a finite {wanted} number, got {raw!r}")
     return value
-
-
-def scaled_sup_re(cfg: ExperimentConfig) -> float:
-    """sup Re of the ``scale:<f>`` comparison f a_n.
-
-    The closed form on f * coeffs for a polynomial family; 0 for the
-    fractional family, whose Re a_n is 0.
-    """
-    if cfg.family_kind != "poly":
-        return 0.0
-    factor = comparison_operand(cfg.comparison)
-    return poly_sup_re([factor * c for c in cfg.coeffs])
 
 
 def default_config(scenario: str = "verify") -> ExperimentConfig:

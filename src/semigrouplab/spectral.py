@@ -63,11 +63,15 @@ class Grid:
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
         if not _is_power_of_two(self.points):
             raise ValueError(f"points must be a power of two, got {self.points}")
+        # the symbols square z_j = 2 pi i xi_j and sum over j, so at the largest frequency
+        # d (2 pi xi)^2 must be finite too
         if not (0 < self.half_width < np.inf and 0 < self.cell_volume < np.inf
-                and 0 < self.freq_spacing ** self.dimension < np.inf):
-            raise ValueError(f"half_width must be finite and positive, with a finite "
-                             f"positive spacing and frequency spacing in dimension "
-                             f"{self.dimension} on {self.points} points, got {self.half_width}")
+                and 0 < self.freq_spacing ** self.dimension < np.inf
+                and self.dimension * (z := TWO_PI * self.max_frequency) * z < np.inf):
+            raise ValueError(f"half_width must be finite and positive, with a finite positive "
+                             f"spacing, frequency spacing and sum of (2 pi xi_j)^2 at the largest "
+                             f"frequency in dimension {self.dimension} on {self.points} points, "
+                             f"got {self.half_width}")
 
     @property
     def spacing(self) -> float:
@@ -76,6 +80,10 @@ class Grid:
     @property
     def freq_spacing(self) -> float:
         return 1.0 / (2.0 * self.half_width)
+
+    @property
+    def max_frequency(self) -> float:  # the largest |xi_k| of an axis, as axis_frequencies
+        return (self.points // 2) * (1.0 / (self.points * self.spacing))
 
     @property
     def shape(self) -> tuple:

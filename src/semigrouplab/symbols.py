@@ -1,11 +1,9 @@
-"""Symbol sequences a_n(xi) with their declared bound on Re a_n, and the moderateness fit.
+"""Symbol families a_n(xi) = p(xi) + r(n) q(xi) as values, and the moderateness fit.
 
 Symbols are frequency-side scalar fields; each one defines a multiplier operator through
-the `semigroup` module.  Built-in families cover the constant-coefficient operators
-c_0 + c_1 d/dx_1 + c_2 Laplacian on R^d, the purely imaginary fractional family
-i c_n |xi|^m, and xi-constant families c(n), such as the bounded perturbations b_n.  On
-L^2 a multiplier generates exactly when sup Re a_n is finite, so that bound, ``re_bound``,
-is the one hypothesis a family declares; non-finite symbol values raise.
+the `semigroup` module.  On L^2 a multiplier generates exactly when sup Re a_n is finite,
+so that bound, ``re_bound``, is the one hypothesis of a family: :class:`SymbolSeq` forms
+it in closed form.  Non-finite symbol values raise.
 
 Moderate sequences are the base notion of the theory, so their log-log fit
 over n (:func:`fit_moderate`, :func:`is_moderate_fit`) lives here, below
@@ -14,18 +12,16 @@ minimum index count of a fit is set.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (HypothesisViolationError, InsufficientDataError, SymbolEvaluationError,
                      UnsupportedFamilyError)
 from .spectral import TWO_PI, Grid
-
-# probe indices used when inferring family-wide constants from a rule
-_PROBE_INDICES = tuple(range(1, 129))
 
 #: fewest indices a fit or limit over n is made from
 MIN_FIT_INDICES = 4
@@ -90,21 +86,108 @@ def is_moderate_fit(fit: ModerateSeq) -> bool:
     return fit.slope <= 50.0 and last <= 2.0 * max(first, 0.0) + 1.0
 
 
-@dataclass(frozen=True)
-class SymbolSeq:
-    """An indexed family n -> a_n(xi) of frequency symbols.
+#: the rates r(n) = limit + 1 / scale(n) by name, as (limit, scale).  Each scale is nondecreasing
+#: on n >= 1 and unbounded or infinite, so r is monotone from n_min on once scale(n_min) > 0
+RATES = {
+    "zero": (0.0, lambda n: math.inf),
+    "constant": (1.0, lambda n: math.inf),
+    "inverse": (0.0, float),
+    "one-plus-inverse": (1.0, float),
+    "inverse-sqrt": (0.0, math.sqrt),
+    "inverse-square": (0.0, lambda n: n * n),
+    "inverse-log": (0.0, math.log),
+}
 
-    ``eval`` receives the index n and an array of frequency vectors with a
-    trailing axis of length the grid dimension and returns complex values of
-    the leading shape.  ``re_bound`` is the uniform upper bound on Re a_n used
-    by growth certificates (the spectral abscissa surrogate).
+
+@dataclass(frozen=True, eq=False)
+class SymbolSeq:
+    """The family a_n(xi) = p(xi) + r(n) q(xi), n >= ``n_min``, as a value.
+
+    Each shape forms the coefficients c = p + r(n) q first (a zero r q_j leaves p_j as it
+    is): ``poly`` is c_0 + c_1 z_1 + sum_j c_2 z_j z_j with z = 2 pi i xi, ``constant``
+    the 0-d c_0, ``square`` c_0 |xi|^2, ``fractional`` i r(n) |xi|^m and ``gaussian``
+    r(n) e^(-|xi|^2); ``sum`` adds its two ``parts``, and ``scaled`` is a + (factor - 1) a
+    for a = ``parts[0]``.  ``rate`` names r in :data:`RATES`.  Families compare and hash
+    by repr, which tells -0.0 from 0.0, so equal families give bitwise-equal values.
     """
 
-    eval: Callable[[int, np.ndarray], np.ndarray]
-    re_bound: float
+    shape: str
+    p: tuple = ()
+    q: tuple = ()
+    rate: str = "zero"
+    n_min: int = 1
     name: str = ""
+    m: float = 0.0
+    parts: tuple = ()
+    factor: float = 1.0
+
+    def __post_init__(self):
+        if self.rate not in RATES or self.n_min < 1 or not RATES[self.rate][1](self.n_min) > 0:
+            raise HypothesisViolationError(f"family '{self.name}': rate '{self.rate}' is not "
+                                           f"defined and monotone on n >= {self.n_min}")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SymbolSeq) and repr(self) == repr(other)
+
+    def __hash__(self) -> int:
+        return hash(repr(self))
+
+    def _coeffs(self, r: float) -> tuple:
+        return tuple(pj + r * qj if r * qj else pj
+                     for pj, qj in itertools.zip_longest(self.p, self.q, fillvalue=0.0))
+
+    def eval(self, n: int, xi_vectors: np.ndarray) -> np.ndarray:
+        """a_n at frequency vectors (a trailing axis of the grid dimension), in their leading
+        shape or 0-d."""
+        if self.shape == "sum":
+            return self.parts[0].eval(n, xi_vectors) + self.parts[1](n, xi_vectors)
+        if self.shape == "scaled":
+            a = self.parts[0].eval(n, xi_vectors)
+            return a + (self.factor - 1.0) * a
+        limit, scale = RATES[self.rate]
+        c = self._coeffs(r := limit + 1.0 / scale(n))
+        if self.shape == "constant":
+            return np.asarray(c[0], dtype=complex)
+        if self.shape == "poly":
+            z = TWO_PI * 1j * xi_vectors
+            terms = [c[2] * z[..., j] * z[..., j] for j in range(z.shape[-1])]
+            return c[0] + c[1] * z[..., 0] + sum(terms[1:], terms[0])
+        squares = np.sum(xi_vectors * xi_vectors, axis=-1)
+        if self.shape == "square":
+            return c[0] * squares
+        if self.shape == "fractional":
+            return 1j * r * np.sqrt(squares) ** self.m
+        bump = np.exp(-squares)  # gaussian, its 1/scale(n) part as a division
+        return bump / scale(n) + limit * bump if limit else bump / scale(n)
+
+    def _sup_re(self, factor: float) -> float:
+        """sup over n >= n_min and xi of Re(factor a_n): g(r) = sup_xi Re(factor (p + r q))
+        is convex in r, a sup of affine maps, so over a monotone r it is the larger of
+        g(r(n_min)) and g(r_inf).  A sum adds its parts' sups."""
+        if self.shape in ("sum", "scaled"):
+            return sum(part._sup_re(factor * self.factor) for part in self.parts)
+        limit, scale = RATES[self.rate]
+        return max(self._g(limit + 1.0 / scale(self.n_min), factor), self._g(limit, factor))
+
+    def _g(self, r: float, factor: float) -> float:
+        c = [factor * complex(v) for v in self._coeffs(r)]
+        if self.shape == "poly":
+            return poly_sup_re(c)
+        if self.shape == "constant":
+            return c[0].real
+        if self.shape == "square":
+            return 0.0 if c[0].real <= 0 else math.inf
+        return max(factor * r, 0.0) if self.shape == "gaussian" else 0.0  # fractional: Re 0
+
+    @property
+    def re_bound(self) -> float:
+        """sup over n >= n_min and xi of Re a_n(xi), the uniform growth bound, in closed form."""
+        return self._sup_re(1.0)
 
     def __call__(self, n: int, xi_vectors: np.ndarray) -> np.ndarray:
+        if n < self.n_min:
+            raise SymbolEvaluationError(
+                f"symbol '{self.name}' is defined for n >= {self.n_min}, not at n={n}")
         vals = np.asarray(self.eval(n, xi_vectors), dtype=complex)
         if not np.all(np.isfinite(vals)):
             where = (f", xi={xi_vectors[tuple(np.argwhere(~np.isfinite(vals))[0])]}"
@@ -113,23 +196,14 @@ class SymbolSeq:
         return vals
 
     def on_grid(self, n: int, grid: Grid) -> np.ndarray:
-        """Symbol values at the grid frequencies, FFT layout, in the shape ``eval`` gives; it must
-        broadcast against ``grid.shape`` and is not expanded, so a xi-constant family stays 0-d."""
-        vals = self(n, grid.frequency_vectors())
-        if vals.shape != grid.shape and (vals.ndim > grid.dimension or any(
-                v not in (1, g) for v, g in zip(vals.shape[::-1], grid.shape[::-1]))):
-            raise ValueError(f"{self.name} values of shape {vals.shape} do not broadcast "
-                             f"against grid shape {grid.shape}")
-        return vals
+        """Symbol values at the grid frequencies, FFT layout: of ``grid.shape``, or 0-d for a
+        xi-constant family, which is not expanded."""
+        return self(n, grid.frequency_vectors())
 
 
 def poly_coeffs(coeffs: Sequence[complex]) -> Tuple[complex, complex, complex]:
-    """Coefficients c_0, c_1, c_2 of a degree <= 2 operator, zero-padded to three.
-
-    The operator is c_0 + c_1 d/dx_1 + c_2 Laplacian, with symbol
-    c_0 + c_1 (2 pi i xi_1) + c_2 sum_j (2 pi i xi_j)^2; more than three
-    coefficients raise ``UnsupportedFamilyError``.
-    """
+    """Coefficients c_0, c_1, c_2 of the operator c_0 + c_1 d/dx_1 + c_2 Laplacian, zero-padded
+    to three; more than three raise ``UnsupportedFamilyError``."""
     c = tuple(complex(v) for v in coeffs)
     if len(c) > 3:
         raise UnsupportedFamilyError(
@@ -154,76 +228,36 @@ def poly_sup_re(coeffs: Sequence[complex]) -> float:
     return math.inf
 
 
-def make_poly_symbol_seq(rule: Callable[[int], Sequence[complex]],
-                         name: str = "poly") -> SymbolSeq:
-    """Symbol family of the operator sequence c_0(n) + c_1(n) d/dx_1 + c_2(n) Laplacian.
-
-    ``rule(n)`` returns up to three coefficients (see :func:`poly_coeffs`); with
-    z = 2 pi i xi, eval(n, xi) = c_0 + c_1 z_1 + sum_j c_2 z_j z_j, the heat generator
-    (4 pi^2)^-1 Laplacian has symbol -|xi|^2, and the sum starts at its j = 1 term, so on
-    a line the symbol is c_0 + c_1 z + c_2 z z bit for bit.
-    """
-    def coeffs(n: int) -> Tuple[complex, complex, complex]:
-        return poly_coeffs(rule(n))
-
-    bound = max(poly_sup_re(coeffs(n)) for n in _PROBE_INDICES)
-
-    def _eval(n: int, xi_vectors: np.ndarray) -> np.ndarray:
-        c0, c1, c2 = coeffs(n)
-        z = TWO_PI * 1j * xi_vectors
-        squares = [c2 * z[..., j] * z[..., j] for j in range(z.shape[-1])]
-        return c0 + c1 * z[..., 0] + sum(squares[1:], squares[0])
-
-    return SymbolSeq(eval=_eval, re_bound=bound, name=name)
+def make_poly_symbol_seq(coeffs: Sequence[complex], name: str = "poly",
+                         drift: Sequence[complex] = (), rate: str = "zero") -> SymbolSeq:
+    """The operators c_0(n) + c_1(n) d/dx_1 + c_2(n) Laplacian, c(n) = ``coeffs`` + r(n)
+    ``drift``: the heat generator (4 pi^2)^-1 Laplacian has symbol -|xi|^2, and the sum over
+    j starts at its j = 1 term, so on a line the symbol is c_0 + c_1 z + c_2 z z bit for bit."""
+    return SymbolSeq("poly", poly_coeffs(coeffs), poly_coeffs(drift), rate, name=name)
 
 
-def make_fractional_symbol_seq(c: Callable[[int], float], m: float,
-                               bound: float) -> SymbolSeq:
-    """Purely imaginary family a_n(xi) = i c_n |xi|^m.
-
-    The coefficient sequence must be uniformly bounded by ``bound``, which
-    is checked on probe indices.  Re a_n = 0 exactly, so ``re_bound`` is 0.
-    """
-    worst = max(abs(float(c(n))) for n in _PROBE_INDICES)
-    if worst > bound * (1 + 1e-12):
-        raise HypothesisViolationError(
-            f"|c_n| = {worst} exceeds declared bound {bound} on sampled n")
-
-    def _eval(n: int, xi_vectors: np.ndarray) -> np.ndarray:
-        mag = np.sqrt(np.sum(xi_vectors * xi_vectors, axis=-1))
-        return 1j * float(c(n)) * mag ** m
-
-    return SymbolSeq(eval=_eval, re_bound=0.0, name="fractional")
+def make_fractional_symbol_seq(rate: str, m: float) -> SymbolSeq:
+    """Purely imaginary family a_n(xi) = i r(n) |xi|^m at a :data:`RATES` rate; ``re_bound`` 0."""
+    return SymbolSeq("fractional", rate=rate, m=m, name="fractional")
 
 
 def summed_symbol_seq(s: SymbolSeq, B: SymbolSeq) -> SymbolSeq:
     """The family a_n + b_n, the one sum of two families (a perturbed generator, say)."""
-    def _eval(n: int, xi_vectors: np.ndarray) -> np.ndarray:
-        return s.eval(n, xi_vectors) + B(n, xi_vectors)
-
-    return SymbolSeq(eval=_eval, re_bound=s.re_bound + B.re_bound, name=f"{s.name}+{B.name}")
+    return SymbolSeq("sum", n_min=max(s.n_min, B.n_min), name=f"{s.name}+{B.name}",
+                     parts=(s, B))
 
 
-def constant_symbol_seq(c: Callable[[int], complex], name: str) -> SymbolSeq:
-    """The xi-constant family a_n = c(n), 0-d; ``re_bound`` is max Re c(n) on the probe indices."""
-    bound = max(complex(c(n)).real for n in _PROBE_INDICES)
-    return SymbolSeq(eval=lambda n, xi_vectors: np.asarray(c(n), dtype=complex),
-                     re_bound=bound, name=name)
+def constant_symbol_seq(value: complex, name: str, rate: str = "zero") -> SymbolSeq:
+    """The xi-constant family a_n = value + r(n), 0-d."""
+    return SymbolSeq("constant", (value,), (1.0,), rate, name=name)
 
 
 def heat_symbol_seq() -> SymbolSeq:
     """The stationary heat family a_n(xi) = -|xi|^2 (generator (4pi^2)^-1 Laplacian)."""
-    return make_poly_symbol_seq(lambda n: (0.0, 0.0, 1.0 / (4 * np.pi**2)), name="heat")
+    return make_poly_symbol_seq((0.0, 0.0, 1.0 / (4 * np.pi**2)), name="heat")
 
 
 def perturbed_heat_seq(base_coeffs: Sequence[complex] = (0.0, 0.0, 1.0 / (4 * np.pi**2)),
                        name: str = "heat+1/n") -> SymbolSeq:
-    """The coefficient drift P_n(D): ``base_coeffs`` with c_0 + 1/n and c_2 + 1/n.
-
-    In x = 1/n, sup_xi Re a_n = Re c_0 + x + (Im c_1)^2 / (4 (Re c_2 + x)) is convex, so
-    ``re_bound``, its sup over n, is the larger of its values at n = 1 and as n -> infinity.
-    """
-    c0, c1, c2 = poly_coeffs(base_coeffs)
-    drift = make_poly_symbol_seq(lambda n: (c0 + 1.0 / n, c1, c2 + 1.0 / n), name=name)
-    return replace(drift, re_bound=max(poly_sup_re((c0 + 1.0, c1, c2 + 1.0)),
-                                       poly_sup_re(base_coeffs)))
+    """The coefficient drift P_n(D): ``base_coeffs`` with c_0 + 1/n and c_2 + 1/n."""
+    return make_poly_symbol_seq(base_coeffs, name, (1.0, 0.0, 1.0), "inverse")

@@ -78,6 +78,14 @@ MUTANTS = [
      "mass = np.sum(vals) * grid.cell_volume * (1 + 1e-9)", {"tier-1"}),
     ("_phi_k series 12 terms, not 24", "cauchy.py",
      "for i in range(23, -1, -1):", "for i in range(11, -1, -1):", {"tier-1"}),
+    # the closed-form re_bound max(g(r(n_min)), g(r_inf)) with one end dropped: no default
+    # config reads a family whose sup sits at the dropped end
+    ("closed-form re_bound drops its r_inf end", "symbols.py",
+     "return max(self._g(limit + 1.0 / scale(self.n_min), factor), self._g(limit, factor))",
+     "return self._g(limit + 1.0 / scale(self.n_min), factor)", {"tier-1"}),
+    ("closed-form re_bound drops its r(n_min) end", "symbols.py",
+     "return max(self._g(limit + 1.0 / scale(self.n_min), factor), self._g(limit, factor))",
+     "return self._g(limit, factor)", {"tier-1"}),
 ]
 
 

@@ -52,7 +52,7 @@ def test_criterion_01_laplace_identity():
 def test_criterion_02_pseudoresolvent_identity():
     grid = Grid(1, 8.0, 256)
     families = [fam.on_grid(3, grid) for fam in (
-        heat_symbol_seq(), make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, bound=2.0))]
+        heat_symbol_seq(), make_fractional_symbol_seq("one-plus-inverse", m=2.0))]
     rng = np.random.default_rng(42)
     u = GridFunction.gaussian(grid)
     worst = 0.0
@@ -173,7 +173,7 @@ def test_criterion_08_constant_coefficient_example():
     # c_0 and c_2 perturbed by 1/n; sup over 50 times in (0, 5] at omega = 0, as `associate` runs it
     coeffs = (0.0, 0.0, HEAT_C2)
     level = semigroup_level(0.0, np.linspace(0, 5.0, 51)[1:], grid)
-    rep = check_association(perturbed_heat_seq(coeffs), make_poly_symbol_seq(lambda n: coeffs),
+    rep = check_association(perturbed_heat_seq(coeffs), make_poly_symbol_seq(coeffs),
                             {"drift": level}, [lambda n: f], grid, [4, 8, 16, 32, 64])["drift"]
     ok = rep.verdict == "associated" and abs(rep.slope + 1.0) <= 0.1
     record("08 coefficient-drift example", ok,
@@ -209,8 +209,8 @@ def test_criterion_10_perturbation_oracle():
 
     grid = Grid(1, 4.0, 128)
     heat = heat_symbol_seq()
-    B = constant_symbol_seq(lambda n: 0.5j, "B")
-    C = constant_symbol_seq(lambda n: 1.0 / n, "C")
+    B = constant_symbol_seq(0.5j, "B")
+    C = constant_symbol_seq(0.0, "C", "inverse")
     suite = perturbation_claims_suite(heat, heat, B, C, grid, [4, 8, 16, 32, 64],
                                   omega=1.5)
     slope = suite.pair_association.slope

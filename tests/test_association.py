@@ -19,7 +19,7 @@ from semigrouplab.semigroup import (certify_growth, derivative_level, generator_
                                     resolvent_factor, resolvent_level,
                                     resolvent_over_lambda_derivative, semigroup_level)
 from semigrouplab.spectral import Grid, GridFunction, mollifier, lp_norm
-from semigrouplab.symbols import (NORM_FLOOR, SymbolSeq, perturbed_heat_seq,
+from semigrouplab.symbols import (NORM_FLOOR, SymbolSeq, constant_symbol_seq, perturbed_heat_seq,
                                   heat_symbol_seq, make_fractional_symbol_seq,
                                   make_poly_symbol_seq, summed_symbol_seq)
 
@@ -201,7 +201,7 @@ class TestG4:
         assert reports[0].spread < 1.5
 
     def test_growing_family_flagged(self, grid):
-        s = make_poly_symbol_seq(lambda n: (1.0 - 1.0 / n,), name="approach")
+        s = make_poly_symbol_seq((1.0,), "approach", (-1.0,), "inverse")
         reports = check_resolvent_norm_bounds(s, [4, 8, 16, 32, 64], [1.001], grid)
         assert not reports[0].bounded
 
@@ -220,8 +220,7 @@ class TestGeneratorAssociation:
         assert rep.slope == pytest.approx(-1.0, abs=0.1)
 
     def test_constant_shift_not_associated(self, heat, grid, gaussian_seq):
-        shifted = summed_symbol_seq(heat, SymbolSeq(lambda n, v: np.ones(v.shape[:-1]),
-                                                    re_bound=1.0))
+        shifted = summed_symbol_seq(heat, constant_symbol_seq(1.0, "1"))
         rep = single(heat, shifted, generator_level, [gaussian_seq], grid,
                      [4, 8, 16, 32])
         assert rep.verdict == "not-associated"
@@ -246,8 +245,7 @@ class TestResolventAssociation:
         assert -1.2 < rep.slope < -0.7
 
     def test_divergent_pair(self, heat, grid, gaussian_seq):
-        scaled = summed_symbol_seq(heat, SymbolSeq(lambda n, v: -np.sum(v * v, axis=-1),
-                                                   re_bound=0.0))
+        scaled = summed_symbol_seq(heat, SymbolSeq("square", (-1.0,)))
         rep = single(heat, scaled, resolvent_level([2.0], grid), [gaussian_seq],
                      grid, [4, 8, 16, 32])
         assert rep.verdict == "not-associated"
@@ -274,8 +272,7 @@ class TestGeisAndGE4:
                    [gaussian_seq], grid, [4, 8, 16, 32, 64])
 
     def test_shifted_pair_not_associated(self, heat, grid, gaussian_seq):
-        shifted = summed_symbol_seq(heat, SymbolSeq(lambda n, v: np.ones(v.shape[:-1]),
-                                                    re_bound=1.0))
+        shifted = summed_symbol_seq(heat, constant_symbol_seq(1.0, "1"))
         rep = single(heat, shifted, semigroup_level(2.0, self.t_samples, grid),
                      [gaussian_seq], grid, [4, 8, 16, 32])
         assert rep.verdict == "not-associated"
@@ -286,8 +283,7 @@ class TestGeisAndGE4:
         assert rep.verdict == "associated"
 
     def test_weighted_sqrt_decay(self, heat, grid, gaussian_seq):
-        slow = summed_symbol_seq(heat, SymbolSeq(
-            lambda n, v: np.exp(-np.sum(v * v, axis=-1)) / math.sqrt(n), re_bound=1.0))
+        slow = summed_symbol_seq(heat, SymbolSeq("gaussian", rate="inverse-sqrt"))
         rep = single(heat, slow, resolvent_level([2.0, 11.0], grid, 1.0, 1.0), [gaussian_seq],
                      grid, [4, 8, 16, 32, 64])
         assert rep.verdict == "associated"
@@ -389,9 +385,8 @@ class TestBlockKernel:
 
     def test_two_dimensional_blocks_match_per_sample_norms(self):
         g2 = Grid(2, 3.0, 64)
-        s = make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, bound=2.0)
-        s_tilde = summed_symbol_seq(s, SymbolSeq(
-            lambda n, v: np.exp(-np.sum(v * v, axis=-1)) / n, re_bound=1.0))
+        s = make_fractional_symbol_seq("one-plus-inverse", m=2.0)
+        s_tilde = summed_symbol_seq(s, SymbolSeq("gaussian", rate="inverse"))
         x = GridFunction.gaussian(g2)
         n_list, omega, b = [2, 4, 8, 16], 3.0, 1.0
         times, lams = [0.25, 1.0, 3.0], [4.0, 4.0 + 5j, 13.0]
@@ -533,7 +528,7 @@ class TestDerivativeEngine:
 
     def test_zero_symbol_closed_form(self, grid):
         # modes with a = 0: quantity is (k+1)/lambda when omega = 0
-        zero = make_poly_symbol_seq(lambda n: (0.0,), name="zero")
+        zero = make_poly_symbol_seq((0.0,), name="zero")
         lams, k_max = [0.5, 2.0, 10.0], 5
         sups = operator_sups(zero, {"d": derivative_level(0.0, k_max, lams, grid)}, grid, [1])
         expected = [(k + 1) / lam for lam in lams for k in range(k_max + 1)]
@@ -542,7 +537,7 @@ class TestDerivativeEngine:
     def test_heat_mode_reference_value(self, grid):
         # a = -1, lambda = 2, omega = 0, k = 0:
         # (lambda - omega) |R(lambda)/lambda| = 2 / (2 * 3) = 1/3
-        minus_one = make_poly_symbol_seq(lambda n: (-1.0,), name="-1")
+        minus_one = make_poly_symbol_seq((-1.0,), name="-1")
         sups = operator_sups(minus_one, {"d": derivative_level(0.0, 0, [2.0], grid)}, grid, [1])
         assert sups["d"][0, 0] == pytest.approx(1.0 / 3.0, rel=1e-14)
 

@@ -139,7 +139,7 @@ class TestDuhamelSolve:
 
     def test_constant_forcing_zero_mode(self, grid):
         # zero symbol: w_hat = f t per mode
-        zero_sym = make_poly_symbol_seq(lambda n: (0.0,))
+        zero_sym = make_poly_symbol_seq((0.0,))
         shape = GridFunction.gaussian(grid)
         forcing = ForcingSeq(np.ones_like, lambda n: shape)
         tg = tgrid(1.0, 1 / 32)
@@ -206,7 +206,7 @@ class TestDuhamelSolve:
         # h = 6/64 is no power of two, so the transform's h and (-1)^k would not cancel
         # exactly: the solve uses plain FFT coefficients, as MultiplierOp.apply does
         g = Grid(1, 3.0, 64)
-        s = make_poly_symbol_seq(lambda n: (-0.1, 0.3 + 0.2j, 1.0 / (4 * np.pi**2)))
+        s = make_poly_symbol_seq((-0.1, 0.3 + 0.2j, 1.0 / (4 * np.pi**2)))
         rng = np.random.default_rng(64)
         u0 = GridFunction(g, rng.standard_normal(64) + 1j * rng.standard_normal(64))
         tg = tgrid(1.0, 1 / 16)
@@ -243,7 +243,7 @@ class TestDuhamelSolve:
         assert lp_norm(w12 - (w1 + w2), 2) < 1e-12 * max(1.0, lp_norm(w12, 2))
 
     def test_overflow_guard_names_growth_bound(self, grid):
-        runaway = make_poly_symbol_seq(lambda n: (800.0,))
+        runaway = make_poly_symbol_seq((800.0,))
         with pytest.raises(OverflowGuardError, match="re_bound"):
             duhamel_solve(runaway.on_grid(1, grid), 1, GridFunction.gaussian(grid),
                           ForcingSeq.zero(grid), tgrid(1.0, 1 / 16))
@@ -279,7 +279,7 @@ class TestIntegralEquationResidual:
     def test_single_mode_matches_trapezoid_error_model(self, grid):
         # for one exponential mode the defect is exactly the trapezoid error
         # of int_0^t e^(r a) dr times |a|, so it shrinks at second order
-        sym = make_poly_symbol_seq(lambda n: (-1.0,))
+        sym = make_poly_symbol_seq((-1.0,))
         u0 = GridFunction(grid, np.ones(grid.points))
         f = ForcingSeq.zero(grid)
         res = [residual(sym, 1, u0, f, tgrid(0.5, dt), 0.5) for dt in (1 / 64, 1 / 128)]

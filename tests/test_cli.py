@@ -517,6 +517,14 @@ def test_verify_evaluates_each_family_once_per_index(monkeypatch, tmp_path):
                                   for n in FAST_VERIFY.n_list)
 
 
+def test_symbol_values_keeps_families_apart_that_differ_only_in_a_signed_zero():
+    # -0.0 == 0.0, yet the two families' values may differ in the sign of a zero
+    values = cli.symbol_values(Grid(1, 4.0, 16))
+    plus, minus = (symbols.make_poly_symbol_seq((c0, 0.0, HEAT_C2)) for c0 in (0.0, -0.0))
+    assert values(plus, 4) is not values(minus, 4)
+    assert values(plus, 4) is values(symbols.make_poly_symbol_seq((0.0, 0.0, HEAT_C2)), 4)
+
+
 def test_laplace_suite_resolves_a_step_below_the_bound(tmp_path):
     # T = 40 / 2 = 20, so 2+50j takes the step 50 x 20 / 64 = 15.6 <= LAPLACE_STEP_MAX
     cfg = dataclasses.replace(FAST_VERIFY, lambda_samples=(2.0 + 50j,))
@@ -644,6 +652,8 @@ def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
     # the spacing 2 half_width / points overflows, or the frequency spacing 1/(2 half_width)
     ("verify", "[grid]\nhalf_width = 1e308\n", ("half_width",)),
     ("growth", "[grid]\nhalf_width = 1e-320\n", ("half_width",)),
+    # the largest frequency 256 / (4e-300) makes (2 pi xi)^2 overflow in the symbols
+    ("verify", "[grid]\nhalf_width = 1e-300\n", ("half_width",)),
     # a finite sup Re a_n whose e^(T sup Re a_n) overflows the Duhamel solve at t_end
     ("solve", "[family]\ncoeffs = 800, 0, 0.025\n", ("coeffs", "t_end")),
     ("solve", "[family]\ncoeffs = 1e308\n", ("coeffs", "t_end")),
@@ -655,7 +665,8 @@ def test_nan_in_a_sup_is_a_failure(monkeypatch, tmp_path, site):
       "associate-scale-omega-below-bound",
       "associate-scale-unbounded", "verify-lambda-step", "verify-lambda-step-huge",
       "verify-dt-subnormal", "verify-t-end-huge",
-      "verify-half-width-huge", "growth-half-width-tiny", "solve-overflow",
+      "verify-half-width-huge", "growth-half-width-tiny", "verify-half-width-overflow",
+      "solve-overflow",
       "solve-overflow-huge"])
 def test_bad_config_exits_2_naming_fields(tmp_path, capsys, command, text, names):
     cfg = tmp_path / "bad.cfg"
@@ -684,12 +695,24 @@ def test_unknown_kind_exits_2_naming_its_field(tmp_path, capsys, field, section,
                                        f"{', '.join(kinds)}, got 'bogus'\n")
 
 
-def test_scale_comparison_evaluates_its_base_once():
+def test_rate_fields_take_rates():
+    # the values of fractional_c_rate and perturb_c_rate name the rates r(n) of symbols.RATES
+    assert set(FRACTIONAL_C_RATES) | set(PERTURB_C_RATES) <= set(symbols.RATES)
+
+
+def test_scale_comparison_evaluates_its_base_once(monkeypatch):
     cfg = dataclasses.replace(default_config("associate"), comparison="scale:1.5")
     grid, base, calls = cli.build_grid(cfg), cli.build_family(cfg), []
-    counted = dataclasses.replace(base, eval=lambda n, v: calls.append(n) or base.eval(n, v))
-    values = cli.build_comparison_family(cfg, counted).on_grid(4, grid)
-    assert calls == [4]
+    evaluate = symbols.SymbolSeq.eval
+
+    def counted(seq, n, xi_vectors):
+        calls.append((seq.shape, n))
+        return evaluate(seq, n, xi_vectors)
+
+    monkeypatch.setattr(symbols.SymbolSeq, "eval", counted)
+    values = cli.build_comparison_family(cfg, base).on_grid(4, grid)
+    assert calls == [("scaled", 4), ("poly", 4)]
+    monkeypatch.undo()
     # the arithmetic of a base evaluated twice, bit for bit
     a = base.on_grid(4, grid)
     assert values.tobytes() == (a + (1.5 - 1.0) * a).tobytes()
@@ -1007,8 +1030,11 @@ class TestAssociateCommand:
         ({"comparison": "shift:1e300j"}, "comparison = shift:1e300j"),
         # t a_n = 1e308j t overflows from t = 1.8 on
         ({"coeffs": (1e308j,)}, "coeffs = (1e+308j,)"),
-    ], ids=["shift-real", "shift-imaginary", "coeffs-imaginary"])
-    # each stops through a guard or a refused norm, without numpy's RuntimeWarning
+        # (f - 1) a_n overflows in a + (f - 1) a_n once |a_n| > 1.8
+        ({"comparison": "scale:1e308"}, "comparison scale:1e308"),
+    ], ids=["shift-real", "shift-imaginary", "coeffs-imaginary", "scale-huge"])
+    # each stops through a guard, a refused norm or the config check, without numpy's
+    # RuntimeWarning
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_symbol_exits_2_naming_its_field(self, tmp_path, capsys, change,
                                                          named):

@@ -10,9 +10,11 @@ is visible at the top of each file and a lower module never reaches back up
 to a higher one from inside a function.
 """
 import ast
+import dataclasses
 from pathlib import Path
 
 import semigrouplab
+from semigrouplab import association, cli, config
 
 PACKAGE_DIR = Path(semigrouplab.__file__).parent
 #: exported but read by no module; each stays until ROADMAP open item 4
@@ -147,6 +149,36 @@ def test_one_symbol_family_type():
               for cls in ast.walk(ast.parse(path.read_text())) if isinstance(cls, ast.ClassDef)
               for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "on_grid"}
     assert owners == {"symbols.py:SymbolSeq"}
+
+
+def _families():
+    """Every family the package builds: the bundled pairs and each subcommand's families."""
+    for pair in association.bundled_family_pairs():
+        yield pair.s
+        yield pair.s_tilde
+    for command in cli.RUNNERS:
+        for cfg in (config.default_config(command),
+                    config.ExperimentConfig(family_kind="fractional", comparison="scale:1.5")):
+            s = cli.build_family(cfg)
+            yield from (s, cli.build_comparison_family(cfg, s), *cli.build_perturbations(cfg))
+
+
+def test_no_symbol_family_field_holds_a_callable():
+    # a family is a value: its fields fix eval and re_bound, and it compares by them
+    assert {f.type for f in dataclasses.fields(semigrouplab.SymbolSeq)} <= {
+        "str", "tuple", "int", "float"}
+    stack = list(_families())
+    while stack:
+        family = stack.pop()
+        assert family == dataclasses.replace(family) and hash(family) == hash(
+            dataclasses.replace(family))
+        for f in dataclasses.fields(family):
+            value = getattr(family, f.name)
+            assert not callable(value), (family.name, f.name)
+            if f.name == "parts":
+                stack.extend(value)
+            elif isinstance(value, tuple):
+                assert not any(callable(v) for v in value), (family.name, f.name)
 
 
 def test_phase_is_applied_inside_spectral_only():

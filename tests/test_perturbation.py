@@ -1,6 +1,5 @@
 """Commuting bounded perturbation tests: the quadrature construction and claims."""
 import dataclasses
-import re
 import sys
 
 import numpy as np
@@ -17,7 +16,7 @@ from semigrouplab.quadrature import composite_gauss_points
 from semigrouplab.semigroup import (TIME_INTEGRAL_LEVELS, TIME_INTEGRAL_PANELS, MultiplierOp,
                                    phi, resolvent_factor, semigroup_level)
 from semigrouplab.spectral import Grid, GridFunction, lp_norm
-from semigrouplab.symbols import (SymbolSeq, constant_symbol_seq, heat_symbol_seq,
+from semigrouplab.symbols import (constant_symbol_seq, heat_symbol_seq,
                                   make_poly_symbol_seq, perturbed_heat_seq, summed_symbol_seq)
 
 HEAT_C2 = 1.0 / (4.0 * np.pi**2)
@@ -45,12 +44,12 @@ def perturbed(s, B, n, times, grid):
 
 class TestPerturbedS:
     def test_zero_perturbation_reproduces_semigroup(self, heat, grid):
-        out = perturbed(heat, constant_symbol_seq(lambda n: 0.0, "B"), 1, [0.7], grid)[0]
+        out = perturbed(heat, constant_symbol_seq(0.0, "B"), 1, [0.7], grid)[0]
         assert np.max(np.abs(out - phi(0.7, heat.on_grid(1, grid)))) < 1e-12
 
     def test_factor_matches_summed_symbol(self, heat, grid):
         # the central oracle: quadrature form equals phi(t, a + b) per mode
-        B = constant_symbol_seq(lambda n: 0.4 - 0.9j, "B")
+        B = constant_symbol_seq(0.4 - 0.9j, "B")
         summed = summed_symbol_seq(heat, B)
         for t in (0.2, 1.0, 3.0):
             quad = perturbed(heat, B, 2, [t], grid)[0]
@@ -59,14 +58,14 @@ class TestPerturbedS:
 
     def test_imaginary_constant_magnitudes(self, heat, grid):
         kappa = 2.5
-        B = constant_symbol_seq(lambda n: 1j * kappa, "B")
+        B = constant_symbol_seq(1j * kappa, "B")
         a = heat.on_grid(1, grid)
         fac = perturbed(heat, B, 1, [0.8], grid)[0]
         direct = phi(0.8, a + 1j * kappa)
         assert np.max(np.abs(np.abs(fac) - np.abs(direct))) < 1e-10
 
     def test_linearity_in_input(self, heat, grid):
-        B = constant_symbol_seq(lambda n: 0.3j, "B")
+        B = constant_symbol_seq(0.3j, "B")
         rng = np.random.default_rng(31)
         u = GridFunction(grid, rng.standard_normal(128))
         v = GridFunction(grid, rng.standard_normal(128))
@@ -75,7 +74,7 @@ class TestPerturbedS:
 
     def test_laplace_identity_for_perturbed_family(self, heat, grid):
         # lambda int e^(-lambda t) S^B(t) dt = R(lambda, a + b) per mode
-        B = constant_symbol_seq(lambda n: -0.5 + 0.7j, "B")
+        B = constant_symbol_seq(-0.5 + 0.7j, "B")
         summed = summed_symbol_seq(heat, B)
         lam, n = 2.0, 3
         pts, wts = composite_gauss_points(0.0, 40.0 / lam, 64)
@@ -137,14 +136,14 @@ class TestPerturbationQuadrature:
     def test_overflow_raises_and_never_returns_inf(self, heat, grid):
         # the Re(a+b) t guard
         with pytest.raises(OverflowGuardError):
-            perturbed(heat, constant_symbol_seq(lambda n: 800.0, "B"), 1, [1.0], grid)
+            perturbed(heat, constant_symbol_seq(800.0, "B"), 1, [1.0], grid)
 
         def constant_family(c0):
-            return make_poly_symbol_seq(lambda n: (c0, 0.0, 0.0))
+            return make_poly_symbol_seq((c0, 0.0, 0.0))
 
         # past the guard: Re a t > 709 overflows phi(t, a)
         with pytest.raises(OverflowGuardError):
-            perturbed(constant_family(720.0), constant_symbol_seq(lambda n: -30.0, "B"),
+            perturbed(constant_family(720.0), constant_symbol_seq(-30.0, "B"),
                       1, [1.0], grid)
         # past the guard: e^(s b) phi(s, 0) = e^700 s overflows at s near t = 1e6
         cases = [(constant_family(0.0), 0.0007, 1e6)]
@@ -152,20 +151,20 @@ class TestPerturbationQuadrature:
                   for b in (-60.0, -30.0 + 2j, -5.0, 0.0)]
         for s, b, t in cases:
             try:
-                out = perturbed(s, constant_symbol_seq(lambda n: b, "B"), 1, [t], grid)
+                out = perturbed(s, constant_symbol_seq(b, "B"), 1, [t], grid)
             except OverflowGuardError:
                 continue
             assert np.all(np.isfinite(out))
 
     def test_times_rows_match_kernel(self, heat, grid):
-        B = constant_symbol_seq(lambda n: -0.3 + 1.7j, "B")
+        B = constant_symbol_seq(-0.3 + 1.7j, "B")
         times = [0.3, 1.1, 2.0, 0.7]
         a, b = heat.on_grid(2, grid), B.on_grid(2, grid)
         out = perturbed_factor(a, b, times)
         assert np.array_equal(out, np.stack([perturbation_quadrature(t, a, b) for t in times]))
 
     def test_zero_time_among_nonzero_times_is_a_zero_row(self, heat, grid):
-        out = perturbed(heat, constant_symbol_seq(lambda n: 0.4 - 0.9j, "B"), 2,
+        out = perturbed(heat, constant_symbol_seq(0.4 - 0.9j, "B"), 2,
                         [0.5, 0.0, 1.5], grid)
         assert out.shape == (3,) + grid.shape
         assert not np.any(out[1])
@@ -173,7 +172,7 @@ class TestPerturbationQuadrature:
 
     def test_guard_checks_the_largest_time(self, heat, grid):
         # sup Re(a + b) = 400: only t = 2 passes Re(a+b) t = 700
-        B = constant_symbol_seq(lambda n: 400.0, "B")
+        B = constant_symbol_seq(400.0, "B")
         assert np.all(np.isfinite(perturbed(heat, B, 1, [0.5, 1.0], grid)))
         with pytest.raises(OverflowGuardError):
             perturbed(heat, B, 1, [0.5, 2.0, 1.0], grid)
@@ -181,32 +180,24 @@ class TestPerturbationQuadrature:
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_zeros_at_time_zero(self, heat, dimension):
         g = Grid(dimension, 4.0, 16)
-        out = perturbed(heat, constant_symbol_seq(lambda n: 0.4 - 0.9j, "B"), 2, [0.0], g)[0]
+        out = perturbed(heat, constant_symbol_seq(0.4 - 0.9j, "B"), 2, [0.0], g)[0]
         assert out.shape == g.shape and out.dtype == complex
         assert not np.any(out)
 
 
 class TestMultiplierShapes:
     def test_constant_families_stay_scalar(self, grid):
-        B = constant_symbol_seq(lambda n: 0.4 - 0.9j, "B")
-        C = constant_symbol_seq(lambda n: 1.0 / n, "C")
+        B = constant_symbol_seq(0.4 - 0.9j, "B")
+        C = constant_symbol_seq(0.0, "C", "inverse")
         for seq in (B, C, summed_symbol_seq(B, C)):
             assert seq.on_grid(2, grid).shape == seq.on_grid(2, Grid(2, 4.0, 16)).shape == ()
         assert summed_symbol_seq(B, C).on_grid(2, grid) == 0.9 - 0.9j
 
-    @pytest.mark.parametrize("shape", [(5,), (2, 128), (128, 1)])
-    def test_a_shape_that_does_not_broadcast_raises(self, grid, shape):
-        bad = SymbolSeq(eval=lambda n, v: np.ones(shape), re_bound=1.0, name="bad")
-        message = f"shape {shape} do not broadcast against grid shape (128,)"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            bad.on_grid(1, grid)
-
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_xi_dependent_perturbation_matches_plain_quadrature(self, heat, dimension):
         g = Grid(dimension, 3.0, 16)
-        B = SymbolSeq(
-            eval=lambda n, v: 0.3j * np.cos(v[..., 0]) + 0.1 * np.sin(v[..., -1]) - 0.2,
-            re_bound=-0.1, name="xi")
+        # -0.2 + 0.05 z_1 + 0.01 sum_j z_j z_j: Im b varies along xi_1, Re b along |xi|
+        B = make_poly_symbol_seq((-0.2, 0.05, 0.01), name="xi")
         times = [0.4, 1.3]
         a, b = heat.on_grid(2, g), B.on_grid(2, g)
         out = perturbed_factor(a, b, times)
@@ -233,15 +224,15 @@ class TestMultiplierShapes:
 
         monkeypatch.setattr(semigroup, "np", CountingNumpy())
         times = [0.3, 1.1, 2.0]
-        perturbed(heat, constant_symbol_seq(lambda n: 0.4 - 0.9j, "B"), 2, times, grid)
+        perturbed(heat, constant_symbol_seq(0.4 - 0.9j, "B"), 2, times, grid)
         assert grid.shape == (128,)
         assert entries == [TIME_INTEGRAL_LEVELS] * len(times)
 
 
 class TestProposition49Suite:
     def test_vanishing_inverse_rate(self, heat, grid):
-        B = constant_symbol_seq(lambda n: 0.5j, "B")
-        C = constant_symbol_seq(lambda n: 1.0 / n, "C")
+        B = constant_symbol_seq(0.5j, "B")
+        C = constant_symbol_seq(0.0, "C", "inverse")
         rep = perturbation_claims_suite(heat, perturbed_heat_seq(), B, C,
                                     grid, [4, 8, 16, 32, 64], omega=1.5)
         assert rep.verdicts["perturbed-pair"] == "associated"
@@ -251,15 +242,15 @@ class TestProposition49Suite:
         assert rep.verdicts["growth-moderate"]
 
     def test_zero_c_sequence_gives_identical_pairs(self, heat, grid):
-        B = constant_symbol_seq(lambda n: 0.5j, "B")
-        C = constant_symbol_seq(lambda n: 0.0, "0")
+        B = constant_symbol_seq(0.5j, "B")
+        C = constant_symbol_seq(0.0, "0")
         rep = perturbation_claims_suite(heat, heat, B, C, grid, [4, 8, 16, 32],
                                     omega=1.5)
         assert max(rep.pair_association.norms) == 0.0
 
     def test_identical_base_families_transport_trivially(self, heat, grid):
-        B = constant_symbol_seq(lambda n: 0.25j, "B")
-        C = constant_symbol_seq(lambda n: 1.0 / n, "C")
+        B = constant_symbol_seq(0.25j, "B")
+        C = constant_symbol_seq(0.0, "C", "inverse")
         rep = perturbation_claims_suite(heat, heat, B, C, grid, [4, 8, 16, 32],
                                     omega=1.5)
         assert max(rep.transported_association.norms) == 0.0
@@ -267,8 +258,8 @@ class TestProposition49Suite:
 
     def test_claim_norms_match_quadrature_factors(self, heat, grid, gaussian):
         # the suite works in closed form; the quadrature factors are the oracle
-        B = constant_symbol_seq(lambda n: 0.5j, "B")
-        C = constant_symbol_seq(lambda n: 1.0 / n, "C")
+        B = constant_symbol_seq(0.5j, "B")
+        C = constant_symbol_seq(0.0, "C", "inverse")
         drifted = perturbed_heat_seq()
         n_list, ts, omega = [4, 8, 16, 32], SUITE_T_SAMPLES, 1.5
         rep = perturbation_claims_suite(heat, drifted, B, C, grid, n_list, omega=omega)
@@ -289,8 +280,8 @@ class TestProposition49Suite:
             quadrature_norms(drifted, B), rel=1e-10)
 
     def test_non_vanishing_c_rejected(self, heat, grid):
-        B = constant_symbol_seq(lambda n: 0.5j, "B")
-        C = constant_symbol_seq(lambda n: 1.0, "const")
+        B = constant_symbol_seq(0.5j, "B")
+        C = constant_symbol_seq(1.0, "const")
         with pytest.raises(ValueError, match="vanish"):
             perturbation_claims_suite(heat, heat, B, C, grid, [4, 8, 16, 32], omega=1.5)
 
@@ -300,7 +291,7 @@ def drift_report(f, n_list):
     1/n, sup over 50 times in (0, 5] at omega = 0."""
     coeffs = (0.0, 0.0, HEAT_C2)
     level = semigroup_level(0.0, np.linspace(0, 5.0, 51)[1:], f.grid)
-    return check_association(perturbed_heat_seq(coeffs), make_poly_symbol_seq(lambda n: coeffs),
+    return check_association(perturbed_heat_seq(coeffs), make_poly_symbol_seq(coeffs),
                              {"drift": level}, [lambda n: f], f.grid, n_list)["drift"]
 
 

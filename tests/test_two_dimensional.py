@@ -16,7 +16,7 @@ def grid2():
 
 @pytest.fixture(scope="module")
 def schrodinger2():
-    return make_fractional_symbol_seq(lambda n: 1.0 + 1.0 / n, m=2.0, bound=2.0)
+    return make_fractional_symbol_seq("one-plus-inverse", m=2.0)
 
 
 def test_gaussian_self_dual_2d(grid2):
