@@ -11,7 +11,7 @@ from .spectral import (Grid, GridFunction, DistributionRep, mollifier,
 from .symbols import (SymbolSeq, ModerateSeq, fit_moderate, constant_symbol_seq,
                       make_poly_symbol_seq, make_fractional_symbol_seq,
                       heat_symbol_seq, perturbed_heat_seq)
-from .semigroup import (MultiplierOp, GrowthCertificate, phi,
+from .semigroup import (Evaluations, MultiplierOp, GrowthCertificate, phi,
                         laplace_identity_residual,
                         pseudoresolvent_residual, bromwich_S, certify_growth,
                         Level, generator_level, resolvent_level, semigroup_level,
@@ -33,7 +33,7 @@ __all__ = [
     "SymbolSeq", "ModerateSeq", "fit_moderate", "constant_symbol_seq",
     "make_poly_symbol_seq", "make_fractional_symbol_seq",
     "heat_symbol_seq", "perturbed_heat_seq",
-    "MultiplierOp", "GrowthCertificate", "phi",
+    "Evaluations", "MultiplierOp", "GrowthCertificate", "phi",
     "laplace_identity_residual", "pseudoresolvent_residual", "bromwich_S",
     "certify_growth", "Level", "generator_level", "resolvent_level", "semigroup_level",
     "derivative_level", "operator_sups",

@@ -7,7 +7,6 @@ configuration errors.  The outputs are deterministic CSVs and text summaries.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
@@ -24,10 +23,11 @@ from .config import (PERTURB_ORACLE_T_MAX, ExperimentConfig, comparison_operand,
 from .errors import (ConfigError, OverflowGuardError, ResolutionError, SemigroupLabError,
                      SpaceTimeSupportError)
 from .perturbation import perturbation_claims_suite, perturbation_quadrature, perturbed_factor
-from .semigroup import (LAPLACE_STEP_MAX, TIME_INTEGRAL_LEVELS, TIME_INTEGRAL_PANELS, block_rows,
-                        bromwich_S, certify_growth, generator_level, laplace_identity_residual,
-                        phi, pseudoresolvent_residual, relative_defects, resolvent_level,
-                        sample_axis, semigroup_level, time_integral)
+from .semigroup import (LAPLACE_STEP_MAX, TIME_INTEGRAL_LEVELS, TIME_INTEGRAL_PANELS,
+                        Evaluations, block_rows, bromwich_S, certify_growth, generator_level,
+                        laplace_identity_residual, phi, pseudoresolvent_residual,
+                        relative_defects, resolvent_level, sample_axis, semigroup_level,
+                        time_integral)
 from .spectral import DistributionRep, Grid, GridFunction, lp_norm, mollify
 from .symbols import (MIN_FIT_INDICES, SymbolSeq, constant_symbol_seq,
                       make_fractional_symbol_seq, make_poly_symbol_seq, perturbed_heat_seq,
@@ -67,7 +67,8 @@ def build_comparison_family(cfg: ExperimentConfig, base: SymbolSeq) -> Optional[
         return None
     if mode == "drift":
         if cfg.family_kind != "poly":
-            raise ConfigError("drift comparison needs a polynomial family")
+            raise ConfigError(f"comparison = drift needs family_kind = poly, "
+                              f"got {cfg.family_kind}")
         return perturbed_heat_seq(cfg.coeffs, name=cfg.name + "+1/n")
     if mode.startswith("shift:"):
         return summed_symbol_seq(base, constant_symbol_seq(comparison_operand(mode), "shift"))
@@ -153,34 +154,26 @@ class SuiteResult:
         return (self.name, self.worst, self.tol, "pass" if self.passed else "FAIL", "")
 
 
-def symbol_values(grid: Grid) -> Callable[[SymbolSeq, int], np.ndarray]:
-    """``values(s, n)`` = a_n of s on ``grid``, evaluated once per (s, n) for one ``verify``
-    run; its suites share the arrays and only read them.  A failed evaluation is not
-    kept, so every suite that needs it reports it."""
-    return functools.cache(lambda s, n: s.on_grid(n, grid))
-
-
-def _suite_laplace(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq,
-                   values: Callable) -> SuiteResult:
-    u = GridFunction.gaussian(grid)
+def _suite_laplace(cfg: ExperimentConfig, ev: Evaluations, s: SymbolSeq) -> SuiteResult:
+    u = GridFunction.gaussian(ev.grid)
     omega = max(0.0, s.re_bound)
-    residuals = [laplace_identity_residual(values(s, n), n, lam, u, 40.0 / (lam.real - omega))
+    residuals = [laplace_identity_residual(ev.values(s, n), n, lam, u, 40.0 / (lam.real - omega))
                  for lam in map(complex, cfg.lambda_samples)
                  for n in cfg.n_list[:2]]
     # np.max keeps a NaN, which the builtin max would drop
     return SuiteResult("laplace-identity", float(np.max(residuals)), cfg.tol_laplace)
 
 
-def _suite_pseudoresolvent(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq,
-                           s_tilde: Optional[SymbolSeq], values: Callable) -> SuiteResult:
+def _suite_pseudoresolvent(cfg: ExperimentConfig, ev: Evaluations, s: SymbolSeq,
+                           s_tilde: Optional[SymbolSeq]) -> SuiteResult:
     """R(lambda) - R(mu) = (mu - lambda) R(lambda) R(mu) on 50 ``box_points`` pairs: Re
     lambda, Re mu in floor + [0.5, 50), Im lambda, Im mu in [-20, 20)."""
-    u = GridFunction.gaussian(grid)
+    u = GridFunction.gaussian(ev.grid)
     families = [s] + ([s_tilde] if s_tilde is not None else [])
     floor = max(1.0, s.re_bound) + 0.5
     lr, li, mr, mi = box_points([0.5, -20.0, 0.5, -20.0], [50.0, 20.0, 50.0, 20.0], 50).T
     lams, mus = floor + lr + 1j * li, floor + mr + 1j * mi
-    residuals = [pseudoresolvent_residual(values(fam, n), n, lams, mus, u)
+    residuals = [pseudoresolvent_residual(ev.values(fam, n), n, lams, mus, u)
                  for fam in families for n in cfg.n_list[:2]]
     return SuiteResult("pseudoresolvent", float(np.max(residuals)), cfg.tol_pseudoresolvent)
 
@@ -206,8 +199,7 @@ def _suite_functional_equation(cfg: ExperimentConfig) -> SuiteResult:
                        cfg.tol_functional_equation)
 
 
-def _suite_bromwich(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq,
-                    values: Callable) -> SuiteResult:
+def _suite_bromwich(cfg: ExperimentConfig, ev: Evaluations, s: SymbolSeq) -> SuiteResult:
     """The vertical-line contour against phi(t, a) at t = 0.25, 0.5 and 1, relative on u.
 
     The contour sits at alpha = max(2, sup Re a + 0.5).  Its error, truncated at
@@ -216,12 +208,12 @@ def _suite_bromwich(cfg: ExperimentConfig, grid: Grid, s: SymbolSeq,
     So coeffs = (1, 0, c2) and (1.5, 0, c2) pass (5.1e-5), but from sup Re a of about
     2.1 on the error nears the 1e-4 gate again (9.3e-5 at 2.1, 1.03e-4 at 2.2).
     """
-    u = GridFunction.gaussian(grid)
+    u = GridFunction.gaussian(ev.grid)
     alpha = max(2.0, s.re_bound + 0.5)
     times = (0.25, 0.5, 1.0)
-    a = values(s, cfg.n_list[0])
+    a = ev.values(s, cfg.n_list[0])
     defects = bromwich_S(a, cfg.n_list[0], times, alpha=alpha, r_max=200.0, steps=20000)
-    np.subtract(phi(sample_axis(times, grid), a), defects, out=defects)  # phi - contour
+    np.subtract(phi(sample_axis(times, ev.grid), a), defects, out=defects)  # phi - contour
     errors = relative_defects(defects, u)
     return SuiteResult("bromwich-oracle", float(np.max(errors)), cfg.tol_bromwich)
 
@@ -245,7 +237,7 @@ def _suite_perturbation_oracle(cfg: ExperimentConfig) -> SuiteResult:
 
 
 def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
-    grid = build_grid(cfg)
+    ev = Evaluations(build_grid(cfg))
     s = build_family(cfg)
     s_tilde = build_comparison_family(cfg, s)
     # the Laplace suite integrates up to T = 40 / (Re lambda - omega) on 64 panels
@@ -260,12 +252,11 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
             raise ConfigError(f"lambda_samples: the sample {lam} has the Laplace step |Im "
                               f"lambda| T / {TIME_INTEGRAL_PANELS} = {step:.4g}, above the "
                               f"{LAPLACE_STEP_MAX:g} its rule resolves")
-    values = symbol_values(grid)
     tasks: List[Callable[[], SuiteResult]] = [
-        lambda: _suite_laplace(cfg, grid, s, values),
-        lambda: _suite_pseudoresolvent(cfg, grid, s, s_tilde, values),
+        lambda: _suite_laplace(cfg, ev, s),
+        lambda: _suite_pseudoresolvent(cfg, ev, s, s_tilde),
         lambda: _suite_functional_equation(cfg),
-        lambda: _suite_bromwich(cfg, grid, s, values),
+        lambda: _suite_bromwich(cfg, ev, s),
         lambda: _suite_perturbation_oracle(cfg),
     ]
     results: List[SuiteResult] = []
@@ -290,6 +281,7 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     grid = build_grid(cfg)
+    ev = Evaluations(grid)
     s = build_family(cfg)
     data = build_data(cfg, grid)
     forcing = build_forcing(cfg, grid)
@@ -313,7 +305,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         residual, pairings and moderateness row, and check them."""
         for n in cfg.n_list:
             u0n = mollify(data, n)
-            a = s.on_grid(n, grid)
+            a = ev.values(s, n)
             sums = SliceSums(grid, tg, tests)
             for j, w in enumerate(duhamel_solve(a, n, u0n, forcing, tg)):
                 sums.add(w)
@@ -365,6 +357,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def run_associate(cfg: ExperimentConfig, out_dir: Path) -> int:
     grid = build_grid(cfg)
+    ev = Evaluations(grid)
     s = build_family(cfg)
     s_tilde = build_comparison_family(cfg, s)
     if s_tilde is None:
@@ -389,7 +382,7 @@ def run_associate(cfg: ExperimentConfig, out_dir: Path) -> int:
     # the scenario's symbols a_n and a~_n are set by these two fields
     symbols = f"coeffs = {cfg.coeffs} and comparison = {cfg.comparison}"
     try:
-        rep = check_association(s, s_tilde, {label: level}, [lambda n: f], grid, n_list)[label]
+        rep = check_association(s, s_tilde, {label: level}, [lambda n: f], ev, n_list)[label]
     except OverflowGuardError as exc:
         raise ConfigError(f"t_max = {cfg.t_max} takes the {label} samples S_n(t), t <= t_max, "
                           f"of {symbols} past the overflow guard: {exc}") from exc
@@ -399,20 +392,20 @@ def run_associate(cfg: ExperimentConfig, out_dir: Path) -> int:
                                           cfg.b, cfg.omega + 1.0)}
     try:
         reports = check_association(s, s_tilde, levels,
-                                    [bundled_test_sequences(grid)["gaussian"]], grid, n_list)
+                                    [bundled_test_sequences(grid)["gaussian"]], ev, n_list)
     except ValueError as exc:  # a non-finite norm
         raise ConfigError(f"{symbols} give a non-finite norm: {exc}") from exc
     csvio.write_association(out_dir / "association.csv", rep)
     for name, r in reports.items():
         csvio.write_association(out_dir / f"association_{name}.csv", r)
 
-    bounds = check_resolvent_norm_bounds(s, n_list, lam_list, grid)
+    bounds = check_resolvent_norm_bounds(s, n_list, lam_list, ev)
     csvio.write_rows(out_dir / "resolvent_bounds.csv",
                      ["lambda", "c1", "c2", "spread", "bounded"],
                      [(r.lambda_value, r.lower, r.upper, r.spread, r.bounded)
                       for r in bounds])
 
-    checks = crosscheck_comparison_theorems(pairs, lam_list, grid)
+    checks = crosscheck_comparison_theorems(pairs, lam_list, ev)
     csvio.write_rows(out_dir / "theorem_agreement.csv",
                      ["pair", "character", "generator", "resolvent", "weighted",
                       "semigroup", "disagreements"],
@@ -433,12 +426,12 @@ def run_associate(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def run_perturb(cfg: ExperimentConfig, out_dir: Path) -> int:
-    grid = build_grid(cfg)
+    ev = Evaluations(build_grid(cfg))
     s = build_family(cfg)
     s_tilde = build_comparison_family(cfg, s) or s
     _require_omega_bound(cfg, s, s_tilde)
     B, C = build_perturbations(cfg)
-    report = perturbation_claims_suite(s, s_tilde, B, C, grid, cfg.n_list,
+    report = perturbation_claims_suite(s, s_tilde, B, C, ev, cfg.n_list,
                                    omega=cfg.omega + abs(cfg.perturb_b), b=cfg.b)
 
     # 200 box_points (i, t): i in [0, len(n_list)) picks the index n_list[floor(i)]
@@ -447,11 +440,11 @@ def run_perturb(cfg: ExperimentConfig, out_dir: Path) -> int:
     deviations = []
     for n in sorted({n for n, _ in samples}):
         ts = np.array([t for m, t in samples if m == n])
-        a, b = s.on_grid(n, grid), B.on_grid(n, grid)
-        q = perturbed_factor(a, b, ts)
-        # a + b is the value of the summed family a_n + b_n, bit for bit
-        c = phi(sample_axis(ts, grid), a + b)
-        deviations.append(np.max(np.abs(q - c)))
+        a, b = ev.values(s, n), ev.values(B, n)
+        # a + b is the value of the summed family a_n + b_n, bit for bit; neither block
+        # outlives its index, so the next index's quadrature runs without them
+        deviations.append(np.max(np.abs(perturbed_factor(a, b, ts)
+                                        - phi(sample_axis(ts, ev.grid), a + b))))
     worst = float(np.max(deviations))
 
     csvio.write_certificate(out_dir / "perturbed_growth.csv", report.growth)
@@ -470,11 +463,11 @@ def run_perturb(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def run_growth(cfg: ExperimentConfig, out_dir: Path) -> int:
-    grid = build_grid(cfg)
+    ev = Evaluations(build_grid(cfg))
     s = build_family(cfg)
     omega = max(cfg.omega, s.re_bound + 0.5)
     lam = [omega + 1.0, omega + 1.0 + 5j, omega + 1.0 + 50j, omega + 10.0, omega + 100.0]
-    cert = certify_growth(s, cfg.n_list, omega, cfg.b, lam, GROWTH_T_SAMPLES, grid)
+    cert = certify_growth(s, cfg.n_list, omega, cfg.b, lam, GROWTH_T_SAMPLES, ev)
     csvio.write_certificate(out_dir / "growth.csv", cert)
     print(f"certified {len(cfg.n_list)} indices at omega={omega}, b={cfg.b}")
     return 0

@@ -234,25 +234,30 @@ def validate_config(cfg: ExperimentConfig) -> None:
                           f"max(0, Re perturb_b)) <= {PERTURB_TERM_MAX:g}, so that the "
                           f"oracle's cancelling terms stay inside its round-off budget; "
                           f"got {cfg.perturb_b} (size {term:.3g})")
-    if cfg.family_kind == "poly" and not math.isfinite(poly_sup_re(cfg.coeffs)):
+    poly = cfg.family_kind == "poly"
+    if poly and not math.isfinite(poly_sup_re(cfg.coeffs)):
         raise ConfigError(f"coeffs must keep Re a(xi) bounded above (Re c_2 > 0, or "
                           f"Re c_2 = 0 and Im c_1 = 0), got {cfg.coeffs}")
-    if cfg.comparison.startswith("scale:"):
-        factor, poly = comparison_operand(cfg.comparison), cfg.family_kind == "poly"
-        if poly and not math.isfinite(poly_sup_re([factor * c for c in cfg.coeffs])):
-            raise ConfigError(f"comparison {cfg.comparison} makes Re a(xi) unbounded above "
-                              f"for coeffs {cfg.coeffs}")
-        # scale:f forms a + (f - 1) a; at the largest grid frequency xi, z = 2 pi xi, |a| is
-        # at most |c_0| + |c_1| z + d |c_2| z^2, or r(n) (sqrt(d) xi)^m with r(n) <= 2
-        xi = grid.max_frequency
-        z = TWO_PI * xi
-        with np.errstate(over="ignore"):
-            size = abs(factor - 1.0) * (
-                sum(abs(c) * w for c, w in zip(cfg.coeffs, (1.0, z, cfg.dimension * z * z)))
+    factor = comparison_operand(cfg.comparison) if cfg.comparison.startswith("scale:") else 1.0
+    if poly and not math.isfinite(poly_sup_re([factor * c for c in cfg.coeffs])):
+        raise ConfigError(f"comparison {cfg.comparison} makes Re a(xi) unbounded above "
+                          f"for coeffs {cfg.coeffs}")
+    # at the largest grid frequency xi, z = 2 pi xi, |a| is at most |c_0| + |c_1| z +
+    # d |c_2| z^2, or r(n) (sqrt(d) xi)^m with r(n) <= 2: the family, and a scale:f
+    # comparison, which forms a + (f - 1) a, must keep it below the largest float
+    xi = grid.max_frequency
+    z = TWO_PI * xi
+    field = "coeffs" if poly else "fractional_m"
+    # an infinite size refuses the family first, before (f - 1) size reads 0 inf = NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = (sum(abs(c) * w for c, w in zip(cfg.coeffs, (1.0, z, cfg.dimension * z * z)))
                 if poly else 2.0 * np.float64(math.sqrt(cfg.dimension) * xi) ** cfg.fractional_m)
-        if not size < math.inf:
-            raise ConfigError(f"comparison {cfg.comparison} takes (f - 1) a(xi) past the "
-                              f"largest float at the largest grid frequency xi = {xi:g}")
+        for name, value in ((f"{field} = {getattr(cfg, field)} takes a(xi)", size),
+                            (f"comparison {cfg.comparison} takes (f - 1) a(xi)",
+                             abs(factor - 1.0) * size)):
+            if not value < math.inf:
+                raise ConfigError(f"{name} past the largest float at the largest grid "
+                                  f"frequency xi = {xi:g}")
     steps = cfg.t_end / cfg.dt
     if not math.isfinite(steps):
         raise ConfigError(f"t_end / dt must be a finite step count, got t_end = {cfg.t_end}, "

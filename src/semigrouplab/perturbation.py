@@ -28,9 +28,8 @@ import numpy as np
 from .association import (SUITE_T_SAMPLES, AssociationReport, bundled_test_sequences,
                           check_association, make_association_report)
 from .errors import OverflowGuardError
-from .semigroup import (EXP_GUARD, GrowthCertificate, certify_growth, phi, resolvent_level,
-                        semigroup_level, time_integral)
-from .spectral import Grid
+from .semigroup import (EXP_GUARD, Evaluations, GrowthCertificate, certify_growth, phi,
+                        resolvent_level, semigroup_level, time_integral)
 from .symbols import SymbolSeq, summed_symbol_seq
 
 def perturbation_quadrature(t, a, b) -> np.ndarray:
@@ -77,7 +76,7 @@ class PerturbationReport:
 
 
 def perturbation_claims_suite(s: SymbolSeq, s_tilde: SymbolSeq, B: SymbolSeq, C_seq: SymbolSeq,
-                              grid: Grid, n_list: Sequence[int], omega: float,
+                              ev: Evaluations, n_list: Sequence[int], omega: float,
                               b: float = 1.0) -> PerturbationReport:
     """Check the three perturbation claims on multiplier families.
 
@@ -91,11 +90,11 @@ def perturbation_claims_suite(s: SymbolSeq, s_tilde: SymbolSeq, B: SymbolSeq, C_
     integrated semigroups of the summed families a_n + b_n, on the bundled
     Gaussian test sequence at the times ``SUITE_T_SAMPLES``.
     """
-    test_seqs = [bundled_test_sequences(grid)["gaussian"]]
+    test_seqs = [bundled_test_sequences(ev.grid)["gaussian"]]
     report = PerturbationReport()
 
     # membership of C in the vanishing ideal, via its sup-norm decay
-    c_norms = [float(np.max(np.abs(C_seq.on_grid(n, grid)))) for n in n_list]
+    c_norms = [float(np.max(np.abs(ev.values(C_seq, n)))) for n in n_list]
     c_seq_fit = make_association_report(list(n_list), c_norms, label="C-seq-norms")
     if not c_seq_fit.is_associated():
         raise ValueError("C sequence does not vanish; claim 2 needs C in the ideal")
@@ -103,22 +102,22 @@ def perturbation_claims_suite(s: SymbolSeq, s_tilde: SymbolSeq, B: SymbolSeq, C_
     summed = summed_symbol_seq(s, B)
     lam_samples = [omega + 1.0, omega + 1.0 + 5j, omega + 10.0, omega + 100.0]
     report.growth = certify_growth(summed, n_list, omega, b, lam_samples,
-                                   list(np.logspace(-2, 1, 10)), grid)
+                                   list(np.logspace(-2, 1, 10)), ev)
     report.verdicts["growth-moderate"] = (
         report.growth.resolvent_fit is None
         or report.growth.resolvent_fit.slope <= 1.0)
 
-    semigroup = semigroup_level(omega, SUITE_T_SAMPLES, grid)
+    semigroup = semigroup_level(omega, SUITE_T_SAMPLES, ev.grid)
     report.pair_association = check_association(
         summed, summed_symbol_seq(s, summed_symbol_seq(B, C_seq)), {"B vs B+C": semigroup},
-        test_seqs, grid, n_list)["B vs B+C"]
+        test_seqs, ev, n_list)["B vs B+C"]
     report.verdicts["perturbed-pair"] = report.pair_association.verdict
 
-    weighted = resolvent_level([omega + 1.0, omega + 1.0 + 5j, omega + 10.0], grid, b, omega)
+    weighted = resolvent_level([omega + 1.0, omega + 1.0 + 5j, omega + 10.0], ev.grid, b, omega)
     report.verdicts["base-weighted"] = check_association(
-        s, s_tilde, {"base-pair": weighted}, test_seqs, grid, n_list)["base-pair"].verdict
+        s, s_tilde, {"base-pair": weighted}, test_seqs, ev, n_list)["base-pair"].verdict
     report.transported_association = check_association(
         summed, summed_symbol_seq(s_tilde, B), {"transported": semigroup}, test_seqs,
-        grid, n_list)["transported"]
+        ev, n_list)["transported"]
     report.verdicts["transported"] = report.transported_association.verdict
     return report

@@ -18,14 +18,17 @@ A :class:`Level` is a sampled family of such operators, row j being w_j F_j(a_n)
 :data:`generator_level`, :func:`resolvent_level`, :func:`semigroup_level` and
 :func:`derivative_level` (Arendt's generation bound).  Its sups have two reductions:
 ``association.check_association`` takes the L^2 norms of w (F(a_n) - F(a~_n)) on test
-sequences, and :func:`operator_sups` the operator norms |w| max_xi |F(a_n)|, one
-``on_grid`` per n, on which :func:`certify_growth` and the resolvent-norm bounds rest.
+sequences, and :func:`operator_sups` the operator norms |w| max_xi |F(a_n)|, on which
+:func:`certify_growth` and the resolvent-norm bounds rest.  Every check that evaluates
+symbols takes the run's :class:`Evaluations`, which calls ``SymbolSeq.on_grid`` once per
+(family value, n) and holds what the association checks share.
 """
 from __future__ import annotations
 
 import cmath
 import contextlib
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Mapping, Sequence
 
@@ -33,8 +36,8 @@ import numpy as np
 
 from .errors import OverflowGuardError, ResolventSingularityError
 from .quadrature import GAUSS_NODES_PER_PANEL, _gauss_rule, trapezoid_weights
-from .spectral import Grid, GridFunction
-from .symbols import MIN_FIT_INDICES, SymbolSeq, fit_moderate
+from .spectral import Grid, GridFunction, lp_norm
+from .symbols import MIN_FIT_INDICES, ModerateSeq, SymbolSeq, fit_moderate, is_moderate_fit
 
 #: admissibility margin for 1/(lambda - a) conditioning
 RESOLVENT_MARGIN = 1e-8
@@ -249,12 +252,12 @@ def resolvent_factor(a: np.ndarray, lam, grid: Grid, n: int) -> np.ndarray:
     return np.divide(1.0, diff, out=diff)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Level:
     """Sampled diagonal operators w_j F_j(a_n), one row each.
 
     ``weights`` has shape (rows,) + (1,) * dim, and ``factor(n, a)`` gives the
-    (rows,) + grid.shape block F(a) of the symbol values a = a_n.
+    (rows,) + grid.shape block F(a) of the symbol values a = a_n.  Compared by identity.
     """
 
     weights: np.ndarray
@@ -334,21 +337,96 @@ def derivative_level(omega: float, k_max: int, lambda_list: Sequence[float],
         dtype=complex).reshape((-1,) + grid.shape))
 
 
-def operator_sups(s: SymbolSeq, levels: Mapping[str, Level], grid: Grid,
+#: a test sequence n -> x_n of the association checks
+TestSequence = Callable[[int], GridFunction]
+
+
+class Evaluations:
+    """What one subcommand run evaluates, each once, on its grid; each runner makes one.
+
+    It holds a_n per (family value, n); each distinct test function's power spectrum,
+    per (test sequence, n); each (test sequence, n_list) moderateness fit; and each level
+    block F(a_n) asked for twice, per level, family value and n, while the level lives.
+    Test sequences are keys by identity, held here.
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self._values: Dict[tuple, np.ndarray] = {}
+        self._spectra: Dict[tuple, np.ndarray] = {}
+        self._by_value: Dict[bytes, np.ndarray] = {}
+        self._fits: Dict[tuple, ModerateSeq] = {}
+        self._blocks = weakref.WeakKeyDictionary()
+
+    def values(self, s: SymbolSeq, n: int) -> np.ndarray:
+        """a_n of s on the grid, evaluated once per (family value, n) and read-only, since
+        every caller shares it.  A failed evaluation is not kept, so each caller reports it."""
+        a = self._values.get((s, n))
+        if a is None:  # a copy fills the space the evaluation freed, not the top of the heap
+            a = self._values[s, n] = s.on_grid(n, self.grid).copy()
+            a.setflags(write=False)
+        return a
+
+    def verify_moderate(self, test_seqs: Sequence[TestSequence], n_list: Sequence[int]) -> None:
+        """Precondition of the association checks: test sequences are moderate, the one
+        quantitative membership condition, since domain and range identities of multiplier
+        families on a shared grid hold structurally."""
+        if len(n_list) < MIN_FIT_INDICES:
+            return
+        for i, seq in enumerate(test_seqs):
+            key = (seq, tuple(n_list))
+            if key not in self._fits:
+                self._fits[key] = fit_moderate({n: lp_norm(seq(n), 2) for n in n_list})
+            if not is_moderate_fit(self._fits[key]):
+                raise ValueError(f"test sequence {i} is not moderate "
+                                 f"(fitted exponent {self._fits[key].slope:.2f})")
+
+    def spectra(self, test_seqs: Sequence[TestSequence], n: int) -> np.ndarray:
+        """:func:`power_spectra` of the sequences' values at n.  Each sequence is evaluated
+        once per n and each distinct value transformed once: a fixed function costs one FFT."""
+        for i, seq in enumerate(test_seqs):
+            if (seq, n) in self._spectra:
+                continue
+            u = seq(n)
+            if u.grid != self.grid:
+                raise ValueError(f"test sequence {i} at n={n} lives on {u.grid}, "
+                                 f"not on {self.grid}")
+            key = u.values.tobytes()  # complex, of the grid's shape
+            if key not in self._by_value:
+                self._by_value[key] = power_spectra([u])[0]
+            self._spectra[seq, n] = self._by_value[key]
+        return np.stack([self._spectra[seq, n] for seq in test_seqs])
+
+    def block(self, s: SymbolSeq, n: int, level: Level) -> np.ndarray:
+        """level.factor(n, a_n) of s.  A block asked for again, while its first request holds
+        it (an equal family in the same call) or later, is kept while its level lives: one
+        base block serves every pair of the cross-check, and one asked for once is freed."""
+        asked = self._blocks.setdefault(level, {})
+        first = asked.get((s, n))
+        if isinstance(first, np.ndarray):
+            return first
+        block = None if first is None else first()
+        if block is None:
+            block = level.factor(n, self.values(s, n))
+        asked[s, n] = weakref.ref(block) if first is None else block
+        return block
+
+
+def operator_sups(s: SymbolSeq, levels: Mapping[str, Level], ev: Evaluations,
                   n_list: Sequence[int]) -> Dict[str, np.ndarray]:
     """Per label, the (len(n_list), rows) operator norms |w| max_xi |F(a_n)|.
 
     For diagonal operators the L^2 operator norm is the max of the factor magnitude
-    over the grid modes.  a_n is evaluated once per n for all levels.  Rounding is
+    over the grid modes.  a_n comes from ``ev`` once per n for all levels.  Rounding is
     monotone, so for w >= 0 each entry equals max_xi (w |F|) bitwise; np.max keeps a NaN.
     A level whose factors at n raise ``OverflowGuardError`` has no finite sup there:
     its row at n is NaN, for the caller to refuse naming the level and n.
     """
-    modes = tuple(range(1, grid.dimension + 1))
+    modes = tuple(range(1, ev.grid.dimension + 1))
     scales = {label: np.abs(level.weights).ravel() for label, level in levels.items()}
     sups = {label: np.empty((len(n_list), scale.size)) for label, scale in scales.items()}
     for i, n in enumerate(n_list):
-        a = s.on_grid(n, grid)
+        a = ev.values(s, n)
         for label, level in levels.items():
             try:
                 sups[label][i] = scales[label] * np.max(np.abs(level.factor(n, a)), axis=modes)
@@ -494,7 +572,7 @@ class GrowthCertificate:
 
 def certify_growth(s: SymbolSeq, n_list: Sequence[int], omega: float, b: float,
                    lambda_samples: Sequence[complex], t_samples: Sequence[float],
-                   grid: Grid) -> GrowthCertificate:
+                   ev: Evaluations) -> GrowthCertificate:
     """Sample the half-plane resolvent bound and the weighted semigroup bound.
 
     Both bounds are maxima of :func:`operator_sups` over the sample sets, so exact
@@ -511,12 +589,13 @@ def certify_growth(s: SymbolSeq, n_list: Sequence[int], omega: float, b: float,
     if np.any(times <= 0):
         raise ValueError("t samples must be positive")
     # the levels' factors with the certificate's weights |lambda|^b and e^(-omega t) t^(-b)
+    grid = ev.grid
     lam_weights = weight_axis((abs(lam) ** b for lam in lams), lams, b, "lambda", grid)
     with np.errstate(over="ignore", invalid="ignore"):
         t_weights = weight_axis(np.exp(-omega * times) * times ** (-b), times, b, "t", grid)
     levels = {"resolvent": Level(lam_weights, resolvent_level(lams, grid, omega=omega).factor),
               "semigroup": Level(t_weights, semigroup_level(omega, times, grid).factor)}
-    sups = operator_sups(s, levels, grid, n_list)
+    sups = operator_sups(s, levels, ev, n_list)
     # np.max keeps a NaN bound, which the builtin max would read as 0
     cert.resolvent_bounds = {n: float(np.max(row)) for n, row in zip(n_list, sups["resolvent"])}
     cert.semigroup_bounds = {n: float(np.max(row)) for n, row in zip(n_list, sups["semigroup"])}

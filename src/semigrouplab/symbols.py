@@ -125,12 +125,13 @@ class SymbolSeq:
         if self.rate not in RATES or self.n_min < 1 or not RATES[self.rate][1](self.n_min) > 0:
             raise HypothesisViolationError(f"family '{self.name}': rate '{self.rate}' is not "
                                            f"defined and monotone on n >= {self.n_min}")
+        object.__setattr__(self, "_repr", repr(self))  # formed once: families are dict keys
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SymbolSeq) and repr(self) == repr(other)
+        return isinstance(other, SymbolSeq) and self._repr == other._repr
 
     def __hash__(self) -> int:
-        return hash(repr(self))
+        return hash(self._repr)
 
     def _coeffs(self, r: float) -> tuple:
         return tuple(pj + r * qj if r * qj else pj

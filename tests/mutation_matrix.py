@@ -31,6 +31,16 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("verify", "solve", "associate", "perturb", "growth")
 CHECKS = COMMANDS + ("tier-1",)
 
+#: the lines of ``Evaluations.block`` between its lookup and its store of a block
+BLOCK_BODY = ("        if isinstance(first, np.ndarray):\n            return first\n"
+              "        block = None if first is None else first()\n"
+              "        if block is None:\n"
+              "            block = level.factor(n, self.values(s, n))\n        ")
+
+#: the lines of ``Evaluations.values`` between its lookup and its store of a_n
+VALUES_BODY = ("        if a is None:  # a copy fills the space the evaluation freed, not the "
+               "top of the heap\n            a = self._values")
+
 MUTANTS = [
     ("phi result x (1 + 1e-9)", "semigroup.py",
      "    return out\n\n\ndef time_integral",
@@ -51,8 +61,17 @@ MUTANTS = [
      "spectra *= grid.cell_volume / spectra[0].size", "spectra *= grid.cell_volume",
      {"tier-1"}),
     # every comparison family then reads the base family's blocks: a zero difference
-    ("SharedPass serves the base blocks to the comparison side", "association.py",
-     "key = (n, a.shape, a.tobytes())", "key = (n,)", {"associate", "tier-1"}),
+    ("Evaluations serves the base blocks to the comparison side", "semigroup.py",
+     "first = asked.get((s, n))\n" + BLOCK_BODY + "asked[s, n] =",
+     "first = asked.get(n)\n" + BLOCK_BODY + "asked[n] =", {"associate", "tier-1"}),
+    # every family then reads the values of the first family evaluated at n
+    ("Evaluations values keyed on n, not on the family", "semigroup.py",
+     "a = self._values.get((s, n))\n" + VALUES_BODY + "[s, n] =",
+     "a = self._values.get(n)\n" + VALUES_BODY + "[n] =",
+     {"associate", "tier-1"}),
+    # equal parts in place of the levels' row counts: each label reads other levels' rows
+    ("check_association splits the norm block evenly", "association.py",
+     "np.split(norms, ends)", "np.array_split(norms, len(blocks))", {"associate", "tier-1"}),
     ("Bromwich factors x (1 + 1e-6)", "semigroup.py",
      "(p * d_im - q_re)) / (2.0 * np.pi))[:, inverse]",
      "(p * d_im - q_re)) / (2.0 * np.pi) * (1 + 1e-6))[:, inverse]",
@@ -78,6 +97,9 @@ MUTANTS = [
      "mass = np.sum(vals) * grid.cell_volume * (1 + 1e-9)", {"tier-1"}),
     ("_phi_k series 12 terms, not 24", "cauchy.py",
      "for i in range(23, -1, -1):", "for i in range(11, -1, -1):", {"tier-1"}),
+    # the running sum takes the previous slice: it counts w(t_0) twice and misses w(t_j)
+    ("SliceSums.add sums the previous slice", "cauchy.py",
+     "            self.total += w\n", "            self.total += self.last\n", {"tier-1"}),
     # the closed-form re_bound max(g(r(n_min)), g(r_inf)) with one end dropped: no default
     # config reads a family whose sup sits at the dropped end
     ("closed-form re_bound drops its r_inf end", "symbols.py",

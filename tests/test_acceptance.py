@@ -19,7 +19,7 @@ from semigrouplab.cli import main
 from semigrouplab.config import default_config, serialize_config
 from semigrouplab.perturbation import perturbation_claims_suite
 from semigrouplab.quadrature import composite_gauss_points, trapezoid_weights
-from semigrouplab.semigroup import (bromwich_S, laplace_identity_residual, phi,
+from semigrouplab.semigroup import (Evaluations, bromwich_S, laplace_identity_residual, phi,
                                     pseudoresolvent_residual, relative_defects,
                                     resolvent_over_lambda_derivative, sample_axis,
                                     semigroup_level)
@@ -174,7 +174,8 @@ def test_criterion_08_constant_coefficient_example():
     coeffs = (0.0, 0.0, HEAT_C2)
     level = semigroup_level(0.0, np.linspace(0, 5.0, 51)[1:], grid)
     rep = check_association(perturbed_heat_seq(coeffs), make_poly_symbol_seq(coeffs),
-                            {"drift": level}, [lambda n: f], grid, [4, 8, 16, 32, 64])["drift"]
+                            {"drift": level}, [lambda n: f], Evaluations(grid),
+                            [4, 8, 16, 32, 64])["drift"]
     ok = rep.verdict == "associated" and abs(rep.slope + 1.0) <= 0.1
     record("08 coefficient-drift example", ok,
            f"verdict {rep.verdict}; slope {rep.slope:.3f}")
@@ -183,7 +184,7 @@ def test_criterion_08_constant_coefficient_example():
 def test_criterion_09_theorem_agreement_suite():
     grid = Grid(1, 4.0, 128)
     pairs = bundled_family_pairs()
-    checks = crosscheck_comparison_theorems(pairs, [2.0], grid)
+    checks = crosscheck_comparison_theorems(pairs, [2.0], Evaluations(grid))
     characters = {c.character for c in checks}
     disagreements = sum(len(c.disagreements()) for c in checks)
     ok = (len(pairs) >= 8 and disagreements == 0
@@ -211,8 +212,8 @@ def test_criterion_10_perturbation_oracle():
     heat = heat_symbol_seq()
     B = constant_symbol_seq(0.5j, "B")
     C = constant_symbol_seq(0.0, "C", "inverse")
-    suite = perturbation_claims_suite(heat, heat, B, C, grid, [4, 8, 16, 32, 64],
-                                  omega=1.5)
+    suite = perturbation_claims_suite(heat, heat, B, C, Evaluations(grid), [4, 8, 16, 32, 64],
+                                      omega=1.5)
     slope = suite.pair_association.slope
     ok = worst < 1e-10 and abs(slope + 1.0) <= 0.1
     record("10 perturbation oracle", ok,

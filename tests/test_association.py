@@ -1,5 +1,7 @@
 """Moderateness fits, association verdicts, theorem cross-checks, derivative engine."""
+import gc
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -12,16 +14,16 @@ from semigrouplab.association import (CROSSCHECK_LEVELS, SUITE_T_SAMPLES, Associ
                                       bundled_test_sequences, check_association,
                                       check_resolvent_norm_bounds,
                                       crosscheck_comparison_theorems, fit_moderate,
-                                      is_moderate_fit, make_association_report)
+                                      make_association_report)
 from semigrouplab.errors import InsufficientDataError, ResolventSingularityError
-from semigrouplab.semigroup import (certify_growth, derivative_level, generator_level,
-                                    multiplier_norms, operator_sups, phi, power_spectra,
-                                    resolvent_factor, resolvent_level,
+from semigrouplab.semigroup import (Evaluations, certify_growth, derivative_level,
+                                    generator_level, multiplier_norms, operator_sups, phi,
+                                    power_spectra, resolvent_factor, resolvent_level,
                                     resolvent_over_lambda_derivative, semigroup_level)
 from semigrouplab.spectral import Grid, GridFunction, mollifier, lp_norm
-from semigrouplab.symbols import (NORM_FLOOR, SymbolSeq, constant_symbol_seq, perturbed_heat_seq,
-                                  heat_symbol_seq, make_fractional_symbol_seq,
-                                  make_poly_symbol_seq, summed_symbol_seq)
+from semigrouplab.symbols import (NORM_FLOOR, SymbolSeq, constant_symbol_seq, heat_symbol_seq,
+                                  is_moderate_fit, make_fractional_symbol_seq,
+                                  make_poly_symbol_seq, perturbed_heat_seq, summed_symbol_seq)
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +49,8 @@ def gaussian_seq(grid):
 
 def single(s, s_tilde, level, test_seqs, grid, n_list):
     """The report of one level run alone through the kernel."""
-    return check_association(s, s_tilde, {"level": level}, test_seqs, grid, n_list)["level"]
+    return check_association(s, s_tilde, {"level": level}, test_seqs, Evaluations(grid),
+                             n_list)["level"]
 
 
 class TestFitModerate:
@@ -192,17 +195,18 @@ class TestVerdictRule:
 
 class TestG4:
     def test_stationary_family_has_unit_spread(self, heat, grid):
-        reports = check_resolvent_norm_bounds(heat, [4, 8, 16, 32], [2.0], grid)
+        reports = check_resolvent_norm_bounds(heat, [4, 8, 16, 32], [2.0], Evaluations(grid))
         assert reports[0].spread == pytest.approx(1.0)
         assert reports[0].bounded
 
     def test_drifted_family_spread_small(self, drifted, grid):
-        reports = check_resolvent_norm_bounds(drifted, [4, 8, 16, 32, 64], [2.0], grid)
+        reports = check_resolvent_norm_bounds(drifted, [4, 8, 16, 32, 64], [2.0],
+                                              Evaluations(grid))
         assert reports[0].spread < 1.5
 
     def test_growing_family_flagged(self, grid):
         s = make_poly_symbol_seq((1.0,), "approach", (-1.0,), "inverse")
-        reports = check_resolvent_norm_bounds(s, [4, 8, 16, 32, 64], [1.001], grid)
+        reports = check_resolvent_norm_bounds(s, [4, 8, 16, 32, 64], [1.001], Evaluations(grid))
         assert not reports[0].bounded
 
 
@@ -321,7 +325,7 @@ def test_no_samples_is_not_a_verdict(label, heat, drifted, grid, gaussian_seq):
     # a sup over nothing is not a zero difference
     level, test_seqs = EMPTY_SAMPLE_CHECKS[label](grid, gaussian_seq)
     with pytest.raises(ValueError, match=f"^{label}: no "):
-        check_association(heat, drifted, {label: level}, test_seqs, grid, N_LIST)
+        check_association(heat, drifted, {label: level}, test_seqs, Evaluations(grid), N_LIST)
 
 
 def test_an_empty_level_among_several_is_named(heat, drifted, grid, gaussian_seq):
@@ -329,7 +333,7 @@ def test_an_empty_level_among_several_is_named(heat, drifted, grid, gaussian_seq
               "resolvent": resolvent_level([], grid),
               "semigroup": semigroup_level(1.0, [0.5], grid)}
     with pytest.raises(ValueError, match="^resolvent: no samples$"):
-        check_association(heat, drifted, levels, [gaussian_seq], grid, N_LIST)
+        check_association(heat, drifted, levels, [gaussian_seq], Evaluations(grid), N_LIST)
 
 
 #: e^n on four doubling indices fits a power law with R^2 = 0.92, which the moderateness
@@ -342,15 +346,15 @@ def test_every_level_refuses_a_sequence_that_is_not_moderate(label, heat, drifte
     gauss = GridFunction.gaussian(grid)
     with pytest.raises(ValueError, match="not moderate"):
         check_association(heat, drifted, {label: LEVELS[label](grid)},
-                          [lambda n: math.exp(n) * gauss], grid, EXPLODING_N_LIST)
+                          [lambda n: math.exp(n) * gauss], Evaluations(grid), EXPLODING_N_LIST)
 
 
 def test_test_sequence_on_another_grid_is_named(heat, drifted, grid):
     other = GridFunction.gaussian(Grid(1, 8.0, grid.points))
     with pytest.raises(ValueError, match=r"^test sequence 1 at n=4 lives on Grid"):
         check_association(heat, drifted, {"generator": generator_level},
-                          [lambda n: GridFunction.gaussian(grid), lambda n: other], grid,
-                          N_LIST)
+                          [lambda n: GridFunction.gaussian(grid), lambda n: other],
+                          Evaluations(grid), N_LIST)
 
 
 def test_crosscheck_refuses_a_sequence_that_is_not_moderate(monkeypatch, grid):
@@ -358,7 +362,7 @@ def test_crosscheck_refuses_a_sequence_that_is_not_moderate(monkeypatch, grid):
     exploding = {name: (lambda n: math.exp(n) * gauss) for name in bundled_test_sequences(grid)}
     monkeypatch.setattr(association, "bundled_test_sequences", lambda g: exploding)
     with pytest.raises(ValueError, match="not moderate"):
-        crosscheck_comparison_theorems(bundled_family_pairs()[:1], [2.0], grid)
+        crosscheck_comparison_theorems(bundled_family_pairs()[:1], [2.0], Evaluations(grid))
 
 
 class TestBlockKernel:
@@ -402,7 +406,8 @@ class TestBlockKernel:
         reports = check_association(s, s_tilde, {
             "generator": generator_level, "resolvent": resolvent_level(lams, g2),
             "weighted": resolvent_level(lams, g2, b, omega),
-            "semigroup": semigroup_level(omega, times, g2)}, [lambda n: x], g2, n_list)
+            "semigroup": semigroup_level(omega, times, g2)}, [lambda n: x], Evaluations(g2),
+            n_list)
         expected = {
             "generator": per_sample(lambda n, _: s.on_grid(n, g2) - s_tilde.on_grid(n, g2),
                                     [None]),
@@ -414,7 +419,7 @@ class TestBlockKernel:
         }
         for label, report in reports.items():
             assert report.norms == pytest.approx(expected[label], rel=1e-14, abs=0.0), label
-        cert = certify_growth(s, n_list, omega, b, lams, times, g2)
+        cert = certify_growth(s, n_list, omega, b, lams, times, Evaluations(g2))
         for n in n_list:
             assert cert.resolvent_bounds[n] == max(
                 abs(lam) ** b * np.max(np.abs(resolvent_factor(s.on_grid(n, g2), lam, g2, n)))
@@ -428,7 +433,7 @@ class TestCrosscheck:
     def test_bundled_suite_has_no_disagreements(self, grid):
         pairs = bundled_family_pairs()
         assert len(pairs) >= 8
-        checks = crosscheck_comparison_theorems(pairs, [2.0], grid)
+        checks = crosscheck_comparison_theorems(pairs, [2.0], Evaluations(grid))
         characters = {c.character for c in checks}
         assert characters == {"associated", "not-associated", "borderline"}
         for c in checks:
@@ -436,7 +441,7 @@ class TestCrosscheck:
 
     def test_borderline_pair_recorded_as_agreement(self, grid):
         pairs = [p for p in bundled_family_pairs() if p.character == "borderline"]
-        checks = crosscheck_comparison_theorems(pairs, [2.0], grid)
+        checks = crosscheck_comparison_theorems(pairs, [2.0], Evaluations(grid))
         assert checks[0].generator == "inconclusive"
         assert checks[0].resolvent == "inconclusive"
         assert checks[0].disagreements() == []
@@ -453,7 +458,7 @@ class TestCrosscheck:
             assert PairCrossCheck("p", "borderline", *[verdict] * 4).contradictions() == []
 
     def test_empty_pair_list(self, grid):
-        assert crosscheck_comparison_theorems([], [2.0], grid) == []
+        assert crosscheck_comparison_theorems([], [2.0], Evaluations(grid)) == []
 
     def test_one_pass_matches_the_single_level_checks(self, grid, monkeypatch):
         # the cross-check runs all four levels of a pair in one kernel call; each
@@ -467,7 +472,7 @@ class TestCrosscheck:
 
         monkeypatch.setattr(association, "check_association", recording)
         pairs, lams = bundled_family_pairs(), [2.0, 10.0]
-        checks = crosscheck_comparison_theorems(pairs, lams, grid)
+        checks = crosscheck_comparison_theorems(pairs, lams, Evaluations(grid))
         monkeypatch.undo()
         assert len(kernel_reports) == len(pairs)
         seqs_all = bundled_test_sequences(grid)
@@ -488,9 +493,10 @@ class TestCrosscheck:
                 assert report.norms == pytest.approx(expected.norms, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("grid", [Grid(1, 4.0, 128), Grid(2, 4.0, 16)], ids=["1d", "2d"])
-    def test_shared_pass_equals_standalone_checks_bitwise(self, grid, monkeypatch):
-        # the cross-check shares spectra, moderateness fits and the base family's
-        # blocks between pairs; each pair must read exactly as its own call does
+    def test_shared_evaluations_equal_standalone_checks_bitwise(self, grid, monkeypatch):
+        # the cross-check shares symbol values, spectra, moderateness fits and the base
+        # family's blocks between pairs; each pair must read exactly as its own call on a
+        # fresh Evaluations does
         calls = []
         kernel = association.check_association
 
@@ -500,12 +506,13 @@ class TestCrosscheck:
 
         monkeypatch.setattr(association, "check_association", recording)
         pairs = bundled_family_pairs()
-        checks = crosscheck_comparison_theorems(pairs, [2.0, 10.0], grid)
+        checks = crosscheck_comparison_theorems(pairs, [2.0, 10.0], Evaluations(grid))
         monkeypatch.undo()
         assert len(calls) == len(pairs)
         for pr, check, (args, reports) in zip(pairs, checks, calls):
             assert args[:2] == (pr.s, pr.s_tilde)
-            alone = check_association(*args)
+            assert isinstance(args[4], Evaluations)
+            alone = check_association(*args[:4], Evaluations(grid), *args[5:])
             assert list(reports) == list(alone)
             for (label, report), expected in zip(reports.items(), alone.values()):
                 assert np.array(report.norms).tobytes() == np.array(expected.norms).tobytes()
@@ -516,11 +523,25 @@ class TestCrosscheck:
                 report.verdict for report in alone.values()]
             assert check.contradictions() == []
 
+    def test_a_block_is_kept_when_asked_for_twice_and_freed_with_its_level(self, grid):
+        # the cross-check's base blocks serve every pair; a block asked for once, as a
+        # comparison family's is, and every block of a level no one holds, are freed
+        ev, heat = Evaluations(grid), heat_symbol_seq()
+        level = semigroup_level(1.0, SUITE_T_SAMPLES, grid)
+        first = ev.block(heat, 4, level)
+        assert ev.block(heat_symbol_seq(), 4, level) is first  # an equal family, same call
+        assert ev.block(heat, 4, level) is first
+        once = weakref.ref(ev.block(perturbed_heat_seq(), 4, level))
+        kept = weakref.ref(first)
+        del first, level
+        gc.collect()
+        assert once() is None and kept() is None
+
     def test_lambda_on_spectrum_names_the_mode(self, grid):
         # a_n(0) = 0 for the heat family, so lambda = 0 hits the spectrum at xi = 0
         with pytest.raises(ResolventSingularityError,
                            match=r"lambda=0\.0 within .* xi=\[0\.\] \(n=4\)"):
-            crosscheck_comparison_theorems(bundled_family_pairs()[:2], [0.0], grid)
+            crosscheck_comparison_theorems(bundled_family_pairs()[:2], [0.0], Evaluations(grid))
 
 
 class TestDerivativeEngine:
@@ -530,7 +551,8 @@ class TestDerivativeEngine:
         # modes with a = 0: quantity is (k+1)/lambda when omega = 0
         zero = make_poly_symbol_seq((0.0,), name="zero")
         lams, k_max = [0.5, 2.0, 10.0], 5
-        sups = operator_sups(zero, {"d": derivative_level(0.0, k_max, lams, grid)}, grid, [1])
+        sups = operator_sups(zero, {"d": derivative_level(0.0, k_max, lams, grid)},
+                             Evaluations(grid), [1])
         expected = [(k + 1) / lam for lam in lams for k in range(k_max + 1)]
         assert sups["d"][0] == pytest.approx(expected, rel=1e-12)
 
@@ -538,7 +560,8 @@ class TestDerivativeEngine:
         # a = -1, lambda = 2, omega = 0, k = 0:
         # (lambda - omega) |R(lambda)/lambda| = 2 / (2 * 3) = 1/3
         minus_one = make_poly_symbol_seq((-1.0,), name="-1")
-        sups = operator_sups(minus_one, {"d": derivative_level(0.0, 0, [2.0], grid)}, grid, [1])
+        sups = operator_sups(minus_one, {"d": derivative_level(0.0, 0, [2.0], grid)},
+                             Evaluations(grid), [1])
         assert sups["d"][0, 0] == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -570,8 +593,8 @@ class TestDerivativeEngine:
 
     def test_derivative_sups_argmax_and_guard(self, heat, grid):
         lams, k_max, n_list = list(1.0 + np.logspace(-2, 4, 25)), 20, [4, 8, 16, 32]
-        sups = operator_sups(heat, {"arendt": derivative_level(1.0, k_max, lams, grid)}, grid,
-                             n_list)["arendt"]
+        sups = operator_sups(heat, {"arendt": derivative_level(1.0, k_max, lams, grid)},
+                             Evaluations(grid), n_list)["arendt"]
         assert sups.shape == (len(n_list), len(lams) * (k_max + 1))
         assert np.all(np.isfinite(sups))
         # the sup and where it was reached: the rows run over (lambda, k), k fastest
@@ -591,7 +614,7 @@ class TestDerivativeEngine:
         # (lambda - omega)^1 (R/lambda) at k=0 equals (lambda-omega)/lambda * R
         lam, omega = 3.0, 1.0
         sups = operator_sups(heat, {"d": derivative_level(omega, 0, [lam], grid),
-                                    "r": resolvent_level([lam], grid)}, grid, [1])
+                                    "r": resolvent_level([lam], grid)}, Evaluations(grid), [1])
         assert abs(sups["d"][0, 0] - (lam - omega) / lam * sups["r"][0, 0]) < 1e-14
 
     def test_check_derivative_association_drifted_pair(self, heat, drifted, grid, gaussian_seq):

@@ -19,6 +19,7 @@ from semigrouplab.config import (DATA_KINDS, FAMILY_KINDS, FORCING_KINDS, FRACTI
                                  time_grid)
 from semigrouplab.errors import ConfigError
 from semigrouplab.quadrature import composite_gauss_points
+from semigrouplab.semigroup import Evaluations
 from semigrouplab.spectral import Grid, GridFunction, lp_norm, mollify
 from semigrouplab.symbols import heat_symbol_seq, summed_symbol_seq
 
@@ -192,10 +193,10 @@ class TestVerifyBlocks:
 
     def test_each_suite_peak_memory_is_small(self, setting):
         cfg, grid, s, _ = setting
-        suites = [lambda: cli._suite_laplace(cfg, grid, s, cli.symbol_values(grid)),
-                  lambda: cli._suite_pseudoresolvent(cfg, grid, s, None, cli.symbol_values(grid)),
+        suites = [lambda: cli._suite_laplace(cfg, Evaluations(grid), s),
+                  lambda: cli._suite_pseudoresolvent(cfg, Evaluations(grid), s, None),
                   lambda: cli._suite_functional_equation(cfg),
-                  lambda: cli._suite_bromwich(cfg, grid, s, cli.symbol_values(grid)),
+                  lambda: cli._suite_bromwich(cfg, Evaluations(grid), s),
                   lambda: cli._suite_perturbation_oracle(cfg)]
         peaks = []
         for run in suites:
@@ -236,7 +237,7 @@ class TestVerifyBlocks:
         cfg, grid, s, _ = setting
         tracemalloc.start()
         try:
-            assert cli._suite_bromwich(cfg, grid, s, cli.symbol_values(grid)).passed
+            assert cli._suite_bromwich(cfg, Evaluations(grid), s).passed
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -291,8 +292,7 @@ def test_pseudoresolvent_suite_makes_one_block_per_index(monkeypatch):
     grid, s = cli.build_grid(FAST_VERIFY), cli.build_family(FAST_VERIFY)
     s_tilde = cli.build_comparison_family(FAST_VERIFY, s)
     assert s_tilde is not None
-    assert cli._suite_pseudoresolvent(FAST_VERIFY, grid, s, s_tilde,
-                                      cli.symbol_values(grid)).passed
+    assert cli._suite_pseudoresolvent(FAST_VERIFY, Evaluations(grid), s, s_tilde).passed
     # two families times two indices, for the 50 (lambda, mu) pairs
     assert counts == {"resolvent_factor": 4, "multiplier_norms": 4}
 
@@ -423,7 +423,7 @@ def test_box_point_sets_are_the_suites_calls(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "box_points", spy)
     grid, s = cli.build_grid(FAST_VERIFY), cli.build_family(FAST_VERIFY)
-    assert cli._suite_pseudoresolvent(FAST_VERIFY, grid, s, None, cli.symbol_values(grid)).passed
+    assert cli._suite_pseudoresolvent(FAST_VERIFY, Evaluations(grid), s, None).passed
     assert cli._suite_functional_equation(FAST_VERIFY).passed
     assert cli._suite_perturbation_oracle(FAST_VERIFY).passed
     assert cli.run_perturb(FAST_PERTURB, tmp_path) == 0
@@ -517,12 +517,25 @@ def test_verify_evaluates_each_family_once_per_index(monkeypatch, tmp_path):
                                   for n in FAST_VERIFY.n_list)
 
 
-def test_symbol_values_keeps_families_apart_that_differ_only_in_a_signed_zero():
+def test_evaluations_keep_families_apart_that_differ_only_in_a_signed_zero():
     # -0.0 == 0.0, yet the two families' values may differ in the sign of a zero
-    values = cli.symbol_values(Grid(1, 4.0, 16))
+    ev = Evaluations(Grid(1, 4.0, 16))
     plus, minus = (symbols.make_poly_symbol_seq((c0, 0.0, HEAT_C2)) for c0 in (0.0, -0.0))
-    assert values(plus, 4) is not values(minus, 4)
-    assert values(plus, 4) is values(symbols.make_poly_symbol_seq((0.0, 0.0, HEAT_C2)), 4)
+    assert ev.values(plus, 4) is not ev.values(minus, 4)
+    assert ev.values(plus, 4) is ev.values(symbols.make_poly_symbol_seq((0.0, 0.0, HEAT_C2)), 4)
+
+
+@pytest.mark.parametrize("family", [heat_symbol_seq(), symbols.constant_symbol_seq(0.5j, "B")],
+                         ids=["grid", "constant"])
+def test_evaluations_return_read_only_values(family):
+    # every caller of a run shares one array per (family, n), so none may write into it
+    ev = Evaluations(Grid(1, 4.0, 16))
+    a = ev.values(family, 4)
+    assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a[...] = 0.0
+    assert ev.values(family, 4) is a
+    assert a.tobytes() == family.on_grid(4, ev.grid).tobytes()
 
 
 def test_laplace_suite_resolves_a_step_below_the_bound(tmp_path):
@@ -545,7 +558,7 @@ def test_laplace_suite_samples_complex_lambda_as_given():
                                                        40.0 / (lam.real - omega))
                    for n in cfg.n_list[:2])
 
-    worst = cli._suite_laplace(cfg, grid, s, cli.symbol_values(grid)).worst
+    worst = cli._suite_laplace(cfg, Evaluations(grid), s).worst
     assert worst == direct(2.0 + 5j)
     assert worst != direct(2.0 + 0j)
 
@@ -590,7 +603,7 @@ def _verify_status(suite, *extra):
     """The status cell of one verify suite run on ``FAST_VERIFY``."""
     run = getattr(cli, f"_suite_{suite}")
     grid, s = cli.build_grid(FAST_VERIFY), cli.build_family(FAST_VERIFY)
-    return run(FAST_VERIFY, grid, s, *extra, cli.symbol_values(grid)).row()[3]
+    return run(FAST_VERIFY, Evaluations(grid), s, *extra).row()[3]
 
 
 #: sup site -> (the NaN patch, the cli name whose result enters the sup, run, the failure
@@ -698,6 +711,20 @@ def test_unknown_kind_exits_2_naming_its_field(tmp_path, capsys, field, section,
 def test_rate_fields_take_rates():
     # the values of fractional_c_rate and perturb_c_rate name the rates r(n) of symbols.RATES
     assert set(FRACTIONAL_C_RATES) | set(PERTURB_C_RATES) <= set(symbols.RATES)
+
+
+@pytest.mark.parametrize("command", ["verify", "associate", "perturb", "growth"])
+def test_drift_comparison_of_a_fractional_family_names_both_fields(command, tmp_path, capsys):
+    # the default comparison is drift; growth reads no comparison and runs this config
+    cfg = tmp_path / "fractional.cfg"
+    cfg.write_text("[family]\nfamily_kind = fractional\n")
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if command == "growth":
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2
+        assert err == "config error: comparison = drift needs family_kind = poly, got fractional\n"
 
 
 def test_scale_comparison_evaluates_its_base_once(monkeypatch):
@@ -1032,7 +1059,11 @@ class TestAssociateCommand:
         ({"coeffs": (1e308j,)}, "coeffs = (1e+308j,)"),
         # (f - 1) a_n overflows in a + (f - 1) a_n once |a_n| > 1.8
         ({"comparison": "scale:1e308"}, "comparison scale:1e308"),
-    ], ids=["shift-real", "shift-imaginary", "coeffs-imaginary", "scale-huge"])
+        # |xi|^400 overflows from |xi| = 5.9 on, below the largest grid frequency 8
+        ({"family_kind": "fractional", "fractional_m": 400.0, "comparison": "scale:1.5"},
+         "fractional_m = 400.0"),
+    ], ids=["shift-real", "shift-imaginary", "coeffs-imaginary", "scale-huge",
+            "fractional-m-huge"])
     # each stops through a guard, a refused norm or the config check, without numpy's
     # RuntimeWarning
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1098,14 +1129,15 @@ def test_associate_evaluates_each_symbol_and_spectrum_once_per_pair_and_index(
     assert len(kernel_indices) == 2 + len(association.bundled_family_pairs())
     assert 0 < counts["multiplier_norms"] <= sum(kernel_indices)
     assert 0 < counts["multiplier_norms"] <= 55
-    assert 0 < counts["on_grid"] <= 115
-    # one FFT per distinct test function; the cross-check's shared pass takes the base
-    # family's blocks once per index and each moderateness fit once for all nine pairs,
-    # and a one-sequence report reuses that sequence's fit for its envelope
-    assert 0 < counts["fftn"] <= 14
+    # one evaluation per distinct (family value, n) of the run
+    assert 0 < counts["on_grid"] <= 57
+    # one FFT per distinct test function of the run; the run's Evaluations takes the base
+    # family's blocks once per index and each moderateness fit once for the run, and a
+    # one-sequence report reuses that sequence's fit for its envelope
+    assert 0 < counts["fftn"] <= 13
     assert 0 < counts["phi"] <= 57
     assert 0 < counts["resolvent_factor"] <= 119
-    assert 0 < counts["fit_moderate"] <= 117
+    assert 0 < counts["fit_moderate"] <= 110
 
 
 def test_character_contradiction_exits_1_naming_pair_and_level(tmp_path, monkeypatch, capsys):
@@ -1121,6 +1153,21 @@ def test_character_contradiction_exits_1_naming_pair_and_level(tmp_path, monkeyp
         f"character contradiction: real-shift reads not-associated at the {level} level, "
         f"against its character associated"
         for level in ("generator", "resolvent", "weighted", "semigroup")]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_run_evaluates_each_family_value_once_per_index(command, tmp_path, monkeypatch):
+    # one Evaluations per run: as many on_grid calls as distinct (family value, n) keys,
+    # also where equal families are built as different objects (the cross-check's pairs)
+    keys, on_grid = [], symbols.SymbolSeq.on_grid
+
+    def counted(seq, n, grid):
+        keys.append((seq, n))
+        return on_grid(seq, n, grid)
+
+    monkeypatch.setattr(symbols.SymbolSeq, "on_grid", counted)
+    assert cli.RUNNERS[command](default_config(command), tmp_path) == 0
+    assert 0 < len(keys) == len(set(keys))
 
 
 def test_growth_evaluates_the_symbol_once_per_index(tmp_path, monkeypatch):

@@ -134,11 +134,15 @@ def test_one_association_kernel():
     # the one "sup over samples of a diagonal-operator norm": within association.py
     # only check_association calls multiplier_norms
     assert _callers("association.py", "multiplier_norms") == {"check_association"}
-    # and its two reductions are the only sups that evaluate symbols: growth
-    # certificates and resolvent-norm bounds go through operator_sups, and the
-    # identity oracles take symbol values
-    on_grid = _callers("association.py", "on_grid") | _callers("semigroup.py", "on_grid")
-    assert on_grid == {"check_association", "operator_sups"}
+    # symbols are evaluated in one place, the run's Evaluations.values: the association
+    # kernel, operator_sups, the identity oracles and the solve all read a_n from it
+    on_grid = {(path.name, fn) for path in sorted(PACKAGE_DIR.glob("*.py"))
+               for fn in _callers(path.name, "on_grid")}
+    assert on_grid == {("semigroup.py", "values")}
+    tree = ast.parse((PACKAGE_DIR / "semigroup.py").read_text())
+    evaluations = next(cls for cls in ast.walk(tree)
+                       if isinstance(cls, ast.ClassDef) and cls.name == "Evaluations")
+    assert "values" in {fn.name for fn in evaluations.body if isinstance(fn, ast.FunctionDef)}
     # every identity oracle forms its relative defects ||d u||_2 / ||u||_2 in one helper
     assert _callers("semigroup.py", "multiplier_norms") == {"relative_defects"}
 

@@ -13,8 +13,8 @@ from semigrouplab.errors import ConfigError, OverflowGuardError
 from semigrouplab.perturbation import (perturbation_quadrature, perturbed_factor,
                                        perturbation_claims_suite)
 from semigrouplab.quadrature import composite_gauss_points
-from semigrouplab.semigroup import (TIME_INTEGRAL_LEVELS, TIME_INTEGRAL_PANELS, MultiplierOp,
-                                   phi, resolvent_factor, semigroup_level)
+from semigrouplab.semigroup import (TIME_INTEGRAL_LEVELS, TIME_INTEGRAL_PANELS, Evaluations,
+                                   MultiplierOp, phi, resolvent_factor, semigroup_level)
 from semigrouplab.spectral import Grid, GridFunction, lp_norm
 from semigrouplab.symbols import (constant_symbol_seq, heat_symbol_seq,
                                   make_poly_symbol_seq, perturbed_heat_seq, summed_symbol_seq)
@@ -234,7 +234,7 @@ class TestProposition49Suite:
         B = constant_symbol_seq(0.5j, "B")
         C = constant_symbol_seq(0.0, "C", "inverse")
         rep = perturbation_claims_suite(heat, perturbed_heat_seq(), B, C,
-                                    grid, [4, 8, 16, 32, 64], omega=1.5)
+                                        Evaluations(grid), [4, 8, 16, 32, 64], omega=1.5)
         assert rep.verdicts["perturbed-pair"] == "associated"
         assert rep.pair_association.slope == pytest.approx(-1.0, abs=0.1)
         assert rep.verdicts["base-weighted"] == "associated"
@@ -244,15 +244,15 @@ class TestProposition49Suite:
     def test_zero_c_sequence_gives_identical_pairs(self, heat, grid):
         B = constant_symbol_seq(0.5j, "B")
         C = constant_symbol_seq(0.0, "0")
-        rep = perturbation_claims_suite(heat, heat, B, C, grid, [4, 8, 16, 32],
-                                    omega=1.5)
+        rep = perturbation_claims_suite(heat, heat, B, C, Evaluations(grid), [4, 8, 16, 32],
+                                        omega=1.5)
         assert max(rep.pair_association.norms) == 0.0
 
     def test_identical_base_families_transport_trivially(self, heat, grid):
         B = constant_symbol_seq(0.25j, "B")
         C = constant_symbol_seq(0.0, "C", "inverse")
-        rep = perturbation_claims_suite(heat, heat, B, C, grid, [4, 8, 16, 32],
-                                    omega=1.5)
+        rep = perturbation_claims_suite(heat, heat, B, C, Evaluations(grid), [4, 8, 16, 32],
+                                        omega=1.5)
         assert max(rep.transported_association.norms) == 0.0
         assert rep.verdicts["transported"] == "associated"
 
@@ -262,7 +262,8 @@ class TestProposition49Suite:
         C = constant_symbol_seq(0.0, "C", "inverse")
         drifted = perturbed_heat_seq()
         n_list, ts, omega = [4, 8, 16, 32], SUITE_T_SAMPLES, 1.5
-        rep = perturbation_claims_suite(heat, drifted, B, C, grid, n_list, omega=omega)
+        rep = perturbation_claims_suite(heat, drifted, B, C, Evaluations(grid), n_list,
+                                        omega=omega)
 
         def quadrature_norms(s_other, B_other):
             norms = []
@@ -283,7 +284,8 @@ class TestProposition49Suite:
         B = constant_symbol_seq(0.5j, "B")
         C = constant_symbol_seq(1.0, "const")
         with pytest.raises(ValueError, match="vanish"):
-            perturbation_claims_suite(heat, heat, B, C, grid, [4, 8, 16, 32], omega=1.5)
+            perturbation_claims_suite(heat, heat, B, C, Evaluations(grid), [4, 8, 16, 32],
+                                      omega=1.5)
 
 
 def drift_report(f, n_list):
@@ -292,7 +294,8 @@ def drift_report(f, n_list):
     coeffs = (0.0, 0.0, HEAT_C2)
     level = semigroup_level(0.0, np.linspace(0, 5.0, 51)[1:], f.grid)
     return check_association(perturbed_heat_seq(coeffs), make_poly_symbol_seq(coeffs),
-                             {"drift": level}, [lambda n: f], f.grid, n_list)["drift"]
+                             {"drift": level}, [lambda n: f], Evaluations(f.grid),
+                             n_list)["drift"]
 
 
 class TestClosingExample:

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from semigrouplab import semigroup
 from semigrouplab.errors import OverflowGuardError, ResolventSingularityError
-from semigrouplab.semigroup import (MultiplierOp, block_rows,
+from semigrouplab.semigroup import (Evaluations, MultiplierOp, block_rows,
                                     bromwich_S, certify_growth,
                                     laplace_identity_residual, multiplier_norms,
                                     phi, power_spectra, pseudoresolvent_residual,
@@ -594,7 +594,7 @@ class TestCertifyGrowth:
         lam_line = [1.5 + 1j * im for im in (0.0, 1.0, 5.0, 25.0)]
         cert = certify_growth(heat, [1, 2, 3, 4], omega=1.0, b=1.0,
                               lambda_samples=lam_line,
-                              t_samples=list(np.logspace(-3, 2, 30)), grid=grid)
+                              t_samples=list(np.logspace(-3, 2, 30)), ev=Evaluations(grid))
         for n in (1, 2, 3, 4):
             assert cert.resolvent_bounds[n] <= 2.0
             assert cert.semigroup_bounds[n] <= 1.0 + 1e-12
@@ -604,7 +604,7 @@ class TestCertifyGrowth:
         # just right of omega sees the bound grow like n
         s = make_poly_symbol_seq((1.0,), "approaching", (-1.0,), "inverse")
         cert = certify_growth(s, [4, 8, 16, 32, 64], omega=1.0, b=1.0,
-                              lambda_samples=[1.001], t_samples=[1.0], grid=grid)
+                              lambda_samples=[1.001], t_samples=[1.0], ev=Evaluations(grid))
         assert cert.resolvent_fit.slope == pytest.approx(1.0, abs=0.1)
 
     def test_nan_bound_stays_nan(self, heat, grid):
@@ -612,18 +612,18 @@ class TestCertifyGrowth:
         # and the certificate refuses it, naming the bound and n; t = 0.5, since 1.0 ** nan is 1.0
         with pytest.raises(ValueError, match=r"^growth bound M_n at n=1 is nan$"):
             certify_growth(heat, [1], omega=1.0, b=float("nan"),
-                           lambda_samples=[2.0], t_samples=[0.5], grid=grid)
+                           lambda_samples=[2.0], t_samples=[0.5], ev=Evaluations(grid))
         with pytest.raises(ValueError, match=r"^growth bound M'_n at n=1 is nan$"):
             certify_growth(heat, [1], omega=1.0, b=1.0, lambda_samples=[2.0],
-                           t_samples=[1.0, float("nan")], grid=grid)
+                           t_samples=[1.0, float("nan")], ev=Evaluations(grid))
 
     def test_sample_on_spectrum_names_the_mode(self, heat, grid):
         # a_1(0) = 0, so lambda = 0 (right of omega = -1) hits the spectrum at xi = 0
         with pytest.raises(ResolventSingularityError, match=r"lambda=0j within .* xi=\[0\.\] \(n=1\)"):
             certify_growth(heat, [1], omega=-1.0, b=1.0, lambda_samples=[0.0],
-                           t_samples=[1.0], grid=grid)
+                           t_samples=[1.0], ev=Evaluations(grid))
 
     def test_rejects_samples_left_of_omega(self, heat, grid):
         with pytest.raises(ValueError):
             certify_growth(heat, [1], omega=1.0, b=1.0,
-                           lambda_samples=[0.5], t_samples=[1.0], grid=grid)
+                           lambda_samples=[0.5], t_samples=[1.0], ev=Evaluations(grid))
