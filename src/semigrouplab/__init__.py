@@ -9,8 +9,7 @@ growth bounds, and perturbation behavior of the resulting sequences.
 from .spectral import (Grid, GridFunction, DistributionRep, mollifier,
                        transform, inverse_transform, lp_norm, mollify)
 from .symbols import (SymbolSeq, ModerateSeq, fit_moderate, constant_symbol_seq,
-                      make_poly_symbol_seq, make_fractional_symbol_seq,
-                      heat_symbol_seq, perturbed_heat_seq)
+                      make_poly_symbol_seq, heat_symbol_seq, perturbed_heat_seq)
 from .semigroup import (Evaluations, MultiplierOp, GrowthCertificate, phi,
                         laplace_identity_residual,
                         pseudoresolvent_residual, bromwich_S, certify_growth,
@@ -31,8 +30,7 @@ __all__ = [
     "Grid", "GridFunction", "DistributionRep", "mollifier",
     "transform", "inverse_transform", "lp_norm", "mollify",
     "SymbolSeq", "ModerateSeq", "fit_moderate", "constant_symbol_seq",
-    "make_poly_symbol_seq", "make_fractional_symbol_seq",
-    "heat_symbol_seq", "perturbed_heat_seq",
+    "make_poly_symbol_seq", "heat_symbol_seq", "perturbed_heat_seq",
     "Evaluations", "MultiplierOp", "GrowthCertificate", "phi",
     "laplace_identity_residual", "pseudoresolvent_residual", "bromwich_S",
     "certify_growth", "Level", "generator_level", "resolvent_level", "semigroup_level",

@@ -236,33 +236,31 @@ def bundled_family_pairs() -> List[FamilyPair]:
     full = ("gaussian", "spike", "oscillatory", "growing")
     fixed = ("gaussian",)
 
-    def bounded_shift(rate, name, n_min=1):
+    def bounded_shift(rate, n_min=1):
         """heat + r(n) e^(-|xi|^2), a shift with Re <= r(n_min) <= 1."""
-        return summed_symbol_seq(heat, SymbolSeq("gaussian", rate=rate, n_min=n_min, name=name))
+        return summed_symbol_seq(heat, SymbolSeq("gaussian", rate=rate, n_min=n_min))
 
     pairs = [
         FamilyPair("identical", heat, heat_symbol_seq(), std, full, "associated"),
         FamilyPair("perturbed-coefficients", heat, drifted, std, fixed, "associated"),
-        FamilyPair("bounded-1/n", heat, bounded_shift("inverse", "b/n"), std, full,
-                   "associated"),
+        FamilyPair("bounded-1/n", heat, bounded_shift("inverse"), std, full, "associated"),
         # a 1/sqrt(n) difference is defeated by the sqrt(n)-growing witnesses
         # (their product does not decay), so this pair is compared on data of
         # bounded norm only
-        FamilyPair("bounded-1/sqrt", heat, bounded_shift("inverse-sqrt", "b/sqrt(n)"), std,
+        FamilyPair("bounded-1/sqrt", heat, bounded_shift("inverse-sqrt"), std,
                    ("gaussian", "oscillatory"), "associated"),
-        FamilyPair("quadratic-decay", heat, bounded_shift("inverse-square", "b/n^2"), std, full,
+        FamilyPair("quadratic-decay", heat, bounded_shift("inverse-square"), std, full,
                    "associated"),
         FamilyPair("real-shift", heat,
-                   summed_symbol_seq(heat, constant_symbol_seq(1.0, "1")),
+                   summed_symbol_seq(heat, constant_symbol_seq(1.0)),
                    std, full, "not-associated"),
         FamilyPair("imaginary-shift", heat,
-                   summed_symbol_seq(heat, constant_symbol_seq(1j, "i")),
+                   summed_symbol_seq(heat, constant_symbol_seq(1j)),
                    std, full, "not-associated"),
-        FamilyPair("rescaled", heat,
-                   summed_symbol_seq(heat, SymbolSeq("square", (-0.5,), name="heat/2")),
-                   std, fixed, "not-associated"),
+        FamilyPair("rescaled", heat, SymbolSeq("scaled", parts=(heat,), factor=1.5), std, fixed,
+                   "not-associated"),
         # 1/log n is undefined at n = 1: the family starts where its indices do, at 4
-        FamilyPair("log-decay", heat, bounded_shift("inverse-log", "b/log", wide[0]), wide, fixed,
+        FamilyPair("log-decay", heat, bounded_shift("inverse-log", wide[0]), wide, fixed,
                    "borderline"),
     ]
     return pairs

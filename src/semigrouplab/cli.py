@@ -29,9 +29,8 @@ from .semigroup import (LAPLACE_STEP_MAX, TIME_INTEGRAL_LEVELS, TIME_INTEGRAL_PA
                         relative_defects, resolvent_level, sample_axis, semigroup_level,
                         time_integral)
 from .spectral import DistributionRep, Grid, GridFunction, lp_norm, mollify
-from .symbols import (MIN_FIT_INDICES, SymbolSeq, constant_symbol_seq,
-                      make_fractional_symbol_seq, make_poly_symbol_seq, perturbed_heat_seq,
-                      summed_symbol_seq)
+from .symbols import (MIN_FIT_INDICES, SymbolSeq, constant_symbol_seq, make_poly_symbol_seq,
+                      perturbed_heat_seq, summed_symbol_seq)
 
 #: subcommands that judge a decay rate or a weak limit over the indices of n_list
 FIT_COMMANDS = ("solve", "associate", "perturb")
@@ -51,14 +50,13 @@ def build_grid(cfg: ExperimentConfig) -> Grid:
 
 def build_family(cfg: ExperimentConfig) -> SymbolSeq:
     if cfg.family_kind == "poly":
-        return make_poly_symbol_seq(cfg.coeffs, name=cfg.name)
-    return make_fractional_symbol_seq(cfg.fractional_c_rate, cfg.fractional_m)
+        return make_poly_symbol_seq(cfg.coeffs)
+    return SymbolSeq("fractional", rate=cfg.fractional_c_rate, m=cfg.fractional_m)
 
 
 def build_perturbations(cfg: ExperimentConfig) -> tuple[SymbolSeq, SymbolSeq]:
     """The perturbation B = perturb_b and the vanishing family C at perturb_c_rate."""
-    return (constant_symbol_seq(cfg.perturb_b, "B"),
-            constant_symbol_seq(0.0, "C", cfg.perturb_c_rate))
+    return constant_symbol_seq(cfg.perturb_b), constant_symbol_seq(0.0, cfg.perturb_c_rate)
 
 
 def build_comparison_family(cfg: ExperimentConfig, base: SymbolSeq) -> Optional[SymbolSeq]:
@@ -69,13 +67,12 @@ def build_comparison_family(cfg: ExperimentConfig, base: SymbolSeq) -> Optional[
         if cfg.family_kind != "poly":
             raise ConfigError(f"comparison = drift needs family_kind = poly, "
                               f"got {cfg.family_kind}")
-        return perturbed_heat_seq(cfg.coeffs, name=cfg.name + "+1/n")
+        return perturbed_heat_seq(cfg.coeffs)
     if mode.startswith("shift:"):
-        return summed_symbol_seq(base, constant_symbol_seq(comparison_operand(mode), "shift"))
+        return summed_symbol_seq(base, constant_symbol_seq(comparison_operand(mode)))
     if mode.startswith("scale:"):
-        factor = comparison_operand(mode)
-        return SymbolSeq("scaled", n_min=base.n_min, name=f"{factor}*{base.name}",
-                         parts=(base,), factor=factor)
+        return SymbolSeq("scaled", n_min=base.n_min, parts=(base,),
+                         factor=comparison_operand(mode))
     raise ConfigError(f"unknown comparison '{mode}'")
 
 

@@ -1,9 +1,10 @@
 """Symbol families a_n(xi) = p(xi) + r(n) q(xi) as values, and the moderateness fit.
 
 Symbols are frequency-side scalar fields; each one defines a multiplier operator through
-the `semigroup` module.  On L^2 a multiplier generates exactly when sup Re a_n is finite,
-so that bound, ``re_bound``, is the one hypothesis of a family: :class:`SymbolSeq` forms
-it in closed form.  Non-finite symbol values raise.
+the `semigroup` module, so a family is its symbol: :class:`SymbolSeq` holds the data that
+fix a_n and nothing else, and equal symbols are one value.  On L^2 a multiplier generates
+exactly when sup Re a_n is finite, so that bound, ``re_bound``, is the one hypothesis of a
+family, formed in closed form.  Non-finite symbol values raise.
 
 Moderate sequences are the base notion of the theory, so their log-log fit
 over n (:func:`fit_moderate`, :func:`is_moderate_fit`) lives here, below
@@ -105,10 +106,11 @@ class SymbolSeq:
 
     Each shape forms the coefficients c = p + r(n) q first (a zero r q_j leaves p_j as it
     is): ``poly`` is c_0 + c_1 z_1 + sum_j c_2 z_j z_j with z = 2 pi i xi, ``constant``
-    the 0-d c_0, ``square`` c_0 |xi|^2, ``fractional`` i r(n) |xi|^m and ``gaussian``
-    r(n) e^(-|xi|^2); ``sum`` adds its two ``parts``, and ``scaled`` is a + (factor - 1) a
-    for a = ``parts[0]``.  ``rate`` names r in :data:`RATES`.  Families compare and hash
-    by repr, which tells -0.0 from 0.0, so equal families give bitwise-equal values.
+    the 0-d c_0, ``fractional`` i r(n) |xi|^m and ``gaussian`` r(n) e^(-|xi|^2); ``sum``
+    adds its two ``parts``, and ``scaled`` is a + (factor - 1) a for a = ``parts[0]``.
+    ``rate`` names r in :data:`RATES`.  The fields are exactly the data that fix a_n, with
+    no label: families compare and hash by repr, which tells -0.0 from 0.0, so equal
+    families give bitwise-equal values and a run evaluates each once.
     """
 
     shape: str
@@ -116,14 +118,13 @@ class SymbolSeq:
     q: tuple = ()
     rate: str = "zero"
     n_min: int = 1
-    name: str = ""
     m: float = 0.0
     parts: tuple = ()
     factor: float = 1.0
 
     def __post_init__(self):
         if self.rate not in RATES or self.n_min < 1 or not RATES[self.rate][1](self.n_min) > 0:
-            raise HypothesisViolationError(f"family '{self.name}': rate '{self.rate}' is not "
+            raise HypothesisViolationError(f"{self.shape} family: rate '{self.rate}' is not "
                                            f"defined and monotone on n >= {self.n_min}")
         object.__setattr__(self, "_repr", repr(self))  # formed once: families are dict keys
 
@@ -132,6 +133,12 @@ class SymbolSeq:
 
     def __hash__(self) -> int:
         return hash(self._repr)
+
+    def __str__(self) -> str:
+        """A family in messages: its shape and rate, or a sum's or scaling's parts."""
+        if self.parts:
+            return f"{self.shape} of ({', '.join(map(str, self.parts))})"
+        return f"{self.shape} family (rate {self.rate})"
 
     def _coeffs(self, r: float) -> tuple:
         return tuple(pj + r * qj if r * qj else pj
@@ -154,8 +161,6 @@ class SymbolSeq:
             terms = [c[2] * z[..., j] * z[..., j] for j in range(z.shape[-1])]
             return c[0] + c[1] * z[..., 0] + sum(terms[1:], terms[0])
         squares = np.sum(xi_vectors * xi_vectors, axis=-1)
-        if self.shape == "square":
-            return c[0] * squares
         if self.shape == "fractional":
             return 1j * r * np.sqrt(squares) ** self.m
         bump = np.exp(-squares)  # gaussian, its 1/scale(n) part as a division
@@ -176,8 +181,6 @@ class SymbolSeq:
             return poly_sup_re(c)
         if self.shape == "constant":
             return c[0].real
-        if self.shape == "square":
-            return 0.0 if c[0].real <= 0 else math.inf
         return max(factor * r, 0.0) if self.shape == "gaussian" else 0.0  # fractional: Re 0
 
     @property
@@ -187,13 +190,12 @@ class SymbolSeq:
 
     def __call__(self, n: int, xi_vectors: np.ndarray) -> np.ndarray:
         if n < self.n_min:
-            raise SymbolEvaluationError(
-                f"symbol '{self.name}' is defined for n >= {self.n_min}, not at n={n}")
+            raise SymbolEvaluationError(f"{self} is defined for n >= {self.n_min}, not at n={n}")
         vals = np.asarray(self.eval(n, xi_vectors), dtype=complex)
         if not np.all(np.isfinite(vals)):
             where = (f", xi={xi_vectors[tuple(np.argwhere(~np.isfinite(vals))[0])]}"
                      if vals.shape == xi_vectors.shape[:-1] else "")
-            raise SymbolEvaluationError(f"symbol '{self.name}' is non-finite at n={n}{where}")
+            raise SymbolEvaluationError(f"{self} is non-finite at n={n}{where}")
         return vals
 
     def on_grid(self, n: int, grid: Grid) -> np.ndarray:
@@ -229,36 +231,30 @@ def poly_sup_re(coeffs: Sequence[complex]) -> float:
     return math.inf
 
 
-def make_poly_symbol_seq(coeffs: Sequence[complex], name: str = "poly",
-                         drift: Sequence[complex] = (), rate: str = "zero") -> SymbolSeq:
+def make_poly_symbol_seq(coeffs: Sequence[complex], drift: Sequence[complex] = (),
+                         rate: str = "zero") -> SymbolSeq:
     """The operators c_0(n) + c_1(n) d/dx_1 + c_2(n) Laplacian, c(n) = ``coeffs`` + r(n)
     ``drift``: the heat generator (4 pi^2)^-1 Laplacian has symbol -|xi|^2, and the sum over
     j starts at its j = 1 term, so on a line the symbol is c_0 + c_1 z + c_2 z z bit for bit."""
-    return SymbolSeq("poly", poly_coeffs(coeffs), poly_coeffs(drift), rate, name=name)
-
-
-def make_fractional_symbol_seq(rate: str, m: float) -> SymbolSeq:
-    """Purely imaginary family a_n(xi) = i r(n) |xi|^m at a :data:`RATES` rate; ``re_bound`` 0."""
-    return SymbolSeq("fractional", rate=rate, m=m, name="fractional")
+    return SymbolSeq("poly", poly_coeffs(coeffs), poly_coeffs(drift), rate)
 
 
 def summed_symbol_seq(s: SymbolSeq, B: SymbolSeq) -> SymbolSeq:
     """The family a_n + b_n, the one sum of two families (a perturbed generator, say)."""
-    return SymbolSeq("sum", n_min=max(s.n_min, B.n_min), name=f"{s.name}+{B.name}",
-                     parts=(s, B))
+    return SymbolSeq("sum", n_min=max(s.n_min, B.n_min), parts=(s, B))
 
 
-def constant_symbol_seq(value: complex, name: str, rate: str = "zero") -> SymbolSeq:
+def constant_symbol_seq(value: complex, rate: str = "zero") -> SymbolSeq:
     """The xi-constant family a_n = value + r(n), 0-d."""
-    return SymbolSeq("constant", (value,), (1.0,), rate, name=name)
+    return SymbolSeq("constant", (value,), (1.0,), rate)
 
 
 def heat_symbol_seq() -> SymbolSeq:
     """The stationary heat family a_n(xi) = -|xi|^2 (generator (4pi^2)^-1 Laplacian)."""
-    return make_poly_symbol_seq((0.0, 0.0, 1.0 / (4 * np.pi**2)), name="heat")
+    return make_poly_symbol_seq((0.0, 0.0, 1.0 / (4 * np.pi**2)))
 
 
-def perturbed_heat_seq(base_coeffs: Sequence[complex] = (0.0, 0.0, 1.0 / (4 * np.pi**2)),
-                       name: str = "heat+1/n") -> SymbolSeq:
+def perturbed_heat_seq(
+        base_coeffs: Sequence[complex] = (0.0, 0.0, 1.0 / (4 * np.pi**2))) -> SymbolSeq:
     """The coefficient drift P_n(D): ``base_coeffs`` with c_0 + 1/n and c_2 + 1/n."""
-    return make_poly_symbol_seq(base_coeffs, name, (1.0, 0.0, 1.0), "inverse")
+    return make_poly_symbol_seq(base_coeffs, (1.0, 0.0, 1.0), "inverse")

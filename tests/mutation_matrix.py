@@ -108,6 +108,23 @@ MUTANTS = [
     ("closed-form re_bound drops its r(n_min) end", "symbols.py",
      "return max(self._g(limit + 1.0 / scale(self.n_min), factor), self._g(limit, factor))",
      "return self._g(limit, factor)", {"tier-1"}),
+    # families equal but for p share one key, so one family reads the other's values
+    ("SymbolSeq value key drops p", "symbols.py",
+     'object.__setattr__(self, "_repr", repr(self))',
+     'object.__setattr__(self, "_repr", repr((self.shape, self.q, self.rate, self.n_min, '
+     'self.m, self.parts, self.factor)))', {"tier-1"}),
+    ("fit_moderate slope x (1 + 1e-6)", "symbols.py",
+     "slope = float(np.sum((x - xm) * (y - ym)) / var)",
+     "slope = float(np.sum((x - xm) * (y - ym)) / var) * (1 + 1e-6)", {"tier-1"}),
+    # a sequence constant up to round-off then fits a round-off slope and R^2
+    ("fit_moderate constant only when exactly equal", "symbols.py",
+     "constant = np.ptp(y) <= 8 * np.finfo(float).eps", "constant = np.ptp(y) <= 0.0",
+     {"tier-1"}),
+    ("write_rows drops the last row", "csvio.py",
+     "        for row in rows:\n            writer.writerow(",
+     "        for row in list(rows)[:-1]:\n            writer.writerow(", {"tier-1"}),
+    ("write_solution swaps the re_w and im_w columns", "csvio.py",
+     'f"{head}{x},{r!r},{i!r}\\n"', 'f"{head}{x},{i!r},{r!r}\\n"', {"tier-1"}),
 ]
 
 

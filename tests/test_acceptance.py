@@ -25,9 +25,8 @@ from semigrouplab.semigroup import (Evaluations, bromwich_S, laplace_identity_re
                                     semigroup_level)
 from semigrouplab.spectral import (DistributionRep, Grid, GridFunction,
                                    lp_norm, mollify)
-from semigrouplab.symbols import (constant_symbol_seq, heat_symbol_seq,
-                                  make_fractional_symbol_seq, make_poly_symbol_seq,
-                                  perturbed_heat_seq)
+from semigrouplab.symbols import (SymbolSeq, constant_symbol_seq, heat_symbol_seq,
+                                  make_poly_symbol_seq, perturbed_heat_seq)
 
 HEAT_C2 = 1.0 / (4.0 * np.pi**2)
 
@@ -52,7 +51,7 @@ def test_criterion_01_laplace_identity():
 def test_criterion_02_pseudoresolvent_identity():
     grid = Grid(1, 8.0, 256)
     families = [fam.on_grid(3, grid) for fam in (
-        heat_symbol_seq(), make_fractional_symbol_seq("one-plus-inverse", m=2.0))]
+        heat_symbol_seq(), SymbolSeq("fractional", rate="one-plus-inverse", m=2.0))]
     rng = np.random.default_rng(42)
     u = GridFunction.gaussian(grid)
     worst = 0.0
@@ -210,8 +209,8 @@ def test_criterion_10_perturbation_oracle():
 
     grid = Grid(1, 4.0, 128)
     heat = heat_symbol_seq()
-    B = constant_symbol_seq(0.5j, "B")
-    C = constant_symbol_seq(0.0, "C", "inverse")
+    B = constant_symbol_seq(0.5j)
+    C = constant_symbol_seq(0.0, "inverse")
     suite = perturbation_claims_suite(heat, heat, B, C, Evaluations(grid), [4, 8, 16, 32, 64],
                                       omega=1.5)
     slope = suite.pair_association.slope

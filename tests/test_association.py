@@ -22,8 +22,8 @@ from semigrouplab.semigroup import (Evaluations, certify_growth, derivative_leve
                                     resolvent_over_lambda_derivative, semigroup_level)
 from semigrouplab.spectral import Grid, GridFunction, mollifier, lp_norm
 from semigrouplab.symbols import (NORM_FLOOR, SymbolSeq, constant_symbol_seq, heat_symbol_seq,
-                                  is_moderate_fit, make_fractional_symbol_seq,
-                                  make_poly_symbol_seq, perturbed_heat_seq, summed_symbol_seq)
+                                  is_moderate_fit, make_poly_symbol_seq, perturbed_heat_seq,
+                                  summed_symbol_seq)
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +205,7 @@ class TestG4:
         assert reports[0].spread < 1.5
 
     def test_growing_family_flagged(self, grid):
-        s = make_poly_symbol_seq((1.0,), "approach", (-1.0,), "inverse")
+        s = make_poly_symbol_seq((1.0,), (-1.0,), "inverse")
         reports = check_resolvent_norm_bounds(s, [4, 8, 16, 32, 64], [1.001], Evaluations(grid))
         assert not reports[0].bounded
 
@@ -224,7 +224,7 @@ class TestGeneratorAssociation:
         assert rep.slope == pytest.approx(-1.0, abs=0.1)
 
     def test_constant_shift_not_associated(self, heat, grid, gaussian_seq):
-        shifted = summed_symbol_seq(heat, constant_symbol_seq(1.0, "1"))
+        shifted = summed_symbol_seq(heat, constant_symbol_seq(1.0))
         rep = single(heat, shifted, generator_level, [gaussian_seq], grid,
                      [4, 8, 16, 32])
         assert rep.verdict == "not-associated"
@@ -249,7 +249,7 @@ class TestResolventAssociation:
         assert -1.2 < rep.slope < -0.7
 
     def test_divergent_pair(self, heat, grid, gaussian_seq):
-        scaled = summed_symbol_seq(heat, SymbolSeq("square", (-1.0,)))
+        scaled = SymbolSeq("scaled", parts=(heat,), factor=2.0)
         rep = single(heat, scaled, resolvent_level([2.0], grid), [gaussian_seq],
                      grid, [4, 8, 16, 32])
         assert rep.verdict == "not-associated"
@@ -276,7 +276,7 @@ class TestGeisAndGE4:
                    [gaussian_seq], grid, [4, 8, 16, 32, 64])
 
     def test_shifted_pair_not_associated(self, heat, grid, gaussian_seq):
-        shifted = summed_symbol_seq(heat, constant_symbol_seq(1.0, "1"))
+        shifted = summed_symbol_seq(heat, constant_symbol_seq(1.0))
         rep = single(heat, shifted, semigroup_level(2.0, self.t_samples, grid),
                      [gaussian_seq], grid, [4, 8, 16, 32])
         assert rep.verdict == "not-associated"
@@ -389,7 +389,7 @@ class TestBlockKernel:
 
     def test_two_dimensional_blocks_match_per_sample_norms(self):
         g2 = Grid(2, 3.0, 64)
-        s = make_fractional_symbol_seq("one-plus-inverse", m=2.0)
+        s = SymbolSeq("fractional", rate="one-plus-inverse", m=2.0)
         s_tilde = summed_symbol_seq(s, SymbolSeq("gaussian", rate="inverse"))
         x = GridFunction.gaussian(g2)
         n_list, omega, b = [2, 4, 8, 16], 3.0, 1.0
@@ -549,7 +549,7 @@ class TestDerivativeEngine:
 
     def test_zero_symbol_closed_form(self, grid):
         # modes with a = 0: quantity is (k+1)/lambda when omega = 0
-        zero = make_poly_symbol_seq((0.0,), name="zero")
+        zero = make_poly_symbol_seq((0.0,))
         lams, k_max = [0.5, 2.0, 10.0], 5
         sups = operator_sups(zero, {"d": derivative_level(0.0, k_max, lams, grid)},
                              Evaluations(grid), [1])
@@ -559,7 +559,7 @@ class TestDerivativeEngine:
     def test_heat_mode_reference_value(self, grid):
         # a = -1, lambda = 2, omega = 0, k = 0:
         # (lambda - omega) |R(lambda)/lambda| = 2 / (2 * 3) = 1/3
-        minus_one = make_poly_symbol_seq((-1.0,), name="-1")
+        minus_one = make_poly_symbol_seq((-1.0,))
         sups = operator_sups(minus_one, {"d": derivative_level(0.0, 0, [2.0], grid)},
                              Evaluations(grid), [1])
         assert sups["d"][0, 0] == pytest.approx(1.0 / 3.0, rel=1e-14)

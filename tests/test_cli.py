@@ -508,13 +508,25 @@ def test_verify_evaluates_each_family_once_per_index(monkeypatch, tmp_path):
     keys, on_grid = [], symbols.SymbolSeq.on_grid
 
     def counted(seq, n, grid):
-        keys.append((seq.name, n))
+        keys.append((seq, n))
         return on_grid(seq, n, grid)
 
     monkeypatch.setattr(symbols.SymbolSeq, "on_grid", counted)
     assert cli.run_verify(FAST_VERIFY, tmp_path) == 0
-    assert sorted(keys) == sorted((name, n) for name in ("heat-default", "heat-default+1/n")
-                                  for n in FAST_VERIFY.n_list)
+    s = cli.build_family(FAST_VERIFY)
+    families = (s, cli.build_comparison_family(FAST_VERIFY, s))
+    assert Counter(keys) == Counter((f, n) for f in families for n in FAST_VERIFY.n_list)
+
+
+def test_default_associate_families_are_the_bundled_heat_values():
+    # a family is its symbol: the scenario's heat family and its drift are the values the
+    # cross-check's pairs hold, so one Evaluations serves both
+    cfg = default_config("associate")
+    s = cli.build_family(cfg)
+    drift = cli.build_comparison_family(cfg, s)
+    assert (s, hash(s)) == (heat_symbol_seq(), hash(heat_symbol_seq()))
+    assert (drift, hash(drift)) == (symbols.perturbed_heat_seq(),
+                                    hash(symbols.perturbed_heat_seq()))
 
 
 def test_evaluations_keep_families_apart_that_differ_only_in_a_signed_zero():
@@ -525,7 +537,7 @@ def test_evaluations_keep_families_apart_that_differ_only_in_a_signed_zero():
     assert ev.values(plus, 4) is ev.values(symbols.make_poly_symbol_seq((0.0, 0.0, HEAT_C2)), 4)
 
 
-@pytest.mark.parametrize("family", [heat_symbol_seq(), symbols.constant_symbol_seq(0.5j, "B")],
+@pytest.mark.parametrize("family", [heat_symbol_seq(), symbols.constant_symbol_seq(0.5j)],
                          ids=["grid", "constant"])
 def test_evaluations_return_read_only_values(family):
     # every caller of a run shares one array per (family, n), so none may write into it
@@ -1129,8 +1141,9 @@ def test_associate_evaluates_each_symbol_and_spectrum_once_per_pair_and_index(
     assert len(kernel_indices) == 2 + len(association.bundled_family_pairs())
     assert 0 < counts["multiplier_norms"] <= sum(kernel_indices)
     assert 0 < counts["multiplier_norms"] <= 55
-    # one evaluation per distinct (family value, n) of the run
-    assert 0 < counts["on_grid"] <= 57
+    # one evaluation per distinct (family value, n) of the run: the scenario's heat and
+    # drift families are two of the cross-check's
+    assert 0 < counts["on_grid"] <= 47
     # one FFT per distinct test function of the run; the run's Evaluations takes the base
     # family's blocks once per index and each moderateness fit once for the run, and a
     # one-sequence report reuses that sequence's fit for its envelope

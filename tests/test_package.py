@@ -11,10 +11,12 @@ to a higher one from inside a function.
 """
 import ast
 import dataclasses
+import importlib
+import sys
 from pathlib import Path
 
 import semigrouplab
-from semigrouplab import association, cli, config
+from semigrouplab import association, cli, config, semigroup, symbols
 
 PACKAGE_DIR = Path(semigrouplab.__file__).parent
 #: exported but read by no module; each stays until ROADMAP open item 4
@@ -167,6 +169,13 @@ def _families():
             yield from (s, cli.build_comparison_family(cfg, s), *cli.build_perturbations(cfg))
 
 
+def test_a_family_is_its_symbol():
+    # the fields are exactly the data that fix a_n and re_bound, with no label, so equal
+    # symbols are one value: one dict key of a run's Evaluations and one evaluation
+    assert [f.name for f in dataclasses.fields(semigrouplab.SymbolSeq)] == [
+        "shape", "p", "q", "rate", "n_min", "m", "parts", "factor"]
+
+
 def test_no_symbol_family_field_holds_a_callable():
     # a family is a value: its fields fix eval and re_bound, and it compares by them
     assert {f.type for f in dataclasses.fields(semigrouplab.SymbolSeq)} <= {
@@ -178,11 +187,11 @@ def test_no_symbol_family_field_holds_a_callable():
             dataclasses.replace(family))
         for f in dataclasses.fields(family):
             value = getattr(family, f.name)
-            assert not callable(value), (family.name, f.name)
+            assert not callable(value), (family, f.name)
             if f.name == "parts":
                 stack.extend(value)
             elif isinstance(value, tuple):
-                assert not any(callable(v) for v in value), (family.name, f.name)
+                assert not any(callable(v) for v in value), (family, f.name)
 
 
 def test_phase_is_applied_inside_spectral_only():
@@ -201,3 +210,30 @@ def test_one_panel_count():
               and "panels" in [a.arg for a in fn.args.posonlyargs + fn.args.args
                                + fn.args.kwonlyargs]}
     assert owners == {"quadrature.composite_gauss_points"}
+
+
+def test_perfbench_tracer_installs_and_restores_every_patch(monkeypatch):
+    # perfbench/layertrace.py patches these by name; a renamed one fails its install, which
+    # the benchmark reaches only under --trace 1.  uninstall must leave every namespace of
+    # the package as it found it
+    monkeypatch.syspath_prepend(str(PACKAGE_DIR.parent.parent / "perfbench"))
+    layertrace = importlib.import_module("layertrace")
+    patched = [(symbols.SymbolSeq, "on_grid"), (semigroup.MultiplierOp, "apply"),
+               (association.AssociationReport, "__init__"), (semigroup, "phi"),
+               *((cli, f"_suite_{suite}") for suite in layertrace.SUITES)]
+    modules = [m for name, m in sorted(sys.modules.items())
+               if m is not None and name.split(".")[0] == "semigrouplab"]
+    before = [dict(vars(m)) for m in modules]
+    originals = [vars(owner)[attr] for owner, attr in patched]
+    tracer = layertrace.LayerTracer("t")
+    try:
+        tracer.install()
+        assert all(vars(owner)[attr] is not original
+                   for (owner, attr), original in zip(patched, originals))
+    finally:
+        tracer.uninstall()
+    assert [vars(owner)[attr] for owner, attr in patched] == originals
+    for module, namespace in zip(modules, before):
+        assert vars(module).keys() == namespace.keys()
+        changed = [k for k, v in vars(module).items() if v is not namespace[k]]
+        assert changed == [], (module.__name__, changed)

@@ -15,8 +15,7 @@ from semigrouplab.semigroup import (Evaluations, MultiplierOp, block_rows,
 from semigrouplab.spectral import (Grid, GridFunction, inverse_transform,
                                    lp_norm)
 from semigrouplab.quadrature import composite_gauss_points, trapezoid_weights
-from semigrouplab.symbols import (SymbolSeq, perturbed_heat_seq,
-                                  heat_symbol_seq, make_fractional_symbol_seq,
+from semigrouplab.symbols import (SymbolSeq, perturbed_heat_seq, heat_symbol_seq,
                                   make_poly_symbol_seq)
 
 
@@ -345,12 +344,12 @@ class TestLaplaceIdentity:
     def test_overflow_raises_naming_lambda_n_and_T(self, grid, gaussian):
         # e^(-lambda s) overflows near s = T = 400 although e^((a - lambda) s) decays:
         # the kernel's FloatingPointError becomes the named guard error, never an inf
-        s = make_poly_symbol_seq((-5.0, 0.0, 0.025), name="shifted")
+        s = make_poly_symbol_seq((-5.0, 0.0, 0.025))
         with pytest.raises(OverflowGuardError,
                            match=r"^Laplace identity at lambda=\(-4\.9\+0j\), n=1, T=400: "):
             laplace_identity_residual(s.on_grid(1, grid), 1, -4.9 + 0j, gaussian, T=400.0)
         # S(T) itself overflows: sup Re a_n T = 1.9 x 400 is past EXP_GUARD
-        s = make_poly_symbol_seq((1.9, 0.0, 0.025), name="growing")
+        s = make_poly_symbol_seq((1.9, 0.0, 0.025))
         with pytest.raises(OverflowGuardError, match=r"n=1, T=400: T sup Re a_n = 760 "):
             laplace_identity_residual(s.on_grid(1, grid), 1, 2.0 + 0j, gaussian, T=400.0)
 
@@ -436,7 +435,7 @@ class TestPseudoresolvent:
     @pytest.mark.parametrize("case", ["heat", "fractional", "heat-2d"])
     def test_pairs_match_scalar_calls(self, heat, grid, case):
         if case == "fractional":
-            s = make_fractional_symbol_seq("one-plus-inverse", m=2.0)
+            s = SymbolSeq("fractional", rate="one-plus-inverse", m=2.0)
         else:
             s = heat
         g = Grid(2, 3.0, 16) if case == "heat-2d" else grid
@@ -471,7 +470,7 @@ class TestPseudoresolvent:
         assert pseudoresolvent_residual(heat.on_grid(1, grid), 1, 2.0, 5.0, u) < 1e-12
 
     def test_fractional_family(self, grid, gaussian):
-        s = make_fractional_symbol_seq("one-plus-inverse", m=2.0)
+        s = SymbolSeq("fractional", rate="one-plus-inverse", m=2.0)
         assert pseudoresolvent_residual(s.on_grid(2, grid), 2, 1.0 + 0.0j, 3.0, gaussian) < 1e-12
 
 
@@ -522,7 +521,7 @@ class TestBromwich:
         # no conjugate pair in 1-D
         if case == "fractional":
             # i 1.5 |xi|^1.5, as the scale:1.5 comparison of the constant-rate family
-            s = SymbolSeq("scaled", parts=(make_fractional_symbol_seq("constant", 1.5),),
+            s = SymbolSeq("scaled", parts=(SymbolSeq("fractional", rate="constant", m=1.5),),
                           factor=1.5)
         elif case.startswith("real-drift"):
             s = make_poly_symbol_seq((-0.1, 0.4, 1.0 / (4 * np.pi**2)))
@@ -602,7 +601,7 @@ class TestCertifyGrowth:
     def test_moderate_exponent_of_approaching_family(self, grid):
         # constants sigma_n = omega - 1/n approach the abscissa, so a sample
         # just right of omega sees the bound grow like n
-        s = make_poly_symbol_seq((1.0,), "approaching", (-1.0,), "inverse")
+        s = make_poly_symbol_seq((1.0,), (-1.0,), "inverse")
         cert = certify_growth(s, [4, 8, 16, 32, 64], omega=1.0, b=1.0,
                               lambda_samples=[1.001], t_samples=[1.0], ev=Evaluations(grid))
         assert cert.resolvent_fit.slope == pytest.approx(1.0, abs=0.1)

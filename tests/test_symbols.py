@@ -9,8 +9,8 @@ from semigrouplab.errors import (HypothesisViolationError,
                                  SymbolEvaluationError, UnsupportedFamilyError)
 from semigrouplab.spectral import Grid
 from semigrouplab.symbols import (RATES, SymbolSeq, constant_symbol_seq, perturbed_heat_seq,
-                                  heat_symbol_seq, make_fractional_symbol_seq,
-                                  make_poly_symbol_seq, poly_sup_re)
+                                  heat_symbol_seq, make_poly_symbol_seq, poly_sup_re,
+                                  summed_symbol_seq)
 
 TWO_PI = 2.0 * np.pi
 
@@ -148,11 +148,11 @@ class TestPolyCoefficientTable:
 
 class TestFractionalFamilies:
     def test_direct_substitution(self):
-        s = make_fractional_symbol_seq("constant", m=2.0)
+        s = SymbolSeq("fractional", rate="constant", m=2.0)
         assert s(5, xi_col(3.0))[0] == pytest.approx(9.0j)
 
     def test_real_part_identically_zero(self):
-        s = make_fractional_symbol_seq("one-plus-inverse", m=2.0)
+        s = SymbolSeq("fractional", rate="one-plus-inverse", m=2.0)
         xi = xi_col(*np.linspace(-8, 8, 101))
         for n in (1, 3, 17):
             assert np.all(s(n, xi).real == 0.0)
@@ -161,27 +161,29 @@ class TestFractionalFamilies:
 
     def test_unbounded_coefficients_rejected(self):
         # only the monotone rates of RATES are families: a growing rate is not among them
-        with pytest.raises(HypothesisViolationError, match="'fractional': rate 'linear'"):
-            make_fractional_symbol_seq("linear", m=1.0)
+        with pytest.raises(HypothesisViolationError, match="^fractional family: rate 'linear'"):
+            SymbolSeq("fractional", rate="linear", m=1.0)
 
 
 class TestSymbolClassCheck:
     """Symbol values outside every symbol class: non-finite ones raise."""
 
     def test_non_finite_symbol_reported(self):
-        s = make_poly_symbol_seq((np.nan,), name="bad")
-        with pytest.raises(SymbolEvaluationError, match="bad"):
+        s = make_poly_symbol_seq((np.nan,))
+        with pytest.raises(SymbolEvaluationError, match=r"^poly family \(rate zero\) is non-finite "
+                                                        r"at n=1, xi=\[0\.\]$"):
             s.on_grid(1, Grid(1, 4.0, 64))
 
     def test_non_finite_constant_names_n_and_no_frequency(self):
-        s = constant_symbol_seq(np.nan, "B")
-        with pytest.raises(SymbolEvaluationError, match=r"^symbol 'B' is non-finite at n=3$"):
+        s = constant_symbol_seq(np.nan)
+        with pytest.raises(SymbolEvaluationError,
+                           match=r"^constant family \(rate zero\) is non-finite at n=3$"):
             s.on_grid(3, Grid(1, 4.0, 64))
 
 
 def test_constant_family_re_bound_is_the_closed_form():
     # Re c(n) = 1/n - 2 peaks at the first index, n = 1
-    assert constant_symbol_seq(-2.0 + 5j, "C", "inverse").re_bound == -1.0
+    assert constant_symbol_seq(-2.0 + 5j, "inverse").re_bound == -1.0
 
 
 class TestRatesAndClosedForm:
@@ -216,7 +218,7 @@ class TestRatesAndClosedForm:
     def test_found_cases(self):
         # 1 - 1/n and 0.5 - 1/n approach their sups 1 and 0.5 as n -> infinity
         assert make_poly_symbol_seq((1.0,), drift=(-1.0,), rate="inverse").re_bound == 1.0
-        assert constant_symbol_seq(0.5, "B", "inverse").re_bound == 1.5
+        assert constant_symbol_seq(0.5, "inverse").re_bound == 1.5
         assert SymbolSeq("constant", (0.5,), (-1.0,), "inverse").re_bound == 0.5
 
     def test_bounded_shifts_divide_by_the_scale(self):
@@ -228,17 +230,24 @@ class TestRatesAndClosedForm:
             assert got.tobytes() == (np.exp(-xi * xi) / scale).astype(complex).tobytes()
 
     def test_a_rate_undefined_at_the_first_index_is_refused(self):
-        with pytest.raises(HypothesisViolationError, match="family 'b/log': rate 'inverse-log'"):
-            SymbolSeq("gaussian", rate="inverse-log", name="b/log")
-        with pytest.raises(HypothesisViolationError, match="'p': rate 'inverse' .* n >= 0"):
-            SymbolSeq("poly", rate="inverse", n_min=0, name="p")
+        with pytest.raises(HypothesisViolationError,
+                           match="^gaussian family: rate 'inverse-log' .* n >= 1$"):
+            SymbolSeq("gaussian", rate="inverse-log")
+        with pytest.raises(HypothesisViolationError, match="^poly family: rate 'inverse' .* n >= 0$"):
+            SymbolSeq("poly", rate="inverse", n_min=0)
 
     def test_an_index_below_the_first_is_refused_naming_family_and_n(self):
-        s = SymbolSeq("gaussian", rate="inverse-log", n_min=4, name="b/log")
+        s = SymbolSeq("gaussian", rate="inverse-log", n_min=4)
         assert s.re_bound == 1.0 / math.log(4)
-        with pytest.raises(SymbolEvaluationError,
-                           match=r"^symbol 'b/log' is defined for n >= 4, not at n=3$"):
+        with pytest.raises(SymbolEvaluationError, match=r"^gaussian family \(rate inverse-log\) "
+                                                        r"is defined for n >= 4, not at n=3$"):
             s.on_grid(3, Grid(1, 4.0, 64))
+        # a sum's own rate is unused: its message names the rates of its parts
+        shifted = summed_symbol_seq(heat_symbol_seq(), s)
+        with pytest.raises(SymbolEvaluationError, match=r"^sum of \(poly family \(rate zero\), "
+                                                        r"gaussian family \(rate inverse-log\)\) "
+                                                        r"is defined for n >= 4, not at n=3$"):
+            shifted.on_grid(3, Grid(1, 4.0, 64))
 
     def test_families_compare_and_hash_by_value(self):
         assert heat_symbol_seq() == heat_symbol_seq()

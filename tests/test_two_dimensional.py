@@ -6,7 +6,7 @@ from semigrouplab.cauchy import ForcingSeq, duhamel_solve
 from semigrouplab.semigroup import MultiplierOp, phi, resolvent_factor
 from semigrouplab.spectral import (DistributionRep, Grid, GridFunction,
                                    mollifier, lp_norm, mollify, transform)
-from semigrouplab.symbols import make_fractional_symbol_seq
+from semigrouplab.symbols import SymbolSeq
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +16,7 @@ def grid2():
 
 @pytest.fixture(scope="module")
 def schrodinger2():
-    return make_fractional_symbol_seq("one-plus-inverse", m=2.0)
+    return SymbolSeq("fractional", rate="one-plus-inverse", m=2.0)
 
 
 def test_gaussian_self_dual_2d(grid2):
