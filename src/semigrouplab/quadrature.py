@@ -3,11 +3,12 @@
 The time-integral oracles use one composite rule: ``GAUSS_NODES_PER_PANEL``
 Gauss-Legendre nodes per panel on 64 uniform panels.  ``semigroup.time_integral``
 (the Laplace, functional-equation and perturbation oracles) folds it from
-``_gauss_rule`` over panel starts and offsets, with the panel count a constant
-there; ``composite_gauss_points`` lists the nodes of the rule on any panel count
-unfolded, the tests' reference for that fold and for the rule's order.  Twelve nodes per panel keep
-entire integrands with derivative scales up to ~200 per unit length below 1e-12
-absolute error at the panel widths used in the bundled scenarios.
+``_gauss_rule`` over in-panel offsets and, by doubling, over the 64 panel starts,
+with the panel count a constant there; ``composite_gauss_points`` lists the nodes
+of the rule on any panel count unfolded, the tests' reference for that fold and
+for the rule's order.  Twelve nodes per panel keep entire integrands with
+derivative scales up to ~200 per unit length below 1e-12 absolute error at the
+panel widths used in the bundled scenarios.
 """
 from __future__ import annotations
 

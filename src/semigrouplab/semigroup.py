@@ -48,15 +48,18 @@ PHI_TAYLOR_THRESHOLD = 1e-6
 #: exp overflow guard on Re(a) * t
 EXP_GUARD = 700.0
 
-#: panels of the composite Gauss rule behind every time integral, folded 8 x 8
-TIME_INTEGRAL_PANELS = 64
-_FOLD = 8
-#: points per entry at which ``time_integral`` evaluates phi: 8 + 8 starts, 12 offsets
-TIME_INTEGRAL_LEVELS = 2 * _FOLD + GAUSS_NODES_PER_PANEL
+#: panels of the composite Gauss rule behind every time integral, whose 2^6 starts
+#: ``time_integral`` folds by doubling
+_DOUBLINGS = 6
+TIME_INTEGRAL_PANELS = 2**_DOUBLINGS
+#: points per entry at which ``time_integral`` evaluates phi: 6 doubling steps, 12 offsets
+TIME_INTEGRAL_LEVELS = _DOUBLINGS + GAUSS_NODES_PER_PANEL
+
 #: largest step |Im lambda| T / 64, T = 40/(Re lambda - omega), at which the Laplace suite
-#: keeps its 1e-8 gate: on perfbench verify seeds 0-31, a 2-D grid and the fractional family
-#: at Re lambda - omega in [1.05, 1100], step 16 reads at most 2.8e-9 and 17 fails at 1.05;
-#: the defect grows like 1/(Re lambda - omega) nearer omega (2.6e-8 at step 16 and 0.1)
+#: keeps its 1e-8 gate: on perfbench verify seeds 0-31, each with its 1-D family, a 64^2
+#: 2-D grid and both fractional rates, at Re lambda - omega in [1.05, 1100], step 16 reads
+#: at most 2.8e-9 and 17 fails at 1.05 (1.6e-8) and 1.5 (1.1e-8); the defect grows nearer
+#: omega (at step 16 and 0.1: 2.2e-8 on the fractional families, 1.1e-6 on the poly ones)
 LAPLACE_STEP_MAX = 16.0
 
 #: complex entries per block of the (node x mode) quadrature oracles: 256 KiB,
@@ -140,38 +143,39 @@ def phi(t, a) -> np.ndarray:
 def time_integral(t, a, b) -> np.ndarray:
     """integral_0^t e^(s b) phi(s, a) ds by the composite Gauss rule on 64 panels.
 
-    ``t``, ``a`` and ``b`` broadcast (t >= 0).  With the 64 panels folded 8 x 8, a
-    node is s = c + f + r: coarse start, fine start, in-panel offset.  Per level,
+    ``t``, ``a`` and ``b`` broadcast (t >= 0).  A node is s = c + r: panel start c
+    in {0, ..., 63} h and in-panel offset r.  Per set of points,
     E = sum w e^(s b), P = sum w e^(s b) phi(s, a) and X = sum w e^(s a) e^(s b),
-    with w = 1 on the starts and the Gauss weights on the offsets, combine as
-    (E, P, X).(e, p, x) = (E e, P e + X p, X x), since phi(u + v, a) = phi(u, a)
-    + e^(u a) phi(v, a).  So phi runs on the 8 + 8 + 12 = ``TIME_INTEGRAL_LEVELS``
-    points per entry of a, not on 768 nodes, and e^(s b) on 28 per entry of t and b:
+    with w = 1 on the starts and the Gauss weights on the offsets, combine over
+    the sums of two sets as (E, P, X).(e, p, x) = (E e, P e + X p, X x), since
+    phi(u + v, a) = phi(u, a) + e^(u a) phi(v, a).  The starts are the sums of the
+    six two-point sets {0, 2^j h}, j = 0..5, each with (E, P, X) = (1 + e^(u b),
+    e^(u b) phi(u, a), 1 + e^(u (a + b))) at u = 2^j h, as sum_(k<64) z^k =
+    prod_j (1 + z^(2^j)).  So phi runs on the 6 + 12 = ``TIME_INTEGRAL_LEVELS``
+    points per entry of a, not on 768 nodes, and e^(s b) on 18 per entry of t and b:
     a scalar b (the Laplace check, a xi-constant perturbation, the functional-equation
-    suite at b = 0) costs 28 per time.  The start levels' e^(s a) come from that phi
-    block as 1 + a phi(s, a), within a few ulp x (1 + |e^(s a)|) of exp.  Overflow
+    suite at b = 0) costs 18 per time.  The doubling levels' e^(u a) come from that
+    phi block as 1 + a phi(u, a), within a few ulp x (1 + |e^(u a)|) of exp.  Overflow
     raises ``FloatingPointError`` (phi's: ``OverflowGuardError``).
     """
     gx, gw = _gauss_rule(GAUSS_NODES_PER_PANEL)
-    starts = np.concatenate([_FOLD * np.arange(_FOLD), np.arange(_FOLD)])
     h = np.asarray(t, dtype=float) / TIME_INTEGRAL_PANELS
     # a level axis in front of the broadcast dimensions, so a scalar t or b stays unexpanded
     lead = (-1,) + (1,) * max(np.ndim(t), np.ndim(a), np.ndim(b))
-    pts = np.reshape(np.concatenate([starts, 0.5 * (1.0 + gx)]), lead) * h
+    pts = np.reshape(np.concatenate([2.0 ** np.arange(_DOUBLINGS), 0.5 * (1.0 + gx)]), lead) * h
     weights = np.reshape(0.5 * gw, lead) * h
-    c, f, q = slice(0, _FOLD), slice(_FOLD, starts.size), slice(starts.size, None)
     with np.errstate(over="raise"):
         e_b = np.exp(pts * b)
         phi_a = phi(pts, a)
         p_b = e_b * phi_a
-        x_b = (1.0 + a * phi_a[:starts.size]) * e_b[:starts.size]
-        # P and X of (E, P, X)_coarse . (E, P, X)_fine
-        p_cf = (p_b[c].sum(axis=0) * e_b[f].sum(axis=0)
-                + x_b[c].sum(axis=0) * p_b[f].sum(axis=0))
-        x_cf = x_b[c].sum(axis=0) * x_b[f].sum(axis=0)
+        x_b = (1.0 + a * phi_a[:_DOUBLINGS]) * e_b[:_DOUBLINGS]
+        # P and X of the starts, one doubling at a time (their E is not needed)
+        p, x = p_b[0], 1.0 + x_b[0]
+        for j in range(1, _DOUBLINGS):
+            p, x = p * (1.0 + e_b[j]) + x * p_b[j], x * (1.0 + x_b[j])
         # times (E, P)_offsets: its P is the integral
-        return (p_cf * np.sum(weights * e_b[q], axis=0)
-                + x_cf * np.sum(weights * p_b[q], axis=0))
+        return (p * np.sum(weights * e_b[_DOUBLINGS:], axis=0)
+                + x * np.sum(weights * p_b[_DOUBLINGS:], axis=0))
 
 
 @dataclass(frozen=True)

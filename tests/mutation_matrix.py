@@ -57,6 +57,16 @@ MUTANTS = [
      "weights = np.reshape(0.5 * gw, lead) * h",
      "weights = np.reshape(0.5 * gw, lead) * h * (1 + 1e-9)",
      {"verify", "perturb", "tier-1"}),
+    # X of a doubling step is 1 + e^(u (a + b)); e^(u b) drops the e^(u a) of its upper half
+    ("time_integral doubling X takes e^(u b)", "semigroup.py",
+     "x * (1.0 + x_b[j])", "x * (1.0 + e_b[j])", {"verify", "perturb", "tier-1"}),
+    ("time_integral doubling P drops the X factor", "semigroup.py",
+     "p * (1.0 + e_b[j]) + x * p_b[j]", "p * (1.0 + e_b[j]) + p_b[j]",
+     {"verify", "perturb", "tier-1"}),
+    # each row then subtracts the integral of another time
+    ("perturbed_factor integrals in reverse time order", "perturbation.py",
+     "time_integral(t, a, b) for t in times]", "time_integral(t, a, b) for t in times[::-1]]",
+     {"perturb", "tier-1"}),
     ("power_spectra drops the 1/N", "semigroup.py",
      "spectra *= grid.cell_volume / spectra[0].size", "spectra *= grid.cell_volume",
      {"tier-1"}),

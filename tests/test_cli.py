@@ -263,7 +263,7 @@ class TestVerifyBlocks:
         norms = semigroup.multiplier_norms(np.stack([defect, np.ones(g2.shape)]),
                                            semigroup.power_spectra([u]))[:, 0]
         assert abs(res - norms[0] / norms[1]) <= 1e-14
-        # phi runs on coarse + fine + Gauss points per mode, 8 + 8 + 12, never on 768
+        # phi runs on doubling + Gauss points per mode, 6 + 12, never on 768
         entries = []
         phi = semigroup.phi
 
@@ -273,7 +273,7 @@ class TestVerifyBlocks:
 
         monkeypatch.setattr(semigroup, "phi", counted)
         assert semigroup.laplace_identity_residual(s.on_grid(n, g2), n, lam, u, T) == res
-        assert 0 < sum(entries) <= 29 * g2.shape[0] * g2.shape[1]
+        assert sum(entries) == 18 * g2.shape[0] * g2.shape[1]
 
 
 def test_pseudoresolvent_suite_makes_one_block_per_index(monkeypatch):
@@ -353,7 +353,7 @@ def test_functional_equation_suite_matches_the_unfolded_rule(monkeypatch):
     folded = np.concatenate([I[0] - I[1] - I[2] for _, _, I in calls])
     assert np.max(np.abs(folded - _unfolded_functional_equation_rhs(t, sdur, a))) <= 1e-14
     assert worst == np.max(np.abs(semigroup.phi(t, a) * semigroup.phi(sdur, a) - folded))
-    # phi runs on 2 + 3 x (8 + 8 + 12) points per draw, never on 768
+    # phi runs on 2 + 3 x (6 + 12) points per draw, never on 768
     entries = []
 
     def counted(phi):
@@ -365,11 +365,11 @@ def test_functional_equation_suite_matches_the_unfolded_rule(monkeypatch):
     monkeypatch.setattr(cli, "phi", counted(cli.phi))
     monkeypatch.setattr(semigroup, "phi", counted(semigroup.phi))
     assert cli._suite_functional_equation(FAST_VERIFY).worst == worst
-    assert 0 < sum(entries) <= (2 + 3 * 28) * 1000
+    assert sum(entries) == (2 + 3 * 18) * 1000
 
 
 def test_perturbation_oracle_samples_are_the_box_points(monkeypatch):
-    # in chunks of block_rows samples, 585 + 415, which together are the 1,000 points
+    # in chunks of block_rows samples, 910 + 90, which together are the 1,000 points
     calls = _call_args(monkeypatch, "perturbation_quadrature", cli._suite_perturbation_oracle)
     rows = semigroup.block_rows(semigroup.TIME_INTEGRAL_LEVELS)
     assert [len(t_in) for t_in, _, _ in calls] == [rows, 1000 - rows]

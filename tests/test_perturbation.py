@@ -1,14 +1,15 @@
 """Commuting bounded perturbation tests: the quadrature construction and claims."""
 import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semigrouplab import semigroup
+from semigrouplab import perturbation, semigroup
 from semigrouplab.association import SUITE_T_SAMPLES, check_association
-from semigrouplab.config import default_config, validate_config
+from semigrouplab.config import PERTURB_ORACLE_T_MAX, default_config, validate_config
 from semigrouplab.errors import ConfigError, OverflowGuardError
 from semigrouplab.perturbation import (perturbation_quadrature, perturbed_factor,
                                        perturbation_claims_suite)
@@ -156,12 +157,47 @@ class TestPerturbationQuadrature:
                 continue
             assert np.all(np.isfinite(out))
 
-    def test_times_rows_match_kernel(self, heat, grid):
-        B = constant_symbol_seq(-0.3 + 1.7j)
+    def test_times_rows_match_kernel(self, heat, grid, monkeypatch):
+        # one phi call on the (times x modes) block, then one time_integral call per time;
+        # b constant in xi (0-d) and b varying along xi
         times = [0.3, 1.1, 2.0, 0.7]
-        a, b = heat.on_grid(2, grid), B.on_grid(2, grid)
-        out = perturbed_factor(a, b, times)
-        assert np.array_equal(out, np.stack([perturbation_quadrature(t, a, b) for t in times]))
+        phi_shapes, integral_times = [], []
+
+        def counted_phi(t, a_):
+            phi_shapes.append(np.broadcast(t, a_).shape)
+            return phi(t, a_)
+
+        def counted_integral(t, a_, b_):
+            integral_times.append(t)
+            return semigroup.time_integral(t, a_, b_)
+
+        for B in (constant_symbol_seq(-0.3 + 1.7j), make_poly_symbol_seq((-0.2, 0.05, 0.01))):
+            a, b = heat.on_grid(2, grid), B.on_grid(2, grid)
+            phi_shapes.clear()
+            integral_times.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(perturbation, "phi", counted_phi)
+                patch.setattr(perturbation, "time_integral", counted_integral)
+                out = perturbed_factor(a, b, times)
+            assert phi_shapes == [(len(times),) + grid.shape]
+            assert integral_times == times
+            assert np.array_equal(out, np.stack([perturbation_quadrature(t, a, b)
+                                                 for t in times]))
+
+    def test_peak_memory_of_sixty_times_is_under_800_kib(self, heat, grid):
+        # 60 times x 128 modes peak at 620 KiB, about 30 % under the bound; blocks of 7
+        # times per time_integral call peak at 1,397 KiB, which this bound refuses
+        a, b = heat.on_grid(4, grid), constant_symbol_seq(0.4 - 0.9j).on_grid(4, grid)
+        times = np.linspace(0.1, PERTURB_ORACLE_T_MAX, 60)
+        perturbed_factor(a, b, times)
+        tracemalloc.start()
+        try:
+            out = perturbed_factor(a, b, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (60,) + grid.shape
+        assert peak <= 800 * 2**10, f"{peak / 2**10:.0f} KiB"
 
     def test_zero_time_among_nonzero_times_is_a_zero_row(self, heat, grid):
         out = perturbed(heat, constant_symbol_seq(0.4 - 0.9j), 2,

@@ -6,8 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from semigrouplab import semigroup
 from semigrouplab.errors import OverflowGuardError, ResolventSingularityError
-from semigrouplab.semigroup import (Evaluations, MultiplierOp, block_rows,
-                                    bromwich_S, certify_growth,
+from semigrouplab.semigroup import (TIME_INTEGRAL_LEVELS, Evaluations, MultiplierOp,
+                                    block_rows, bromwich_S, certify_growth,
                                     laplace_identity_residual, multiplier_norms,
                                     phi, power_spectra, pseudoresolvent_residual,
                                     relative_defects, resolvent_factor,
@@ -397,6 +397,21 @@ def laplace_cases(draw, shape):
 
 
 class TestTimeIntegral:
+    def test_phi_runs_on_eighteen_levels(self, monkeypatch):
+        # the 64 panel starts fold by doubling, as the sums of six two-point sets {0, 2^j h};
+        # phi runs on those six points and the 12 offsets, not on the 768 nodes
+        assert TIME_INTEGRAL_LEVELS == 18
+        entries, kernel = [], semigroup.phi
+
+        def counted(t, a):
+            entries.append(np.broadcast(t, a).size)
+            return kernel(t, a)
+
+        monkeypatch.setattr(semigroup, "phi", counted)
+        a = np.linspace(-3.0, 1.0, 5) + 2j
+        time_integral(1.5, a, -0.5)
+        assert entries == [TIME_INTEGRAL_LEVELS * a.size]
+
     @settings(max_examples=80, deadline=None)
     @given(shape=st.sampled_from([(), (3,), (2, 3)]), data=st.data())
     def test_matches_plain_quadrature(self, shape, data):
