@@ -23,11 +23,10 @@ from .config import (PERTURB_ORACLE_T_MAX, ExperimentConfig, comparison_operand,
 from .errors import (ConfigError, OverflowGuardError, ResolutionError, SemigroupLabError,
                      SpaceTimeSupportError)
 from .perturbation import perturbation_claims_suite, perturbation_quadrature, perturbed_factor
-from .semigroup import (LAPLACE_STEP_MAX, TIME_INTEGRAL_LEVELS, TIME_INTEGRAL_PANELS,
-                        Evaluations, block_rows, bromwich_S, certify_growth, generator_level,
-                        laplace_identity_residual, phi, pseudoresolvent_residual,
-                        relative_defects, resolvent_level, sample_axis, semigroup_level,
-                        time_integral)
+from .semigroup import (LAPLACE_STEP_MAX, TIME_INTEGRAL_PANELS, Evaluations, bromwich_S,
+                        certify_growth, generator_level, laplace_identity_residual, phi,
+                        pseudoresolvent_residual, relative_defects, resolvent_level,
+                        sample_axis, semigroup_level, time_integral)
 from .spectral import DistributionRep, Grid, GridFunction, lp_norm, mollify
 from .symbols import (MIN_FIT_INDICES, SymbolSeq, constant_symbol_seq, make_poly_symbol_seq,
                       perturbed_heat_seq, summed_symbol_seq)
@@ -179,20 +178,13 @@ def _suite_functional_equation(cfg: ExperimentConfig) -> SuiteResult:
     """phi(t, a) phi(s, a) = integral_0^s (phi(t + r, a) - phi(r, a)) dr on 1,000
     ``box_points`` samples: t, s in [0.05, 2), a = r e^(i theta) with r in [0, 100) and
     theta in [pi/2, 3 pi/2), so Re a <= 0.  The right side is I(t + s) - I(t) - I(s),
-    I(T) = ``time_integral(T, a, 0)``, in chunks of ``block_rows`` samples, so each
-    (level x entry) block stays within ``BLOCK_ENTRIES``."""
+    I(T) = ``time_integral(T, a, 0)``, from one call on the three rows of times."""
     t, sdur, r, ang = box_points([0.05, 0.05, 0.0, 0.5 * np.pi],
                                  [2.0, 2.0, 100.0, 1.5 * np.pi], 1000).T
     a = r * np.exp(1j * ang)
     lhs = phi(t, a) * phi(sdur, a)
-    rows = block_rows(3 * TIME_INTEGRAL_LEVELS)
-    rhs = np.empty_like(lhs)
-    for i0 in range(0, len(t), rows):
-        blk = slice(i0, i0 + rows)
-        i_ts, i_t, i_s = time_integral(np.stack([t[blk] + sdur[blk], t[blk], sdur[blk]]),
-                                       a[blk], 0.0)
-        rhs[blk] = i_ts - i_t - i_s
-    return SuiteResult("functional-equation", float(np.max(np.abs(lhs - rhs))),
+    i_ts, i_t, i_s = time_integral(np.stack([t + sdur, t, sdur]), a, 0.0)
+    return SuiteResult("functional-equation", float(np.max(np.abs(lhs - (i_ts - i_t - i_s)))),
                        cfg.tol_functional_equation)
 
 
@@ -218,17 +210,11 @@ def _suite_bromwich(cfg: ExperimentConfig, ev: Evaluations, s: SymbolSeq) -> Sui
 def _suite_perturbation_oracle(cfg: ExperimentConfig) -> SuiteResult:
     """The perturbation quadrature against phi(t, a + b) on 1,000 ``box_points`` samples:
     a = r_a e^(i theta_a), b = r_b e^(i theta_b) with r in [0, 100) and theta in
-    [pi/2, 3 pi/2), and t in [0.01, 5).  In chunks of ``block_rows`` samples, so each
-    (level x entry) block of the quadrature stays within ``BLOCK_ENTRIES``."""
+    [pi/2, 3 pi/2), and t in [0.01, 5)."""
     ra, rb, ta, tb, t = box_points([0.0, 0.0, 0.5 * np.pi, 0.5 * np.pi, 0.01],
                                    [100.0, 100.0, 1.5 * np.pi, 1.5 * np.pi, 5.0], 1000).T
     a, b = ra * np.exp(1j * ta), rb * np.exp(1j * tb)
-    rows = block_rows(TIME_INTEGRAL_LEVELS)
-    deviation = np.empty_like(t)
-    for i0 in range(0, len(t), rows):
-        blk = slice(i0, i0 + rows)
-        deviation[blk] = np.abs(perturbation_quadrature(t[blk], a[blk], b[blk])
-                                - phi(t[blk], a[blk] + b[blk]))
+    deviation = np.abs(perturbation_quadrature(t, a, b) - phi(t, a + b))
     return SuiteResult("perturbation-oracle", float(np.max(deviation)),
                        cfg.tol_perturbation_oracle)
 
@@ -308,19 +294,24 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
                 sums.add(w)
                 if j % stride == 0:
                     yield n, tg[j], w
-            residual = integral_equation_residual(sums, a, n, forcing)
-            pairs = {(n, psi.label): very_weak_pairing(sums, psi) for psi in tests}
-            # per-slice L^2 norms over all modes weighted by e^(-omega t); np.max keeps a NaN
-            sup = float(np.max(np.sqrt(sums.sq * grid.cell_volume) * np.exp(-cfg.omega * tg)))
+            with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused below
+                residual = integral_equation_residual(sums, a, n, forcing)
+                pairs = {(n, psi.label): very_weak_pairing(sums, psi) for psi in tests}
+                # per-slice L^2 norms weighted by e^(-omega t); np.max keeps a NaN
+                sup = float(np.max(np.sqrt(sums.sq * grid.cell_volume) * np.exp(-cfg.omega * tg)))
             # a non-finite sample makes these non-finite, so no CSV is written from an overflow
             for quantity, value in ([("residual", residual)]
                                     + [(f"pairing {label}", v) for (_, label), v in pairs.items()]
                                     + [("sup_weighted_l2", sup)]):
-                if not np.isfinite(value):
-                    raise ConfigError(f"{quantity} at n = {n} is {value}, not finite: "
-                                      f"forcing_amplitude = {cfg.forcing_amplitude} and omega = "
-                                      f"{cfg.omega} must keep the solution and its weight "
-                                      f"e^(-omega t) finite")
+                if np.isfinite(value):
+                    continue
+                # with every slice finite, a non-finite residual is a_n(D) int_0^t w overflowing
+                family = "coeffs" if cfg.family_kind == "poly" else "fractional_m"
+                fault = (f"{family} = {getattr(cfg, family)} must keep a_n(D) int_0^t w"
+                         if quantity == "residual" and np.all(np.isfinite(sums.sq)) else
+                         f"forcing_amplitude = {cfg.forcing_amplitude} and omega = {cfg.omega} "
+                         f"must keep the solution and its weight e^(-omega t)")
+                raise ConfigError(f"{quantity} at n = {n} is {value}, not finite: {fault} finite")
             residuals.append((n, residual))
             pairings.update(pairs)
             moderate_rows.append((n, lp_norm(u0n, 2), sup))

@@ -62,8 +62,8 @@ TIME_INTEGRAL_LEVELS = _DOUBLINGS + GAUSS_NODES_PER_PANEL
 #: omega (at step 16 and 0.1: 2.2e-8 on the fractional families, 1.1e-6 on the poly ones)
 LAPLACE_STEP_MAX = 16.0
 
-#: complex entries per block of the (node x mode) quadrature oracles: 256 KiB,
-#: so a block and its phi temporaries stay in cache and the peak stays small
+#: complex entries per block of ``time_integral`` and ``bromwich_S``: 256 KiB, so a block
+#: and its phi temporaries stay in cache and the peak stays small
 BLOCK_ENTRIES = 2**14
 
 
@@ -156,12 +156,21 @@ def time_integral(t, a, b) -> np.ndarray:
     a scalar b (the Laplace check, a xi-constant perturbation, the functional-equation
     suite at b = 0) costs 18 per time.  The doubling levels' e^(u a) come from that
     phi block as 1 + a phi(u, a), within a few ulp x (1 + |e^(u a)|) of exp.  Overflow
-    raises ``FloatingPointError`` (phi's: ``OverflowGuardError``).
+    raises ``FloatingPointError`` (phi's: ``OverflowGuardError``).  Blocks stay within
+    ``BLOCK_ENTRIES``: the rule runs on slices of the last broadcast axis of
+    ``block_rows(18 x the other axes)`` entries.  Per entry no bit moves, but numpy sums
+    the 12 offsets of a one-entry slice pairwise.
     """
+    shape = np.broadcast(t, a, b).shape  # np.broadcast_shapes costs 3x as much per call
+    rows = block_rows(TIME_INTEGRAL_LEVELS * math.prod(shape[:-1]))
+    if shape and shape[-1] > rows:  # an operand broadcast along the last axis passes whole
+        ops = [(x, np.shape(x)[-1:] == shape[-1:]) for x in (t, a, b)]
+        return np.concatenate([time_integral(*(x[..., i:i + rows] if cut else x for x, cut in ops))
+                               for i in range(0, shape[-1], rows)], axis=-1)
     gx, gw = _gauss_rule(GAUSS_NODES_PER_PANEL)
     h = np.asarray(t, dtype=float) / TIME_INTEGRAL_PANELS
     # a level axis in front of the broadcast dimensions, so a scalar t or b stays unexpanded
-    lead = (-1,) + (1,) * max(np.ndim(t), np.ndim(a), np.ndim(b))
+    lead = (-1,) + (1,) * len(shape)
     pts = np.reshape(np.concatenate([2.0 ** np.arange(_DOUBLINGS), 0.5 * (1.0 + gx)]), lead) * h
     weights = np.reshape(0.5 * gw, lead) * h
     with np.errstate(over="raise"):
@@ -444,14 +453,12 @@ def laplace_identity_residual(a: np.ndarray, n: int, lam: complex, u: GridFuncti
     """Relative defect of R(lambda) u = lambda integral_0^T e^(-lambda t) S(t) u dt.
 
     ``a`` is the symbol a_n on the grid of u; n names the index in errors.  The
-    transform is ``time_integral(T, a, -lambda)`` on chunks of
-    ``block_rows(TIME_INTEGRAL_LEVELS)`` modes (256 modes are one chunk); the
-    scenarios use T = 40/(Re lambda - omega), and ``LAPLACE_STEP_MAX`` bounds the
-    step |Im lambda| T / 64 at which the rule resolves e^(-lambda t).  An overflow, or
+    transform is one ``time_integral(T, a, -lambda)`` call; the scenarios use
+    T = 40/(Re lambda - omega), and ``LAPLACE_STEP_MAX`` bounds the step
+    |Im lambda| T / 64 at which the rule resolves e^(-lambda t).  An overflow, or
     T sup Re a_n > ``EXP_GUARD``, raises naming lambda, n and T.
     """
-    grid = u.grid
-    target = resolvent_factor(a, lam, grid, n)  # raises on spectral proximity
+    target = resolvent_factor(a, lam, u.grid, n)  # raises on spectral proximity
     omega = float(np.max(a.real))
     if not lam.real > omega:
         raise ValueError(f"need Re lambda > sup Re a_n = {omega}, got {lam}")
@@ -460,13 +467,10 @@ def laplace_identity_residual(a: np.ndarray, n: int, lam: complex, u: GridFuncti
     stage = f"Laplace identity at lambda={lam}, n={n}, T={T:.6g}"
     if omega * T > EXP_GUARD:  # S(T) itself overflows
         raise OverflowGuardError(f"{stage}: T sup Re a_n = {omega * T:.4g} overflows S(T)")
-    rows = block_rows(TIME_INTEGRAL_LEVELS)
     try:
-        quad = np.concatenate([time_integral(T, a.flat[i0:i0 + rows], -lam)
-                               for i0 in range(0, a.size, rows)])
+        defect = target - lam * time_integral(T, a, -lam)
     except (FloatingPointError, OverflowGuardError) as exc:
         raise OverflowGuardError(f"{stage}: {exc}") from exc
-    defect = target - lam * quad.reshape(grid.shape)
     return float(relative_defects(defect[None], u)[0])
 
 

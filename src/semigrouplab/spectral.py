@@ -166,7 +166,8 @@ class GridFunction:
     def gaussian(grid: Grid, width: float = 1.0) -> "GridFunction":
         """exp(-pi |x/width|^2); unit mass for width 1."""
         x = grid.coordinate_vectors()
-        return GridFunction(grid, np.exp(-np.pi * np.sum((x / width) ** 2, axis=-1)))
+        with np.errstate(over="ignore"):  # |x/width|^2 past the largest float: exp gives 0
+            return GridFunction(grid, np.exp(-np.pi * np.sum((x / width) ** 2, axis=-1)))
 
     @staticmethod
     def impulse(grid: Grid) -> "GridFunction":

@@ -63,6 +63,13 @@ MUTANTS = [
     ("time_integral doubling P drops the X factor", "semigroup.py",
      "p * (1.0 + e_b[j]) + x * p_b[j]", "p * (1.0 + e_b[j]) + p_b[j]",
      {"verify", "perturb", "tier-1"}),
+    # the functional-equation and perturbation suites' 1,000 samples leave a partial slice
+    ("time_integral drops the partial last slice", "semigroup.py",
+     "for i in range(0, shape[-1], rows)]", "for i in range(0, shape[-1] - rows + 1, rows)]",
+     {"verify", "tier-1"}),
+    # an operand of width one on the sliced axis is then empty past the first slice
+    ("time_integral slices an operand that broadcasts", "semigroup.py",
+     "(x, np.shape(x)[-1:] == shape[-1:])", "(x, np.ndim(x) > 0)", {"tier-1"}),
     # each row then subtracts the integral of another time
     ("perturbed_factor integrals in reverse time order", "perturbation.py",
      "time_integral(t, a, b) for t in times]", "time_integral(t, a, b) for t in times[::-1]]",

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from semigrouplab.config import (DATA_KINDS, FAMILY_KINDS, FORCING_KINDS, FRACTI
                                  time_grid)
 from semigrouplab.errors import ConfigError
 from semigrouplab.quadrature import composite_gauss_points
-from semigrouplab.semigroup import Evaluations
+from semigrouplab.semigroup import Evaluations, sample_axis
 from semigrouplab.spectral import Grid, GridFunction, lp_norm, mollify
 from semigrouplab.symbols import heat_symbol_seq, summed_symbol_seq
 
@@ -174,22 +175,42 @@ class TestVerifyBlocks:
 
     def test_block_size_does_not_change_results(self, monkeypatch, setting):
         cfg, grid, s, u = setting
-        results = []
+        results, integrals = [], []
         # one row per block, the default, and one block for everything; 20,001 contour
         # nodes over 256 modes leave a partial last block at the default
         a1, a2 = s.on_grid(1, grid), s.on_grid(2, grid)
+        # time_integral on each caller's shape: the Laplace check's scalar t and b with 256
+        # and 64 x 64 modes, the functional-equation suite's (3, N) times, the
+        # perturbation suite's 1,000 samples, which leave a partial last slice (910 + 90),
+        # and a column of times, which broadcasts along the sliced axis and passes whole
+        t, sdur, r, ang = cli.box_points(*BOX_POINT_SETS["functional-equation"]).T
+        ra, rb, ta, tb, tp = cli.box_points(*BOX_POINT_SETS["perturbation-oracle"]).T
+        shapes = [(4.0, a2, -10.0 - 3j), (4.0, s.on_grid(2, Grid(2, 3.0, 64)), -10.0 - 3j),
+                  (np.stack([t + sdur, t, sdur]), r * np.exp(1j * ang), 0.0),
+                  (tp, ra * np.exp(1j * ta), rb * np.exp(1j * tb)),
+                  (sample_axis((0.5, 1.0, 4.0), grid), a2, -10.0 - 3j)]
         for entries in (1, semigroup.BLOCK_ENTRIES, 10**9):
             monkeypatch.setattr(semigroup, "BLOCK_ENTRIES", entries)
             contours = semigroup.bromwich_S(a1, 1, (0.25, 1.0), alpha=2.0, r_max=200.0,
                                             steps=20000)
             results.append((semigroup.laplace_identity_residual(a2, 2, 10.0, u, 4.0),
                             cli._suite_functional_equation(cfg).worst, contours))
+            integrals.append([semigroup.time_integral(*args) for args in shapes])
         (laplace, fe, contour), others = results[0], results[1:]
         for other_laplace, other_fe, other_contour in others:
             # both are defects of quantities of order one
             assert abs(other_laplace - laplace) <= 1e-12
             assert abs(other_fe - fe) <= 1e-12
             assert np.max(np.abs(other_contour - contour)) <= 1e-12 * np.max(np.abs(contour))
+        # the rule works entry by entry: its slices change no bit.  At one entry per block
+        # a slice of a 1-D operand is one entry, whose 12 offsets numpy sums pairwise, not
+        # in sequence as along a wider slice, so those two shapes move by rounding there
+        single, default, whole = integrals
+        assert [x.shape for x in default] == [(256,), (64, 64), (3, 1000), (1000,), (3, 256)]
+        assert all(np.array_equal(x, y) for x, y in zip(default, whole))
+        assert all(np.array_equal(single[i], default[i]) for i in (1, 2, 4))
+        for i in (0, 3):
+            assert np.all(np.abs(single[i] - default[i]) <= 1e-14 * np.abs(default[i]))
 
     def test_each_suite_peak_memory_is_small(self, setting):
         cfg, grid, s, _ = setting
@@ -209,7 +230,8 @@ class TestVerifyBlocks:
         assert max(peaks) <= 8 * 2**20, [f"{p / 2**20:.1f} MiB" for p in peaks]
 
     def test_functional_equation_suite_peak_memory_is_under_2_mib(self, setting):
-        # chunked draws peak near 1.5 MiB; one call on all 1,000 draws peaked at 6.9 MiB
+        # time_integral's blocks of 303 draws peak near 1.6 MiB; its rule on all 1,000 draws
+        # at once peaked at 6.9 MiB
         cfg = setting[0]
         tracemalloc.start()
         try:
@@ -220,8 +242,8 @@ class TestVerifyBlocks:
         assert peak <= 2 * 2**20, f"{peak / 2**20:.2f} MiB"
 
     def test_perturbation_oracle_suite_peak_memory_is_under_2_mib(self, setting):
-        # chunks of block_rows samples peak near 1.7 MiB; one call on all 1,000 samples
-        # peaked at 2.7 MiB
+        # time_integral's blocks of 910 + 90 samples peak near 1.7 MiB; its rule on all 1,000
+        # samples at once peaked at 2.7 MiB
         cfg = setting[0]
         tracemalloc.start()
         try:
@@ -346,11 +368,11 @@ def test_functional_equation_suite_matches_the_unfolded_rule(monkeypatch):
 
     monkeypatch.setattr(cli, "time_integral", spy)
     worst = cli._suite_functional_equation(FAST_VERIFY).worst
-    t, sdur = (np.concatenate([T[i] for T, _, _ in calls]) for i in (1, 2))
-    a = np.concatenate([a for _, a, _ in calls])
-    assert len(calls) > 1 and len(t) == 1000
-    assert np.array_equal(np.concatenate([T[0] for T, _, _ in calls]), t + sdur)
-    folded = np.concatenate([I[0] - I[1] - I[2] for _, _, I in calls])
+    # one call on all 1,000 draws; time_integral sizes its own blocks
+    [(T, a, I)] = calls
+    t_ts, t, sdur = T
+    assert len(t) == 1000 and np.array_equal(t_ts, t + sdur)
+    folded = I[0] - I[1] - I[2]
     assert np.max(np.abs(folded - _unfolded_functional_equation_rhs(t, sdur, a))) <= 1e-14
     assert worst == np.max(np.abs(semigroup.phi(t, a) * semigroup.phi(sdur, a) - folded))
     # phi runs on 2 + 3 x (6 + 12) points per draw, never on 768
@@ -369,11 +391,9 @@ def test_functional_equation_suite_matches_the_unfolded_rule(monkeypatch):
 
 
 def test_perturbation_oracle_samples_are_the_box_points(monkeypatch):
-    # in chunks of block_rows samples, 910 + 90, which together are the 1,000 points
-    calls = _call_args(monkeypatch, "perturbation_quadrature", cli._suite_perturbation_oracle)
-    rows = semigroup.block_rows(semigroup.TIME_INTEGRAL_LEVELS)
-    assert [len(t_in) for t_in, _, _ in calls] == [rows, 1000 - rows]
-    t_in, a_in, b_in = (np.concatenate(args) for args in zip(*calls))
+    # one call on the 1,000 points; time_integral sizes its own blocks
+    [(t_in, a_in, b_in)] = _call_args(monkeypatch, "perturbation_quadrature",
+                                      cli._suite_perturbation_oracle)
     ra, rb, ta, tb, t = cli.box_points(*BOX_POINT_SETS["perturbation-oracle"]).T
     for got, want in ((t_in, t), (a_in, ra * np.exp(1j * ta)), (b_in, rb * np.exp(1j * tb))):
         assert np.asarray(got).tobytes() == want.tobytes()
@@ -701,6 +721,47 @@ def test_bad_config_exits_2_naming_fields(tmp_path, capsys, command, text, names
     assert err.startswith("config error:")
     for name in names:
         assert name in err
+
+
+#: extreme configs whose overflows the runs handle: (subcommand, config, exit code, the
+#: text that names the field that moved); solve on its default grid
+SOLVE_GRID = "[grid]\npoints = 2048\n"
+EXTREME_CONFIGS = [
+    # the weight e^(-omega t) overflows
+    ("solve", SOLVE_GRID + "[growth]\nomega = -1000\n", 2,
+     "config error: sup_weighted_l2 at n = 4 is inf, not finite: forcing_amplitude = 1.0 "
+     "and omega = -1000.0 must keep"),
+    # the solution is finite, the residual's a_n(D) int w is not
+    ("solve", SOLVE_GRID + "[family]\ncoeffs = -1e300, 0, 0.025\n", 2,
+     "config error: residual at n = 4 is inf, not finite: coeffs = ((-1e+300+0j), 0j, "
+     "(0.025+0j)) must keep a_n(D) int_0^t w finite\n"),
+    ("solve", SOLVE_GRID + "[forcing]\nforcing_kind = gaussian_pulse\n"
+     "forcing_amplitude = 1e300\n", 2,
+     "config error: residual at n = 4 is nan, not finite: forcing_amplitude = 1e+300 and "
+     "omega = 1.0 must keep"),
+    # a Gaussian of width 1e-300 underflows to a correct impulse
+    ("solve", SOLVE_GRID + "[data]\ndata_kind = gaussian\ndata_width = 1e-300\n", 0, ""),
+    ("associate", "[data]\ndata_width = 1e-300\n", 0, ""),
+    # far grid points square past the largest float, where the Gaussians and bumps are 0
+    ("solve", SOLVE_GRID + "half_width = 1e300\n", 2,
+     "config error: n_list [4, 8, 16, 32] needs n * 2 half_width / points <= 1/4"),
+    ("associate", "[grid]\nhalf_width = 1e300\n", 1,
+     "character contradiction: rescaled reads associated"),
+]
+
+
+@pytest.mark.parametrize("command, text, code, named", EXTREME_CONFIGS,
+                         ids=["solve-omega", "solve-coeffs", "solve-forcing",
+                              "solve-data-width", "associate-data-width", "solve-half-width",
+                              "associate-half-width"])
+def test_extreme_config_exits_without_a_runtime_warning(tmp_path, capsys, command, text, code,
+                                                         named):
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err.startswith(named)
 
 
 #: each kind field, its section and the table of the values it takes

@@ -212,6 +212,17 @@ def test_one_panel_count():
     assert owners == {"quadrature.composite_gauss_points"}
 
 
+def test_one_block_budget():
+    # the two quadrature kernels size their own blocks: only they call block_rows, and
+    # the suites in cli.py pass whole sample sets, reading none of the block constants
+    sizers = {(path.name, fn) for path in sorted(PACKAGE_DIR.glob("*.py"))
+              for fn in _callers(path.name, "block_rows")}
+    assert sizers == {("semigroup.py", "time_integral"), ("semigroup.py", "bromwich_S")}
+    assert not {"block_rows", "BLOCK_ENTRIES", "TIME_INTEGRAL_LEVELS"} & {
+        getattr(node, "id", getattr(node, "attr", None))
+        for node in ast.walk(ast.parse((PACKAGE_DIR / "cli.py").read_text()))}
+
+
 def test_perfbench_tracer_installs_and_restores_every_patch(monkeypatch):
     # perfbench/layertrace.py patches these by name; a renamed one fails its install, which
     # the benchmark reaches only under --trace 1.  uninstall must leave every namespace of
