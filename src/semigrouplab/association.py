@@ -28,7 +28,10 @@ test sequences (:func:`semigroup.power_spectra`) and one Parseval product
 pair across the calls of one run: a_n, the test spectra and fits, and the blocks F(a_n)
 asked for twice, as the cross-check's base family's are.  The operator-norm sups of one
 family, such as :func:`check_resolvent_norm_bounds`, are :func:`semigroup.operator_sups`.
-The log-log fits over n are :func:`symbols.fit_moderate` and :func:`symbols.is_moderate_fit`.
+The verdict rule is :func:`association_reports`, over every row of one check at once:
+each call of :func:`check_association` gathers its per-sequence and envelope rows into one
+:func:`symbols.fit_moderate_rows` fit, and :func:`make_association_report` is the rule's
+one-row case.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ from .semigroup import (Evaluations, Level, TestSequence, generator_level, multi
                         operator_sups, resolvent_level, semigroup_level)
 from .spectral import TWO_PI, Grid, GridFunction, lp_norm
 from .symbols import (MIN_FIT_INDICES, NORM_FLOOR, SymbolSeq, constant_symbol_seq,
-                      fit_moderate, heat_symbol_seq, perturbed_heat_seq, summed_symbol_seq)
+                      fit_moderate_rows, heat_symbol_seq, perturbed_heat_seq, summed_symbol_seq)
 
 # verdict thresholds (documented in the module docstring)
 TOL_ASSOC_REL = 1e-3
@@ -82,34 +85,50 @@ class AssociationReport:
         return self.verdict == VERDICT_ASSOCIATED
 
 
-def make_association_report(indices: Sequence[int], norms: Sequence[float],
-                            label: str = "") -> AssociationReport:
-    """Apply the verdict rule to one difference-norm sequence.
+def association_reports(indices: Sequence[int], rows, labels: Sequence[str]
+                        ) -> List[AssociationReport]:
+    """Apply the verdict rule to each row of a (rows x indices) difference-norm matrix,
+    labelled by ``labels``, with one :func:`symbols.fit_moderate_rows` fit for every row
+    above the floor.
 
-    A non-finite norm raises ``ValueError`` naming the label and the index.
+    A non-finite norm raises ``ValueError`` naming the first such row's label and index.
     """
     indices = list(indices)
-    norms = [float(v) for v in norms]
-    for n, v in zip(indices, norms):
-        if not math.isfinite(v):
-            raise ValueError(f"{label or 'association'}: norm at n={n} is {v}")
-    initial = norms[0]
-    final = norms[-1]
-    tol_assoc = TOL_ASSOC_REL * initial
-    if max(norms) <= NORM_FLOOR:
-        return AssociationReport(indices, norms, VERDICT_ASSOCIATED,
-                                 slope=0.0, r_squared=1.0, tol_assoc=tol_assoc, label=label)
-    fit = fit_moderate(dict(zip(indices, norms)))
-    rel_final = final / max(initial, NORM_FLOOR)
-    if final < tol_assoc or (fit.slope <= -SLOPE_MIN and rel_final <= DECAY_FACTOR
-                             and fit.r_squared >= R2_MIN):
-        verdict = VERDICT_ASSOCIATED
-    elif fit.slope >= 0.0 and final > 10.0 * tol_assoc:
-        verdict = VERDICT_NOT
-    else:
-        verdict = VERDICT_INCONCLUSIVE
-    return AssociationReport(indices, norms, verdict, slope=fit.slope,
-                             r_squared=fit.r_squared, tol_assoc=tol_assoc, label=label)
+    rows = [[float(v) for v in row] for row in rows]
+    for norms, label in zip(rows, labels):
+        for n, v in zip(indices, norms):
+            if not math.isfinite(v):
+                raise ValueError(f"{label or 'association'}: norm at n={n} is {v}")
+    live = [i for i, norms in enumerate(rows) if max(norms) > NORM_FLOOR]
+    # a row at the floor reads associated unfitted, on any number of indices
+    fits = dict(zip(live, fit_moderate_rows(indices, [rows[i] for i in live]))) if live else {}
+    reports = []
+    for i, (norms, label) in enumerate(zip(rows, labels)):
+        initial, final = norms[0], norms[-1]
+        tol_assoc = TOL_ASSOC_REL * initial
+        if i not in fits:
+            reports.append(AssociationReport(indices, norms, VERDICT_ASSOCIATED, slope=0.0,
+                                             r_squared=1.0, tol_assoc=tol_assoc, label=label))
+            continue
+        fit = fits[i]
+        rel_final = final / max(initial, NORM_FLOOR)
+        if final < tol_assoc or (fit.slope <= -SLOPE_MIN and rel_final <= DECAY_FACTOR
+                                 and fit.r_squared >= R2_MIN):
+            verdict = VERDICT_ASSOCIATED
+        elif fit.slope >= 0.0 and final > 10.0 * tol_assoc:
+            verdict = VERDICT_NOT
+        else:
+            verdict = VERDICT_INCONCLUSIVE
+        reports.append(AssociationReport(indices, norms, verdict, slope=fit.slope,
+                                         r_squared=fit.r_squared, tol_assoc=tol_assoc,
+                                         label=label))
+    return reports
+
+
+def make_association_report(indices: Sequence[int], norms: Sequence[float],
+                            label: str = "") -> AssociationReport:
+    """The :func:`association_reports` verdict on one difference-norm sequence."""
+    return association_reports(indices, [norms], [label])[0]
 
 
 def check_association(s: SymbolSeq, s_tilde: SymbolSeq, levels: Mapping[str, Level],
@@ -121,8 +140,9 @@ def check_association(s: SymbolSeq, s_tilde: SymbolSeq, levels: Mapping[str, Lev
     d = w (F(a_n) - F(a~_n)), with the blocks F from ``ev``.
     The test sequences must be moderate (:meth:`semigroup.Evaluations.verify_moderate`).
     A report's norms are the envelope over the test sequences, and its verdict is
-    the most severe per-sequence verdict.  A NaN norm is kept, so
-    :func:`make_association_report` rejects it.
+    the most severe per-sequence verdict.  Every per-sequence and envelope row of the
+    call goes through one :func:`association_reports` pass.  A NaN norm is kept, so
+    that pass rejects it.
     """
     if not test_seqs:
         raise ValueError(f"{', '.join(levels)}: no test sequences")
@@ -132,19 +152,29 @@ def check_association(s: SymbolSeq, s_tilde: SymbolSeq, levels: Mapping[str, Lev
         blocks = [level.weights * (ev.block(s, n, level) - ev.block(s_tilde, n, level))
                   for level in levels.values()]
         norms = multiplier_norms(np.concatenate(blocks), ev.spectra(test_seqs, n))
-        ends = np.cumsum([len(block) for block in blocks])[:-1]
-        for (label, sup), rows in zip(sups.items(), np.split(norms, ends)):
-            if not len(rows):
+        start = 0
+        for (label, sup), block in zip(sups.items(), blocks):
+            if not len(block):
                 raise ValueError(f"{label}: no samples")
-            sup.append(np.max(rows, axis=0))  # np.max keeps a NaN
-    reports = {}
+            sup.append(norms[start:start + len(block)].max(axis=0))  # max keeps a NaN
+            start += len(block)
+    # per label its sequences' rows, then their envelope when there are several
+    rows, labels = [], []
     for label, sup in sups.items():
-        per_seq = [make_association_report(n_list, norms, label=f"{label}/seq{i}")
-                   for i, norms in enumerate(np.transpose(sup))]
+        per_seq = np.transpose(sup)
+        rows += list(per_seq)
+        labels += [f"{label}/seq{i}" for i in range(len(per_seq))]
+        if len(per_seq) > 1:
+            rows.append(per_seq.max(axis=0))
+            labels.append(label)
+    made = iter(association_reports(n_list, rows, labels))
+    reports = {}
+    for label in sups:
+        per_seq = [next(made) for _ in test_seqs]
         if len(per_seq) == 1:  # the envelope is the one sequence's norms
             reports[label] = dataclasses.replace(per_seq[0], label=label)
             continue
-        reports[label] = make_association_report(n_list, np.max(sup, axis=1), label)
+        reports[label] = next(made)
         reports[label].verdict = max((r.verdict for r in per_seq), key=_SEVERITY.get)
     return reports
 
@@ -168,11 +198,12 @@ def check_resolvent_norm_bounds(s: SymbolSeq, n_list: Sequence[int], lambda_list
     the spread c_2/c_1 and flags families whose norms grow with n.
     """
     sups = operator_sups(s, {"resolvent": resolvent_level(lambda_list, ev.grid)}, ev, n_list)
+    columns = sups["resolvent"].T.tolist()  # one row of norms over n per lambda
+    slopes = ([fit.slope for fit in fit_moderate_rows(n_list, columns)]
+              if len(n_list) >= MIN_FIT_INDICES else [None] * len(columns))
     reports = []
-    for lam, column in zip(lambda_list, sups["resolvent"].T):
-        vals = dict(zip(n_list, map(float, column)))
-        lo, hi = min(vals.values()), max(vals.values())
-        slope = fit_moderate(vals).slope if len(vals) >= MIN_FIT_INDICES else None
+    for lam, vals, slope in zip(lambda_list, columns, slopes):
+        lo, hi = min(vals), max(vals)
         reports.append(ResolventBoundReport(lambda_value=complex(lam), lower=lo, upper=hi,
                                 spread=hi / lo,
                                 bounded=(slope is None or slope <= SLOPE_MIN)))

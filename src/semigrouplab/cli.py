@@ -23,9 +23,9 @@ from .config import (PERTURB_ORACLE_T_MAX, ExperimentConfig, comparison_operand,
 from .errors import (ConfigError, OverflowGuardError, ResolutionError, SemigroupLabError,
                      SpaceTimeSupportError)
 from .perturbation import perturbation_claims_suite, perturbation_quadrature, perturbed_factor
-from .semigroup import (LAPLACE_STEP_MAX, TIME_INTEGRAL_PANELS, Evaluations, bromwich_S,
-                        certify_growth, generator_level, laplace_identity_residual, phi,
-                        pseudoresolvent_residual, relative_defects, resolvent_level,
+from .semigroup import (LAPLACE_STEP_MAX, RESOLVENT_MARGIN, TIME_INTEGRAL_PANELS, Evaluations,
+                        bromwich_S, certify_growth, generator_level, laplace_identity_residual,
+                        phi, pseudoresolvent_residual, relative_defects, resolvent_level,
                         sample_axis, semigroup_level, time_integral)
 from .spectral import DistributionRep, Grid, GridFunction, lp_norm, mollify
 from .symbols import (MIN_FIT_INDICES, SymbolSeq, constant_symbol_seq, make_poly_symbol_seq,
@@ -223,12 +223,13 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     ev = Evaluations(build_grid(cfg))
     s = build_family(cfg)
     s_tilde = build_comparison_family(cfg, s)
-    # the Laplace suite integrates up to T = 40 / (Re lambda - omega) on 64 panels
+    # the Laplace suite integrates up to T = 40 / (Re lambda - omega) on 64 panels, and
+    # |lambda - a_n| >= Re lambda - omega keeps its resolvent factors off the spectrum
     omega = max(0.0, s.re_bound)
-    left = [l for l in cfg.lambda_samples if not complex(l).real > omega]
+    left = [l for l in cfg.lambda_samples if not complex(l).real - omega > RESOLVENT_MARGIN]
     if left:
-        raise ConfigError(f"lambda_samples {left} need a real part above omega = {omega} "
-                          f"for the Laplace suite")
+        raise ConfigError(f"lambda_samples {left} need a real part more than "
+                          f"{RESOLVENT_MARGIN:g} above omega = {omega} for the Laplace suite")
     for lam in map(complex, cfg.lambda_samples):
         step = abs(lam.imag) * 40.0 / (lam.real - omega) / TIME_INTEGRAL_PANELS
         if step > LAPLACE_STEP_MAX:

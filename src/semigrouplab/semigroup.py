@@ -37,7 +37,8 @@ import numpy as np
 from .errors import OverflowGuardError, ResolventSingularityError
 from .quadrature import GAUSS_NODES_PER_PANEL, _gauss_rule, trapezoid_weights
 from .spectral import Grid, GridFunction, lp_norm
-from .symbols import MIN_FIT_INDICES, ModerateSeq, SymbolSeq, fit_moderate, is_moderate_fit
+from .symbols import (MIN_FIT_INDICES, ModerateSeq, SymbolSeq, fit_moderate, fit_moderate_rows,
+                      is_moderate_fit)
 
 #: admissibility margin for 1/(lambda - a) conditioning
 RESOLVENT_MARGIN = 1e-8
@@ -383,13 +384,16 @@ class Evaluations:
     def verify_moderate(self, test_seqs: Sequence[TestSequence], n_list: Sequence[int]) -> None:
         """Precondition of the association checks: test sequences are moderate, the one
         quantitative membership condition, since domain and range identities of multiplier
-        families on a shared grid hold structurally."""
+        families on a shared grid hold structurally.  The sequences not fitted before are
+        fitted together, in one :func:`symbols.fit_moderate_rows` pass."""
         if len(n_list) < MIN_FIT_INDICES:
             return
-        for i, seq in enumerate(test_seqs):
-            key = (seq, tuple(n_list))
-            if key not in self._fits:
-                self._fits[key] = fit_moderate({n: lp_norm(seq(n), 2) for n in n_list})
+        keys = [(seq, tuple(n_list)) for seq in test_seqs]
+        new = [key for key in dict.fromkeys(keys) if key not in self._fits]
+        if new:
+            rows = [[lp_norm(seq(n), 2) for n in n_list] for seq, _ in new]
+            self._fits.update(zip(new, fit_moderate_rows(n_list, rows)))
+        for i, key in enumerate(keys):
             if not is_moderate_fit(self._fits[key]):
                 raise ValueError(f"test sequence {i} is not moderate "
                                  f"(fitted exponent {self._fits[key].slope:.2f})")

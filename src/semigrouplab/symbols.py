@@ -7,16 +7,18 @@ exactly when sup Re a_n is finite, so that bound, ``re_bound``, is the one hypot
 family, formed in closed form.  Non-finite symbol values raise.
 
 Moderate sequences are the base notion of the theory, so their log-log fit
-over n (:func:`fit_moderate`, :func:`is_moderate_fit`) lives here, below
-every module that fits over n; ``MIN_FIT_INDICES`` is the one place the
-minimum index count of a fit is set.
+over n lives here, below every module that fits over n: one row kernel,
+:func:`fit_moderate_rows`, fits every row of a (rows x indices) norm matrix
+in one numpy pass, :func:`fit_moderate` is its one-row case and
+:func:`is_moderate_fit` reads a fit; ``MIN_FIT_INDICES`` is the one place
+the minimum index count of a fit is set.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -42,37 +44,50 @@ class ModerateSeq:
     floored: bool = False
 
 
-def fit_moderate(norms: Mapping[int, float]) -> ModerateSeq:
-    """Fit ||x_n|| ~ C n^a by least squares in log-log coordinates.
+def fit_moderate_rows(indices: Sequence[int], rows) -> List[ModerateSeq]:
+    """Fit ||x_n|| ~ C n^a by least squares in log-log coordinates, one fit per row of the
+    (rows x indices) matrix ``rows``, all rows in one numpy pass.
 
-    Requires at least ``MIN_FIT_INDICES`` indices; zero values are replaced
-    by ``NORM_FLOOR`` and flagged.  A sequence whose logs spread by at most
-    8 eps is a constant up to round-off and fits exactly: slope 0 and R^2 = 1.
+    Requires at least ``MIN_FIT_INDICES`` distinct indices, in any order; zero values are
+    replaced by ``NORM_FLOOR`` and flagged.  A row whose logs spread by at most 8 eps is a
+    constant up to round-off and fits exactly: slope 0 and R^2 = 1.  Each row is reduced
+    along the last axis of a C-ordered block and its constant C formed by ``math.exp``
+    (``np.exp`` may differ in the last bit), so a row fits bitwise as it would alone.
     """
-    if len(norms) < MIN_FIT_INDICES:
+    if len(indices) < MIN_FIT_INDICES:
         raise InsufficientDataError(
-            f"need >= {MIN_FIT_INDICES} indices for a fit, got {len(norms)}")
-    ns = sorted(norms)
-    vals = np.array([float(norms[n]) for n in ns], dtype=float)
-    if np.any(vals < 0):
+            f"need >= {MIN_FIT_INDICES} indices for a fit, got {len(indices)}")
+    if len(set(indices)) < len(indices):
+        raise ValueError(f"indices must be distinct, got {list(indices)}")
+    order = sorted(range(len(indices)), key=indices.__getitem__)
+    ns = tuple(indices[i] for i in order)
+    vals = np.array(rows, dtype=float).reshape(len(rows), len(indices))
+    vals = np.take(vals, order, axis=-1)  # C order, so each row sums as it would alone
+    if (vals < 0).any():
         raise ValueError("norms must be nonnegative")
-    floored = bool(np.any(vals == 0))
+    floored = (vals == 0).any(axis=-1)
     vals = np.maximum(vals, NORM_FLOOR)
     x = np.log(np.asarray(ns, dtype=float))
     y = np.log(vals)
-    constant = np.ptp(y) <= 8 * np.finfo(float).eps  # a constant up to round-off
-    if constant:
-        y = np.full_like(y, y[0])
-    xm, ym = x.mean(), (y[0] if constant else y.mean())
-    var = float(np.sum((x - xm) ** 2))
-    slope = float(np.sum((x - xm) * (y - ym)) / var)
+    xm, ym = x.mean(), y.mean(axis=-1)
+    constant = y.max(axis=-1) - y.min(axis=-1) <= 8 * np.finfo(float).eps  # up to round-off
+    if constant.any():
+        ym[constant] = y[constant, 0]
+        y[constant] = ym[constant, None]
+    var = float(((x - xm) ** 2).sum())
+    slope = ((x - xm) * (y - ym[:, None])).sum(axis=-1) / var
     intercept = ym - slope * xm
-    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
-    ss_tot = float(np.sum((y - ym) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return ModerateSeq(indices=tuple(ns), values=tuple(float(v) for v in vals),
-                       slope=slope, constant=float(math.exp(intercept)),
-                       r_squared=r2, floored=floored)
+    ss_res = ((y - (slope[:, None] * x + intercept[:, None])) ** 2).sum(axis=-1)
+    ss_tot = ((y - ym[:, None]) ** 2).sum(axis=-1)
+    return [ModerateSeq(indices=ns, values=tuple(row), slope=m, constant=math.exp(c),
+                        r_squared=1.0 if t == 0 else 1.0 - r / t, floored=f)
+            for row, m, c, r, t, f in zip(vals.tolist(), slope.tolist(), intercept.tolist(),
+                                          ss_res.tolist(), ss_tot.tolist(), floored.tolist())]
+
+
+def fit_moderate(norms: Mapping[int, float]) -> ModerateSeq:
+    """The :func:`fit_moderate_rows` fit of one sequence, given as {n: ||x_n||}."""
+    return fit_moderate_rows(list(norms), [list(norms.values())])[0]
 
 
 def is_moderate_fit(fit: ModerateSeq) -> bool:

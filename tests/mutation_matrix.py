@@ -130,13 +130,13 @@ MUTANTS = [
      'object.__setattr__(self, "_repr", repr(self))',
      'object.__setattr__(self, "_repr", repr((self.shape, self.q, self.rate, self.n_min, '
      'self.m, self.parts, self.factor)))', {"tier-1"}),
-    ("fit_moderate slope x (1 + 1e-6)", "symbols.py",
-     "slope = float(np.sum((x - xm) * (y - ym)) / var)",
-     "slope = float(np.sum((x - xm) * (y - ym)) / var) * (1 + 1e-6)", {"tier-1"}),
-    # a sequence constant up to round-off then fits a round-off slope and R^2
-    ("fit_moderate constant only when exactly equal", "symbols.py",
-     "constant = np.ptp(y) <= 8 * np.finfo(float).eps", "constant = np.ptp(y) <= 0.0",
-     {"tier-1"}),
+    ("fit_moderate_rows slope x (1 + 1e-6)", "symbols.py",
+     "slope = ((x - xm) * (y - ym[:, None])).sum(axis=-1) / var",
+     "slope = ((x - xm) * (y - ym[:, None])).sum(axis=-1) / var * (1 + 1e-6)", {"tier-1"}),
+    # a row constant up to round-off then fits a round-off slope and R^2
+    ("fit_moderate_rows constant only when exactly equal", "symbols.py",
+     "constant = y.max(axis=-1) - y.min(axis=-1) <= 8 * np.finfo(float).eps",
+     "constant = y.max(axis=-1) - y.min(axis=-1) <= 0.0", {"tier-1"}),
     ("write_rows drops the last row", "csvio.py",
      "        for row in rows:\n            writer.writerow(",
      "        for row in list(rows)[:-1]:\n            writer.writerow(", {"tier-1"}),

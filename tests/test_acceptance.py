@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from semigrouplab.association import (bundled_family_pairs, check_association,
-                                      crosscheck_comparison_theorems, fit_moderate)
+                                      crosscheck_comparison_theorems)
 from semigrouplab.cauchy import (ForcingSeq, SliceSums, bump_test_function, duhamel_solve,
                                  integral_equation_residual, very_weak_pairing,
                                  weak_limit_extract)
@@ -25,7 +25,7 @@ from semigrouplab.semigroup import (Evaluations, bromwich_S, laplace_identity_re
                                     semigroup_level)
 from semigrouplab.spectral import (DistributionRep, Grid, GridFunction,
                                    lp_norm, mollify)
-from semigrouplab.symbols import (SymbolSeq, constant_symbol_seq, heat_symbol_seq,
+from semigrouplab.symbols import (SymbolSeq, constant_symbol_seq, fit_moderate, heat_symbol_seq,
                                   make_poly_symbol_seq, perturbed_heat_seq)
 
 HEAT_C2 = 1.0 / (4.0 * np.pi**2)

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from semigrouplab import association, semigroup
 from semigrouplab.association import (CROSSCHECK_LEVELS, SUITE_T_SAMPLES, AssociationReport,
-                                      PairCrossCheck, bundled_family_pairs,
+                                      PairCrossCheck, association_reports, bundled_family_pairs,
                                       bundled_test_sequences, check_association,
                                       check_resolvent_norm_bounds,
-                                      crosscheck_comparison_theorems, fit_moderate,
+                                      crosscheck_comparison_theorems,
                                       make_association_report)
 from semigrouplab.errors import InsufficientDataError, ResolventSingularityError
 from semigrouplab.semigroup import (Evaluations, certify_growth, derivative_level,
@@ -21,9 +21,9 @@ from semigrouplab.semigroup import (Evaluations, certify_growth, derivative_leve
                                     power_spectra, resolvent_factor, resolvent_level,
                                     resolvent_over_lambda_derivative, semigroup_level)
 from semigrouplab.spectral import Grid, GridFunction, mollifier, lp_norm
-from semigrouplab.symbols import (NORM_FLOOR, SymbolSeq, constant_symbol_seq, heat_symbol_seq,
-                                  is_moderate_fit, make_poly_symbol_seq, perturbed_heat_seq,
-                                  summed_symbol_seq)
+from semigrouplab.symbols import (NORM_FLOOR, SymbolSeq, constant_symbol_seq, fit_moderate,
+                                  fit_moderate_rows, heat_symbol_seq, is_moderate_fit,
+                                  make_poly_symbol_seq, perturbed_heat_seq, summed_symbol_seq)
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +115,74 @@ class TestFitModerate:
         fit = fit_moderate({n: value for n in (4, 8, 16, 32, 64)})
         assert (fit.slope, fit.r_squared) == (0.0, 1.0)
         assert fit.constant == pytest.approx(value, rel=1e-15)
+
+
+#: distinct indices in any order, for the row kernel
+KERNEL_INDICES = st.lists(st.integers(1, 4096), min_size=4, max_size=16, unique=True)
+
+
+def norm_rows(indices):
+    """Rows of norms on ``indices``: zeros among values from 1e-320 to 1e300, a constant
+    up to a few ulp, or a power law."""
+    m = len(indices)
+    wide = st.lists(st.one_of(st.just(0.0), st.floats(1e-320, 1e300)), min_size=m, max_size=m)
+    ulps = st.lists(st.integers(-4, 4), min_size=m, max_size=m)
+    constant = st.builds(lambda v, ks: [v + k * math.ulp(v) for k in ks],
+                         st.floats(1e-300, 1e300), ulps)
+    power = st.builds(lambda c, a: [c * float(n) ** a for n in indices],
+                      st.floats(1e-100, 1e100), st.floats(-10.0, 10.0))
+    return st.lists(st.one_of(wide, constant, power), min_size=1, max_size=12)
+
+
+def alone(fn, *args):
+    """fn(*args), or OverflowError when its C = e^intercept leaves the float range."""
+    try:
+        return fn(*args)
+    except OverflowError as exc:
+        return exc
+
+
+class TestRowKernel:
+    """``fit_moderate_rows`` fits each row bit for bit as ``fit_moderate`` fits it alone,
+    and ``association_reports`` judges each row as ``make_association_report`` does."""
+
+    @staticmethod
+    def bits(fit):
+        return (tuple(map(float.hex, (fit.slope, fit.constant, fit.r_squared) + fit.values)),
+                fit.floored, fit.indices)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), indices=KERNEL_INDICES)
+    def test_each_row_fits_as_alone(self, data, indices):
+        rows = data.draw(norm_rows(indices))
+        fits = [alone(fit_moderate, dict(zip(indices, row))) for row in rows]
+        kept = [i for i, fit in enumerate(fits) if not isinstance(fit, OverflowError)]
+        if len(kept) < len(rows):  # one row past the float range stops the batch
+            with pytest.raises(OverflowError):
+                fit_moderate_rows(indices, rows)
+        rows, fits = [rows[i] for i in kept], [fits[i] for i in kept]
+        batches = [fit_moderate_rows(indices, rows)]
+        if rows:  # a column-major matrix fits as its rows do
+            batches.append(fit_moderate_rows(indices, np.asfortranarray(rows)))
+        for batch in batches:
+            assert [self.bits(fit) for fit in batch] == [self.bits(fit) for fit in fits]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), indices=KERNEL_INDICES)
+    def test_each_batched_report_is_the_one_row_report(self, data, indices):
+        rows = data.draw(norm_rows(indices))
+        labels = [f"row{i}" for i in range(len(rows))]
+        alones = [alone(make_association_report, indices, row, label)
+                  for row, label in zip(rows, labels)]
+        batched = alone(association_reports, indices, rows, labels)
+        if any(isinstance(report, OverflowError) for report in alones):
+            assert isinstance(batched, OverflowError)
+        else:
+            assert batched == alones
+
+    def test_repeated_indices_refused(self):
+        with pytest.raises(ValueError, match="distinct"):
+            fit_moderate_rows([4, 8, 8, 16], [[1.0, 0.5, 0.5, 0.25]])
 
 
 #: index lists the verdict properties are drawn on

@@ -150,13 +150,16 @@ class TestVerifyCommand:
         assert summary.count("pass") == 5
 
     def test_lambda_inside_spectrum_names_singularity(self, tmp_path, capsys):
-        # 1e-9 is right of omega = 0 but within RESOLVENT_MARGIN of a(0) = 0 for heat
-        bad = dataclasses.replace(FAST_VERIFY, lambda_samples=(1e-9 + 0j,))
-        code = main(["verify", "--config", write_cfg(tmp_path, bad),
-                     "--out", str(tmp_path / "out")])
-        assert code == 1
-        text = capsys.readouterr().out + (tmp_path / "out" / "verify_summary.txt").read_text()
-        assert "ResolventSingularity" in text
+        # 1e-9 and 1e-300 are right of omega = 0 but within RESOLVENT_MARGIN of a(0) = 0 for
+        # heat: the config is refused before any suite runs, naming the field and the margin
+        for lam in (1e-9, 1e-300):
+            bad = dataclasses.replace(FAST_VERIFY, lambda_samples=(lam + 0j, 10.0 + 0j))
+            code = main(["verify", "--config", write_cfg(tmp_path, bad),
+                         "--out", str(tmp_path / "out")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "lambda_samples" in err and f"{lam + 0j}" in err and "1e-08" in err
+            assert not (tmp_path / "out" / "verify.csv").exists()
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         code = main(["verify", "--config", str(tmp_path / "missing.cfg")])
@@ -1190,7 +1193,7 @@ def test_associate_evaluates_each_symbol_and_spectrum_once_per_pair_and_index(
     counting(symbols.SymbolSeq, "on_grid")
     counting(np.fft, "fftn")
     counting(association, "multiplier_norms")
-    counting(association, "fit_moderate")
+    counting(association, "fit_moderate_rows")
     # the levels' factors call these in their own module
     counting(semigroup, "phi")
     counting(semigroup, "resolvent_factor")
@@ -1211,7 +1214,10 @@ def test_associate_evaluates_each_symbol_and_spectrum_once_per_pair_and_index(
     assert 0 < counts["fftn"] <= 13
     assert 0 < counts["phi"] <= 57
     assert 0 < counts["resolvent_factor"] <= 119
-    assert 0 < counts["fit_moderate"] <= 110
+    # one row-batched fit per check_association call and one for the resolvent bounds; the
+    # identical pair's rows all sit at the floor, so its call fits nothing
+    assert 0 < counts["fit_moderate_rows"] <= len(kernel_indices) + 1
+    assert 0 < counts["fit_moderate_rows"] <= 11
 
 
 def test_character_contradiction_exits_1_naming_pair_and_level(tmp_path, monkeypatch, capsys):
