@@ -36,11 +36,11 @@ PERTURB_ORACLE_T_MAX = 2.0
 PERTURB_STEP_MAX = 8.0
 #: largest size |b| e^(T max(0, Re b)), T = PERTURB_ORACLE_T_MAX, of the terms that cancel
 #: in that oracle at which it keeps its 1e-10 gate: on the perturb scenario (perfbench
-#: seeds 0 and 7) its round-off is at most 4.8e-16 times that size, for the 17 values of b
-#: with |b| <= 256 and size 100 or more, so b = 5 (size 1.1e5) deviates by at most 2.7e-11
-#: and 3+250j (1.0e5) by 6.4e-12, while 6 (9.8e5) deviates by 1.8e-10 and 10 (4.9e9) by
-#: 5.1e-7.  5.5 (3.3e5, 4.6e-11) and 4+150j (4.5e5, 9.6e-12) pass as well, but that ratio
-#: bound keeps the gate only up to a size of 2.1e5, so the bound stays
+#: seeds 0 and 7) its round-off is at most 6.2e-16 times that size, for 22 values of b
+#: with |b| <= 256 and size 100 or more, so b = 5 (size 1.1e5) deviates by at most 3.0e-11
+#: and 3+250j (1.0e5) by 6.5e-12, while 6 (9.8e5) deviates by 3.0e-10 and 10 (4.9e9) by
+#: 7.1e-7.  5.5 (3.3e5, 7.0e-11) and 4+150j (4.5e5, 1.2e-11) pass as well, but that ratio
+#: bound keeps the gate only up to a size of 1.6e5, so the bound stays
 PERTURB_TERM_MAX = 1.2e5
 
 #: the values of each kind field; the values of a rate field are names in ``symbols.RATES``

@@ -53,8 +53,9 @@ EXP_GUARD = 700.0
 #: ``time_integral`` folds by doubling
 _DOUBLINGS = 6
 TIME_INTEGRAL_PANELS = 2**_DOUBLINGS
-#: points per entry at which ``time_integral`` evaluates phi: 6 doubling steps, 12 offsets
-TIME_INTEGRAL_LEVELS = _DOUBLINGS + GAUSS_NODES_PER_PANEL
+#: points per entry at which ``time_integral`` evaluates phi: the 12 offsets and h, from
+#: which the doubling builds the other five starts 2^j h
+TIME_INTEGRAL_LEVELS = GAUSS_NODES_PER_PANEL + 1
 
 #: largest step |Im lambda| T / 64, T = 40/(Re lambda - omega), at which the Laplace suite
 #: keeps its 1e-8 gate: on perfbench verify seeds 0-31, each with its 1-D family, a 64^2
@@ -141,6 +142,17 @@ def phi(t, a) -> np.ndarray:
     return out
 
 
+def _doublings(phi_h, a):
+    """phi(u, a) and e^(u a) at u = 2^j h, j = 0..5, from phi(h, a) alone: e^(u a) is
+    1 + a phi(u, a), and phi(2u, a) = phi(u, a) (1 + e^(u a))."""
+    phi_u, e_ua = phi_h, 1.0 + a * phi_h
+    yield phi_u, e_ua
+    for _ in range(1, _DOUBLINGS):
+        phi_u = phi_u * (1.0 + e_ua)
+        e_ua = 1.0 + a * phi_u
+        yield phi_u, e_ua
+
+
 def time_integral(t, a, b) -> np.ndarray:
     """integral_0^t e^(s b) phi(s, a) ds by the composite Gauss rule on 64 panels.
 
@@ -152,40 +164,48 @@ def time_integral(t, a, b) -> np.ndarray:
     phi(u + v, a) = phi(u, a) + e^(u a) phi(v, a).  The starts are the sums of the
     six two-point sets {0, 2^j h}, j = 0..5, each with (E, P, X) = (1 + e^(u b),
     e^(u b) phi(u, a), 1 + e^(u (a + b))) at u = 2^j h, as sum_(k<64) z^k =
-    prod_j (1 + z^(2^j)).  So phi runs on the 6 + 12 = ``TIME_INTEGRAL_LEVELS``
-    points per entry of a, not on 768 nodes, and e^(s b) on 18 per entry of t and b:
-    a scalar b (the Laplace check, a xi-constant perturbation, the functional-equation
-    suite at b = 0) costs 18 per time.  The doubling levels' e^(u a) come from that
-    phi block as 1 + a phi(u, a), within a few ulp x (1 + |e^(u a)|) of exp.  Overflow
-    raises ``FloatingPointError`` (phi's: ``OverflowGuardError``).  Blocks stay within
-    ``BLOCK_ENTRIES``: the rule runs on slices of the last broadcast axis of
-    ``block_rows(18 x the other axes)`` entries.  Per entry no bit moves, but numpy sums
-    the 12 offsets of a one-entry slice pairwise.
+    prod_j (1 + z^(2^j)).  phi runs on h and the 12 offsets, ``TIME_INTEGRAL_LEVELS``
+    = 13 points per entry of a, not on 768 nodes; :func:`_doublings` builds the other
+    five starts from phi(h, a), within 8 x 2^j eps (1 + |e^(u a)|)/|a| of phi(u, a) at
+    u = 2^j h.  e^(s b) is a direct exp on all 18 points per entry of t and b: a scalar b
+    (the Laplace check, a xi-constant perturbation) costs 18 per time, a 0-d zero b (the
+    functional-equation suite) 18 in all.  Overflow raises ``FloatingPointError``
+    (phi's: ``OverflowGuardError``); at the starts past h it is the doubling's product
+    that overflows, not phi's guard.  The rule runs on slices of the last broadcast axis of
+    ``block_rows(48 x the other axes)`` entries, each one computing its own e^(s b).
+    Per entry no bit moves, but numpy sums the 12 offsets of a one-entry slice pairwise.
     """
     shape = np.broadcast(t, a, b).shape  # np.broadcast_shapes costs 3x as much per call
-    rows = block_rows(TIME_INTEGRAL_LEVELS * math.prod(shape[:-1]))
+    # one slice holds about 67 complex entries' bytes per entry at its peak (101 with b along
+    # the slice), nearly all of them phi's 13 points and their temporaries: a slice of
+    # BLOCK_ENTRIES / 48 entries peaks at 360 KiB (538 KiB), and a warm perturb call, which
+    # passes (times x modes) blocks, at 652 KB of tracemalloc, against 712 KB at 1/36
+    rows = block_rows(48 * math.prod(shape[:-1]))
     if shape and shape[-1] > rows:  # an operand broadcast along the last axis passes whole
         ops = [(x, np.shape(x)[-1:] == shape[-1:]) for x in (t, a, b)]
         return np.concatenate([time_integral(*(x[..., i:i + rows] if cut else x for x, cut in ops))
                                for i in range(0, shape[-1], rows)], axis=-1)
     gx, gw = _gauss_rule(GAUSS_NODES_PER_PANEL)
     h = np.asarray(t, dtype=float) / TIME_INTEGRAL_PANELS
-    # a level axis in front of the broadcast dimensions, so a scalar t or b stays unexpanded
+    # a level axis in front of the broadcast dimensions, so a scalar t or b stays unexpanded:
+    # the points in units of h, the 12 offsets and then the six starts 2^j
     lead = (-1,) + (1,) * len(shape)
-    pts = np.reshape(np.concatenate([2.0 ** np.arange(_DOUBLINGS), 0.5 * (1.0 + gx)]), lead) * h
-    weights = np.reshape(0.5 * gw, lead) * h
+    levels = np.reshape(np.concatenate([0.5 * (1.0 + gx), 2.0 ** np.arange(_DOUBLINGS)]), lead)
+    pts, weights = levels * h, np.reshape(0.5 * gw, lead) * h
+    g = GAUSS_NODES_PER_PANEL
     with np.errstate(over="raise"):
-        e_b = np.exp(pts * b)
-        phi_a = phi(pts, a)
-        p_b = e_b * phi_a
-        x_b = (1.0 + a * phi_a[:_DOUBLINGS]) * e_b[:_DOUBLINGS]
+        # e^(s 0) = 1 at every s, so a 0-d zero b takes the levels axis alone
+        e_b = np.exp((levels if np.ndim(b) == 0 and b == 0 else pts) * b)
+        phi_a = phi(pts[:TIME_INTEGRAL_LEVELS], a)
         # P and X of the starts, one doubling at a time (their E is not needed)
-        p, x = p_b[0], 1.0 + x_b[0]
-        for j in range(1, _DOUBLINGS):
-            p, x = p * (1.0 + e_b[j]) + x * p_b[j], x * (1.0 + x_b[j])
+        doubled = _doublings(phi_a[g], a)
+        phi_u, e_ua = next(doubled)
+        p, x = e_b[g] * phi_u, 1.0 + e_ua * e_b[g]
+        for (phi_u, e_ua), e in zip(doubled, e_b[g + 1:]):
+            p, x = p * (1.0 + e) + x * (e * phi_u), x * (1.0 + e_ua * e)
         # times (E, P)_offsets: its P is the integral
-        return (p * np.sum(weights * e_b[_DOUBLINGS:], axis=0)
-                + x * np.sum(weights * p_b[_DOUBLINGS:], axis=0))
+        return (p * np.sum(weights * e_b[:g], axis=0)
+                + x * np.sum(weights * (e_b[:g] * phi_a[:g]), axis=0))
 
 
 @dataclass(frozen=True)

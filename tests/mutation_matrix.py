@@ -43,8 +43,8 @@ VALUES_BODY = ("        if a is None:  # a copy fills the space the evaluation f
 
 MUTANTS = [
     ("phi result x (1 + 1e-9)", "semigroup.py",
-     "    return out\n\n\ndef time_integral",
-     "    out *= 1 + 1e-9\n    return out\n\n\ndef time_integral",
+     "    return out\n\n\ndef _doublings",
+     "    out *= 1 + 1e-9\n    return out\n\n\ndef _doublings",
      {"verify", "tier-1"}),
     ("phi Taylor z^2/5 for z^2/6", "semigroup.py",
      "z**2 / 6.0", "z**2 / 5.0", {"tier-1"}),
@@ -54,14 +54,21 @@ MUTANTS = [
      "return np.divide(1.0, diff, out=diff)", "return np.divide(1.0 + 1e-9, diff, out=diff)",
      {"verify", "tier-1"}),
     ("time_integral Gauss weights x (1 + 1e-9)", "semigroup.py",
-     "weights = np.reshape(0.5 * gw, lead) * h",
-     "weights = np.reshape(0.5 * gw, lead) * h * (1 + 1e-9)",
+     "np.reshape(0.5 * gw, lead) * h",
+     "np.reshape(0.5 * gw, lead) * h * (1 + 1e-9)",
      {"verify", "perturb", "tier-1"}),
     # X of a doubling step is 1 + e^(u (a + b)); e^(u b) drops the e^(u a) of its upper half
     ("time_integral doubling X takes e^(u b)", "semigroup.py",
-     "x * (1.0 + x_b[j])", "x * (1.0 + e_b[j])", {"verify", "perturb", "tier-1"}),
+     "x * (1.0 + e_ua * e)", "x * (1.0 + e)", {"verify", "perturb", "tier-1"}),
     ("time_integral doubling P drops the X factor", "semigroup.py",
-     "p * (1.0 + e_b[j]) + x * p_b[j]", "p * (1.0 + e_b[j]) + p_b[j]",
+     "p * (1.0 + e) + x * (e * phi_u)", "p * (1.0 + e) + e * phi_u",
+     {"verify", "perturb", "tier-1"}),
+    # phi(2u, a) = 2 phi(u, a) holds only at a = 0
+    ("_doublings phi(2u) = phi(u) (1 + e^(u a)) with 2 for 1 + e^(u a)", "semigroup.py",
+     "phi_u = phi_u * (1.0 + e_ua)", "phi_u = phi_u * 2.0", {"verify", "perturb", "tier-1"}),
+    # every 0-d b then takes e^(s b) at the unit points, as if h were 1
+    ("time_integral takes the b = 0 levels for every 0-d b", "semigroup.py",
+     "levels if np.ndim(b) == 0 and b == 0 else pts", "levels if np.ndim(b) == 0 else pts",
      {"verify", "perturb", "tier-1"}),
     # the functional-equation and perturbation suites' 1,000 samples leave a partial slice
     ("time_integral drops the partial last slice", "semigroup.py",
@@ -70,9 +77,9 @@ MUTANTS = [
     # an operand of width one on the sliced axis is then empty past the first slice
     ("time_integral slices an operand that broadcasts", "semigroup.py",
      "(x, np.shape(x)[-1:] == shape[-1:])", "(x, np.ndim(x) > 0)", {"tier-1"}),
-    # each row then subtracts the integral of another time
-    ("perturbed_factor integrals in reverse time order", "perturbation.py",
-     "time_integral(t, a, b) for t in times]", "time_integral(t, a, b) for t in times[::-1]]",
+    # each row then holds the quadrature of another time
+    ("perturbed_factor quadrature in reverse time order", "perturbation.py",
+     "perturbation_quadrature(column, a, b)", "perturbation_quadrature(column[::-1], a, b)",
      {"perturb", "tier-1"}),
     ("power_spectra drops the 1/N", "semigroup.py",
      "spectra *= grid.cell_volume / spectra[0].size", "spectra *= grid.cell_volume",
@@ -88,7 +95,8 @@ MUTANTS = [
      {"associate", "tier-1"}),
     # equal parts in place of the levels' row counts: each label reads other levels' rows
     ("check_association splits the norm block evenly", "association.py",
-     "np.split(norms, ends)", "np.array_split(norms, len(blocks))", {"associate", "tier-1"}),
+     "            start += len(block)\n", "            start += -(-len(norms) // len(blocks))\n",
+     {"associate", "tier-1"}),
     ("Bromwich factors x (1 + 1e-6)", "semigroup.py",
      "(p * d_im - q_re)) / (2.0 * np.pi))[:, inverse]",
      "(p * d_im - q_re)) / (2.0 * np.pi) * (1 + 1e-6))[:, inverse]",

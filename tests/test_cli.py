@@ -184,7 +184,7 @@ class TestVerifyBlocks:
         a1, a2 = s.on_grid(1, grid), s.on_grid(2, grid)
         # time_integral on each caller's shape: the Laplace check's scalar t and b with 256
         # and 64 x 64 modes, the functional-equation suite's (3, N) times, the
-        # perturbation suite's 1,000 samples, which leave a partial last slice (910 + 90),
+        # perturbation suite's 1,000 samples, which leave a partial last slice (341 x 2 + 318),
         # and a column of times, which broadcasts along the sliced axis and passes whole
         t, sdur, r, ang = cli.box_points(*BOX_POINT_SETS["functional-equation"]).T
         ra, rb, ta, tb, tp = cli.box_points(*BOX_POINT_SETS["perturbation-oracle"]).T
@@ -233,8 +233,8 @@ class TestVerifyBlocks:
         assert max(peaks) <= 8 * 2**20, [f"{p / 2**20:.1f} MiB" for p in peaks]
 
     def test_functional_equation_suite_peak_memory_is_under_2_mib(self, setting):
-        # time_integral's blocks of 303 draws peak near 1.6 MiB; its rule on all 1,000 draws
-        # at once peaked at 6.9 MiB
+        # time_integral's slices of 113 draws peak near 0.55 MiB (1.6 MiB at 303 draws on 18
+        # phi points); its rule on all 1,000 draws at once peaked at 6.9 MiB
         cfg = setting[0]
         tracemalloc.start()
         try:
@@ -245,8 +245,8 @@ class TestVerifyBlocks:
         assert peak <= 2 * 2**20, f"{peak / 2**20:.2f} MiB"
 
     def test_perturbation_oracle_suite_peak_memory_is_under_2_mib(self, setting):
-        # time_integral's blocks of 910 + 90 samples peak near 1.7 MiB; its rule on all 1,000
-        # samples at once peaked at 2.7 MiB
+        # time_integral's slices of 341 + 341 + 318 samples peak near 0.6 MiB (1.7 MiB at
+        # 910 + 90 on 18 phi points); its rule on all 1,000 samples at once peaked at 2.7 MiB
         cfg = setting[0]
         tracemalloc.start()
         try:
@@ -288,7 +288,7 @@ class TestVerifyBlocks:
         norms = semigroup.multiplier_norms(np.stack([defect, np.ones(g2.shape)]),
                                            semigroup.power_spectra([u]))[:, 0]
         assert abs(res - norms[0] / norms[1]) <= 1e-14
-        # phi runs on doubling + Gauss points per mode, 6 + 12, never on 768
+        # phi runs on h and the 12 Gauss offsets per mode, never on 768
         entries = []
         phi = semigroup.phi
 
@@ -298,7 +298,7 @@ class TestVerifyBlocks:
 
         monkeypatch.setattr(semigroup, "phi", counted)
         assert semigroup.laplace_identity_residual(s.on_grid(n, g2), n, lam, u, T) == res
-        assert sum(entries) == 18 * g2.shape[0] * g2.shape[1]
+        assert sum(entries) == 13 * g2.shape[0] * g2.shape[1]
 
 
 def test_pseudoresolvent_suite_makes_one_block_per_index(monkeypatch):
@@ -378,7 +378,7 @@ def test_functional_equation_suite_matches_the_unfolded_rule(monkeypatch):
     folded = I[0] - I[1] - I[2]
     assert np.max(np.abs(folded - _unfolded_functional_equation_rhs(t, sdur, a))) <= 1e-14
     assert worst == np.max(np.abs(semigroup.phi(t, a) * semigroup.phi(sdur, a) - folded))
-    # phi runs on 2 + 3 x (6 + 12) points per draw, never on 768
+    # phi runs on 2 + 3 x (1 + 12) points per draw, never on 768
     entries = []
 
     def counted(phi):
@@ -390,7 +390,34 @@ def test_functional_equation_suite_matches_the_unfolded_rule(monkeypatch):
     monkeypatch.setattr(cli, "phi", counted(cli.phi))
     monkeypatch.setattr(semigroup, "phi", counted(semigroup.phi))
     assert cli._suite_functional_equation(FAST_VERIFY).worst == worst
-    assert sum(entries) == (2 + 3 * 18) * 1000
+    assert sum(entries) == (2 + 3 * 13) * 1000
+
+
+def test_zero_b_takes_the_levels_axis_alone_and_matches_the_general_path(monkeypatch):
+    # at a 0-d zero b, e^(s b) = 1 spans the 18 points alone, not the (3, 1000) times; the
+    # product with it is exact, so the suite's integrals equal those at b = zeros(a.shape)
+    # bit for bit, where e^(s b) is the full (18, 3, 1000) block of ones
+    t, sdur, r, ang = cli.box_points(*BOX_POINT_SETS["functional-equation"]).T
+    T, a = np.stack([t + sdur, t, sdur]), r * np.exp(1j * ang)
+    sizes = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def exp(x, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "time_integral":
+                sizes.append(np.size(x))
+            return np.exp(x, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(semigroup, "np", CountingNumpy())
+        scalar = semigroup.time_integral(T, a, 0.0)
+    assert set(sizes) == {18}
+    general = semigroup.time_integral(T, a, np.zeros(a.shape))
+    assert scalar.shape == general.shape == (3, 1000)
+    assert scalar.tobytes() == general.tobytes()
 
 
 def test_perturbation_oracle_samples_are_the_box_points(monkeypatch):
